@@ -12,7 +12,6 @@ from .kernel import (
     Atom,
     BaseSort,
     Bottom,
-    ContextSort,
     Exists,
     Forall,
     Iff,

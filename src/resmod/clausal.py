@@ -9,7 +9,7 @@ constraints of its input clause.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .kernel import (
     And,
@@ -18,8 +18,6 @@ from .kernel import (
     Bottom,
     Exists,
     Forall,
-    FUNCTION,
-    INDIVIDUAL,
     Iff,
     Implies,
     Not,
@@ -32,13 +30,11 @@ from .kernel import (
     Term,
     Top,
     Var,
-    _Binary,
     _Quant,
     format_prop,
     format_term,
     free_names,
     free_vars,
-    is_term,
     subst_prop,
     term_sort,
     variant_name,
@@ -96,8 +92,15 @@ class Constraint:
     def free_names(self) -> frozenset[str]:
         return free_names(self.lhs) | free_names(self.rhs)
 
-    def sides(self) -> tuple:
-        return (self.lhs, self.rhs)
+    def pairs(self) -> list[tuple[Term, Term]] | None:
+        """The term equations this constraint stands for: itself, or the
+        argument pairs of two atoms; None when the atoms' predicates clash."""
+        lhs, rhs = self.lhs, self.rhs
+        if not isinstance(lhs, Atom):
+            return [(lhs, rhs)]
+        if lhs.pred.name != rhs.pred.name or len(lhs.args) != len(rhs.args):
+            return None
+        return list(zip(lhs.args, rhs.args))
 
     def __str__(self) -> str:
         lhs, rhs = self.lhs, self.rhs
@@ -162,7 +165,7 @@ class ConstrainedClause:
         for lit in self.literals:
             out |= free_vars(lit.atom)
         for c in self.constraints:
-            for side in c.sides():
+            for side in (c.lhs, c.rhs):
                 out |= free_vars(side)
         return frozenset(out)
 
@@ -388,20 +391,11 @@ def clausal_form(p: Prop, system: RewriteSystem, sig: Signature,
     return ClausalResult(clauses, outcome.normal, records)
 
 
-def clause_disjunction(c: ConstrainedClause,
-                       replace_index: int | None = None,
-                       replacement: Prop | None = None) -> Prop:
-    """The clause read back as a proposition, optionally with one literal's
-    atom swapped for an arbitrary proposition (negated if the literal was
+def clause_disjunction(c: ConstrainedClause, bodies: Sequence[Prop]) -> Prop:
+    """The clause read back as a proposition, with each literal's atom
+    replaced by the matching entry of ``bodies`` (negated if the literal is
     negative)."""
-    parts: list[Prop] = []
-    for i, lit in enumerate(c.literals):
-        if i == replace_index:
-            assert replacement is not None
-            body: Prop = replacement
-        else:
-            body = lit.atom
-        parts.append(body if lit.positive else Not(body))
+    parts = [body if lit.positive else Not(body) for lit, body in zip(c.literals, bodies)]
     if not parts:
         return Bottom()
     out = parts[-1]
@@ -422,7 +416,9 @@ def reclausify(c: ConstrainedClause, index: int, replacement: Prop,
     """
     if not 0 <= index < len(c.literals):
         raise IndexError(f"clause has no literal {index}")
-    disj = clause_disjunction(c, index, replacement)
+    bodies: list[Prop] = [lit.atom for lit in c.literals]
+    bodies[index] = replacement
+    disj = clause_disjunction(c, bodies)
     carried = tuple(c.constraints) + tuple(extra_constraints)
     return clausal_form(disj, system, sig, fuel,
                         constraints=carried, provenance=provenance)
@@ -448,12 +444,7 @@ def renormalize_clause(c: ConstrainedClause, system: RewriteSystem, sig: Signatu
         lits = [Literal(l.positive, a) for l, a in zip(c.literals, new_atoms)]
         cl = ConstrainedClause(lits, c.constraints, provenance=provenance or c.provenance)
         return ClausalResult([cl], all_normal, []), True
-    parts: list[Prop] = [a if l.positive else Not(a)
-                         for l, a in zip(c.literals, new_atoms)]
-    disj: Prop = parts[-1] if parts else Bottom()
-    for part in reversed(parts[:-1]):
-        disj = Or(part, disj)
-    result = clausal_form(disj, system, sig, fuel,
+    result = clausal_form(clause_disjunction(c, new_atoms), system, sig, fuel,
                           constraints=c.constraints, provenance=provenance or c.provenance)
     result.normalized = result.normalized and all_normal
     return result, True

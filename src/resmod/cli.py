@@ -24,8 +24,7 @@ from .clausal import clausal_form
 from .kernel import Not, Prop
 from .parser import ParseError, parse_constraints, parse_inline_rules, parse_prop, \
     parse_substitution, parse_term_or_atom
-from .prover import FREEZE, ON_THE_FLY, ProverConfig, SearchResult, format_trace, \
-    saturate, verdict_of
+from .prover import FREEZE, ON_THE_FLY, ProverConfig, format_trace, saturate, verdict_of
 from .rewrite import normalize
 from .theories import TheoryPreset, UnknownPresetError, load_preset, parse_theory_file
 from .unify import FUEL, PASS, check_solution

@@ -66,27 +66,7 @@ class ArrowSort:
         return f"{dom} -> {self.codomain}"
 
 
-@dataclass(frozen=True)
-class ContextSort:
-    """Sort of a value relative to a context of sorts.
-
-    ``result`` is a single sort for term-like values and a tuple of sorts
-    for substitution-like values.
-    """
-
-    context: tuple["Sort", ...]
-    result: Union["Sort", tuple["Sort", ...]]
-
-    def __str__(self) -> str:
-        ctx = " ".join(str(s) for s in self.context)
-        if isinstance(self.result, tuple):
-            res = " ".join(str(s) for s in self.result)
-        else:
-            res = str(self.result)
-        return f"{ctx} |- {res}" if ctx else f"|- {res}"
-
-
-Sort = Union[BaseSort, ArrowSort, ContextSort]
+Sort = Union[BaseSort, ArrowSort]
 
 
 def arrow(*sorts: Sort) -> Sort:
@@ -103,15 +83,9 @@ def base_sorts_of(sort: Sort) -> Iterator[BaseSort]:
     """All base-sort leaves of a sort tree."""
     if isinstance(sort, BaseSort):
         yield sort
-    elif isinstance(sort, ArrowSort):
+    else:
         yield from base_sorts_of(sort.domain)
         yield from base_sorts_of(sort.codomain)
-    else:
-        for s in sort.context:
-            yield from base_sorts_of(s)
-        results = sort.result if isinstance(sort.result, tuple) else (sort.result,)
-        for s in results:
-            yield from base_sorts_of(s)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +277,6 @@ def is_term(x: object) -> bool:
     return isinstance(x, (Var, App))
 
 
-def const(sym: Symbol) -> App:
-    return App(sym, ())
-
-
 def term_sort(t: Term) -> Sort:
     """Sort of a term, trusting the symbols it is built from."""
     if isinstance(t, Var):
@@ -455,10 +425,6 @@ class Bottom(Prop):
         return "Bottom()"
 
 
-TOP = Top()
-BOTTOM = Bottom()
-
-
 class Not(Prop):
     __slots__ = ("body",)
 
@@ -575,10 +541,6 @@ class Exists(_Quant):
     _tag = "exists"
 
 
-def is_prop(x: object) -> bool:
-    return isinstance(x, Prop)
-
-
 def free_names(x: Term | Prop) -> frozenset[str]:
     if isinstance(x, Prop):
         return x._free
@@ -653,12 +615,6 @@ def subst_prop(p: Prop, m: Mapping[str, Term]) -> Prop:
             raise TypeError(f"not a proposition: {p!r}")
 
 
-def apply_map(x: Term | Prop, m: Mapping[str, Term]) -> Term | Prop:
-    if isinstance(x, Prop):
-        return subst_prop(x, m)
-    return subst_term(x, m)
-
-
 # ---------------------------------------------------------------------------
 # Substitutions
 # ---------------------------------------------------------------------------
@@ -669,15 +625,9 @@ class Substitution:
 
     __slots__ = ("map",)
 
-    def __init__(self, bindings: Mapping[str | Var, Term] | Iterable[tuple[str | Var, Term]] = ()):
-        items = bindings.items() if isinstance(bindings, Mapping) else bindings
+    def __init__(self, bindings: Mapping[str, Term] | None = None):
         m: dict[str, Term] = {}
-        for k, v in items:
-            if isinstance(k, Var):
-                if term_sort(v) != k.sort:
-                    raise SortMismatchError(
-                        f"binding {k.name} := {v} is not sort-preserving")
-                k = k.name
+        for k, v in (bindings or {}).items():
             if isinstance(v, Var) and v.name == k:
                 continue
             m[k] = v
@@ -691,8 +641,6 @@ class Substitution:
             return subst_term(x, self.map)
         if isinstance(x, Prop):
             return subst_prop(x, self.map)
-        if isinstance(x, (tuple, list)):
-            return type(x)(self(e) for e in x)
         # clause-like objects know how to apply a substitution to themselves
         apply = getattr(x, "apply", None)
         if apply is not None:
@@ -740,10 +688,6 @@ class Substitution:
 
 
 EMPTY_SUBST = Substitution()
-
-
-def apply_subst(s: Substitution, x):
-    return s(x)
 
 
 # ---------------------------------------------------------------------------
@@ -891,17 +835,11 @@ def rename_apart(avoid: Iterable[str], x):
 
 
 def free_vars_of_any(x) -> frozenset[Var]:
-    if isinstance(x, (Var, App)) or isinstance(x, Prop):
+    """Free variables of a term, a proposition, or a clause-like object
+    with a ``free_vars`` method."""
+    if isinstance(x, (Var, App, Prop)):
         return free_vars(x)
-    fv = getattr(x, "free_vars", None)
-    if fv is not None:
-        return fv() if callable(fv) else fv
-    if isinstance(x, (tuple, list, set, frozenset)):
-        out: frozenset[Var] = frozenset()
-        for e in x:
-            out |= free_vars_of_any(e)
-        return out
-    raise TypeError(f"cannot compute free variables of {x!r}")
+    return x.free_vars()
 
 
 # ---------------------------------------------------------------------------

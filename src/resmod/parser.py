@@ -32,17 +32,15 @@ symbols when an undeclared identifier is applied to arguments.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .kernel import (
     App,
     ArrowSort,
     Atom,
-    BaseSort,
     Bottom,
     Exists,
     Forall,
-    FUNCTION,
     INDIVIDUAL,
     Iff,
     Implies,
@@ -61,6 +59,7 @@ from .kernel import (
     term_sort,
 )
 from .clausal import Constraint, ConstrainedClause, Literal, Provenance
+from .prover import ProofStep, TraceDoc
 from .rewrite import EtaRule, RewriteRule, RewriteSystem, RuleClassError
 
 
@@ -874,46 +873,17 @@ def parse_substitution(text: str, sig: Signature,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TraceDoc:
-    header: list[tuple[str, str]] = field(default_factory=list)
-    symbol_lines: list[str] = field(default_factory=list)
-    steps: list = field(default_factory=list)  # prover.ProofStep
-    names: dict[Constraint, str] = field(default_factory=dict)
-    verdict: str = ""
-    solution_lines: list[str] = field(default_factory=list)
-
-    def render(self) -> str:
-        from .prover import format_clause_line, _constraint_sort_key
-
-        lines = ["# resmod trace 1"]
-        lines += [f"{k}: {v}" for k, v in self.header]
-        if self.symbol_lines:
-            lines.append("symbols:")
-            lines += [f"  {s}" for s in self.symbol_lines]
-        lines += [format_clause_line(s, self.names) for s in self.steps]
-        if self.names:
-            lines.append("constraints:")
-            for con, cname in sorted(self.names.items(),
-                                     key=lambda kv: _constraint_sort_key(kv[1])):
-                lines.append(f"  {cname}: {con}")
-        lines.append(f"verdict: {self.verdict}")
-        lines += self.solution_lines
-        return "\n".join(lines) + "\n"
-
-
 _STEP_RE = re.compile(r"^(\d+)\. ([a-z]+)(?:\(([^)]*)\))? \| (.*)$")
 
 
 def parse_trace(text: str, sig: Signature) -> TraceDoc:
-    """Parse a trace emitted by the prover back into structured form.
+    """Parse a trace emitted by ``prover.format_trace`` back into the
+    :class:`~resmod.prover.TraceDoc` it rendered.
 
     The signature is extended with the declarations of the ``symbols:``
     section, so clause lines reparse even when the run introduced fresh
     skolem symbols.
     """
-    from .prover import ProofStep
-
     doc = TraceDoc()
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# resmod trace"):

@@ -22,9 +22,8 @@ constraints, never as success.
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from .kernel import (
     Atom,
@@ -35,10 +34,8 @@ from .kernel import (
     free_names,
     rename_apart,
     term_size,
-    variant_name,
 )
 from .clausal import (
-    ClausalResult,
     Constraint,
     ConstrainedClause,
     Literal,
@@ -48,10 +45,7 @@ from .clausal import (
 )
 from .rewrite import R_CLASS, RewriteRule, RewriteSystem, match
 from .unify import (
-    ConstraintStore,
-    EUnifyOutcome,
     cheap_fail,
-    check_solution,
     e_unify_narrowing,
     propagate_on_the_fly,
     unify_syntactic,
@@ -205,7 +199,7 @@ def factor(c: ConstrainedClause) -> list[ConstrainedClause]:
 
 
 def _compat(t: Term, l: Term, apps: frozenset[str]) -> bool:
-    from .unify import _is_flex, _spine_head
+    from .unify import _spine_head
 
     if isinstance(t, Var) or isinstance(l, Var):
         return True
@@ -338,17 +332,6 @@ def clause_key(c: ConstrainedClause) -> tuple:
     return (lit_keys, con_keys)
 
 
-def _match_atom(pattern: Atom, subject: Atom, bindings):
-    if pattern.pred.name != subject.pred.name or len(pattern.args) != len(subject.args):
-        return None
-    b = bindings
-    for p, s in zip(pattern.args, subject.args):
-        b = match(p, s, b)
-        if b is None:
-            return None
-    return b
-
-
 def _pred_profile(c: ConstrainedClause) -> dict[tuple[bool, str], int]:
     out: dict[tuple[bool, str], int] = {}
     for l in c.literals:
@@ -374,7 +357,7 @@ def subsumes(c: ConstrainedClause, d: ConstrainedClause) -> bool:
         for ld in d.literals:
             if lc.positive != ld.positive:
                 continue
-            b2 = _match_atom(lc.atom, ld.atom, bindings)
+            b2 = match(lc.atom, ld.atom, bindings)
             if b2 is not None and go(i + 1, b2):
                 return True
         return False
@@ -409,28 +392,20 @@ class ClauseIndex:
         return (s for s in self.subsumers if s.id not in self.dead)
 
 
-def redundancy_filter(new: ConstrainedClause, index: ClauseIndex | Iterable[ConstrainedClause]
-                      ) -> tuple[bool, str | None]:
+def redundancy_filter(new: ConstrainedClause, index: ClauseIndex) -> tuple[bool, str | None]:
     """keep/discard decision for a freshly derived clause.
 
     Discards exact tautologies with no constraints, variants of already
     registered clauses with identical constraints, and clauses subsumed by
     a constraint-free active clause.  The empty clause is never discarded.
     """
-    if isinstance(index, ClauseIndex):
-        idx = index
-    else:
-        idx = ClauseIndex()
-        for c in index:
-            idx.note(c)
-            idx.note_kept(c)
     if new.is_empty():
         return True, None
     if is_tautology(new):
         return False, "tautology"
-    if clause_key(new) in idx.keys:
+    if clause_key(new) in index.keys:
         return False, "duplicate"
-    for c in idx.live_subsumers():
+    for c in index.live_subsumers():
         if subsumes(c, new):
             return False, f"subsumed by {c.id}" if c.id else "subsumed"
     return True, None
@@ -584,7 +559,7 @@ class _Saturation:
         for c in clauses:
             if self.cfg.strategy == ON_THE_FLY:
                 outcome = propagate_on_the_fly(
-                    ConstraintStore.of(c.constraints), [ConstrainedClause(c.literals)],
+                    c.constraints, [ConstrainedClause(c.literals)],
                     self.system, self.sig, self.cfg.fuel)
                 if outcome is None:
                     self.stats.failed_constraints += 1
@@ -714,6 +689,34 @@ def _constraint_sort_key(name: str):
     return (len(name), name)
 
 
+@dataclass
+class TraceDoc:
+    """A trace in structured form; :meth:`render` writes its text."""
+
+    header: list[tuple[str, str]] = field(default_factory=list)
+    symbol_lines: list[str] = field(default_factory=list)
+    steps: list[ProofStep] = field(default_factory=list)
+    names: dict[Constraint, str] = field(default_factory=dict)
+    verdict: str = ""
+    solution_lines: list[str] = field(default_factory=list)
+
+    def render(self) -> str:
+        lines = ["# resmod trace 1"]
+        lines += [f"{k}: {v}" for k, v in self.header]
+        if self.symbol_lines:
+            lines.append("symbols:")
+            lines += [f"  {s}" for s in self.symbol_lines]
+        lines += [format_clause_line(s, self.names) for s in self.steps]
+        if self.names:
+            lines.append("constraints:")
+            for con, cname in sorted(self.names.items(),
+                                     key=lambda kv: _constraint_sort_key(kv[1])):
+                lines.append(f"  {cname}: {con}")
+        lines.append(f"verdict: {self.verdict}")
+        lines += self.solution_lines
+        return "\n".join(lines) + "\n"
+
+
 def format_trace(result: SearchResult, header: dict[str, str] | None = None,
                  sig: Signature | None = None) -> str:
     """Figure-style trace, one numbered line per kept clause.
@@ -721,43 +724,34 @@ def format_trace(result: SearchResult, header: dict[str, str] | None = None,
     Grammar (one construct per line):
       ``# resmod trace 1``                      header
       ``<key>: <value>``                        run metadata
+      ``symbols:`` then signature extension declarations
       ``<id>. <rule>(<parents>[; <aux>]) | <literals>[ / <constraint refs>]``
       ``constraints:`` then ``  <name>: <lhs> = <rhs>``
-      ``symbols:`` then signature extension declarations
       ``verdict: PROVED|PROVED_UNVERIFIED|SATURATED|RESOURCE_OUT``
       ``solution:`` then ``  <var> := <term>`` bindings (verified proofs)
+
+    ``parser.parse_trace`` reads the text back into a :class:`TraceDoc`.
     """
-    lines = ["# resmod trace 1"]
-    for k, v in (header or {}).items():
-        lines.append(f"{k}: {v}")
-    if sig is not None:
-        extensions = [s for s in sig.symbols.values() if s.origin == "skolem"]
-        if extensions:
-            lines.append("symbols:")
-            for s in extensions:
-                if s.kind == "individual":
-                    lines.append(f"  const {s.name} : {s.result}")
-                else:
-                    args = ", ".join(str(a) for a in s.arg_sorts)
-                    lines.append(f"  fun {s.name} : ({args}) -> {s.result}")
-    for step in result.steps:
-        lines.append(format_clause_line(step, result.constraint_names))
-    if result.constraint_names:
-        lines.append("constraints:")
-        for con, name in sorted(result.constraint_names.items(),
-                                key=lambda kv: _constraint_sort_key(kv[1])):
-            lines.append(f"  {name}: {con}")
-    lines.append(f"verdict: {verdict_of(result)}")
+    skolems = [] if sig is None else [s for s in sig.symbols.values() if s.origin == "skolem"]
+    symbol_lines = []
+    for s in skolems:
+        if s.kind == "individual":
+            symbol_lines.append(f"const {s.name} : {s.result}")
+        else:
+            args = ", ".join(str(a) for a in s.arg_sorts)
+            symbol_lines.append(f"fun {s.name} : ({args}) -> {s.result}")
+    solution_lines = []
     if result.proved and result.verified and result.solution is not None:
         if result.solution.is_empty():
-            lines.append("solution: identity")
+            solution_lines.append("solution: identity")
         else:
-            lines.append("solution:")
+            solution_lines.append("solution:")
             for k in sorted(result.solution.map):
-                lines.append(f"  {k} := {result.solution.map[k]}")
+                solution_lines.append(f"  {k} := {result.solution.map[k]}")
     elif result.proved and not result.verified:
-        lines.append("solution: unverified")
-    return "\n".join(lines) + "\n"
+        solution_lines.append("solution: unverified")
+    return TraceDoc(list((header or {}).items()), symbol_lines, result.steps,
+                    result.constraint_names, verdict_of(result), solution_lines).render()
 
 
 def verdict_of(result: SearchResult) -> str:

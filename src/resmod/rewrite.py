@@ -9,25 +9,20 @@ non-terminating systems produce an outcome instead of a hang.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping
 
 from .kernel import (
     App,
     Atom,
     Bottom,
-    Iff,
-    Implies,
     Not,
-    Or,
-    And,
     Prop,
     Term,
     Top,
     Var,
     _Binary,
     _Quant,
-    children,
     free_names,
     is_term,
     positions,
@@ -36,9 +31,6 @@ from .kernel import (
     subst_term,
     subterm_at,
     term_sort,
-    term_var_names,
-    variant_name,
-    with_children,
 )
 
 
@@ -95,13 +87,7 @@ class RewriteRule:
         if not (self.var_names & avoid_set):
             return self
         lhs, s = rename_apart(avoid_set, self.lhs)
-        rhs = s(self.rhs)
-        rule = object.__new__(RewriteRule)
-        object.__setattr__(rule, "name", self.name)
-        object.__setattr__(rule, "lhs", lhs)
-        object.__setattr__(rule, "rhs", rhs)
-        object.__setattr__(rule, "cls", self.cls)
-        return rule
+        return replace(self, lhs=lhs, rhs=s(self.rhs))
 
     def __str__(self) -> str:
         return f"{self.cls}: {self.lhs} -> {self.rhs}"
@@ -119,14 +105,8 @@ class EtaRule(RewriteRule):
     def __init__(self, name: str, lam, app, sub, shift, one, sort) -> None:
         x = Var("a", sort)
         lhs = App(lam, (App(app, (x, App(one, ()))),))
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", x)
-        object.__setattr__(self, "cls", E_CLASS)
+        RewriteRule.__init__(self, name, lhs, x, E_CLASS)
         object.__setattr__(self, "_syms", (lam, app, sub, shift, one))
-
-    def __post_init__(self) -> None:  # pragma: no cover - dataclass hook unused
-        pass
 
     def contract(self, t: Term, system: "RewriteSystem", fuel: int = 2000) -> Term | None:
         lam, app, sub, shift, one = self._syms
@@ -409,10 +389,6 @@ class OrthogonalityReport:
         return self.orthogonal
 
 
-def _lhs_as_tree(rule: RewriteRule) -> Term | Atom:
-    return rule.lhs
-
-
 def _nonlinear(rule: RewriteRule) -> bool:
     seen: set[str] = set()
 
@@ -469,7 +445,7 @@ def check_orthogonal(system: RewriteSystem,
         avoid = free_names(r1.lhs)
         for j, r2 in enumerate(rules):
             r2v = r2.rename_for(avoid)
-            lhs1 = _lhs_as_tree(r1)
+            lhs1 = r1.lhs
             for pos in positions(lhs1):
                 if i == j and not pos:
                     continue

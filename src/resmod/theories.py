@@ -30,12 +30,10 @@ from .kernel import (
     Or,
     Prop,
     Signature,
-    Sort,
     Symbol,
     Term,
     Var,
     free_names,
-    free_vars,
 )
 from .prover import FREEZE, ON_THE_FLY
 from .rewrite import EtaRule, RewriteRule, RewriteSystem
@@ -59,15 +57,6 @@ class TheoryPreset:
     default_strategy: str = FREEZE
     # alpha-keyed registry of comprehension instances: key -> (symbol, rule)
     comprehensions: dict[Prop, tuple[Symbol, RewriteRule]] = field(default_factory=dict)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TheoryPreset):
-            return NotImplemented
-        return (self.sig.sorts == other.sig.sorts
-                and self.sig.symbols == other.sig.symbols
-                and self.system.rules == other.system.rules
-                and self.axioms == other.axioms
-                and self.goals == other.goals)
 
 
 def declare_subset_symbol(theory: TheoryPreset, params: list[Var], w: Var, body: Prop,
@@ -503,33 +492,3 @@ def parse_theory_file(text: str) -> TheoryPreset:
 
     return parse_theory(text, load_preset)
 
-
-def serialize_theory(preset: TheoryPreset) -> str:
-    """Emit a theory file that reparses to an equal preset."""
-    from .kernel import FUNCTION, INDIVIDUAL
-
-    lines = [f"theory {preset.name}"]
-    for name in preset.sig.sorts:
-        lines.append(f"sort {name}")
-    for sym in preset.sig.symbols.values():
-        if sym.kind == INDIVIDUAL:
-            lines.append(f"const {sym.name} : {sym.result}")
-        elif sym.kind == FUNCTION:
-            args = ", ".join(str(s) for s in sym.arg_sorts)
-            lines.append(f"fun {sym.name} : ({args}) -> {sym.result}")
-        else:
-            args = ", ".join(str(s) for s in sym.arg_sorts)
-            lines.append(f"pred {sym.name} : ({args})")
-    for sym in preset.sig.symbols.values():
-        if sym.display != "prefix":
-            lines.append(f"display {sym.name} {sym.display}")
-    for rule in preset.system.rules:
-        if isinstance(rule, EtaRule):
-            lines.append("eta")
-        else:
-            lines.append(f"{rule.cls} {rule.name}: {rule.lhs} -> {rule.rhs}")
-    for ax in preset.axioms:
-        lines.append(f"axiom {ax}")
-    for name, goal in preset.goals.items():
-        lines.append(f"goal {name} : {goal}")
-    return "\n".join(lines) + "\n"

@@ -1,5 +1,9 @@
 """Unification: syntactic, equational (by bounded basic narrowing), and
-solution checking against a constraint store.
+solution checking against a set of constraints.
+
+Every function here reads a constraint through ``Constraint.pairs``: a term
+equation stands for itself, an equation between two atoms for the equations
+between their arguments.
 
 Equational unification explores narrowing steps breadth-first at basic
 positions only (never inside substitution-introduced subterms), attempting
@@ -13,21 +17,17 @@ form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .kernel import (
     App,
     Atom,
     Position,
-    Prop,
     SortMismatchError,
     Substitution,
-    Symbol,
     Term,
     Var,
-    free_names,
-    is_term,
     subst_term,
     term_sort,
     term_var_names,
@@ -90,14 +90,7 @@ def unify_syntactic(t: Term | Atom, u: Term | Atom) -> Substitution | None:
     if t_atom != u_atom:
         raise SortMismatchError("cannot unify a term with an atom")
     if t_atom:
-        if t.pred.name != u.pred.name or len(t.args) != len(u.args):
-            return None
-        sigma: dict[str, Term] | None = {}
-        for a, b in zip(t.args, u.args):
-            sigma = unify_terms(a, b, sigma)
-            if sigma is None:
-                return None
-        return Substitution(sigma)
+        return solve_syntactic([Constraint(t, u)])
     if isinstance(t, Var) or isinstance(u, Var):
         if term_sort(t) != term_sort(u):
             raise SortMismatchError(
@@ -106,52 +99,28 @@ def unify_syntactic(t: Term | Atom, u: Term | Atom) -> Substitution | None:
     return None if sigma is None else Substitution(sigma)
 
 
-def unify_many(pairs: Iterable[tuple[Term, Term]]) -> Substitution | None:
+def _term_pairs(constraints: Iterable[Constraint]) -> list[tuple[Term, Term]] | None:
+    """The term equations of all constraints, in order; None on a clash."""
+    pairs: list[tuple[Term, Term]] = []
+    for c in constraints:
+        more = c.pairs()
+        if more is None:
+            return None
+        pairs.extend(more)
+    return pairs
+
+
+def solve_syntactic(constraints: Iterable[Constraint]) -> Substitution | None:
+    """Most general unifier of every constraint at once, or None."""
+    pairs = _term_pairs(constraints)
+    if pairs is None:
+        return None
     sigma: dict[str, Term] | None = {}
     for a, b in pairs:
         sigma = unify_terms(a, b, sigma)
         if sigma is None:
             return None
     return Substitution(sigma)
-
-
-# ---------------------------------------------------------------------------
-# Constraint store
-# ---------------------------------------------------------------------------
-
-UNSOLVED = "unsolved"
-SOLVED = "solved"
-FAILED = "failed"
-UNKNOWN = "unknown"
-
-
-@dataclass
-class ConstraintStore:
-    equations: tuple[Constraint, ...]
-    status: str = UNSOLVED
-    solution: Substitution | None = None
-
-    @classmethod
-    def of(cls, constraints: Iterable[Constraint]) -> "ConstraintStore":
-        return cls(tuple(constraints))
-
-    def solve_syntactic(self) -> "ConstraintStore":
-        """Solve every equation by plain unification, all at once."""
-        sigma: dict[str, Term] | None = {}
-        for c in self.equations:
-            lhs, rhs = c.sides()
-            if isinstance(lhs, Atom):
-                if lhs.pred.name != rhs.pred.name or len(lhs.args) != len(rhs.args):
-                    return ConstraintStore(self.equations, FAILED)
-                pairs = zip(lhs.args, rhs.args)
-            else:
-                pairs = [(lhs, rhs)]
-            for a, b in pairs:
-                sigma = unify_terms(a, b, sigma)
-                if sigma is None:
-                    return ConstraintStore(self.equations, FAILED)
-        sub = Substitution(sigma)
-        return ConstraintStore(self.equations, SOLVED, sub)
 
 
 def cheap_fail(c: Constraint, system: RewriteSystem) -> bool:
@@ -171,12 +140,8 @@ def cheap_fail(c: Constraint, system: RewriteSystem) -> bool:
             return True
         return any(clash(a, b) for a, b in zip(t.args, u.args))
 
-    lhs, rhs = c.sides()
-    if isinstance(lhs, Atom):
-        if lhs.pred.name != rhs.pred.name or len(lhs.args) != len(rhs.args):
-            return True
-        return any(clash(a, b) for a, b in zip(lhs.args, rhs.args))
-    return clash(lhs, rhs)
+    pairs = c.pairs()
+    return pairs is None or any(clash(a, b) for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +197,10 @@ def check_solution(s: Substitution, constraints: Iterable[Constraint],
     system = _e_only(e_rules)
     verdicts: list[EquationVerdict] = []
     for c in constraints:
-        lhs, rhs = c.sides()
-        if isinstance(lhs, Atom):
-            if lhs.pred.name != rhs.pred.name or len(lhs.args) != len(rhs.args):
-                verdicts.append(EquationVerdict(c, FAIL))
-                continue
-            pairs = list(zip(lhs.args, rhs.args))
-        else:
-            pairs = [(lhs, rhs)]
+        pairs = c.pairs()
+        if pairs is None:
+            verdicts.append(EquationVerdict(c, FAIL))
+            continue
         status = PASS
         lhs_nf = rhs_nf = None
         for a, b in pairs:
@@ -263,6 +224,7 @@ def check_solution(s: Substitution, constraints: Iterable[Constraint],
 
 SOLUTIONS = "solutions"
 UNSAT = "unsatisfiable"
+UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -346,19 +308,6 @@ def _is_flex(t: Term, app_symbols: frozenset[str]) -> bool:
     return isinstance(_spine_head(t, app_symbols), Var)
 
 
-def _decompose_constraints(constraints: Iterable[Constraint]) -> list[tuple[Term, Term]] | None:
-    pairs: list[tuple[Term, Term]] = []
-    for c in constraints:
-        lhs, rhs = c.sides()
-        if isinstance(lhs, Atom):
-            if lhs.pred.name != rhs.pred.name or len(lhs.args) != len(rhs.args):
-                return None
-            pairs.extend(zip(lhs.args, rhs.args))
-        else:
-            pairs.append((lhs, rhs))
-    return pairs
-
-
 def e_unify_narrowing(constraints: Iterable[Constraint],
                       e_rules: RewriteSystem | Iterable[RewriteRule],
                       depth: int = 8, *,
@@ -379,7 +328,7 @@ def e_unify_narrowing(constraints: Iterable[Constraint],
     rules = [r for r in system.e_rules if not isinstance(r, EtaRule)]
     apps = frozenset(app_symbols)
     constraints = tuple(constraints)
-    pairs = _decompose_constraints(constraints)
+    pairs = _term_pairs(constraints)
     if pairs is None:
         return EUnifyOutcome(UNSAT)
     original_vars: set[str] = set()
@@ -572,29 +521,28 @@ def _var_sort_in(t: Term | Atom, name: str):
 # ---------------------------------------------------------------------------
 
 
-def propagate_on_the_fly(store: ConstraintStore,
+def propagate_on_the_fly(constraints: Iterable[Constraint],
                          clauses: Sequence[ConstrainedClause],
                          system: RewriteSystem,
                          sig, fuel: int = 10_000):
-    """Solve the store syntactically and push the substitution through.
+    """Solve the constraints syntactically and push the substitution through.
 
     Returns ``(updated clauses, solution, all_normalized)``; returns None
-    when the store is unsolvable, in which case the clauses are to be
+    when the constraints are unsolvable, in which case the clauses are to be
     discarded as constraint-unsatisfiable.  Instantiation may trigger
     reductions, so every clause is re-normalized (and re-clausified when an
     atom leaves the atom fragment).
     """
     from .clausal import renormalize_clause
 
-    solved = store.solve_syntactic()
-    if solved.status == FAILED:
+    solution = solve_syntactic(constraints)
+    if solution is None:
         return None
-    assert solved.solution is not None
     out: list[ConstrainedClause] = []
     all_normal = True
     for c in clauses:
-        instantiated = c.apply(solved.solution)
+        instantiated = c.apply(solution)
         result, _changed = renormalize_clause(instantiated, system, sig, fuel)
         all_normal = all_normal and result.normalized
         out.extend(result.clauses)
-    return out, solved.solution, all_normal
+    return out, solution, all_normal

@@ -9,7 +9,6 @@ from resmod.kernel import (
     ArrowSort,
     Atom,
     BaseSort,
-    ContextSort,
     Exists,
     Forall,
     Implies,
@@ -69,11 +68,6 @@ class TestSorts:
         assert BaseSort("t") == BaseSort("t")
         assert BaseSort("t") != BaseSort("u")
         assert ArrowSort(IOTA, O) != ArrowSort(O, IOTA)
-
-    def test_context_sort(self):
-        ctx = ContextSort((IOTA, O), IOTA)
-        assert str(ctx) == "iota o |- iota"
-        assert ContextSort((), (IOTA, O)) == ContextSort((), (IOTA, O))
 
 
 class TestSortOf:

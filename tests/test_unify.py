@@ -19,11 +19,11 @@ from resmod.theories import load_preset
 from resmod.parser import parse_constraints, parse_prop, parse_substitution, \
     parse_term, parse_term_or_atom
 from resmod.unify import (
-    ConstraintStore,
     cheap_fail,
     check_solution,
     e_unify_narrowing,
     propagate_on_the_fly,
+    solve_syntactic,
     unify_syntactic,
 )
 
@@ -275,10 +275,8 @@ class TestStoreAndPropagation:
         env = {}
         lhs = parse_term_or_atom("x in P", st.sig, env)
         rhs = parse_term_or_atom("y in {a0, b0}", st.sig, env)
-        store = ConstraintStore.of([Constraint(lhs, rhs)])
-        solved = store.solve_syntactic()
-        assert solved.status == "solved"
-        s = solved.solution
+        s = solve_syntactic([Constraint(lhs, rhs)])
+        assert s is not None
         assert s(lhs) == s(rhs)
         assert str(s.map["P"]) == "{a0, b0}"
 
@@ -287,7 +285,7 @@ class TestStoreAndPropagation:
         env = {}
         atom = parse_term_or_atom("x in y", st.sig, env)
         clause = ConstrainedClause([Literal(True, atom)])
-        out = propagate_on_the_fly(ConstraintStore.of([]), [clause], st.system, st.sig)
+        out = propagate_on_the_fly([], [clause], st.system, st.sig)
         assert out is not None
         clauses, solution, _ = out
         assert clauses == [clause] and solution.is_empty()
@@ -295,8 +293,7 @@ class TestStoreAndPropagation:
     def test_unsolvable_store_discards(self):
         sig = small_signature()
         a, b = App(sig.lookup("a")), App(sig.lookup("b"))
-        store = ConstraintStore.of([Constraint(a, b)])
-        out = propagate_on_the_fly(store, [], EMPTY_SYSTEM, sig)
+        out = propagate_on_the_fly([Constraint(a, b)], [], EMPTY_SYSTEM, sig)
         assert out is None
 
     def test_propagation_triggers_reductions(self):
@@ -306,8 +303,7 @@ class TestStoreAndPropagation:
         clause = ConstrainedClause([Literal(True, atom)])
         con = Constraint(parse_term_or_atom("P", st.sig, env),
                          parse_term_or_atom("{a0, b0}", st.sig, env))
-        out = propagate_on_the_fly(ConstraintStore.of([con]), [clause],
-                                   st.system, st.sig)
+        out = propagate_on_the_fly([con], [clause], st.system, st.sig)
         assert out is not None
         clauses, _, _ = out
         assert len(clauses) == 1
