@@ -127,6 +127,9 @@ class Symbol:
             raise ValueError(f"predicate symbol {self.name} must not have a result sort")
         if self.kind not in (INDIVIDUAL, FUNCTION, PREDICATE):
             raise ValueError(f"unknown symbol kind {self.kind!r}")
+        if self.name.startswith("?"):
+            # keeps symbol names apart from the ``?n`` variables of clause keys
+            raise ValueError(f"symbol name {self.name!r} must not start with '?'")
 
     @property
     def arity(self) -> int:

@@ -305,15 +305,36 @@ def _literal_sort_key(lit: Literal) -> tuple:
             tuple(_blank_skeleton(a) for a in lit.atom.args))
 
 
+def _side_skeleton(x: Term | Atom) -> str:
+    if isinstance(x, Atom):
+        return f"{x.pred.name}({','.join(_blank_skeleton(a) for a in x.args)})"
+    return _blank_skeleton(x)
+
+
+def _ordered_sides(con: Constraint) -> tuple[tuple[str, ...], tuple[str, ...], tuple]:
+    """The two sides of a constraint, ordered by variable-blind skeleton and
+    then by text, with the skeletons and texts as the constraint's sort key."""
+    sides = sorted(((_side_skeleton(x), str(x), x) for x in (con.lhs, con.rhs)),
+                   key=lambda e: e[:2])
+    return (tuple(e[0] for e in sides), tuple(e[1] for e in sides),
+            tuple(e[2] for e in sides))
+
+
 def clause_key(c: ConstrainedClause) -> tuple:
-    """Renaming-insensitive fingerprint used for duplicate detection."""
+    """Renaming-insensitive fingerprint used for duplicate detection.
+
+    Variables are numbered in order of first occurrence: literals first,
+    then constraints in an order fixed by their content alone, so the key
+    does not depend on the iteration order of the constraint set.  A
+    variable renders as ``?n``, a form no symbol name can take.
+    """
     lits = sorted(c.literals, key=_literal_sort_key)
     mapping: dict[str, str] = {}
 
     def render(t: Term) -> str:
         if isinstance(t, Var):
             if t.name not in mapping:
-                mapping[t.name] = f"v{len(mapping)}"
+                mapping[t.name] = f"?{len(mapping)}"
             return mapping[t.name]
         if not t.args:
             return t.sym.name
@@ -327,9 +348,11 @@ def clause_key(c: ConstrainedClause) -> tuple:
             return f"{x.pred.name}({','.join(render(a) for a in x.args)})"
         return render(x)
 
-    con_keys = tuple(sorted(frozenset((render_side(c2.lhs), render_side(c2.rhs)))
-                            for c2 in c.constraints))
-    return (lit_keys, con_keys)
+    con_keys = []
+    for _, _, sides in sorted((_ordered_sides(con) for con in c.constraints),
+                              key=lambda e: e[:2]):
+        con_keys.append(tuple(sorted([render_side(x) for x in sides])))
+    return (lit_keys, tuple(sorted(con_keys)))
 
 
 def _pred_profile(c: ConstrainedClause) -> dict[tuple[bool, str], int]:
