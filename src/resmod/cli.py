@@ -6,7 +6,11 @@ Subcommands:
   check-solution  verify a substitution against a constraint file
 
 Exit codes for ``prove``: 0 PROVED, 1 SATURATED, 2 RESOURCE_OUT,
-3 input error, 4 PROVED_UNVERIFIED.  ``--theory`` accepts a preset name
+4 PROVED_UNVERIFIED.  ``check-solution`` exits 0 when the substitution
+solves every equation and 1 when it does not; ``normalize`` exits 0.  Every
+subcommand exits 3 on an input error and 5 on an internal error (resmod
+itself failed, for instance with a RecursionError on a deep term), so a
+crash never reads as a verdict.  ``--theory`` accepts a preset name
 (``arith``, ``integral-rings``, ``chain(n)``, ``hol-comb``, ``hol-sigma``,
 ``set``, ``set-cantor``), a theory file path, or an inline rule set in
 braces such as ``'{A -> A => B}'``.
@@ -34,6 +38,7 @@ EXIT_SATURATED = 1
 EXIT_RESOURCE_OUT = 2
 EXIT_INPUT_ERROR = 3
 EXIT_PROVED_UNVERIFIED = 4
+EXIT_INTERNAL_ERROR = 5
 
 _VERDICT_EXIT = {
     "PROVED": EXIT_PROVED,
@@ -222,7 +227,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":
