@@ -29,7 +29,7 @@ from .kernel import Not, Prop
 from .parser import ParseError, parse_constraints, parse_inline_rules, parse_prop, \
     parse_substitution, parse_term_or_atom
 from .prover import FREEZE, ON_THE_FLY, ProverConfig, format_trace, saturate, verdict_of
-from .rewrite import normalize
+from .rewrite import normalize, reduce_once
 from .theories import TheoryPreset, UnknownPresetError, load_preset, parse_theory_file
 from .unify import FUEL, PASS, check_solution
 
@@ -157,10 +157,12 @@ def cmd_normalize(args: argparse.Namespace) -> int:
         return EXIT_INPUT_ERROR
     outcome = normalize(x, theory.system, args.fuel)
     print(f"start: {x}")
-    shown = outcome.trace if args.verbose else outcome.trace[:args.show_steps]
-    for i, (rule, value) in enumerate(shown, start=1):
+    shown = outcome.steps if args.verbose else max(0, min(outcome.steps, args.show_steps))
+    value = x
+    for i in range(1, shown + 1):
+        value, rule = reduce_once(value, theory.system)
         print(f"{i:4d}  [{rule}] {value}")
-    hidden = len(outcome.trace) - len(shown)
+    hidden = outcome.steps - shown
     if hidden > 0:
         print(f"      ... {hidden} more steps")
     if outcome.normal:

@@ -5,12 +5,30 @@ equational unifier, class ``R`` rewrites atomic propositions to arbitrary
 propositions and feeds the narrowing inference of the prover.  Reduction is
 leftmost-outermost and deterministic; normalization is fuel-bounded so that
 non-terminating systems produce an outcome instead of a hang.
+
+:func:`normalize` contracts the same redexes in the same order as iterating
+:func:`reduce_once`, without walking the term from the root for each step:
+
+- ``RewriteSystem`` indexes E-rules by the root symbol of their left side
+  and R-rules by predicate, each list in declaration order, so only the
+  rules whose root matches a node are tried there.
+- One call keeps the set of subterms whose whole subtree was searched and
+  held no redex, and skips them (a subterm equal to a normal one is normal).
+- After a contraction the search resumes ``reach`` levels above the
+  contracted position: a linear left side whose non-variable positions lie
+  at most ``reach`` levels deep looks at no deeper change, and E-rules keep
+  sorts.  ``reach`` is infinite (resume at the root of the term) when the
+  system has an ``EtaRule`` or a left side that repeats a variable.
+- Connectives are never redexes, so a proposition is normalized one atom at
+  a time, left to right; an atom whose predicate heads an R-rule is checked
+  again after each E-step in its arguments.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, KeysView, Mapping
 
 from .kernel import (
     App,
@@ -23,6 +41,7 @@ from .kernel import (
     Var,
     _Binary,
     _Quant,
+    children as children_of,
     free_names,
     is_term,
     positions,
@@ -31,6 +50,7 @@ from .kernel import (
     subst_term,
     subterm_at,
     term_sort,
+    with_children,
 )
 
 
@@ -142,16 +162,46 @@ def _unshift(t: Term, app, sub, shift) -> Term | None:
     return None
 
 
+def _index(rules: Iterable[RewriteRule], key) -> dict[str, tuple[RewriteRule, ...]]:
+    out: dict[str, list[RewriteRule]] = {}
+    for r in rules:
+        out.setdefault(key(r), []).append(r)
+    return {k: tuple(v) for k, v in out.items()}
+
+
+def _reach(e_rules: Iterable[RewriteRule]) -> float:
+    """Depth of the deepest non-variable position among the left sides, or
+    infinity when a rule is an ``EtaRule`` or repeats a variable."""
+    deepest = 0
+    for rule in e_rules:
+        if isinstance(rule, EtaRule) or _nonlinear(rule):
+            return math.inf
+        stack = [(rule.lhs, 0)]
+        while stack:
+            t, depth = stack.pop()
+            if isinstance(t, App):
+                deepest = max(deepest, depth)
+                stack.extend((a, depth + 1) for a in t.args)
+    return deepest
+
+
 class RewriteSystem:
-    """An ordered list of rules, split into the E/R classes."""
+    """An ordered list of rules, split into the E/R classes.
+
+    ``e_index`` maps a symbol to the E-rules whose left side has it at the
+    root, ``r_index`` a predicate to its R-rules, both in declaration order.
+    ``reach`` says how far above a contraction :func:`normalize` looks again
+    for a redex.
+    """
 
     def __init__(self, rules: Iterable[RewriteRule] = ()):
         self.rules: tuple[RewriteRule, ...] = tuple(rules)
         self.e_rules: tuple[RewriteRule, ...] = tuple(r for r in self.rules if r.cls == E_CLASS)
         self.r_rules: tuple[RewriteRule, ...] = tuple(r for r in self.rules if r.cls == R_CLASS)
-        self._e_roots = frozenset(
-            r.lhs.sym.name for r in self.e_rules if isinstance(r.lhs, App))
-        self._r_preds = frozenset(r.lhs.pred.name for r in self.r_rules)
+        self.e_index = _index(self.e_rules, lambda r: r.lhs.sym.name)
+        self.r_index = _index(self.r_rules, lambda r: r.lhs.pred.name)
+        self.reach = _reach(self.e_rules)
+        self._without_eta: RewriteSystem | None = None
 
     def __iter__(self) -> Iterator[RewriteRule]:
         return iter(self.rules)
@@ -163,19 +213,18 @@ class RewriteSystem:
         return not self.rules
 
     @property
-    def e_lhs_roots(self) -> frozenset[str]:
+    def e_lhs_roots(self) -> KeysView[str]:
         """Root symbols of E-rule left sides (irreducibility pre-filter)."""
-        return self._e_roots
-
-    @property
-    def r_lhs_preds(self) -> frozenset[str]:
-        return self._r_preds
+        return self.e_index.keys()
 
     def extend(self, rules: Iterable[RewriteRule]) -> "RewriteSystem":
         return RewriteSystem(self.rules + tuple(rules))
 
     def without_eta(self) -> "RewriteSystem":
-        return RewriteSystem(r for r in self.rules if not isinstance(r, EtaRule))
+        if self._without_eta is None:
+            self._without_eta = RewriteSystem(
+                r for r in self.rules if not isinstance(r, EtaRule))
+        return self._without_eta
 
 
 EMPTY_SYSTEM = RewriteSystem()
@@ -229,19 +278,31 @@ def match(pattern: Term | Atom, subject: Term | Atom,
 # ---------------------------------------------------------------------------
 
 
+def _contract(rules: Iterable[RewriteRule], x: Term | Atom,
+              system: RewriteSystem) -> tuple[Term | Prop, str] | None:
+    """The contractum of the first of ``rules`` that fires at the root of
+    ``x``, and that rule's name."""
+    for rule in rules:
+        if isinstance(rule, EtaRule):
+            contracted = rule.contract(x, system)
+            if contracted is not None:
+                return contracted, rule.name
+            continue
+        b = match(rule.lhs, x)
+        if b is not None:
+            if rule.cls == R_CLASS:
+                return subst_prop(rule.rhs, b), rule.name
+            return subst_term(rule.rhs, b), rule.name
+    return None
+
+
 def _reduce_term_once(t: Term, system: RewriteSystem) -> tuple[Term, str] | None:
     """Leftmost-outermost E-step inside a term."""
     if isinstance(t, Var):
         return None
-    for rule in system.e_rules:
-        if isinstance(rule, EtaRule):
-            contracted = rule.contract(t, system)
-            if contracted is not None:
-                return contracted, rule.name
-            continue
-        b = match(rule.lhs, t)
-        if b is not None:
-            return subst_term(rule.rhs, b), rule.name
+    red = _contract(system.e_rules, t, system)
+    if red is not None:
+        return red
     for i, a in enumerate(t.args):
         red = _reduce_term_once(a, system)
         if red is not None:
@@ -260,10 +321,9 @@ def reduce_once(x: Term | Prop, system: RewriteSystem) -> tuple[Term | Prop, str
         return _reduce_term_once(x, system)
     match x:
         case Atom():
-            for rule in system.r_rules:
-                b = match(rule.lhs, x)
-                if b is not None:
-                    return subst_prop(rule.rhs, b), rule.name
+            red = _contract(system.r_rules, x, system)
+            if red is not None:
+                return red
             for i, a in enumerate(x.args):
                 red = _reduce_term_once(a, system)
                 if red is not None:
@@ -303,14 +363,12 @@ class NormalizeOutcome:
     """Result of fuel-bounded normalization.
 
     ``normal`` tells whether ``value`` admits no further redex; when the fuel
-    ran out first, ``value`` is the last reduct reached.  ``trace`` holds the
-    successive reducts (rule name, value), oldest first.
+    ran out first, ``value`` is the last reduct reached.
     """
 
     normal: bool
     value: Term | Prop
     steps: int
-    trace: tuple[tuple[str, Term | Prop], ...] = ()
 
     def __bool__(self) -> bool:
         return self.normal
@@ -318,25 +376,163 @@ class NormalizeOutcome:
 
 def normalize(x: Term | Prop, system: RewriteSystem, fuel: int = 10_000,
               strategy: str = "leftmost_outermost") -> NormalizeOutcome:
-    """Iterate :func:`reduce_once` at most ``fuel`` times.
+    """Contract at most ``fuel`` redexes, as iterating :func:`reduce_once`
+    would.
 
     ``strategy`` picks the redex; ``rightmost_innermost`` exists for
     confluence testing only.
     """
     if fuel < 1:
         raise ValueError("fuel must be positive")
-    step = reduce_once if strategy == "leftmost_outermost" else _reduce_rightmost_innermost
-    value = x
-    trace: list[tuple[str, Term | Prop]] = []
-    for n in range(fuel):
-        red = step(value, system)
-        if red is None:
-            return NormalizeOutcome(True, value, n, tuple(trace))
-        value = red[0]
-        trace.append((red[1], value))
-    if step(value, system) is None:
-        return NormalizeOutcome(True, value, fuel, tuple(trace))
-    return NormalizeOutcome(False, value, fuel, tuple(trace))
+    if strategy != "leftmost_outermost":
+        value = x
+        for n in range(fuel):
+            red = _reduce_rightmost_innermost(value, system)
+            if red is None:
+                return NormalizeOutcome(True, value, n)
+            value = red[0]
+        return NormalizeOutcome(_reduce_rightmost_innermost(value, system) is None,
+                                value, fuel)
+    run = _Normalizer(system, fuel)
+    if is_term(x):
+        terms = [x]
+        run.terms(terms)
+        value = terms[0]
+    else:
+        value = run.prop(x)
+    return NormalizeOutcome(not run.blocked, value, fuel - run.fuel)
+
+
+def _set_child(frame: list, new) -> None:
+    """Replace the current child of a walk frame ``[head, children, index,
+    node]``; the frame's node is rebuilt when the walk leaves it."""
+    children = frame[1]
+    if type(children) is tuple:
+        children = frame[1] = list(children)
+    children[frame[2]] = new
+    frame[3] = None
+
+
+def _close(stack: list, depth: int) -> None:
+    """Leave the term frames below ``depth``, rebuilding changed nodes."""
+    while len(stack) > depth:
+        frame = stack.pop()
+        if frame[3] is None:
+            _set_child(stack[-1], App(frame[0], frame[1]))
+
+
+class _Normalizer:
+    """One leftmost-outermost :func:`normalize` call: the fuel left and the
+    subterms known to hold no redex.  ``blocked`` is set when a redex is
+    found after the fuel ran out."""
+
+    def __init__(self, system: RewriteSystem, fuel: int):
+        self.system = system
+        self.fuel = fuel
+        self.blocked = False
+        self.known: set[Term] = set()
+
+    def terms(self, terms: list[Term], once: bool = False) -> None:
+        """Contract the redexes of ``terms``, left to right, in place; with
+        ``once``, stop after the first contraction."""
+        system = self.system
+        index = system.e_index
+        if not index:
+            return
+        known = self.known
+        reach = system.reach
+        # frames [symbol, children, next child, node or None once changed];
+        # the bottom frame holds ``terms`` and is never a redex
+        stack: list[list] = [[None, terms, 0, None]]
+        while True:
+            frame = stack[-1]
+            children, i = frame[1], frame[2]
+            if i == len(children):
+                if len(stack) == 1:
+                    return
+                stack.pop()
+                node = frame[3]
+                if node is None:
+                    node = App(frame[0], children)
+                    _set_child(stack[-1], node)
+                known.add(node)
+                stack[-1][2] += 1
+                continue
+            t = children[i]
+            if isinstance(t, Var) or t in known:
+                frame[2] = i + 1
+                continue
+            rules = index.get(t.sym.name)
+            red = _contract(rules, t, system) if rules else None
+            if red is None:
+                if t.args:
+                    stack.append([t.sym, t.args, 0, t])
+                else:
+                    frame[2] = i + 1
+                continue
+            if not self.fuel:
+                self.blocked = True
+                _close(stack, 1)
+                return
+            self.fuel -= 1
+            _set_child(frame, red[0])
+            if once:
+                _close(stack, 1)
+                return
+            # the walk goes on from the node ``reach`` levels above the
+            # contraction, which is tried again
+            _close(stack, max(1, len(stack) - reach))
+
+    def atom(self, a: Atom) -> tuple[Prop, bool]:
+        """Normalize inside ``a``: ``(value, True)``, or the contractum of an
+        R-rule at ``a`` and False."""
+        rules = self.system.r_index.get(a.pred.name)
+        while True:
+            red = _contract(rules, a, self.system) if rules else None
+            if red is not None:
+                if not self.fuel:
+                    self.blocked = True
+                    return a, True
+                self.fuel -= 1
+                return red[0], False
+            args = list(a.args)
+            fuel = self.fuel
+            self.terms(args, once=bool(rules))
+            if self.fuel != fuel:
+                a = Atom(a.pred, args)
+            if self.fuel == fuel or not rules:
+                return a, True
+
+    def prop(self, p: Prop) -> Prop:
+        """Normalize the atoms of ``p`` in pre-order."""
+        # frames [connective, children, next child]
+        stack: list[list] = [[None, [p], 0]]
+        while True:
+            frame = stack[-1]
+            children, i = frame[1], frame[2]
+            if i == len(children) or self.blocked:
+                if len(stack) == 1:
+                    return children[0]
+                stack.pop()
+                parent = stack[-1]
+                parent[1][parent[2]] = _rebuild(frame[0], children)
+                parent[2] += 1
+                continue
+            x = children[i]
+            if isinstance(x, Atom):
+                children[i], done = self.atom(x)
+                frame[2] = i + done
+            elif isinstance(x, (Top, Bottom)):
+                frame[2] = i + 1
+            else:
+                stack.append([x, list(children_of(x)), 0])
+
+
+def _rebuild(x: Prop, new: list) -> Prop:
+    """``x`` with the children ``new``, or ``x`` itself when none changed."""
+    if all(a is b for a, b in zip(new, children_of(x))):
+        return x
+    return with_children(x, tuple(new))
 
 
 def _reduce_rightmost_innermost(x: Term | Prop, system: RewriteSystem):
@@ -344,25 +540,10 @@ def _reduce_rightmost_innermost(x: Term | Prop, system: RewriteSystem):
     for pos in positions(x):
         sub = subterm_at(x, pos)
         red = None
-        if is_term(sub):
-            if not isinstance(sub, Var):
-                for rule in system.e_rules:
-                    if isinstance(rule, EtaRule):
-                        c = rule.contract(sub, system)
-                        if c is not None:
-                            red = (c, rule.name)
-                            break
-                        continue
-                    b = match(rule.lhs, sub)
-                    if b is not None:
-                        red = (subst_term(rule.rhs, b), rule.name)
-                        break
+        if isinstance(sub, App):
+            red = _contract(system.e_rules, sub, system)
         elif isinstance(sub, Atom):
-            for rule in system.r_rules:
-                b = match(rule.lhs, sub)
-                if b is not None:
-                    red = (subst_prop(rule.rhs, b), rule.name)
-                    break
+            red = _contract(system.r_rules, sub, system)
         if red is None:
             continue
         # rightmost first, then innermost (longer positions win)

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from resmod.kernel import And, App, Atom, Not, Var, free_names, sort_of
+from resmod.kernel import And, App, Atom, Exists, Forall, Not, Or, Var, free_names, sort_of
 from resmod.rewrite import (
     EMPTY_SYSTEM,
+    NormalizeOutcome,
     RewriteRule,
     RewriteSystem,
     RuleClassError,
@@ -154,12 +155,17 @@ class TestNormalize:
         preset, _ = russell_theory()
         a = parse_prop("russell(a) in russell(a)", preset.sig)
         out = normalize(a, preset.system, 50)
-        assert not out.normal
+        assert not out.normal and out.steps == 50
         b = parse_prop("russell(a) in a", preset.sig)
         step1 = And(b, Not(a))
         step2 = And(b, Not(step1))
         step3 = And(b, Not(step2))
-        assert [v for _, v in out.trace[:3]] == [step1, step2, step3]
+        reducts, value = [], a
+        for _ in range(3):
+            value, _ = reduce_once(value, preset.system)
+            reducts.append(value)
+        assert reducts == [step1, step2, step3]
+        assert normalize(a, preset.system, 3) == NormalizeOutcome(False, step3, 3)
 
     def test_determinism(self):
         arith = load_preset("arith")
@@ -186,6 +192,155 @@ class TestNormalize:
                 assert lo.value == ri.value, f"strategies disagree on {t}"
                 agreed += 1
         assert agreed >= 1000
+
+
+def iterate_reduce_once(x, system, fuel):
+    """The reference for ``normalize``: ``reduce_once`` until the term is
+    normal or ``fuel`` steps were made."""
+    value = x
+    for n in range(fuel):
+        red = reduce_once(value, system)
+        if red is None:
+            return NormalizeOutcome(True, value, n)
+        value = red[0]
+    return NormalizeOutcome(reduce_once(value, system) is None, value, fuel)
+
+
+def random_arith_term(rng, sig, depth):
+    nat = sig.sorts["nat"]
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.2:
+            return Var(rng.choice("xy"), nat)
+        return sig.numeral(rng.randint(0, 3))
+    roll = rng.random()
+    if roll < 0.2:
+        return App(sig.lookup("S"), (random_arith_term(rng, sig, depth - 1),))
+    op = sig.lookup("+" if roll < 0.6 else "*")
+    return App(op, (random_arith_term(rng, sig, depth - 1),
+                    random_arith_term(rng, sig, depth - 1)))
+
+
+def random_sigma_term(rng, sig, depth, sort="term"):
+    """A hol-sigma term or substitution, often of the eta-redex shape
+    ``lam(app(t, 1))``."""
+    term, subst = sig.sorts["term"], sig.sorts["subst"]
+    one = App(sig.lookup("1"))
+    if sort == "subst":
+        if depth == 0 or rng.random() < 0.3:
+            if rng.random() < 0.2:
+                return Var("s", subst)
+            return App(sig.lookup(rng.choice(["id", "shift"])))
+        if rng.random() < 0.5:
+            return App(sig.lookup("cons"), (random_sigma_term(rng, sig, depth - 1),
+                                            random_sigma_term(rng, sig, depth - 1, "subst")))
+        return App(sig.lookup("comp"), (random_sigma_term(rng, sig, depth - 1, "subst"),
+                                        random_sigma_term(rng, sig, depth - 1, "subst")))
+    if depth == 0 or rng.random() < 0.25:
+        return Var("a", term) if rng.random() < 0.2 else sig.numeral(rng.randint(1, 3))
+    roll = rng.random()
+    if roll < 0.25:
+        return App(sig.lookup("lam"), (App(sig.lookup("app"), (
+            random_sigma_term(rng, sig, depth - 1), one)),))
+    if roll < 0.45:
+        return App(sig.lookup("lam"), (random_sigma_term(rng, sig, depth - 1),))
+    if roll < 0.75:
+        return App(sig.lookup("app"), (random_sigma_term(rng, sig, depth - 1),
+                                       random_sigma_term(rng, sig, depth - 1)))
+    return App(sig.lookup("sub"), (random_sigma_term(rng, sig, depth - 1),
+                                   random_sigma_term(rng, sig, depth - 1, "subst")))
+
+
+def random_comb_spine(rng, sig, depth):
+    """A combinator applied to up to three random spines: redexes are
+    common."""
+    app, term = sig.lookup("app"), sig.sorts["term"]
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.2:
+            return Var(rng.choice("xy"), term)
+        return App(sig.lookup(rng.choice(["S", "K", "a", "b"])))
+    out = App(sig.lookup(rng.choice(["S", "K", "S", "K", "a"])))
+    for _ in range(rng.randint(1, 3)):
+        out = App(app, (out, random_comb_spine(rng, sig, depth - 1)))
+    return out
+
+
+def random_eps_prop(rng, sig, depth):
+    """A hol-comb proposition over ``eps`` atoms, with quantifiers whose
+    variables occur in the atoms below them."""
+    term = sig.sorts["term"]
+    if depth == 0 or rng.random() < 0.3:
+        head = App(sig.lookup(rng.choice(["dnot", "dor", "dall", "K"])))
+        t = random_comb_spine(rng, sig, rng.randint(0, 3))
+        return Atom(sig.lookup("eps"), (App(sig.lookup("app"), (head, t)),))
+    roll = rng.randrange(4)
+    if roll == 0:
+        return Not(random_eps_prop(rng, sig, depth - 1))
+    if roll == 1:
+        cls = rng.choice([And, Or])
+        return cls(random_eps_prop(rng, sig, depth - 1), random_eps_prop(rng, sig, depth - 1))
+    cls = rng.choice([Forall, Exists])
+    return cls(Var(rng.choice("xy"), term), random_eps_prop(rng, sig, depth - 1))
+
+
+class TestNormalizeAgainstReduceOnce:
+    """``normalize`` contracts the same redexes in the same order as
+    iterating ``reduce_once``; small fuels cover running out of fuel."""
+
+    FUELS = (1, 2, 3, 5, 8, 40, 300)
+
+    def check(self, inputs, system):
+        rng = random.Random(3)
+        fuel_out = steps = 0
+        for x in inputs:
+            fuel = rng.choice(self.FUELS)
+            out = normalize(x, system, fuel)
+            assert out == iterate_reduce_once(x, system, fuel), f"{x} at fuel {fuel}"
+            assert str(out.value) == str(iterate_reduce_once(x, system, fuel).value)
+            fuel_out += not out.normal
+            steps += out.steps
+        return fuel_out, steps
+
+    def test_arith(self):
+        arith = load_preset("arith")
+        rng = random.Random(11)
+        terms = [random_arith_term(rng, arith.sig, rng.randint(1, 4)) for _ in range(300)]
+        fuel_out, steps = self.check(terms, arith.system)
+        assert fuel_out > 20 and steps > 300
+
+    def test_hol_comb(self):
+        hol = load_preset("hol-comb")
+        rng = random.Random(12)
+        terms = [random_comb_spine(rng, hol.sig, rng.randint(1, 4)) for _ in range(300)]
+        fuel_out, steps = self.check(terms, hol.system)
+        assert fuel_out > 20 and steps > 300
+
+    def test_hol_comb_propositions(self):
+        hol = load_preset("hol-comb")
+        rng = random.Random(13)
+        props = [random_eps_prop(rng, hol.sig, rng.randint(1, 4)) for _ in range(300)]
+        fuel_out, steps = self.check(props, hol.system)
+        assert fuel_out > 20 and steps > 300
+
+    def test_hol_sigma_with_eta(self):
+        sigma = load_preset("hol-sigma")
+        assert any(r.name == "eta" for r in sigma.system.e_rules)
+        rng = random.Random(14)
+        terms = [random_sigma_term(rng, sigma.sig, rng.randint(1, 5)) for _ in range(300)]
+        fuel_out, steps = self.check(terms, sigma.system)
+        assert fuel_out > 20 and steps > 300
+
+    def test_a_repeated_variable_is_matched_again_above_a_contraction(self):
+        # g(a) -> a makes the root e(a, a), a redex only for a non-linear rule
+        sig = small_signature()
+        sig.function("e", (sig.sorts["u"], sig.sorts["u"]), sig.sorts["u"])
+        system = RewriteSystem([
+            RewriteRule("diag", parse_term("e(x, x)", sig), parse_term("x", sig)),
+            RewriteRule("drop", parse_term("g(y)", sig), parse_term("y", sig)),
+        ])
+        t = parse_term("e(a, g(a))", sig)
+        out = normalize(t, system, 10)
+        assert out == NormalizeOutcome(True, parse_term("a", sig), 2)
+        assert out == iterate_reduce_once(t, system, 10)
 
 
 class TestOrthogonality:
