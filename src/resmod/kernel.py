@@ -256,12 +256,23 @@ class App:
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        return (
-            isinstance(other, App)
-            and self._hash == other._hash
-            and self.sym.name == other.sym.name
-            and self.args == other.args
-        )
+        if not isinstance(other, App) or self._hash != other._hash:
+            return False
+        # an explicit stack, so that deep terms compare without recursion
+        stack: list[tuple[Term, Term]] = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if isinstance(a, Var) or isinstance(b, Var):
+                if a != b:
+                    return False
+            elif (a._hash != b._hash or a.sym.name != b.sym.name
+                  or len(a.args) != len(b.args)):
+                return False
+            else:
+                stack.extend(zip(a.args, b.args))
+        return True
 
     def __hash__(self) -> int:
         return self._hash
@@ -343,12 +354,25 @@ def subst_term(t: Term, m: Mapping[str, Term]) -> Term:
         return t
     if isinstance(t, Var):
         return m.get(t.name, t)
-    if not t.args:
-        return t
-    new_args = tuple(subst_term(a, m) for a in t.args)
-    if new_args == t.args:
-        return t
-    return App(t.sym, new_args)
+    # frames [node, its new arguments so far]; an unchanged node is kept
+    stack: list[list] = [[t, []]]
+    while True:
+        node, done = stack[-1]
+        args = node.args
+        if len(done) < len(args):
+            a = args[len(done)]
+            if isinstance(a, Var):
+                done.append(m.get(a.name, a))
+            elif a.args:
+                stack.append([a, []])
+            else:
+                done.append(a)
+            continue
+        stack.pop()
+        new = node if tuple(done) == args else App(node.sym, done)
+        if not stack:
+            return new
+        stack[-1][1].append(new)
 
 
 # ---------------------------------------------------------------------------
@@ -853,52 +877,66 @@ _INFIX_TERM_PREC = {"*": 20, "+": 10}
 
 
 def format_term(t: Term, env: Mapping[str, str] | None = None, prec: int = 0) -> str:
-    if isinstance(t, Var):
-        return env.get(t.name, t.name) if env else t.name
-    sym = t.sym
-    if not t.args:
-        return sym.name
-    if sym.display == "infix" and len(t.args) == 2:
-        my = _INFIX_TERM_PREC.get(sym.name, 15)
-        left = format_term(t.args[0], env, my)
-        right = format_term(t.args[1], env, my + 1)
-        s = f"{left} {sym.name} {right}"
-        return f"({s})" if prec > my else s
-    if sym.display == "app":
-        spine = [t.args[1]]
-        head = t.args[0]
+    out: list[str] = []
+    stack: list = [(t, prec)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        t, prec = item
+        if isinstance(t, Var):
+            out.append(env.get(t.name, t.name) if env else t.name)
+        elif not t.args:
+            out.append(t.sym.name)
+        else:
+            stack.extend(reversed(_term_layout(t, prec)))
+    return "".join(out)
+
+
+def _listed(terms: Iterable[Term], sep: str) -> list:
+    parts: list = []
+    for e in terms:
+        parts += (sep, (e, 0))
+    return parts[1:]
+
+
+def _term_layout(t: App, prec: int) -> list:
+    """The text of an application as strings and ``(argument, precedence)``
+    pairs, in order."""
+    sym, args = t.sym, t.args
+    display = sym.display
+    if display == "app":
+        spine = [args[1]]
+        head = args[0]
         while isinstance(head, App) and head.sym.name == sym.name:
             spine.append(head.args[1])
             head = head.args[0]
         spine.append(head)
         spine.reverse()
-        return "(" + " ".join(format_term(e, env, 0) for e in spine) + ")"
-    if sym.display == "sub" and len(t.args) == 2:
-        a = format_term(t.args[0], env, 99)
-        s = format_term(t.args[1], env, 0)
-        return f"{a}[{s}]"
-    if sym.display == "cons" and len(t.args) == 2:
-        a = format_term(t.args[0], env, 6)
-        s = format_term(t.args[1], env, 5)
-        out = f"{a} . {s}"
-        return f"({out})" if prec > 5 else out
-    if sym.display == "comp" and len(t.args) == 2:
-        a = format_term(t.args[0], env, 8)
-        b = format_term(t.args[1], env, 7)
-        out = f"{a} @ {b}"
-        return f"({out})" if prec > 7 else out
-    if sym.display == "brace" and len(t.args) == 2:
-        a0, a1 = t.args
-        if (isinstance(a0, App) and a0.sym.name == sym.name
-                and isinstance(a1, App) and a1.sym.name == sym.name
-                and len(a0.args) == 2 and len(a1.args) == 2
-                and a1.args[0] == a1.args[1] == a0.args[0]):
-            x = format_term(a0.args[0], env, 0)
-            y = format_term(a0.args[1], env, 0)
-            return f"<{x},{y}>"
-        return "{" + ", ".join(format_term(a, env, 0) for a in t.args) + "}"
-    args = ", ".join(format_term(a, env, 0) for a in t.args)
-    return f"{sym.name}({args})"
+        return ["(", *_listed(spine, " "), ")"]
+    if display != "prefix" and len(args) == 2:
+        a, b = args
+        if display == "infix":
+            my = _INFIX_TERM_PREC.get(sym.name, 15)
+            parts = [(a, my), f" {sym.name} ", (b, my + 1)]
+        elif display == "sub":
+            return [(a, 99), "[", (b, 0), "]"]
+        elif display == "cons":
+            my, parts = 5, [(a, 6), " . ", (b, 5)]
+        elif display == "comp":
+            my, parts = 7, [(a, 8), " @ ", (b, 7)]
+        elif display == "brace":
+            if (isinstance(a, App) and a.sym.name == sym.name
+                    and isinstance(b, App) and b.sym.name == sym.name
+                    and len(a.args) == 2 and len(b.args) == 2
+                    and b.args[0] == b.args[1] == a.args[0]):
+                return ["<", (a.args[0], 0), ",", (a.args[1], 0), ">"]
+            return ["{", (a, 0), ", ", (b, 0), "}"]
+        else:
+            return [f"{sym.name}(", (a, 0), ", ", (b, 0), ")"]
+        return ["(", *parts, ")"] if prec > my else parts
+    return [f"{sym.name}(", *_listed(args, ", "), ")"]
 
 
 _PROP_PREC = {"iff": 1, "implies": 2, "or": 3, "and": 4}

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .kernel import (
     Atom,
@@ -292,12 +292,30 @@ def extended_narrowing(c: ConstrainedClause, rule: RewriteRule,
 # ---------------------------------------------------------------------------
 
 
+def _render(t: Term, var_text: Callable[[Var], str]) -> str:
+    """``f(a,g(b))`` text of a term, each variable written as ``var_text``
+    gives it, in order of appearance."""
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif isinstance(x, Var):
+            out.append(var_text(x))
+        elif not x.args:
+            out.append(x.sym.name)
+        else:
+            out.append(f"{x.sym.name}(")
+            stack.append(")")
+            for a in reversed(x.args[1:]):
+                stack += (a, ",")
+            stack.append(x.args[0])
+    return "".join(out)
+
+
 def _blank_skeleton(t: Term) -> str:
-    if isinstance(t, Var):
-        return "*"
-    if not t.args:
-        return t.sym.name
-    return f"{t.sym.name}({','.join(_blank_skeleton(a) for a in t.args)})"
+    return _render(t, lambda v: "*")
 
 
 def _literal_sort_key(lit: Literal) -> tuple:
@@ -331,14 +349,13 @@ def clause_key(c: ConstrainedClause) -> tuple:
     lits = sorted(c.literals, key=_literal_sort_key)
     mapping: dict[str, str] = {}
 
+    def number(v: Var) -> str:
+        if v.name not in mapping:
+            mapping[v.name] = f"?{len(mapping)}"
+        return mapping[v.name]
+
     def render(t: Term) -> str:
-        if isinstance(t, Var):
-            if t.name not in mapping:
-                mapping[t.name] = f"?{len(mapping)}"
-            return mapping[t.name]
-        if not t.args:
-            return t.sym.name
-        return f"{t.sym.name}({','.join(render(a) for a in t.args)})"
+        return _render(t, number)
 
     lit_keys = tuple((l.positive, l.atom.pred.name, tuple(render(a) for a in l.atom.args))
                      for l in lits)

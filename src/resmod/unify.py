@@ -263,12 +263,13 @@ class _Side:
         return _Side(subst_term(self.term, m), self.basic)
 
 
-def _nonvar_positions(t: Term, prefix: Position = ()) -> Iterator[Position]:
-    if isinstance(t, Var):
-        return
-    yield prefix
-    for i, a in enumerate(t.args, start=1):
-        yield from _nonvar_positions(a, prefix + (i,))
+def _nonvar_positions(t: Term) -> Iterator[Position]:
+    stack: list[tuple[Term, Position]] = [(t, ())]
+    while stack:
+        u, pos = stack.pop()
+        if isinstance(u, App):
+            yield pos
+            stack.extend((u.args[i], pos + (i + 1,)) for i in reversed(range(len(u.args))))
 
 
 def _term_at(t: Term, pos: Position) -> Term:

@@ -33,6 +33,16 @@ def test_check_solution_accepts_a_root_and_rejects_a_non_root(tmp_path, capsys, 
     assert out.endswith("all equations pass\n" if code == 0 else "solution rejected\n")
 
 
+def test_check_solution_compares_deep_normal_forms(tmp_path, capsys):
+    constraints = tmp_path / "constraints"
+    constraints.write_text("x + 0 = 1000\n")
+    solution = tmp_path / "solution"
+    solution.write_text("x := 1000\n")
+    assert cli.main(["check-solution", "--theory", "arith", "--constraints", str(constraints),
+                     "--solution", str(solution)]) == 0
+    assert capsys.readouterr().out.endswith("all equations pass\n")
+
+
 def test_unknown_theory_is_an_input_error(capsys):
     code = cli.main(["prove", "--theory", "no-such-theory", "--goal", "bot"])
     assert code == cli.EXIT_INPUT_ERROR
@@ -49,8 +59,23 @@ def test_a_crash_in_the_prover_is_an_internal_error(monkeypatch, capsys):
     assert "error: internal error: RuntimeError: boom" in capsys.readouterr().err
 
 
-def test_a_deep_goal_does_not_read_as_saturated(capsys):
-    # the numeral is 400 applications of S deep
-    code = cli.main(["prove", "--theory", "arith", "--goal", "exists x:nat x = 400"])
-    assert code != cli.EXIT_SATURATED
-    assert code in (cli.EXIT_PROVED, cli.EXIT_INTERNAL_ERROR)
+def test_a_deep_goal_is_proved(capsys):
+    # the numeral is 1000 applications of S deep, beyond the interpreter's
+    # default recursion limit
+    code = cli.main(["prove", "--theory", "arith", "--goal", "exists x:nat x = 1000"])
+    assert code == cli.EXIT_PROVED
+
+
+def test_normalize_reaches_a_deep_normal_form(capsys):
+    assert cli.main(["normalize", "--theory", "arith", "--fuel", "20000", "30 * 30"]) == 0
+    assert "normal form after 13111 steps: S(S(" in capsys.readouterr().out
+
+
+def test_normalize_prints_the_steps_it_shows_and_counts_the_rest(capsys):
+    assert cli.main(["normalize", "--theory", "arith", "--show-steps", "2", "2 * 2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["start: S(S(0)) * S(S(0))",
+                     "   1  [times_succ] S(0) * S(S(0)) + S(S(0))",
+                     "   2  [times_succ] 0 * S(S(0)) + S(S(0)) + S(S(0))",
+                     "      ... 5 more steps",
+                     "normal form after 7 steps: S(S(S(S(0))))"]
