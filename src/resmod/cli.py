@@ -8,12 +8,12 @@ Subcommands:
 Exit codes for ``prove``: 0 PROVED, 1 SATURATED, 2 RESOURCE_OUT,
 4 PROVED_UNVERIFIED.  ``check-solution`` exits 0 when the substitution
 solves every equation and 1 when it does not; ``normalize`` exits 0.  Every
-subcommand exits 3 on an input error and 5 on an internal error (resmod
-itself failed, for instance with a RecursionError on a deep term), so a
-crash never reads as a verdict.  ``--theory`` accepts a preset name
-(``arith``, ``integral-rings``, ``chain(n)``, ``hol-comb``, ``hol-sigma``,
-``set``, ``set-cantor``), a theory file path, or an inline rule set in
-braces such as ``'{A -> A => B}'``.
+subcommand exits 3 on an input error, a malformed command line included,
+and 5 on an internal error (resmod itself failed), so neither reads as a
+verdict.  ``--theory`` accepts a preset name (``arith``, ``integral-rings``,
+``chain(n)``, ``hol-comb``, ``hol-sigma``, ``set``, ``set-cantor``), a
+theory file path, or an inline rule set in braces such as
+``'{A -> A => B}'``.
 """
 
 from __future__ import annotations
@@ -191,9 +191,28 @@ def cmd_check_solution(args: argparse.Namespace) -> int:
     return 0 if check.ok else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as an input error, not as argparse's
+    exit code 2, which is RESOURCE_OUT."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _fuel(text: str) -> int:
+    try:
+        fuel = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if fuel < 1:
+        raise argparse.ArgumentTypeError("fuel must be positive")
+    return fuel
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="resmod",
-                                 description="first-order prover modulo a rewrite system")
+    ap = _ArgumentParser(prog="resmod",
+                         description="first-order prover modulo a rewrite system")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prove", help="refute the negation of a goal")
@@ -202,7 +221,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--goal-file")
     p.add_argument("--goal-name")
     p.add_argument("--strategy", choices=["freeze", "onfly"])
-    p.add_argument("--fuel", type=int, default=10_000)
+    p.add_argument("--fuel", type=_fuel, default=10_000)
     p.add_argument("--max-clauses", type=int, default=5_000)
     p.add_argument("--narrow-depth", type=int, default=8)
     p.add_argument("--narrow-states", type=int, default=4_000)
@@ -212,7 +231,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     n = sub.add_parser("normalize", help="print a reduction sequence")
     n.add_argument("--theory", required=True)
-    n.add_argument("--fuel", type=int, default=10_000)
+    n.add_argument("--fuel", type=_fuel, default=10_000)
     n.add_argument("--show-steps", type=int, default=20)
     n.add_argument("--verbose", action="store_true")
     n.add_argument("expr")
@@ -222,13 +241,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     c.add_argument("--theory", required=True)
     c.add_argument("--constraints", required=True)
     c.add_argument("--solution", required=True)
-    c.add_argument("--fuel", type=int, default=10_000)
+    c.add_argument("--fuel", type=_fuel, default=10_000)
     c.set_defaults(func=cmd_check_solution)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a malformed command line
+        return exc.code
     try:
         return args.func(args)
     except Exception as exc:

@@ -79,3 +79,16 @@ def test_normalize_prints_the_steps_it_shows_and_counts_the_rest(capsys):
                      "   2  [times_succ] 0 * S(S(0)) + S(S(0)) + S(S(0))",
                      "      ... 5 more steps",
                      "normal form after 7 steps: S(S(S(S(0))))"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--theory", "arith", "--fuel", "0", "2 * 2"],
+    ["check-solution", "--theory", "arith", "--constraints", "c", "--solution", "s",
+     "--fuel", "0"],
+    ["prove", "--theory", "arith", "--goal-name", "double", "--fuel", "0"],
+    ["prove"],
+    ["prove", "--bogus"],
+])
+def test_a_bad_command_line_is_an_input_error(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    assert "error: " in capsys.readouterr().err
