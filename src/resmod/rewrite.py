@@ -297,17 +297,27 @@ def _contract(rules: Iterable[RewriteRule], x: Term | Atom,
 
 
 def _reduce_term_once(t: Term, system: RewriteSystem) -> tuple[Term, str] | None:
-    """Leftmost-outermost E-step inside a term."""
-    if isinstance(t, Var):
-        return None
-    red = _contract(system.e_rules, t, system)
-    if red is not None:
-        return red
-    for i, a in enumerate(t.args):
-        red = _reduce_term_once(a, system)
-        if red is not None:
-            new, name = red
-            return App(t.sym, t.args[:i] + (new,) + t.args[i + 1:]), name
+    """Leftmost-outermost E-step inside a term: contract the first redex in
+    pre-order, trying every E-rule at every node."""
+    # visited nodes as (node, index of its parent here, argument position)
+    visited: list[tuple[App, int, int]] = []
+    stack: list[tuple[Term, int, int]] = [(t, -1, 0)]
+    while stack:
+        u, parent, i = stack.pop()
+        if isinstance(u, Var):
+            continue
+        red = _contract(system.e_rules, u, system)
+        if red is None:
+            visited.append((u, parent, i))
+            here = len(visited) - 1
+            stack.extend((u.args[j], here, j) for j in reversed(range(len(u.args))))
+            continue
+        new, name = red
+        while parent >= 0:
+            node, up, j = visited[parent]
+            new = App(node.sym, node.args[:i] + (new,) + node.args[i + 1:])
+            parent, i = up, j
+        return new, name
     return None
 
 
