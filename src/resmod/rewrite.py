@@ -505,6 +505,8 @@ class _Normalizer:
                     return a, True
                 self.fuel -= 1
                 return red[0], False
+            if not (a.args and self.system.e_index):
+                return a, True
             args = list(a.args)
             fuel = self.fuel
             self.terms(args, once=bool(rules))
