@@ -369,7 +369,8 @@ def subst_term(t: Term, m: Mapping[str, Term]) -> Term:
                 done.append(a)
             continue
         stack.pop()
-        new = node if tuple(done) == args else App(node.sym, done)
+        done = tuple(done)
+        new = node if done == args else App(node.sym, done)
         if not stack:
             return new
         stack[-1][1].append(new)
@@ -919,24 +920,25 @@ def _term_layout(t: App, prec: int) -> list:
         a, b = args
         if display == "infix":
             my = _INFIX_TERM_PREC.get(sym.name, 15)
-            parts = [(a, my), f" {sym.name} ", (b, my + 1)]
-        elif display == "sub":
+            return _wrapped([(a, my), f" {sym.name} ", (b, my + 1)], prec > my)
+        if display == "sub":
             return [(a, 99), "[", (b, 0), "]"]
-        elif display == "cons":
-            my, parts = 5, [(a, 6), " . ", (b, 5)]
-        elif display == "comp":
-            my, parts = 7, [(a, 8), " @ ", (b, 7)]
-        elif display == "brace":
+        if display == "cons":
+            return _wrapped([(a, 6), " . ", (b, 5)], prec > 5)
+        if display == "comp":
+            return _wrapped([(a, 8), " @ ", (b, 7)], prec > 7)
+        if display == "brace":
             if (isinstance(a, App) and a.sym.name == sym.name
                     and isinstance(b, App) and b.sym.name == sym.name
                     and len(a.args) == 2 and len(b.args) == 2
                     and b.args[0] == b.args[1] == a.args[0]):
                 return ["<", (a.args[0], 0), ",", (a.args[1], 0), ">"]
             return ["{", (a, 0), ", ", (b, 0), "}"]
-        else:
-            return [f"{sym.name}(", (a, 0), ", ", (b, 0), ")"]
-        return ["(", *parts, ")"] if prec > my else parts
     return [f"{sym.name}(", *_listed(args, ", "), ")"]
+
+
+def _wrapped(parts: list, paren: bool) -> list:
+    return ["(", *parts, ")"] if paren else parts
 
 
 _PROP_PREC = {"iff": 1, "implies": 2, "or": 3, "and": 4}
