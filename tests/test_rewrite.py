@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from resmod.kernel import And, App, Atom, Exists, Forall, Not, Or, Var, free_names, sort_of
+from resmod.kernel import (
+    And, App, Atom, Exists, Forall, Not, Or, Signature, Var, free_names, sort_of)
 from resmod.rewrite import (
     EMPTY_SYSTEM,
+    EtaRule,
     NormalizeOutcome,
     RewriteRule,
     RewriteSystem,
@@ -340,6 +342,31 @@ class TestNormalizeAgainstReduceOnce:
         t = parse_term("e(a, g(a))", sig)
         out = normalize(t, system, 10)
         assert out == NormalizeOutcome(True, parse_term("a", sig), 2)
+        assert out == iterate_reduce_once(t, system, 10)
+
+
+    def test_an_eta_redex_made_by_a_contraction_below_it(self):
+        # fn = d^2001(c)[shift] needs one step more than the eta rule's
+        # fuel, so lam((fn 1)) turns into an eta redex only after the first
+        # d is dropped, three levels below it and one below the deepest
+        # non-variable position of the eta rule
+        sig = Signature()
+        u, s = sig.declare_sort("u"), sig.declare_sort("s")
+        lam = sig.function("lam", (u,), u)
+        app = sig.function("app", (u, u), u)
+        sub = sig.function("sub", (u, s), u)
+        d = sig.function("d", (u,), u)
+        shift, one, c = sig.individual("shift", s), sig.individual("1", u), sig.individual("c", u)
+        system = RewriteSystem([
+            EtaRule("eta", lam, app, sub, shift, one, u),
+            RewriteRule("drop", App(d, (Var("y", u),)), Var("y", u)),
+        ])
+        body = App(c)
+        for _ in range(2001):
+            body = App(d, (body,))
+        t = App(lam, (App(app, (App(sub, (body, App(shift))), App(one))),))
+        out = normalize(t, system, 10)
+        assert out == NormalizeOutcome(True, App(c), 2)
         assert out == iterate_reduce_once(t, system, 10)
 
 
