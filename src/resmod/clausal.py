@@ -52,9 +52,6 @@ class Literal:
     positive: bool
     atom: Atom
 
-    def negate(self) -> "Literal":
-        return Literal(not self.positive, self.atom)
-
     def apply(self, s: Substitution) -> "Literal":
         return Literal(self.positive, s(self.atom))
 
@@ -113,6 +110,9 @@ class Constraint:
 
 @dataclass(frozen=True)
 class Provenance:
+    """How a kept clause was derived; ``str`` writes the trace's form
+    ``rule(parents; aux)``, ``aux`` being a narrowing's rule name."""
+
     rule: str
     parents: tuple[int, ...] = ()
     aux: str | None = None
@@ -120,7 +120,7 @@ class Provenance:
     def __str__(self) -> str:
         inside = ", ".join(str(p) for p in self.parents)
         if self.aux:
-            inside = f"{inside}, {self.aux}" if inside else self.aux
+            inside = f"{inside}; {self.aux}" if inside else self.aux
         return f"{self.rule}({inside})" if inside else self.rule
 
 
@@ -178,9 +178,8 @@ class ConstrainedClause:
             (c.apply(s) for c in self.constraints),
             id=self.id, provenance=self.provenance)
 
-    def with_id(self, id: int, provenance: Provenance | None = None) -> "ConstrainedClause":
-        return ConstrainedClause(self.literals, self.constraints, id=id,
-                                 provenance=provenance or self.provenance)
+    def with_id(self, id: int, provenance: Provenance) -> "ConstrainedClause":
+        return ConstrainedClause(self.literals, self.constraints, id, provenance)
 
     def literal_text(self) -> str:
         return "[]" if not self.literals else ", ".join(str(l) for l in self.literals)
@@ -368,8 +367,7 @@ def _strip_and_distribute(p: Prop, used: set[str]) -> list[tuple[Literal, ...]]:
 
 def clausal_form(p: Prop, system: RewriteSystem, sig: Signature,
                  fuel: int = 10_000,
-                 constraints: Iterable[Constraint] = (),
-                 provenance: Provenance | None = None) -> ClausalResult:
+                 constraints: Iterable[Constraint] = ()) -> ClausalResult:
     """Clauses of ``p``: normalize, NNF, skolemize, distribute.
 
     When normalization runs out of fuel the pipeline continues on the
@@ -385,9 +383,7 @@ def clausal_form(p: Prop, system: RewriteSystem, sig: Signature,
     used: set[str] = set(free_names(q))
     clause_lits = _strip_and_distribute(q, used)
     base_constraints = tuple(constraints)
-    clauses = [ConstrainedClause(lits, base_constraints,
-                                 provenance=provenance or Provenance("input"))
-               for lits in clause_lits]
+    clauses = [ConstrainedClause(lits, base_constraints) for lits in clause_lits]
     return ClausalResult(clauses, outcome.normal, records)
 
 
@@ -406,8 +402,7 @@ def clause_disjunction(c: ConstrainedClause, bodies: Sequence[Prop]) -> Prop:
 
 def reclausify(c: ConstrainedClause, index: int, replacement: Prop,
                system: RewriteSystem, sig: Signature, fuel: int = 10_000,
-               extra_constraints: Iterable[Constraint] = (),
-               provenance: Provenance | None = None) -> ClausalResult:
+               extra_constraints: Iterable[Constraint] = ()) -> ClausalResult:
     """Re-run the clausal pipeline after a literal was rewritten.
 
     The clause is read as a disjunction with the literal at ``index``
@@ -420,13 +415,11 @@ def reclausify(c: ConstrainedClause, index: int, replacement: Prop,
     bodies[index] = replacement
     disj = clause_disjunction(c, bodies)
     carried = tuple(c.constraints) + tuple(extra_constraints)
-    return clausal_form(disj, system, sig, fuel,
-                        constraints=carried, provenance=provenance)
+    return clausal_form(disj, system, sig, fuel, constraints=carried)
 
 
 def renormalize_clause(c: ConstrainedClause, system: RewriteSystem, sig: Signature,
-                       fuel: int = 10_000,
-                       provenance: Provenance | None = None) -> tuple[ClausalResult, bool]:
+                       fuel: int = 10_000) -> tuple[ClausalResult, bool]:
     """Normalize every literal; re-clausify when an atom left the atom
     fragment.  Returns the result and whether anything changed."""
     new_atoms: list[Prop] = []
@@ -442,9 +435,9 @@ def renormalize_clause(c: ConstrainedClause, system: RewriteSystem, sig: Signatu
         return ClausalResult([c], all_normal, []), False
     if all(isinstance(a, Atom) for a in new_atoms):
         lits = [Literal(l.positive, a) for l, a in zip(c.literals, new_atoms)]
-        cl = ConstrainedClause(lits, c.constraints, provenance=provenance or c.provenance)
+        cl = ConstrainedClause(lits, c.constraints)
         return ClausalResult([cl], all_normal, []), True
     result = clausal_form(clause_disjunction(c, new_atoms), system, sig, fuel,
-                          constraints=c.constraints, provenance=provenance or c.provenance)
+                          constraints=c.constraints)
     result.normalized = result.normalized and all_normal
     return result, True

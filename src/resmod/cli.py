@@ -96,7 +96,6 @@ def _config(args: argparse.Namespace, theory: TheoryPreset) -> ProverConfig:
         fuel=args.fuel,
         max_clauses=args.max_clauses,
         narrowing_depth=args.narrow_depth,
-        normalize_clauses=not args.no_normalize,
         narrow_states=args.narrow_states,
     )
 
@@ -226,7 +225,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--narrow-depth", type=int, default=8)
     p.add_argument("--narrow-states", type=int, default=4_000)
     p.add_argument("--trace", help="write the trace to this file instead of stdout")
-    p.add_argument("--no-normalize", action="store_true")
     p.set_defaults(func=cmd_prove)
 
     n = sub.add_parser("normalize", help="print a reduction sequence")

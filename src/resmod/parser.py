@@ -59,7 +59,7 @@ from .kernel import (
     term_sort,
 )
 from .clausal import Constraint, ConstrainedClause, Literal, Provenance
-from .prover import ProofStep, TraceDoc
+from .prover import TraceDoc
 from .rewrite import EtaRule, RewriteRule, RewriteSystem, RuleClassError
 
 
@@ -666,7 +666,7 @@ def parse_inline_rules(text: str, sig: Signature | None = None):
     return TheoryPreset("inline", sig, system, [], {}, strategy)
 
 
-def parse_theory(text: str, preset_loader=None):
+def parse_theory(text: str):
     """The documented theory-file format.
 
     Lines: ``theory NAME``, ``use PRESET``, ``sort NAME``,
@@ -677,7 +677,6 @@ def parse_theory(text: str, preset_loader=None):
     """
     from .theories import TheoryPreset, declare_subset_symbol, load_preset
 
-    loader = preset_loader or load_preset
     preset: TheoryPreset | None = None
     sig = Signature()
     rules: list[RewriteRule] = []
@@ -700,7 +699,7 @@ def parse_theory(text: str, preset_loader=None):
             elif head == "use":
                 if preset is not None or rules or sig.symbols:
                     raise ParseError("'use' must come before declarations")
-                preset = loader(rest)
+                preset = load_preset(rest)
                 sig = preset.sig
                 rules = list(preset.system.rules)
                 axioms = list(preset.axioms)
@@ -978,7 +977,6 @@ def parse_trace(text: str, sig: Signature) -> TraceDoc:
                 break
             if not p.at_end():
                 raise p.fail("trailing input in clause line")
-        clause = ConstrainedClause(literals, constraints, id=sid,
-                                   provenance=Provenance(kind, parents, aux))
-        doc.steps.append(ProofStep(sid, kind, parents, clause, aux))
+        doc.steps.append(ConstrainedClause(literals, constraints, sid,
+                                           Provenance(kind, parents, aux)))
     return doc

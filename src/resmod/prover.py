@@ -12,6 +12,13 @@ on the strategy:
                 substitution is propagated at once, and the clause is
                 re-normalized and re-clausified (instantiation can trigger
                 reductions, so one inference may yield several clauses).
+                Narrowing never guesses the structure of a variable: a
+                later instantiation triggers the same rewriting during
+                re-normalization.  A syntactic failure refutes a constraint
+                only when there are no E-rules or ``cheap_fail`` confirms
+                it; otherwise the clause is still dropped, and a search that
+                would end saturated ends ``RESOURCE_OUT`` instead, since a
+                solution modulo the E-rules may have been missed.
 
 A refutation is an empty clause whose constraints pass the solution check;
 when the equational unifier cannot decide the constraints within its
@@ -61,12 +68,7 @@ class ProverConfig:
     fuel: int = 10_000
     max_clauses: int = 5_000
     narrowing_depth: int = 8
-    normalize_clauses: bool = True
     narrow_states: int = 4_000
-    # every n-th selection takes the oldest passive clause instead of the
-    # smallest one; narrowing can feed small clauses forever, so smallest-
-    # first alone would starve the larger ones and break fairness
-    age_interval: int = 4
 
     def __post_init__(self) -> None:
         if self.strategy not in (FREEZE, ON_THE_FLY):
@@ -74,23 +76,12 @@ class ProverConfig:
         for name in ("fuel", "max_clauses", "narrowing_depth", "narrow_states"):
             if getattr(self, name) < 0 or (name in ("fuel", "max_clauses") and getattr(self, name) < 1):
                 raise ValueError(f"{name} must be positive")
-        if self.age_interval < 2:
-            raise ValueError("age_interval must be at least 2")
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    id: int
-    kind: str  # input | resolution | factoring | narrowing | renaming
-    parents: tuple[int, ...]
-    clause: ConstrainedClause
-    aux: str | None = None
-
-    def rule_text(self) -> str:
-        inside = ", ".join(str(p) for p in self.parents)
-        if self.aux:
-            inside = f"{inside}; {self.aux}" if inside else self.aux
-        return f"{self.kind}({inside})" if inside else self.kind
+# every n-th selection takes the oldest passive clause instead of the
+# smallest one; narrowing can feed small clauses forever, so smallest-first
+# alone would starve the larger ones and break fairness
+AGE_INTERVAL = 4
 
 
 @dataclass
@@ -121,8 +112,13 @@ RESOURCE_OUT = "resource_out"
 
 @dataclass
 class SearchResult:
+    """``steps`` are the kept clauses in id order.  ``exhausted`` says why a
+    search is ``RESOURCE_OUT``: ``max_clauses``, or ``e_constraints`` when
+    on-the-fly propagation dropped a clause whose constraints may have a
+    solution modulo the E-rules."""
+
     status: str
-    steps: list[ProofStep]
+    steps: list[ConstrainedClause]
     stats: Stats
     empty_clause: ConstrainedClause | None = None
     solution: Substitution | None = None
@@ -135,15 +131,14 @@ class SearchResult:
     def proved(self) -> bool:
         return self.status == PROVED
 
-    def proof_steps(self) -> list[ProofStep]:
+    def proof_steps(self) -> list[ConstrainedClause]:
         """The ancestor slice of the empty clause, in id order."""
         if self.empty_clause is None or self.empty_clause.id is None:
             return []
-        by_id = {s.id: s for s in self.steps}
         want = {self.empty_clause.id}
         for s in reversed(self.steps):
             if s.id in want:
-                want.update(s.parents)
+                want.update(s.provenance.parents)
         return [s for s in self.steps if s.id in want]
 
 
@@ -211,23 +206,21 @@ def _compat(t: Term, l: Term, apps: frozenset[str]) -> bool:
 
 
 def narrowing_applicable(atom: Atom, rule: RewriteRule, strategy: str,
-                         app_symbols: Iterable[str] = (),
-                         allow_guessing: bool = True) -> bool:
+                         app_symbols: Iterable[str] = ()) -> bool:
     """Literal filter for the narrowing inference.
 
     Under ``on_the_fly`` the atom must unify syntactically with the rule's
-    left side.  Under ``freeze`` the test is head compatibility: a rigid
-    position must carry the rule's symbol, while a variable-headed position
-    accepts anything (a normal literal can only meet the left side of a
-    rule once its flexible head gets instantiated).
+    left side without guessing: the step is skipped when the atom's
+    arguments are all variables, or when the unifier instantiates one of the
+    atom's variables with a constructor carrying fresh variables.  Solved
+    constraints are propagated immediately, so a later resolution step that
+    makes such a variable concrete triggers the same rewriting during
+    re-normalization, and the guessing step only floods the search space.
 
-    With ``allow_guessing`` off (the saturation loop's setting under
-    on-the-fly propagation), a narrowing is skipped when it would have to
-    instantiate one of the atom's variables with a constructor carrying
-    fresh variables: solved constraints are propagated immediately, so a
-    later resolution step that makes such a variable concrete triggers the
-    same rewriting during re-normalization, and the guessing step only
-    floods the search space.
+    Under ``freeze`` the test is head compatibility: a rigid position must
+    carry the rule's symbol, while a variable-headed position accepts
+    anything (a normal literal can only meet the left side of a rule once
+    its flexible head gets instantiated).
     """
     lhs = rule.lhs
     assert isinstance(lhs, Atom)
@@ -239,8 +232,6 @@ def narrowing_applicable(atom: Atom, rule: RewriteRule, strategy: str,
         mgu = unify_syntactic(atom, fresh.lhs)
         if mgu is None:
             return False
-        if allow_guessing:
-            return True
         if atom.args and all(isinstance(a, Var) for a in atom.args):
             return False  # a fully flexible atom gives the step no guidance
         atom_vars = free_names(atom)
@@ -256,8 +247,7 @@ def narrowing_applicable(atom: Atom, rule: RewriteRule, strategy: str,
 def extended_narrowing(c: ConstrainedClause, rule: RewriteRule,
                        system: RewriteSystem, sig: Signature,
                        fuel: int = 10_000, strategy: str = FREEZE,
-                       app_symbols: Iterable[str] = (),
-                       allow_guessing: bool = True) -> list[list[ConstrainedClause]]:
+                       app_symbols: Iterable[str] = ()) -> list[list[ConstrainedClause]]:
     """Narrow each applicable literal of ``c`` with an R-rule.
 
     The literal's atom is replaced by the right side of a renamed copy of
@@ -274,8 +264,7 @@ def extended_narrowing(c: ConstrainedClause, rule: RewriteRule,
                    key=lambda i: (sum(term_size(a) for a in c.literals[i].atom.args), i))
     for i in order:
         lit = c.literals[i]
-        if not narrowing_applicable(lit.atom, rule, strategy, app_symbols,
-                                    allow_guessing):
+        if not narrowing_applicable(lit.atom, rule, strategy, app_symbols):
             continue
         fresh = rule.rename_for(c.free_names())
         assert isinstance(fresh.lhs, Atom)
@@ -491,7 +480,7 @@ class _Saturation:
         self.system = system
         self.sig = sig
         self.cfg = cfg
-        self.steps: list[ProofStep] = []
+        self.steps: list[ConstrainedClause] = []
         self.stats = Stats()
         self.passive: list[tuple[int, int]] = []  # (literal count, id) min-heap
         self.passive_age: list[int] = []  # id min-heap for the fairness picks
@@ -502,6 +491,9 @@ class _Saturation:
         self.names: dict[Constraint, str] = {}
         self.result: SearchResult | None = None
         self.unnormalized = False
+        # set when on-the-fly propagation drops a clause whose constraints
+        # fail syntactically but may be solvable modulo the E-rules
+        self.incomplete = False
 
     # -- naming ------------------------------------------------------------
 
@@ -552,7 +544,7 @@ class _Saturation:
         self.by_id[cid] = c
         self.index.note(c)
         self._name_constraints(c)
-        self.steps.append(ProofStep(cid, kind, parents, c, aux))
+        self.steps.append(c)
         self.stats.kept += 1
         if c.is_empty():
             verdict = self._gate(c)
@@ -603,6 +595,9 @@ class _Saturation:
                     self.system, self.sig, self.cfg.fuel)
                 if outcome is None:
                     self.stats.failed_constraints += 1
+                    if self.system.e_rules and not any(
+                            cheap_fail(con, self.system) for con in c.constraints):
+                        self.incomplete = True
                     continue
                 propagated, _solution, normal = outcome
                 if not normal:
@@ -627,14 +622,14 @@ class _Saturation:
 
         Input clauses go first (the axioms drive everything and the traces
         resolve against them throughout); after that, smallest literal count
-        first with ties by id, and every ``age_interval``-th pick takes the
+        first with ties by id, and every ``AGE_INTERVAL``-th pick takes the
         oldest passive clause so that no kept clause starves.
         """
         for cid in sorted(self.in_passive):
             if self.by_id[cid].provenance.rule == "input":
                 self.in_passive.discard(cid)
                 return cid
-        by_age = self.stats.selected % self.cfg.age_interval == self.cfg.age_interval - 1
+        by_age = self.stats.selected % AGE_INTERVAL == AGE_INTERVAL - 1
         if by_age:
             while True:
                 cid = heapq.heappop(self.passive_age)
@@ -653,16 +648,11 @@ class _Saturation:
     def run(self, inputs: Iterable[ConstrainedClause]) -> SearchResult:
         try:
             for c in inputs:
-                if self.cfg.normalize_clauses:
-                    result, _ = renormalize_clause(c, self.system, self.sig, self.cfg.fuel)
-                    if not result.normalized:
-                        self.unnormalized = True
-                    for piece in result.clauses:
-                        self.register(piece, "input", ())
-                        if self.result is not None:
-                            return self.result
-                else:
-                    self.register(c, "input", ())
+                result, _ = renormalize_clause(c, self.system, self.sig, self.cfg.fuel)
+                if not result.normalized:
+                    self.unnormalized = True
+                for piece in result.clauses:
+                    self.register(piece, "input", ())
                     if self.result is not None:
                         return self.result
             while self.in_passive:
@@ -670,13 +660,11 @@ class _Saturation:
                 sel = self.by_id[cid]
                 self.stats.selected += 1
                 self.active.append(sel)
-                # narrowing with every R-rule; under on-the-fly propagation
-                # skip the steps that would guess constructor structure
+                # narrowing with every R-rule
                 for rule in self.system.r_rules:
                     events = extended_narrowing(
                         sel, rule, self.system, self.sig, self.cfg.fuel,
-                        self.cfg.strategy, self.sig.app_symbols,
-                        allow_guessing=self.cfg.strategy == FREEZE)
+                        self.cfg.strategy, self.sig.app_symbols)
                     for event in events:
                         if self.process_new(event, "narrowing", (sel.id,), rule.name):
                             self.stats.narrowings += 1
@@ -694,14 +682,16 @@ class _Saturation:
                             self.stats.resolutions += 1
                         if self.result is not None:
                             return self.result
-            return SearchResult(SATURATED, self.steps, self.stats,
-                                unnormalized=self.unnormalized,
-                                constraint_names=self.names)
+            if not self.incomplete:
+                return SearchResult(SATURATED, self.steps, self.stats,
+                                    unnormalized=self.unnormalized,
+                                    constraint_names=self.names)
+            exhausted = "e_constraints"
         except _Budget:
-            return SearchResult(RESOURCE_OUT, self.steps, self.stats,
-                                unnormalized=self.unnormalized,
-                                exhausted="max_clauses",
-                                constraint_names=self.names)
+            exhausted = "max_clauses"
+        return SearchResult(RESOURCE_OUT, self.steps, self.stats,
+                            unnormalized=self.unnormalized, exhausted=exhausted,
+                            constraint_names=self.names)
 
 
 def saturate(inputs: Iterable[ConstrainedClause], system: RewriteSystem,
@@ -715,14 +705,13 @@ def saturate(inputs: Iterable[ConstrainedClause], system: RewriteSystem,
 # ---------------------------------------------------------------------------
 
 
-def format_clause_line(step: ProofStep, names: dict[Constraint, str]) -> str:
-    c = step.clause
+def format_clause_line(c: ConstrainedClause, names: dict[Constraint, str]) -> str:
     text = c.literal_text()
     if c.constraints:
         refs = ", ".join(sorted((names.get(con) or str(con) for con in c.constraints),
                                 key=_constraint_sort_key))
         text = f"{text} / {refs}"
-    return f"{step.id}. {step.rule_text()} | {text}"
+    return f"{c.id}. {c.provenance} | {text}"
 
 
 def _constraint_sort_key(name: str):
@@ -735,7 +724,7 @@ class TraceDoc:
 
     header: list[tuple[str, str]] = field(default_factory=list)
     symbol_lines: list[str] = field(default_factory=list)
-    steps: list[ProofStep] = field(default_factory=list)
+    steps: list[ConstrainedClause] = field(default_factory=list)
     names: dict[Constraint, str] = field(default_factory=dict)
     verdict: str = ""
     solution_lines: list[str] = field(default_factory=list)
@@ -757,8 +746,7 @@ class TraceDoc:
         return "\n".join(lines) + "\n"
 
 
-def format_trace(result: SearchResult, header: dict[str, str] | None = None,
-                 sig: Signature | None = None) -> str:
+def format_trace(result: SearchResult, header: dict[str, str], sig: Signature) -> str:
     """Figure-style trace, one numbered line per kept clause.
 
     Grammar (one construct per line):
@@ -772,7 +760,7 @@ def format_trace(result: SearchResult, header: dict[str, str] | None = None,
 
     ``parser.parse_trace`` reads the text back into a :class:`TraceDoc`.
     """
-    skolems = [] if sig is None else [s for s in sig.symbols.values() if s.origin == "skolem"]
+    skolems = [s for s in sig.symbols.values() if s.origin == "skolem"]
     symbol_lines = []
     for s in skolems:
         if s.kind == "individual":
@@ -790,7 +778,7 @@ def format_trace(result: SearchResult, header: dict[str, str] | None = None,
                 solution_lines.append(f"  {k} := {result.solution.map[k]}")
     elif result.proved and not result.verified:
         solution_lines.append("solution: unverified")
-    return TraceDoc(list((header or {}).items()), symbol_lines, result.steps,
+    return TraceDoc(list(header.items()), symbol_lines, result.steps,
                     result.constraint_names, verdict_of(result), solution_lines).render()
 
 

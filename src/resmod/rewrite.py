@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, KeysView, Mapping
+from typing import Iterable, KeysView, Mapping
 
 from .kernel import (
     App,
@@ -113,6 +113,10 @@ class RewriteRule:
         return f"{self.cls}: {self.lhs} -> {self.rhs}"
 
 
+# fuel for normalizing the body of an eta-redex candidate
+ETA_FUEL = 2000
+
+
 class EtaRule(RewriteRule):
     """Contraction of a trailing application of the topmost de Bruijn index.
 
@@ -128,7 +132,7 @@ class EtaRule(RewriteRule):
         RewriteRule.__init__(self, name, lhs, x, E_CLASS)
         object.__setattr__(self, "_syms", (lam, app, sub, shift, one))
 
-    def contract(self, t: Term, system: "RewriteSystem", fuel: int = 2000) -> Term | None:
+    def contract(self, t: Term, system: "RewriteSystem") -> Term | None:
         lam, app, sub, shift, one = self._syms
         if not (isinstance(t, App) and t.sym.name == lam.name and len(t.args) == 1):
             return None
@@ -139,7 +143,7 @@ class EtaRule(RewriteRule):
         if not (isinstance(arg, App) and arg.sym.name == one.name):
             return None
         sigma = system.without_eta()
-        outcome = normalize(fn, sigma, fuel)
+        outcome = normalize(fn, sigma, ETA_FUEL)
         if not outcome.normal:
             return None
         return _unshift(outcome.value, app, sub, shift)
@@ -202,15 +206,6 @@ class RewriteSystem:
         self.r_index = _index(self.r_rules, lambda r: r.lhs.pred.name)
         self.reach = _reach(self.e_rules)
         self._without_eta: RewriteSystem | None = None
-
-    def __iter__(self) -> Iterator[RewriteRule]:
-        return iter(self.rules)
-
-    def __len__(self) -> int:
-        return len(self.rules)
-
-    def is_empty(self) -> bool:
-        return not self.rules
 
     @property
     def e_lhs_roots(self) -> KeysView[str]:
@@ -384,25 +379,11 @@ class NormalizeOutcome:
         return self.normal
 
 
-def normalize(x: Term | Prop, system: RewriteSystem, fuel: int = 10_000,
-              strategy: str = "leftmost_outermost") -> NormalizeOutcome:
+def normalize(x: Term | Prop, system: RewriteSystem, fuel: int = 10_000) -> NormalizeOutcome:
     """Contract at most ``fuel`` redexes, as iterating :func:`reduce_once`
-    would.
-
-    ``strategy`` picks the redex; ``rightmost_innermost`` exists for
-    confluence testing only.
-    """
+    would."""
     if fuel < 1:
         raise ValueError("fuel must be positive")
-    if strategy != "leftmost_outermost":
-        value = x
-        for n in range(fuel):
-            red = _reduce_rightmost_innermost(value, system)
-            if red is None:
-                return NormalizeOutcome(True, value, n)
-            value = red[0]
-        return NormalizeOutcome(_reduce_rightmost_innermost(value, system) is None,
-                                value, fuel)
     run = _Normalizer(system, fuel)
     if is_term(x):
         terms = [x]
@@ -547,27 +528,6 @@ def _rebuild(x: Prop, new: list) -> Prop:
     return with_children(x, tuple(new))
 
 
-def _reduce_rightmost_innermost(x: Term | Prop, system: RewriteSystem):
-    best: tuple[tuple[int, ...], Term | Prop, str] | None = None
-    for pos in positions(x):
-        sub = subterm_at(x, pos)
-        red = None
-        if isinstance(sub, App):
-            red = _contract(system.e_rules, sub, system)
-        elif isinstance(sub, Atom):
-            red = _contract(system.r_rules, sub, system)
-        if red is None:
-            continue
-        # rightmost first, then innermost (longer positions win)
-        if best is None or pos > best[0] or (pos[:len(best[0])] == best[0] and len(pos) > len(best[0])):
-            best = (pos, red[0], red[1])
-    if best is None:
-        return None
-    from .kernel import replace_at
-
-    return replace_at(x, best[0], best[1]), best[2]
-
-
 # ---------------------------------------------------------------------------
 # Orthogonality
 # ---------------------------------------------------------------------------
@@ -598,16 +558,6 @@ def _nonlinear(rule: RewriteRule) -> bool:
     return any(walk(a) for a in args)
 
 
-def _unifiable_firstorder(t: Term | Atom, u: Term | Atom) -> bool:
-    """Plain syntactic unifiability, used only for overlap detection."""
-    from .unify import unify_syntactic
-
-    try:
-        return unify_syntactic(t, u) is not None
-    except Exception:
-        return False
-
-
 def check_orthogonal(system: RewriteSystem,
                      representative_only: Iterable[str] = ()) -> OrthogonalityReport:
     """Left-linearity plus absence of overlaps between rule left sides.
@@ -616,6 +566,8 @@ def check_orthogonal(system: RewriteSystem,
     instance stands in for the whole family; instances beyond the first are
     skipped (distinct family members cannot overlap by construction).
     """
+    from .unify import unify_syntactic
+
     skip_prefixes = tuple(representative_only)
     seen_family: set[str] = set()
     rules: list[RewriteRule] = []
@@ -647,7 +599,9 @@ def check_orthogonal(system: RewriteSystem,
                     continue
                 if isinstance(sub, Atom) != isinstance(r2v.lhs, Atom):
                     continue
-                if _unifiable_firstorder(sub, r2v.lhs):
+                # two atoms, or two terms neither of them a variable: no
+                # sort error can arise
+                if unify_syntactic(sub, r2v.lhs) is not None:
                     where = "at the root" if not pos else f"at position {list(pos)}"
                     return OrthogonalityReport(
                         False,

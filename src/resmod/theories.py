@@ -60,24 +60,21 @@ class TheoryPreset:
 
 
 def declare_subset_symbol(theory: TheoryPreset, params: list[Var], w: Var, body: Prop,
-                          *, name: str | None = None,
-                          allow_skolem_body: bool = False) -> tuple[Symbol, RewriteRule]:
+                          *, name: str | None = None) -> tuple[Symbol, RewriteRule]:
     """Materialize one instance of the comprehension scheme.
 
     Declares a fresh function symbol ``f`` of arity ``len(params) + 1`` and
     the rule ``v in f(y1..yn, z) -> v in z /\\ body[y/params, v/w]``.  The
-    body may not mention skolem symbols (override for ad hoc rules only).
+    body may not mention skolem symbols.
     Instances are deduplicated up to alpha-equivalence of the closed body.
     """
     extra = free_names(body) - {v.name for v in params} - {w.name}
     if extra:
         raise ValueError(f"comprehension body has stray variables {sorted(extra)}")
-    if not allow_skolem_body:
-        for s in _symbols_in(body):
-            declared = theory.sig.symbols.get(s)
-            if declared is not None and declared.origin == "skolem":
-                raise SkolemInBodyError(
-                    f"comprehension body mentions skolem symbol {s}")
+    for s in _symbols_in(body):
+        declared = theory.sig.symbols.get(s)
+        if declared is not None and declared.origin == "skolem":
+            raise SkolemInBodyError(f"comprehension body mentions skolem symbol {s}")
     closed: Prop = body
     for v in (w, *reversed(params)):
         closed = Forall(v, closed)
@@ -460,22 +457,22 @@ def load_preset(name: str) -> TheoryPreset:
     return builder()
 
 
-def leibniz_equal(sig: Signature, lhs: Term, rhs: Term, pred_var: str = "p") -> Prop:
+def leibniz_equal(sig: Signature, lhs: Term, rhs: Term) -> Prop:
     """Equality of two term-sort values as agreement under every predicate."""
     term = sig.sorts["term"]
     app = sig.lookup("app")
     eps = sig.lookup("eps")
-    p = Var(pred_var, term)
+    p = Var("p", term)
     left = Atom(eps, (App(app, (p, lhs)),))
     right = Atom(eps, (App(app, (p, rhs)),))
     return Forall(p, Iff(left, right))
 
 
-def surjection_axiom(sig: Signature, f_name: str = "f", g_name: str = "g") -> Prop:
+def surjection_axiom(sig: Signature) -> Prop:
     """``g`` is a right inverse of ``f``, stated with Leibniz equality."""
     term = sig.sorts["term"]
     app = sig.lookup("app")
-    f, g = App(sig.lookup(f_name)), App(sig.lookup(g_name))
+    f, g = App(sig.lookup("f")), App(sig.lookup("g"))
     x = Var("x", term)
     fgx = App(app, (f, App(app, (g, x))))
     return Forall(x, leibniz_equal(sig, fgx, x))

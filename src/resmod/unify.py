@@ -33,7 +33,7 @@ from .kernel import (
     term_var_names,
 )
 from .clausal import Constraint, ConstrainedClause
-from .rewrite import E_CLASS, EtaRule, RewriteRule, RewriteSystem, normalize
+from .rewrite import EtaRule, RewriteRule, RewriteSystem, normalize
 
 
 # ---------------------------------------------------------------------------
@@ -177,24 +177,15 @@ class SolutionCheck:
         return self.ok
 
 
-def _e_only(system: RewriteSystem | Iterable[RewriteRule]) -> RewriteSystem:
-    if isinstance(system, RewriteSystem):
-        rules = system.rules
-    else:
-        rules = tuple(system)
-    return RewriteSystem(r for r in rules if r.cls == E_CLASS)
-
-
 def check_solution(s: Substitution, constraints: Iterable[Constraint],
-                   e_rules: RewriteSystem | Iterable[RewriteRule],
-                   fuel: int = 10_000) -> SolutionCheck:
+                   system: RewriteSystem, fuel: int = 10_000) -> SolutionCheck:
     """Does ``s`` solve every equation modulo the E-rules?
 
     Each side is instantiated and normalized; the equation passes when both
-    sides reach the same normal form.  Running out of fuel is reported as a
+    sides reach the same normal form.  The sides are terms, so only the
+    E-rules of ``system`` apply.  Running out of fuel is reported as a
     distinct per-equation status, not as failure.
     """
-    system = _e_only(e_rules)
     verdicts: list[EquationVerdict] = []
     for c in constraints:
         pairs = c.pairs()
@@ -226,6 +217,9 @@ SOLUTIONS = "solutions"
 UNSAT = "unsatisfiable"
 UNKNOWN = "unknown"
 
+# fuel of the solution check that every candidate solution passes
+CHECK_FUEL = 4_000
+
 
 @dataclass(frozen=True)
 class EUnifyOutcome:
@@ -255,7 +249,7 @@ class _Side:
     def __init__(self, term: Term, basic: frozenset[Position] | None = None):
         self.term = term
         if basic is None:
-            basic = frozenset(_nonvar_positions(term))
+            basic = frozenset(p for p, _ in _nonvar_positions(term))
         self.basic = basic
 
     def substituted(self, m: Mapping[str, Term]) -> "_Side":
@@ -263,19 +257,17 @@ class _Side:
         return _Side(subst_term(self.term, m), self.basic)
 
 
-def _nonvar_positions(t: Term) -> Iterator[Position]:
+def _nonvar_positions(t: Term, basic: frozenset[Position] | None = None
+                      ) -> Iterator[tuple[Position, App]]:
+    """The applications of ``t`` with their positions, in pre-order.  With
+    ``basic``, only those at a position in it: basic sets are prefix-closed,
+    so the walk stops below the first position outside the set."""
     stack: list[tuple[Term, Position]] = [(t, ())]
     while stack:
         u, pos = stack.pop()
-        if isinstance(u, App):
-            yield pos
+        if isinstance(u, App) and (basic is None or pos in basic):
+            yield pos, u
             stack.extend((u.args[i], pos + (i + 1,)) for i in reversed(range(len(u.args))))
-
-
-def _term_at(t: Term, pos: Position) -> Term:
-    for i in pos:
-        t = t.args[i - 1]
-    return t
 
 
 def _replace_term(t: Term, pos: Position, new: Term) -> Term:
@@ -309,12 +301,10 @@ def _is_flex(t: Term, app_symbols: frozenset[str]) -> bool:
     return isinstance(_spine_head(t, app_symbols), Var)
 
 
-def e_unify_narrowing(constraints: Iterable[Constraint],
-                      e_rules: RewriteSystem | Iterable[RewriteRule],
+def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
                       depth: int = 8, *,
                       app_symbols: Iterable[str] = (),
-                      max_states: int = 4_000,
-                      check_fuel: int = 4_000) -> EUnifyOutcome:
+                      max_states: int = 4_000) -> EUnifyOutcome:
     """Solve a constraint set modulo the E-rules by bounded basic narrowing.
 
     Breadth-first over narrowing steps; plain unification is attempted at
@@ -325,7 +315,6 @@ def e_unify_narrowing(constraints: Iterable[Constraint],
     Equations whose two sides are both headed by variables are kept frozen:
     they are never narrowed, only unified.
     """
-    system = _e_only(e_rules)
     rules = [r for r in system.e_rules if not isinstance(r, EtaRule)]
     apps = frozenset(app_symbols)
     constraints = tuple(constraints)
@@ -339,7 +328,7 @@ def e_unify_narrowing(constraints: Iterable[Constraint],
     def finish(sigma: dict[str, Term], acc: Substitution) -> Substitution | None:
         candidate = acc.compose(Substitution(sigma)).restrict(original_vars)
         candidate = _rename_internal(candidate, original_vars)
-        if rules and not check_solution(candidate, constraints, system, check_fuel).ok:
+        if rules and not check_solution(candidate, constraints, system, CHECK_FUEL).ok:
             return None
         return candidate
 
@@ -434,10 +423,7 @@ def _expand(eqs: list[_Eq], acc: Substitution, rules: Sequence[RewriteRule],
         if _is_flex(e.left.term, apps) and _is_flex(e.right.term, apps):
             continue  # frozen flex-flex equation
         for side_ix, side in enumerate((e.left, e.right)):
-            for pos in sorted(side.basic):
-                sub = _term_at(side.term, pos)
-                if isinstance(sub, Var):
-                    continue
+            for pos, sub in _nonvar_positions(side.term, side.basic):
                 for rule in rules:
                     renaming = {v: Var(f"_n{next(counter)}", _var_sort_in(rule.lhs, v))
                                 for v in sorted(rule.var_names)}
@@ -447,7 +433,7 @@ def _expand(eqs: list[_Eq], acc: Substitution, rules: Sequence[RewriteRule],
                     if theta is None:
                         continue
                     new_basic = frozenset(p for p in side.basic if p[:len(pos)] != pos)
-                    new_basic |= frozenset(pos + q for q in _nonvar_positions(rhs))
+                    new_basic |= frozenset(pos + q for q, _ in _nonvar_positions(rhs))
                     new_term = _replace_term(side.term, pos, rhs)
                     new_side = _Side(subst_term(new_term, theta), new_basic)
                     new_eqs: list[_Eq] = []

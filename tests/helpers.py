@@ -20,8 +20,12 @@ from resmod.kernel import (
     Var,
     _Binary,
     _Quant,
+    positions,
+    replace_at,
+    subterm_at,
 )
 from resmod.clausal import ConstrainedClause, Literal
+from resmod.rewrite import NormalizeOutcome, RewriteSystem, _contract
 
 
 # ---------------------------------------------------------------------------
@@ -226,3 +230,38 @@ def random_ground_term(rng: random.Random, sig: Signature, depth: int) -> Term:
         return App(sig.lookup("f"), (random_ground_term(rng, sig, depth - 1),
                                      random_ground_term(rng, sig, depth - 1)))
     return App(sig.lookup("g"), (random_ground_term(rng, sig, depth - 1),))
+
+
+# ---------------------------------------------------------------------------
+# A second reduction strategy, for confluence tests
+# ---------------------------------------------------------------------------
+
+
+def _reduce_rightmost_innermost(x, system: RewriteSystem):
+    best = None
+    for pos in positions(x):
+        sub = subterm_at(x, pos)
+        red = None
+        if isinstance(sub, App):
+            red = _contract(system.e_rules, sub, system)
+        elif isinstance(sub, Atom):
+            red = _contract(system.r_rules, sub, system)
+        if red is None:
+            continue
+        # rightmost first, then innermost (longer positions win)
+        if best is None or pos > best[0] or (pos[:len(best[0])] == best[0] and len(pos) > len(best[0])):
+            best = (pos, red[0])
+    if best is None:
+        return None
+    return replace_at(x, best[0], best[1])
+
+
+def normalize_rightmost_innermost(x, system: RewriteSystem, fuel: int) -> NormalizeOutcome:
+    """``normalize`` with the rightmost-innermost redex contracted first."""
+    value = x
+    for n in range(fuel):
+        red = _reduce_rightmost_innermost(value, system)
+        if red is None:
+            return NormalizeOutcome(True, value, n)
+        value = red
+    return NormalizeOutcome(_reduce_rightmost_innermost(value, system) is None, value, fuel)

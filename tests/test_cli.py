@@ -16,6 +16,16 @@ def test_named_goal_is_proved_under_the_default_strategy(capsys, theory, goal):
     assert "verdict: PROVED\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("goal", [["--goal-name", "double"],
+                                  ["--goal", "exists x:nat x + 0 = 3"]])
+def test_on_the_fly_does_not_saturate_past_a_constraint_that_needs_the_e_rules(capsys, goal):
+    # propagation solves constraints syntactically, so it drops the clause
+    # whose constraint only the E-rules solve
+    code = cli.main(["prove", "--theory", "arith", "--strategy", "onfly", *goal])
+    assert code == cli.EXIT_RESOURCE_OUT
+    assert "verdict: RESOURCE_OUT\n" in capsys.readouterr().out
+
+
 def test_normalize_prints_the_normal_form(capsys):
     assert cli.main(["normalize", "--theory", "arith", "2 * 2"]) == 0
     assert "normal form after 7 steps: S(S(S(S(0))))\n" in capsys.readouterr().out

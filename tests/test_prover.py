@@ -1,4 +1,5 @@
-"""Prover tests: duplicate detection in the redundancy filter."""
+"""Prover tests: duplicate detection in the redundancy filter, the narrowing
+filter and the proof slice of a search."""
 
 import os
 import subprocess
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from resmod.clausal import ConstrainedClause, Literal
-from resmod.kernel import App, Atom, Signature, Var
-from resmod.prover import ClauseIndex, redundancy_filter
+from resmod import prover, theories
+from resmod.clausal import ConstrainedClause, Literal, clausal_form
+from resmod.kernel import App, Atom, Not, Signature, Var
+from resmod.parser import parse_term_or_atom
+from resmod.prover import ClauseIndex, narrowing_applicable, redundancy_filter
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -50,3 +53,34 @@ def test_a_variable_is_not_a_duplicate_of_a_same_named_constant():
     # variables render as ?n in the key, a form no symbol name can take
     with pytest.raises(ValueError):
         sig.individual("?0", u)
+
+
+@pytest.mark.parametrize("atom, on_the_fly, freeze", [
+    ("a in {b, c}", True, True),
+    ("X in Y", False, True),
+    ("a in Y", False, True),
+    ("X in {b, c}", True, True),
+    ("a in union(b)", False, False),
+])
+def test_narrowing_applicable_guesses_under_freeze_only(atom, on_the_fly, freeze):
+    theory = theories.load_preset("set")
+    for name in "abc":
+        theory.sig.individual(name, theory.sig.sorts["set"])
+    pair = next(r for r in theory.system.r_rules if r.name == "pair")
+    a = parse_term_or_atom(atom, theory.sig)
+    assert narrowing_applicable(a, pair, prover.ON_THE_FLY) is on_the_fly
+    assert narrowing_applicable(a, pair, prover.FREEZE) is freeze
+
+
+def test_proof_steps_is_the_ancestor_slice_of_the_empty_clause():
+    theory = theories.load_preset("arith")
+    goal = Not(theory.goals["double"])
+    inputs = [c for p in theory.axioms + [goal]
+              for c in clausal_form(p, theory.system, theory.sig).clauses]
+    result = prover.saturate(inputs, theory.system, theory.sig,
+                             prover.ProverConfig(strategy=prover.FREEZE))
+    steps = result.proof_steps()
+    assert result.proved and steps[-1] is result.empty_clause and steps[-1].is_empty()
+    ids = [s.id for s in steps]
+    assert ids == sorted(set(ids))
+    assert all(p in ids for s in steps for p in s.provenance.parents)

@@ -21,7 +21,7 @@ from resmod.rewrite import (
 from resmod.theories import load_preset, russell_theory
 from resmod.parser import parse_prop, parse_term, parse_term_or_atom
 
-from helpers import small_signature, random_term
+from helpers import normalize_rightmost_innermost, small_signature, random_term
 
 
 class TestRuleClasses:
@@ -188,8 +188,8 @@ class TestNormalize:
         while agreed < 1000 and tries < 20_000:
             tries += 1
             t = random_comb_term(rng, hol.sig, rng.randint(1, 5))
-            lo = normalize(t, hol.system, 300, strategy="leftmost_outermost")
-            ri = normalize(t, hol.system, 300, strategy="rightmost_innermost")
+            lo = normalize(t, hol.system, 300)
+            ri = normalize_rightmost_innermost(t, hol.system, 300)
             if lo.normal and ri.normal:
                 assert lo.value == ri.value, f"strategies disagree on {t}"
                 agreed += 1
