@@ -5,8 +5,9 @@ Subcommands:
   normalize       print the reduction sequence of a term or proposition
   check-solution  verify a substitution against a constraint file
 
-Exit codes for ``prove``: 0 PROVED, 1 SATURATED, 2 RESOURCE_OUT,
-4 PROVED_UNVERIFIED.  ``check-solution`` exits 0 when the substitution
+Exit codes for ``prove``: 0 PROVED, 1 SATURATED, 2 RESOURCE_OUT (the
+summary's ``exhausted:`` line names why), 4 PROVED_UNVERIFIED.
+``check-solution`` exits 0 when the substitution
 solves every equation and 1 when it does not; ``normalize`` exits 0.  Every
 subcommand exits 3 on an input error, a malformed command line included,
 and 5 on an internal error (resmod itself failed), so neither reads as a
@@ -58,14 +59,17 @@ class RunReport:
     factoring_steps: int
     wall_time: float
     trace: str
+    exhausted: str | None = None
 
     @property
     def exit_code(self) -> int:
         return _VERDICT_EXIT[self.verdict]
 
     def summary(self) -> str:
+        reason = [f"exhausted: {self.exhausted}"] if self.exhausted else []
         return "\n".join([
             f"verdict: {self.verdict}",
+            *reason,
             f"clauses: {self.clauses_generated} generated, {self.clauses_kept} kept",
             (f"steps: {self.resolution_steps} resolution, "
              f"{self.narrowing_steps} narrowing, {self.factoring_steps} factoring"),
@@ -117,7 +121,7 @@ def run_prove(theory: TheoryPreset, goal: Prop, cfg: ProverConfig) -> RunReport:
     stats = result.stats
     return RunReport(verdict_of(result), stats.generated, stats.kept,
                      stats.resolutions, stats.narrowings, stats.factorings,
-                     elapsed, trace)
+                     elapsed, trace, result.exhausted)
 
 
 def cmd_prove(args: argparse.Namespace) -> int:

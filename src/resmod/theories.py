@@ -487,5 +487,5 @@ def parse_theory_file(text: str) -> TheoryPreset:
     """Parse the documented theory-file format; see the parser module."""
     from .parser import parse_theory
 
-    return parse_theory(text, load_preset)
+    return parse_theory(text)
 

@@ -23,7 +23,41 @@ def test_on_the_fly_does_not_saturate_past_a_constraint_that_needs_the_e_rules(c
     # whose constraint only the E-rules solve
     code = cli.main(["prove", "--theory", "arith", "--strategy", "onfly", *goal])
     assert code == cli.EXIT_RESOURCE_OUT
-    assert "verdict: RESOURCE_OUT\n" in capsys.readouterr().out
+    assert "verdict: RESOURCE_OUT\nexhausted: e_constraints\n" in capsys.readouterr().out
+
+
+ARITH_WITH_P = "use arith\npred P : (nat)\naxiom P(0)\ngoal clash : P(S(0))\n"
+# no E-rules; the only resolvent's constraint fails on the occurs check
+DIAGONAL = ("sort s\nfun f : (s) -> s\npred P : (s, s)\n"
+            "axiom forall x:s P(x, f(x))\ngoal diag : exists y:s P(y, y)\n")
+
+
+@pytest.mark.parametrize("text, goal", [(ARITH_WITH_P, "clash"), (DIAGONAL, "diag")],
+                         ids=["clash", "diag"])
+def test_on_the_fly_saturates_past_a_constraint_that_fails_modulo_the_e_rules(
+        tmp_path, capsys, text, goal):
+    # P(0) = P(S(0)) clashes on symbols no E-rule rewrites; without E-rules
+    # every syntactic failure is a refutation
+    theory = tmp_path / "theory"
+    theory.write_text(text)
+    code = cli.main(["prove", "--theory", str(theory), "--strategy", "onfly",
+                     "--goal-name", goal])
+    assert code == cli.EXIT_SATURATED
+    assert "verdict: SATURATED\n" in capsys.readouterr().out
+
+
+def test_a_theory_file_extends_a_preset(tmp_path, capsys):
+    theory = tmp_path / "theory"
+    theory.write_text(ARITH_WITH_P)
+    assert cli.main(["prove", "--theory", str(theory), "--goal-name", "double"]) == cli.EXIT_PROVED
+    assert "verdict: PROVED\n" in capsys.readouterr().out
+
+
+def test_the_clause_budget_is_named_when_it_runs_out(capsys):
+    code = cli.main(["prove", "--theory", "set-cantor", "--max-clauses", "5",
+                     "--goal-name", "cantor"])
+    assert code == cli.EXIT_RESOURCE_OUT
+    assert "verdict: RESOURCE_OUT\nexhausted: max_clauses\n" in capsys.readouterr().out
 
 
 def test_normalize_prints_the_normal_form(capsys):
