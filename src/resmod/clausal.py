@@ -132,7 +132,8 @@ class ConstrainedClause:
     and provenance never take part in equality.
     """
 
-    __slots__ = ("literals", "constraints", "id", "provenance", "_lit_set", "_hash")
+    __slots__ = ("literals", "constraints", "id", "provenance", "_lit_set", "_hash",
+                 "_free_vars")
 
     def __init__(self, literals: Iterable[Literal], constraints: Iterable[Constraint] = (),
                  id: int | None = None, provenance: Provenance | None = None):
@@ -145,6 +146,7 @@ class ConstrainedClause:
         self.provenance = provenance or Provenance("input")
         self._lit_set = frozenset(self.literals)
         self._hash = hash((self._lit_set, self.constraints))
+        self._free_vars: frozenset[Var] | None = None
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ConstrainedClause)
@@ -161,13 +163,16 @@ class ConstrainedClause:
         return len(self.literals)
 
     def free_vars(self) -> frozenset[Var]:
-        out: set[Var] = set()
-        for lit in self.literals:
-            out |= free_vars(lit.atom)
-        for c in self.constraints:
-            for side in (c.lhs, c.rhs):
-                out |= free_vars(side)
-        return frozenset(out)
+        # computed on first use: the clause is never mutated
+        if self._free_vars is None:
+            out: set[Var] = set()
+            for lit in self.literals:
+                out |= free_vars(lit.atom)
+            for c in self.constraints:
+                for side in (c.lhs, c.rhs):
+                    out |= free_vars(side)
+            self._free_vars = frozenset(out)
+        return self._free_vars
 
     def free_names(self) -> frozenset[str]:
         return frozenset(v.name for v in self.free_vars())

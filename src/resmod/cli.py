@@ -5,8 +5,10 @@ Subcommands:
   normalize       print the reduction sequence of a term or proposition
   check-solution  verify a substitution against a constraint file
 
-Exit codes for ``prove``: 0 PROVED, 1 SATURATED, 2 RESOURCE_OUT (the
-summary's ``exhausted:`` line names why), 4 PROVED_UNVERIFIED.
+Exit codes for ``prove``: 0 PROVED, 1 SATURATED, 2 RESOURCE_OUT, 4
+PROVED_UNVERIFIED; after the last two the summary's ``exhausted:`` line
+names why (for 4, the bound the gate's narrowing hit, ``narrow_depth`` or
+``narrow_states``, with the number of states it examined).
 ``check-solution`` exits 0 when the substitution
 solves every equation and 1 when it does not; ``normalize`` exits 0.  Every
 subcommand exits 3 on an input error, a malformed command line included,

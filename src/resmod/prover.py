@@ -115,7 +115,9 @@ class SearchResult:
     """``steps`` are the kept clauses in id order.  ``exhausted`` says why a
     search is ``RESOURCE_OUT``: ``max_clauses``, or ``e_constraints`` when
     on-the-fly propagation dropped a clause whose constraints may have a
-    solution modulo the E-rules."""
+    solution modulo the E-rules.  For a proof left unverified it names the
+    bound the gate's narrowing hit, ``narrow_depth`` or ``narrow_states``,
+    with the number of states it examined."""
 
     status: str
     steps: list[ConstrainedClause]
@@ -523,7 +525,9 @@ class _Saturation:
         if outcome.is_unsat:
             return "unsat"
         self.result = SearchResult(PROVED, self.steps, self.stats, c, None, False,
-                                   self.unnormalized, constraint_names=self.names)
+                                   self.unnormalized,
+                                   f"narrow_{outcome.reason} ({outcome.states} states)",
+                                   self.names)
         return "unverified"
 
     # -- registration --------------------------------------------------------
@@ -671,12 +675,13 @@ class _Saturation:
                         if self.result is not None:
                             return self.result
                 # resolution against the active set (the clause itself included)
+                sel_names = sel.free_names()
                 for partner in list(self.active):
                     if partner.id in self.index.dead and partner is not sel:
                         continue
                     if min(len(sel.literals), len(partner.literals)) > 2:
                         continue
-                    renamed, _ = rename_apart(sel.free_names(), partner)
+                    renamed, _ = rename_apart(sel_names, partner)
                     for rc in extended_resolution(sel, renamed):
                         if self.process_new([rc], "resolution", (sel.id, partner.id)):
                             self.stats.resolutions += 1

@@ -7,11 +7,13 @@ between their arguments.
 
 Equational unification explores narrowing steps breadth-first at basic
 positions only (never inside substitution-introduced subterms), attempting
-plain syntactic unification at every state.  The search is bounded both by
-a narrowing depth and a total state budget; truncation yields an Unknown
-outcome, never a verdict.  Every substitution returned as a solution has
-been re-checked by joining both sides of every equation to a common normal
-form.
+plain syntactic unification at every state.  A rule is renamed and unified
+at a position only when its left side does not clash with the subterm
+there, and the unifiers of the steps to a state are composed only when the
+state unifies.  The search is bounded both by a narrowing depth and a total
+state budget; truncation yields an Unknown outcome, never a verdict.  Every
+substitution returned as a solution has been re-checked by joining both
+sides of every equation to a common normal form.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .kernel import (
     term_var_names,
 )
 from .clausal import Constraint, ConstrainedClause
-from .rewrite import EtaRule, RewriteRule, RewriteSystem, normalize
+from .rewrite import EtaRule, RewriteSystem, normalize
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +229,7 @@ class EUnifyOutcome:
     solutions: tuple[Substitution, ...] = ()
     depth: int | None = None
     reason: str = ""
+    states: int = 0  # narrowing states examined
 
     @property
     def is_solutions(self) -> bool:
@@ -291,6 +294,30 @@ class _Eq:
         return (self.left.term, self.right.term)
 
 
+# an E-rule prepared for narrowing: its sides, and its variables sorted by
+# name (the order in which they are renamed) with their sorts
+_Rule = tuple[Term, Term, tuple]
+
+
+# the unifiers of the narrowing steps that led to a state, innermost last:
+# None at the start, else (the parent's chain, the step's unifier); they are
+# composed only for a state whose equations unify
+_Chain = tuple | None
+
+
+def _clash(t: Term, pattern: Term) -> bool:
+    """Do ``t`` and ``pattern`` carry different function symbols (name or
+    arity) at a position where both have one?  Then they cannot unify."""
+    if isinstance(t, Var) or isinstance(pattern, Var):
+        return False
+    if t.sym.name != pattern.sym.name or len(t.args) != len(pattern.args):
+        return True
+    for a, b in zip(t.args, pattern.args):
+        if _clash(a, b):
+            return True
+    return False
+
+
 def _spine_head(t: Term, app_symbols: frozenset[str]):
     while isinstance(t, App) and t.sym.name in app_symbols and t.args:
         t = t.args[0]
@@ -313,9 +340,11 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
     Unsatisfiable is reported only when the whole space below the bounds was
     exhausted; hitting the depth bound or the state budget yields Unknown.
     Equations whose two sides are both headed by variables are kept frozen:
-    they are never narrowed, only unified.
+    they are never narrowed, only unified.  The outcome counts the states
+    examined, up to ``max_states``.
     """
-    rules = [r for r in system.e_rules if not isinstance(r, EtaRule)]
+    rules = [(r.lhs, r.rhs, tuple((v, _var_sort_in(r.lhs, v)) for v in sorted(r.var_names)))
+             for r in system.e_rules if not isinstance(r, EtaRule)]
     apps = frozenset(app_symbols)
     constraints = tuple(constraints)
     pairs = _term_pairs(constraints)
@@ -325,15 +354,21 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
     for a, b in pairs:
         original_vars |= term_var_names(a) | term_var_names(b)
 
-    def finish(sigma: dict[str, Term], acc: Substitution) -> Substitution | None:
-        candidate = acc.compose(Substitution(sigma)).restrict(original_vars)
-        candidate = _rename_internal(candidate, original_vars)
+    def finish(sigma: dict[str, Term], chain: _Chain) -> Substitution | None:
+        thetas: list[dict[str, Term]] = [sigma]
+        while chain is not None:
+            chain, theta = chain
+            thetas.append(theta)
+        candidate = Substitution()
+        for theta in reversed(thetas):
+            candidate = candidate.compose(Substitution(theta))
+        candidate = _rename_internal(candidate.restrict(original_vars), original_vars)
         if rules and not check_solution(candidate, constraints, system, CHECK_FUEL).ok:
             return None
         return candidate
 
     start = [_Eq(_Side(a), _Side(b)) for a, b in pairs]
-    level: list[tuple[list[_Eq], Substitution]] = [(start, Substitution())]
+    level: list[tuple[list[_Eq], _Chain]] = [(start, None)]
     seen: set[tuple] = set()
     counter = itertools.count(1)
     states_used = 0
@@ -341,8 +376,8 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
 
     for current_depth in range(depth + 1):
         solutions: list[Substitution] = []
-        next_level: list[tuple[list[_Eq], Substitution]] = []
-        for eqs, acc in level:
+        next_level: list[tuple[list[_Eq], _Chain]] = []
+        for eqs, chain in level:
             states_used += 1
             if states_used > max_states:
                 truncated = True
@@ -361,24 +396,24 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
                 if sigma is None:
                     break
             if sigma is not None:
-                sol = finish(sigma, acc)
+                sol = finish(sigma, chain)
                 if sol is not None:
                     solutions.append(sol)
             if current_depth == depth:
                 if any(_expandable(e, rules, apps) for e in eqs):
                     truncated = True
                 continue
-            for child in _expand(eqs, acc, rules, apps, counter):
-                next_level.append(child)
+            next_level.extend(_expand(eqs, chain, rules, apps, counter))
+        states = min(states_used, max_states)
         if solutions:
-            return EUnifyOutcome(SOLUTIONS, tuple(solutions), current_depth)
+            return EUnifyOutcome(SOLUTIONS, tuple(solutions), current_depth, states=states)
         if truncated:
             break
         level = next_level
         if not level:
-            return EUnifyOutcome(UNSAT)
+            return EUnifyOutcome(UNSAT, states=states)
     reason = "states" if states_used > max_states else "depth"
-    return EUnifyOutcome(UNKNOWN, reason=reason)
+    return EUnifyOutcome(UNKNOWN, reason=reason, states=min(states_used, max_states))
 
 
 def _simplify(eqs: list[_Eq], system: RewriteSystem) -> list[_Eq] | None:
@@ -411,27 +446,31 @@ def _child_side(side: _Side, i: int) -> _Side:
     return _Side(child, basic)
 
 
-def _expandable(e: _Eq, rules: Sequence[RewriteRule], apps: frozenset[str]) -> bool:
+def _expandable(e: _Eq, rules: Sequence[_Rule], apps: frozenset[str]) -> bool:
     if _is_flex(e.left.term, apps) and _is_flex(e.right.term, apps):
         return False
     return bool(rules) and bool(e.left.basic or e.right.basic)
 
 
-def _expand(eqs: list[_Eq], acc: Substitution, rules: Sequence[RewriteRule],
-            apps: frozenset[str], counter) -> Iterator[tuple[list[_Eq], Substitution]]:
+def _expand(eqs: list[_Eq], chain: _Chain, rules: Sequence[_Rule],
+            apps: frozenset[str], counter) -> Iterator[tuple[list[_Eq], _Chain]]:
     for idx, e in enumerate(eqs):
         if _is_flex(e.left.term, apps) and _is_flex(e.right.term, apps):
             continue  # frozen flex-flex equation
         for side_ix, side in enumerate((e.left, e.right)):
             for pos, sub in _nonvar_positions(side.term, side.basic):
-                for rule in rules:
-                    renaming = {v: Var(f"_n{next(counter)}", _var_sort_in(rule.lhs, v))
-                                for v in sorted(rule.var_names)}
-                    lhs = subst_term(rule.lhs, renaming)
-                    rhs = subst_term(rule.rhs, renaming)
-                    theta = unify_terms(sub, lhs)
+                for lhs, rule_rhs, rule_vars in rules:
+                    if _clash(sub, lhs):
+                        # skip the names the renaming would take, so that
+                        # fresh names do not depend on the filter
+                        for _ in rule_vars:
+                            next(counter)
+                        continue
+                    renaming = {v: Var(f"_n{next(counter)}", sort) for v, sort in rule_vars}
+                    theta = unify_terms(sub, subst_term(lhs, renaming))
                     if theta is None:
                         continue
+                    rhs = subst_term(rule_rhs, renaming)
                     new_basic = frozenset(p for p in side.basic if p[:len(pos)] != pos)
                     new_basic |= frozenset(pos + q for q, _ in _nonvar_positions(rhs))
                     new_term = _replace_term(side.term, pos, rhs)
@@ -446,7 +485,7 @@ def _expand(eqs: list[_Eq], acc: Substitution, rules: Sequence[RewriteRule],
                             new_eqs.append(new_eq)
                         else:
                             new_eqs.append(e2.substituted(theta))
-                    yield new_eqs, acc.compose(Substitution(theta))
+                    yield new_eqs, (chain, theta)
 
 
 def _rename_internal(s: Substitution, original_vars: set[str]) -> Substitution:

@@ -60,6 +60,16 @@ def test_the_clause_budget_is_named_when_it_runs_out(capsys):
     assert "verdict: RESOURCE_OUT\nexhausted: max_clauses\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("goal, bound", [
+    (["--goal", "exists x:nat (x * x = 9)"], "narrow_depth"),
+    (["--goal-name", "double", "--narrow-states", "2"], "narrow_states"),
+])
+def test_the_gate_names_the_bound_that_left_a_proof_unverified(capsys, goal, bound):
+    code = cli.main(["prove", "--theory", "arith", "--strategy", "freeze", *goal])
+    assert code == cli.EXIT_PROVED_UNVERIFIED
+    assert f"verdict: PROVED_UNVERIFIED\nexhausted: {bound} (" in capsys.readouterr().out
+
+
 def test_normalize_prints_the_normal_form(capsys):
     assert cli.main(["normalize", "--theory", "arith", "2 * 2"]) == 0
     assert "normal form after 7 steps: S(S(S(S(0))))\n" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Prover tests: duplicate detection in the redundancy filter, the narrowing
-filter and the proof slice of a search."""
+filter, the proof slice of a search and the traces of the refutation gate."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from resmod import prover, theories
+from resmod import cli, prover, theories
 from resmod.clausal import ConstrainedClause, Literal, clausal_form
-from resmod.kernel import App, Atom, Not, Signature, Var
-from resmod.parser import parse_term_or_atom
+from resmod.kernel import App, Atom, Bottom, Not, Signature, Var
+from resmod.parser import parse_prop, parse_term_or_atom
 from resmod.prover import ClauseIndex, narrowing_applicable, redundancy_filter
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -84,3 +85,41 @@ def test_proof_steps_is_the_ancestor_slice_of_the_empty_clause():
     ids = [s.id for s in steps]
     assert ids == sorted(set(ids))
     assert all(p in ids for s in steps for p in s.provenance.parents)
+
+
+def hol_cantor(name: str) -> theories.TheoryPreset:
+    """Cantor's theorem in a HOL preset: f and g with the surjection axiom."""
+    theory = theories.load_preset(name)
+    term = theory.sig.sorts["term"]
+    theory.sig.individual("f", term)
+    theory.sig.individual("g", term)
+    theory.axioms = [theories.surjection_axiom(theory.sig)]
+    return theory
+
+
+# sha256 of each trace; the same at PYTHONHASHSEED 0-5
+GATE_TRACES = {
+    "double": "64391d9b2b18178201a69a7bf82962300a9ca1cccffde10c6236e7e3bcb1f5e7",
+    "exists x:nat (x * x = 4)":
+        "48b1f5a3eefb995cd4e3516770faf64f7fbb8e4ce61a6d6fa91cd6aeae34c10b",
+    "exists x:nat (x * x = 9)":
+        "d9775a7cb249adb64ae1b331ae1fc3b043d0c7b62cb62605527d40b62caee7b5",
+    "exists x:nat x = 300": "75af75c3a6287fb4f5750507533859d0572e4746ab6cdbe154da624e4931013e",
+    "hol-comb": "146ac31dc70f0412fee15d8b755befe26b9b3dbd7f9904bfb5d960cf4230083b",
+    "hol-sigma": "1fea1eb218ff40b8bb3f7bde346faf31965d4124593e0ae0b9619da31d9bb6ae",
+}
+
+
+@pytest.mark.parametrize("problem", sorted(GATE_TRACES))
+def test_the_gate_leaves_the_trace_unchanged(problem):
+    # the searches end at the refutation gate, so its narrowing decides the
+    # verdict and the solution printed
+    if problem.startswith("hol-"):
+        theory, goal = hol_cantor(problem), Bottom()
+        cfg = prover.ProverConfig(strategy=prover.FREEZE, narrow_states=300)
+    else:
+        theory = theories.load_preset("arith")
+        goal = theory.goals.get(problem) or parse_prop(problem, theory.sig)
+        cfg = prover.ProverConfig(strategy=prover.FREEZE)
+    trace = cli.run_prove(theory, goal, cfg).trace
+    assert hashlib.sha256(trace.encode()).hexdigest() == GATE_TRACES[problem]

@@ -21,7 +21,8 @@ from resmod.rewrite import (
 from resmod.theories import load_preset, russell_theory
 from resmod.parser import parse_prop, parse_term, parse_term_or_atom
 
-from helpers import normalize_rightmost_innermost, small_signature, random_term
+from helpers import (normalize_rightmost_innermost, random_arith_term, random_comb_spine,
+                     random_sigma_term, random_term, small_signature)
 
 
 class TestRuleClasses:
@@ -206,64 +207,6 @@ def iterate_reduce_once(x, system, fuel):
             return NormalizeOutcome(True, value, n)
         value = red[0]
     return NormalizeOutcome(reduce_once(value, system) is None, value, fuel)
-
-
-def random_arith_term(rng, sig, depth):
-    nat = sig.sorts["nat"]
-    if depth == 0 or rng.random() < 0.25:
-        if rng.random() < 0.2:
-            return Var(rng.choice("xy"), nat)
-        return sig.numeral(rng.randint(0, 3))
-    roll = rng.random()
-    if roll < 0.2:
-        return App(sig.lookup("S"), (random_arith_term(rng, sig, depth - 1),))
-    op = sig.lookup("+" if roll < 0.6 else "*")
-    return App(op, (random_arith_term(rng, sig, depth - 1),
-                    random_arith_term(rng, sig, depth - 1)))
-
-
-def random_sigma_term(rng, sig, depth, sort="term"):
-    """A hol-sigma term or substitution, often of the eta-redex shape
-    ``lam(app(t, 1))``."""
-    term, subst = sig.sorts["term"], sig.sorts["subst"]
-    one = App(sig.lookup("1"))
-    if sort == "subst":
-        if depth == 0 or rng.random() < 0.3:
-            if rng.random() < 0.2:
-                return Var("s", subst)
-            return App(sig.lookup(rng.choice(["id", "shift"])))
-        if rng.random() < 0.5:
-            return App(sig.lookup("cons"), (random_sigma_term(rng, sig, depth - 1),
-                                            random_sigma_term(rng, sig, depth - 1, "subst")))
-        return App(sig.lookup("comp"), (random_sigma_term(rng, sig, depth - 1, "subst"),
-                                        random_sigma_term(rng, sig, depth - 1, "subst")))
-    if depth == 0 or rng.random() < 0.25:
-        return Var("a", term) if rng.random() < 0.2 else sig.numeral(rng.randint(1, 3))
-    roll = rng.random()
-    if roll < 0.25:
-        return App(sig.lookup("lam"), (App(sig.lookup("app"), (
-            random_sigma_term(rng, sig, depth - 1), one)),))
-    if roll < 0.45:
-        return App(sig.lookup("lam"), (random_sigma_term(rng, sig, depth - 1),))
-    if roll < 0.75:
-        return App(sig.lookup("app"), (random_sigma_term(rng, sig, depth - 1),
-                                       random_sigma_term(rng, sig, depth - 1)))
-    return App(sig.lookup("sub"), (random_sigma_term(rng, sig, depth - 1),
-                                   random_sigma_term(rng, sig, depth - 1, "subst")))
-
-
-def random_comb_spine(rng, sig, depth):
-    """A combinator applied to up to three random spines: redexes are
-    common."""
-    app, term = sig.lookup("app"), sig.sorts["term"]
-    if depth == 0 or rng.random() < 0.2:
-        if rng.random() < 0.2:
-            return Var(rng.choice("xy"), term)
-        return App(sig.lookup(rng.choice(["S", "K", "a", "b"])))
-    out = App(sig.lookup(rng.choice(["S", "K", "S", "K", "a"])))
-    for _ in range(rng.randint(1, 3)):
-        out = App(app, (out, random_comb_spine(rng, sig, depth - 1)))
-    return out
 
 
 def random_eps_prop(rng, sig, depth):

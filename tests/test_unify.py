@@ -6,15 +6,18 @@ import pytest
 
 from resmod.clausal import Constraint, ConstrainedClause, Literal
 from resmod.kernel import (
+    FUNCTION,
     App,
     Atom,
     SortMismatchError,
     Substitution,
+    Symbol,
     Var,
     free_names,
+    rename_apart,
     subst_term,
 )
-from resmod.rewrite import EMPTY_SYSTEM, RewriteSystem, match, normalize
+from resmod.rewrite import EMPTY_SYSTEM, EtaRule, RewriteSystem, match, normalize
 from resmod.theories import load_preset
 from resmod.parser import parse_constraints, parse_prop, parse_substitution, \
     parse_term, parse_term_or_atom
@@ -25,9 +28,13 @@ from resmod.unify import (
     propagate_on_the_fly,
     solve_syntactic,
     unify_syntactic,
+    unify_terms,
+    _clash,
+    _nonvar_positions,
 )
 
-from helpers import random_ground_term, random_term, small_signature
+from helpers import (random_arith_term, random_comb_spine, random_ground_term,
+                     random_sigma_term, random_term, small_signature)
 
 
 class TestSyntacticUnification:
@@ -217,6 +224,44 @@ class TestEUnifyNarrowing:
         rhs = parse_term("S(S(S(S(0))))", arith.sig)
         out = e_unify_narrowing([Constraint(lhs, rhs)], arith.system, depth=1)
         assert out.is_unknown
+
+
+class TestClashPrefilter:
+    """Narrowing skips a rule at a position without renaming it when
+    ``_clash`` finds the subterm and the rule's left side carrying different
+    function symbols at one position; it must never skip a rule whose
+    renamed left side unifies with the subterm."""
+
+    @pytest.mark.parametrize("preset, draw", [("arith", random_arith_term),
+                                              ("hol-comb", random_comb_spine),
+                                              ("hol-sigma", random_sigma_term)])
+    def test_a_rejected_pair_does_not_unify(self, preset, draw):
+        theory = load_preset(preset)
+        rules = [r for r in theory.system.e_rules if not isinstance(r, EtaRule)]
+        rng = random.Random(f"clash:{preset}")
+        rejected = unified = 0
+        for _ in range(150):
+            t = draw(rng, theory.sig, rng.randint(1, 4))
+            for _, sub in _nonvar_positions(t):
+                for rule in rules:
+                    lhs, _ = rename_apart(free_names(sub), rule.lhs)
+                    theta = unify_terms(sub, lhs)
+                    if _clash(sub, rule.lhs):
+                        rejected += 1
+                        assert theta is None, f"{rule.name} rejected at {sub}"
+                    else:
+                        unified += theta is not None
+        assert rejected > 1000 and unified > 100
+
+    def test_a_symbol_of_another_arity_clashes(self):
+        # one name with two arities: only the arity tells them apart
+        sig = small_signature()
+        u = sig.sorts["u"]
+        a = App(sig.lookup("a"))
+        unary = App(Symbol("h", FUNCTION, (u,), u), (a,))
+        binary = App(Symbol("h", FUNCTION, (u, u), u), (a, Var("x", u)))
+        assert unify_terms(unary, binary) is None
+        assert _clash(unary, binary)
 
 
 class TestCheckSolution:
