@@ -526,8 +526,8 @@ class _Saturation:
             return "unsat"
         self.result = SearchResult(PROVED, self.steps, self.stats, c, None, False,
                                    self.unnormalized,
-                                   f"narrow_{outcome.reason} ({outcome.states} states)",
-                                   self.names)
+                                   exhausted=f"narrow_{outcome.reason} ({outcome.states} states)",
+                                   constraint_names=self.names)
         return "unverified"
 
     # -- registration --------------------------------------------------------
