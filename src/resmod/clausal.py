@@ -133,7 +133,7 @@ class ConstrainedClause:
     """
 
     __slots__ = ("literals", "constraints", "id", "provenance", "_lit_set", "_hash",
-                 "_free_vars")
+                 "_free_vars", "_profile")
 
     def __init__(self, literals: Iterable[Literal], constraints: Iterable[Constraint] = (),
                  id: int | None = None, provenance: Provenance | None = None):
@@ -147,6 +147,7 @@ class ConstrainedClause:
         self._lit_set = frozenset(self.literals)
         self._hash = hash((self._lit_set, self.constraints))
         self._free_vars: frozenset[Var] | None = None
+        self._profile: dict[tuple[bool, str], int] | None = None
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ConstrainedClause)
@@ -176,6 +177,17 @@ class ConstrainedClause:
 
     def free_names(self) -> frozenset[str]:
         return frozenset(v.name for v in self.free_vars())
+
+    def profile(self) -> dict[tuple[bool, str], int]:
+        """How many literals carry each (polarity, predicate name), keyed in
+        order of first appearance; computed on first use."""
+        if self._profile is None:
+            out: dict[tuple[bool, str], int] = {}
+            for lit in self.literals:
+                key = (lit.positive, lit.atom.pred.name)
+                out[key] = out.get(key, 0) + 1
+            self._profile = out
+        return self._profile
 
     def apply(self, s: Substitution) -> "ConstrainedClause":
         return ConstrainedClause(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .clausal import clausal_form
@@ -62,6 +62,8 @@ class RunReport:
     wall_time: float
     trace: str
     exhausted: str | None = None
+    discards: dict[str, int] = field(default_factory=dict)
+    retired: int = 0
 
     @property
     def exit_code(self) -> int:
@@ -73,6 +75,9 @@ class RunReport:
             f"verdict: {self.verdict}",
             *reason,
             f"clauses: {self.clauses_generated} generated, {self.clauses_kept} kept",
+            (f"discarded: {sum(self.discards.values())} "
+             f"({', '.join(f'{n} {r}' for r, n in sorted(self.discards.items())) or 'none'}), "
+             f"{self.retired} retired by backward subsumption"),
             (f"steps: {self.resolution_steps} resolution, "
              f"{self.narrowing_steps} narrowing, {self.factoring_steps} factoring"),
             f"wall time: {self.wall_time:.3f}s",
@@ -123,7 +128,7 @@ def run_prove(theory: TheoryPreset, goal: Prop, cfg: ProverConfig) -> RunReport:
     stats = result.stats
     return RunReport(verdict_of(result), stats.generated, stats.kept,
                      stats.resolutions, stats.narrowings, stats.factorings,
-                     elapsed, trace, result.exhausted)
+                     elapsed, trace, result.exhausted, dict(stats.discards), stats.retired)
 
 
 def cmd_prove(args: argparse.Namespace) -> int:

@@ -29,8 +29,9 @@ constraints, never as success.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .kernel import (
     Atom,
@@ -92,6 +93,10 @@ class Stats:
     on-the-fly propagation an inference whose constraints are unsolvable
     never yields a clause and lands in ``failed_constraints`` instead (the
     freeze-mode analogue is a clause killed by the cheap root-clash test).
+    ``discards`` splits ``discarded`` by reason: the redundancy filter's
+    ``tautology``, ``duplicate`` and ``subsumed``, and ``unsolvable`` for an
+    empty clause whose constraints the gate refuted.  ``retired`` counts
+    kept clauses that a later clause subsumed (backward subsumption).
     """
 
     generated: int = 0
@@ -103,6 +108,12 @@ class Stats:
     discarded: int = 0
     failed_constraints: int = 0
     gate_calls: int = 0
+    discards: dict[str, int] = field(default_factory=dict)
+    retired: int = 0
+
+    def discard(self, reason: str) -> None:
+        self.discarded += 1
+        self.discards[reason] = self.discards.get(reason, 0) + 1
 
 
 PROVED = "proved"
@@ -363,21 +374,13 @@ def clause_key(c: ConstrainedClause) -> tuple:
     return (lit_keys, tuple(sorted(con_keys)))
 
 
-def _pred_profile(c: ConstrainedClause) -> dict[tuple[bool, str], int]:
-    out: dict[tuple[bool, str], int] = {}
-    for l in c.literals:
-        key = (l.positive, l.atom.pred.name)
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
 def subsumes(c: ConstrainedClause, d: ConstrainedClause) -> bool:
     """Does ``c`` (constraint-free) subsume ``d``: some instance of ``c``'s
     literal set is contained in ``d``'s?"""
     if c.constraints or len(c.literals) > len(d.literals):
         return False
-    prof_d = _pred_profile(d)
-    for key, n in _pred_profile(c).items():
+    prof_d = d.profile()
+    for key, n in c.profile().items():
         if prof_d.get(key, 0) < n:
             return False
 
@@ -403,24 +406,61 @@ def is_tautology(c: ConstrainedClause) -> bool:
     return any(not l.positive and l.atom in positives for l in c.literals)
 
 
+def may_resolve(c: ConstrainedClause, d: ConstrainedClause) -> bool:
+    """Necessary for :func:`extended_resolution` of ``c`` and ``d`` to yield
+    a clause: some literal of ``c`` has a literal of opposite polarity with
+    the same predicate in ``d``."""
+    prof_d = d.profile()
+    return any((not positive, pred) in prof_d for positive, pred in c.profile())
+
+
 class ClauseIndex:
-    """Duplicate keys for all registered clauses plus the constraint-free
-    kept clauses used as subsumers."""
+    """The kept clauses, indexed by (polarity, predicate name) for the two
+    subsumption checks, plus the duplicate keys of every registered clause.
+
+    ``subsumes(c, d)`` needs every key of ``c``'s profile in ``d``'s, so:
+
+    - forward: each constraint-free kept clause (a subsumer) is filed in
+      ``buckets`` under one key of its profile, the one with the shortest
+      posting list when it is filed; a new clause ``d`` is checked only
+      against the buckets of the keys in ``d``'s profile.
+    - backward: ``postings`` lists, for each key, every kept clause whose
+      profile has it; a new subsumer ``c`` is checked only against the
+      shortest posting list among its keys.
+
+    Both return candidates in the order they were kept and skip ``dead``
+    clauses (retired by backward subsumption).  Kept clauses are never
+    empty: an empty clause ends the search or is dropped at the gate.
+    """
 
     def __init__(self) -> None:
         self.keys: set[tuple] = set()
-        self.subsumers: list[ConstrainedClause] = []
+        self.buckets: dict[tuple[bool, str], list[ConstrainedClause]] = {}
+        self.postings: dict[tuple[bool, str], list[ConstrainedClause]] = {}
         self.dead: set[int] = set()
 
     def note(self, c: ConstrainedClause) -> None:
         self.keys.add(clause_key(c))
 
     def note_kept(self, c: ConstrainedClause) -> None:
+        profile = c.profile()
+        for key in profile:
+            self.postings.setdefault(key, []).append(c)
         if not c.constraints:
-            self.subsumers.append(c)
+            key = min(profile, key=lambda k: len(self.postings[k]))
+            self.buckets.setdefault(key, []).append(c)
 
-    def live_subsumers(self):
-        return (s for s in self.subsumers if s.id not in self.dead)
+    def forward_candidates(self, d: ConstrainedClause) -> Iterator[ConstrainedClause]:
+        """The live subsumers that may subsume ``d``."""
+        for key in d.profile():
+            for c in self.buckets.get(key, ()):
+                if c.id not in self.dead:
+                    yield c
+
+    def backward_candidates(self, c: ConstrainedClause) -> list[ConstrainedClause]:
+        """The live kept clauses other than ``c`` that ``c`` may subsume."""
+        shortest = min((self.postings.get(key, []) for key in c.profile()), key=len)
+        return [d for d in shortest if d.id not in self.dead and d is not c]
 
 
 def redundancy_filter(new: ConstrainedClause, index: ClauseIndex) -> tuple[bool, str | None]:
@@ -428,7 +468,8 @@ def redundancy_filter(new: ConstrainedClause, index: ClauseIndex) -> tuple[bool,
 
     Discards exact tautologies with no constraints, variants of already
     registered clauses with identical constraints, and clauses subsumed by
-    a constraint-free active clause.  The empty clause is never discarded.
+    a live constraint-free kept clause; the reason is ``tautology``,
+    ``duplicate`` or ``subsumed``.  The empty clause is never discarded.
     """
     if new.is_empty():
         return True, None
@@ -436,9 +477,8 @@ def redundancy_filter(new: ConstrainedClause, index: ClauseIndex) -> tuple[bool,
         return False, "tautology"
     if clause_key(new) in index.keys:
         return False, "duplicate"
-    for c in index.live_subsumers():
-        if subsumes(c, new):
-            return False, f"subsumed by {c.id}" if c.id else "subsumed"
+    if any(subsumes(c, new) for c in index.forward_candidates(new)):
+        return False, "subsumed"
     return True, None
 
 
@@ -487,6 +527,7 @@ class _Saturation:
         self.passive: list[tuple[int, int]] = []  # (literal count, id) min-heap
         self.passive_age: list[int] = []  # id min-heap for the fairness picks
         self.in_passive: set[int] = set()
+        self.inputs: deque[int] = deque()  # input clause ids, selected first
         self.by_id: dict[int, ConstrainedClause] = {}
         self.active: list[ConstrainedClause] = []
         self.index = ClauseIndex()
@@ -539,9 +580,9 @@ class _Saturation:
         if self.stats.generated > self.cfg.max_clauses:
             raise _Budget
         c = tidy_clause(c)
-        keep, _reason = redundancy_filter(c, self.index)
+        keep, reason = redundancy_filter(c, self.index)
         if not keep:
-            self.stats.discarded += 1
+            self.stats.discard(reason)
             return False
         cid = len(self.by_id) + 1
         c = c.with_id(cid, Provenance(kind, parents, aux))
@@ -558,24 +599,22 @@ class _Saturation:
             del self.by_id[cid]
             self.steps.pop()
             self.stats.kept -= 1
-            self.stats.discarded += 1
+            self.stats.discard("unsolvable")
             return False
         self.index.note_kept(c)
         # backward subsumption: a new constraint-free clause retires the
-        # kept clauses it subsumes
+        # kept clauses it subsumes, passive or active
         if not c.constraints:
-            for other in list(self.in_passive):
-                o = self.by_id[other]
-                if len(c.literals) <= len(o.literals) and subsumes(c, o):
-                    self.index.dead.add(other)
-                    self.in_passive.discard(other)
-            for o in self.active:
-                if o.id not in self.index.dead and len(c.literals) <= len(o.literals) \
-                        and o is not c and subsumes(c, o):
+            for o in self.index.backward_candidates(c):
+                if subsumes(c, o):
                     self.index.dead.add(o.id)
+                    self.in_passive.discard(o.id)
+                    self.stats.retired += 1
         heapq.heappush(self.passive, (len(c.literals), cid))
         heapq.heappush(self.passive_age, cid)
         self.in_passive.add(cid)
+        if kind == "input":
+            self.inputs.append(cid)
         # factoring is a cheap single-clause inference: apply it eagerly so
         # the merged clauses race fairly with other descendants
         for fc in factor(c):
@@ -629,8 +668,9 @@ class _Saturation:
         first with ties by id, and every ``AGE_INTERVAL``-th pick takes the
         oldest passive clause so that no kept clause starves.
         """
-        for cid in sorted(self.in_passive):
-            if self.by_id[cid].provenance.rule == "input":
+        while self.inputs:
+            cid = self.inputs.popleft()
+            if cid in self.in_passive:
                 self.in_passive.discard(cid)
                 return cid
         by_age = self.stats.selected % AGE_INTERVAL == AGE_INTERVAL - 1
@@ -680,6 +720,8 @@ class _Saturation:
                     if partner.id in self.index.dead and partner is not sel:
                         continue
                     if min(len(sel.literals), len(partner.literals)) > 2:
+                        continue
+                    if not may_resolve(sel, partner):
                         continue
                     renamed, _ = rename_apart(sel_names, partner)
                     for rc in extended_resolution(sel, renamed):

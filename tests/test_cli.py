@@ -1,5 +1,7 @@
 """Command-line tests: ``cli.main`` on each subcommand, with its exit code."""
 
+import re
+
 import pytest
 
 from resmod import cli
@@ -51,6 +53,20 @@ def test_a_theory_file_extends_a_preset(tmp_path, capsys):
     theory.write_text(ARITH_WITH_P)
     assert cli.main(["prove", "--theory", str(theory), "--goal-name", "double"]) == cli.EXIT_PROVED
     assert "verdict: PROVED\n" in capsys.readouterr().out
+
+
+def test_the_summary_counts_the_discarded_clauses_by_reason(capsys):
+    # every generated clause of a proof search is kept or discarded
+    assert cli.main(["prove", "--theory", "set-cantor", "--goal-name", "cantor"]) \
+        == cli.EXIT_PROVED
+    lines = capsys.readouterr().out.splitlines()
+    generated, kept = re.fullmatch(r"clauses: (\d+) generated, (\d+) kept",
+                                   next(l for l in lines if l.startswith("clauses:"))).groups()
+    line = next(l for l in lines if l.startswith("discarded:"))
+    total, parts = re.match(r"discarded: (\d+) \((.*)\), \d+ retired", line).groups()
+    by_reason = {reason: int(n) for n, reason in (p.split() for p in parts.split(", "))}
+    assert int(total) == int(generated) - int(kept) == sum(by_reason.values())
+    assert set(by_reason) == {"tautology", "duplicate", "subsumed"}
 
 
 def test_the_clause_budget_is_named_when_it_runs_out(capsys):

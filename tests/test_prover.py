@@ -1,8 +1,11 @@
 """Prover tests: duplicate detection in the redundancy filter, the narrowing
-filter, the proof slice of a search and the traces of the refutation gate."""
+filter, the proof slice of a search, the traces of the refutation gate, the
+clause index against the checks it prefilters, and saturation against a
+truth table."""
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +13,21 @@ from pathlib import Path
 import pytest
 
 from resmod import cli, prover, theories
-from resmod.clausal import ConstrainedClause, Literal, clausal_form
-from resmod.kernel import App, Atom, Bottom, Not, Signature, Var
+from resmod.clausal import ConstrainedClause, Literal, Provenance, clausal_form
+from resmod.kernel import And, App, Atom, Bottom, Not, Or, Signature, Var, rename_apart
 from resmod.parser import parse_prop, parse_term_or_atom
-from resmod.prover import ClauseIndex, narrowing_applicable, redundancy_filter
+from resmod.prover import (
+    ClauseIndex,
+    extended_resolution,
+    factor,
+    may_resolve,
+    narrowing_applicable,
+    redundancy_filter,
+    subsumes,
+)
+from resmod.rewrite import RewriteSystem
+
+from helpers import random_term, small_signature, truth_table
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -123,3 +137,96 @@ def test_the_gate_leaves_the_trace_unchanged(problem):
         cfg = prover.ProverConfig(strategy=prover.FREEZE)
     trace = cli.run_prove(theory, goal, cfg).trace
     assert hashlib.sha256(trace.encode()).hexdigest() == GATE_TRACES[problem]
+
+
+# ---------------------------------------------------------------------------
+# The clause index passes on every clause the checks it prefilters can accept
+# ---------------------------------------------------------------------------
+
+
+def ground_cnf(n: int, clauses) -> tuple[Signature, list[ConstrainedClause]]:
+    """Clauses over the nullary predicates A0..A(n-1); each clause of
+    ``clauses`` is a tuple of (atom number, polarity)."""
+    sig = Signature()
+    preds = [sig.predicate(f"A{i}", ()) for i in range(n)]
+    return sig, [ConstrainedClause([Literal(pos, Atom(preds[a])) for a, pos in clause])
+                 for clause in clauses]
+
+
+def random_ground_cnf(rng: random.Random, n: int, m: int, widths=(1, 2, 3)):
+    return [tuple((a, rng.random() < 0.5) for a in rng.sample(range(n), rng.choice(widths)))
+            for _ in range(m)]
+
+
+def random_first_order_clauses(rng: random.Random, m: int) -> list[ConstrainedClause]:
+    """Clauses over ``small_signature`` plus a unary ``q``, with variables;
+    factors and resolvents among them add clauses that carry constraints."""
+    sig = small_signature()
+    u = sig.sorts["u"]
+    p, q = sig.lookup("p"), sig.predicate("q", (u,))
+
+    def literal() -> Literal:
+        if rng.random() < 0.5:
+            return Literal(rng.random() < 0.5, Atom(p, (random_term(rng, sig, 2),
+                                                        random_term(rng, sig, 2))))
+        return Literal(rng.random() < 0.5, Atom(q, (random_term(rng, sig, 2),)))
+
+    out = [ConstrainedClause([literal() for _ in range(rng.randint(1, 4))]) for _ in range(m)]
+    for c in list(out):
+        out += factor(c)[:1]
+    for _ in range(m):
+        c, d = rng.sample(out[:m], 2)
+        out += extended_resolution(c, rename_apart(c.free_names(), d)[0])[:2]
+    return out
+
+
+def chain_axioms_kept(n: int) -> list[ConstrainedClause]:
+    """The kept clauses of both strategies' searches of chain_axioms(n);
+    under freeze many of them carry atom constraints."""
+    sig, axioms = theories.chain_axioms(n)
+    inputs = [c for a in axioms for c in clausal_form(a, RewriteSystem(()), sig).clauses]
+    out = []
+    for strategy in (prover.FREEZE, prover.ON_THE_FLY):
+        result = prover.saturate(inputs, RewriteSystem(()), sig,
+                                 prover.ProverConfig(strategy=strategy, max_clauses=400))
+        out += [s for s in result.steps if not s.is_empty()]
+    return out
+
+
+def index_clause_sets():
+    rng = random.Random(20231)
+    for _ in range(4):
+        yield "ground", ground_cnf(6, random_ground_cnf(rng, 6, 60))[1]
+    for _ in range(4):
+        yield "first-order", random_first_order_clauses(rng, 40)
+    yield "chain_axioms", chain_axioms_kept(6)
+
+
+@pytest.mark.parametrize("kind, clauses", list(index_clause_sets()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_the_index_offers_every_subsumption_pair(kind, clauses):
+    clauses = [c.with_id(i, Provenance("input")) for i, c in enumerate(clauses, start=1)]
+    index = ClauseIndex()
+    for c in clauses:
+        index.note_kept(c)
+    pairs = 0
+    for d in clauses:
+        forward = {x.id for x in index.forward_candidates(d)}
+        for c in clauses:
+            if c is not d and subsumes(c, d):
+                pairs += 1
+                assert c.id in forward, (c, d)
+                assert d.id in {x.id for x in index.backward_candidates(c)}, (c, d)
+    assert pairs >= 50
+
+
+@pytest.mark.parametrize("kind, clauses", list(index_clause_sets()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_the_resolution_prefilter_skips_only_partners_without_resolvents(kind, clauses):
+    skipped = 0
+    for c in clauses:
+        for d in clauses:
+            if not may_resolve(c, d):
+                skipped += 1
+                assert extended_resolution(c, rename_apart(c.free_names(), d)[0]) == [], (c, d)
+    assert skipped >= 1000
