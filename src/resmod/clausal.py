@@ -141,7 +141,8 @@ class ConstrainedClause:
         for lit in literals:
             seen.setdefault(lit)
         self.literals = tuple(seen)
-        self.constraints = frozenset(constraints)
+        # a solved pair such as A = A constrains nothing
+        self.constraints = frozenset(c for c in constraints if c.lhs != c.rhs)
         self.id = id
         self.provenance = provenance or Provenance("input")
         self._lit_set = frozenset(self.literals)

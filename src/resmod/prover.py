@@ -719,8 +719,6 @@ class _Saturation:
                 for partner in list(self.active):
                     if partner.id in self.index.dead and partner is not sel:
                         continue
-                    if min(len(sel.literals), len(partner.literals)) > 2:
-                        continue
                     if not may_resolve(sel, partner):
                         continue
                     renamed, _ = rename_apart(sel_names, partner)

@@ -120,7 +120,7 @@ GATE_TRACES = {
         "d9775a7cb249adb64ae1b331ae1fc3b043d0c7b62cb62605527d40b62caee7b5",
     "exists x:nat x = 300": "75af75c3a6287fb4f5750507533859d0572e4746ab6cdbe154da624e4931013e",
     "hol-comb": "146ac31dc70f0412fee15d8b755befe26b9b3dbd7f9904bfb5d960cf4230083b",
-    "hol-sigma": "1fea1eb218ff40b8bb3f7bde346faf31965d4124593e0ae0b9619da31d9bb6ae",
+    "hol-sigma": "c6590b9506c4a493ce43ab37392c0133698659c185dfdaea6bd94855fcd477b1",
 }
 
 
@@ -230,3 +230,47 @@ def test_the_resolution_prefilter_skips_only_partners_without_resolvents(kind, c
                 skipped += 1
                 assert extended_resolution(c, rename_apart(c.free_names(), d)[0]) == [], (c, d)
     assert skipped >= 1000
+
+
+# ---------------------------------------------------------------------------
+# Saturation against a truth table
+# ---------------------------------------------------------------------------
+
+
+def cnf_unsatisfiable(n: int, clauses) -> bool:
+    preds = Signature()
+    atoms = [Atom(preds.predicate(f"A{i}", ())) for i in range(n)]
+    prop = None
+    for clause in clauses:
+        disjunction = None
+        for a, pos in clause:
+            lit = atoms[a] if pos else Not(atoms[a])
+            disjunction = lit if disjunction is None else Or(disjunction, lit)
+        prop = disjunction if prop is None else And(prop, disjunction)
+    return not any(truth_table(prop, [f"A{i}" for i in range(n)]))
+
+
+def three_literal_cnf_sets():
+    """Seeded ground CNF over 3-6 atoms with 2 to 8 clauses per atom, every
+    clause of 3 literals, drawn until the sets alternate between
+    unsatisfiable and satisfiable; then the 8 clauses over A, B, C."""
+    rng = random.Random(3)
+    sets, want_unsat = [], True
+    while len(sets) < 24:
+        n = rng.randint(3, 6)
+        clauses = random_ground_cnf(rng, n, rng.randint(2 * n, 8 * n), widths=(3,))
+        if cnf_unsatisfiable(n, clauses) == want_unsat:
+            sets.append(pytest.param(n, clauses, id=f"{len(sets)}:n={n},m={len(clauses)}"))
+            want_unsat = not want_unsat
+    all_signs = [tuple((a, bits >> a & 1 == 1) for a in range(3)) for bits in range(8)]
+    return sets + [pytest.param(3, all_signs, id="all-8-over-ABC")]
+
+
+@pytest.mark.parametrize("strategy", [prover.FREEZE, prover.ON_THE_FLY])
+@pytest.mark.parametrize("n, clauses", three_literal_cnf_sets())
+def test_saturation_refutes_exactly_the_unsatisfiable_sets(n, clauses, strategy):
+    sig, inputs = ground_cnf(n, clauses)
+    result = prover.saturate(inputs, RewriteSystem(()), sig,
+                             prover.ProverConfig(strategy=strategy))
+    expected = prover.PROVED if cnf_unsatisfiable(n, clauses) else prover.SATURATED
+    assert result.status == expected
