@@ -195,16 +195,15 @@ def chain_axioms_kept(n: int) -> list[ConstrainedClause]:
 
 def index_clause_sets():
     rng = random.Random(20231)
-    for _ in range(4):
-        yield "ground", ground_cnf(6, random_ground_cnf(rng, 6, 60))[1]
-    for _ in range(4):
-        yield "first-order", random_first_order_clauses(rng, 40)
-    yield "chain_axioms", chain_axioms_kept(6)
+    sets = [pytest.param(ground_cnf(6, random_ground_cnf(rng, 6, 60))[1], id=f"ground-{i}")
+            for i in range(4)]
+    sets += [pytest.param(random_first_order_clauses(rng, 40), id=f"first-order-{i}")
+             for i in range(4)]
+    return sets + [pytest.param(chain_axioms_kept(6), id="chain_axioms(6)")]
 
 
-@pytest.mark.parametrize("kind, clauses", list(index_clause_sets()),
-                         ids=lambda x: x if isinstance(x, str) else "")
-def test_the_index_offers_every_subsumption_pair(kind, clauses):
+@pytest.mark.parametrize("clauses", index_clause_sets())
+def test_the_index_offers_every_subsumption_pair(clauses):
     clauses = [c.with_id(i, Provenance("input")) for i, c in enumerate(clauses, start=1)]
     index = ClauseIndex()
     for c in clauses:
@@ -220,9 +219,8 @@ def test_the_index_offers_every_subsumption_pair(kind, clauses):
     assert pairs >= 50
 
 
-@pytest.mark.parametrize("kind, clauses", list(index_clause_sets()),
-                         ids=lambda x: x if isinstance(x, str) else "")
-def test_the_resolution_prefilter_skips_only_partners_without_resolvents(kind, clauses):
+@pytest.mark.parametrize("clauses", index_clause_sets())
+def test_the_resolution_prefilter_skips_only_partners_without_resolvents(clauses):
     skipped = 0
     for c in clauses:
         for d in clauses:
@@ -238,8 +236,8 @@ def test_the_resolution_prefilter_skips_only_partners_without_resolvents(kind, c
 
 
 def cnf_unsatisfiable(n: int, clauses) -> bool:
-    preds = Signature()
-    atoms = [Atom(preds.predicate(f"A{i}", ())) for i in range(n)]
+    sig = Signature()
+    atoms = [Atom(sig.predicate(f"A{i}", ())) for i in range(n)]
     prop = None
     for clause in clauses:
         disjunction = None
