@@ -8,17 +8,20 @@ on the strategy:
 ``freeze``      constraints accumulate unsolved; only a cheap root-clash
                 test prunes, and the full equational unifier runs when an
                 empty clause appears (the refutation gate).
-``on_the_fly``  every constraint is solved syntactically at creation, the
+``on_the_fly``  the constraints are first solved syntactically, the
                 substitution is propagated at once, and the clause is
                 re-normalized and re-clausified (instantiation can trigger
                 reductions, so one inference may yield several clauses).
-                Narrowing never guesses the structure of a variable: a
-                later instantiation triggers the same rewriting during
-                re-normalization.  A syntactic failure refutes a constraint
-                only when there are no E-rules or ``cheap_fail`` confirms
-                it; otherwise the clause is still dropped, and a search that
-                would end saturated ends ``RESOURCE_OUT`` instead, since a
-                solution modulo the E-rules may have been missed.
+                When syntactic unification fails, the clause takes the
+                freeze path: it is dropped when there are no E-rules (the
+                failure is then a refutation) or ``cheap_fail`` refutes a
+                constraint, and otherwise kept with its whole constraint
+                set frozen for the gate.
+
+Narrowing a constraint-free clause on the fly never guesses the structure
+of a variable, since a later instantiation triggers the same rewriting
+during re-normalization; a clause with frozen constraints is narrowed with
+freeze's head-compatibility filter under both strategies.
 
 A refutation is an empty clause whose constraints pass the solution check;
 when the equational unifier cannot decide the constraints within its
@@ -89,10 +92,11 @@ AGE_INTERVAL = 4
 class Stats:
     """Search counters.
 
-    ``generated`` counts clauses that actually come into existence: under
-    on-the-fly propagation an inference whose constraints are unsolvable
-    never yields a clause and lands in ``failed_constraints`` instead (the
-    freeze-mode analogue is a clause killed by the cheap root-clash test).
+    ``generated`` counts clauses that actually come into existence: an
+    inference whose constraints are refuted before registration (by the
+    cheap root-clash test, or on the fly by a syntactic failure when there
+    are no E-rules) never yields a clause and lands in
+    ``failed_constraints`` instead.
     ``discards`` splits ``discarded`` by reason: the redundancy filter's
     ``tautology``, ``duplicate`` and ``subsumed``, and ``unsolvable`` for an
     empty clause whose constraints the gate refuted.  ``retired`` counts
@@ -124,11 +128,9 @@ RESOURCE_OUT = "resource_out"
 @dataclass
 class SearchResult:
     """``steps`` are the kept clauses in id order.  ``exhausted`` says why a
-    search is ``RESOURCE_OUT``: ``max_clauses``, or ``e_constraints`` when
-    on-the-fly propagation dropped a clause whose constraints may have a
-    solution modulo the E-rules.  For a proof left unverified it names the
-    bound the gate's narrowing hit, ``narrow_depth`` or ``narrow_states``,
-    with the number of states it examined."""
+    search is ``RESOURCE_OUT``: ``max_clauses``.  For a proof left
+    unverified it names the bound the gate's narrowing hit, ``narrow_depth``
+    or ``narrow_states``, with the number of states it examined."""
 
     status: str
     steps: list[ConstrainedClause]
@@ -234,6 +236,11 @@ def narrowing_applicable(atom: Atom, rule: RewriteRule, strategy: str,
     carry the rule's symbol, while a variable-headed position accepts
     anything (a normal literal can only meet the left side of a rule once
     its flexible head gets instantiated).
+
+    A clause that carries constraints takes the ``freeze`` test under both
+    strategies: its constraints are frozen, so no propagation will ever
+    instantiate its variables, and the on-the-fly test would miss the step
+    for good.
     """
     lhs = rule.lhs
     assert isinstance(lhs, Atom)
@@ -277,7 +284,8 @@ def extended_narrowing(c: ConstrainedClause, rule: RewriteRule,
                    key=lambda i: (sum(term_size(a) for a in c.literals[i].atom.args), i))
     for i in order:
         lit = c.literals[i]
-        if not narrowing_applicable(lit.atom, rule, strategy, app_symbols):
+        if not narrowing_applicable(lit.atom, rule, FREEZE if c.constraints else strategy,
+                                    app_symbols):
             continue
         fresh = rule.rename_for(c.free_names())
         assert isinstance(fresh.lhs, Atom)
@@ -534,9 +542,6 @@ class _Saturation:
         self.names: dict[Constraint, str] = {}
         self.result: SearchResult | None = None
         self.unnormalized = False
-        # set when on-the-fly propagation drops a clause whose constraints
-        # fail syntactically but may be solvable modulo the E-rules
-        self.incomplete = False
 
     # -- naming ------------------------------------------------------------
 
@@ -632,29 +637,23 @@ class _Saturation:
         the survivors.  True when at least one clause was kept."""
         kept_any = False
         for c in clauses:
+            outcome = None
             if self.cfg.strategy == ON_THE_FLY:
                 outcome = propagate_on_the_fly(
                     c.constraints, [ConstrainedClause(c.literals)],
                     self.system, self.sig, self.cfg.fuel)
-                if outcome is None:
-                    self.stats.failed_constraints += 1
-                    if self.system.e_rules and not any(
-                            cheap_fail(con, self.system) for con in c.constraints):
-                        self.incomplete = True
-                    continue
-                propagated, _solution, normal = outcome
+            if outcome is not None:
+                survivors, _solution, normal = outcome
                 if not normal:
                     self.unnormalized = True
-                for p in propagated:
-                    if self.register(p, kind, parents, aux):
-                        kept_any = True
-                    if self.result is not None:
-                        return kept_any
+            elif ((self.cfg.strategy == ON_THE_FLY and not self.system.e_rules)
+                  or any(cheap_fail(con, self.system) for con in c.constraints)):
+                self.stats.failed_constraints += 1
+                continue
             else:
-                if any(cheap_fail(con, self.system) for con in c.constraints):
-                    self.stats.failed_constraints += 1
-                    continue
-                if self.register(c, kind, parents, aux):
+                survivors = [c]  # frozen until the gate judges the empty clause
+            for s in survivors:
+                if self.register(s, kind, parents, aux):
                     kept_any = True
                 if self.result is not None:
                     return kept_any
@@ -727,16 +726,13 @@ class _Saturation:
                             self.stats.resolutions += 1
                         if self.result is not None:
                             return self.result
-            if not self.incomplete:
-                return SearchResult(SATURATED, self.steps, self.stats,
-                                    unnormalized=self.unnormalized,
-                                    constraint_names=self.names)
-            exhausted = "e_constraints"
+            return SearchResult(SATURATED, self.steps, self.stats,
+                                unnormalized=self.unnormalized,
+                                constraint_names=self.names)
         except _Budget:
-            exhausted = "max_clauses"
-        return SearchResult(RESOURCE_OUT, self.steps, self.stats,
-                            unnormalized=self.unnormalized, exhausted=exhausted,
-                            constraint_names=self.names)
+            return SearchResult(RESOURCE_OUT, self.steps, self.stats,
+                                unnormalized=self.unnormalized, exhausted="max_clauses",
+                                constraint_names=self.names)
 
 
 def saturate(inputs: Iterable[ConstrainedClause], system: RewriteSystem,

@@ -18,34 +18,72 @@ def test_named_goal_is_proved_under_the_default_strategy(capsys, theory, goal):
     assert "verdict: PROVED\n" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("goal", [["--goal-name", "double"],
-                                  ["--goal", "exists x:nat x + 0 = 3"]])
-def test_on_the_fly_does_not_saturate_past_a_constraint_that_needs_the_e_rules(capsys, goal):
-    # propagation solves constraints syntactically, so it drops the clause
-    # whose constraint only the E-rules solve
-    code = cli.main(["prove", "--theory", "arith", "--strategy", "onfly", *goal])
-    assert code == cli.EXIT_RESOURCE_OUT
-    assert "verdict: RESOURCE_OUT\nexhausted: e_constraints\n" in capsys.readouterr().out
-
-
 ARITH_WITH_P = "use arith\npred P : (nat)\naxiom P(0)\ngoal clash : P(S(0))\n"
 # no E-rules; the only resolvent's constraint fails on the occurs check
 DIAGONAL = ("sort s\nfun f : (s) -> s\npred P : (s, s)\n"
             "axiom forall x:s P(x, f(x))\ngoal diag : exists y:s P(y, y)\n")
+# S(x) = 0 clashes only once the pairs (X, S(Y)) and (X, 0) are taken together
+SUCC_ZERO = "use arith\ngoal s0 : exists x:nat S(x) = 0\n"
+# narrowing P(S(y)) -> Q(y) must guess the structure of the argument of
+# P(X), whose constraint X + 0 = 3 stays frozen on the fly
+NARROW_FROZEN = ("use arith\npred P : (nat)\npred Q : (nat)\nR pq: P(S(y)) -> Q(y)\n"
+                 "axiom forall x:nat (x + 0 = 3 => P(x))\ngoal q2 : Q(2)\n")
 
 
-@pytest.mark.parametrize("text, goal", [(ARITH_WITH_P, "clash"), (DIAGONAL, "diag")],
-                         ids=["clash", "diag"])
+def theory_file(tmp_path, text: str) -> str:
+    theory = tmp_path / "theory"
+    theory.write_text(text)
+    return str(theory)
+
+
+@pytest.mark.parametrize("text, goal, binding", [
+    ("use arith\n", ["--goal-name", "double"], "X := S(S(0))"),
+    ("use arith\n", ["--goal", "exists x:nat x + 0 = 3"], "X := S(S(S(0)))"),
+    (NARROW_FROZEN, ["--goal-name", "q2"], "y := S(S(0))"),
+], ids=["double", "x+0=3", "narrow-frozen"])
+def test_on_the_fly_proves_goals_whose_constraints_need_the_e_rules(
+        tmp_path, capsys, text, goal, binding):
+    # propagation fails syntactically, so the clause keeps its constraints
+    # frozen and the gate solves them modulo the E-rules
+    code = cli.main(["prove", "--theory", theory_file(tmp_path, text), "--strategy", "onfly",
+                     *goal])
+    assert code == cli.EXIT_PROVED
+    out = capsys.readouterr().out
+    assert "verdict: PROVED\n" in out
+    assert f"\n  {binding}\n" in out.split("solution:")[1]
+
+
+@pytest.mark.parametrize("text, goal", [(ARITH_WITH_P, "clash"), (DIAGONAL, "diag"),
+                                        (SUCC_ZERO, "s0")],
+                         ids=["clash", "diag", "s0"])
 def test_on_the_fly_saturates_past_a_constraint_that_fails_modulo_the_e_rules(
         tmp_path, capsys, text, goal):
     # P(0) = P(S(0)) clashes on symbols no E-rule rewrites; without E-rules
-    # every syntactic failure is a refutation
-    theory = tmp_path / "theory"
-    theory.write_text(text)
-    code = cli.main(["prove", "--theory", str(theory), "--strategy", "onfly",
+    # every syntactic failure is a refutation; the gate refutes S(x) = 0
+    code = cli.main(["prove", "--theory", theory_file(tmp_path, text), "--strategy", "onfly",
                      "--goal-name", goal])
     assert code == cli.EXIT_SATURATED
     assert "verdict: SATURATED\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, goal", [
+    ("use arith\n", ["--goal-name", "double"]),
+    ("use arith\n", ["--goal", "exists x:nat x + 0 = 3"]),
+    (SUCC_ZERO, ["--goal-name", "s0"]),
+    ("use arith\n", ["--goal", "exists x:nat (x * x = 9)"]),
+    ("use arith\n", ["--goal", "exists x:nat (x + x = 3)"]),
+    ("use arith\n", ["--goal", "exists x:nat exists y:nat (x + y = 4)"]),
+    (NARROW_FROZEN, ["--goal-name", "q2"]),
+], ids=["double", "x+0=3", "S(x)=0", "x*x=9", "x+x=3", "x+y=4", "narrow-frozen"])
+def test_on_the_fly_agrees_with_freeze(tmp_path, capsys, text, goal):
+    # freeze is the reference: both strategies must reach the same verdict
+    theory = theory_file(tmp_path, text)
+    outcomes = []
+    for strategy in ("freeze", "onfly"):
+        code = cli.main(["prove", "--theory", theory, "--strategy", strategy, *goal])
+        verdict = re.search(r"^verdict: (\w+)$", capsys.readouterr().out, re.M).group(1)
+        outcomes.append((code, verdict))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_a_theory_file_extends_a_preset(tmp_path, capsys):

@@ -42,13 +42,27 @@ report = cli.run_prove(theory, kernel.Bottom(), prover.ProverConfig(strategy=pro
 print(report.verdict, report.clauses_generated, hashlib.sha256(report.trace.encode()).hexdigest())
 """
 
+# on the fly, P(X) keeps its constraint X + 0 = 3 frozen, since only the
+# E-rules solve it, and carries it through narrowing to the gate
+NARROW_FROZEN_ON_THE_FLY = """
+import hashlib
+from resmod import cli, prover, theories
+theory = theories.parse_theory_file(
+    "use arith\\npred P : (nat)\\npred Q : (nat)\\nR pq: P(S(y)) -> Q(y)\\n"
+    "axiom forall x:nat (x + 0 = 3 => P(x))\\ngoal q2 : Q(2)\\n")
+report = cli.run_prove(theory, theory.goals["q2"], prover.ProverConfig(strategy=prover.ON_THE_FLY))
+print(report.verdict, report.clauses_generated, hashlib.sha256(report.trace.encode()).hexdigest())
+"""
 
-def test_freeze_trace_does_not_depend_on_the_hash_seed():
+
+@pytest.mark.parametrize("script", [CHAIN_AXIOMS_FREEZE, NARROW_FROZEN_ON_THE_FLY],
+                         ids=["chain_axioms-freeze", "narrow-frozen-onfly"])
+def test_traces_with_frozen_constraints_do_not_depend_on_the_hash_seed(script):
     outputs = set()
     for seed in range(4):
         path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
         env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
-        run = subprocess.run([sys.executable, "-c", CHAIN_AXIOMS_FREEZE], env=env,
+        run = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
         outputs.add(run.stdout)
     assert len(outputs) == 1, outputs
