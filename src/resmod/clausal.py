@@ -133,7 +133,7 @@ class ConstrainedClause:
     """
 
     __slots__ = ("literals", "constraints", "id", "provenance", "_lit_set", "_hash",
-                 "_free_vars", "_profile")
+                 "_free_vars", "_profile", "_ground")
 
     def __init__(self, literals: Iterable[Literal], constraints: Iterable[Constraint] = (),
                  id: int | None = None, provenance: Provenance | None = None):
@@ -149,6 +149,7 @@ class ConstrainedClause:
         self._hash = hash((self._lit_set, self.constraints))
         self._free_vars: frozenset[Var] | None = None
         self._profile: dict[tuple[bool, str], int] | None = None
+        self._ground: bool | None = None
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ConstrainedClause)
@@ -178,6 +179,12 @@ class ConstrainedClause:
 
     def free_names(self) -> frozenset[str]:
         return frozenset(v.name for v in self.free_vars())
+
+    def literals_ground(self) -> bool:
+        """No literal has a variable; computed on first use."""
+        if self._ground is None:
+            self._ground = not any(free_names(lit.atom) for lit in self.literals)
+        return self._ground
 
     def profile(self) -> dict[tuple[bool, str], int]:
         """How many literals carry each (polarity, predicate name), keyed in

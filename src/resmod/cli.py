@@ -7,8 +7,15 @@ Subcommands:
 
 Exit codes for ``prove``: 0 PROVED, 1 SATURATED, 2 RESOURCE_OUT, 4
 PROVED_UNVERIFIED; after the last two the summary's ``exhausted:`` line
-names why (for 4, the bound the gate's narrowing hit, ``narrow_depth`` or
-``narrow_states``, with the number of states it examined).
+names why.  For 2 that is ``max_clauses`` (the clause budget), or, for a
+search that ran out of inferences but may have missed one,
+``narrowing_filter (N skipped)`` (the on-the-fly narrowing filter skipped N
+steps freeze's filter takes), ``fuel`` (normalization ran out of fuel),
+or both.
+For 4 it is the bound the gate's narrowing hit, ``narrow_depth`` or
+``narrow_states``, with the number of states it examined.  Whatever the
+verdict, the summary's ``normalization: fuel exhausted`` line says that
+some kept clause was left unnormalized (``--fuel``).
 ``check-solution`` exits 0 when the substitution
 solves every equation and 1 when it does not; ``normalize`` exits 0.  Every
 subcommand exits 3 on an input error, a malformed command line included,
@@ -64,6 +71,7 @@ class RunReport:
     exhausted: str | None = None
     discards: dict[str, int] = field(default_factory=dict)
     retired: int = 0
+    unnormalized: bool = False
 
     @property
     def exit_code(self) -> int:
@@ -71,6 +79,8 @@ class RunReport:
 
     def summary(self) -> str:
         reason = [f"exhausted: {self.exhausted}"] if self.exhausted else []
+        if self.unnormalized:
+            reason.append("normalization: fuel exhausted")
         return "\n".join([
             f"verdict: {self.verdict}",
             *reason,
@@ -128,7 +138,8 @@ def run_prove(theory: TheoryPreset, goal: Prop, cfg: ProverConfig) -> RunReport:
     stats = result.stats
     return RunReport(verdict_of(result), stats.generated, stats.kept,
                      stats.resolutions, stats.narrowings, stats.factorings,
-                     elapsed, trace, result.exhausted, dict(stats.discards), stats.retired)
+                     elapsed, trace, result.exhausted, dict(stats.discards), stats.retired,
+                     result.unnormalized)
 
 
 def cmd_prove(args: argparse.Namespace) -> int:

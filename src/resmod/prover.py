@@ -18,10 +18,16 @@ on the strategy:
                 constraint, and otherwise kept with its whole constraint
                 set frozen for the gate.
 
+A constraint-free clause needs no propagation: it has no unifier to apply,
+and its literals come from kept clauses, which are already normal.
+
 Narrowing a constraint-free clause on the fly never guesses the structure
 of a variable, since a later instantiation triggers the same rewriting
 during re-normalization; a clause with frozen constraints is narrowed with
-freeze's head-compatibility filter under both strategies.
+freeze's head-compatibility filter under both strategies.  The on-the-fly
+filter is not complete, so a search that skipped a step freeze's filter
+takes cannot end ``SATURATED``; neither can one that kept a clause whose
+normalization ran out of fuel.
 
 A refutation is an empty clause whose constraints pass the solution check;
 when the equational unifier cannot decide the constraints within its
@@ -101,6 +107,8 @@ class Stats:
     ``tautology``, ``duplicate`` and ``subsumed``, and ``unsolvable`` for an
     empty clause whose constraints the gate refuted.  ``retired`` counts
     kept clauses that a later clause subsumed (backward subsumption).
+    ``skipped_narrowings`` counts the narrowing steps the on-the-fly filter
+    skipped although freeze's filter takes them.
     """
 
     generated: int = 0
@@ -114,6 +122,7 @@ class Stats:
     gate_calls: int = 0
     discards: dict[str, int] = field(default_factory=dict)
     retired: int = 0
+    skipped_narrowings: int = 0
 
     def discard(self, reason: str) -> None:
         self.discarded += 1
@@ -128,9 +137,13 @@ RESOURCE_OUT = "resource_out"
 @dataclass
 class SearchResult:
     """``steps`` are the kept clauses in id order.  ``exhausted`` says why a
-    search is ``RESOURCE_OUT``: ``max_clauses``.  For a proof left
-    unverified it names the bound the gate's narrowing hit, ``narrow_depth``
-    or ``narrow_states``, with the number of states it examined."""
+    search is ``RESOURCE_OUT``: ``max_clauses``, or, for a search that would
+    otherwise have saturated, ``narrowing_filter`` (with the number of
+    narrowing steps the on-the-fly filter skipped) and ``fuel``
+    (``unnormalized`` is set).  For a proof left unverified it names the
+    bound the gate's narrowing hit, ``narrow_depth`` or ``narrow_states``,
+    with the number of states it examined.  ``unnormalized`` says that a
+    clause kept some literal whose normalization ran out of fuel."""
 
     status: str
     steps: list[ConstrainedClause]
@@ -264,10 +277,22 @@ def narrowing_applicable(atom: Atom, rule: RewriteRule, strategy: str,
     return all(_compat(a, b, apps) for a, b in zip(atom.args, lhs.args))
 
 
+class NarrowingEvents(list):
+    """The clause lists of :func:`extended_narrowing`, one per narrowing
+    event, with ``normalized`` false when re-clausifying some event ran out
+    of fuel, and ``skipped`` the number of literals the on-the-fly filter
+    skipped although freeze's filter takes them."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.normalized = True
+        self.skipped = 0
+
+
 def extended_narrowing(c: ConstrainedClause, rule: RewriteRule,
                        system: RewriteSystem, sig: Signature,
                        fuel: int = 10_000, strategy: str = FREEZE,
-                       app_symbols: Iterable[str] = ()) -> list[list[ConstrainedClause]]:
+                       app_symbols: Iterable[str] = ()) -> NarrowingEvents:
     """Narrow each applicable literal of ``c`` with an R-rule.
 
     The literal's atom is replaced by the right side of a renamed copy of
@@ -277,21 +302,25 @@ def extended_narrowing(c: ConstrainedClause, rule: RewriteRule,
     """
     if rule.cls != R_CLASS:
         raise ValueError("extended narrowing uses R-class rules only")
-    events: list[list[ConstrainedClause]] = []
+    events = NarrowingEvents()
+    strategy = FREEZE if c.constraints else strategy
     # smallest atoms first: the least-structured literal is the one the
     # figure-scale searches instantiate, so its clauses get earlier ids
     order = sorted(range(len(c.literals)),
                    key=lambda i: (sum(term_size(a) for a in c.literals[i].atom.args), i))
     for i in order:
         lit = c.literals[i]
-        if not narrowing_applicable(lit.atom, rule, FREEZE if c.constraints else strategy,
-                                    app_symbols):
+        if not narrowing_applicable(lit.atom, rule, strategy, app_symbols):
+            if strategy == ON_THE_FLY and narrowing_applicable(lit.atom, rule, FREEZE,
+                                                               app_symbols):
+                events.skipped += 1
             continue
         fresh = rule.rename_for(c.free_names())
         assert isinstance(fresh.lhs, Atom)
         constraint = Constraint(lit.atom, fresh.lhs)
         result = reclausify(c, i, fresh.rhs, system, sig, fuel,
                             extra_constraints=(constraint,))
+        events.normalized = events.normalized and result.normalized
         if result.clauses:
             events.append(result.clauses)
     return events
@@ -387,6 +416,8 @@ def subsumes(c: ConstrainedClause, d: ConstrainedClause) -> bool:
     literal set is contained in ``d``'s?"""
     if c.constraints or len(c.literals) > len(d.literals):
         return False
+    if c.literals_ground():
+        return c._lit_set <= d._lit_set  # a ground pattern matches only itself
     prof_d = d.profile()
     for key, n in c.profile().items():
         if prof_d.get(key, 0) < n:
@@ -414,37 +445,42 @@ def is_tautology(c: ConstrainedClause) -> bool:
     return any(not l.positive and l.atom in positives for l in c.literals)
 
 
-def may_resolve(c: ConstrainedClause, d: ConstrainedClause) -> bool:
-    """Necessary for :func:`extended_resolution` of ``c`` and ``d`` to yield
-    a clause: some literal of ``c`` has a literal of opposite polarity with
-    the same predicate in ``d``."""
-    prof_d = d.profile()
-    return any((not positive, pred) in prof_d for positive, pred in c.profile())
-
-
 class ClauseIndex:
     """The kept clauses, indexed by (polarity, predicate name) for the two
-    subsumption checks, plus the duplicate keys of every registered clause.
+    subsumption checks and for resolution, plus the duplicate keys of every
+    registered clause.
 
     ``subsumes(c, d)`` needs every key of ``c``'s profile in ``d``'s, so:
 
     - forward: each constraint-free kept clause (a subsumer) is filed in
-      ``buckets`` under one key of its profile, the one with the shortest
-      posting list when it is filed; a new clause ``d`` is checked only
+      ``buckets`` under one key of its profile, the one with the fewest
+      kept clauses when it is filed; a new clause ``d`` is checked only
       against the buckets of the keys in ``d``'s profile.
     - backward: ``postings`` lists, for each key, every kept clause whose
       profile has it; a new subsumer ``c`` is checked only against the
-      shortest posting list among its keys.
+      posting list of its key with the fewest kept clauses.
 
-    Both return candidates in the order they were kept and skip ``dead``
-    clauses (retired by backward subsumption).  Kept clauses are never
-    empty: an empty clause ends the search or is dropped at the gate.
+    ``filed`` counts the kept clauses of each key, retired ones included,
+    so that these choices do not depend on when a list was last compacted.
+
+    :func:`extended_resolution` needs a literal of each clause with the same
+    predicate and opposite polarities, so ``active`` files each selected
+    clause under every key of its profile, by selection number, and a
+    selected clause's partners are the entries under its complementary keys.
+
+    All three return candidates in the order they were kept (selected) and
+    skip ``dead`` clauses (retired by backward subsumption); a list a scan
+    finds dead entries in drops them.  Kept clauses are never empty: an
+    empty clause ends the search or is dropped at the gate.
     """
 
     def __init__(self) -> None:
         self.keys: set[tuple] = set()
         self.buckets: dict[tuple[bool, str], list[ConstrainedClause]] = {}
         self.postings: dict[tuple[bool, str], list[ConstrainedClause]] = {}
+        self.filed: dict[tuple[bool, str], int] = {}
+        self.active: dict[tuple[bool, str], dict[int, ConstrainedClause]] = {}
+        self.selections = 0
         self.dead: set[int] = set()
 
     def note(self, c: ConstrainedClause) -> None:
@@ -454,21 +490,47 @@ class ClauseIndex:
         profile = c.profile()
         for key in profile:
             self.postings.setdefault(key, []).append(c)
+            self.filed[key] = self.filed.get(key, 0) + 1
         if not c.constraints:
-            key = min(profile, key=lambda k: len(self.postings[k]))
+            key = min(profile, key=self.filed.__getitem__)
             self.buckets.setdefault(key, []).append(c)
+
+    def note_selected(self, c: ConstrainedClause) -> None:
+        for key in c.profile():
+            self.active.setdefault(key, {})[self.selections] = c
+        self.selections += 1
+
+    def _live(self, entries: list[ConstrainedClause]) -> list[ConstrainedClause]:
+        """``entries`` with its dead clauses dropped."""
+        live = [c for c in entries if c.id not in self.dead]
+        if len(live) < len(entries):
+            entries[:] = live
+        return entries
 
     def forward_candidates(self, d: ConstrainedClause) -> Iterator[ConstrainedClause]:
         """The live subsumers that may subsume ``d``."""
         for key in d.profile():
-            for c in self.buckets.get(key, ()):
-                if c.id not in self.dead:
-                    yield c
+            yield from self._live(self.buckets.get(key, []))
 
     def backward_candidates(self, c: ConstrainedClause) -> list[ConstrainedClause]:
         """The live kept clauses other than ``c`` that ``c`` may subsume."""
-        shortest = min((self.postings.get(key, []) for key in c.profile()), key=len)
-        return [d for d in shortest if d.id not in self.dead and d is not c]
+        key = min(c.profile(), key=lambda k: self.filed.get(k, 0))
+        return [d for d in self._live(self.postings.get(key, [])) if d is not c]
+
+    def partners(self, c: ConstrainedClause) -> list[ConstrainedClause]:
+        """The live selected clauses with a literal complementary to one of
+        ``c``'s, in selection order: the only ones :func:`extended_resolution`
+        with ``c`` can yield a clause for.  ``c`` itself is kept even when
+        dead, since the loop resolves a selected clause with itself after
+        its narrowings may have retired it."""
+        found: dict[int, ConstrainedClause] = {}
+        for positive, pred in c.profile():
+            entries = self.active.get((not positive, pred))
+            if entries:
+                for n in [n for n, d in entries.items() if d.id in self.dead and d is not c]:
+                    del entries[n]
+                found.update(entries)
+        return [found[n] for n in sorted(found)]
 
 
 def redundancy_filter(new: ConstrainedClause, index: ClauseIndex) -> tuple[bool, str | None]:
@@ -537,7 +599,6 @@ class _Saturation:
         self.in_passive: set[int] = set()
         self.inputs: deque[int] = deque()  # input clause ids, selected first
         self.by_id: dict[int, ConstrainedClause] = {}
-        self.active: list[ConstrainedClause] = []
         self.index = ClauseIndex()
         self.names: dict[Constraint, str] = {}
         self.result: SearchResult | None = None
@@ -637,12 +698,11 @@ class _Saturation:
         the survivors.  True when at least one clause was kept."""
         kept_any = False
         for c in clauses:
-            outcome = None
-            if self.cfg.strategy == ON_THE_FLY:
-                outcome = propagate_on_the_fly(
+            if not c.constraints:
+                survivors = [c]  # no unifier to apply; its literals are normal
+            elif self.cfg.strategy == ON_THE_FLY and (outcome := propagate_on_the_fly(
                     c.constraints, [ConstrainedClause(c.literals)],
-                    self.system, self.sig, self.cfg.fuel)
-            if outcome is not None:
+                    self.system, self.sig, self.cfg.fuel)) is not None:
                 survivors, _solution, normal = outcome
                 if not normal:
                     self.unnormalized = True
@@ -702,23 +762,23 @@ class _Saturation:
                 cid = self._select()
                 sel = self.by_id[cid]
                 self.stats.selected += 1
-                self.active.append(sel)
+                self.index.note_selected(sel)
                 # narrowing with every R-rule
                 for rule in self.system.r_rules:
                     events = extended_narrowing(
                         sel, rule, self.system, self.sig, self.cfg.fuel,
                         self.cfg.strategy, self.sig.app_symbols)
+                    self.unnormalized = self.unnormalized or not events.normalized
+                    self.stats.skipped_narrowings += events.skipped
                     for event in events:
                         if self.process_new(event, "narrowing", (sel.id,), rule.name):
                             self.stats.narrowings += 1
                         if self.result is not None:
                             return self.result
-                # resolution against the active set (the clause itself included)
+                # resolution against the selected clauses (itself included)
                 sel_names = sel.free_names()
-                for partner in list(self.active):
+                for partner in self.index.partners(sel):
                     if partner.id in self.index.dead and partner is not sel:
-                        continue
-                    if not may_resolve(sel, partner):
                         continue
                     renamed, _ = rename_apart(sel_names, partner)
                     for rc in extended_resolution(sel, renamed):
@@ -726,8 +786,15 @@ class _Saturation:
                             self.stats.resolutions += 1
                         if self.result is not None:
                             return self.result
-            return SearchResult(SATURATED, self.steps, self.stats,
-                                unnormalized=self.unnormalized,
+            # saturation proves nothing when the search may have missed a step
+            reasons = []
+            if self.stats.skipped_narrowings:
+                reasons.append(f"narrowing_filter ({self.stats.skipped_narrowings} skipped)")
+            if self.unnormalized:
+                reasons.append("fuel")
+            return SearchResult(RESOURCE_OUT if reasons else SATURATED, self.steps,
+                                self.stats, unnormalized=self.unnormalized,
+                                exhausted=", ".join(reasons) or None,
                                 constraint_names=self.names)
         except _Budget:
             return SearchResult(RESOURCE_OUT, self.steps, self.stats,

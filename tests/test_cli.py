@@ -86,6 +86,44 @@ def test_on_the_fly_agrees_with_freeze(tmp_path, capsys, text, goal):
     assert outcomes[0] == outcomes[1]
 
 
+# P(X) is fully flexible: freeze's filter narrows it, guessing X = S(y),
+# while the on-the-fly filter skips the step and nothing ever instantiates X
+NARROW_FLEXIBLE = ("use arith\npred P : (nat)\npred Q : (nat)\nR pq: P(S(y)) -> Q(y)\n"
+                   "axiom forall x:nat P(x)\ngoal q2 : Q(2)\n")
+
+
+def test_a_search_the_on_the_fly_narrowing_filter_cut_short_is_not_saturated(
+        tmp_path, capsys):
+    theory = theory_file(tmp_path, NARROW_FLEXIBLE)
+    assert cli.main(["prove", "--theory", theory, "--strategy", "freeze",
+                     "--goal-name", "q2"]) == cli.EXIT_PROVED
+    assert "verdict: PROVED\n" in capsys.readouterr().out
+    assert cli.main(["prove", "--theory", theory, "--strategy", "onfly",
+                     "--goal-name", "q2"]) == cli.EXIT_RESOURCE_OUT
+    assert ("verdict: RESOURCE_OUT\nexhausted: narrowing_filter (1 skipped)\n"
+            in capsys.readouterr().out)
+
+
+# with fuel 2 the narrowed clause keeps Q(3 * 3) half reduced
+NARROW_FUEL = ("use arith\npred P : (nat)\npred Q : (nat)\nR pq: P(S(y)) -> Q(3 * 3)\n"
+               "axiom forall x:nat P(x)\ngoal q9 : Q(9)\ngoal q0 : Q(0)\n")
+
+
+@pytest.mark.parametrize("goal, verdict, exhausted", [
+    ("q9", "PROVED_UNVERIFIED", "narrow_depth (14 states)"),
+    ("q0", "RESOURCE_OUT", "fuel"),
+])
+def test_a_clause_left_unnormalized_is_reported(tmp_path, capsys, goal, verdict, exhausted):
+    # q0 saturates once 9 = 0 is refuted, so only the fuel-out keeps it
+    # from reading as not a theorem
+    cli.main(["prove", "--theory", theory_file(tmp_path, NARROW_FUEL), "--strategy", "freeze",
+              "--fuel", "2", "--goal-name", goal])
+    out = capsys.readouterr().out
+    assert "| Q(S(0) * S(S(S(0))) + S(S(S(0))) + S(S(S(0)))) / c1\n" in out
+    assert (f"verdict: {verdict}\nexhausted: {exhausted}\nnormalization: fuel exhausted\n"
+            in out)
+
+
 def test_a_theory_file_extends_a_preset(tmp_path, capsys):
     theory = tmp_path / "theory"
     theory.write_text(ARITH_WITH_P)

@@ -1,9 +1,11 @@
 """Prover tests: duplicate detection in the redundancy filter, the narrowing
-filter, the proof slice of a search, the traces of the refutation gate, the
-clause index against the checks it prefilters, and saturation against a
-truth table."""
+filter, the proof slice of a search, the traces of the refutation gate and
+of on-the-fly searches, the clause index against the checks it prefilters,
+ground subsumption against a literal-mapping oracle, and saturation against
+a truth table."""
 
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -20,7 +22,6 @@ from resmod.prover import (
     ClauseIndex,
     extended_resolution,
     factor,
-    may_resolve,
     narrowing_applicable,
     redundancy_filter,
     subsumes,
@@ -55,8 +56,20 @@ print(report.verdict, report.clauses_generated, hashlib.sha256(report.trace.enco
 """
 
 
-@pytest.mark.parametrize("script", [CHAIN_AXIOMS_FREEZE, NARROW_FROZEN_ON_THE_FLY],
-                         ids=["chain_axioms-freeze", "narrow-frozen-onfly"])
+# on the fly, resolution partners come from an index of the selected
+# clauses that iterates dicts
+SET_CANTOR_ON_THE_FLY = """
+import hashlib
+from resmod import cli, prover, theories
+theory = theories.load_preset("set-cantor")
+report = cli.run_prove(theory, theory.goals["cantor"], prover.ProverConfig(strategy=prover.ON_THE_FLY))
+print(report.verdict, report.clauses_generated, hashlib.sha256(report.trace.encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("script", [CHAIN_AXIOMS_FREEZE, NARROW_FROZEN_ON_THE_FLY,
+                                    SET_CANTOR_ON_THE_FLY],
+                         ids=["chain_axioms-freeze", "narrow-frozen-onfly", "set-cantor-onfly"])
 def test_traces_with_frozen_constraints_do_not_depend_on_the_hash_seed(script):
     outputs = set()
     for seed in range(4):
@@ -153,6 +166,32 @@ def test_the_gate_leaves_the_trace_unchanged(problem):
     assert hashlib.sha256(trace.encode()).hexdigest() == GATE_TRACES[problem]
 
 
+# verdict, generated clauses and sha256 of each trace of an on-the-fly
+# search; the same at PYTHONHASHSEED 0 and 3
+ON_THE_FLY_TRACES = {
+    "set-cantor": ("PROVED", 734,
+                   "bc20b80838aca21cb384e73ae19f4977406c6cf00818151dd02e6e6a795e7917"),
+    "chain_axioms(12)": ("PROVED", 184,
+                         "504e505febfe9fbc9a65865736a1f530bc40ba12ad6f95533bf2a42984f0607b"),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(ON_THE_FLY_TRACES))
+def test_the_on_the_fly_loop_leaves_the_trace_unchanged(problem):
+    # constraint-free clauses skip propagation, and resolution partners come
+    # from the index of selected clauses
+    if problem == "set-cantor":
+        theory = theories.load_preset("set-cantor")
+        goal = theory.goals["cantor"]
+    else:
+        sig, axioms = theories.chain_axioms(12)
+        theory = theories.TheoryPreset(problem, sig, RewriteSystem(()), axioms)
+        goal = Bottom()
+    report = cli.run_prove(theory, goal, prover.ProverConfig(strategy=prover.ON_THE_FLY))
+    digest = hashlib.sha256(report.trace.encode()).hexdigest()
+    assert (report.verdict, report.clauses_generated, digest) == ON_THE_FLY_TRACES[problem]
+
+
 # ---------------------------------------------------------------------------
 # The clause index passes on every clause the checks it prefilters can accept
 # ---------------------------------------------------------------------------
@@ -235,13 +274,57 @@ def test_the_index_offers_every_subsumption_pair(clauses):
 
 @pytest.mark.parametrize("clauses", index_clause_sets())
 def test_the_resolution_prefilter_skips_only_partners_without_resolvents(clauses):
+    clauses = [c.with_id(i, Provenance("input")) for i, c in enumerate(clauses, start=1)]
+    index = ClauseIndex()
+    for c in clauses:
+        index.note_selected(c)
     skipped = 0
     for c in clauses:
+        partners = [d.id for d in index.partners(c)]
+        assert partners == sorted(set(partners))  # once each, in selection order
         for d in clauses:
-            if not may_resolve(c, d):
+            if d.id not in partners:
                 skipped += 1
                 assert extended_resolution(c, rename_apart(c.free_names(), d)[0]) == [], (c, d)
     assert skipped >= 1000
+
+
+def test_the_index_drops_retired_clauses_from_the_lists_it_scans():
+    sig, clauses = ground_cnf(4, [((0, True),), ((0, True), (1, False)),
+                                  ((0, False), (2, True)), ((0, True), (3, True))])
+    clauses = [c.with_id(i, Provenance("input")) for i, c in enumerate(clauses, start=1)]
+    index = ClauseIndex()
+    for c in clauses:
+        index.note_kept(c)
+        index.note_selected(c)
+    index.dead.update({2, 4})
+    unit, _, negative, _ = clauses
+    assert [c.id for c in index.backward_candidates(unit)] == []
+    assert [c.id for c in index.partners(negative)] == [1]
+    assert [c.id for c in index.forward_candidates(clauses[1])] == [1]
+    assert [c.id for c in index.postings[(True, "A0")]] == [1]
+    assert list(index.active[(True, "A0")]) == [0]
+
+
+def literals_map_into(c: ConstrainedClause, d: ConstrainedClause) -> bool:
+    """Some map from the literals of ground ``c`` to those of ``d`` takes
+    each literal to one with the same sign and the same text."""
+    text = lambda lit: (lit.positive, str(lit.atom))
+    return any(all(text(a) == text(b) for a, b in zip(c.literals, image))
+               for image in itertools.product(d.literals, repeat=len(c.literals)))
+
+
+@pytest.mark.parametrize("clauses", [p for p in index_clause_sets()
+                                     if p.id.startswith("ground")])
+def test_ground_subsumption_agrees_with_a_literal_mapping_oracle(clauses):
+    assert all(c.literals_ground() for c in clauses)
+    pairs = 0
+    for c in clauses:
+        for d in clauses:
+            expected = literals_map_into(c, d)
+            assert subsumes(c, d) == expected, (c, d)
+            pairs += expected
+    assert pairs >= 100
 
 
 # ---------------------------------------------------------------------------
