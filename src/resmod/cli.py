@@ -78,12 +78,12 @@ class RunReport:
         return _VERDICT_EXIT[self.verdict]
 
     def summary(self) -> str:
-        reason = [f"exhausted: {self.exhausted}"] if self.exhausted else []
+        notes = [f"exhausted: {self.exhausted}"] if self.exhausted else []
         if self.unnormalized:
-            reason.append("normalization: fuel exhausted")
+            notes.append("normalization: fuel exhausted")
         return "\n".join([
             f"verdict: {self.verdict}",
-            *reason,
+            *notes,
             f"clauses: {self.clauses_generated} generated, {self.clauses_kept} kept",
             (f"discarded: {sum(self.discards.values())} "
              f"({', '.join(f'{n} {r}' for r, n in sorted(self.discards.items())) or 'none'}), "

@@ -290,8 +290,8 @@ def test_the_resolution_prefilter_skips_only_partners_without_resolvents(clauses
 
 
 def test_the_index_drops_retired_clauses_from_the_lists_it_scans():
-    sig, clauses = ground_cnf(4, [((0, True),), ((0, True), (1, False)),
-                                  ((0, False), (2, True)), ((0, True), (3, True))])
+    _, clauses = ground_cnf(4, [((0, True),), ((0, True), (1, False)),
+                                ((0, False), (2, True)), ((0, True), (3, True))])
     clauses = [c.with_id(i, Provenance("input")) for i, c in enumerate(clauses, start=1)]
     index = ClauseIndex()
     for c in clauses:
