@@ -34,7 +34,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .clausal import clausal_form
 from .kernel import Not, Prop
 from .parser import ParseError, parse_constraints, parse_inline_rules, parse_prop, \
     parse_substitution, parse_term_or_atom
@@ -123,11 +122,7 @@ def _config(args: argparse.Namespace, theory: TheoryPreset) -> ProverConfig:
 
 def run_prove(theory: TheoryPreset, goal: Prop, cfg: ProverConfig) -> RunReport:
     started = time.monotonic()
-    inputs = []
-    for axiom in theory.axioms:
-        inputs.extend(clausal_form(axiom, theory.system, theory.sig, cfg.fuel).clauses)
-    inputs.extend(clausal_form(Not(goal), theory.system, theory.sig, cfg.fuel).clauses)
-    result = saturate(inputs, theory.system, theory.sig, cfg)
+    result = saturate([*theory.axioms, Not(goal)], theory.system, theory.sig, cfg)
     elapsed = time.monotonic() - started
     header = {
         "theory": theory.name,

@@ -1,9 +1,10 @@
 """Saturation loop: resolution with postponed constraints plus narrowing.
 
-The loop is a deterministic given-clause procedure.  The selected clause is
-factored, resolved against every active clause and narrowed with every
-R-rule.  What happens to the equality constraints of a new clause depends
-on the strategy:
+The loop is a deterministic given-clause procedure.  A clause is factored
+as soon as it is kept; the selected clause is narrowed with every R-rule
+and then resolved against every selected clause it has a complementary
+literal with, itself included.  What happens to the equality constraints of
+a new clause depends on the strategy:
 
 ``freeze``      constraints accumulate unsolved; only a cheap root-clash
                 test prunes, and the full equational unifier runs when an
@@ -44,6 +45,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .kernel import (
     Atom,
+    Prop,
     Signature,
     Substitution,
     Term,
@@ -57,8 +59,8 @@ from .clausal import (
     ConstrainedClause,
     Literal,
     Provenance,
+    clausal_form,
     reclausify,
-    renormalize_clause,
 )
 from .rewrite import R_CLASS, RewriteRule, RewriteSystem, match
 from .unify import (
@@ -128,6 +130,15 @@ class Stats:
         self.discarded += 1
         self.discards[reason] = self.discards.get(reason, 0) + 1
 
+    def step(self, kind: str) -> None:
+        """Count an inference of ``kind`` that kept a clause."""
+        name = _STEP_COUNTERS[kind]
+        setattr(self, name, getattr(self, name) + 1)
+
+
+_STEP_COUNTERS = {"resolution": "resolutions", "narrowing": "narrowings",
+                  "factoring": "factorings"}
+
 
 PROVED = "proved"
 SATURATED = "saturated"
@@ -136,14 +147,18 @@ RESOURCE_OUT = "resource_out"
 
 @dataclass
 class SearchResult:
-    """``steps`` are the kept clauses in id order.  ``exhausted`` says why a
-    search is ``RESOURCE_OUT``: ``max_clauses``, or, for a search that would
-    otherwise have saturated, ``narrowing_filter`` (with the number of
-    narrowing steps the on-the-fly filter skipped) and ``fuel``
-    (``unnormalized`` is set).  For a proof left unverified it names the
-    bound the gate's narrowing hit, ``narrow_depth`` or ``narrow_states``,
-    with the number of states it examined.  ``unnormalized`` says that a
-    clause kept some literal whose normalization ran out of fuel."""
+    """``steps`` are the kept clauses in id order, those that backward
+    subsumption retired included; an empty clause the gate refuted is never
+    kept.  ``constraint_names`` names the constraints the kept clauses
+    carry.  ``exhausted`` says why a search is ``RESOURCE_OUT``:
+    ``max_clauses``, or, for a search that would otherwise have saturated,
+    ``narrowing_filter`` (with the number of narrowing steps the on-the-fly
+    filter skipped) and ``fuel`` (``unnormalized`` is set).  For a proof left
+    unverified it names the bound the gate's narrowing hit, ``narrow_depth``
+    or ``narrow_states``, with the number of states it examined.
+    ``unnormalized`` says that a clause kept some literal whose
+    normalization, in clausification or after an inference, ran out of
+    fuel."""
 
     status: str
     steps: list[ConstrainedClause]
@@ -446,9 +461,9 @@ def is_tautology(c: ConstrainedClause) -> bool:
 
 
 class ClauseIndex:
-    """The kept clauses, indexed by (polarity, predicate name) for the two
-    subsumption checks and for resolution, plus the duplicate keys of every
-    registered clause.
+    """The live kept clauses, indexed by (polarity, predicate name) for the
+    two subsumption checks and for resolution, plus the duplicate keys of
+    every registered clause.
 
     ``subsumes(c, d)`` needs every key of ``c``'s profile in ``d``'s, so:
 
@@ -460,28 +475,24 @@ class ClauseIndex:
       profile has it; a new subsumer ``c`` is checked only against the
       posting list of its key with the fewest kept clauses.
 
-    ``filed`` counts the kept clauses of each key, retired ones included,
-    so that these choices do not depend on when a list was last compacted.
-
     :func:`extended_resolution` needs a literal of each clause with the same
     predicate and opposite polarities, so ``active`` files each selected
-    clause under every key of its profile, by selection number, and a
-    selected clause's partners are the entries under its complementary keys.
+    clause under every key of its profile, and a selected clause's partners
+    are the entries under its complementary keys.
 
-    All three return candidates in the order they were kept (selected) and
-    skip ``dead`` clauses (retired by backward subsumption); a list a scan
-    finds dead entries in drops them.  Kept clauses are never empty: an
-    empty clause ends the search or is dropped at the gate.
+    Every list is a dict keyed by clause id in filing order, so all three
+    return candidates in the order they were kept (selected).  ``retire``
+    takes a clause that backward subsumption retired out of all of them at
+    once.  Kept clauses are never empty: an empty clause ends the search or
+    is dropped at the gate.
     """
 
     def __init__(self) -> None:
         self.keys: set[tuple] = set()
-        self.buckets: dict[tuple[bool, str], list[ConstrainedClause]] = {}
-        self.postings: dict[tuple[bool, str], list[ConstrainedClause]] = {}
-        self.filed: dict[tuple[bool, str], int] = {}
+        self.buckets: dict[tuple[bool, str], dict[int, ConstrainedClause]] = {}
+        self.postings: dict[tuple[bool, str], dict[int, ConstrainedClause]] = {}
         self.active: dict[tuple[bool, str], dict[int, ConstrainedClause]] = {}
-        self.selections = 0
-        self.dead: set[int] = set()
+        self.selection: dict[int, int] = {}  # clause id -> selection number
 
     def note(self, c: ConstrainedClause) -> None:
         self.keys.add(clause_key(c))
@@ -489,48 +500,39 @@ class ClauseIndex:
     def note_kept(self, c: ConstrainedClause) -> None:
         profile = c.profile()
         for key in profile:
-            self.postings.setdefault(key, []).append(c)
-            self.filed[key] = self.filed.get(key, 0) + 1
+            self.postings.setdefault(key, {})[c.id] = c
         if not c.constraints:
-            key = min(profile, key=self.filed.__getitem__)
-            self.buckets.setdefault(key, []).append(c)
+            key = min(profile, key=lambda k: len(self.postings[k]))
+            self.buckets.setdefault(key, {})[c.id] = c
 
     def note_selected(self, c: ConstrainedClause) -> None:
+        self.selection[c.id] = len(self.selection)
         for key in c.profile():
-            self.active.setdefault(key, {})[self.selections] = c
-        self.selections += 1
+            self.active.setdefault(key, {})[c.id] = c
 
-    def _live(self, entries: list[ConstrainedClause]) -> list[ConstrainedClause]:
-        """``entries`` with its dead clauses dropped."""
-        live = [c for c in entries if c.id not in self.dead]
-        if len(live) < len(entries):
-            entries[:] = live
-        return entries
+    def retire(self, c: ConstrainedClause) -> None:
+        for key in c.profile():
+            for lists in (self.buckets, self.postings, self.active):
+                lists.get(key, {}).pop(c.id, None)
 
     def forward_candidates(self, d: ConstrainedClause) -> Iterator[ConstrainedClause]:
-        """The live subsumers that may subsume ``d``."""
+        """The subsumers that may subsume ``d``."""
         for key in d.profile():
-            yield from self._live(self.buckets.get(key, []))
+            yield from self.buckets.get(key, {}).values()
 
     def backward_candidates(self, c: ConstrainedClause) -> list[ConstrainedClause]:
-        """The live kept clauses other than ``c`` that ``c`` may subsume."""
-        key = min(c.profile(), key=lambda k: self.filed.get(k, 0))
-        return [d for d in self._live(self.postings.get(key, [])) if d is not c]
+        """The kept clauses other than ``c`` that ``c`` may subsume."""
+        key = min(c.profile(), key=lambda k: len(self.postings.get(k, ())))
+        return [d for d in self.postings.get(key, {}).values() if d is not c]
 
     def partners(self, c: ConstrainedClause) -> list[ConstrainedClause]:
-        """The live selected clauses with a literal complementary to one of
+        """The selected clauses with a literal complementary to one of
         ``c``'s, in selection order: the only ones :func:`extended_resolution`
-        with ``c`` can yield a clause for.  ``c`` itself is kept even when
-        dead, since the loop resolves a selected clause with itself after
-        its narrowings may have retired it."""
+        with ``c`` can yield a clause for."""
         found: dict[int, ConstrainedClause] = {}
         for positive, pred in c.profile():
-            entries = self.active.get((not positive, pred))
-            if entries:
-                for n in [n for n, d in entries.items() if d.id in self.dead and d is not c]:
-                    del entries[n]
-                found.update(entries)
-        return [found[n] for n in sorted(found)]
+            found.update(self.active.get((not positive, pred), {}))
+        return sorted(found.values(), key=lambda d: self.selection[d.id])
 
 
 def redundancy_filter(new: ConstrainedClause, index: ClauseIndex) -> tuple[bool, str | None]:
@@ -583,8 +585,12 @@ def tidy_clause(c: ConstrainedClause) -> ConstrainedClause:
     return c.apply(Substitution(tmp)).apply(Substitution(fin))
 
 
-class _Budget(Exception):
-    pass
+class _Stop(Exception):
+    """Ends the search with ``result``."""
+
+    def __init__(self, result: SearchResult):
+        super().__init__()
+        self.result = result
 
 
 class _Saturation:
@@ -598,11 +604,14 @@ class _Saturation:
         self.passive_age: list[int] = []  # id min-heap for the fairness picks
         self.in_passive: set[int] = set()
         self.inputs: deque[int] = deque()  # input clause ids, selected first
-        self.by_id: dict[int, ConstrainedClause] = {}
+        self.by_id: dict[int, ConstrainedClause] = {}  # the live kept clauses
         self.index = ClauseIndex()
         self.names: dict[Constraint, str] = {}
-        self.result: SearchResult | None = None
         self.unnormalized = False
+
+    def _result(self, status: str, **fields) -> SearchResult:
+        return SearchResult(status, self.steps, self.stats, unnormalized=self.unnormalized,
+                            constraint_names=self.names, **fields)
 
     # -- naming ------------------------------------------------------------
 
@@ -613,67 +622,57 @@ class _Saturation:
 
     # -- the refutation gate -------------------------------------------------
 
-    def _gate(self, c: ConstrainedClause) -> str:
-        """'proved' | 'unverified' | 'unsat' for an empty-literal clause."""
+    def _gate(self, c: ConstrainedClause) -> dict | None:
+        """The proof fields of the result that the empty clause ``c`` ends
+        the search with; None when the gate refutes its constraints."""
         if not c.constraints:
-            self.result = SearchResult(PROVED, self.steps, self.stats, c,
-                                       Substitution(), True, self.unnormalized,
-                                       constraint_names=self.names)
-            return "proved"
+            return {"solution": Substitution(), "verified": True}
         self.stats.gate_calls += 1
         outcome = e_unify_narrowing(
             c.constraints, self.system, self.cfg.narrowing_depth,
             app_symbols=self.sig.app_symbols, max_states=self.cfg.narrow_states)
-        if outcome.is_solutions:
-            self.result = SearchResult(PROVED, self.steps, self.stats, c,
-                                       outcome.solutions[0], True, self.unnormalized,
-                                       constraint_names=self.names)
-            return "proved"
         if outcome.is_unsat:
-            return "unsat"
-        self.result = SearchResult(PROVED, self.steps, self.stats, c, None, False,
-                                   self.unnormalized,
-                                   exhausted=f"narrow_{outcome.reason} ({outcome.states} states)",
-                                   constraint_names=self.names)
-        return "unverified"
+            return None
+        if outcome.is_solutions:
+            return {"solution": outcome.solutions[0], "verified": True}
+        return {"exhausted": f"narrow_{outcome.reason} ({outcome.states} states)"}
 
     # -- registration --------------------------------------------------------
 
     def register(self, c: ConstrainedClause, kind: str, parents: tuple[int, ...],
-                 aux: str | None = None) -> bool:
-        """Filter, number and enqueue a clause; True when it was kept."""
+                 aux: str | None = None) -> None:
+        """Filter, number and enqueue a clause.  An empty clause that the
+        gate does not refute ends the search."""
         self.stats.generated += 1
         if self.stats.generated > self.cfg.max_clauses:
-            raise _Budget
+            raise _Stop(self._result(RESOURCE_OUT, exhausted="max_clauses"))
         c = tidy_clause(c)
         keep, reason = redundancy_filter(c, self.index)
         if not keep:
             self.stats.discard(reason)
-            return False
-        cid = len(self.by_id) + 1
+            return
+        self.index.note(c)  # an unsolvable empty clause too: its variants are duplicates
+        if c.is_empty():
+            proof = self._gate(c)
+            if proof is None:
+                self.stats.discard("unsolvable")
+                return
+        cid = len(self.steps) + 1
         c = c.with_id(cid, Provenance(kind, parents, aux))
-        self.by_id[cid] = c
-        self.index.note(c)
         self._name_constraints(c)
         self.steps.append(c)
         self.stats.kept += 1
         if c.is_empty():
-            verdict = self._gate(c)
-            if verdict in ("proved", "unverified"):
-                return True
-            # constraint-unsatisfiable refutation candidate: drop it again
-            del self.by_id[cid]
-            self.steps.pop()
-            self.stats.kept -= 1
-            self.stats.discard("unsolvable")
-            return False
+            raise _Stop(self._result(PROVED, empty_clause=c, **proof))
+        self.by_id[cid] = c
         self.index.note_kept(c)
         # backward subsumption: a new constraint-free clause retires the
         # kept clauses it subsumes, passive or active
         if not c.constraints:
             for o in self.index.backward_candidates(c):
                 if subsumes(c, o):
-                    self.index.dead.add(o.id)
+                    self.index.retire(o)
+                    del self.by_id[o.id]
                     self.in_passive.discard(o.id)
                     self.stats.retired += 1
         heapq.heappush(self.passive, (len(c.literals), cid))
@@ -684,40 +683,36 @@ class _Saturation:
         # factoring is a cheap single-clause inference: apply it eagerly so
         # the merged clauses race fairly with other descendants
         for fc in factor(c):
-            if self.process_new([fc], "factoring", (cid,)):
-                self.stats.factorings += 1
-            if self.result is not None:
-                break
-        return True
+            self.process_new([fc], "factoring", (cid,))
 
     # -- strategy post-processing ---------------------------------------------
 
     def process_new(self, clauses: Sequence[ConstrainedClause], kind: str,
-                    parents: tuple[int, ...], aux: str | None = None) -> bool:
+                    parents: tuple[int, ...], aux: str | None = None) -> None:
         """Run the strategy discipline on an inference's output and register
-        the survivors.  True when at least one clause was kept."""
-        kept_any = False
-        for c in clauses:
-            if not c.constraints:
-                survivors = [c]  # no unifier to apply; its literals are normal
-            elif self.cfg.strategy == ON_THE_FLY and (outcome := propagate_on_the_fly(
-                    c.constraints, [ConstrainedClause(c.literals)],
-                    self.system, self.sig, self.cfg.fuel)) is not None:
-                survivors, _solution, normal = outcome
-                if not normal:
-                    self.unnormalized = True
-            elif ((self.cfg.strategy == ON_THE_FLY and not self.system.e_rules)
-                  or any(cheap_fail(con, self.system) for con in c.constraints)):
-                self.stats.failed_constraints += 1
-                continue
-            else:
-                survivors = [c]  # frozen until the gate judges the empty clause
-            for s in survivors:
-                if self.register(s, kind, parents, aux):
-                    kept_any = True
-                if self.result is not None:
-                    return kept_any
-        return kept_any
+        the survivors.  The inference counts as a step when it keeps a
+        clause, the empty clause that ends the search included, unless the
+        clause budget cuts it short."""
+        kept = self.stats.kept
+        try:
+            for c in clauses:
+                if not c.constraints:
+                    survivors = [c]  # no unifier to apply; its literals are normal
+                elif self.cfg.strategy == ON_THE_FLY and (result := propagate_on_the_fly(
+                        c, self.system, self.sig, self.cfg.fuel)) is not None:
+                    survivors = result.clauses
+                    self.unnormalized = self.unnormalized or not result.normalized
+                elif ((self.cfg.strategy == ON_THE_FLY and not self.system.e_rules)
+                      or any(cheap_fail(con, self.system) for con in c.constraints)):
+                    self.stats.failed_constraints += 1
+                    continue
+                else:
+                    survivors = [c]  # frozen until the gate judges the empty clause
+                for s in survivors:
+                    self.register(s, kind, parents, aux)
+        finally:
+            if self.stats.kept > kept and self.stats.generated <= self.cfg.max_clauses:
+                self.stats.step(kind)
 
     def _select(self) -> int:
         """Pop the next clause id.
@@ -746,23 +741,24 @@ class _Saturation:
         self.in_passive.discard(cid)
         return cid
 
+    def _resolve(self, sel: ConstrainedClause, sel_names: frozenset[str],
+                 partner: ConstrainedClause) -> None:
+        renamed, _ = rename_apart(sel_names, partner)
+        for rc in extended_resolution(sel, renamed):
+            self.process_new([rc], "resolution", (sel.id, partner.id))
+
     # -- main loop -------------------------------------------------------------
 
-    def run(self, inputs: Iterable[ConstrainedClause]) -> SearchResult:
+    def run(self, props: Iterable[Prop]) -> SearchResult:
         try:
-            for c in inputs:
-                result, _ = renormalize_clause(c, self.system, self.sig, self.cfg.fuel)
-                if not result.normalized:
-                    self.unnormalized = True
-                for piece in result.clauses:
-                    self.register(piece, "input", ())
-                    if self.result is not None:
-                        return self.result
+            clausified = [clausal_form(p, self.system, self.sig, self.cfg.fuel) for p in props]
+            self.unnormalized = not all(r.normalized for r in clausified)
+            for r in clausified:
+                for c in r.clauses:
+                    self.register(c, "input", ())
             while self.in_passive:
-                cid = self._select()
-                sel = self.by_id[cid]
+                sel = self.by_id[self._select()]
                 self.stats.selected += 1
-                self.index.note_selected(sel)
                 # narrowing with every R-rule
                 for rule in self.system.r_rules:
                     events = extended_narrowing(
@@ -771,41 +767,35 @@ class _Saturation:
                     self.unnormalized = self.unnormalized or not events.normalized
                     self.stats.skipped_narrowings += events.skipped
                     for event in events:
-                        if self.process_new(event, "narrowing", (sel.id,), rule.name):
-                            self.stats.narrowings += 1
-                        if self.result is not None:
-                            return self.result
-                # resolution against the selected clauses (itself included)
+                        self.process_new(event, "narrowing", (sel.id,), rule.name)
+                # resolution with the live earlier selections, then with itself
                 sel_names = sel.free_names()
                 for partner in self.index.partners(sel):
-                    if partner.id in self.index.dead and partner is not sel:
-                        continue
-                    renamed, _ = rename_apart(sel_names, partner)
-                    for rc in extended_resolution(sel, renamed):
-                        if self.process_new([rc], "resolution", (sel.id, partner.id)):
-                            self.stats.resolutions += 1
-                        if self.result is not None:
-                            return self.result
+                    if partner.id in self.by_id:  # not retired by an earlier resolvent
+                        self._resolve(sel, sel_names, partner)
+                own = sel.profile()
+                if any((not positive, pred) in own for positive, pred in own):
+                    self._resolve(sel, sel_names, sel)
+                if sel.id in self.by_id:
+                    self.index.note_selected(sel)
             # saturation proves nothing when the search may have missed a step
             reasons = []
             if self.stats.skipped_narrowings:
                 reasons.append(f"narrowing_filter ({self.stats.skipped_narrowings} skipped)")
             if self.unnormalized:
                 reasons.append("fuel")
-            return SearchResult(RESOURCE_OUT if reasons else SATURATED, self.steps,
-                                self.stats, unnormalized=self.unnormalized,
-                                exhausted=", ".join(reasons) or None,
-                                constraint_names=self.names)
-        except _Budget:
-            return SearchResult(RESOURCE_OUT, self.steps, self.stats,
-                                unnormalized=self.unnormalized, exhausted="max_clauses",
-                                constraint_names=self.names)
+            return self._result(RESOURCE_OUT if reasons else SATURATED,
+                                exhausted=", ".join(reasons) or None)
+        except _Stop as stop:
+            return stop.result
 
 
-def saturate(inputs: Iterable[ConstrainedClause], system: RewriteSystem,
+def saturate(props: Iterable[Prop], system: RewriteSystem,
              sig: Signature, cfg: ProverConfig | None = None) -> SearchResult:
-    """Saturate a clause set under the strategy in ``cfg``."""
-    return _Saturation(system, sig, cfg or ProverConfig()).run(inputs)
+    """Clausify each proposition once and saturate the clauses under the
+    strategy in ``cfg``.  A clausification that runs out of fuel marks the
+    result ``unnormalized``."""
+    return _Saturation(system, sig, cfg or ProverConfig()).run(props)
 
 
 # ---------------------------------------------------------------------------

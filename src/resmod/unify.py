@@ -34,7 +34,7 @@ from .kernel import (
     term_sort,
     term_var_names,
 )
-from .clausal import Constraint, ConstrainedClause
+from .clausal import ClausalResult, Constraint, ConstrainedClause, renormalize_clause
 from .rewrite import EtaRule, RewriteSystem, normalize
 
 
@@ -547,28 +547,19 @@ def _var_sort_in(t: Term | Atom, name: str):
 # ---------------------------------------------------------------------------
 
 
-def propagate_on_the_fly(constraints: Iterable[Constraint],
-                         clauses: Sequence[ConstrainedClause],
-                         system: RewriteSystem,
-                         sig, fuel: int = 10_000):
-    """Solve the constraints syntactically and push the substitution through.
+def propagate_on_the_fly(c: ConstrainedClause, system: RewriteSystem,
+                         sig, fuel: int = 10_000) -> ClausalResult | None:
+    """Solve the constraints of ``c`` syntactically and push the unifier
+    through its literals.
 
-    Returns ``(updated clauses, solution, all_normalized)``; returns None
-    when the constraints are unsolvable, in which case the clauses are to be
-    discarded as constraint-unsatisfiable.  Instantiation may trigger
-    reductions, so every clause is re-normalized (and re-clausified when an
-    atom leaves the atom fragment).
+    Returns the constraint-free instance of ``c``, re-normalized (and
+    re-clausified when an atom leaves the atom fragment, since
+    instantiation may trigger reductions); None when the constraints are
+    unsolvable, in which case the clause is to be discarded as
+    constraint-unsatisfiable.
     """
-    from .clausal import renormalize_clause
-
-    solution = solve_syntactic(constraints)
+    solution = solve_syntactic(c.constraints)
     if solution is None:
         return None
-    out: list[ConstrainedClause] = []
-    all_normal = True
-    for c in clauses:
-        instantiated = c.apply(solution)
-        result, _changed = renormalize_clause(instantiated, system, sig, fuel)
-        all_normal = all_normal and result.normalized
-        out.extend(result.clauses)
-    return out, solution, all_normal
+    instance = ConstrainedClause(c.literals).apply(solution)
+    return renormalize_clause(instance, system, sig, fuel)[0]

@@ -5,6 +5,9 @@ import re
 import pytest
 
 from resmod import cli
+from resmod.parser import parse_prop
+from resmod.rewrite import normalize
+from resmod.theories import load_preset
 
 
 @pytest.mark.parametrize("theory, goal", [
@@ -238,3 +241,32 @@ def test_normalize_prints_the_steps_it_shows_and_counts_the_rest(capsys):
 def test_a_bad_command_line_is_an_input_error(capsys, argv):
     assert cli.main(argv) == cli.EXIT_INPUT_ERROR
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy", ["freeze", "onfly"])
+def test_clausification_spends_one_fuel_budget(capsys, strategy):
+    # an input clause is normalized once, when it is clausified, so it is
+    # left where three rewrite steps reach and not given a second budget
+    arith = load_preset("arith")
+    expected = normalize(parse_prop("2 * 2 = 4", arith.sig), arith.system, 3)
+    assert not expected.normal
+    cli.main(["prove", "--theory", "arith", "--goal", "2 * 2 = 4", "--fuel", "3",
+              "--strategy", strategy])
+    out = capsys.readouterr().out
+    assert f"\n2. input | ~{expected.value}\n" in out
+    assert "\nnormalization: fuel exhausted\n" in out
+
+
+@pytest.mark.parametrize("argv, code, steps", [
+    (["--theory", "arith", "--goal-name", "double"], cli.EXIT_PROVED,
+     "1 resolution, 0 narrowing, 0 factoring"),
+    (["--theory", "set-cantor", "--goal-name", "cantor"], cli.EXIT_PROVED,
+     "241 resolution, 14 narrowing, 27 factoring"),
+    # the inference whose clauses run into the budget is not counted
+    (["--theory", "set-cantor", "--goal-name", "cantor", "--max-clauses", "300"],
+     cli.EXIT_RESOURCE_OUT, "101 resolution, 8 narrowing, 18 factoring"),
+], ids=["double", "set-cantor", "set-cantor-300"])
+def test_the_summary_counts_the_inferences_that_kept_a_clause(capsys, argv, code, steps):
+    # the one that derived the empty clause included
+    assert cli.main(["prove", *argv]) == code
+    assert f"\nsteps: {steps}\n" in capsys.readouterr().out

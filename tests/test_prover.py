@@ -4,6 +4,7 @@ of on-the-fly searches, the clause index against the checks it prefilters,
 ground subsumption against a literal-mapping oracle, and saturation against
 a truth table."""
 
+import functools
 import hashlib
 import itertools
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from resmod import cli, prover, theories
-from resmod.clausal import ConstrainedClause, Literal, Provenance, clausal_form
+from resmod.clausal import ConstrainedClause, Literal, Provenance
 from resmod.kernel import And, App, Atom, Bottom, Not, Or, Signature, Var, rename_apart
 from resmod.parser import parse_prop, parse_term_or_atom
 from resmod.prover import (
@@ -117,9 +118,7 @@ def test_narrowing_applicable_guesses_under_freeze_only(atom, on_the_fly, freeze
 def test_proof_steps_is_the_ancestor_slice_of_the_empty_clause():
     theory = theories.load_preset("arith")
     goal = Not(theory.goals["double"])
-    inputs = [c for p in theory.axioms + [goal]
-              for c in clausal_form(p, theory.system, theory.sig).clauses]
-    result = prover.saturate(inputs, theory.system, theory.sig,
+    result = prover.saturate(theory.axioms + [goal], theory.system, theory.sig,
                              prover.ProverConfig(strategy=prover.FREEZE))
     steps = result.proof_steps()
     assert result.proved and steps[-1] is result.empty_clause and steps[-1].is_empty()
@@ -237,10 +236,9 @@ def chain_axioms_kept(n: int) -> list[ConstrainedClause]:
     """The kept clauses of both strategies' searches of chain_axioms(n);
     under freeze many of them carry atom constraints."""
     sig, axioms = theories.chain_axioms(n)
-    inputs = [c for a in axioms for c in clausal_form(a, RewriteSystem(()), sig).clauses]
     out = []
     for strategy in (prover.FREEZE, prover.ON_THE_FLY):
-        result = prover.saturate(inputs, RewriteSystem(()), sig,
+        result = prover.saturate(axioms, RewriteSystem(()), sig,
                                  prover.ProverConfig(strategy=strategy, max_clauses=400))
         out += [s for s in result.steps if not s.is_empty()]
     return out
@@ -297,13 +295,14 @@ def test_the_index_drops_retired_clauses_from_the_lists_it_scans():
     for c in clauses:
         index.note_kept(c)
         index.note_selected(c)
-    index.dead.update({2, 4})
+    index.retire(clauses[1])
+    index.retire(clauses[3])
     unit, _, negative, _ = clauses
     assert [c.id for c in index.backward_candidates(unit)] == []
     assert [c.id for c in index.partners(negative)] == [1]
     assert [c.id for c in index.forward_candidates(clauses[1])] == [1]
-    assert [c.id for c in index.postings[(True, "A0")]] == [1]
-    assert list(index.active[(True, "A0")]) == [0]
+    assert list(index.postings[(True, "A0")]) == [1]
+    assert list(index.active[(True, "A0")]) == [1]
 
 
 def literals_map_into(c: ConstrainedClause, d: ConstrainedClause) -> bool:
@@ -332,17 +331,17 @@ def test_ground_subsumption_agrees_with_a_literal_mapping_oracle(clauses):
 # ---------------------------------------------------------------------------
 
 
-def cnf_unsatisfiable(n: int, clauses) -> bool:
+def cnf_props(n: int, clauses) -> tuple[Signature, list]:
+    """One disjunction over the nullary predicates A0..A(n-1) per clause."""
     sig = Signature()
     atoms = [Atom(sig.predicate(f"A{i}", ())) for i in range(n)]
-    prop = None
-    for clause in clauses:
-        disjunction = None
-        for a, pos in clause:
-            lit = atoms[a] if pos else Not(atoms[a])
-            disjunction = lit if disjunction is None else Or(disjunction, lit)
-        prop = disjunction if prop is None else And(prop, disjunction)
-    return not any(truth_table(prop, [f"A{i}" for i in range(n)]))
+    return sig, [functools.reduce(Or, [atoms[a] if pos else Not(atoms[a]) for a, pos in clause])
+                 for clause in clauses]
+
+
+def cnf_unsatisfiable(n: int, clauses) -> bool:
+    _, props = cnf_props(n, clauses)
+    return not any(truth_table(functools.reduce(And, props), [f"A{i}" for i in range(n)]))
 
 
 def three_literal_cnf_sets():
@@ -364,8 +363,8 @@ def three_literal_cnf_sets():
 @pytest.mark.parametrize("strategy", [prover.FREEZE, prover.ON_THE_FLY])
 @pytest.mark.parametrize("n, clauses", three_literal_cnf_sets())
 def test_saturation_refutes_exactly_the_unsatisfiable_sets(n, clauses, strategy):
-    sig, inputs = ground_cnf(n, clauses)
-    result = prover.saturate(inputs, RewriteSystem(()), sig,
+    sig, props = cnf_props(n, clauses)
+    result = prover.saturate(props, RewriteSystem(()), sig,
                              prover.ProverConfig(strategy=strategy))
     expected = prover.PROVED if cnf_unsatisfiable(n, clauses) else prover.SATURATED
     assert result.status == expected

@@ -1,9 +1,11 @@
 """Trace tests: what ``format_trace`` writes, ``parse_trace`` reads back."""
 
+import re
+
 import pytest
 
 from resmod import cli, kernel, prover, rewrite, theories
-from resmod.parser import ParseError, parse_trace
+from resmod.parser import ParseError, parse_prop, parse_trace
 
 FREEZE = prover.ProverConfig(strategy=prover.FREEZE)
 ON_THE_FLY = prover.ProverConfig(strategy=prover.ON_THE_FLY)
@@ -80,3 +82,31 @@ def test_set_cantor_freeze_trace_round_trips():
 def test_hol_cantor_trace_round_trips():
     assert_round_trip(hol_cantor, prover.ProverConfig(strategy=prover.FREEZE,
                                                       narrow_states=300))
+
+
+def constraint_names(text):
+    """The names in the ``constraints:`` table and the names clause lines
+    refer to."""
+    table = set(re.findall(r"^  (c\d+): ", text, re.M))
+    refs = {name for line in re.findall(r"^\d+\. .* / (c\d+(?:, c\d+)*)$", text, re.M)
+            for name in line.split(", ")}
+    return table, refs
+
+
+@pytest.mark.parametrize("cfg", [FREEZE, ON_THE_FLY], ids=["freeze", "on_the_fly"])
+def test_an_unsolvable_empty_clause_names_no_constraint(cfg):
+    # the only clause that carries S(X) = 0 is the empty clause the gate
+    # refutes, and it is never kept
+    theory = theories.load_preset("arith")
+    report = cli.run_prove(theory, parse_prop("exists x:nat S(x) = 0", theory.sig), cfg)
+    assert report.discards == {"unsolvable": 1}
+    assert "constraints:" not in report.trace
+
+
+def test_the_constraint_table_names_only_constraints_of_kept_clauses():
+    theory, goal = preset_goal("set-cantor", "cantor")()
+    report = cli.run_prove(theory, goal,
+                           prover.ProverConfig(strategy=prover.FREEZE, max_clauses=1500))
+    assert report.discards["unsolvable"] > 0
+    table, refs = constraint_names(report.trace)
+    assert table and table == refs

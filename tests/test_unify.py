@@ -330,29 +330,28 @@ class TestStoreAndPropagation:
         env = {}
         atom = parse_term_or_atom("x in y", st.sig, env)
         clause = ConstrainedClause([Literal(True, atom)])
-        out = propagate_on_the_fly([], [clause], st.system, st.sig)
-        assert out is not None
-        clauses, solution, _ = out
-        assert clauses == [clause] and solution.is_empty()
+        out = propagate_on_the_fly(clause, st.system, st.sig)
+        assert out is not None and out.normalized
+        assert out.clauses == [clause]
 
     def test_unsolvable_store_discards(self):
         sig = small_signature()
         a, b = App(sig.lookup("a")), App(sig.lookup("b"))
-        out = propagate_on_the_fly([Constraint(a, b)], [], EMPTY_SYSTEM, sig)
+        out = propagate_on_the_fly(ConstrainedClause([], [Constraint(a, b)]), EMPTY_SYSTEM, sig)
         assert out is None
 
     def test_propagation_triggers_reductions(self):
         st = load_preset("set")
         env = {}
         atom = parse_term_or_atom("c0 in P", st.sig, env)
-        clause = ConstrainedClause([Literal(True, atom)])
         con = Constraint(parse_term_or_atom("P", st.sig, env),
                          parse_term_or_atom("{a0, b0}", st.sig, env))
-        out = propagate_on_the_fly([con], [clause], st.system, st.sig)
+        clause = ConstrainedClause([Literal(True, atom)], [con])
+        out = propagate_on_the_fly(clause, st.system, st.sig)
         assert out is not None
-        clauses, _, _ = out
-        assert len(clauses) == 1
-        assert clauses[0].literal_text() == "c0 = a0, c0 = b0"
+        assert len(out.clauses) == 1
+        assert out.clauses[0].literal_text() == "c0 = a0, c0 = b0"
+        assert not out.clauses[0].constraints
 
     def test_cheap_fail(self):
         arith = load_preset("arith")
