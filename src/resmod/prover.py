@@ -751,6 +751,8 @@ class _Saturation:
 
     def run(self, props: Iterable[Prop]) -> SearchResult:
         try:
+            # clausify every input before registering any: registration can
+            # re-clausify, and skolem symbols are named in order of creation
             clausified = [clausal_form(p, self.system, self.sig, self.cfg.fuel) for p in props]
             self.unnormalized = not all(r.normalized for r in clausified)
             for r in clausified:
