@@ -691,8 +691,8 @@ class _Saturation:
                     parents: tuple[int, ...], aux: str | None = None) -> None:
         """Run the strategy discipline on an inference's output and register
         the survivors.  The inference counts as a step when it keeps a
-        clause, the empty clause that ends the search included, unless the
-        clause budget cuts it short."""
+        clause, the empty clause that ends the search included, also when
+        the clause budget runs out before the inference is done."""
         kept = self.stats.kept
         try:
             for c in clauses:
@@ -711,7 +711,7 @@ class _Saturation:
                 for s in survivors:
                     self.register(s, kind, parents, aux)
         finally:
-            if self.stats.kept > kept and self.stats.generated <= self.cfg.max_clauses:
+            if self.stats.kept > kept:
                 self.stats.step(kind)
 
     def _select(self) -> int:

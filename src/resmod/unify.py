@@ -7,10 +7,11 @@ between their arguments.
 
 Equational unification explores narrowing steps breadth-first at basic
 positions only (never inside substitution-introduced subterms), attempting
-plain syntactic unification at every state.  A rule is renamed and unified
-at a position only when its left side does not clash with the subterm
-there, and the unifiers of the steps to a state are composed only when the
-state unifies.  The search is bounded both by a narrowing depth and a total
+plain syntactic unification at every state.  A rule is renamed at a position
+only when its left side does not clash with the subterm there.  The rule is
+unified there, and the successor state built, only when the search examines
+that step, and the unifiers of the steps to a state are composed only when
+the state unifies.  The search is bounded both by a narrowing depth and a total
 state budget; truncation yields an Unknown outcome, never a verdict.  Every
 substitution returned as a solution has been re-checked by joining both
 sides of every equation to a common normal form.
@@ -18,9 +19,10 @@ sides of every equation to a common normal form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .kernel import (
     App,
@@ -304,6 +306,10 @@ _Rule = tuple[Term, Term, tuple]
 # composed only for a state whose equations unify
 _Chain = tuple | None
 
+# a narrowing step not yet taken: called, it builds the state the step leads
+# to, or returns None when the rule does not unify at the step's position
+_Step = Callable[[], "tuple[list[_Eq], _Chain] | None"]
+
 
 def _clash(t: Term, pattern: Term) -> bool:
     """Do ``t`` and ``pattern`` carry different function symbols (name or
@@ -340,8 +346,10 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
     Unsatisfiable is reported only when the whole space below the bounds was
     exhausted; hitting the depth bound or the state budget yields Unknown.
     Equations whose two sides are both headed by variables are kept frozen:
-    they are never narrowed, only unified.  The outcome counts the states
-    examined, up to ``max_states``.
+    they are never narrowed, only unified.  A successor is built only when
+    the search examines it, so ``max_states`` bounds the states built as well
+    as those examined (one more is built when the budget runs out).  The
+    outcome counts the states examined, up to ``max_states``.
     """
     rules = [(r.lhs, r.rhs, tuple((v, _var_sort_in(r.lhs, v)) for v in sorted(r.var_names)))
              for r in system.e_rules if not isinstance(r, EtaRule)]
@@ -368,7 +376,7 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
         return candidate
 
     start = [_Eq(_Side(a), _Side(b)) for a, b in pairs]
-    level: list[tuple[list[_Eq], _Chain]] = [(start, None)]
+    level: list[_Step] = [lambda: (start, None)]
     seen: set[tuple] = set()
     counter = itertools.count(1)
     states_used = 0
@@ -376,8 +384,12 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
 
     for current_depth in range(depth + 1):
         solutions: list[Substitution] = []
-        next_level: list[tuple[list[_Eq], _Chain]] = []
-        for eqs, chain in level:
+        next_level: list[_Step] = []
+        for step in level:
+            state = step()
+            if state is None:
+                continue  # the rule does not unify there: no state
+            eqs, chain = state
             states_used += 1
             if states_used > max_states:
                 truncated = True
@@ -453,7 +465,9 @@ def _expandable(e: _Eq, rules: Sequence[_Rule], apps: frozenset[str]) -> bool:
 
 
 def _expand(eqs: list[_Eq], chain: _Chain, rules: Sequence[_Rule],
-            apps: frozenset[str], counter) -> Iterator[tuple[list[_Eq], _Chain]]:
+            apps: frozenset[str], counter) -> Iterator[_Step]:
+    """The narrowing steps out of a state, in search order, each deferred:
+    only the rule renaming happens here, since it consumes ``counter``."""
     for idx, e in enumerate(eqs):
         if _is_flex(e.left.term, apps) and _is_flex(e.right.term, apps):
             continue  # frozen flex-flex equation
@@ -467,25 +481,34 @@ def _expand(eqs: list[_Eq], chain: _Chain, rules: Sequence[_Rule],
                             next(counter)
                         continue
                     renaming = {v: Var(f"_n{next(counter)}", sort) for v, sort in rule_vars}
-                    theta = unify_terms(sub, subst_term(lhs, renaming))
-                    if theta is None:
-                        continue
-                    rhs = subst_term(rule_rhs, renaming)
-                    new_basic = frozenset(p for p in side.basic if p[:len(pos)] != pos)
-                    new_basic |= frozenset(pos + q for q, _ in _nonvar_positions(rhs))
-                    new_term = _replace_term(side.term, pos, rhs)
-                    new_side = _Side(subst_term(new_term, theta), new_basic)
-                    new_eqs: list[_Eq] = []
-                    for jdx, e2 in enumerate(eqs):
-                        if jdx == idx:
-                            other = e.right if side_ix == 0 else e.left
-                            new_eq = (_Eq(new_side, other.substituted(theta))
-                                      if side_ix == 0 else
-                                      _Eq(other.substituted(theta), new_side))
-                            new_eqs.append(new_eq)
-                        else:
-                            new_eqs.append(e2.substituted(theta))
-                    yield new_eqs, (chain, theta)
+                    yield functools.partial(_child, eqs, chain, idx, side_ix, pos, sub,
+                                            lhs, rule_rhs, renaming)
+
+
+def _child(eqs: list[_Eq], chain: _Chain, idx: int, side_ix: int, pos: Position,
+           sub: App, lhs: Term, rule_rhs: Term,
+           renaming: Mapping[str, Term]) -> tuple[list[_Eq], _Chain] | None:
+    """The state that narrowing side ``side_ix`` of ``eqs[idx]`` at ``pos``,
+    where ``sub`` stands, with the renamed rule ``lhs -> rule_rhs`` leads to;
+    None when ``sub`` and the left side do not unify."""
+    theta = unify_terms(sub, subst_term(lhs, renaming))
+    if theta is None:
+        return None
+    e = eqs[idx]
+    side = e.right if side_ix else e.left
+    rhs = subst_term(rule_rhs, renaming)
+    new_basic = frozenset(p for p in side.basic if p[:len(pos)] != pos)
+    new_basic |= frozenset(pos + q for q, _ in _nonvar_positions(rhs))
+    new_side = _Side(subst_term(_replace_term(side.term, pos, rhs), theta), new_basic)
+    new_eqs: list[_Eq] = []
+    for jdx, e2 in enumerate(eqs):
+        if jdx != idx:
+            new_eqs.append(e2.substituted(theta))
+        elif side_ix == 0:
+            new_eqs.append(_Eq(new_side, e.right.substituted(theta)))
+        else:
+            new_eqs.append(_Eq(e.left.substituted(theta), new_side))
+    return new_eqs, (chain, theta)
 
 
 def _rename_internal(s: Substitution, original_vars: set[str]) -> Substitution:

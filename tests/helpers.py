@@ -26,6 +26,7 @@ from resmod.kernel import (
 )
 from resmod.clausal import ConstrainedClause, Literal
 from resmod.rewrite import NormalizeOutcome, RewriteSystem, _contract
+from resmod.theories import TheoryPreset, load_preset, surjection_axiom
 
 
 # ---------------------------------------------------------------------------
@@ -323,3 +324,18 @@ def normalize_rightmost_innermost(x, system: RewriteSystem, fuel: int) -> Normal
             return NormalizeOutcome(True, value, n)
         value = red
     return NormalizeOutcome(_reduce_rightmost_innermost(value, system) is None, value, fuel)
+
+
+# ---------------------------------------------------------------------------
+# Cantor's theorem in type theory
+# ---------------------------------------------------------------------------
+
+
+def hol_cantor(name: str) -> TheoryPreset:
+    """Cantor's theorem in a HOL preset: f and g with the surjection axiom."""
+    theory = load_preset(name)
+    term = theory.sig.sorts["term"]
+    theory.sig.individual("f", term)
+    theory.sig.individual("g", term)
+    theory.axioms = [surjection_axiom(theory.sig)]
+    return theory

@@ -29,7 +29,7 @@ from resmod.prover import (
 )
 from resmod.rewrite import RewriteSystem
 
-from helpers import random_term, small_signature, truth_table
+from helpers import hol_cantor, random_term, small_signature, truth_table
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -127,16 +127,6 @@ def test_proof_steps_is_the_ancestor_slice_of_the_empty_clause():
     assert all(p in ids for s in steps for p in s.provenance.parents)
 
 
-def hol_cantor(name: str) -> theories.TheoryPreset:
-    """Cantor's theorem in a HOL preset: f and g with the surjection axiom."""
-    theory = theories.load_preset(name)
-    term = theory.sig.sorts["term"]
-    theory.sig.individual("f", term)
-    theory.sig.individual("g", term)
-    theory.axioms = [theories.surjection_axiom(theory.sig)]
-    return theory
-
-
 # sha256 of each trace; the same at PYTHONHASHSEED 0-5
 GATE_TRACES = {
     "double": "64391d9b2b18178201a69a7bf82962300a9ca1cccffde10c6236e7e3bcb1f5e7",
@@ -163,6 +153,15 @@ def test_the_gate_leaves_the_trace_unchanged(problem):
         cfg = prover.ProverConfig(strategy=prover.FREEZE)
     trace = cli.run_prove(theory, goal, cfg).trace
     assert hashlib.sha256(trace.encode()).hexdigest() == GATE_TRACES[problem]
+
+
+def test_hol_cantor_under_the_default_bounds_spends_the_whole_state_budget():
+    # the gate stops at the default state budget, not the depth bound, and
+    # the search ends at the same empty clause as with 300 states
+    report = cli.run_prove(hol_cantor("hol-comb"), Bottom(),
+                           prover.ProverConfig(strategy=prover.FREEZE))
+    assert hashlib.sha256(report.trace.encode()).hexdigest() == GATE_TRACES["hol-comb"]
+    assert "exhausted: narrow_states (4000 states)" in report.summary().splitlines()
 
 
 # verdict, generated clauses and sha256 of each trace of an on-the-fly

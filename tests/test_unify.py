@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from resmod import prover, unify
 from resmod.clausal import Constraint, ConstrainedClause, Literal
 from resmod.kernel import (
     FUNCTION,
@@ -17,7 +18,7 @@ from resmod.kernel import (
     rename_apart,
     subst_term,
 )
-from resmod.rewrite import EMPTY_SYSTEM, EtaRule, RewriteSystem, match, normalize
+from resmod.rewrite import EMPTY_SYSTEM, EtaRule, RewriteRule, RewriteSystem, match, normalize
 from resmod.theories import load_preset
 from resmod.parser import parse_constraints, parse_prop, parse_substitution, \
     parse_term, parse_term_or_atom
@@ -33,7 +34,7 @@ from resmod.unify import (
     _nonvar_positions,
 )
 
-from helpers import (random_arith_term, random_comb_spine, random_ground_term,
+from helpers import (hol_cantor, random_arith_term, random_comb_spine, random_ground_term,
                      random_sigma_term, random_term, small_signature)
 
 
@@ -225,6 +226,53 @@ class TestEUnifyNarrowing:
         out = e_unify_narrowing([Constraint(lhs, rhs)], arith.system, depth=1)
         assert out.is_unknown
 
+    # (kind, states, reason, depth) as eager construction of every successor
+    # gave them; the steps of the non-linear rule f(x, x) -> a at f(a, b)
+    # pass the clash prefilter but do not unify, so they are no state
+    @pytest.mark.parametrize("theory, left, right, max_states, expected", [
+        ("ff", "f(a, b)", "c", 1, ("unsatisfiable", 1, "", None)),
+        ("ff", "f(a, b)", "c", 4_000, ("unsatisfiable", 1, "", None)),
+        ("ff", "f(a, b)", "f(c, c)", 1, ("unknown", 1, "states", None)),
+        ("ff", "f(a, b)", "f(c, c)", 2, ("unsatisfiable", 2, "", None)),
+        ("arith", "x * x", "9", 4_000, ("unknown", 35, "depth", None)),
+        ("arith", "S(x)", "0", 4_000, ("unsatisfiable", 1, "", None)),
+    ])
+    def test_a_step_whose_rule_does_not_unify_is_not_a_state(
+            self, theory, left, right, max_states, expected):
+        if theory == "ff":
+            sig = small_signature()
+            system = RewriteSystem([RewriteRule("ff", parse_term("f(x, x)", sig),
+                                                parse_term("a", sig))])
+        else:
+            arith = load_preset(theory)
+            sig, system = arith.sig, arith.system
+        env = {}
+        con = Constraint(parse_term(left, sig, env), parse_term(right, sig, env))
+        out = e_unify_narrowing([con], system, max_states=max_states)
+        assert (out.kind, out.states, out.reason, out.depth) == expected
+
+    def test_successors_are_built_only_when_the_search_examines_them(self, monkeypatch):
+        theory = hol_cantor("hol-comb")
+        result = prover.saturate(theory.axioms, theory.system, theory.sig,
+                                 prover.ProverConfig(strategy=prover.FREEZE, narrow_states=1))
+        calls = 0
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return unify_terms(*args, **kwargs)
+
+        monkeypatch.setattr(unify, "unify_terms", counting)
+        # a clause keeps its constraints in a set; sorted, the search order
+        # does not depend on the hash seed
+        constraints = sorted(result.empty_clause.constraints, key=str)
+        out = e_unify_narrowing(constraints, theory.system,
+                                app_symbols=theory.sig.app_symbols, max_states=50)
+        assert out.is_unknown and out.states == 50
+        # 144 calls for 50 states; building every successor of every
+        # expanded state took 506
+        assert calls <= 4 * out.states
+
 
 class TestClashPrefilter:
     """Narrowing skips a rule at a position without renaming it when
@@ -291,8 +339,6 @@ class TestCheckSolution:
         # a term-level loop: f(x) -> g(f(x)) style divergence via arith is
         # awkward; use a tiny ad hoc looping system instead
         sig = small_signature()
-        from resmod.rewrite import RewriteRule
-
         loop = RewriteRule("loop", parse_term("g(x)", sig),
                            parse_term("g(g(x))", sig))
         system = RewriteSystem([loop])
