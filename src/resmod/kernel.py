@@ -344,9 +344,14 @@ def term_var_names(t: Term) -> frozenset[str]:
 
 
 def term_size(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in t.args)
+    size = 0
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        size += 1
+        if isinstance(x, App):
+            stack.extend(x.args)
+    return size
 
 
 def subst_term(t: Term, m: Mapping[str, Term]) -> Term:

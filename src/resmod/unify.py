@@ -7,14 +7,18 @@ between their arguments.
 
 Equational unification explores narrowing steps breadth-first at basic
 positions only (never inside substitution-introduced subterms), attempting
-plain syntactic unification at every state.  A rule is renamed at a position
-only when its left side does not clash with the subterm there.  The rule is
-unified there, and the successor state built, only when the search examines
-that step, and the unifiers of the steps to a state are composed only when
-the state unifies.  The search is bounded both by a narrowing depth and a total
-state budget; truncation yields an Unknown outcome, never a verdict.  Every
-substitution returned as a solution has been re-checked by joining both
-sides of every equation to a common normal form.
+plain syntactic unification at every state.  Each side of an equation
+carries its skeleton, the side with every subterm that a step's unifier
+brought in cut back to the variable it replaced; the basic positions are
+the applications of the skeleton (Hullot 1980; Middeldorp and Hamoen 1994).
+A rule is renamed at a position only when its left side does not clash with
+the subterm there.  The rule is unified there, and the successor state
+built, only when the search examines that step, and the unifiers of the
+steps to a state are composed only when the state unifies.  The search is
+bounded both by a narrowing depth and a total state budget; truncation
+yields an Unknown outcome, never a verdict.  Every substitution returned as
+a solution has been re-checked by joining both sides of every equation to a
+common normal form.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .kernel import (
     App,
     Atom,
-    Position,
     SortMismatchError,
     Substitution,
     Term,
@@ -131,21 +134,12 @@ def cheap_fail(c: Constraint, system: RewriteSystem) -> bool:
     """Fast sound unsatisfiability test for a single constraint.
 
     Reports True only when the two sides clash at a rigid position whose
-    root symbols no E-rule can ever rewrite.
+    root symbols no E-rule can ever rewrite: the narrowing search's
+    decomposition, applied to the constraint's start state, finds it dead.
     """
-    roots = system.e_lhs_roots
-
-    def clash(t: Term, u: Term) -> bool:
-        if isinstance(t, Var) or isinstance(u, Var):
-            return False
-        if t.sym.name in roots or u.sym.name in roots:
-            return False
-        if t.sym.name != u.sym.name or len(t.args) != len(u.args):
-            return True
-        return any(clash(a, b) for a, b in zip(t.args, u.args))
-
     pairs = c.pairs()
-    return pairs is None or any(clash(a, b) for a, b in pairs)
+    return pairs is None or _simplify([_Eq(_Side(a), _Side(b)) for a, b in pairs],
+                                      system) is None
 
 
 # ---------------------------------------------------------------------------
@@ -247,39 +241,53 @@ class EUnifyOutcome:
 
 
 class _Side:
-    """One side of an equation with its set of basic (narrowable) positions."""
+    """One side of an equation with its skeleton: the side before the
+    unifiers of the narrowing steps were applied, so that every subterm one
+    of them brought in stands there as the variable it replaced.  The
+    applications of the skeleton are the side's basic (narrowable)
+    positions; at each of them the side carries the same symbol."""
 
-    __slots__ = ("term", "basic")
+    __slots__ = ("term", "skel")
 
-    def __init__(self, term: Term, basic: frozenset[Position] | None = None):
+    def __init__(self, term: Term, skel: Term | None = None):
         self.term = term
-        if basic is None:
-            basic = frozenset(p for p, _ in _nonvar_positions(term))
-        self.basic = basic
+        self.skel = term if skel is None else skel
 
     def substituted(self, m: Mapping[str, Term]) -> "_Side":
-        # substitution happens below basic positions only, so the set is stable
-        return _Side(subst_term(self.term, m), self.basic)
+        # a substitution brings subterms in below basic positions only
+        return _Side(subst_term(self.term, m), self.skel)
 
 
-def _nonvar_positions(t: Term, basic: frozenset[Position] | None = None
-                      ) -> Iterator[tuple[Position, App]]:
-    """The applications of ``t`` with their positions, in pre-order.  With
-    ``basic``, only those at a position in it: basic sets are prefix-closed,
-    so the walk stops below the first position outside the set."""
-    stack: list[tuple[Term, Position]] = [(t, ())]
+# the path from the root to a subterm, built only while walking: None at
+# the root, else (the parent's path, the 0-based argument index)
+_Path = tuple | None
+
+
+def _basic_subterms(term: Term, skel: Term) -> Iterator[tuple[_Path, App]]:
+    """The subterms of ``term`` at the applications of its skeleton
+    ``skel``, with their paths, in pre-order."""
+    stack: list[tuple[Term, Term, _Path]] = [(term, skel, None)]
     while stack:
-        u, pos = stack.pop()
-        if isinstance(u, App) and (basic is None or pos in basic):
-            yield pos, u
-            stack.extend((u.args[i], pos + (i + 1,)) for i in reversed(range(len(u.args))))
+        t, k, path = stack.pop()
+        if isinstance(k, App):
+            yield path, t
+            stack.extend((t.args[i], k.args[i], (path, i))
+                         for i in reversed(range(len(k.args))))
 
 
-def _replace_term(t: Term, pos: Position, new: Term) -> Term:
-    if not pos:
-        return new
-    i = pos[0]
-    return App(t.sym, t.args[:i - 1] + (_replace_term(t.args[i - 1], pos[1:], new),) + t.args[i:])
+def _replace_term(t: Term, path: _Path, new: Term) -> Term:
+    """``t`` with the subterm at ``path`` replaced by ``new``."""
+    indices: list[int] = []
+    while path is not None:
+        path, i = path
+        indices.append(i)
+    above: list[App] = []
+    for i in reversed(indices):
+        above.append(t)
+        t = t.args[i]
+    for node, i in zip(reversed(above), indices):
+        new = App(node.sym, node.args[:i] + (new,) + node.args[i + 1:])
+    return new
 
 
 class _Eq:
@@ -343,6 +351,9 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
     Breadth-first over narrowing steps; plain unification is attempted at
     every state, and all solutions of the shallowest solving level are
     returned.  With no E-rules this degenerates to syntactic unification.
+    A step narrows at a basic position, an application of the side's
+    skeleton; it replaces the subterm there by the rule's renamed right side
+    in the skeleton too, while its unifier reaches only the side itself.
     Unsatisfiable is reported only when the whole space below the bounds was
     exhausted; hitting the depth bound or the state budget yields Unknown.
     Equations whose two sides are both headed by variables are kept frozen:
@@ -453,15 +464,14 @@ def _simplify(eqs: list[_Eq], system: RewriteSystem) -> list[_Eq] | None:
 
 
 def _child_side(side: _Side, i: int) -> _Side:
-    child = side.term.args[i]
-    basic = frozenset(p[1:] for p in side.basic if p[:1] == (i + 1,))
-    return _Side(child, basic)
+    skel = side.skel
+    return _Side(side.term.args[i], skel.args[i] if isinstance(skel, App) else skel)
 
 
 def _expandable(e: _Eq, rules: Sequence[_Rule], apps: frozenset[str]) -> bool:
     if _is_flex(e.left.term, apps) and _is_flex(e.right.term, apps):
         return False
-    return bool(rules) and bool(e.left.basic or e.right.basic)
+    return bool(rules) and (isinstance(e.left.skel, App) or isinstance(e.right.skel, App))
 
 
 def _expand(eqs: list[_Eq], chain: _Chain, rules: Sequence[_Rule],
@@ -472,7 +482,7 @@ def _expand(eqs: list[_Eq], chain: _Chain, rules: Sequence[_Rule],
         if _is_flex(e.left.term, apps) and _is_flex(e.right.term, apps):
             continue  # frozen flex-flex equation
         for side_ix, side in enumerate((e.left, e.right)):
-            for pos, sub in _nonvar_positions(side.term, side.basic):
+            for path, sub in _basic_subterms(side.term, side.skel):
                 for lhs, rule_rhs, rule_vars in rules:
                     if _clash(sub, lhs):
                         # skip the names the renaming would take, so that
@@ -481,14 +491,14 @@ def _expand(eqs: list[_Eq], chain: _Chain, rules: Sequence[_Rule],
                             next(counter)
                         continue
                     renaming = {v: Var(f"_n{next(counter)}", sort) for v, sort in rule_vars}
-                    yield functools.partial(_child, eqs, chain, idx, side_ix, pos, sub,
+                    yield functools.partial(_child, eqs, chain, idx, side_ix, path, sub,
                                             lhs, rule_rhs, renaming)
 
 
-def _child(eqs: list[_Eq], chain: _Chain, idx: int, side_ix: int, pos: Position,
+def _child(eqs: list[_Eq], chain: _Chain, idx: int, side_ix: int, path: _Path,
            sub: App, lhs: Term, rule_rhs: Term,
            renaming: Mapping[str, Term]) -> tuple[list[_Eq], _Chain] | None:
-    """The state that narrowing side ``side_ix`` of ``eqs[idx]`` at ``pos``,
+    """The state that narrowing side ``side_ix`` of ``eqs[idx]`` at ``path``,
     where ``sub`` stands, with the renamed rule ``lhs -> rule_rhs`` leads to;
     None when ``sub`` and the left side do not unify."""
     theta = unify_terms(sub, subst_term(lhs, renaming))
@@ -497,9 +507,8 @@ def _child(eqs: list[_Eq], chain: _Chain, idx: int, side_ix: int, pos: Position,
     e = eqs[idx]
     side = e.right if side_ix else e.left
     rhs = subst_term(rule_rhs, renaming)
-    new_basic = frozenset(p for p in side.basic if p[:len(pos)] != pos)
-    new_basic |= frozenset(pos + q for q, _ in _nonvar_positions(rhs))
-    new_side = _Side(subst_term(_replace_term(side.term, pos, rhs), theta), new_basic)
+    new_side = _Side(subst_term(_replace_term(side.term, path, rhs), theta),
+                     _replace_term(side.skel, path, rhs))
     new_eqs: list[_Eq] = []
     for jdx, e2 in enumerate(eqs):
         if jdx != idx:

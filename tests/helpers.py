@@ -292,6 +292,24 @@ def random_comb_spine(rng, sig, depth):
 
 
 # ---------------------------------------------------------------------------
+# Rigid clashes modulo the E-rules
+# ---------------------------------------------------------------------------
+
+
+def rigid_clash(t: Term, u: Term, roots) -> bool:
+    """Do ``t`` and ``u`` carry different symbols (name or arity) at a
+    position reached only through symbols outside ``roots``, the E-rule
+    roots?  Then no E-unifier exists.  A reference for ``cheap_fail``."""
+    if isinstance(t, Var) or isinstance(u, Var):
+        return False
+    if t.sym.name in roots or u.sym.name in roots:
+        return False
+    if t.sym.name != u.sym.name or len(t.args) != len(u.args):
+        return True
+    return any(rigid_clash(a, b, roots) for a, b in zip(t.args, u.args))
+
+
+# ---------------------------------------------------------------------------
 # A second reduction strategy, for confluence tests
 # ---------------------------------------------------------------------------
 

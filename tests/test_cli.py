@@ -155,14 +155,16 @@ def test_the_clause_budget_is_named_when_it_runs_out(capsys):
     assert "verdict: RESOURCE_OUT\nexhausted: max_clauses\n" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("goal, bound", [
-    (["--goal", "exists x:nat (x * x = 9)"], "narrow_depth"),
-    (["--goal-name", "double", "--narrow-states", "2"], "narrow_states"),
+@pytest.mark.parametrize("goal, exhausted", [
+    (["--goal", "exists x:nat (x * x = 9)"], "narrow_depth (35 states)"),
+    (["--goal", "exists x:nat x + 0 = 100"], "narrow_depth (17 states)"),
+    (["--goal-name", "double", "--narrow-states", "2"], "narrow_states (2 states)"),
 ])
-def test_the_gate_names_the_bound_that_left_a_proof_unverified(capsys, goal, bound):
+def test_the_gate_names_the_bound_that_left_a_proof_unverified(capsys, goal, exhausted):
+    # the trace digests do not cover the gate's search, so its size is pinned here
     code = cli.main(["prove", "--theory", "arith", "--strategy", "freeze", *goal])
     assert code == cli.EXIT_PROVED_UNVERIFIED
-    assert f"verdict: PROVED_UNVERIFIED\nexhausted: {bound} (" in capsys.readouterr().out
+    assert f"verdict: PROVED_UNVERIFIED\nexhausted: {exhausted}\n" in capsys.readouterr().out
 
 
 def test_normalize_prints_the_normal_form(capsys):
@@ -213,6 +215,44 @@ def test_a_deep_goal_is_proved(capsys):
     # default recursion limit
     code = cli.main(["prove", "--theory", "arith", "--goal", "exists x:nat x = 1000"])
     assert code == cli.EXIT_PROVED
+
+
+# P(1100) = P(1099) fails on a rigid clash 1,100 levels down; the narrowed
+# clause is ordered by the size of its 1,100-level literal
+DEEP_CLASH = "use arith\npred P : (nat)\naxiom P(1100)\ngoal g : P(1099)\n"
+DEEP_NARROW = ("use arith\npred P : (nat)\npred Q : (nat)\nR pq: P(S(y)) -> Q(y)\n"
+               "axiom P(1100)\ngoal g : Q(1098)\n")
+
+
+@pytest.mark.parametrize("strategy", ["freeze", "onfly"])
+@pytest.mark.parametrize("text", [DEEP_CLASH, DEEP_NARROW], ids=["clash", "narrow"])
+def test_a_deep_theory_that_is_not_a_theorem_saturates(tmp_path, capsys, text, strategy):
+    code = cli.main(["prove", "--theory", theory_file(tmp_path, text), "--strategy", strategy,
+                     "--goal-name", "g"])
+    assert code == cli.EXIT_SATURATED
+    assert "verdict: SATURATED\n" in capsys.readouterr().out
+
+
+def _nested_numeral(depth: int) -> str:
+    return "S(" * depth + "0" + ")" * depth
+
+
+@pytest.mark.parametrize("command", ["prove", "normalize", "check-solution"])
+def test_input_too_deep_for_the_parser_is_an_internal_error(tmp_path, capsys, command):
+    # the input is valid; the recursive-descent parser runs out of stack
+    deep = _nested_numeral(900)
+    constraints = tmp_path / "constraints"
+    constraints.write_text(f"x = {deep}\n")
+    solution = tmp_path / "solution"
+    solution.write_text("x := 0\n")
+    argv = {
+        "prove": ["prove", "--goal", f"exists x:nat x = {deep}"],
+        "normalize": ["normalize", deep],
+        "check-solution": ["check-solution", "--constraints", str(constraints),
+                           "--solution", str(solution)],
+    }[command]
+    assert cli.main([argv[0], "--theory", "arith", *argv[1:]]) == cli.EXIT_INTERNAL_ERROR
+    assert "error: internal error: RecursionError" in capsys.readouterr().err
 
 
 def test_normalize_reaches_a_deep_normal_form(capsys):

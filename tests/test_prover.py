@@ -17,7 +17,8 @@ import pytest
 
 from resmod import cli, prover, theories
 from resmod.clausal import ConstrainedClause, Literal, Provenance
-from resmod.kernel import And, App, Atom, Bottom, Not, Or, Signature, Var, rename_apart
+from resmod.kernel import (And, App, Atom, Bottom, Exists, Not, Or, Signature, Var,
+                           rename_apart)
 from resmod.parser import parse_prop, parse_term_or_atom
 from resmod.prover import (
     ClauseIndex,
@@ -162,6 +163,23 @@ def test_hol_cantor_under_the_default_bounds_spends_the_whole_state_budget():
                            prover.ProverConfig(strategy=prover.FREEZE))
     assert hashlib.sha256(report.trace.encode()).hexdigest() == GATE_TRACES["hol-comb"]
     assert "exhausted: narrow_states (4000 states)" in report.summary().splitlines()
+
+
+@pytest.mark.parametrize("strategy", [prover.FREEZE, prover.ON_THE_FLY])
+def test_the_gate_narrows_inside_a_term_nested_beyond_the_recursion_limit(strategy):
+    # exists x. x * S^1100(x + 0) = 0, built here because the parser cannot
+    # nest 1,100 levels; x := 0 solves it at the gate's first level, whose
+    # steps narrow at every basic position, x + 0 1,101 levels down included
+    theory = theories.load_preset("arith")
+    sig = theory.sig
+    x = Var("x", sig.sorts["nat"])
+    deep = App(sig.lookup("+"), (x, sig.numeral(0)))
+    for _ in range(1100):
+        deep = App(sig.lookup("S"), (deep,))
+    goal = Exists(x, Atom(sig.lookup("="), (App(sig.lookup("*"), (x, deep)), sig.numeral(0))))
+    result = prover.saturate([*theory.axioms, Not(goal)], theory.system, sig,
+                             prover.ProverConfig(strategy=strategy))
+    assert prover.verdict_of(result) == "PROVED"
 
 
 # verdict, generated clauses and sha256 of each trace of an on-the-fly

@@ -1,5 +1,6 @@
 """Unification tests: syntactic MGU, narrowing E-unification, solution checks."""
 
+import functools
 import random
 
 import pytest
@@ -30,12 +31,12 @@ from resmod.unify import (
     solve_syntactic,
     unify_syntactic,
     unify_terms,
+    _basic_subterms,
     _clash,
-    _nonvar_positions,
 )
 
 from helpers import (hol_cantor, random_arith_term, random_comb_spine, random_ground_term,
-                     random_sigma_term, random_term, small_signature)
+                     random_sigma_term, random_term, rigid_clash, small_signature)
 
 
 class TestSyntacticUnification:
@@ -290,7 +291,7 @@ class TestClashPrefilter:
         rejected = unified = 0
         for _ in range(150):
             t = draw(rng, theory.sig, rng.randint(1, 4))
-            for _, sub in _nonvar_positions(t):
+            for _, sub in _basic_subterms(t, t):
                 for rule in rules:
                     lhs, _ = rename_apart(free_names(sub), rule.lhs)
                     theta = unify_terms(sub, lhs)
@@ -414,3 +415,25 @@ class TestStoreAndPropagation:
         c3 = Constraint(parse_term("y", arith.sig, env),
                         parse_term("0", arith.sig, env))
         assert not cheap_fail(c3, arith.system)
+
+    @pytest.mark.parametrize("preset, draw, clashes", [
+        ("arith", random_arith_term, 20),
+        ("hol-comb", random_comb_spine, 5),
+        # the only rigid term symbol the generator draws is 1
+        ("hol-sigma", random_sigma_term, 0),
+        ("hol-sigma", functools.partial(random_sigma_term, sort="subst"), 10),
+    ], ids=["arith", "hol-comb", "hol-sigma-term", "hol-sigma-subst"])
+    def test_cheap_fail_finds_exactly_the_rigid_clashes(self, preset, draw, clashes):
+        # cheap_fail runs the gate's decomposition; the reference walks the
+        # two sides by itself
+        theory = load_preset(preset)
+        roots = theory.system.e_lhs_roots
+        rng = random.Random(f"cheap:{preset}")
+        outcomes = []
+        for _ in range(400):
+            t = draw(rng, theory.sig, rng.randint(1, 4))
+            u = draw(rng, theory.sig, rng.randint(1, 4))
+            expected = rigid_clash(t, u, roots)
+            assert cheap_fail(Constraint(t, u), theory.system) == expected, f"{t} = {u}"
+            outcomes.append(expected)
+        assert outcomes.count(True) >= clashes and outcomes.count(False) > 300
