@@ -1,0 +1,163 @@
+"""Parser tests: what the kernel prints, the parser reads back; a theory file
+builds the preset that its directives describe."""
+
+import random
+
+import pytest
+
+from resmod import cli, prover
+from resmod.kernel import (
+    PREDICATE,
+    App,
+    Atom,
+    Exists,
+    Forall,
+    Implies,
+    Not,
+    Var,
+    format_term,
+)
+from resmod.parser import parse_prop, parse_rule_text, parse_term, parse_theory, parse_trace
+from resmod.rewrite import EtaRule, RewriteRule
+from resmod.theories import declare_subset_symbol, load_preset, pair_term
+
+from helpers import hol_cantor
+
+PRESETS = ["arith", "integral-rings", "chain(4)", "hol-comb", "hol-sigma", "set", "set-cantor"]
+
+
+def build(name):
+    if name.startswith("cantor:"):
+        return hol_cantor(name.split(":", 1)[1])
+    return load_preset(name)
+
+
+@pytest.mark.parametrize("name", PRESETS + ["cantor:hol-comb", "cantor:hol-sigma"])
+def test_printed_propositions_parse_back(name):
+    theory = build(name)
+    props = [*theory.axioms, *theory.goals.values(),
+             *(r.rhs for r in theory.system.r_rules)]
+    assert props
+    for p in props:
+        assert parse_prop(str(p), theory.sig) == p, str(p)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_printed_rules_parse_back(name):
+    theory = build(name)
+    rules = [r for r in theory.system.rules if not isinstance(r, EtaRule)]
+    assert rules
+    for r in rules:
+        assert parse_rule_text(f"{r.lhs} -> {r.rhs}", theory.sig, name=r.name) == r, str(r)
+
+
+def random_term_of(rng, sig, sort, depth, variables):
+    """A term of ``sort`` over the symbols of ``sig`` and the ``variables``
+    (name to sort) of that sort."""
+    symbols = [s for s in sig.symbols.values() if s.kind != PREDICATE and s.result == sort]
+    names = [n for n, s in variables.items() if s == sort]
+    compound = [s for s in symbols if s.arg_sorts]
+    if depth == 0 or not compound or rng.random() < 0.3:
+        leaves = [s for s in symbols if not s.arg_sorts]
+        if rng.random() < 0.4 or not leaves:
+            return Var(rng.choice(names), sort)
+        return App(rng.choice(leaves))
+    sym = rng.choice(compound)
+    return App(sym, tuple(random_term_of(rng, sig, s, depth - 1, variables)
+                          for s in sym.arg_sorts))
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_printed_random_terms_parse_back(name):
+    sig = build(name).sig
+    rng = random.Random(f"terms:{name}")
+    variables = {f"{v}{s}": sort for s, sort in sig.sorts.items() for v in ("x", "y")}
+    for sort in sig.sorts.values():
+        for _ in range(300):
+            t = random_term_of(rng, sig, sort, 5, variables)
+            assert parse_term(format_term(t), sig, dict(variables)) == t, format_term(t)
+
+
+# one line per directive: theory, use, sort, const, fun, pred, display, E, R,
+# rule, eta, subset, axiom and goal
+THEORY = """\
+theory demo
+use set
+sort term
+sort subst
+const 1 : term
+const id : subst
+const shift : subst
+const d : set
+fun app : (term, term) -> term
+fun lam : (term) -> term
+fun sub : (term, subst) -> term
+fun + : (set, set) -> set
+pred eps : (term)
+display app app
+display sub sub
+E sigma_id: sub(a, id) -> a
+R eps_lam: eps(lam(a)) -> eps(a)
+rule k: app(app(1, a), b) -> a
+eta
+subset diag(r, w) : forall y (<w, y> in r => ~(w in y))
+axiom forall x:set exists y:set x in y + d
+goal g : forall x:set x in d
+"""
+
+
+def hand_built():
+    theory = load_preset("set")
+    sig = theory.sig
+    st, term, subst = sig.sorts["set"], sig.declare_sort("term"), sig.declare_sort("subst")
+    one = sig.individual("1", term)
+    ident = sig.individual("id", subst)
+    shift = sig.individual("shift", subst)
+    d = App(sig.individual("d", st))
+    app = sig.function("app", (term, term), term, display="app")
+    lam = sig.function("lam", (term,), term)
+    sub = sig.function("sub", (term, subst), term, display="sub")
+    plus = sig.function("+", (st, st), st, display="infix")
+    eps = sig.predicate("eps", (term,))
+    sig.app_symbols = ("app", "sub")
+    member = sig.lookup("in")
+    a, b = Var("a", term), Var("b", term)
+    theory.system = theory.system.extend([
+        RewriteRule("sigma_id", App(sub, (a, App(ident))), a),
+        RewriteRule("eps_lam", Atom(eps, (App(lam, (a,)),)), Atom(eps, (a,))),
+        RewriteRule("k", App(app, (App(app, (App(one), a)), b)), a),
+        EtaRule("eta", lam, app, sub, shift, one, term),
+    ])
+    r, w, x, y = Var("r", st), Var("w", st), Var("x", st), Var("y", st)
+    declare_subset_symbol(theory, [r], w, Forall(y, Implies(
+        Atom(member, (pair_term(sig, w, y), r)), Not(Atom(member, (w, y))))), name="diag")
+    theory.name = "demo"
+    theory.axioms = [Forall(x, Exists(y, Atom(member, (x, App(plus, (y, d))))))]
+    theory.goals = {"g": Forall(x, Atom(member, (x, d)))}
+    return theory
+
+
+def test_a_theory_file_builds_the_preset_its_directives_describe():
+    parsed, expected = parse_theory(THEORY), hand_built()
+    assert (parsed.name, parsed.default_strategy) == (expected.name, expected.default_strategy)
+    assert parsed.sig.sorts == expected.sig.sorts
+    assert parsed.sig.default_sort == expected.sig.default_sort
+    assert parsed.sig.symbols == expected.sig.symbols
+    assert ({n: s.display for n, s in parsed.sig.symbols.items()}
+            == {n: s.display for n, s in expected.sig.symbols.items()})
+    assert parsed.sig.app_symbols == expected.sig.app_symbols
+    assert parsed.system.rules == expected.system.rules
+    assert parsed.comprehensions == expected.comprehensions
+    assert parsed.axioms == expected.axioms
+    assert parsed.goals == expected.goals
+
+
+def test_a_trace_declares_the_skolems_of_its_run():
+    theory = parse_theory(THEORY)
+    report = cli.run_prove(theory, theory.goals["g"],
+                           prover.ProverConfig(strategy=prover.ON_THE_FLY, max_clauses=50))
+    reader = parse_theory(THEORY).sig
+    parse_trace(report.trace, reader)
+    skolems = {n: s for n, s in theory.sig.symbols.items() if s.origin == "skolem"}
+    assert {s.kind for s in skolems.values()} == {"individual", "function"}
+    assert {n: s for n, s in reader.symbols.items() if s.origin == "skolem"} == skolems

@@ -208,6 +208,31 @@ def test_the_on_the_fly_loop_leaves_the_trace_unchanged(problem):
     assert (report.verdict, report.clauses_generated, digest) == ON_THE_FLY_TRACES[problem]
 
 
+# verdict, generated clauses, narrowing steps and sha256 of each trace of a
+# search whose narrowing passes the root-clash filter (freeze's guesses
+# included); the same at PYTHONHASHSEED 0, 3 and 5
+NARROWING_FILTER_TRACES = {
+    ("integral-rings", prover.FREEZE): (
+        "PROVED", 7, 2, "2fd870cf4443b1c4ca1b7b42185df5e4218bf1c602e79880ba9ab46dd4c43cb8"),
+    ("integral-rings", prover.ON_THE_FLY): (
+        "PROVED", 4, 1, "01ed09c7f4c8e6512ec1ca5ab2cd4983398417a10dbf370d88a5f3f7c67f7711"),
+    ("set-cantor", prover.FREEZE): (
+        "RESOURCE_OUT", 301, 32, "f77dfeef3c260f748252b234c9c54cd06f1466945d581fb139795fd1d6bee6d0"),
+}
+
+
+@pytest.mark.parametrize("preset, strategy", sorted(NARROWING_FILTER_TRACES))
+def test_the_narrowing_filter_leaves_the_trace_unchanged(preset, strategy):
+    theory = theories.load_preset(preset)
+    goal = theory.goals["square_zero" if preset == "integral-rings" else "cantor"]
+    cfg = prover.ProverConfig(strategy=strategy,
+                              max_clauses=300 if preset == "set-cantor" else 5_000)
+    report = cli.run_prove(theory, goal, cfg)
+    digest = hashlib.sha256(report.trace.encode()).hexdigest()
+    assert (report.verdict, report.clauses_generated, report.narrowing_steps,
+            digest) == NARROWING_FILTER_TRACES[preset, strategy]
+
+
 # ---------------------------------------------------------------------------
 # The clause index passes on every clause the checks it prefilters can accept
 # ---------------------------------------------------------------------------
