@@ -27,7 +27,7 @@ from .kernel import (
     Top,
     Var,
 )
-from .rewrite import EtaRule, RewriteRule, RewriteSystem, check_orthogonal, normalize, reduce_once
+from .rewrite import EtaRule, RewriteRule, RewriteSystem, normalize, reduce_once
 from .clausal import Constraint, ConstrainedClause, Literal, clausal_form, nnf, reclausify, skolemize
 from .unify import check_solution, e_unify_narrowing, unify_syntactic
 from .prover import ProverConfig, SearchResult, saturate

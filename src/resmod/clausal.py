@@ -24,14 +24,11 @@ from .kernel import (
     Or,
     Prop,
     Signature,
-    Sort,
     Substitution,
-    Symbol,
     Term,
     Top,
     Var,
     _Quant,
-    format_prop,
     format_term,
     free_names,
     free_vars,
@@ -220,15 +217,6 @@ class ConstrainedClause:
         return f"Clause#{self.id}({self})"
 
 
-@dataclass(frozen=True)
-class SkolemRecord:
-    """Introduction record of one skolem symbol."""
-
-    symbol: Symbol
-    source: str
-    rank: tuple[tuple[Sort, ...], Sort]
-
-
 # ---------------------------------------------------------------------------
 # Negation normal form
 # ---------------------------------------------------------------------------
@@ -294,8 +282,7 @@ def is_nnf(p: Prop) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def skolemize(p: Prop, sig: Signature,
-              outer: tuple[Var, ...] = ()) -> tuple[Prop, Signature, list[SkolemRecord]]:
+def skolemize(p: Prop, sig: Signature, outer: tuple[Var, ...] = ()) -> Prop:
     """Remove existentials from a proposition in NNF.
 
     An existential under the universal prefix ``x1..xn`` is replaced by a
@@ -304,9 +291,8 @@ def skolemize(p: Prop, sig: Signature,
     prefix the witness degenerates to a fresh individual.  ``outer`` names
     variables that are free in ``p`` but implicitly universal (the free
     variables of a clause being re-clausified); they join every prefix.
-    ``sig`` is extended in place and returned for convenience.
+    ``sig`` is extended in place.
     """
-    records: list[SkolemRecord] = []
     used = set(free_names(p))
 
     def go(q: Prop, prefix: tuple[Var, ...]) -> Prop:
@@ -326,19 +312,17 @@ def skolemize(p: Prop, sig: Signature,
             case Exists():
                 base = q.hint.lstrip("_") or "w"
                 sym_name = sig.fresh_name(base)
-                arg_sorts = tuple(v.sort for v in prefix)
-                source = format_prop(q)
                 if prefix:
-                    sym = sig.function(sym_name, arg_sorts, q.var.sort, origin="skolem")
+                    sym = sig.function(sym_name, tuple(v.sort for v in prefix), q.var.sort,
+                                       origin="skolem")
                 else:
                     sym = sig.individual(sym_name, q.var.sort, origin="skolem")
-                records.append(SkolemRecord(sym, source, (arg_sorts, q.var.sort)))
                 witness = App(sym, prefix)
                 body = subst_prop(q.body, {q.var.name: witness})
                 return go(body, prefix)
         raise TypeError(f"proposition is not in NNF: {q!r}")
 
-    return go(p, outer), sig, records
+    return go(p, outer)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +334,6 @@ def skolemize(p: Prop, sig: Signature,
 class ClausalResult:
     clauses: list[ConstrainedClause]
     normalized: bool
-    records: list[SkolemRecord]
 
 
 def _strip_and_distribute(p: Prop, used: set[str]) -> list[tuple[Literal, ...]]:
@@ -404,12 +387,12 @@ def clausal_form(p: Prop, system: RewriteSystem, sig: Signature,
     # free variables of the input act as an implicitly universal prefix, so
     # skolem witnesses below them must depend on them
     outer = tuple(sorted(free_vars(q), key=lambda v: v.name))
-    q, _, records = skolemize(q, sig, outer)
+    q = skolemize(q, sig, outer)
     used: set[str] = set(free_names(q))
     clause_lits = _strip_and_distribute(q, used)
     base_constraints = tuple(constraints)
     clauses = [ConstrainedClause(lits, base_constraints) for lits in clause_lits]
-    return ClausalResult(clauses, outcome.normal, records)
+    return ClausalResult(clauses, outcome.normal)
 
 
 def clause_disjunction(c: ConstrainedClause, bodies: Sequence[Prop]) -> Prop:
@@ -457,11 +440,11 @@ def renormalize_clause(c: ConstrainedClause, system: RewriteSystem, sig: Signatu
             changed = True
         new_atoms.append(out.value)
     if not changed:
-        return ClausalResult([c], all_normal, []), False
+        return ClausalResult([c], all_normal), False
     if all(isinstance(a, Atom) for a in new_atoms):
         lits = [Literal(l.positive, a) for l, a in zip(c.literals, new_atoms)]
         cl = ConstrainedClause(lits, c.constraints)
-        return ClausalResult([cl], all_normal, []), True
+        return ClausalResult([cl], all_normal), True
     result = clausal_form(clause_disjunction(c, new_atoms), system, sig, fuel,
                           constraints=c.constraints)
     result.normalized = result.normalized and all_normal

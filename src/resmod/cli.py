@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -152,16 +153,17 @@ def cmd_prove(args: argparse.Namespace) -> int:
                 raise ParseError("no goal given (use --goal, --goal-file or --goal-name)")
             goal = parse_prop(text, theory.sig)
         cfg = _config(args, theory)
+        # opened before the search, so that a trace path that cannot be
+        # written is an input error and no search runs in vain
+        trace_out = open(args.trace, "w") if args.trace else nullcontext(sys.stdout)
     except RecursionError:
         raise  # valid input nested too deep for the parser: an internal error
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    report = run_prove(theory, goal, cfg)
-    if args.trace:
-        Path(args.trace).write_text(report.trace)
-    else:
-        print(report.trace, end="")
+    with trace_out as stream:
+        report = run_prove(theory, goal, cfg)
+        print(report.trace, end="", file=stream)
     print(report.summary())
     return report.exit_code
 

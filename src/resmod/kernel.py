@@ -1,8 +1,8 @@
 """Many-sorted first-order kernel.
 
-Sorts, symbols, signatures, terms, propositions, substitutions and tree
-positions.  All values are immutable and hashable; every operation is a pure
-function, so values can be shared freely (including across threads).
+Sorts, symbols, signatures, terms, propositions and substitutions.  All
+values are immutable and hashable; every operation is a pure function, so
+values can be shared freely (including across threads).
 
 Binder handling: quantifiers rename their bound variable to a canonical
 ``_k`` name on construction.  Alpha-equivalent propositions are therefore
@@ -34,10 +34,6 @@ class RankMismatchError(KernelError):
 
 
 class SortMismatchError(KernelError):
-    pass
-
-
-class InvalidPositionError(KernelError):
     pass
 
 
@@ -724,10 +720,8 @@ EMPTY_SUBST = Substitution()
 
 
 # ---------------------------------------------------------------------------
-# Positions
+# Children
 # ---------------------------------------------------------------------------
-
-Position = tuple[int, ...]
 
 
 def children(x: Term | Prop) -> tuple:
@@ -762,39 +756,6 @@ def with_children(x: Term | Prop, new: tuple):
         case _Quant():
             return type(x)(x.var, new[0], x.hint)
     raise TypeError(f"cannot rebuild {x!r}")
-
-
-def subterm_at(x: Term | Prop, pos: Position):
-    """Subtree of ``x`` at ``pos`` (child indices are 1-based)."""
-    cur = x
-    for i in pos:
-        kids = children(cur)
-        if not 1 <= i <= len(kids):
-            raise InvalidPositionError(f"position {pos} is not valid in {x}")
-        cur = kids[i - 1]
-    return cur
-
-
-def replace_at(x: Term | Prop, pos: Position, new):
-    """Replace the subtree of ``x`` at ``pos`` by ``new``."""
-    if not pos:
-        return new
-    kids = children(x)
-    i = pos[0]
-    if not 1 <= i <= len(kids):
-        raise InvalidPositionError(f"position {pos} is not valid in {x}")
-    old_child = kids[i - 1]
-    new_child = replace_at(old_child, pos[1:], new)
-    if is_term(old_child) and not is_term(new_child):
-        raise InvalidPositionError("cannot replace a term by a proposition below the root")
-    return with_children(x, kids[:i - 1] + (new_child,) + kids[i:])
-
-
-def positions(x: Term | Prop, prefix: Position = ()) -> Iterator[Position]:
-    """All positions of ``x`` in pre-order, root first."""
-    yield prefix
-    for i, c in enumerate(children(x), start=1):
-        yield from positions(c, prefix + (i,))
 
 
 # ---------------------------------------------------------------------------
@@ -847,17 +808,19 @@ def variant_name(base: str, avoid: set[str] | frozenset[str]) -> str:
 
 
 def rename_apart(avoid: Iterable[str], x):
-    """Rename the free variables of ``x`` that clash with ``avoid``.
+    """Rename the free variables of ``x`` (a term, a proposition, or a
+    clause-like object with a ``free_vars`` method) that clash with
+    ``avoid``.
 
     Returns ``(renamed, substitution)``.  The result shares no free variable
     name with ``avoid`` and is a variant of the input.
     """
     avoid_set = set(avoid)
-    clashes = [v for v in sorted(free_vars_of_any(x), key=lambda v: v.name)
-               if v.name in avoid_set]
+    free = free_vars(x) if isinstance(x, (Var, App, Prop)) else x.free_vars()
+    clashes = [v for v in sorted(free, key=lambda v: v.name) if v.name in avoid_set]
     if not clashes:
         return x, EMPTY_SUBST
-    taken = avoid_set | {v.name for v in free_vars_of_any(x)}
+    taken = avoid_set | {v.name for v in free}
     mapping: dict[str, Term] = {}
     for v in clashes:
         fresh = variant_name(v.name, taken)
@@ -865,14 +828,6 @@ def rename_apart(avoid: Iterable[str], x):
         mapping[v.name] = Var(fresh, v.sort)
     s = Substitution(mapping)
     return s(x), s
-
-
-def free_vars_of_any(x) -> frozenset[Var]:
-    """Free variables of a term, a proposition, or a clause-like object
-    with a ``free_vars`` method."""
-    if isinstance(x, (Var, App, Prop)):
-        return free_vars(x)
-    return x.free_vars()
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,11 @@ symbols when an undeclared identifier is applied to arguments.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .kernel import (
+    _INFIX_TERM_PREC,
+    _PROP_PREC,
     App,
     ArrowSort,
     Atom,
@@ -59,8 +61,9 @@ from .kernel import (
     term_sort,
 )
 from .clausal import Constraint, ConstrainedClause, Literal, Provenance
-from .prover import TraceDoc
+from .prover import FREEZE, ON_THE_FLY, TraceDoc
 from .rewrite import EtaRule, RewriteRule, RewriteSystem, RuleClassError
+from .theories import TheoryPreset, declare_subset_symbol, load_preset
 
 
 class ParseError(Exception):
@@ -190,6 +193,17 @@ class TermParser:
             return ArrowSort(left, self.parse_sort(declare))
         return left
 
+    def parse_sort_list(self, declare: bool) -> list[Sort]:
+        """``(S, ..)``"""
+        self.expect("(")
+        sorts: list[Sort] = []
+        while not self.at_op(")"):
+            sorts.append(self.parse_sort(declare))
+            if not self.at_op(")"):
+                self.expect(",")
+        self.expect(")")
+        return sorts
+
     def _sort_atom(self, declare: bool) -> Sort:
         if self.at_op("("):
             self.next()
@@ -264,7 +278,7 @@ class TermParser:
 
     def _term_comp(self, expected: Sort | None) -> Term:
         comp = self._by_display("comp") if self._ahead_at_level("@", stop={"."}) else None
-        t = self._term_add(comp.arg_sorts[0] if comp is not None else expected)
+        t = self._term_infix(comp.arg_sorts[0] if comp is not None else expected, 0)
         if self.at_op("@"):
             if comp is None:
                 raise self.fail("this theory has no composition symbol for '@'")
@@ -273,27 +287,20 @@ class TermParser:
             return App(comp, (t, rest))
         return t
 
-    def _term_add(self, expected: Sort | None) -> Term:
-        t = self._term_mul(expected)
-        while self.at_op("+"):
-            sym = self.sig.symbols.get("+")
-            if sym is None:
-                raise self.fail("no '+' symbol declared")
-            self.next()
-            u = self._term_mul(sym.arg_sorts[1])
-            t = App(sym, (t, u))
-        return t
-
-    def _term_mul(self, expected: Sort | None) -> Term:
+    def _term_infix(self, expected: Sort | None, min_prec: int) -> Term:
+        """Left-associated ``+`` and ``*`` chains whose operators bind at
+        least ``min_prec``, with the precedences the printer uses."""
         t = self._term_post(expected)
-        while self.at_op("*"):
-            sym = self.sig.symbols.get("*")
+        while True:
+            tok = self.peek()
+            prec = _INFIX_TERM_PREC.get(tok.value, -1) if tok.kind == "op" else -1
+            if prec < min_prec:
+                return t
+            sym = self.sig.symbols.get(tok.value)
             if sym is None:
-                raise self.fail("no '*' symbol declared")
+                raise self.fail(f"no {tok.value!r} symbol declared")
             self.next()
-            u = self._term_post(sym.arg_sorts[1])
-            t = App(sym, (t, u))
-        return t
+            t = App(sym, (t, self._term_infix(sym.arg_sorts[1], prec + 1)))
 
     def _term_post(self, expected: Sort | None) -> Term:
         t = self._term_prim(expected)
@@ -488,32 +495,21 @@ class TermParser:
         return x
 
     def parse_prop(self) -> Prop:
-        left = self._imp()
-        while self.at_op("<=>"):
-            self.next()
-            left = Iff(left, self._imp())
-        return left
+        return self._connected(0)
 
-    def _imp(self) -> Prop:
-        left = self._or()
-        if self.at_op("=>"):
-            self.next()
-            return Implies(left, self._imp())
-        return left
-
-    def _or(self) -> Prop:
-        left = self._and()
-        while self.at_op("\\/"):
-            self.next()
-            left = Or(left, self._and())
-        return left
-
-    def _and(self) -> Prop:
+    def _connected(self, min_prec: int) -> Prop:
+        """Binary connectives binding at least ``min_prec``, with the
+        precedences the printer uses: ``=>`` associates to the right, the
+        others to the left."""
         left = self._neg()
-        while self.at_op("/\\"):
+        while True:
+            tok = self.peek()
+            conn = _CONNECTIVES.get(tok.value) if tok.kind == "op" else None
+            prec = _PROP_PREC[conn._tag] if conn is not None else -1
+            if prec < min_prec:
+                return left
             self.next()
-            left = And(left, self._neg())
-        return left
+            left = conn(left, self._connected(prec if conn is Implies else prec + 1))
 
     def _neg(self) -> Prop:
         tok = self.peek()
@@ -572,6 +568,7 @@ class TermParser:
 
 
 _ABSENT = object()
+_CONNECTIVES = {"<=>": Iff, "=>": Implies, "\\/": Or, "/\\": And}
 
 
 # ---------------------------------------------------------------------------
@@ -579,31 +576,29 @@ _ABSENT = object()
 # ---------------------------------------------------------------------------
 
 
+def _parse_whole(text: str, sig: Signature, env: dict[str, Sort | None] | None,
+                 implicit: bool, read, what: str):
+    """``read`` applied to a parser over all of ``text``."""
+    p = TermParser(tokenize(text), sig, env=env, implicit=implicit)
+    out = read(p)
+    if not p.at_end():
+        raise p.fail(f"trailing input after {what}")
+    return out
+
+
 def parse_term(text: str, sig: Signature,
                env: dict[str, Sort | None] | None = None) -> Term:
-    p = TermParser(tokenize(text), sig, env=env)
-    t = p.parse_term(None)
-    if not p.at_end():
-        raise p.fail("trailing input after term")
-    return t
+    return _parse_whole(text, sig, env, False, lambda p: p.parse_term(None), "term")
 
 
 def parse_term_or_atom(text: str, sig: Signature,
                        env: dict[str, Sort | None] | None = None):
-    p = TermParser(tokenize(text), sig, env=env)
-    x = p.parse_term_or_atom()
-    if not p.at_end():
-        raise p.fail("trailing input after expression")
-    return x
+    return _parse_whole(text, sig, env, False, TermParser.parse_term_or_atom, "expression")
 
 
 def parse_prop(text: str, sig: Signature, *, implicit: bool = False,
                env: dict[str, Sort | None] | None = None) -> Prop:
-    p = TermParser(tokenize(text), sig, env=env, implicit=implicit)
-    out = p.parse_prop()
-    if not p.at_end():
-        raise p.fail("trailing input after proposition")
-    return out
+    return _parse_whole(text, sig, env, implicit, TermParser.parse_prop, "proposition")
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +647,6 @@ def parse_rule_text(text: str, sig: Signature, *, name: str = "r",
 
 def parse_inline_rules(text: str, sig: Signature | None = None):
     """Rules in braces, e.g. ``{A -> A => B; P -> Q \\/ R}``."""
-    from .theories import TheoryPreset
-
     body = text.strip()
     if body.startswith("{") and body.endswith("}"):
         body = body[1:-1]
@@ -661,9 +654,38 @@ def parse_inline_rules(text: str, sig: Signature | None = None):
     rules = []
     for i, part in enumerate([s for s in re.split(r"[;\n]", body) if s.strip()], start=1):
         rules.append(parse_rule_text(part, sig, name=f"r{i}", implicit=True))
-    system = RewriteSystem(rules)
-    strategy = "freeze" if system.e_rules else "on_the_fly"
-    return TheoryPreset("inline", sig, system, [], {}, strategy)
+    return _user_theory("inline", sig, RewriteSystem(rules), [], {})
+
+
+def _user_theory(name: str, sig: Signature, system: RewriteSystem, axioms: list[Prop],
+                 goals: dict[str, Prop]) -> TheoryPreset:
+    """A theory built from text alone: freeze when it has E-rules, else on
+    the fly."""
+    return TheoryPreset(name, sig, system, axioms, goals,
+                        FREEZE if system.e_rules else ON_THE_FLY)
+
+
+def _declare(sig: Signature, kind: str, text: str, declare_sorts: bool, origin: str) -> None:
+    """Declare the symbol of a ``const``, ``fun`` or ``pred`` line from its
+    ``NAME : SORTS`` text; a binary symbol whose name is not alphanumeric,
+    or the predicate ``in``, is displayed infix."""
+    name, _, sort_text = text.partition(":")
+    name = name.strip()
+    p = TermParser(tokenize(sort_text.strip()), sig)
+    if kind == "const":
+        sig.individual(name, p.parse_sort(declare_sorts), origin=origin)
+    else:
+        args = p.parse_sort_list(declare_sorts)
+        infix = len(args) == 2 and (not name[0].isalnum() or (kind == "pred" and name == "in"))
+        display = "infix" if infix else "prefix"
+        if kind == "fun":
+            p.expect("->")
+            sig.function(name, args, p.parse_sort(declare_sorts), origin=origin,
+                         display=display)
+        else:
+            sig.predicate(name, args, origin=origin, display=display)
+    if not p.at_end():
+        raise p.fail("trailing input after declaration")
 
 
 def parse_theory(text: str):
@@ -675,8 +697,6 @@ def parse_theory(text: str):
     ``rule [name]: lhs -> rhs``, ``eta``, ``subset NAME(x.., w) : PROP``,
     ``axiom PROP``, ``goal NAME : PROP``.
     """
-    from .theories import TheoryPreset, declare_subset_symbol, load_preset
-
     preset: TheoryPreset | None = None
     sig = Signature()
     rules: list[RewriteRule] = []
@@ -707,46 +727,14 @@ def parse_theory(text: str):
             elif head == "sort":
                 sig.declare_sort(rest)
             elif head in ("const", "fun", "pred"):
-                sym_name, _, sort_text = rest.partition(":")
-                sym_name = sym_name.strip()
-                p = TermParser(tokenize(sort_text.strip()), sig)
-                if head == "const":
-                    sig.individual(sym_name, p.parse_sort(declare=True))
-                elif head == "fun":
-                    p.expect("(")
-                    args = []
-                    while not p.at_op(")"):
-                        args.append(p.parse_sort(declare=True))
-                        if not p.at_op(")"):
-                            p.expect(",")
-                    p.expect(")")
-                    p.expect("->")
-                    result = p.parse_sort(declare=True)
-                    sig.function(sym_name, args, result,
-                                 display="infix" if not sym_name[0].isalnum() and len(args) == 2
-                                 else "prefix")
-                else:
-                    p.expect("(")
-                    args = []
-                    while not p.at_op(")"):
-                        args.append(p.parse_sort(declare=True))
-                        if not p.at_op(")"):
-                            p.expect(",")
-                    p.expect(")")
-                    sig.predicate(sym_name, args,
-                                  display="infix" if (not sym_name[0].isalnum() or sym_name == "in")
-                                  and len(args) == 2 else "prefix")
-                if not p.at_end():
-                    raise p.fail("trailing input after declaration")
+                _declare(sig, head, rest, True, "user")
             elif head == "display":
                 sym_name, _, style = rest.partition(" ")
                 style = style.strip()
                 if style not in ("prefix", "infix", "app", "sub", "cons", "comp", "brace"):
                     raise ParseError(f"unknown display style {style!r}", line_no, 1)
                 sym = sig.lookup(sym_name.strip())
-                from dataclasses import replace as _replace
-
-                sig.symbols[sym.name] = _replace(sym, display=style)
+                sig.symbols[sym.name] = replace(sym, display=style)
                 sig.app_symbols = tuple(
                     s.name for s in sig.symbols.values() if s.display == "app"
                 ) + tuple(s.name for s in sig.symbols.values() if s.display == "sub")
@@ -807,18 +795,15 @@ def parse_theory(text: str):
         except Exception as exc:
             raise type(exc)(f"line {line_no}: {exc}") from exc
 
-    from .theories import TheoryPreset as TP
-
     system = RewriteSystem(rules)
-    if preset is not None:
-        preset.name = name if name != "user-theory" else preset.name
-        preset.sig = sig
-        preset.system = system
-        preset.axioms = axioms
-        preset.goals = goals
-        return preset
-    strategy = "freeze" if system.e_rules else "on_the_fly"
-    return TP(name, sig, system, axioms, goals, strategy)
+    if preset is None:
+        return _user_theory(name, sig, system, axioms, goals)
+    preset.name = name if name != "user-theory" else preset.name
+    preset.sig = sig
+    preset.system = system
+    preset.axioms = axioms
+    preset.goals = goals
+    return preset
 
 
 # ---------------------------------------------------------------------------
@@ -910,23 +895,7 @@ def parse_trace(text: str, sig: Signature) -> TraceDoc:
             decl = raw.strip()
             doc.symbol_lines.append(decl)
             kind, _, rest = decl.partition(" ")
-            sym_name, _, sort_text = rest.partition(":")
-            sym_name = sym_name.strip()
-            p = TermParser(tokenize(sort_text.strip()), sig)
-            if kind == "const":
-                if sym_name not in sig.symbols:
-                    sig.individual(sym_name, p.parse_sort(), origin="skolem")
-            else:
-                p.expect("(")
-                args = []
-                while not p.at_op(")"):
-                    args.append(p.parse_sort())
-                    if not p.at_op(")"):
-                        p.expect(",")
-                p.expect(")")
-                p.expect("->")
-                if sym_name not in sig.symbols:
-                    sig.function(sym_name, args, p.parse_sort(), origin="skolem")
+            _declare(sig, kind, rest, False, "skolem")
             continue
         if section == "constraints" and raw.startswith("  "):
             cname, _, body = raw.strip().partition(":")

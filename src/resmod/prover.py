@@ -64,6 +64,7 @@ from .clausal import (
 )
 from .rewrite import R_CLASS, RewriteRule, RewriteSystem, match
 from .unify import (
+    _clash,
     cheap_fail,
     e_unify_narrowing,
     propagate_on_the_fly,
@@ -85,9 +86,12 @@ class ProverConfig:
     def __post_init__(self) -> None:
         if self.strategy not in (FREEZE, ON_THE_FLY):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        for name in ("fuel", "max_clauses", "narrowing_depth", "narrow_states"):
-            if getattr(self, name) < 0 or (name in ("fuel", "max_clauses") and getattr(self, name) < 1):
+        for name in ("fuel", "max_clauses"):
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        for name in ("narrowing_depth", "narrow_states"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
 
 
 # every n-th selection takes the oldest passive clause instead of the
@@ -236,18 +240,6 @@ def factor(c: ConstrainedClause) -> list[ConstrainedClause]:
     return out
 
 
-def _compat(t: Term, l: Term, apps: frozenset[str]) -> bool:
-    from .unify import _spine_head
-
-    if isinstance(t, Var) or isinstance(l, Var):
-        return True
-    if isinstance(_spine_head(t, apps), Var):
-        return True
-    if t.sym.name != l.sym.name or len(t.args) != len(l.args):
-        return False
-    return all(_compat(a, b, apps) for a, b in zip(t.args, l.args))
-
-
 def narrowing_applicable(atom: Atom, rule: RewriteRule, strategy: str,
                          app_symbols: Iterable[str] = ()) -> bool:
     """Literal filter for the narrowing inference.
@@ -289,7 +281,7 @@ def narrowing_applicable(atom: Atom, rule: RewriteRule, strategy: str,
                 return False
         return True
     apps = frozenset(app_symbols)
-    return all(_compat(a, b, apps) for a, b in zip(atom.args, lhs.args))
+    return not any(_clash(a, b, apps) for a, b in zip(atom.args, lhs.args))
 
 
 class NarrowingEvents(list):

@@ -44,11 +44,9 @@ from .kernel import (
     children as children_of,
     free_names,
     is_term,
-    positions,
     rename_apart,
     subst_prop,
     subst_term,
-    subterm_at,
     term_sort,
     with_children,
 )
@@ -178,14 +176,19 @@ def _reach(e_rules: Iterable[RewriteRule]) -> float:
     infinity when a rule is an ``EtaRule`` or repeats a variable."""
     deepest = 0
     for rule in e_rules:
-        if isinstance(rule, EtaRule) or _nonlinear(rule):
+        if isinstance(rule, EtaRule):
             return math.inf
+        seen: set[str] = set()
         stack = [(rule.lhs, 0)]
         while stack:
             t, depth = stack.pop()
             if isinstance(t, App):
                 deepest = max(deepest, depth)
                 stack.extend((a, depth + 1) for a in t.args)
+            elif t.name in seen:
+                return math.inf
+            else:
+                seen.add(t.name)
     return deepest
 
 
@@ -526,84 +529,3 @@ def _rebuild(x: Prop, new: list) -> Prop:
     if all(a is b for a, b in zip(new, children_of(x))):
         return x
     return with_children(x, tuple(new))
-
-
-# ---------------------------------------------------------------------------
-# Orthogonality
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    orthogonal: bool
-    diagnostic: str = ""
-
-    def __bool__(self) -> bool:
-        return self.orthogonal
-
-
-def _nonlinear(rule: RewriteRule) -> bool:
-    seen: set[str] = set()
-
-    def walk(t: Term) -> bool:
-        if isinstance(t, Var):
-            if t.name in seen:
-                return True
-            seen.add(t.name)
-            return False
-        return any(walk(a) for a in t.args)
-
-    lhs = rule.lhs
-    args = lhs.args if isinstance(lhs, Atom) else (lhs,)
-    return any(walk(a) for a in args)
-
-
-def check_orthogonal(system: RewriteSystem,
-                     representative_only: Iterable[str] = ()) -> OrthogonalityReport:
-    """Left-linearity plus absence of overlaps between rule left sides.
-
-    ``representative_only`` names rule families for which a single declared
-    instance stands in for the whole family; instances beyond the first are
-    skipped (distinct family members cannot overlap by construction).
-    """
-    from .unify import unify_syntactic
-
-    skip_prefixes = tuple(representative_only)
-    seen_family: set[str] = set()
-    rules: list[RewriteRule] = []
-    for r in system.rules:
-        fam = next((p for p in skip_prefixes if r.name.startswith(p)), None)
-        if fam is not None:
-            if fam in seen_family:
-                continue
-            seen_family.add(fam)
-        rules.append(r)
-
-    for r in rules:
-        if isinstance(r, EtaRule):
-            return OrthogonalityReport(
-                False, f"rule {r.name} is conditional; the system is not orthogonal")
-        if _nonlinear(r):
-            return OrthogonalityReport(False, f"rule {r.name} is not left-linear")
-
-    for i, r1 in enumerate(rules):
-        avoid = free_names(r1.lhs)
-        for j, r2 in enumerate(rules):
-            r2v = r2.rename_for(avoid)
-            lhs1 = r1.lhs
-            for pos in positions(lhs1):
-                if i == j and not pos:
-                    continue
-                sub = subterm_at(lhs1, pos)
-                if isinstance(sub, Var):
-                    continue
-                if isinstance(sub, Atom) != isinstance(r2v.lhs, Atom):
-                    continue
-                # two atoms, or two terms neither of them a variable: no
-                # sort error can arise
-                if unify_syntactic(sub, r2v.lhs) is not None:
-                    where = "at the root" if not pos else f"at position {list(pos)}"
-                    return OrthogonalityReport(
-                        False,
-                        f"rules {r1.name} and {r2.name} overlap {where} of {r1.name}")
-    return OrthogonalityReport(True, "left-linear and overlap-free")

@@ -38,6 +38,7 @@ from .kernel import (
     subst_term,
     term_sort,
     term_var_names,
+    term_vars,
 )
 from .clausal import ClausalResult, Constraint, ConstrainedClause, renormalize_clause
 from .rewrite import EtaRule, RewriteSystem, normalize
@@ -319,15 +320,19 @@ _Chain = tuple | None
 _Step = Callable[[], "tuple[list[_Eq], _Chain] | None"]
 
 
-def _clash(t: Term, pattern: Term) -> bool:
+def _clash(t: Term, pattern: Term, apps: frozenset[str]) -> bool:
     """Do ``t`` and ``pattern`` carry different function symbols (name or
-    arity) at a position where both have one?  Then they cannot unify."""
+    arity) at a position where both have one?  Then they cannot unify.  A
+    subterm of ``t`` whose spine of ``apps`` symbols has a variable head
+    clashes with nothing, since instantiating the head may rebuild it."""
     if isinstance(t, Var) or isinstance(pattern, Var):
+        return False
+    if apps and isinstance(_spine_head(t, apps), Var):
         return False
     if t.sym.name != pattern.sym.name or len(t.args) != len(pattern.args):
         return True
     for a, b in zip(t.args, pattern.args):
-        if _clash(a, b):
+        if _clash(a, b, apps):
             return True
     return False
 
@@ -362,7 +367,8 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
     as those examined (one more is built when the budget runs out).  The
     outcome counts the states examined, up to ``max_states``.
     """
-    rules = [(r.lhs, r.rhs, tuple((v, _var_sort_in(r.lhs, v)) for v in sorted(r.var_names)))
+    rules = [(r.lhs, r.rhs, tuple((v.name, v.sort)
+                                  for v in sorted(term_vars(r.lhs), key=lambda v: v.name)))
              for r in system.e_rules if not isinstance(r, EtaRule)]
     apps = frozenset(app_symbols)
     constraints = tuple(constraints)
@@ -484,7 +490,7 @@ def _expand(eqs: list[_Eq], chain: _Chain, rules: Sequence[_Rule],
         for side_ix, side in enumerate((e.left, e.right)):
             for path, sub in _basic_subterms(side.term, side.skel):
                 for lhs, rule_rhs, rule_vars in rules:
-                    if _clash(sub, lhs):
+                    if _clash(sub, lhs, frozenset()):
                         # skip the names the renaming would take, so that
                         # fresh names do not depend on the filter
                         for _ in rule_vars:
@@ -539,7 +545,7 @@ def _rename_internal(s: Substitution, original_vars: set[str]) -> Substitution:
                 internal.append((k, v))
     for k, v in internal:
         counter += 1
-        sort = next(w.sort for w in _vars_of(s.map[k]) if w.name == v)
+        sort = next(w.sort for w in term_vars(s.map[k]) if w.name == v)
         name = f"v{counter}"
         while name in original_vars:
             counter += 1
@@ -550,28 +556,6 @@ def _rename_internal(s: Substitution, original_vars: set[str]) -> Substitution:
     out = {k: subst_term(t, rho) for k, t in s.map.items()}
     return Substitution({k: t for k, t in out.items()
                          if not (isinstance(t, Var) and t.name == k)})
-
-
-def _vars_of(t: Term):
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Var):
-            yield x
-        else:
-            stack.extend(x.args)
-
-
-def _var_sort_in(t: Term | Atom, name: str):
-    stack = list(t.args) if isinstance(t, Atom) else [t]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Var):
-            if x.name == name:
-                return x.sort
-        else:
-            stack.extend(x.args)
-    raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------

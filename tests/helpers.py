@@ -20,9 +20,8 @@ from resmod.kernel import (
     Var,
     _Binary,
     _Quant,
-    positions,
-    replace_at,
-    subterm_at,
+    children,
+    with_children,
 )
 from resmod.clausal import ConstrainedClause, Literal
 from resmod.rewrite import NormalizeOutcome, RewriteSystem, _contract
@@ -310,14 +309,35 @@ def rigid_clash(t: Term, u: Term, roots) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Tree positions: tuples of 1-based child indices
+# ---------------------------------------------------------------------------
+
+
+def subtrees(x, prefix: tuple = ()):
+    """Every ``(position, subtree)`` of a term or proposition, in pre-order,
+    root first."""
+    yield prefix, x
+    for i, c in enumerate(children(x), start=1):
+        yield from subtrees(c, prefix + (i,))
+
+
+def replace_at(x, pos: tuple, new):
+    """``x`` with the subtree at ``pos`` replaced by ``new``."""
+    if not pos:
+        return new
+    kids = children(x)
+    i = pos[0]
+    return with_children(x, kids[:i - 1] + (replace_at(kids[i - 1], pos[1:], new),) + kids[i:])
+
+
+# ---------------------------------------------------------------------------
 # A second reduction strategy, for confluence tests
 # ---------------------------------------------------------------------------
 
 
 def _reduce_rightmost_innermost(x, system: RewriteSystem):
     best = None
-    for pos in positions(x):
-        sub = subterm_at(x, pos)
+    for pos, sub in subtrees(x):
         red = None
         if isinstance(sub, App):
             red = _contract(system.e_rules, sub, system)

@@ -20,6 +20,7 @@ from resmod.kernel import (
     And,
     App,
     Atom,
+    BaseSort,
     Exists,
     Forall,
     FUNCTION,
@@ -82,6 +83,10 @@ class TestNnf:
                 assert eval_ground(p, v) == eval_ground(q, v)
 
 
+def skolems(sig):
+    return [s for s in sig.symbols.values() if s.origin == "skolem"]
+
+
 class TestSkolemize:
     def test_function_symbol_for_existential_under_universal(self):
         sig = Signature()
@@ -90,16 +95,15 @@ class TestSkolemize:
         p = sig.predicate("p", (t, u))
         x, y = Var("x", t), Var("y", u)
         prop = Forall(x, Exists(y, Atom(p, (x, y))))
-        out, _, records = skolemize(prop, sig)
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.symbol.kind == FUNCTION
-        assert rec.rank == ((t,), u)
+        out = skolemize(prop, sig)
+        [sym] = skolems(sig)
+        assert sym.kind == FUNCTION
+        assert (sym.arg_sorts, sym.result) == ((t,), u)
         assert isinstance(out, Forall)
         atom = out.body
         assert isinstance(atom, Atom)
         witness = atom.args[1]
-        assert isinstance(witness, App) and witness.sym == rec.symbol
+        assert isinstance(witness, App) and witness.sym == sym
         assert witness.args == (out.var,)
 
     def test_empty_prefix_gives_individual(self):
@@ -107,33 +111,30 @@ class TestSkolemize:
         t = sig.declare_sort("t")
         p = sig.predicate("p", (t,))
         prop = Exists(Var("x", t), Atom(p, (Var("x", t),)))
-        out, _, records = skolemize(prop, sig)
-        assert records[0].symbol.kind == INDIVIDUAL
-        assert isinstance(out, Atom)
+        out = skolemize(prop, sig)
+        [sym] = skolems(sig)
+        assert sym.kind == INDIVIDUAL and sym.result == t
+        assert out == Atom(p, (App(sym),))
 
     def test_skolems_are_never_arrow_sorted_stand_ins(self):
-        # every record with a nonempty prefix owns a genuine function rank
+        # a witness under a nonempty prefix is a function of the prefix's
+        # base sorts, never an individual of an arrow sort
         sc = load_preset("set-cantor")
-        collected = []
         for ax in sc.axioms:
-            res = clausal_form(ax, sc.system, sc.sig)
-            collected += res.records
-        assert collected
-        for rec in collected:
-            args, _result = rec.rank
-            if args:
-                assert rec.symbol.kind == FUNCTION
-                assert rec.symbol.arg_sorts == args
-            else:
-                assert rec.symbol.kind == INDIVIDUAL
+            clausal_form(ax, sc.system, sc.sig)
+        assert skolems(sc.sig)
+        for sym in skolems(sc.sig):
+            assert isinstance(sym.result, BaseSort)
+            assert all(isinstance(s, BaseSort) for s in sym.arg_sorts)
+            assert sym.kind == (FUNCTION if sym.arg_sorts else INDIVIDUAL)
 
     def test_surjectivity_axiom_witnesses_take_the_universal(self):
         sc = load_preset("set-cantor")
-        res = clausal_form(sc.axioms[0], sc.system, sc.sig)
-        assert len(res.records) == 2
-        for rec in res.records:
-            assert rec.symbol.kind == FUNCTION
-            assert len(rec.symbol.arg_sorts) == 1
+        clausal_form(sc.axioms[0], sc.system, sc.sig)
+        assert len(skolems(sc.sig)) == 2
+        for sym in skolems(sc.sig):
+            assert sym.kind == FUNCTION
+            assert len(sym.arg_sorts) == 1
 
 
 class TestClausalForm:
@@ -254,7 +255,6 @@ class TestReclausify:
         # ~(Z in B /\ forall y (<Z,y> in R => ~(Z in y))) splits into two
         # clauses, one with a skolem witness depending on Z
         assert len(res.clauses) == 2
-        deps = [rec for rec in res.records] if hasattr(res, 'records') else []
         new_syms = {a.sym.name
                     for c in res.clauses
                     for l in c.literals

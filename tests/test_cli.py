@@ -275,12 +275,45 @@ def test_normalize_prints_the_steps_it_shows_and_counts_the_rest(capsys):
     ["check-solution", "--theory", "arith", "--constraints", "c", "--solution", "s",
      "--fuel", "0"],
     ["prove", "--theory", "arith", "--goal-name", "double", "--fuel", "0"],
+    ["prove", "--theory", "arith", "--goal-name", "double", "--narrow-depth", "-1"],
     ["prove"],
     ["prove", "--bogus"],
 ])
 def test_a_bad_command_line_is_an_input_error(capsys, argv):
     assert cli.main(argv) == cli.EXIT_INPUT_ERROR
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--narrow-depth", "--narrow-states"])
+def test_a_negative_narrowing_bound_is_named(capsys, option):
+    argv = ["prove", "--theory", "arith", "--goal-name", "double", option, "-1"]
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    assert "must not be negative" in capsys.readouterr().err
+
+
+def test_the_trace_goes_to_the_file_named(tmp_path, capsys):
+    argv = ["prove", "--theory", "arith", "--goal-name", "double"]
+    assert cli.main(argv) == cli.EXIT_PROVED
+    printed = capsys.readouterr().out
+    path = tmp_path / "trace.txt"
+    assert cli.main([*argv, "--trace", str(path)]) == cli.EXIT_PROVED
+    summary = capsys.readouterr().out
+    assert summary.startswith("verdict: PROVED\n")
+    wall_time = re.compile(r"wall time: .*")
+    assert wall_time.sub("", path.read_text() + summary) == wall_time.sub("", printed)
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_a_trace_path_that_cannot_be_written_is_rejected_before_the_search(
+        tmp_path, monkeypatch, capsys, where):
+    searches = []
+    monkeypatch.setattr(cli, "saturate", lambda *args: searches.append(args))
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "trace.txt"
+    code = cli.main(["prove", "--theory", "arith", "--goal-name", "double",
+                     "--trace", str(path)])
+    assert (code, searches) == (cli.EXIT_INPUT_ERROR, [])
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "verdict:" not in out
 
 
 @pytest.mark.parametrize("strategy", ["freeze", "onfly"])

@@ -1,4 +1,4 @@
-"""Kernel tests: sorts, terms, propositions, substitutions, positions."""
+"""Kernel tests: sorts, terms, propositions, substitutions."""
 
 import random
 
@@ -24,11 +24,8 @@ from resmod.kernel import (
     check_prop,
     free_names,
     free_vars,
-    positions,
     rename_apart,
-    replace_at,
     sort_of,
-    subterm_at,
 )
 from resmod.theories import load_preset
 from resmod.parser import parse_prop, parse_term
@@ -189,42 +186,6 @@ class TestAlphaEquality:
         arith = load_preset("arith")
         p = parse_prop("forall x:nat (exists y:nat (x + y = x))", arith.sig)
         assert parse_prop(str(p), arith.sig) == p
-
-
-class TestPositions:
-    def test_path_addressing(self):
-        sig = small_signature()
-        f, g = sig.lookup("f"), sig.lookup("g")
-        a, b = App(sig.lookup("a")), App(sig.lookup("b"))
-        t = App(f, (a, App(g, (b,))))
-        assert subterm_at(t, (2, 1)) == b
-
-    def test_replace_child(self):
-        sig = small_signature()
-        g = sig.lookup("g")
-        a, b = App(sig.lookup("a")), App(sig.lookup("b"))
-        assert replace_at(App(g, (a,)), (1,), b) == App(g, (b,))
-
-    def test_replace_atom_at_root_by_disjunction(self):
-        rings = load_preset("integral-rings")
-        atom = parse_prop("a * a = Y", rings.sig)
-        new = parse_prop("x = 0 \\/ y = 0", rings.sig)
-        assert replace_at(atom, (), new) == new
-
-    def test_round_trip_identity_on_random_trees(self):
-        sig = small_signature()
-        rng = random.Random(3)
-        for _ in range(300):
-            t = random_term(rng, sig, 4)
-            for pos in positions(t):
-                assert replace_at(t, pos, subterm_at(t, pos)) == t
-
-    def test_invalid_position(self):
-        from resmod.kernel import InvalidPositionError
-
-        sig = small_signature()
-        with pytest.raises(InvalidPositionError):
-            subterm_at(App(sig.lookup("a")), (1,))
 
 
 class TestFreeVarsAndRenaming:

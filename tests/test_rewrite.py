@@ -1,4 +1,4 @@
-"""Rewrite engine tests: matching, reduction, normalization, orthogonality."""
+"""Rewrite engine tests: matching, reduction, normalization."""
 
 import random
 
@@ -13,7 +13,6 @@ from resmod.rewrite import (
     RewriteRule,
     RewriteSystem,
     RuleClassError,
-    check_orthogonal,
     match,
     normalize,
     reduce_once,
@@ -311,43 +310,3 @@ class TestNormalizeAgainstReduceOnce:
         out = normalize(t, system, 10)
         assert out == NormalizeOutcome(True, App(c), 2)
         assert out == iterate_reduce_once(t, system, 10)
-
-
-class TestOrthogonality:
-    def test_set_rules_orthogonal(self):
-        st = load_preset("set")
-        assert check_orthogonal(st.system, representative_only=("subset_",))
-
-    def test_combinator_rules_orthogonal(self):
-        hol = load_preset("hol-comb")
-        assert check_orthogonal(hol.system)
-
-    def test_root_overlap_detected(self):
-        sig = small_signature()
-        r1 = RewriteRule("collapse", parse_term("g(x)", sig), parse_term("x", sig))
-        r2 = RewriteRule("tofix", parse_term("g(a)", sig), parse_term("b", sig))
-        report = check_orthogonal(RewriteSystem([r1, r2]))
-        assert not report.orthogonal
-        assert "collapse" in report.diagnostic and "tofix" in report.diagnostic
-
-    def test_nonlinear_rule_detected(self):
-        sig = small_signature()
-        rule = RewriteRule("diag", parse_term("f(x, x)", sig), parse_term("x", sig))
-        report = check_orthogonal(RewriteSystem([rule]))
-        assert not report.orthogonal
-        assert "left-linear" in report.diagnostic
-
-    def test_inner_overlap_detected(self):
-        sig = small_signature()
-        r1 = RewriteRule("outer", parse_term("g(g(x))", sig), parse_term("x", sig))
-        r2 = RewriteRule("inner", parse_term("g(a)", sig), parse_term("b", sig))
-        assert not check_orthogonal(RewriteSystem([r1, r2]))
-
-    def test_explicit_substitution_rules_are_not_orthogonal(self):
-        # conditional eta, a non-left-linear rule, and overlapping
-        # structural rules: three independent reasons
-        hs = load_preset("hol-sigma")
-        assert not check_orthogonal(hs.system)
-        without_eta = hs.system.without_eta()
-        report = check_orthogonal(without_eta)
-        assert not report.orthogonal

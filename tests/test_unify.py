@@ -36,7 +36,8 @@ from resmod.unify import (
 )
 
 from helpers import (hol_cantor, random_arith_term, random_comb_spine, random_ground_term,
-                     random_sigma_term, random_term, rigid_clash, small_signature)
+                     random_sigma_term, random_term, replace_at, rigid_clash, small_signature,
+                     subtrees)
 
 
 class TestSyntacticUnification:
@@ -121,22 +122,20 @@ class TestSyntacticUnification:
 
 def _abstract(rng, ground, prefix, sig):
     """Replace a few disjoint subterms of a ground term by fresh variables."""
-    from resmod.kernel import positions, replace_at, subterm_at
-
     u = sig.sorts["u"]
     out = ground
     binds = {}
-    pos_list = [p for p in positions(ground) if p]
+    pos_list = [(p, sub) for p, sub in subtrees(ground) if p]
     rng.shuffle(pos_list)
     taken: list[tuple] = []
     k = 0
-    for p in pos_list:
+    for p, sub in pos_list:
         if k >= 3:
             break
         if any(p[:len(q)] == q or q[:len(p)] == p for q in taken):
             continue
         name = f"{prefix}{k}"
-        binds[name] = subterm_at(ground, p)
+        binds[name] = sub
         out = replace_at(out, p, Var(name, u))
         taken.append(p)
         k += 1
@@ -174,11 +173,8 @@ class TestEUnifyNarrowing:
         rhs = parse_term("a", hol.sig, env)
 
         # oracle: one-step narrowings at non-variable positions
-        from resmod.kernel import positions, replace_at, subterm_at
-
         oracle_solutions = []
-        for pos in positions(lhs):
-            sub = subterm_at(lhs, pos)
+        for pos, sub in subtrees(lhs):
             if isinstance(sub, Var):
                 continue
             for rule in hol.system.e_rules:
@@ -295,7 +291,7 @@ class TestClashPrefilter:
                 for rule in rules:
                     lhs, _ = rename_apart(free_names(sub), rule.lhs)
                     theta = unify_terms(sub, lhs)
-                    if _clash(sub, rule.lhs):
+                    if _clash(sub, rule.lhs, frozenset()):
                         rejected += 1
                         assert theta is None, f"{rule.name} rejected at {sub}"
                     else:
@@ -310,7 +306,15 @@ class TestClashPrefilter:
         unary = App(Symbol("h", FUNCTION, (u,), u), (a,))
         binary = App(Symbol("h", FUNCTION, (u, u), u), (a, Var("x", u)))
         assert unify_terms(unary, binary) is None
-        assert _clash(unary, binary)
+        assert _clash(unary, binary, frozenset())
+
+    def test_a_variable_headed_spine_clashes_only_without_the_app_symbols(self):
+        # the narrowing filter passes the application symbols: instantiating
+        # the head of (X a) may still yield K
+        hol = load_preset("hol-comb")
+        spine, k = parse_term("(X a)", hol.sig, {}), parse_term("K", hol.sig)
+        assert _clash(spine, k, frozenset())
+        assert not _clash(spine, k, frozenset(hol.sig.app_symbols))
 
 
 class TestCheckSolution:
