@@ -193,17 +193,6 @@ class TermParser:
             return ArrowSort(left, self.parse_sort(declare))
         return left
 
-    def parse_sort_list(self, declare: bool) -> list[Sort]:
-        """``(S, ..)``"""
-        self.expect("(")
-        sorts: list[Sort] = []
-        while not self.at_op(")"):
-            sorts.append(self.parse_sort(declare))
-            if not self.at_op(")"):
-                self.expect(",")
-        self.expect(")")
-        return sorts
-
     def _sort_atom(self, declare: bool) -> Sort:
         if self.at_op("("):
             self.next()
@@ -675,7 +664,13 @@ def _declare(sig: Signature, kind: str, text: str, declare_sorts: bool, origin: 
     if kind == "const":
         sig.individual(name, p.parse_sort(declare_sorts), origin=origin)
     else:
-        args = p.parse_sort_list(declare_sorts)
+        p.expect("(")
+        args: list[Sort] = []
+        while not p.at_op(")"):
+            args.append(p.parse_sort(declare_sorts))
+            if not p.at_op(")"):
+                p.expect(",")
+        p.expect(")")
         infix = len(args) == 2 and (not name[0].isalnum() or (kind == "pred" and name == "in"))
         display = "infix" if infix else "prefix"
         if kind == "fun":

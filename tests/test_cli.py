@@ -275,9 +275,9 @@ def test_normalize_prints_the_steps_it_shows_and_counts_the_rest(capsys):
     ["check-solution", "--theory", "arith", "--constraints", "c", "--solution", "s",
      "--fuel", "0"],
     ["prove", "--theory", "arith", "--goal-name", "double", "--fuel", "0"],
-    ["prove", "--theory", "arith", "--goal-name", "double", "--narrow-depth", "-1"],
     ["prove"],
     ["prove", "--bogus"],
+    ["prove", "--theory", "arith", "--goal-name", "double", "--narrow-depth", "-1"],
 ])
 def test_a_bad_command_line_is_an_input_error(capsys, argv):
     assert cli.main(argv) == cli.EXIT_INPUT_ERROR

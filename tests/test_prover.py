@@ -217,7 +217,8 @@ NARROWING_FILTER_TRACES = {
     ("integral-rings", prover.ON_THE_FLY): (
         "PROVED", 4, 1, "01ed09c7f4c8e6512ec1ca5ab2cd4983398417a10dbf370d88a5f3f7c67f7711"),
     ("set-cantor", prover.FREEZE): (
-        "RESOURCE_OUT", 301, 32, "f77dfeef3c260f748252b234c9c54cd06f1466945d581fb139795fd1d6bee6d0"),
+        "RESOURCE_OUT", 301, 32,
+        "f77dfeef3c260f748252b234c9c54cd06f1466945d581fb139795fd1d6bee6d0"),
 }
 
 

@@ -1,5 +1,6 @@
 """Rewrite engine tests: matching, reduction, normalization."""
 
+import math
 import random
 
 import pytest
@@ -310,3 +311,17 @@ class TestNormalizeAgainstReduceOnce:
         out = normalize(t, system, 10)
         assert out == NormalizeOutcome(True, App(c), 2)
         assert out == iterate_reduce_once(t, system, 10)
+
+
+@pytest.mark.parametrize("lhs, reach", [
+    ("g(g(x))", 1),
+    ("f(x, g(g(y)))", 2),
+    ("f(x, x)", math.inf),
+    ("f(x, g(x))", math.inf),
+])
+def test_reach_is_the_depth_of_a_linear_left_side(lhs, reach):
+    # normalize looks again this far above a contraction; a left side that
+    # repeats a variable can match anywhere above, so it looks from the root
+    sig = small_signature()
+    rule = RewriteRule("r", parse_term(lhs, sig), parse_term("x", sig))
+    assert RewriteSystem([rule]).reach == reach
