@@ -116,6 +116,16 @@ def tokenize(text: str) -> list[Token]:
 
 _KEYWORDS = {"forall", "exists", "bot", "top"}
 _TERM_START_OPS = {"(", "<", "{"}
+_OPENERS = ("(", "[", "{", "<")
+_CLOSERS = (")", "]", "}", ">")
+
+
+def _glued_paren(tok: Token, nxt: Token) -> bool:
+    """Is ``nxt`` an opening paren glued to ``tok``?  Prefix application
+    binds only without intervening space, so spines like ``(P (f x))`` stay
+    juxtapositions."""
+    return (nxt.kind == "op" and nxt.value == "("
+            and nxt.line == tok.line and nxt.col == tok.col + len(tok.value))
 
 
 class TermParser:
@@ -161,12 +171,29 @@ class TermParser:
         return ParseError(message, tok.line, tok.col)
 
     def _adjacent_paren(self, tok: Token) -> bool:
-        """Is the next token an opening paren glued to ``tok``?  Prefix
-        application binds only without intervening space, so spines like
-        ``(P (f x))`` stay juxtapositions."""
-        nxt = self.peek()
-        return (nxt.kind == "op" and nxt.value == "("
-                and nxt.line == tok.line and nxt.col == tok.col + len(tok.value))
+        return _glued_paren(tok, self.peek())
+
+    def _after_undeclared(self) -> Token | None:
+        """The token after the term that starts here, when that term is an
+        identifier the signature does not declare, with its glued argument
+        list if it has one: the one kind of term whose sort the parse takes
+        from the sort expected of it.  Tokens are skipped, not parsed.
+        None for any other term."""
+        tok = self.peek()
+        if tok.kind != "ident" or tok.value in self.sig.symbols:
+            return None
+        ahead, depth = 1, 0
+        if _glued_paren(tok, self.peek(1)):
+            while self.peek(ahead).kind != "eof":
+                tok = self.peek(ahead)
+                ahead += 1
+                if tok.kind == "op" and tok.value in _OPENERS:
+                    depth += 1
+                elif tok.kind == "op" and tok.value in _CLOSERS:
+                    depth -= 1
+                    if depth == 0:
+                        break
+        return self.peek(ahead)
 
     def at_end(self) -> bool:
         return self.peek().kind == "eof"
@@ -253,9 +280,9 @@ class TermParser:
             if tok.kind == "eof":
                 return False
             if tok.kind == "op":
-                if tok.value in ("(", "[", "{", "<"):
+                if tok.value in _OPENERS:
                     depth += 1
-                elif tok.value in (")", "]", "}", ">"):
+                elif tok.value in _CLOSERS:
                     if depth == 0:
                         return False
                     depth -= 1
@@ -278,8 +305,14 @@ class TermParser:
 
     def _term_infix(self, expected: Sort | None, min_prec: int) -> Term:
         """Left-associated ``+`` and ``*`` chains whose operators bind at
-        least ``min_prec``, with the precedences the printer uses."""
-        t = self._term_post(expected)
+        least ``min_prec``, with the precedences the printer uses.  The left
+        operand has the first argument sort of the operator that follows it."""
+        nxt = self._after_undeclared()
+        first = None
+        if nxt is not None and nxt.kind == "op" \
+                and _INFIX_TERM_PREC.get(nxt.value, -1) >= min_prec:
+            first = self.sig.symbols.get(nxt.value)
+        t = self._term_post(first.arg_sorts[0] if first is not None else expected)
         while True:
             tok = self.peek()
             prec = _INFIX_TERM_PREC.get(tok.value, -1) if tok.kind == "op" else -1
@@ -292,7 +325,11 @@ class TermParser:
             t = App(sym, (t, self._term_infix(sym.arg_sorts[1], prec + 1)))
 
     def _term_post(self, expected: Sort | None) -> Term:
-        t = self._term_prim(expected)
+        nxt = self._after_undeclared()
+        sub = None
+        if nxt is not None and nxt.kind == "op" and nxt.value == "[":
+            sub = self._by_display("sub")
+        t = self._term_prim(sub.arg_sorts[0] if sub is not None else expected)
         while self.at_op("["):
             sub = self._by_display("sub")
             if sub is None:
@@ -447,8 +484,7 @@ class TermParser:
                         tok.line, tok.col)
                 return Atom(sym, tuple(args))
             nxt = self.peek(1)
-            if sym is None and self.implicit and nxt.kind == "op" and nxt.value == "(" \
-                    and nxt.line == tok.line and nxt.col == tok.col + len(tok.value):
+            if sym is None and self.implicit and _glued_paren(tok, nxt):
                 if self.speculative:
                     raise ParseError(f"unknown predicate {tok.value}", tok.line, tok.col)
                 self.next()
@@ -699,6 +735,7 @@ def parse_theory(text: str):
     goals: dict[str, Prop] = {}
     name = "user-theory"
     auto = 0
+    used = False  # did a use line name a preset?
 
     def ensure_preset() -> None:
         nonlocal preset
@@ -715,6 +752,7 @@ def parse_theory(text: str):
                 if preset is not None or rules or sig.symbols:
                     raise ParseError("'use' must come before declarations")
                 preset = load_preset(rest)
+                used = True
                 sig = preset.sig
                 rules = list(preset.system.rules)
                 axioms = list(preset.axioms)
@@ -791,8 +829,13 @@ def parse_theory(text: str):
             raise type(exc)(f"line {line_no}: {exc}") from exc
 
     system = RewriteSystem(rules)
-    if preset is None:
-        return _user_theory(name, sig, system, axioms, goals)
+    if not used:
+        # a file that names no preset picks its strategy by its E-rules,
+        # whether or not a subset line made a preset to declare into
+        theory = _user_theory(name, sig, system, axioms, goals)
+        if preset is not None:
+            theory.comprehensions = preset.comprehensions
+        return theory
     preset.name = name if name != "user-theory" else preset.name
     preset.sig = sig
     preset.system = system
@@ -841,7 +884,10 @@ def parse_substitution(text: str, sig: Signature,
             raise ParseError(f"expected 'var := term' in {line!r}")
         var_name = name_part.strip()
         expected = env.get(var_name)
-        t = TermParser(tokenize(term_part.strip()), sig, env=env).parse_term(expected)
+        p = TermParser(tokenize(term_part.strip()), sig, env=env)
+        t = p.parse_term(expected)
+        if not p.at_end():
+            raise p.fail("trailing input after binding")
         bindings[var_name] = t
         env.setdefault(var_name, term_sort(t))
     return Substitution(bindings)

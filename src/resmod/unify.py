@@ -11,14 +11,20 @@ plain syntactic unification at every state.  Each side of an equation
 carries its skeleton, the side with every subterm that a step's unifier
 brought in cut back to the variable it replaced; the basic positions are
 the applications of the skeleton (Hullot 1980; Middeldorp and Hamoen 1994).
-A rule is renamed at a position only when its left side does not clash with
-the subterm there.  The rule is unified there, and the successor state
-built, only when the search examines that step, and the unifiers of the
-steps to a state are composed only when the state unifies.  The search is
-bounded both by a narrowing depth and a total state budget; truncation
-yields an Unknown outcome, never a verdict.  Every substitution returned as
-a solution has been re-checked by joining both sides of every equation to a
-common normal form.
+The rules are filed by the root symbol and arity of their left sides, so at
+a basic position only the rules filed under its root are tried, and only
+those whose left side does not clash with the subterm there become steps
+(top-symbol indexing, as in McCune, JAR 1992).  Each basic position
+reserves one block of fresh names, as many as all the rules have variables;
+a rule's renaming is taken from its offset in that block, and built only
+when the search examines the step.  The states of a level are expanded
+into steps only when the search reaches the next level's steps, the rule is
+unified there and the successor state built only when the search examines
+that step, and the unifiers of the steps to a state are composed only when
+the state unifies.  The search is bounded both by a narrowing depth and a
+total state budget; truncation yields an Unknown outcome, never a verdict.
+Every substitution returned as a solution has been re-checked by joining
+both sides of every equation to a common normal form.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .kernel import (
     App,
@@ -246,15 +252,23 @@ class _Side:
     unifiers of the narrowing steps were applied, so that every subterm one
     of them brought in stands there as the variable it replaced.  The
     applications of the skeleton are the side's basic (narrowable)
-    positions; at each of them the side carries the same symbol."""
+    positions; at each of them the side carries the same symbol.  The
+    side's variable names are computed on first use."""
 
-    __slots__ = ("term", "skel")
+    __slots__ = ("term", "skel", "_names")
 
     def __init__(self, term: Term, skel: Term | None = None):
         self.term = term
         self.skel = term if skel is None else skel
+        self._names: frozenset[str] | None = None
 
     def substituted(self, m: Mapping[str, Term]) -> "_Side":
+        """The side under ``m``; the side itself when ``m`` binds none of
+        its variables."""
+        if self._names is None:
+            self._names = term_var_names(self.term)
+        if self._names.isdisjoint(m):
+            return self
         # a substitution brings subterms in below basic positions only
         return _Side(subst_term(self.term, m), self.skel)
 
@@ -299,15 +313,23 @@ class _Eq:
         self.right = right
 
     def substituted(self, m: Mapping[str, Term]) -> "_Eq":
-        return _Eq(self.left.substituted(m), self.right.substituted(m))
+        left, right = self.left.substituted(m), self.right.substituted(m)
+        if left is self.left and right is self.right:
+            return self
+        return _Eq(left, right)
 
     def key(self) -> tuple:
         return (self.left.term, self.right.term)
 
 
-# an E-rule prepared for narrowing: its sides, and its variables sorted by
-# name (the order in which they are renamed) with their sorts
-_Rule = tuple[Term, Term, tuple]
+# an E-rule prepared for narrowing: its sides, its variables sorted by name
+# (the order in which they are renamed) with their sorts, and the offset of
+# its first fresh name in the block of names a basic position reserves
+_Rule = tuple[Term, Term, tuple, int]
+
+# the rules filed by the (name, arity) of their left side's root, each list
+# in declaration order
+_RuleIndex = dict[tuple[str, int], list[_Rule]]
 
 
 # the unifiers of the narrowing steps that led to a state, innermost last:
@@ -360,16 +382,27 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
     skeleton; it replaces the subterm there by the rule's renamed right side
     in the skeleton too, while its unifier reaches only the side itself.
     Unsatisfiable is reported only when the whole space below the bounds was
-    exhausted; hitting the depth bound or the state budget yields Unknown.
-    Equations whose two sides are both headed by variables are kept frozen:
-    they are never narrowed, only unified.  A successor is built only when
-    the search examines it, so ``max_states`` bounds the states built as well
-    as those examined (one more is built when the budget runs out).  The
-    outcome counts the states examined, up to ``max_states``.
+    exhausted: the next level has no step at all.  Hitting the depth bound
+    or the state budget yields Unknown.  Equations whose two sides are both
+    headed by variables are kept frozen: they are never narrowed, only
+    unified.  The rules are filed once per call by their left side's root.
+    A level is a lazy chain of the steps out of the previous level's
+    surviving states: a state is expanded only when the search reaches its
+    successors, and a successor is built only when the search examines it.
+    So ``max_states`` bounds the states built as well as those examined (one
+    more is built when the budget runs out).  The outcome counts the states
+    examined, up to ``max_states``.
     """
-    rules = [(r.lhs, r.rhs, tuple((v.name, v.sort)
-                                  for v in sorted(term_vars(r.lhs), key=lambda v: v.name)))
-             for r in system.e_rules if not isinstance(r, EtaRule)]
+    index: _RuleIndex = {}
+    total = 0  # fresh names a basic position reserves
+    for r in system.e_rules:
+        if isinstance(r, EtaRule):
+            continue
+        rule_vars = tuple((v.name, v.sort)
+                          for v in sorted(term_vars(r.lhs), key=lambda v: v.name))
+        index.setdefault((r.lhs.sym.name, len(r.lhs.args)), []).append(
+            (r.lhs, r.rhs, rule_vars, total))
+        total += len(rule_vars)
     apps = frozenset(app_symbols)
     constraints = tuple(constraints)
     pairs = _term_pairs(constraints)
@@ -388,20 +421,20 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
         for theta in reversed(thetas):
             candidate = candidate.compose(Substitution(theta))
         candidate = _rename_internal(candidate.restrict(original_vars), original_vars)
-        if rules and not check_solution(candidate, constraints, system, CHECK_FUEL).ok:
+        if index and not check_solution(candidate, constraints, system, CHECK_FUEL).ok:
             return None
         return candidate
 
     start = [_Eq(_Side(a), _Side(b)) for a, b in pairs]
-    level: list[_Step] = [lambda: (start, None)]
+    level: Iterator[_Step] = iter([lambda: (start, None)])
     seen: set[tuple] = set()
-    counter = itertools.count(1)
+    fresh = [1]  # the number of the next fresh name, shared by every expansion
     states_used = 0
     truncated = False
 
     for current_depth in range(depth + 1):
         solutions: list[Substitution] = []
-        next_level: list[_Step] = []
+        survivors: list[tuple[list[_Eq], _Chain]] = []
         for step in level:
             state = step()
             if state is None:
@@ -429,18 +462,21 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
                 if sol is not None:
                     solutions.append(sol)
             if current_depth == depth:
-                if any(_expandable(e, rules, apps) for e in eqs):
+                if any(_expandable(e, index, apps) for e in eqs):
                     truncated = True
                 continue
-            next_level.extend(_expand(eqs, chain, rules, apps, counter))
+            survivors.append((eqs, chain))
         states = min(states_used, max_states)
         if solutions:
             return EUnifyOutcome(SOLUTIONS, tuple(solutions), current_depth, states=states)
         if truncated:
             break
-        level = next_level
-        if not level:
+        level = itertools.chain.from_iterable(
+            _expand(eqs, chain, index, total, apps, fresh) for eqs, chain in survivors)
+        first = next(level, None)
+        if first is None:
             return EUnifyOutcome(UNSAT, states=states)
+        level = itertools.chain([first], level)
     reason = "states" if states_used > max_states else "depth"
     return EUnifyOutcome(UNKNOWN, reason=reason, states=min(states_used, max_states))
 
@@ -474,39 +510,44 @@ def _child_side(side: _Side, i: int) -> _Side:
     return _Side(side.term.args[i], skel.args[i] if isinstance(skel, App) else skel)
 
 
-def _expandable(e: _Eq, rules: Sequence[_Rule], apps: frozenset[str]) -> bool:
+def _expandable(e: _Eq, index: _RuleIndex, apps: frozenset[str]) -> bool:
     if _is_flex(e.left.term, apps) and _is_flex(e.right.term, apps):
         return False
-    return bool(rules) and (isinstance(e.left.skel, App) or isinstance(e.right.skel, App))
+    return bool(index) and (isinstance(e.left.skel, App) or isinstance(e.right.skel, App))
 
 
-def _expand(eqs: list[_Eq], chain: _Chain, rules: Sequence[_Rule],
-            apps: frozenset[str], counter) -> Iterator[_Step]:
-    """The narrowing steps out of a state, in search order, each deferred:
-    only the rule renaming happens here, since it consumes ``counter``."""
+def _expand(eqs: list[_Eq], chain: _Chain, index: _RuleIndex, total: int,
+            apps: frozenset[str], fresh: list[int]) -> Iterator[_Step]:
+    """The narrowing steps out of a state, in search order, each deferred.
+
+    Each basic position reserves the next ``total`` fresh names of
+    ``fresh`` in one step, whichever rules apply there, so that fresh names
+    do not depend on the index or the clash filter.  Only the rules filed
+    under the position's root are tried, and a step is yielded for those
+    whose left side's arguments do not clash with the subterm's."""
     for idx, e in enumerate(eqs):
         if _is_flex(e.left.term, apps) and _is_flex(e.right.term, apps):
             continue  # frozen flex-flex equation
         for side_ix, side in enumerate((e.left, e.right)):
             for path, sub in _basic_subterms(side.term, side.skel):
-                for lhs, rule_rhs, rule_vars in rules:
-                    if _clash(sub, lhs, frozenset()):
-                        # skip the names the renaming would take, so that
-                        # fresh names do not depend on the filter
-                        for _ in rule_vars:
-                            next(counter)
+                base = fresh[0]
+                fresh[0] += total
+                for lhs, rule_rhs, rule_vars, offset in index.get(
+                        (sub.sym.name, len(sub.args)), ()):
+                    if any(_clash(a, b, frozenset()) for a, b in zip(sub.args, lhs.args)):
                         continue
-                    renaming = {v: Var(f"_n{next(counter)}", sort) for v, sort in rule_vars}
                     yield functools.partial(_child, eqs, chain, idx, side_ix, path, sub,
-                                            lhs, rule_rhs, renaming)
+                                            lhs, rule_rhs, rule_vars, base + offset)
 
 
 def _child(eqs: list[_Eq], chain: _Chain, idx: int, side_ix: int, path: _Path,
-           sub: App, lhs: Term, rule_rhs: Term,
-           renaming: Mapping[str, Term]) -> tuple[list[_Eq], _Chain] | None:
+           sub: App, lhs: Term, rule_rhs: Term, rule_vars: tuple,
+           first: int) -> tuple[list[_Eq], _Chain] | None:
     """The state that narrowing side ``side_ix`` of ``eqs[idx]`` at ``path``,
-    where ``sub`` stands, with the renamed rule ``lhs -> rule_rhs`` leads to;
-    None when ``sub`` and the left side do not unify."""
+    where ``sub`` stands, with the rule ``lhs -> rule_rhs`` leads to; None
+    when ``sub`` and the left side do not unify.  The rule's variables
+    ``rule_vars`` are renamed here, to ``_n{first}``, ``_n{first + 1}``, ..."""
+    renaming = {v: Var(f"_n{first + j}", sort) for j, (v, sort) in enumerate(rule_vars)}
     theta = unify_terms(sub, subst_term(lhs, renaming))
     if theta is None:
         return None

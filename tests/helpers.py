@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 
 from resmod.kernel import (
@@ -15,16 +17,38 @@ from resmod.kernel import (
     Or,
     Prop,
     Signature,
+    Substitution,
     Term,
     Top,
     Var,
     _Binary,
     _Quant,
     children,
+    subst_term,
+    term_var_names,
+    term_vars,
     with_children,
 )
 from resmod.clausal import ConstrainedClause, Literal
-from resmod.rewrite import NormalizeOutcome, RewriteSystem, _contract
+from resmod import unify
+from resmod.rewrite import EtaRule, NormalizeOutcome, RewriteSystem, _contract
+from resmod.unify import (
+    CHECK_FUEL,
+    SOLUTIONS,
+    UNKNOWN,
+    UNSAT,
+    EUnifyOutcome,
+    _Eq,
+    _Side,
+    _basic_subterms,
+    _clash,
+    _is_flex,
+    _rename_internal,
+    _replace_term,
+    _term_pairs,
+    check_solution,
+    unify_terms,
+)
 from resmod.theories import TheoryPreset, load_preset, surjection_axiom
 
 
@@ -377,3 +401,129 @@ def hol_cantor(name: str) -> TheoryPreset:
     theory.sig.individual("g", term)
     theory.axioms = [surjection_axiom(theory.sig)]
     return theory
+
+
+# ---------------------------------------------------------------------------
+# The refutation gate's search with eager levels
+# ---------------------------------------------------------------------------
+
+
+def eager_narrowing(constraints, system: RewriteSystem, depth: int = 8, *,
+                    app_symbols=(), max_states: int = 4_000) -> EUnifyOutcome:
+    """A reference for ``e_unify_narrowing``: every examined state is
+    expanded into a list for the next level at once, every rule is tried
+    against ``_clash`` at every basic position, and every rule renaming
+    draws its fresh names from one counter, clash or not.  It calls
+    ``unify._simplify`` by its module name, once per examined state, so a
+    test can watch the states both searches examine."""
+    rules = [(r.lhs, r.rhs, tuple((v.name, v.sort)
+                                  for v in sorted(term_vars(r.lhs), key=lambda v: v.name)))
+             for r in system.e_rules if not isinstance(r, EtaRule)]
+    apps = frozenset(app_symbols)
+    constraints = tuple(constraints)
+    pairs = _term_pairs(constraints)
+    if pairs is None:
+        return EUnifyOutcome(UNSAT)
+    original_vars: set[str] = set()
+    for a, b in pairs:
+        original_vars |= term_var_names(a) | term_var_names(b)
+
+    def finish(sigma, chain):
+        thetas = [sigma]
+        while chain is not None:
+            chain, theta = chain
+            thetas.append(theta)
+        candidate = Substitution()
+        for theta in reversed(thetas):
+            candidate = candidate.compose(Substitution(theta))
+        candidate = _rename_internal(candidate.restrict(original_vars), original_vars)
+        if rules and not check_solution(candidate, constraints, system, CHECK_FUEL).ok:
+            return None
+        return candidate
+
+    def frozen(e):
+        return _is_flex(e.left.term, apps) and _is_flex(e.right.term, apps)
+
+    def child(eqs, chain, idx, side_ix, path, sub, lhs, rule_rhs, renaming):
+        theta = unify_terms(sub, subst_term(lhs, renaming))
+        if theta is None:
+            return None
+
+        def moved(side):
+            return _Side(subst_term(side.term, theta), side.skel)
+
+        rhs = subst_term(rule_rhs, renaming)
+        new_eqs = []
+        for jdx, e in enumerate(eqs):
+            left, right = moved(e.left), moved(e.right)
+            if jdx == idx:
+                side = e.right if side_ix else e.left
+                new_side = _Side(subst_term(_replace_term(side.term, path, rhs), theta),
+                                 _replace_term(side.skel, path, rhs))
+                left, right = (left, new_side) if side_ix else (new_side, right)
+            new_eqs.append(_Eq(left, right))
+        return new_eqs, (chain, theta)
+
+    def expand(eqs, chain, counter):
+        for idx, e in enumerate(eqs):
+            if frozen(e):
+                continue
+            for side_ix, side in enumerate((e.left, e.right)):
+                for path, sub in _basic_subterms(side.term, side.skel):
+                    for lhs, rule_rhs, rule_vars in rules:
+                        renaming = {v: Var(f"_n{next(counter)}", sort) for v, sort in rule_vars}
+                        if not _clash(sub, lhs, frozenset()):
+                            yield functools.partial(child, eqs, chain, idx, side_ix, path,
+                                                    sub, lhs, rule_rhs, renaming)
+
+    start = [_Eq(_Side(a), _Side(b)) for a, b in pairs]
+    level = [lambda: (start, None)]
+    seen = set()
+    counter = itertools.count(1)
+    states_used = 0
+    truncated = False
+    for current_depth in range(depth + 1):
+        solutions = []
+        next_level = []
+        for step in level:
+            state = step()
+            if state is None:
+                continue
+            eqs, chain = state
+            states_used += 1
+            if states_used > max_states:
+                truncated = True
+                break
+            eqs = unify._simplify(eqs, system)
+            if eqs is None:
+                continue
+            key = tuple((e.left.term, e.right.term) for e in eqs)
+            if key in seen:
+                continue
+            seen.add(key)
+            sigma = {}
+            for e in eqs:
+                sigma = unify_terms(e.left.term, e.right.term, sigma)
+                if sigma is None:
+                    break
+            if sigma is not None:
+                sol = finish(sigma, chain)
+                if sol is not None:
+                    solutions.append(sol)
+            if current_depth == depth:
+                if rules and any(not frozen(e) and (isinstance(e.left.skel, App)
+                                                    or isinstance(e.right.skel, App))
+                                 for e in eqs):
+                    truncated = True
+                continue
+            next_level.extend(expand(eqs, chain, counter))
+        states = min(states_used, max_states)
+        if solutions:
+            return EUnifyOutcome(SOLUTIONS, tuple(solutions), current_depth, states=states)
+        if truncated:
+            break
+        level = next_level
+        if not level:
+            return EUnifyOutcome(UNSAT, states=states)
+    reason = "states" if states_used > max_states else "depth"
+    return EUnifyOutcome(UNKNOWN, reason=reason, states=min(states_used, max_states))

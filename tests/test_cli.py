@@ -194,6 +194,17 @@ def test_check_solution_compares_deep_normal_forms(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("all equations pass\n")
 
 
+def test_a_solution_with_trailing_input_is_an_input_error(tmp_path, capsys):
+    # read up to its first term, the file would state x := S(0), a root
+    constraints = tmp_path / "constraints"
+    constraints.write_text("x * 2 = 2\n")
+    solution = tmp_path / "solution"
+    solution.write_text("x := S(0) 0 garbage\n")
+    assert cli.main(["check-solution", "--theory", "arith", "--constraints", str(constraints),
+                     "--solution", str(solution)]) == cli.EXIT_INPUT_ERROR
+    assert "trailing input after" in capsys.readouterr().err
+
+
 def test_unknown_theory_is_an_input_error(capsys):
     code = cli.main(["prove", "--theory", "no-such-theory", "--goal", "bot"])
     assert code == cli.EXIT_INPUT_ERROR

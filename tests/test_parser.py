@@ -152,6 +152,50 @@ def test_a_theory_file_builds_the_preset_its_directives_describe():
     assert parsed.goals == expected.goals
 
 
+@pytest.mark.parametrize("text, strategy", [
+    ("sort s\npred in : (s, s)\n", prover.ON_THE_FLY),
+    ("sort s\npred in : (s, s)\nsubset e(w) : ~(w in w)\n", prover.ON_THE_FLY),
+    ("sort s\nfun f : (s) -> s\nE f(f(x)) -> x\n", prover.FREEZE),
+    ("sort s\npred in : (s, s)\nfun f : (s) -> s\nE f(f(x)) -> x\n"
+     "subset e(w) : ~(w in w)\n", prover.FREEZE),
+])
+def test_a_file_that_names_no_preset_freezes_exactly_when_it_has_e_rules(text, strategy):
+    assert parse_theory(text).default_strategy == strategy
+
+
+NAT_BESIDE_S = """sort s
+sort nat
+const 0 : nat
+fun + : (nat, nat) -> nat
+"""
+
+SUB_BESIDE_SET = """use set
+sort term
+sort subst
+const id : subst
+fun sub : (term, subst) -> term
+display sub sub
+"""
+
+
+@pytest.mark.parametrize("header, text, sort", [
+    (NAT_BESIDE_S, "x + 0 -> x", "nat"),
+    (NAT_BESIDE_S, "x * y + x -> x", "nat"),
+    (SUB_BESIDE_SET, "x[id] -> x", "term"),
+    (SUB_BESIDE_SET, "sub(x, id) -> x", "term"),
+])
+def test_a_variable_left_of_an_operator_takes_the_operators_argument_sort(
+        header, text, sort):
+    # the theory's default sort, s or set, is not the operator's
+    if "*" in text:
+        header += "fun * : (nat, nat) -> nat\n"
+    theory = parse_theory(header + f"E r: {text}\n")
+    (rule,) = theory.system.e_rules
+    var = Var("x", theory.sig.sorts[sort])
+    assert rule.rhs == var
+    assert rule.lhs.args[0] == var or rule.lhs.args[0].args[0] == var
+
+
 def test_a_trace_declares_the_skolems_of_its_run():
     theory = parse_theory(THEORY)
     report = cli.run_prove(theory, theory.goals["g"],

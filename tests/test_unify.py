@@ -35,9 +35,9 @@ from resmod.unify import (
     _clash,
 )
 
-from helpers import (hol_cantor, random_arith_term, random_comb_spine, random_ground_term,
-                     random_sigma_term, random_term, replace_at, rigid_clash, small_signature,
-                     subtrees)
+from helpers import (eager_narrowing, hol_cantor, random_arith_term, random_comb_spine,
+                     random_ground_term, random_sigma_term, random_term, replace_at,
+                     rigid_clash, small_signature, subtrees)
 
 
 class TestSyntacticUnification:
@@ -236,15 +236,7 @@ class TestEUnifyNarrowing:
     ])
     def test_a_step_whose_rule_does_not_unify_is_not_a_state(
             self, theory, left, right, max_states, expected):
-        if theory == "ff":
-            sig = small_signature()
-            system = RewriteSystem([RewriteRule("ff", parse_term("f(x, x)", sig),
-                                                parse_term("a", sig))])
-        else:
-            arith = load_preset(theory)
-            sig, system = arith.sig, arith.system
-        env = {}
-        con = Constraint(parse_term(left, sig, env), parse_term(right, sig, env))
+        con, system = _constraint(theory, left, right)
         out = e_unify_narrowing([con], system, max_states=max_states)
         assert (out.kind, out.states, out.reason, out.depth) == expected
 
@@ -269,6 +261,103 @@ class TestEUnifyNarrowing:
         # 144 calls for 50 states; building every successor of every
         # expanded state took 506
         assert calls <= 4 * out.states
+
+    def test_a_state_is_expanded_only_when_its_successors_are_reached(self, monkeypatch):
+        theory = hol_cantor("hol-comb")
+        result = prover.saturate(theory.axioms, theory.system, theory.sig,
+                                 prover.ProverConfig(strategy=prover.FREEZE, narrow_states=1))
+        calls = 0
+        expand = unify._expand
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return expand(*args)
+
+        monkeypatch.setattr(unify, "_expand", counting)
+        constraints = sorted(result.empty_clause.constraints, key=str)
+        out = e_unify_narrowing(constraints, theory.system,
+                                app_symbols=theory.sig.app_symbols, max_states=300)
+        assert out.is_unknown and out.states == 300
+        # 39 states expanded for 300 examined; expanding every examined
+        # state at once took 300
+        assert calls <= out.states // 4
+
+
+def _constraint(theory: str, left: str, right: str):
+    """The constraint ``left = right`` in ``theory``, where ``ff`` is the
+    small signature under the single non-linear rule f(x, x) -> a, and the
+    theory's rewrite system."""
+    if theory == "ff":
+        sig = small_signature()
+        system = RewriteSystem([RewriteRule("ff", parse_term("f(x, x)", sig),
+                                            parse_term("a", sig))])
+    else:
+        preset = load_preset(theory)
+        sig, system = preset.sig, preset.system
+    env = {}
+    return Constraint(parse_term(left, sig, env), parse_term(right, sig, env)), system
+
+
+class TestGateAgainstEagerSearch:
+    """The gate expands a state only when the search reaches its successors,
+    tries only the rules filed under a position's root, and reserves one
+    block of fresh names per position.  ``eager_narrowing`` does none of
+    that; both must examine the same states, fresh names included, and end
+    with the same outcome."""
+
+    @staticmethod
+    def run_both(monkeypatch, constraints, system, depth, **kwargs):
+        examined: list[tuple] = []
+        simplify = unify._simplify
+
+        def recording(eqs, system):
+            examined.append(tuple(e.key() for e in eqs))
+            return simplify(eqs, system)
+
+        monkeypatch.setattr(unify, "_simplify", recording)
+        runs = []
+        for search in (e_unify_narrowing, eager_narrowing):
+            examined.clear()
+            out = search(constraints, system, depth, **kwargs)
+            runs.append(((out.kind, out.solutions, out.depth, out.reason, out.states),
+                         tuple(examined)))
+        lazy, eager = runs
+        assert lazy == eager
+        return lazy[0]
+
+    @pytest.mark.parametrize("max_states", [1, 7, 50])
+    @pytest.mark.parametrize("depth", [0, 2, 8])
+    @pytest.mark.parametrize("preset, draw", [("arith", random_arith_term),
+                                              ("hol-comb", random_comb_spine),
+                                              ("hol-sigma", random_sigma_term)])
+    def test_random_constraints(self, monkeypatch, preset, draw, depth, max_states):
+        theory = load_preset(preset)
+        rng = random.Random(f"gate:{preset}:{depth}:{max_states}")
+        for _ in range(12):
+            constraints = [Constraint(draw(rng, theory.sig, rng.randint(1, 3)),
+                                      draw(rng, theory.sig, rng.randint(1, 3)))
+                           for _ in range(rng.randint(1, 2))]
+            self.run_both(monkeypatch, constraints, theory.system, depth,
+                          app_symbols=theory.sig.app_symbols, max_states=max_states)
+
+    @pytest.mark.parametrize("depth, expected", [
+        (0, ("unknown", (), None, "depth", 1)),
+        (1, ("unsatisfiable", (), None, "", 1)),
+        (8, ("unsatisfiable", (), None, "", 1)),
+    ])
+    def test_a_state_with_no_step_leaves_the_next_level_empty(
+            self, monkeypatch, depth, expected):
+        # no arith rule is filed under S, so x = S(x) has no step: below the
+        # depth bound the next level is empty from its first peek
+        con, system = _constraint("arith", "x", "S(x)")
+        assert self.run_both(monkeypatch, [con], system, depth) == expected
+
+    @pytest.mark.parametrize("right, max_states", [("c", 1), ("c", 4_000),
+                                                   ("f(c, c)", 1), ("f(c, c)", 2)])
+    def test_steps_whose_rule_does_not_unify(self, monkeypatch, right, max_states):
+        con, system = _constraint("ff", "f(a, b)", right)
+        self.run_both(monkeypatch, [con], system, 8, max_states=max_states)
 
 
 class TestClashPrefilter:
