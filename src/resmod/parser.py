@@ -726,7 +726,9 @@ def parse_theory(text: str):
     ``const NAME : SORT``, ``fun NAME : (S,..) -> S``, ``pred NAME : (S,..)``,
     ``E [name]: term -> term``, ``R [name]: atom -> prop``,
     ``rule [name]: lhs -> rhs``, ``eta``, ``subset NAME(x.., w) : PROP``,
-    ``axiom PROP``, ``goal NAME : PROP``.
+    ``axiom PROP``, ``goal NAME : PROP``.  A file whose ``use`` line
+    names a preset keeps that preset's default strategy; any other file
+    freezes when it has E-rules and works on the fly otherwise.
     """
     preset: TheoryPreset | None = None
     sig = Signature()

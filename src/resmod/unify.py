@@ -313,10 +313,7 @@ class _Eq:
         self.right = right
 
     def substituted(self, m: Mapping[str, Term]) -> "_Eq":
-        left, right = self.left.substituted(m), self.right.substituted(m)
-        if left is self.left and right is self.right:
-            return self
-        return _Eq(left, right)
+        return _Eq(self.left.substituted(m), self.right.substituted(m))
 
     def key(self) -> tuple:
         return (self.left.term, self.right.term)

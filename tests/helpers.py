@@ -6,6 +6,7 @@ import functools
 import itertools
 import random
 
+from resmod import unify
 from resmod.kernel import (
     And,
     App,
@@ -30,7 +31,6 @@ from resmod.kernel import (
     with_children,
 )
 from resmod.clausal import ConstrainedClause, Literal
-from resmod import unify
 from resmod.rewrite import EtaRule, NormalizeOutcome, RewriteSystem, _contract
 from resmod.unify import (
     CHECK_FUEL,
