@@ -167,10 +167,12 @@ class ConstrainedClause:
         if self._free_vars is None:
             out: set[Var] = set()
             for lit in self.literals:
-                out |= free_vars(lit.atom)
+                if lit.atom._free:  # an atom caches its free names
+                    out |= free_vars(lit.atom)
             for c in self.constraints:
                 for side in (c.lhs, c.rhs):
-                    out |= free_vars(side)
+                    if not isinstance(side, Atom) or side._free:
+                        out |= free_vars(side)
             self._free_vars = frozenset(out)
         return self._free_vars
 
@@ -201,7 +203,14 @@ class ConstrainedClause:
             id=self.id, provenance=self.provenance)
 
     def with_id(self, id: int, provenance: Provenance) -> "ConstrainedClause":
-        return ConstrainedClause(self.literals, self.constraints, id, provenance)
+        """The same clause numbered ``id``; the literals, their set, the hash
+        and whatever was computed on first use carry over."""
+        out = object.__new__(ConstrainedClause)
+        for name in ConstrainedClause.__slots__:
+            setattr(out, name, getattr(self, name))
+        out.id = id
+        out.provenance = provenance
+        return out
 
     def literal_text(self) -> str:
         return "[]" if not self.literals else ", ".join(str(l) for l in self.literals)

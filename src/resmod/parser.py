@@ -91,9 +91,10 @@ class Token:
     col: int
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
+    """The tokens of ``text``, placed as if ``text`` began at ``line`` and
+    ``col`` of a file."""
     toks: list[Token] = []
-    line, col = 1, 1
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -631,12 +632,16 @@ def parse_prop(text: str, sig: Signature, *, implicit: bool = False,
 # ---------------------------------------------------------------------------
 
 
-def _split_lines(text: str) -> list[str]:
+def _split_lines(text: str) -> list[tuple[int, int, str]]:
+    """The lines of ``text`` that hold more than a comment, each stripped
+    of its comment and surrounding blanks, with its line number and the
+    column where the stripped text begins."""
     out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if line:
-            out.append(line)
+            out.append((line_no, len(code) - len(code.lstrip()) + 1, line))
     return out
 
 
@@ -744,7 +749,7 @@ def parse_theory(text: str):
         if preset is None:
             preset = TheoryPreset(name, sig, RewriteSystem([]))
 
-    for line_no, line in enumerate(_split_lines(text), start=1):
+    for line_no, _, line in _split_lines(text):
         try:
             head, _, rest = line.partition(" ")
             rest = rest.strip()
@@ -859,8 +864,8 @@ def parse_constraints(text: str, sig: Signature,
     """
     env = env if env is not None else {}
     out: list[Constraint] = []
-    for line in _split_lines(text):
-        p = TermParser(tokenize(line), sig, env=env)
+    for line_no, col, line in _split_lines(text):
+        p = TermParser(tokenize(line, line_no, col), sig, env=env)
         lhs = p.parse_term_or_atom()
         if p.at_end():
             if isinstance(lhs, Atom) and len(lhs.args) == 2:
@@ -880,13 +885,14 @@ def parse_substitution(text: str, sig: Signature,
     """Lines of ``var := term``."""
     env = env if env is not None else {}
     bindings: dict[str, Term] = {}
-    for line in _split_lines(text):
+    for line_no, col, line in _split_lines(text):
         name_part, sep, term_part = line.partition(":=")
         if not sep:
-            raise ParseError(f"expected 'var := term' in {line!r}")
+            raise ParseError(f"expected 'var := term' in {line!r}", line_no, col)
         var_name = name_part.strip()
         expected = env.get(var_name)
-        p = TermParser(tokenize(term_part.strip()), sig, env=env)
+        p = TermParser(tokenize(term_part, line_no, col + len(name_part) + len(sep)),
+                       sig, env=env)
         t = p.parse_term(expected)
         if not p.at_end():
             raise p.fail("trailing input after binding")

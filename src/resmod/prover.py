@@ -387,11 +387,17 @@ def _ordered_sides(con: Constraint) -> tuple[tuple[str, ...], tuple[str, ...], t
 def clause_key(c: ConstrainedClause) -> tuple:
     """Renaming-insensitive fingerprint used for duplicate detection.
 
-    Variables are numbered in order of first occurrence: literals first,
-    then constraints in an order fixed by their content alone, so the key
-    does not depend on the iteration order of the constraint set.  A
-    variable renders as ``?n``, a form no symbol name can take.
+    A closed clause, with no free variable in its literals or constraints,
+    is its own only variant, so its key is its literal and constraint sets.
+    Any other clause renders: variables are numbered in order of first
+    occurrence, literals first, then constraints in an order fixed by their
+    content alone, so the key does not depend on the iteration order of the
+    constraint set.  A variable renders as ``?n``, a form no symbol name can
+    take.  A rendered key is a pair of tuples, so it never equals a closed
+    clause's pair of frozensets.
     """
+    if not c.free_vars():
+        return (c._lit_set, c.constraints)
     lits = sorted(c.literals, key=_literal_sort_key)
     mapping: dict[str, str] = {}
 
@@ -454,8 +460,8 @@ def is_tautology(c: ConstrainedClause) -> bool:
 
 class ClauseIndex:
     """The live kept clauses, indexed by (polarity, predicate name) for the
-    two subsumption checks and for resolution, plus the duplicate keys of
-    every registered clause.
+    two subsumption checks and for resolution, plus ``keys``, the
+    :func:`clause_key` of every clause :func:`redundancy_filter` kept.
 
     ``subsumes(c, d)`` needs every key of ``c``'s profile in ``d``'s, so:
 
@@ -485,9 +491,6 @@ class ClauseIndex:
         self.postings: dict[tuple[bool, str], dict[int, ConstrainedClause]] = {}
         self.active: dict[tuple[bool, str], dict[int, ConstrainedClause]] = {}
         self.selection: dict[int, int] = {}  # clause id -> selection number
-
-    def note(self, c: ConstrainedClause) -> None:
-        self.keys.add(clause_key(c))
 
     def note_kept(self, c: ConstrainedClause) -> None:
         profile = c.profile()
@@ -530,19 +533,22 @@ class ClauseIndex:
 def redundancy_filter(new: ConstrainedClause, index: ClauseIndex) -> tuple[bool, str | None]:
     """keep/discard decision for a freshly derived clause.
 
-    Discards exact tautologies with no constraints, variants of already
-    registered clauses with identical constraints, and clauses subsumed by
-    a live constraint-free kept clause; the reason is ``tautology``,
-    ``duplicate`` or ``subsumed``.  The empty clause is never discarded.
+    Discards exact tautologies with no constraints, variants with identical
+    constraints of the clauses it kept before, and clauses subsumed by a live
+    constraint-free kept clause; the reason is ``tautology``, ``duplicate``
+    or ``subsumed``.  The empty clause is never discarded.  The
+    :func:`clause_key` of a clause that passes the tautology test is
+    computed here, once, and joins ``index.keys`` when the clause is kept.
     """
-    if new.is_empty():
-        return True, None
     if is_tautology(new):
         return False, "tautology"
-    if clause_key(new) in index.keys:
-        return False, "duplicate"
-    if any(subsumes(c, new) for c in index.forward_candidates(new)):
-        return False, "subsumed"
+    key = clause_key(new)
+    if not new.is_empty():
+        if key in index.keys:
+            return False, "duplicate"
+        if any(subsumes(c, new) for c in index.forward_candidates(new)):
+            return False, "subsumed"
+    index.keys.add(key)
     return True, None
 
 
@@ -553,6 +559,8 @@ def redundancy_filter(new: ConstrainedClause, index: ClauseIndex) -> tuple[bool,
 
 def tidy_clause(c: ConstrainedClause) -> ConstrainedClause:
     """Shorten primed variable names where that causes no collision."""
+    if not any(v.name.endswith("'") for v in c.free_vars()):
+        return c  # only a primed name is ever renamed
     names = sorted(c.free_names())
     taken = set(names)
     vars_by_name = {v.name: v for v in c.free_vars()}
@@ -643,7 +651,6 @@ class _Saturation:
         if not keep:
             self.stats.discard(reason)
             return
-        self.index.note(c)  # an unsolvable empty clause too: its variants are duplicates
         if c.is_empty():
             proof = self._gate(c)
             if proof is None:
@@ -684,13 +691,19 @@ class _Saturation:
         """Run the strategy discipline on an inference's output and register
         the survivors.  The inference counts as a step when it keeps a
         clause, the empty clause that ends the search included, also when
-        the clause budget runs out before the inference is done."""
+        the clause budget runs out before the inference is done.
+
+        On the fly, a kept clause carries constraints only when they have no
+        syntactic unifier.  Neither has any superset of them, so a clause
+        with such a parent takes the freeze path without another attempt."""
         kept = self.stats.kept
+        propagate = (self.cfg.strategy == ON_THE_FLY
+                     and not any(self.steps[p - 1].constraints for p in parents))
         try:
             for c in clauses:
                 if not c.constraints:
                     survivors = [c]  # no unifier to apply; its literals are normal
-                elif self.cfg.strategy == ON_THE_FLY and (result := propagate_on_the_fly(
+                elif propagate and (result := propagate_on_the_fly(
                         c, self.system, self.sig, self.cfg.fuel)) is not None:
                     survivors = result.clauses
                     self.unnormalized = self.unnormalized or not result.normalized

@@ -1,5 +1,6 @@
 """Parser tests: what the kernel prints, the parser reads back; a theory file
-builds the preset that its directives describe."""
+builds the preset that its directives describe; constraint and solution
+files report parse errors where they are in the file."""
 
 import random
 
@@ -17,7 +18,16 @@ from resmod.kernel import (
     Var,
     format_term,
 )
-from resmod.parser import parse_prop, parse_rule_text, parse_term, parse_theory, parse_trace
+from resmod.parser import (
+    ParseError,
+    parse_constraints,
+    parse_prop,
+    parse_rule_text,
+    parse_substitution,
+    parse_term,
+    parse_theory,
+    parse_trace,
+)
 from resmod.rewrite import EtaRule, RewriteRule
 from resmod.theories import declare_subset_symbol, load_preset, pair_term
 
@@ -205,3 +215,18 @@ def test_a_trace_declares_the_skolems_of_its_run():
     skolems = {n: s for n, s in theory.sig.symbols.items() if s.origin == "skolem"}
     assert {s.kind for s in skolems.values()} == {"individual", "function"}
     assert {n: s for n, s in reader.symbols.items() if s.origin == "skolem"} == skolems
+
+
+@pytest.mark.parametrize("parse, text, token", [
+    (parse_substitution, "x := S(0)\nx := S(0) 0 garbage\n", "0"),
+    (parse_constraints, "x + 0 = 1\nx + 0 = 1 )\n", ")"),
+    (parse_substitution, "# a comment\n\n   x := 0 )\n", ")"),
+], ids=["solution", "constraints", "after-comment-and-blank"])
+def test_constraint_and_solution_files_report_errors_where_they_are(parse, text, token):
+    # each file's last line holds the offending token at column 11
+    theory = load_preset("arith")
+    with pytest.raises(ParseError) as err:
+        parse(text, theory.sig, {"x": theory.sig.sorts["nat"]})
+    lines = text.splitlines()
+    assert (err.value.line, err.value.col) == (len(lines), 11)
+    assert lines[-1][10] == token

@@ -1,8 +1,9 @@
 """Prover tests: duplicate detection in the redundancy filter, the narrowing
 filter, the proof slice of a search, the traces of the refutation gate and
-of on-the-fly searches, the clause index against the checks it prefilters,
-ground subsumption against a literal-mapping oracle, and saturation against
-a truth table."""
+of on-the-fly searches, the propagations on the fly, the clause index
+against the checks it prefilters, ground subsumption against a
+literal-mapping oracle, the duplicate key against a variant oracle, and
+saturation against a truth table."""
 
 import functools
 import hashlib
@@ -22,6 +23,7 @@ from resmod.kernel import (And, App, Atom, Bottom, Exists, Not, Or, Signature, V
 from resmod.parser import parse_prop, parse_term_or_atom
 from resmod.prover import (
     ClauseIndex,
+    clause_key,
     extended_resolution,
     factor,
     narrowing_applicable,
@@ -30,12 +32,12 @@ from resmod.prover import (
 )
 from resmod.rewrite import RewriteSystem
 
-from helpers import hol_cantor, random_term, small_signature, truth_table
+from helpers import clause_variant, hol_cantor, random_term, small_signature, truth_table
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# chain_axioms(n) under freeze keeps many clauses with several atom
-# constraints, so their duplicate keys must order the constraints by content
+# a freeze search of chain_axioms(n), whose clauses are closed and so keyed
+# by their literal sets
 CHAIN_AXIOMS_FREEZE = """
 import hashlib
 from resmod import cli, kernel, prover, rewrite, theories
@@ -88,11 +90,16 @@ def test_a_variable_is_not_a_duplicate_of_a_same_named_constant():
     sig = Signature()
     u = sig.declare_sort("u")
     p = sig.predicate("P", (u,))
-    ground = ConstrainedClause([Literal(True, Atom(p, (App(sig.individual("v0", u)),)))])
+    r = sig.predicate("R", (u, u))
+    v0, x, y = App(sig.individual("v0", u)), Var("X", u), Var("Y", u)
     index = ClauseIndex()
-    index.note(ground)
-    index.note_kept(ground)
-    assert redundancy_filter(ConstrainedClause([Literal(True, Atom(p, (Var("X", u),)))]),
+    for kept in (ConstrainedClause([Literal(True, Atom(p, (v0,)))]),
+                 ConstrainedClause([Literal(True, Atom(r, (v0, y)))])):
+        assert redundancy_filter(kept, index) == (True, None)
+    # neither a closed key nor a rendered one takes the variable for v0
+    assert redundancy_filter(ConstrainedClause([Literal(True, Atom(p, (x,)))]),
+                             index) == (True, None)
+    assert redundancy_filter(ConstrainedClause([Literal(True, Atom(r, (x, y)))]),
                              index) == (True, None)
     # variables render as ?n in the key, a form no symbol name can take
     with pytest.raises(ValueError):
@@ -208,6 +215,25 @@ def test_the_on_the_fly_loop_leaves_the_trace_unchanged(problem):
     assert (report.verdict, report.clauses_generated, digest) == ON_THE_FLY_TRACES[problem]
 
 
+@pytest.mark.parametrize("preset, calls, failed, generated", [
+    ("hol-comb", 44, 6, 92),
+    ("hol-sigma", 60, 7, 133),
+])
+def test_on_the_fly_does_not_propagate_constraints_known_to_fail(
+        preset, calls, failed, generated, monkeypatch):
+    # a kept clause carries constraints only when they have no syntactic
+    # unifier, so the clauses derived from it skip the attempt; re-trying
+    # made 90 calls (52 failed) on hol-comb and 131 (78) on hol-sigma
+    outcomes = []
+    propagate = prover.propagate_on_the_fly
+    monkeypatch.setattr(prover, "propagate_on_the_fly",
+                        lambda *args: outcomes.append(propagate(*args)) or outcomes[-1])
+    report = cli.run_prove(hol_cantor(preset), Bottom(),
+                           prover.ProverConfig(strategy=prover.ON_THE_FLY, narrow_states=300))
+    assert (report.verdict, report.clauses_generated) == ("PROVED_UNVERIFIED", generated)
+    assert (len(outcomes), outcomes.count(None)) == (calls, failed)
+
+
 # verdict, generated clauses, narrowing steps and sha256 of each trace of a
 # search whose narrowing passes the root-clash filter (freeze's guesses
 # included); the same at PYTHONHASHSEED 0, 3 and 5
@@ -276,8 +302,9 @@ def random_first_order_clauses(rng: random.Random, m: int) -> list[ConstrainedCl
 
 
 def chain_axioms_kept(n: int) -> list[ConstrainedClause]:
-    """The kept clauses of both strategies' searches of chain_axioms(n);
-    under freeze many of them carry atom constraints."""
+    """The kept clauses of both strategies' searches of chain_axioms(n).
+    Its predicates are nullary, so the clauses are closed and carry no
+    constraint, and each search keeps the same ones."""
     sig, axioms = theories.chain_axioms(n)
     out = []
     for strategy in (prover.FREEZE, prover.ON_THE_FLY):
@@ -367,6 +394,53 @@ def test_ground_subsumption_agrees_with_a_literal_mapping_oracle(clauses):
             assert subsumes(c, d) == expected, (c, d)
             pairs += expected
     assert pairs >= 100
+
+
+# ---------------------------------------------------------------------------
+# The duplicate key is the variant relation, computed once per clause
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("clauses", index_clause_sets())
+def test_the_duplicate_key_agrees_with_a_variant_oracle(clauses):
+    plain = [c for c in clauses if not c.constraints]
+    keys = [clause_key(c) for c in plain]
+    for c, key_c in zip(plain, keys):
+        for d, key_d in zip(plain, keys):
+            assert (key_c == key_d) == clause_variant(c, d), (c, d)
+    for c in clauses:
+        renamed, _ = rename_apart(c.free_names(), c)
+        copy = ConstrainedClause(reversed(renamed.literals), renamed.constraints)
+        assert clause_key(copy) == clause_key(c), (c, copy)
+    closed = {clause_key(c) for c in clauses if not c.free_vars()}
+    assert closed.isdisjoint(clause_key(c) for c in clauses if c.free_vars())
+
+
+def satisfiable_cnf(seed: int):
+    """The first satisfiable set of 18 seeded ground clauses of 2 or 3
+    literals over 6 atoms."""
+    rng = random.Random(seed)
+    while cnf_unsatisfiable(6, clauses := random_ground_cnf(rng, 6, 18, widths=(2, 3))):
+        pass
+    return cnf_props(6, clauses)
+
+
+@pytest.mark.parametrize("problem", ["chain_axioms(6)", "cnf"])
+def test_the_redundancy_filter_keys_each_clause_once(problem, monkeypatch):
+    # every clause that passes the tautology test is keyed once, the empty
+    # clause that ends the search included, and never again once kept
+    if problem == "cnf":
+        (sig, props), expected = satisfiable_cnf(1), prover.SATURATED
+    else:
+        (sig, props), expected = theories.chain_axioms(6), prover.PROVED
+    keyed = []
+    key = prover.clause_key
+    monkeypatch.setattr(prover, "clause_key", lambda c: keyed.append(c) or key(c))
+    result = prover.saturate(props, RewriteSystem(()), sig,
+                             prover.ProverConfig(strategy=prover.ON_THE_FLY))
+    assert result.status == expected
+    assert len(keyed) == result.stats.generated - result.stats.discards.get("tautology", 0)
+    assert sorted(result.stats.discards) == ["duplicate", "subsumed", "tautology"]
 
 
 # ---------------------------------------------------------------------------
