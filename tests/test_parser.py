@@ -230,3 +230,9 @@ def test_constraint_and_solution_files_report_errors_where_they_are(parse, text,
     lines = text.splitlines()
     assert (err.value.line, err.value.col) == (len(lines), 11)
     assert lines[-1][10] == token
+
+
+def test_a_theory_file_counts_comment_and_blank_lines():
+    with pytest.raises(ParseError) as err:
+        parse_theory("# a comment\n\nsort s\nbogus x\n")
+    assert err.value.line == 4

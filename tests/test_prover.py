@@ -403,6 +403,9 @@ def test_ground_subsumption_agrees_with_a_literal_mapping_oracle(clauses):
 
 @pytest.mark.parametrize("clauses", index_clause_sets())
 def test_the_duplicate_key_agrees_with_a_variant_oracle(clauses):
+    # the rendered key follows literal order among literals of one
+    # skeleton, so p(X, Y) | p(Y, Z) keys apart from its reverse; these
+    # sets hold no such clause
     plain = [c for c in clauses if not c.constraints]
     keys = [clause_key(c) for c in plain]
     for c, key_c in zip(plain, keys):
