@@ -167,12 +167,10 @@ class ConstrainedClause:
         if self._free_vars is None:
             out: set[Var] = set()
             for lit in self.literals:
-                if lit.atom._free:  # an atom caches its free names
-                    out |= free_vars(lit.atom)
+                out |= free_vars(lit.atom)
             for c in self.constraints:
                 for side in (c.lhs, c.rhs):
-                    if not isinstance(side, Atom) or side._free:
-                        out |= free_vars(side)
+                    out |= free_vars(side)
             self._free_vars = frozenset(out)
         return self._free_vars
 

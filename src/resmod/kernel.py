@@ -580,6 +580,8 @@ def free_vars(x: Term | Prop) -> frozenset[Var]:
     """Free variables of a term or proposition."""
     if not isinstance(x, Prop):
         return frozenset(term_vars(x))
+    if not x._free:
+        return frozenset()  # a proposition caches its free names
     out: set[Var] = set()
 
     def walk(p: Prop, bound: frozenset[str]) -> None:

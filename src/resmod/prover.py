@@ -536,18 +536,19 @@ def redundancy_filter(new: ConstrainedClause, index: ClauseIndex) -> tuple[bool,
     Discards exact tautologies with no constraints, variants with identical
     constraints of the clauses it kept before, and clauses subsumed by a live
     constraint-free kept clause; the reason is ``tautology``, ``duplicate``
-    or ``subsumed``.  The empty clause is never discarded.  The
-    :func:`clause_key` of a clause that passes the tautology test is
-    computed here, once, and joins ``index.keys`` when the clause is kept.
+    or ``subsumed``.  The empty clause is never discarded nor keyed.  The
+    :func:`clause_key` of a non-empty clause that passes the tautology test
+    is computed here, once, and joins ``index.keys`` when the clause is kept.
     """
+    if new.is_empty():
+        return True, None
     if is_tautology(new):
         return False, "tautology"
     key = clause_key(new)
-    if not new.is_empty():
-        if key in index.keys:
-            return False, "duplicate"
-        if any(subsumes(c, new) for c in index.forward_candidates(new)):
-            return False, "subsumed"
+    if key in index.keys:
+        return False, "duplicate"
+    if any(subsumes(c, new) for c in index.forward_candidates(new)):
+        return False, "subsumed"
     index.keys.add(key)
     return True, None
 
