@@ -130,7 +130,7 @@ class ConstrainedClause:
     """
 
     __slots__ = ("literals", "constraints", "id", "provenance", "_lit_set", "_hash",
-                 "_free_vars", "_profile", "_ground")
+                 "_free_vars", "_profile", "_ground", "_features")
 
     def __init__(self, literals: Iterable[Literal], constraints: Iterable[Constraint] = (),
                  id: int | None = None, provenance: Provenance | None = None):
@@ -147,6 +147,7 @@ class ConstrainedClause:
         self._free_vars: frozenset[Var] | None = None
         self._profile: dict[tuple[bool, str], int] | None = None
         self._ground: bool | None = None
+        self._features: tuple[tuple, ...] | None = None
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ConstrainedClause)
@@ -193,6 +194,25 @@ class ConstrainedClause:
                 out[key] = out.get(key, 0) + 1
             self._profile = out
         return self._profile
+
+    def features(self) -> tuple[tuple, ...]:
+        """The clause's feature set, sorted: each (polarity, predicate name)
+        of its literals, and (polarity, predicate name, symbol name) for
+        each function symbol or constant in a literal of that polarity and
+        predicate; computed on first use."""
+        if self._features is None:
+            out: set[tuple] = set(self.profile())
+            for lit in self.literals:
+                if lit.atom.args:
+                    key = (lit.positive, lit.atom.pred.name)
+                    stack = [*lit.atom.args]
+                    while stack:
+                        t = stack.pop()
+                        if isinstance(t, App):
+                            out.add((*key, t.sym.name))
+                            stack += t.args
+            self._features = tuple(sorted(out))
+        return self._features
 
     def apply(self, s: Substitution) -> "ConstrainedClause":
         return ConstrainedClause(

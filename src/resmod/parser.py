@@ -68,6 +68,7 @@ from .theories import TheoryPreset, declare_subset_symbol, load_preset
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int = 0, col: int = 0):
+        self.message = message
         self.line = line
         self.col = col
         where = f" (line {line}, column {col})" if line else ""
@@ -603,9 +604,10 @@ _CONNECTIVES = {"<=>": Iff, "=>": Implies, "\\/": Or, "/\\": And}
 
 
 def _parse_whole(text: str, sig: Signature, env: dict[str, Sort | None] | None,
-                 implicit: bool, read, what: str):
-    """``read`` applied to a parser over all of ``text``."""
-    p = TermParser(tokenize(text), sig, env=env, implicit=implicit)
+                 implicit: bool, read, what: str, at: tuple[int, int] = (1, 1)):
+    """``read`` applied to a parser over all of ``text``, which begins at
+    the line and column ``at`` of a file."""
+    p = TermParser(tokenize(text, *at), sig, env=env, implicit=implicit)
     out = read(p)
     if not p.at_end():
         raise p.fail(f"trailing input after {what}")
@@ -623,8 +625,11 @@ def parse_term_or_atom(text: str, sig: Signature,
 
 
 def parse_prop(text: str, sig: Signature, *, implicit: bool = False,
-               env: dict[str, Sort | None] | None = None) -> Prop:
-    return _parse_whole(text, sig, env, implicit, TermParser.parse_prop, "proposition")
+               env: dict[str, Sort | None] | None = None,
+               at: tuple[int, int] = (1, 1)) -> Prop:
+    """The proposition ``text``, whose errors are reported as if it began at
+    the line and column ``at`` of a file."""
+    return _parse_whole(text, sig, env, implicit, TermParser.parse_prop, "proposition", at)
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +651,12 @@ def _split_lines(text: str) -> list[tuple[int, int, str]]:
 
 
 def parse_rule_text(text: str, sig: Signature, *, name: str = "r",
-                    cls: str | None = None, implicit: bool = False) -> RewriteRule:
+                    cls: str | None = None, implicit: bool = False,
+                    at: tuple[int, int] = (1, 1)) -> RewriteRule:
     """One rule ``lhs -> rhs``; the class is inferred from the left side and
-    checked against ``cls`` when that is given."""
-    p = TermParser(tokenize(text), sig, implicit=implicit)
+    checked against ``cls`` when that is given.  Errors are reported as if
+    ``text`` began at the line and column ``at`` of a file."""
+    p = TermParser(tokenize(text, *at), sig, implicit=implicit)
     tok0, tok1 = p.peek(), p.peek(1)
     if (implicit and tok0.kind == "ident" and tok0.value not in sig.symbols
             and tok0.value not in _KEYWORDS and tok1.kind == "op" and tok1.value == "->"):
@@ -695,13 +702,16 @@ def _user_theory(name: str, sig: Signature, system: RewriteSystem, axioms: list[
                         FREEZE if system.e_rules else ON_THE_FLY)
 
 
-def _declare(sig: Signature, kind: str, text: str, declare_sorts: bool, origin: str) -> None:
+def _declare(sig: Signature, kind: str, text: str, declare_sorts: bool, origin: str,
+             at: tuple[int, int] = (1, 1)) -> None:
     """Declare the symbol of a ``const``, ``fun`` or ``pred`` line from its
-    ``NAME : SORTS`` text; a binary symbol whose name is not alphanumeric,
-    or the predicate ``in``, is displayed infix."""
+    ``NAME : SORTS`` text, which begins at the line and column ``at`` of a
+    file; a binary symbol whose name is not alphanumeric, or the predicate
+    ``in``, is displayed infix."""
     name, _, sort_text = text.partition(":")
     name = name.strip()
-    p = TermParser(tokenize(sort_text.strip()), sig)
+    sort_text = sort_text.strip()
+    p = TermParser(tokenize(sort_text, at[0], at[1] + len(text) - len(sort_text)), sig)
     if kind == "const":
         sig.individual(name, p.parse_sort(declare_sorts), origin=origin)
     else:
@@ -733,7 +743,9 @@ def parse_theory(text: str):
     ``rule [name]: lhs -> rhs``, ``eta``, ``subset NAME(x.., w) : PROP``,
     ``axiom PROP``, ``goal NAME : PROP``.  A file whose ``use`` line
     names a preset keeps that preset's default strategy; any other file
-    freezes when it has E-rules and works on the fly otherwise.
+    freezes when it has E-rules and works on the fly otherwise.  A parse
+    error names its line and column in the file once: where the offending
+    token is, or where its directive begins.
     """
     preset: TheoryPreset | None = None
     sig = Signature()
@@ -749,7 +761,8 @@ def parse_theory(text: str):
         if preset is None:
             preset = TheoryPreset(name, sig, RewriteSystem([]))
 
-    for line_no, _, line in _split_lines(text):
+    for line_no, col, line in _split_lines(text):
+        end = col + len(line)  # so the tail ``s`` of the line begins at end - len(s)
         try:
             head, _, rest = line.partition(" ")
             rest = rest.strip()
@@ -767,12 +780,12 @@ def parse_theory(text: str):
             elif head == "sort":
                 sig.declare_sort(rest)
             elif head in ("const", "fun", "pred"):
-                _declare(sig, head, rest, True, "user")
+                _declare(sig, head, rest, True, "user", (line_no, end - len(rest)))
             elif head == "display":
                 sym_name, _, style = rest.partition(" ")
                 style = style.strip()
                 if style not in ("prefix", "infix", "app", "sub", "cons", "comp", "brace"):
-                    raise ParseError(f"unknown display style {style!r}", line_no, 1)
+                    raise ParseError(f"unknown display style {style!r}")
                 sym = sig.lookup(sym_name.strip())
                 sig.symbols[sym.name] = replace(sym, display=style)
                 sig.app_symbols = tuple(
@@ -793,8 +806,8 @@ def parse_theory(text: str):
                 if rule_name is None:
                     auto += 1
                     rule_name = f"r{auto}"
-                rules.append(parse_rule_text(body, sig, name=rule_name,
-                                             cls=cls, implicit=True))
+                rules.append(parse_rule_text(body, sig, name=rule_name, cls=cls,
+                                             implicit=True, at=(line_no, end - len(body))))
             elif head == "eta":
                 lam = sig.lookup("lam")
                 app = sig.lookup("app")
@@ -808,30 +821,33 @@ def parse_theory(text: str):
                 preset.system = RewriteSystem(rules)
                 m = re.match(r"([A-Za-z][A-Za-z0-9_']*)\s*\(([^)]*)\)\s*:\s*(.*)$", rest)
                 if m is None:
-                    raise ParseError("malformed subset declaration", line_no, 1)
+                    raise ParseError("malformed subset declaration")
                 sym_name, var_text, body_text = m.groups()
                 var_names = [v.strip() for v in var_text.split(",") if v.strip()]
                 if not var_names:
-                    raise ParseError("subset needs at least the comprehension variable",
-                                     line_no, 1)
+                    raise ParseError("subset needs at least the comprehension variable")
                 default = sig.default_sort
                 if default is None:
-                    raise ParseError("subset needs a declared sort", line_no, 1)
+                    raise ParseError("subset needs a declared sort")
                 env: dict[str, Sort | None] = {v: default for v in var_names}
-                body = parse_prop(body_text, sig, env=env)
+                body = parse_prop(body_text, sig, env=env, at=(line_no, end - len(body_text)))
                 params = [Var(v, default) for v in var_names[:-1]]
                 w = Var(var_names[-1], default)
                 declare_subset_symbol(preset, params, w, body, name=sym_name)
                 rules = list(preset.system.rules)
             elif head == "axiom":
-                axioms.append(parse_prop(rest, sig, implicit=True))
+                axioms.append(parse_prop(rest, sig, implicit=True, at=(line_no, end - len(rest))))
             elif head == "goal":
                 goal_name, _, goal_text = rest.partition(":")
-                goals[goal_name.strip()] = parse_prop(goal_text.strip(), sig, implicit=True)
+                goal_text = goal_text.strip()
+                goals[goal_name.strip()] = parse_prop(goal_text, sig, implicit=True,
+                                                      at=(line_no, end - len(goal_text)))
             else:
-                raise ParseError(f"unknown directive {head!r}", line_no, 1)
+                raise ParseError(f"unknown directive {head!r}")
         except ParseError as exc:
-            raise ParseError(f"in theory text: {exc}", line_no, exc.col) from exc
+            # a directive-level error has no position yet: give its line's
+            raise ParseError(f"in theory text: {exc.message}", exc.line or line_no,
+                             exc.col if exc.line else col) from exc
         except Exception as exc:
             raise type(exc)(f"line {line_no}: {exc}") from exc
 

@@ -459,46 +459,69 @@ def is_tautology(c: ConstrainedClause) -> bool:
 
 
 class ClauseIndex:
-    """The live kept clauses, indexed by (polarity, predicate name) for the
-    two subsumption checks and for resolution, plus ``keys``, the
-    :func:`clause_key` of every clause :func:`redundancy_filter` kept.
+    """The live kept clauses, indexed by their
+    :meth:`~resmod.clausal.ConstrainedClause.features` for the two
+    subsumption checks and by (polarity, predicate name) for resolution,
+    plus ``keys``, the :func:`clause_key` of every clause
+    :func:`redundancy_filter` kept.
 
-    ``subsumes(c, d)`` needs every key of ``c``'s profile in ``d``'s, so:
+    The features are sound for subsumption: when ``subsumes(c, d)`` holds,
+    every feature of ``c`` is a feature of ``d``.  The matcher takes each
+    literal of ``c`` to a literal of ``d`` with the same polarity and
+    predicate, and an instance keeps every symbol of its pattern, so each
+    feature of a literal of ``c`` is a feature of the literal of ``d`` it
+    goes to (a ground ``c`` is a subset of ``d``).  The features record
+    presence only, never a number of occurrences, because the map between
+    the literals need not be injective: ``p(g(X),a) | p(g(Y),a)``, with
+    ``g`` twice, subsumes ``p(g(a),a) | p(b,a)``, with ``g`` once, as both
+    literals go to ``p(g(a),a)``.  A per-symbol sum would drop that pair.
+    So the index drops only pairs that ``subsumes`` rejects:
 
     - forward: each constraint-free kept clause (a subsumer) is filed in
-      ``buckets`` under one key of its profile, the one with the fewest
-      kept clauses when it is filed; a new clause ``d`` is checked only
-      against the buckets of the keys in ``d``'s profile.
-    - backward: ``postings`` lists, for each key, every kept clause whose
-      profile has it; a new subsumer ``c`` is checked only against the
-      posting list of its key with the fewest kept clauses.
+      the set-trie ``trie`` at the path of its sorted features; a new
+      clause ``d`` is checked only against the clauses at the paths made of
+      ``d``'s features, which a query finds by following only the children
+      keyed by one of them (Savnik, "Index data structure for fast subset
+      and superset queries", 2013).
+    - backward: ``postings`` lists, for each feature, every kept clause that
+      has it; a new subsumer ``c`` is checked only against the clauses of
+      the shortest list of its features that are in all the other lists
+      too (Schulz, "Simple and efficient clause subsumption with feature
+      vector indexing", 2004).
 
     :func:`extended_resolution` needs a literal of each clause with the same
     predicate and opposite polarities, so ``active`` files each selected
     clause under every key of its profile, and a selected clause's partners
     are the entries under its complementary keys.
 
-    Every list is a dict keyed by clause id in filing order, so all three
-    return candidates in the order they were kept (selected).  ``retire``
-    takes a clause that backward subsumption retired out of all of them at
-    once.  Kept clauses are never empty: an empty clause ends the search or
-    is dropped at the gate.
+    Every list is a dict keyed by clause id in filing order, and no order
+    here depends on the hash seed.  ``retire`` takes a clause that backward
+    subsumption retired out of all of them at once; its trie nodes stay,
+    since the paths of a search's kept clauses are few.  Kept clauses are
+    never empty: an empty clause ends the search or is dropped at the gate.
     """
 
     def __init__(self) -> None:
         self.keys: set[tuple] = set()
-        self.buckets: dict[tuple[bool, str], dict[int, ConstrainedClause]] = {}
-        self.postings: dict[tuple[bool, str], dict[int, ConstrainedClause]] = {}
+        # a set-trie node maps each next feature to its child, and None to
+        # the clauses whose sorted features spell the path to it
+        self.trie: dict = {}
+        self.postings: dict[tuple, dict[int, ConstrainedClause]] = {}
         self.active: dict[tuple[bool, str], dict[int, ConstrainedClause]] = {}
         self.selection: dict[int, int] = {}  # clause id -> selection number
 
     def note_kept(self, c: ConstrainedClause) -> None:
-        profile = c.profile()
-        for key in profile:
-            self.postings.setdefault(key, {})[c.id] = c
+        features = c.features()
+        for feature in features:
+            self.postings.setdefault(feature, {})[c.id] = c
         if not c.constraints:
-            key = min(profile, key=lambda k: len(self.postings[k]))
-            self.buckets.setdefault(key, {})[c.id] = c
+            node = self.trie
+            for feature in features:
+                child = node.get(feature)
+                if child is None:
+                    child = node[feature] = {}
+                node = child
+            node.setdefault(None, {})[c.id] = c
 
     def note_selected(self, c: ConstrainedClause) -> None:
         self.selection[c.id] = len(self.selection)
@@ -507,18 +530,40 @@ class ClauseIndex:
 
     def retire(self, c: ConstrainedClause) -> None:
         for key in c.profile():
-            for lists in (self.buckets, self.postings, self.active):
-                lists.get(key, {}).pop(c.id, None)
+            self.active.get(key, {}).pop(c.id, None)
+        for feature in c.features():
+            self.postings[feature].pop(c.id, None)
+        if not c.constraints:
+            node = self.trie
+            for feature in c.features():
+                node = node[feature]
+            del node[None][c.id]
 
     def forward_candidates(self, d: ConstrainedClause) -> Iterator[ConstrainedClause]:
-        """The subsumers that may subsume ``d``."""
-        for key in d.profile():
-            yield from self.buckets.get(key, {}).values()
+        """The subsumers that may subsume ``d``: those whose features are all
+        ``d``'s."""
+        path = d.features()
+        stack = [(self.trie, 0)]
+        while stack:
+            node, start = stack.pop()
+            clauses = node.get(None)
+            if clauses:
+                yield from clauses.values()
+            for i in range(start, len(path)):
+                child = node.get(path[i])
+                if child is not None:
+                    stack.append((child, i + 1))
 
     def backward_candidates(self, c: ConstrainedClause) -> list[ConstrainedClause]:
-        """The kept clauses other than ``c`` that ``c`` may subsume."""
-        key = min(c.profile(), key=lambda k: len(self.postings.get(k, ())))
-        return [d for d in self.postings.get(key, {}).values() if d is not c]
+        """The kept clauses other than ``c`` that ``c`` may subsume: those
+        with all of ``c``'s features."""
+        lists = [self.postings[f] for f in c.features()]
+        shortest = min(lists, key=len)
+        ids = shortest.keys()
+        for lst in lists:
+            if lst is not shortest:
+                ids &= lst.keys()
+        return [shortest[cid] for cid in ids if cid != c.id]
 
     def partners(self, c: ConstrainedClause) -> list[ConstrainedClause]:
         """The selected clauses with a literal complementary to one of

@@ -236,3 +236,22 @@ def test_a_theory_file_counts_comment_and_blank_lines():
     with pytest.raises(ParseError) as err:
         parse_theory("# a comment\n\nsort s\nbogus x\n")
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize("text, where", [
+    ("sort s\npred P : (s)\naxiom forall x:s P(x) )\n", (3, 23)),
+    ("sort s\npred P : (s)\n  goal g :  P(x) )\n", (3, 18)),
+    ("sort s\npred P : (s) )\n", (2, 14)),
+    ("sort s\nconst a : s\nfun f : (s) -> s\nE r: f(a) -> a )\n", (4, 16)),
+    ("sort s\naxiom forall x:s P(x $\n", (2, 22)),
+    ("sort s\n   display s bold\n", (2, 4)),
+], ids=["axiom", "goal", "declaration", "rule", "character", "directive"])
+def test_a_theory_file_reports_each_error_once_where_it_is(text, where):
+    # a directive's body is tokenized at its place in the file, so an error
+    # inside it names the offending token; one about the whole directive
+    # names where the directive begins
+    with pytest.raises(ParseError) as err:
+        parse_theory(text)
+    assert (err.value.line, err.value.col) == where
+    assert str(err.value).endswith(f" (line {where[0]}, column {where[1]})")
+    assert str(err.value).count("(line ") == 1

@@ -325,21 +325,52 @@ def index_clause_sets():
     return sets + [pytest.param(chain_axioms_kept(6), id="chain_axioms(6)")]
 
 
-@pytest.mark.parametrize("clauses", index_clause_sets())
-def test_the_index_offers_every_subsumption_pair(clauses):
+def parse_clause(sig: Signature, *literals: str) -> ConstrainedClause:
+    """A clause of the atoms ``literals``, each negated by a leading ``~``;
+    ``X``, ``Y`` and ``Z`` are variables of sort ``u``."""
+    env = dict.fromkeys("XYZ", sig.sorts["u"])
+    return ConstrainedClause([Literal(not text.startswith("~"),
+                                      parse_term_or_atom(text.lstrip("~"), sig, env))
+                              for text in literals])
+
+
+def non_injective_pair() -> list[ConstrainedClause]:
+    """``p(g(X),a) | p(g(Y),a)`` subsumes ``p(g(a),a) | p(b,a)`` by taking
+    both its literals to ``p(g(a),a)``: ``g`` occurs twice in the subsumer
+    and once in the clause it subsumes, so only presence features keep the
+    pair."""
+    sig = small_signature()
+    return [parse_clause(sig, "p(g(X), a)", "p(g(Y), a)"),
+            parse_clause(sig, "p(g(a), a)", "p(b, a)")]
+
+
+def subset(c: ConstrainedClause, d: ConstrainedClause) -> bool:
+    return set(c.features()) <= set(d.features())
+
+
+@pytest.mark.parametrize("clauses, least", [
+    *(pytest.param(p.values[0], 50, id=p.id) for p in index_clause_sets()),
+    pytest.param(non_injective_pair(), 1, id="non-injective"),
+])
+def test_the_index_offers_every_subsumption_pair(clauses, least):
+    # every candidate pair is one the features allow, and every pair that
+    # subsumes is a candidate pair
     clauses = [c.with_id(i, Provenance("input")) for i, c in enumerate(clauses, start=1)]
     index = ClauseIndex()
     for c in clauses:
         index.note_kept(c)
     pairs = 0
     for d in clauses:
-        forward = {x.id for x in index.forward_candidates(d)}
+        forward = list(index.forward_candidates(d))
+        assert all(not c.constraints and subset(c, d) for c in forward), d
+        backward = index.backward_candidates(d)
+        assert all(e is not d and subset(d, e) for e in backward), d
         for c in clauses:
             if c is not d and subsumes(c, d):
                 pairs += 1
-                assert c.id in forward, (c, d)
+                assert c.id in {x.id for x in forward}, (c, d)
                 assert d.id in {x.id for x in index.backward_candidates(c)}, (c, d)
-    assert pairs >= 50
+    assert pairs >= least
 
 
 @pytest.mark.parametrize("clauses", index_clause_sets())
@@ -359,22 +390,49 @@ def test_the_resolution_prefilter_skips_only_partners_without_resolvents(clauses
     assert skipped >= 1000
 
 
-def test_the_index_drops_retired_clauses_from_the_lists_it_scans():
-    _, clauses = ground_cnf(4, [((0, True),), ((0, True), (1, False)),
-                                ((0, False), (2, True)), ((0, True), (3, True))])
+def retirement_sets():
+    """Four clauses in which the first subsumes the second and the fourth
+    and resolves with the third, as ground atoms and as non-ground ones;
+    each with the features the first clause alone keeps after the other
+    two retire."""
+    _, ground = ground_cnf(4, [((0, True),), ((0, True), (1, False)),
+                               ((0, False), (2, True)), ((0, True), (3, True))])
+    sig = small_signature()
+    u = sig.sorts["u"]
+    for name in "qrs":
+        sig.predicate(name, (u,))
+    first_order = [parse_clause(sig, "p(g(X), a)"),
+                   parse_clause(sig, "p(g(b), a)", "~q(X)"),
+                   parse_clause(sig, "~p(g(X), a)", "r(X)"),
+                   parse_clause(sig, "p(g(c), a)", "s(f(X, b))")]
+    return [pytest.param(ground, [(True, "A0")], id="ground"),
+            pytest.param(first_order, [(True, "p"), (True, "p", "g"), (True, "p", "a")],
+                         id="first-order")]
+
+
+@pytest.mark.parametrize("clauses, first_only", retirement_sets())
+def test_the_index_drops_retired_clauses_from_the_lists_it_scans(clauses, first_only):
     clauses = [c.with_id(i, Provenance("input")) for i, c in enumerate(clauses, start=1)]
     index = ClauseIndex()
     for c in clauses:
         index.note_kept(c)
         index.note_selected(c)
+    unit, _, negative, _ = clauses
+    assert sorted(c.id for c in index.backward_candidates(unit)) == [2, 4]
     index.retire(clauses[1])
     index.retire(clauses[3])
-    unit, _, negative, _ = clauses
     assert [c.id for c in index.backward_candidates(unit)] == []
     assert [c.id for c in index.partners(negative)] == [1]
     assert [c.id for c in index.forward_candidates(clauses[1])] == [1]
-    assert list(index.postings[(True, "A0")]) == [1]
-    assert list(index.active[(True, "A0")]) == [1]
+    for feature in first_only:
+        assert list(index.postings[feature]) == [1], feature
+    assert list(index.active[first_only[0]]) == [1]
+    # a retired clause is in no list, and a query whose features are all
+    # the clauses' finds only the live ones in the trie
+    for lists in (index.postings, index.active):
+        assert all(lst.keys().isdisjoint({2, 4}) for lst in lists.values())
+    everything = ConstrainedClause([lit for c in clauses for lit in c.literals])
+    assert sorted(c.id for c in index.forward_candidates(everything)) == [1, 3]
 
 
 def literals_map_into(c: ConstrainedClause, d: ConstrainedClause) -> bool:
