@@ -762,7 +762,11 @@ def parse_theory(text: str):
             preset = TheoryPreset(name, sig, RewriteSystem([]))
 
     for line_no, col, line in _split_lines(text):
-        end = col + len(line)  # so the tail ``s`` of the line begins at end - len(s)
+
+        def at(tail: str) -> tuple[int, int]:
+            """The line and column in the file of ``tail``, a tail of the line."""
+            return line_no, col + len(line) - len(tail)
+
         try:
             head, _, rest = line.partition(" ")
             rest = rest.strip()
@@ -780,7 +784,7 @@ def parse_theory(text: str):
             elif head == "sort":
                 sig.declare_sort(rest)
             elif head in ("const", "fun", "pred"):
-                _declare(sig, head, rest, True, "user", (line_no, end - len(rest)))
+                _declare(sig, head, rest, True, "user", at(rest))
             elif head == "display":
                 sym_name, _, style = rest.partition(" ")
                 style = style.strip()
@@ -807,7 +811,7 @@ def parse_theory(text: str):
                     auto += 1
                     rule_name = f"r{auto}"
                 rules.append(parse_rule_text(body, sig, name=rule_name, cls=cls,
-                                             implicit=True, at=(line_no, end - len(body))))
+                                             implicit=True, at=at(body)))
             elif head == "eta":
                 lam = sig.lookup("lam")
                 app = sig.lookup("app")
@@ -830,22 +834,23 @@ def parse_theory(text: str):
                 if default is None:
                     raise ParseError("subset needs a declared sort")
                 env: dict[str, Sort | None] = {v: default for v in var_names}
-                body = parse_prop(body_text, sig, env=env, at=(line_no, end - len(body_text)))
+                body = parse_prop(body_text, sig, env=env, at=at(body_text))
                 params = [Var(v, default) for v in var_names[:-1]]
                 w = Var(var_names[-1], default)
                 declare_subset_symbol(preset, params, w, body, name=sym_name)
                 rules = list(preset.system.rules)
             elif head == "axiom":
-                axioms.append(parse_prop(rest, sig, implicit=True, at=(line_no, end - len(rest))))
+                axioms.append(parse_prop(rest, sig, implicit=True, at=at(rest)))
             elif head == "goal":
                 goal_name, _, goal_text = rest.partition(":")
                 goal_text = goal_text.strip()
                 goals[goal_name.strip()] = parse_prop(goal_text, sig, implicit=True,
-                                                      at=(line_no, end - len(goal_text)))
+                                                      at=at(goal_text))
             else:
                 raise ParseError(f"unknown directive {head!r}")
         except ParseError as exc:
-            # a directive-level error has no position yet: give its line's
+            # an error about the directive as a whole has no position yet:
+            # give it the directive's
             raise ParseError(f"in theory text: {exc.message}", exc.line or line_no,
                              exc.col if exc.line else col) from exc
         except Exception as exc:

@@ -496,8 +496,9 @@ class ClauseIndex:
 
     Every list is a dict keyed by clause id in filing order, and no order
     here depends on the hash seed.  ``retire`` takes a clause that backward
-    subsumption retired out of all of them at once; its trie nodes stay,
-    since the paths of a search's kept clauses are few.  Kept clauses are
+    subsumption retired out of all of them at once.  Its trie nodes stay:
+    there is at most one per feature of each clause ever filed, and a node
+    left without clauses costs a query only its lookups.  Kept clauses are
     never empty: an empty clause ends the search or is dropped at the gate.
     """
 
