@@ -543,15 +543,17 @@ class ClauseIndex:
     def forward_candidates(self, d: ConstrainedClause) -> Iterator[ConstrainedClause]:
         """The subsumers that may subsume ``d``: those whose features are all
         ``d``'s."""
-        path = d.features()
+        features = d.features()
+        # a path's features are sorted, so below the node reached by
+        # features[i - 1] only features[i:] can key a child
         stack = [(self.trie, 0)]
         while stack:
             node, start = stack.pop()
             clauses = node.get(None)
             if clauses:
                 yield from clauses.values()
-            for i in range(start, len(path)):
-                child = node.get(path[i])
+            for i in range(start, len(features)):
+                child = node.get(features[i])
                 if child is not None:
                     stack.append((child, i + 1))
 
@@ -563,7 +565,7 @@ class ClauseIndex:
         ids = shortest.keys()
         for lst in lists:
             if lst is not shortest:
-                ids &= lst.keys()
+                ids = ids & lst.keys()
         return [shortest[cid] for cid in ids if cid != c.id]
 
     def partners(self, c: ConstrainedClause) -> list[ConstrainedClause]:

@@ -363,12 +363,12 @@ def test_the_index_offers_every_subsumption_pair(clauses, least):
     for d in clauses:
         forward = list(index.forward_candidates(d))
         assert all(not c.constraints and subset(c, d) for c in forward), d
-        backward = index.backward_candidates(d)
-        assert all(e is not d and subset(d, e) for e in backward), d
+        assert all(e is not d and subset(d, e) for e in index.backward_candidates(d)), d
+        forward_ids = {c.id for c in forward}
         for c in clauses:
             if c is not d and subsumes(c, d):
                 pairs += 1
-                assert c.id in {x.id for x in forward}, (c, d)
+                assert c.id in forward_ids, (c, d)
                 assert d.id in {x.id for x in index.backward_candidates(c)}, (c, d)
     assert pairs >= least
 
