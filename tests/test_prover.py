@@ -405,34 +405,33 @@ def retirement_sets():
                    parse_clause(sig, "p(g(b), a)", "~q(X)"),
                    parse_clause(sig, "~p(g(X), a)", "r(X)"),
                    parse_clause(sig, "p(g(c), a)", "s(f(X, b))")]
-    return [pytest.param(ground, [(True, "A0")], id="ground"),
-            pytest.param(first_order, [(True, "p"), (True, "p", "g"), (True, "p", "a")],
-                         id="first-order")]
+    return [(ground, [(True, "A0")]),
+            (first_order, [(True, "p"), (True, "p", "g"), (True, "p", "a")])]
 
 
-@pytest.mark.parametrize("clauses, first_only", retirement_sets())
-def test_the_index_drops_retired_clauses_from_the_lists_it_scans(clauses, first_only):
-    clauses = [c.with_id(i, Provenance("input")) for i, c in enumerate(clauses, start=1)]
-    index = ClauseIndex()
-    for c in clauses:
-        index.note_kept(c)
-        index.note_selected(c)
-    unit, _, negative, _ = clauses
-    assert sorted(c.id for c in index.backward_candidates(unit)) == [2, 4]
-    index.retire(clauses[1])
-    index.retire(clauses[3])
-    assert [c.id for c in index.backward_candidates(unit)] == []
-    assert [c.id for c in index.partners(negative)] == [1]
-    assert [c.id for c in index.forward_candidates(clauses[1])] == [1]
-    for feature in first_only:
-        assert list(index.postings[feature]) == [1], feature
-    assert list(index.active[first_only[0]]) == [1]
-    # a retired clause is in no list, and a query whose features are all
-    # the clauses' finds only the live ones in the trie
-    for lists in (index.postings, index.active):
-        assert all(lst.keys().isdisjoint({2, 4}) for lst in lists.values())
-    everything = ConstrainedClause([lit for c in clauses for lit in c.literals])
-    assert sorted(c.id for c in index.forward_candidates(everything)) == [1, 3]
+def test_the_index_drops_retired_clauses_from_the_lists_it_scans():
+    for clauses, first_only in retirement_sets():
+        clauses = [c.with_id(i, Provenance("input")) for i, c in enumerate(clauses, start=1)]
+        index = ClauseIndex()
+        for c in clauses:
+            index.note_kept(c)
+            index.note_selected(c)
+        unit, _, negative, _ = clauses
+        assert sorted(c.id for c in index.backward_candidates(unit)) == [2, 4]
+        index.retire(clauses[1])
+        index.retire(clauses[3])
+        assert [c.id for c in index.backward_candidates(unit)] == []
+        assert [c.id for c in index.partners(negative)] == [1]
+        assert [c.id for c in index.forward_candidates(clauses[1])] == [1]
+        for feature in first_only:
+            assert list(index.postings[feature]) == [1], feature
+        assert list(index.active[first_only[0]]) == [1]
+        # a retired clause is in no list, and a query whose features are all
+        # the clauses' finds only the live ones in the trie
+        for lists in (index.postings, index.active):
+            assert all(lst.keys().isdisjoint({2, 4}) for lst in lists.values())
+        everything = ConstrainedClause([lit for c in clauses for lit in c.literals])
+        assert sorted(c.id for c in index.forward_candidates(everything)) == [1, 3]
 
 
 def literals_map_into(c: ConstrainedClause, d: ConstrainedClause) -> bool:
