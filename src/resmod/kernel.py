@@ -836,7 +836,12 @@ def rename_apart(avoid: Iterable[str], x):
 # Printing
 # ---------------------------------------------------------------------------
 
-_INFIX_TERM_PREC = {"*": 20, "+": 10}
+# The binary term operators, read by the printer and the parser: precedence,
+# right associativity, and the displays printed as a token, not by name.
+_INFIX_TERM_PREC = {".": 5, "@": 7, "+": 10, "*": 20}
+_RIGHT_ASSOC = frozenset({".", "@"})
+_OPERATOR_DISPLAY = {".": "cons", "@": "comp"}
+_DISPLAY_OPERATOR = {display: op for op, display in _OPERATOR_DISPLAY.items()}
 
 
 def format_term(t: Term, env: Mapping[str, str] | None = None, prec: int = 0) -> str:
@@ -880,15 +885,13 @@ def _term_layout(t: App, prec: int) -> list:
         return ["(", *_listed(spine, " "), ")"]
     if display != "prefix" and len(args) == 2:
         a, b = args
-        if display == "infix":
-            my = _INFIX_TERM_PREC.get(sym.name, 15)
-            return _wrapped([(a, my), f" {sym.name} ", (b, my + 1)], prec > my)
+        op = sym.name if display == "infix" else _DISPLAY_OPERATOR.get(display)
+        if op is not None:
+            my = _INFIX_TERM_PREC.get(op, 15)
+            left, right = (my + 1, my) if op in _RIGHT_ASSOC else (my, my + 1)
+            return _wrapped([(a, left), f" {op} ", (b, right)], prec > my)
         if display == "sub":
             return [(a, 99), "[", (b, 0), "]"]
-        if display == "cons":
-            return _wrapped([(a, 6), " . ", (b, 5)], prec > 5)
-        if display == "comp":
-            return _wrapped([(a, 8), " @ ", (b, 7)], prec > 7)
         if display == "brace":
             if (isinstance(a, App) and a.sym.name == sym.name
                     and isinstance(b, App) and b.sym.name == sym.name

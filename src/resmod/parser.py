@@ -14,29 +14,32 @@ Proposition grammar (quantifiers scope as far right as possible)::
 Term grammar (sugar is available when the theory declares the matching
 symbol)::
 
-    term  := comp ('.' term)?          cons, right associative
-    comp  := add ('@' comp)?           composition, right associative
-    add   := mul ('+' mul)*
-    mul   := post ('*' post)*
+    term  := post (OP post)*           OP one of '.' '@' '+' '*'
     post  := prim ('[' term ']')*      explicit substitution
     prim  := NUMBER | IDENT ['(' args ')'] | '(' term term* ')'
            | '<' term ',' term '>' | '{' term ',' term '}'
 
-Parenthesized juxtaposition builds a left-nested application spine.
-Undeclared identifiers denote variables; their sorts are inferred from the
-argument position they appear in, falling back to the theory's default
-sort.  Theory files may also auto-declare new predicate and function
-symbols when an undeclared identifier is applied to arguments.
+The operators' precedences and associativity come from the kernel's
+table, which the printer reads too: cons ``.`` and composition ``@``
+associate to the right, ``+`` and ``*`` to the left.  Terms are read
+without recursion, so they may nest to any depth.  Parenthesized
+juxtaposition builds a left-nested application spine.  Undeclared
+identifiers denote variables; their sorts are inferred from the argument
+position they appear in, falling back to the theory's default sort.
+Theory files may also auto-declare new predicate and function symbols
+when an undeclared identifier is applied to arguments.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .kernel import (
     _INFIX_TERM_PREC,
+    _OPERATOR_DISPLAY,
     _PROP_PREC,
+    _RIGHT_ASSOC,
     App,
     ArrowSort,
     Atom,
@@ -118,8 +121,7 @@ def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
 
 _KEYWORDS = {"forall", "exists", "bot", "top"}
 _TERM_START_OPS = {"(", "<", "{"}
-_OPENERS = ("(", "[", "{", "<")
-_CLOSERS = (")", "]", "}", ">")
+_CLOSING = {"<": ">", "{": "}", "[": "]"}  # an argument list closes with ")"
 
 
 def _glued_paren(tok: Token, nxt: Token) -> bool:
@@ -131,7 +133,10 @@ def _glued_paren(tok: Token, nxt: Token) -> bool:
 
 
 class TermParser:
-    """Recursive-descent parser over one token stream.
+    """Parser over one token stream.  Terms are read by one
+    operator-precedence loop over an explicit stack; propositions, which
+    contain terms, by recursive descent.  Every application is checked
+    against the sorts its symbol declares.
 
     ``implicit`` switches on auto-declaration of predicates/functions that
     appear applied to arguments while undeclared (theory files only).
@@ -172,41 +177,17 @@ class TermParser:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)
 
-    def _adjacent_paren(self, tok: Token) -> bool:
-        return _glued_paren(tok, self.peek())
-
-    def _after_undeclared(self) -> Token | None:
-        """The token after the term that starts here, when that term is an
-        identifier the signature does not declare, with its glued argument
-        list if it has one: the one kind of term whose sort the parse takes
-        from the sort expected of it.  Tokens are skipped, not parsed.
-        None for any other term."""
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value in self.sig.symbols:
-            return None
-        ahead, depth = 1, 0
-        if _glued_paren(tok, self.peek(1)):
-            while self.peek(ahead).kind != "eof":
-                tok = self.peek(ahead)
-                ahead += 1
-                if tok.kind == "op" and tok.value in _OPENERS:
-                    depth += 1
-                elif tok.kind == "op" and tok.value in _CLOSERS:
-                    depth -= 1
-                    if depth == 0:
-                        break
-        return self.peek(ahead)
-
     def at_end(self) -> bool:
         return self.peek().kind == "eof"
 
     # -- sugar symbol lookups -------------------------------------------------
 
-    def _by_display(self, display: str) -> Symbol | None:
+    def _sugar(self, display: str, tok: Token, what: str) -> Symbol:
+        """The symbol displayed as ``display``, for the notation at ``tok``."""
         for sym in self.sig.symbols.values():
             if sym.display == display:
                 return sym
-        return None
+        raise ParseError(f"this theory has no {what}", tok.line, tok.col)
 
     def _app_symbol(self) -> Symbol:
         if self.sig.app_symbols:
@@ -261,190 +242,167 @@ class TermParser:
     # -- terms ------------------------------------------------------------------
 
     def parse_term(self, expected: Sort | None = None) -> Term:
-        cons = self._by_display("cons") if self._cons_ahead() else None
-        t = self._term_comp(cons.arg_sorts[0] if cons is not None else expected)
-        if self.at_op("."):
-            if cons is None:
-                raise self.fail("this theory has no cons symbol for '.'")
-            self.next()
-            rest = self.parse_term(cons.arg_sorts[1])
-            return App(cons, (t, rest))
-        return t
+        return self._resolve(self._expression(), expected)
 
-    def _cons_ahead(self) -> bool:
-        return self._ahead_at_level(".", stop=set())
-
-    def _ahead_at_level(self, op: str, stop: set[str]) -> bool:
-        """Does ``op`` occur at depth zero before this term level closes?"""
-        depth = 0
-        terminators = {",", "->", "=>", "<=>", "\\/", "/\\", "=", ":=", ";", "~"} | stop
-        for tok in self.toks[self.pos:]:
-            if tok.kind == "eof":
-                return False
-            if tok.kind == "op":
-                if tok.value in _OPENERS:
-                    depth += 1
-                elif tok.value in _CLOSERS:
-                    if depth == 0:
-                        return False
-                    depth -= 1
-                elif depth == 0 and tok.value == op:
-                    return True
-                elif depth == 0 and tok.value in terminators:
-                    return False
-        return False
-
-    def _term_comp(self, expected: Sort | None) -> Term:
-        comp = self._by_display("comp") if self._ahead_at_level("@", stop={"."}) else None
-        t = self._term_infix(comp.arg_sorts[0] if comp is not None else expected, 0)
-        if self.at_op("@"):
-            if comp is None:
-                raise self.fail("this theory has no composition symbol for '@'")
-            self.next()
-            rest = self._term_comp(comp.arg_sorts[1])
-            return App(comp, (t, rest))
-        return t
-
-    def _term_infix(self, expected: Sort | None, min_prec: int) -> Term:
-        """Left-associated ``+`` and ``*`` chains whose operators bind at
-        least ``min_prec``, with the precedences the printer uses.  The left
-        operand has the first argument sort of the operator that follows it."""
-        nxt = self._after_undeclared()
-        first = None
-        if nxt is not None and nxt.kind == "op" \
-                and _INFIX_TERM_PREC.get(nxt.value, -1) >= min_prec:
-            first = self.sig.symbols.get(nxt.value)
-        t = self._term_post(first.arg_sorts[0] if first is not None else expected)
+    def _expression(self) -> Term | _Pending:
+        """One term, read by top-down operator precedence (Pratt, POPL 1973)
+        in one loop over an explicit stack of the constructs still open, so
+        any depth parses.  The token after an operand decides the symbol it
+        ends up under, and so its sort; an undeclared identifier that
+        nothing placed comes back as a :class:`_Pending`."""
+        stack = [_Open(None)]
         while True:
-            tok = self.peek()
-            prec = _INFIX_TERM_PREC.get(tok.value, -1) if tok.kind == "op" else -1
-            if prec < min_prec:
-                return t
-            sym = self.sig.symbols.get(tok.value)
-            if sym is None:
-                raise self.fail(f"no {tok.value!r} symbol declared")
-            self.next()
-            t = App(sym, (t, self._term_infix(sym.arg_sorts[1], prec + 1)))
+            x = self._operand(stack)
+            while x is not None:
+                tok, top = self.peek(), stack[-1]
+                if tok.kind == "op" and tok.value == "[":
+                    sub = self._sugar("sub", tok, "explicit-substitution symbol for '[...]'")
+                    self.next()
+                    stack.append(_Open(tok, sub, [self._resolve(x, sub.arg_sorts[0])]))
+                    break
+                prec = _INFIX_TERM_PREC.get(tok.value) if tok.kind == "op" else None
+                while top.ops and (prec is None or _binds_before(top.ops[-1][2].value, tok.value)):
+                    left, sym, op_tok = top.ops.pop()
+                    x = self._apply(sym, (left, x), op_tok)
+                if prec is not None:
+                    sym = self._operator(tok)
+                    self.next()
+                    top.ops.append((self._resolve(x, sym.arg_sorts[0]), sym, tok))
+                    break
+                if top.tok is None:
+                    return x
+                x = self._element(stack, x)
 
-    def _term_post(self, expected: Sort | None) -> Term:
-        nxt = self._after_undeclared()
-        sub = None
-        if nxt is not None and nxt.kind == "op" and nxt.value == "[":
-            sub = self._by_display("sub")
-        t = self._term_prim(sub.arg_sorts[0] if sub is not None else expected)
-        while self.at_op("["):
-            sub = self._by_display("sub")
-            if sub is None:
-                raise self.fail("this theory has no explicit-substitution symbol for '[...]'")
-            self.next()
-            s = self.parse_term(sub.arg_sorts[1])
-            self.expect("]")
-            t = App(sub, (t, s))
-        return t
-
-    def _starts_term(self) -> bool:
-        tok = self.peek()
+    def _operand(self, stack: list[_Open]) -> Term | _Pending | None:
+        """The operand that starts here, or None after opening the
+        construct that starts here."""
+        tok = self.next()
         if tok.kind == "num":
-            return True
-        if tok.kind == "op" and tok.value in _TERM_START_OPS:
-            return True
-        if tok.kind == "ident" and tok.value not in _KEYWORDS:
-            sym = self.sig.symbols.get(tok.value)
-            if sym is not None and sym.kind == PREDICATE:
-                return False
-            return True
-        return False
-
-    def _term_prim(self, expected: Sort | None) -> Term:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.next()
             named = self.sig.symbols.get(tok.value)
             if named is not None and named.kind == INDIVIDUAL:
                 return App(named)
             if self.sig.numeral is None:
                 raise ParseError("this theory has no numeral notation", tok.line, tok.col)
             return self.sig.numeral(int(tok.value))
-        if self.at_op("("):
-            self.next()
-            elems = [self.parse_term(None)]
-            while self._starts_term():
-                elems.append(self.parse_term(None))
-            self.expect(")")
-            if len(elems) == 1:
-                return elems[0]
-            app = self._app_symbol()
-            out = elems[0]
-            for e in elems[1:]:
-                out = App(app, (out, e))
-            return out
-        if self.at_op("<"):
-            brace = self._by_display("brace")
-            if brace is None:
-                raise self.fail("this theory has no pair notation")
-            self.next()
-            a = self.parse_term(brace.arg_sorts[0])
-            self.expect(",")
-            b = self.parse_term(brace.arg_sorts[1])
-            self.expect(">")
-            return App(brace, (App(brace, (a, b)), App(brace, (a, a))))
-        if self.at_op("{"):
-            brace = self._by_display("brace")
-            if brace is None:
-                raise self.fail("this theory has no finite-set braces")
-            self.next()
-            a = self.parse_term(brace.arg_sorts[0])
-            self.expect(",")
-            b = self.parse_term(brace.arg_sorts[1])
-            self.expect("}")
-            return App(brace, (a, b))
+        if tok.kind == "op" and tok.value in _TERM_START_OPS:
+            brace = None if tok.value == "(" else self._sugar("brace", tok, "brace symbol")
+            stack.append(_Open(tok, brace))
+            return None
         if tok.kind != "ident" or tok.value in _KEYWORDS:
             raise ParseError(f"expected a term, found {tok.value or 'end of input'!r}",
                              tok.line, tok.col)
-        self.next()
         name = tok.value
         sym = self.sig.symbols.get(name)
-        applied = self._adjacent_paren(tok)
+        applied = _glued_paren(tok, self.peek())
         if sym is None:
-            if applied and self.implicit:
-                if self.speculative:
-                    raise ParseError(f"unknown function {name}", tok.line, tok.col)
-                args = self._paren_args(None)
-                default = self._default_sort()
-                if default is None:
-                    raise ParseError("cannot auto-declare without a default sort",
-                                     tok.line, tok.col)
-                new = self.sig.function(name, tuple(term_sort(a) for a in args),
-                                        expected or default)
-                return App(new, tuple(args))
-            if applied:
+            if not applied:
+                return _Pending(tok)
+            if not self.implicit or self.speculative:  # only theory files declare by use
                 raise ParseError(f"unknown symbol {name}", tok.line, tok.col)
-            return self._var(name, expected, tok)
-        if sym.kind == PREDICATE:
+        elif sym.kind == PREDICATE:
             raise ParseError(f"predicate {name} used in term position", tok.line, tok.col)
-        if sym.kind == INDIVIDUAL:
+        elif sym.kind == INDIVIDUAL:
             if applied:
                 raise ParseError(f"{name} takes no arguments", tok.line, tok.col)
             return App(sym)
-        if not applied:
+        elif not applied:
             raise ParseError(f"function {name} needs an adjacent argument list",
                              tok.line, tok.col)
-        args = self._paren_args(sym)
+        self.next()
+        stack.append(_Open(tok, sym))
+        if self.at_op(")"):  # an empty argument list
+            self.next()
+            return self._applied(stack.pop())
+        return None
+
+    def _element(self, stack: list[_Open], x: Term | _Pending) -> Term | _Pending | None:
+        """Take ``x`` as the next element of the innermost open construct,
+        and read the separator or the closer after it.  The closed
+        construct, or None when another element follows."""
+        top = stack[-1]
+        if top.tok.value == "(":  # parentheses, or a juxtaposition spine
+            if top.items:
+                x = self._apply(self._app_symbol(), (top.items.pop(), x), top.tok)
+            if not self.at_op(")"):
+                if not self._starts_term():
+                    self.expect(")")
+                top.items.append(self._resolve(x, self._app_symbol().arg_sorts[0]))
+                return None
+            self.next()
+            stack.pop()
+            return x
+        # an argument list, <a, b>, {a, b} or a [..] suffix: x fills a slot of top.sym
+        i, sym = len(top.items), top.sym
+        top.items.append(self._resolve(x, sym.arg_sorts[i]
+                                       if sym is not None and i < sym.arity else None))
+        if self.at_op(",") and top.tok.value != "[":
+            self.next()
+            return None
+        self.expect(_CLOSING.get(top.tok.value, ")"))
+        return self._applied(stack.pop())
+
+    def _applied(self, closed: _Open) -> Term | _Pending:
+        """What a closed argument list, pair, set or ``[..]`` suffix stands for."""
+        sym, tok = closed.sym, closed.tok
+        if sym is None:
+            return _Pending(tok, tuple(closed.items))
+        t = self._apply(sym, closed.items, tok)
+        if tok.value != "<":
+            return t
+        a = t.args[0]  # the pair <a, b> is {{a, b}, {a, a}}
+        return self._apply(sym, (t, self._apply(sym, (a, a), tok)), tok)
+
+    def _resolve(self, x: Term | _Pending, sort: Sort | None) -> Term:
+        """``x`` placed where ``sort`` is needed; None places it anywhere."""
+        if not isinstance(x, _Pending):
+            return x
+        if x.args is None:
+            return self._var(x.tok.value, sort, x.tok)
+        fn = self.sig.function(x.tok.value, tuple(term_sort(a) for a in x.args),
+                               sort or self._default_sort())
+        return App(fn, x.args)
+
+    def _apply(self, sym: Symbol, args, tok: Token, build=App):
+        """``sym`` applied to ``args`` by ``build`` (App, or Atom for a
+        predicate): its use at ``tok`` is an error unless each argument has
+        the sort ``sym`` needs there."""
         if len(args) != sym.arity:
-            raise ParseError(f"{name} expects {sym.arity} arguments, got {len(args)}",
+            raise ParseError(f"{sym.name} expects {sym.arity} arguments, got {len(args)}",
                              tok.line, tok.col)
-        return App(sym, tuple(args))
+        out = []
+        for i, (a, need) in enumerate(zip(args, sym.arg_sorts), start=1):
+            a = self._resolve(a, need)
+            if term_sort(a) != need:
+                raise ParseError(f"argument {i} of {sym.name} has sort {term_sort(a)}, "
+                                 f"but sort {need} is needed here", tok.line, tok.col)
+            out.append(a)
+        return build(sym, tuple(out))
+
+    def _operator(self, tok: Token) -> Symbol:
+        """The binary symbol that the operator token ``tok`` stands for."""
+        display = _OPERATOR_DISPLAY.get(tok.value)
+        sym = (self._sugar(display, tok, f"symbol for {tok.value!r}") if display
+               else self.sig.symbols.get(tok.value))
+        if sym is None or sym.arity != 2:
+            raise ParseError(f"this theory has no binary symbol for {tok.value!r}",
+                             tok.line, tok.col)
+        return sym
+
+    def _starts_term(self) -> bool:
+        tok = self.peek()
+        if tok.kind == "ident":
+            sym = self.sig.symbols.get(tok.value)
+            return tok.value not in _KEYWORDS and (sym is None or sym.kind != PREDICATE)
+        return tok.kind == "num" or (tok.kind == "op" and tok.value in _TERM_START_OPS)
 
     def _paren_args(self, sym: Symbol | None) -> list[Term]:
+        """The glued argument list of a predicate."""
         self.expect("(")
         args: list[Term] = []
-        i = 0
         while not self.at_op(")"):
-            expected = None
-            if sym is not None and i < sym.arity:
-                expected = sym.arg_sorts[i]
-            args.append(self.parse_term(expected))
-            i += 1
+            i = len(args)
+            args.append(self.parse_term(sym.arg_sorts[i]
+                                        if sym is not None and i < sym.arity else None))
             if not self.at_op(")"):
                 self.expect(",")
         self.expect(")")
@@ -476,15 +434,8 @@ class TermParser:
             sym = self.sig.symbols.get(tok.value)
             if sym is not None and sym.kind == PREDICATE and sym.display != "infix":
                 self.next()
-                if self._adjacent_paren(tok):
-                    args = self._paren_args(sym)
-                else:
-                    args = []
-                if len(args) != sym.arity:
-                    raise ParseError(
-                        f"{sym.name} expects {sym.arity} arguments, got {len(args)}",
-                        tok.line, tok.col)
-                return Atom(sym, tuple(args))
+                args = self._paren_args(sym) if _glued_paren(tok, self.peek()) else []
+                return self._apply(sym, args, tok, Atom)
             nxt = self.peek(1)
             if sym is None and self.implicit and _glued_paren(tok, nxt):
                 if self.speculative:
@@ -493,13 +444,13 @@ class TermParser:
                 args = self._paren_args(None)
                 pred = self.sig.predicate(tok.value, tuple(term_sort(a) for a in args))
                 return Atom(pred, tuple(args))
-        t = self.parse_term(None)
+        t = self._expression()
         pred = self._infix_pred()
-        if pred is not None:
-            self.next()
-            u = self.parse_term(pred.arg_sorts[1])
-            return Atom(pred, (t, u))
-        return t
+        if pred is None:
+            return self._resolve(t, None)
+        op = self.next()
+        t = self._resolve(t, pred.arg_sorts[0])
+        return self._apply(pred, (t, self.parse_term(pred.arg_sorts[1])), op, Atom)
 
     _PROP_BOUNDARY = {"", ")", ",", "/\\", "\\/", "=>", "<=>", "->", ";", "]"}
 
@@ -596,6 +547,31 @@ class TermParser:
 
 _ABSENT = object()
 _CONNECTIVES = {"<=>": Iff, "=>": Implies, "\\/": Or, "/\\": And}
+
+
+@dataclass(frozen=True)
+class _Pending:
+    """An undeclared identifier whose sort waits for the token after it: a
+    variable, or, with ``args``, a function a theory file declares by use."""
+    tok: Token
+    args: tuple[Term, ...] | None = None
+
+
+@dataclass
+class _Open:
+    """A construct the term loop has opened and not closed: an argument list
+    (``tok`` is the function's name), parentheses or a juxtaposition spine,
+    ``<a,b>``, ``{a,b}``, a ``[..]`` suffix, or (no ``tok``) the term."""
+    tok: Token | None
+    sym: Symbol | None = None  # the function, or the brace or sub symbol
+    items: list = field(default_factory=list)  # elements read so far
+    ops: list = field(default_factory=list)  # (left operand, operator, its token)
+
+
+def _binds_before(pending: str, incoming: str) -> bool:
+    """Is the operator ``pending`` applied before ``incoming``, read after it?"""
+    p, q = _INFIX_TERM_PREC[pending], _INFIX_TERM_PREC[incoming]
+    return p > q or (p == q and incoming not in _RIGHT_ASSOC)
 
 
 # ---------------------------------------------------------------------------
@@ -884,39 +860,53 @@ def parse_constraints(text: str, sig: Signature,
     constraint between ``t`` and ``u``.  Variables are shared across lines.
     """
     env = env if env is not None else {}
-    out: list[Constraint] = []
-    for line_no, col, line in _split_lines(text):
-        p = TermParser(tokenize(line, line_no, col), sig, env=env)
-        lhs = p.parse_term_or_atom()
-        if p.at_end():
-            if isinstance(lhs, Atom) and len(lhs.args) == 2:
-                out.append(Constraint(lhs.args[0], lhs.args[1]))
-                continue
-            raise p.fail("constraint line needs two sides")
-        p.expect("=")
-        rhs = p.parse_term_or_atom()
-        if not p.at_end():
-            raise p.fail("trailing input after constraint")
-        out.append(Constraint(lhs, rhs))
-    return out
+    return [_parse_constraint(line, sig, env, (line_no, col))
+            for line_no, col, line in _split_lines(text)]
+
+
+def _parse_constraint(text: str, sig: Signature, env: dict[str, Sort | None],
+                      at: tuple[int, int]) -> Constraint:
+    """The constraint on one line, which begins at the line and column
+    ``at`` of a file."""
+    p = TermParser(tokenize(text, *at), sig, env=env)
+    lhs = p.parse_term_or_atom()
+    if p.at_end():
+        if isinstance(lhs, Atom) and len(lhs.args) == 2:
+            return Constraint(lhs.args[0], lhs.args[1])
+        raise p.fail("constraint line needs two sides")
+    p.expect("=")
+    rhs = p.parse_term_or_atom()
+    if not p.at_end():
+        raise p.fail("trailing input after constraint")
+    return Constraint(lhs, rhs)
 
 
 def parse_substitution(text: str, sig: Signature,
                        env: dict[str, Sort | None] | None = None) -> Substitution:
-    """Lines of ``var := term``."""
+    """Lines of ``var := term``, each binding a different variable: an
+    identifier that is neither a keyword nor a symbol of ``sig``."""
     env = env if env is not None else {}
     bindings: dict[str, Term] = {}
     for line_no, col, line in _split_lines(text):
         name_part, sep, term_part = line.partition(":=")
         if not sep:
             raise ParseError(f"expected 'var := term' in {line!r}", line_no, col)
-        var_name = name_part.strip()
+        var_tok, after = tokenize(name_part + sep, line_no, col)[:2]
+        var_name = var_tok.value
+        if var_tok.kind != "ident" or var_name in _KEYWORDS or var_name in sig.symbols:
+            raise ParseError(f"expected a variable, found {var_name!r}", var_tok.line,
+                             var_tok.col)
+        if after.value != ":=":
+            raise ParseError(f"expected ':=' after {var_name}, found {after.value!r}",
+                             after.line, after.col)
         expected = env.get(var_name)
         p = TermParser(tokenize(term_part, line_no, col + len(name_part) + len(sep)),
                        sig, env=env)
         t = p.parse_term(expected)
         if not p.at_end():
             raise p.fail("trailing input after binding")
+        if var_name in bindings:
+            raise ParseError(f"variable {var_name} is bound twice", var_tok.line, var_tok.col)
         bindings[var_name] = t
         env.setdefault(var_name, term_sort(t))
     return Substitution(bindings)
@@ -941,11 +931,17 @@ def parse_trace(text: str, sig: Signature) -> TraceDoc:
     doc = TraceDoc()
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# resmod trace"):
-        raise ParseError("not a resmod trace")
+        raise ParseError("not a resmod trace", 1, 1)
     section = "header"
-    raw_steps: list[tuple[int, str, tuple[int, ...], str | None, str]] = []
-    constraint_defs: list[tuple[str, str]] = []
-    for raw in lines[1:]:
+    # each with the line and column where its clause text begins
+    raw_steps: list[tuple[int, str, tuple[int, ...], str | None, str, tuple[int, int]]] = []
+    constraint_defs: list[tuple[str, str, tuple[int, int]]] = []
+    for line_no, raw in enumerate(lines[1:], start=2):
+
+        def at(tail: str) -> tuple[int, int]:
+            """The line and column in the trace of ``tail``, a tail of the line."""
+            return line_no, len(raw.rstrip()) - len(tail) + 1
+
         if not raw.strip():
             continue
         if raw == "symbols:":
@@ -965,11 +961,12 @@ def parse_trace(text: str, sig: Signature) -> TraceDoc:
             decl = raw.strip()
             doc.symbol_lines.append(decl)
             kind, _, rest = decl.partition(" ")
-            _declare(sig, kind, rest, False, "skolem")
+            _declare(sig, kind, rest, False, "skolem", at(rest))
             continue
         if section == "constraints" and raw.startswith("  "):
             cname, _, body = raw.strip().partition(":")
-            constraint_defs.append((cname.strip(), body.strip()))
+            body = body.strip()
+            constraint_defs.append((cname.strip(), body, at(body)))
             continue
         m = _STEP_RE.match(raw)
         if m:
@@ -981,28 +978,28 @@ def parse_trace(text: str, sig: Signature) -> TraceDoc:
                 head, _, aux_part = inside.partition(";")
                 aux = aux_part.strip() or None
                 parents = tuple(int(x) for x in head.split(",") if x.strip())
-            raw_steps.append((int(sid), kind, parents, aux, rest))
+            raw_steps.append((int(sid), kind, parents, aux, rest, (line_no, m.start(4) + 1)))
             continue
         if section == "header" and ":" in raw:
             k, _, v = raw.partition(":")
             doc.header.append((k.strip(), v.strip()))
             continue
-        raise ParseError(f"unparseable trace line: {raw!r}")
+        raise ParseError(f"unparseable trace line: {raw!r}", line_no, 1)
 
     env: dict[str, Sort | None] = {}
     name_to_constraint: dict[str, Constraint] = {}
-    for cname, body in constraint_defs:
-        cs = parse_constraints(body, sig, env)
-        name_to_constraint[cname] = cs[0]
-        doc.names[cs[0]] = cname
+    for cname, body, body_at in constraint_defs:
+        c = _parse_constraint(body, sig, env, body_at)
+        name_to_constraint[cname] = c
+        doc.names[c] = cname
 
-    for sid, kind, parents, aux, rest in raw_steps:
+    for sid, kind, parents, aux, rest, rest_at in raw_steps:
         lit_text, _, refs = rest.partition(" / ")
         refs = refs.strip()
         constraints = [name_to_constraint[r.strip()] for r in refs.split(",")] if refs else []
         literals: list[Literal] = []
         if lit_text.strip() != "[]":
-            p = TermParser(tokenize(lit_text), sig, env=env)
+            p = TermParser(tokenize(lit_text, *rest_at), sig, env=env)
             while True:
                 negative = False
                 if p.at_op("~"):

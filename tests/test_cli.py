@@ -248,22 +248,65 @@ def _nested_numeral(depth: int) -> str:
     return "S(" * depth + "0" + ")" * depth
 
 
-@pytest.mark.parametrize("command", ["prove", "normalize", "check-solution"])
-def test_input_too_deep_for_the_parser_is_an_internal_error(tmp_path, capsys, command):
-    # the input is valid; the recursive-descent parser runs out of stack
-    deep = _nested_numeral(900)
+DEEP = _nested_numeral(5000)
+
+
+@pytest.mark.parametrize("strategy, solution", [
+    ("freeze", f"solution:\n  X := {DEEP}\n"),
+    # resolution binds X on the fly, so no constraint is left to solve
+    ("onfly", "solution: identity\n"),
+], ids=["freeze", "onfly"])
+def test_a_goal_nested_5000_levels_deep_is_proved(capsys, strategy, solution):
+    code = cli.main(["prove", "--theory", "arith", "--strategy", strategy,
+                     "--goal", f"exists x:nat x = {DEEP}"])
+    assert code == cli.EXIT_PROVED
+    out = capsys.readouterr().out
+    assert f"verdict: PROVED\n{solution}" in out
+    assert f"\n2. input | ~X = {DEEP}\n" in out
+
+
+def test_normalize_reads_a_term_nested_5000_levels_deep(capsys):
+    assert cli.main(["normalize", "--theory", "arith", DEEP]) == 0
+    assert capsys.readouterr().out.endswith(f"normal form after 0 steps: {DEEP}\n")
+
+
+def test_check_solution_reads_files_nested_5000_levels_deep(tmp_path, capsys):
     constraints = tmp_path / "constraints"
-    constraints.write_text(f"x = {deep}\n")
+    constraints.write_text(f"x = {DEEP}\n")
     solution = tmp_path / "solution"
-    solution.write_text("x := 0\n")
-    argv = {
-        "prove": ["prove", "--goal", f"exists x:nat x = {deep}"],
-        "normalize": ["normalize", deep],
-        "check-solution": ["check-solution", "--constraints", str(constraints),
-                           "--solution", str(solution)],
-    }[command]
-    assert cli.main([argv[0], "--theory", "arith", *argv[1:]]) == cli.EXIT_INTERNAL_ERROR
-    assert "error: internal error: RecursionError" in capsys.readouterr().err
+    solution.write_text(f"x := {DEEP}\n")
+    assert cli.main(["check-solution", "--theory", "arith", "--constraints", str(constraints),
+                     "--solution", str(solution)]) == 0
+    assert capsys.readouterr().out.endswith("all equations pass\n")
+
+
+@pytest.mark.parametrize("goal, error", [
+    ("eps(lam(id))", "argument 1 of lam has sort subst, but sort term is needed here "
+                     "(line 1, column 5)"),
+    ("eps(id)", "argument 1 of eps has sort subst, but sort term is needed here "
+                "(line 1, column 1)"),
+], ids=["function", "predicate"])
+def test_an_ill_sorted_goal_is_an_input_error(capsys, goal, error):
+    # lam takes a term, and id is a substitution
+    assert cli.main(["prove", "--theory", "hol-sigma", "--goal", goal]) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("theory, constraint, binding", [
+    ("hol-sigma", "x = lam(id)", "x := lam(id)"),
+    ("arith", "S(x) = S(0)", "S(x) := 0"),
+    ("arith", "x = 0", "x := 0\nx := S(0)"),
+], ids=["ill-sorted", "not-a-variable", "bound-twice"])
+def test_a_malformed_constraint_or_solution_file_is_an_input_error(
+        tmp_path, capsys, theory, constraint, binding):
+    # each used to be checked as if well formed, its error read as a verdict
+    constraints = tmp_path / "constraints"
+    constraints.write_text(constraint + "\n")
+    solution = tmp_path / "solution"
+    solution.write_text(binding + "\n")
+    assert cli.main(["check-solution", "--theory", theory, "--constraints",
+                     str(constraints), "--solution", str(solution)]) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_normalize_reaches_a_deep_normal_form(capsys):

@@ -88,6 +88,23 @@ def test_printed_random_terms_parse_back(name):
             assert parse_term(format_term(t), sig, dict(variables)) == t, format_term(t)
 
 
+def church(sig, n):
+    """The hol-sigma Church numeral ``n``: lam(lam((2 (2 ... (2 1)))))."""
+    app, lam, idx = sig.lookup("app"), sig.lookup("lam"), sig.numeral
+    body = idx(1)
+    for _ in range(n):
+        body = App(app, (idx(2), body))
+    return App(lam, (App(lam, (body,)),))
+
+
+def test_printed_terms_5000_levels_deep_parse_back():
+    arith, sigma = load_preset("arith").sig, load_preset("hol-sigma").sig
+    numeral = arith.numeral(5000)
+    assert format_term(numeral) == "S(" * 5000 + "0" + ")" * 5000
+    for t, sig in [(numeral, arith), (church(sigma, 5000), sigma)]:
+        assert parse_term(format_term(t), sig) == t
+
+
 # one line per directive: theory, use, sort, const, fun, pred, display, E, R,
 # rule, eta, subset, axiom and goal
 THEORY = """\
@@ -255,3 +272,32 @@ def test_a_theory_file_reports_each_error_once_where_it_is(text, where):
     assert (err.value.line, err.value.col) == where
     assert str(err.value).endswith(f" (line {where[0]}, column {where[1]})")
     assert str(err.value).count("(line ") == 1
+
+
+@pytest.mark.parametrize("text, col, error", [
+    ("eps(lam(id))", 5, "argument 1 of lam has sort subst, but sort term is needed here"),
+    ("eps(id)", 1, "argument 1 of eps has sort subst, but sort term is needed here"),
+    ("d in 1", 3, "argument 2 of in has sort term, but sort set is needed here"),
+    ("d in d + 1", 8, "argument 2 of + has sort term, but sort set is needed here"),
+    ("eps(1[id . shift])", 10, "argument 1 of cons has sort subst, but sort term is needed here"),
+], ids=["function", "prefix-predicate", "infix-predicate", "operator", "cons"])
+def test_an_ill_sorted_application_is_reported_at_its_symbol(text, col, error):
+    sig = parse_theory(THEORY + "fun cons : (term, subst) -> subst\ndisplay cons cons\n").sig
+    with pytest.raises(ParseError) as err:
+        parse_prop(text, sig)
+    assert (err.value.message, err.value.col) == (error, col)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("x y := 0\n", (1, 3)),
+    ("0 := S(0)\n", (1, 1)),
+    ("S(x) := 0\n", (1, 1)),
+    ("\n  := 0\n", (2, 3)),
+    ("forall := 0\n", (1, 1)),
+    ("x := 0\n# again\n x := S(0)\n", (3, 2)),
+], ids=["two-names", "numeral", "application", "no-name", "keyword", "bound-twice"])
+def test_a_solution_binds_each_variable_once_by_name(text, where):
+    theory = load_preset("arith")
+    with pytest.raises(ParseError) as err:
+        parse_substitution(text, theory.sig)
+    assert (err.value.line, err.value.col) == where

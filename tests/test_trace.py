@@ -110,3 +110,26 @@ def test_the_constraint_table_names_only_constraints_of_kept_clauses():
     assert report.discards["unsolvable"] > 0
     table, refs = constraint_names(report.trace)
     assert table and table == refs
+
+
+def test_a_freeze_trace_with_lines_of_6000_characters_round_trips():
+    theory = theories.load_preset("arith")
+    goal = parse_prop("exists x:nat x + 0 = 2000", theory.sig)
+    text = cli.run_prove(theory, goal, FREEZE).trace
+    assert max(len(line) for line in text.splitlines()) > 6000
+    assert parse_trace(text, theories.load_preset("arith").sig).render() == text
+
+
+@pytest.mark.parametrize("line_no, before", [(6, "| "), (7, "| "), (9, ": ")],
+                         ids=["input", "resolvent", "constraint"])
+def test_a_trace_reports_an_error_at_its_own_line_and_column(line_no, before):
+    # lines 6, 7 and 9 of this trace are "2. input | ~X + X = ...",
+    # "3. resolution(2, 1) | [] / c1" and "  c1: X'' = X'' = ..."
+    theory = theories.load_preset("arith")
+    lines = cli.run_prove(theory, theory.goals["double"], FREEZE).trace.splitlines()
+    line = lines[line_no - 1]
+    col = line.index(before) + len(before) + 1
+    lines[line_no - 1] = line[:col - 1] + ")" + line[col - 1:]
+    with pytest.raises(ParseError) as err:
+        parse_trace("\n".join(lines) + "\n", theories.load_preset("arith").sig)
+    assert (err.value.line, err.value.col) == (line_no, col)
