@@ -28,7 +28,7 @@ from .kernel import (
     Var,
 )
 from .rewrite import EtaRule, RewriteRule, RewriteSystem, normalize, reduce_once
-from .clausal import Constraint, ConstrainedClause, Literal, clausal_form, nnf, reclausify, skolemize
+from .clausal import Constraint, ConstrainedClause, Literal, clausal_form, reclausify
 from .unify import check_solution, e_unify_narrowing, unify_syntactic
 from .prover import ProverConfig, SearchResult, saturate
 from .theories import load_preset, parse_theory_file

@@ -1,9 +1,10 @@
 """Transformation of propositions into constrained clauses.
 
-The pipeline is: normalize (fuel-bounded), negation normal form, sorted
-skolemization, then distribution to conjunctive normal form.  Clauses carry
-a set of postponed equality constraints; clausification never drops the
-constraints of its input clause.
+The pipeline is: normalize (fuel-bounded), then one pass directed by
+polarity that skolemizes (sorted), names the universals and distributes to
+conjunctive normal form.  Clauses carry a set of postponed equality
+constraints; clausification never drops the constraints of its input
+clause.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .kernel import (
     App,
     Atom,
     Bottom,
-    Exists,
     Forall,
     Iff,
     Implies,
@@ -28,13 +28,12 @@ from .kernel import (
     Term,
     Top,
     Var,
-    _Quant,
+    _Binary,
     format_term,
     free_names,
     free_vars,
-    subst_prop,
+    subst_term,
     term_sort,
-    variant_name,
 )
 from .rewrite import RewriteSystem, normalize
 
@@ -245,114 +244,6 @@ class ConstrainedClause:
 
 
 # ---------------------------------------------------------------------------
-# Negation normal form
-# ---------------------------------------------------------------------------
-
-
-def nnf(p: Prop) -> Prop:
-    """Negation normal form.
-
-    Equivalences expand to the two implications first; the result contains
-    negation only directly on atoms and no implication or equivalence.
-    """
-    return _nnf(p, True)
-
-
-def _nnf(p: Prop, positive: bool) -> Prop:
-    match p:
-        case Atom():
-            return p if positive else Not(p)
-        case Top():
-            return Top() if positive else Bottom()
-        case Bottom():
-            return Bottom() if positive else Top()
-        case Not():
-            return _nnf(p.body, not positive)
-        case And():
-            l, r = _nnf(p.left, positive), _nnf(p.right, positive)
-            return And(l, r) if positive else Or(l, r)
-        case Or():
-            l, r = _nnf(p.left, positive), _nnf(p.right, positive)
-            return Or(l, r) if positive else And(l, r)
-        case Implies():
-            if positive:
-                return Or(_nnf(p.left, False), _nnf(p.right, True))
-            return And(_nnf(p.left, True), _nnf(p.right, False))
-        case Iff():
-            expanded = And(Implies(p.left, p.right), Implies(p.right, p.left))
-            return _nnf(expanded, positive)
-        case Forall():
-            body = _nnf(p.body, positive)
-            return Forall(p.var, body, p.hint) if positive else Exists(p.var, body, p.hint)
-        case Exists():
-            body = _nnf(p.body, positive)
-            return Exists(p.var, body, p.hint) if positive else Forall(p.var, body, p.hint)
-    raise TypeError(f"not a proposition: {p!r}")
-
-
-def is_nnf(p: Prop) -> bool:
-    match p:
-        case Atom() | Top() | Bottom():
-            return True
-        case Not():
-            return isinstance(p.body, Atom)
-        case And() | Or():
-            return is_nnf(p.left) and is_nnf(p.right)
-        case _Quant():
-            return is_nnf(p.body)
-        case _:
-            return False
-
-
-# ---------------------------------------------------------------------------
-# Skolemization
-# ---------------------------------------------------------------------------
-
-
-def skolemize(p: Prop, sig: Signature, outer: tuple[Var, ...] = ()) -> Prop:
-    """Remove existentials from a proposition in NNF.
-
-    An existential under the universal prefix ``x1..xn`` is replaced by a
-    fresh *function* symbol applied to the prefix variables: the symbol has
-    a genuine rank, it is never an individual of arrow sort.  With an empty
-    prefix the witness degenerates to a fresh individual.  ``outer`` names
-    variables that are free in ``p`` but implicitly universal (the free
-    variables of a clause being re-clausified); they join every prefix.
-    ``sig`` is extended in place.
-    """
-    used = set(free_names(p))
-
-    def go(q: Prop, prefix: tuple[Var, ...]) -> Prop:
-        match q:
-            case Atom() | Top() | Bottom() | Not():
-                return q
-            case And() | Or():
-                return type(q)(go(q.left, prefix), go(q.right, prefix))
-            case Forall():
-                # fresh non-shadowing name so skolem arguments stay distinct
-                name = q.hint if q.hint not in used and not q.hint.startswith("_") \
-                    else variant_name(q.hint.lstrip("_") or "x", used)
-                used.add(name)
-                v = Var(name, q.var.sort)
-                body = subst_prop(q.body, {q.var.name: v})
-                return Forall(v, go(body, prefix + (v,)), q.hint)
-            case Exists():
-                base = q.hint.lstrip("_") or "w"
-                sym_name = sig.fresh_name(base)
-                if prefix:
-                    sym = sig.function(sym_name, tuple(v.sort for v in prefix), q.var.sort,
-                                       origin="skolem")
-                else:
-                    sym = sig.individual(sym_name, q.var.sort, origin="skolem")
-                witness = App(sym, prefix)
-                body = subst_prop(q.body, {q.var.name: witness})
-                return go(body, prefix)
-        raise TypeError(f"proposition is not in NNF: {q!r}")
-
-    return go(p, outer)
-
-
-# ---------------------------------------------------------------------------
 # Clausal form
 # ---------------------------------------------------------------------------
 
@@ -363,62 +254,103 @@ class ClausalResult:
     normalized: bool
 
 
-def _strip_and_distribute(p: Prop, used: set[str]) -> list[tuple[Literal, ...]]:
-    """CNF of a skolemized NNF proposition, freeing universal variables.
+# markers on the work stack of :func:`_clause_literals`: join the two
+# clause lists on top of the result stack as a conjunction or a disjunction
+_CONJ, _DISJ = object(), object()
 
-    Truth constants drive the simplification: top contributes no clause and
-    bottom contributes the empty disjunction, so distribution erases them.
+
+def _clause_literals(p: Prop, sig: Signature,
+                     outer: tuple[Var, ...]) -> list[tuple[Literal, ...]]:
+    """The clauses of ``p``, in one pass over it directed by polarity
+    (Nonnengart and Weidenbach, "Computing small clause normal forms",
+    2001).  An equivalence is read as its two implications.  A quantifier
+    that is universal at its polarity gets a fresh clause variable named
+    after its binder, capitalized; an existential one gets a fresh skolem
+    *function* applied to the universals around it (a genuine rank, never
+    an individual of arrow sort), or a fresh individual when there are
+    none.
+    ``outer`` are variables free in ``p`` and read as universal; they open
+    every witness's arguments.  The binders' values are substituted at the
+    atoms.  Top contributes no clause and bottom the empty one, so
+    distribution erases both.  ``sig`` is extended in place.
     """
-    match p:
-        case Atom():
-            return [(Literal(True, p),)]
-        case Not():
-            return [(Literal(False, p.body),)]
-        case Top():
-            return []
-        case Bottom():
-            return [()]
-        case Forall():
-            name = p.hint.lstrip("_") or "x"
-            name = name[0].upper() + name[1:]
-            if name in used:
-                name = variant_name(name, used)
-            used.add(name)
-            v = Var(name, p.var.sort)
-            return _strip_and_distribute(subst_prop(p.body, {p.var.name: v}), used)
-        case And():
-            return _strip_and_distribute(p.left, used) + _strip_and_distribute(p.right, used)
-        case Or():
-            left = _strip_and_distribute(p.left, used)
-            right = _strip_and_distribute(p.right, used)
-            out: list[tuple[Literal, ...]] = []
-            for c1 in left:
-                for c2 in right:
-                    merged = c1 + tuple(l for l in c2 if l not in c1)
-                    out.append(merged)
-            return out
-    raise TypeError(f"unexpected connective after skolemization: {p!r}")
+    used = set(p._free)
+    primes: dict[str, int] = {}  # per base, a count of primes below which all are used
+
+    def universal(hint: str) -> str:
+        name = hint.lstrip("_") or "x"
+        name = name[0].upper() + name[1:]
+        if name in used:
+            k = primes.get(name, 1)
+            while name + "'" * k in used:
+                k += 1
+            primes[name] = k + 1
+            name += "'" * k
+        used.add(name)
+        return name
+
+    results: list[list[tuple[Literal, ...]]] = []
+    # (subformula, polarity, binder values, universals around it), or a marker
+    todo: list = [(p, True, {}, outer)]
+    while todo:
+        item = todo.pop()
+        if item is _CONJ or item is _DISJ:
+            right = results.pop()
+            left = results[-1]
+            if item is _CONJ:
+                left += right
+            else:
+                results[-1] = [c1 + tuple(l for l in c2 if l not in c1)
+                               for c1 in left for c2 in right]
+            continue
+        q, positive, env, prefix = item
+        if isinstance(q, Atom):
+            if env and q._free & env.keys():
+                q = Atom(q.pred, tuple(subst_term(a, env) for a in q.args))
+            results.append([(Literal(positive, q),)])
+        elif isinstance(q, (Top, Bottom)):
+            results.append([] if isinstance(q, Top) == positive else [()])
+        elif isinstance(q, Not):
+            todo.append((q.body, not positive, env, prefix))
+        elif isinstance(q, Iff):
+            todo.append((And(Implies(q.left, q.right), Implies(q.right, q.left)),
+                         positive, env, prefix))
+        elif isinstance(q, _Binary):
+            left_positive = positive != isinstance(q, Implies)
+            todo += (_CONJ if isinstance(q, And) == positive else _DISJ,
+                     (q.right, positive, env, prefix), (q.left, left_positive, env, prefix))
+        elif isinstance(q, Forall) == positive:
+            v = Var(universal(q.hint), q.var.sort)
+            todo.append((q.body, positive, {**env, q.var.name: v}, prefix + (v,)))
+        else:
+            name = sig.fresh_name(q.hint.lstrip("_") or "w")
+            if prefix:
+                sym = sig.function(name, tuple(v.sort for v in prefix), q.var.sort,
+                                   origin="skolem")
+            else:
+                sym = sig.individual(name, q.var.sort, origin="skolem")
+            todo.append((q.body, positive, {**env, q.var.name: App(sym, prefix)}, prefix))
+    return results[0]
 
 
 def clausal_form(p: Prop, system: RewriteSystem, sig: Signature,
                  fuel: int = 10_000,
                  constraints: Iterable[Constraint] = ()) -> ClausalResult:
-    """Clauses of ``p``: normalize, NNF, skolemize, distribute.
+    """Clauses of ``p``: normalize, then skolemize and distribute in one
+    pass.
 
     When normalization runs out of fuel the pipeline continues on the
     partially reduced proposition and the result is flagged unnormalized.
     ``constraints`` are carried into every produced clause.
     """
     outcome = normalize(p, system, fuel)
-    q = nnf(outcome.value)
+    q = outcome.value
     # free variables of the input act as an implicitly universal prefix, so
     # skolem witnesses below them must depend on them
     outer = tuple(sorted(free_vars(q), key=lambda v: v.name))
-    q = skolemize(q, sig, outer)
-    used: set[str] = set(free_names(q))
-    clause_lits = _strip_and_distribute(q, used)
     base_constraints = tuple(constraints)
-    clauses = [ConstrainedClause(lits, base_constraints) for lits in clause_lits]
+    clauses = [ConstrainedClause(lits, base_constraints)
+               for lits in _clause_literals(q, sig, outer)]
     return ClausalResult(clauses, outcome.normal)
 
 

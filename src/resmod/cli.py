@@ -19,11 +19,10 @@ some kept clause was left unnormalized (``--fuel``).
 ``check-solution`` exits 0 when the substitution solves every equation and
 1 when it does not; ``normalize`` exits 0.  Every subcommand exits 3 on an
 input error, a malformed command line included, and 5 on an internal error
-(resmod itself failed, say on a proposition nested too deep for the
-parser), so neither reads as a verdict.  ``--theory`` accepts a preset name
-(``arith``, ``integral-rings``, ``chain(n)``, ``hol-comb``, ``hol-sigma``,
-``set``, ``set-cantor``), a theory file path, or an inline rule set in
-braces such as ``'{A -> A => B}'``.
+(resmod itself failed), so neither reads as a verdict.  ``--theory``
+accepts a preset name (``arith``, ``integral-rings``, ``chain(n)``,
+``hol-comb``, ``hol-sigma``, ``set``, ``set-cantor``), a theory file path,
+or an inline rule set in braces such as ``'{A -> A => B}'``.
 """
 
 from __future__ import annotations
@@ -156,8 +155,6 @@ def cmd_prove(args: argparse.Namespace) -> int:
         # opened before the search, so that a trace path that cannot be
         # written is an input error and no search runs in vain
         trace_out = open(args.trace, "w") if args.trace else nullcontext(sys.stdout)
-    except RecursionError:
-        raise  # a proposition nested too deep for the parser: an internal error
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -172,8 +169,6 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     try:
         theory = load_theory(args.theory)
         x = parse_term_or_atom(args.expr, theory.sig)
-    except RecursionError:
-        raise  # a proposition nested too deep for the parser: an internal error
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -202,8 +197,6 @@ def cmd_check_solution(args: argparse.Namespace) -> int:
                                         theory.sig, env)
         solution = parse_substitution(Path(args.solution).read_text(),
                                       theory.sig, env)
-    except RecursionError:
-        raise  # a proposition nested too deep for the parser: an internal error
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

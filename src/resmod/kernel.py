@@ -147,6 +147,9 @@ class Signature:
         self.default_sort: BaseSort | None = None
         # Optional hook mapping an integer literal to a term.
         self.numeral = None
+        # for each base of fresh_name, an index below which every name is
+        # taken; symbols are never removed, so it only grows
+        self._next_index: dict[str, int] = {}
 
     def declare_sort(self, name: str) -> BaseSort:
         if name in self.sorts:
@@ -193,11 +196,13 @@ class Signature:
             raise UnknownSymbolError(f"symbol {name} is not declared") from None
 
     def fresh_name(self, base: str) -> str:
+        """The first of ``base``, ``base1``, ``base2``, ... not declared."""
         if base not in self.symbols:
             return base
-        i = 1
+        i = self._next_index.get(base, 1)
         while f"{base}{i}" in self.symbols:
             i += 1
+        self._next_index[base] = i
         return f"{base}{i}"
 
     def copy(self) -> "Signature":
@@ -207,6 +212,7 @@ class Signature:
         out.app_symbols = self.app_symbols
         out.default_sort = self.default_sort
         out.numeral = self.numeral
+        out._next_index = dict(self._next_index)
         return out
 
 
@@ -389,7 +395,7 @@ class Prop:
         return self._hash
 
     def __str__(self) -> str:
-        return format_prop(self)
+        return format_term(self)
 
 
 class Atom(Prop):
@@ -583,67 +589,70 @@ def free_vars(x: Term | Prop) -> frozenset[Var]:
     if not x._free:
         return frozenset()  # a proposition caches its free names
     out: set[Var] = set()
-
-    def walk(p: Prop, bound: frozenset[str]) -> None:
-        match p:
-            case Atom():
-                for a in p.args:
-                    for v in term_vars(a):
-                        if v.name not in bound:
-                            out.add(v)
-            case Not():
-                walk(p.body, bound)
-            case _Binary():
-                walk(p.left, bound)
-                walk(p.right, bound)
-            case _Quant():
-                walk(p.body, bound | {p.var.name})
-            case _:
-                pass
-
-    walk(x, frozenset())
+    if isinstance(x, Atom):  # the common case, kept direct
+        for a in x.args:
+            term_vars(a, out)
+        return frozenset(out)
+    # pairs (subformula, the names bound around it) that have free names
+    stack: list[tuple[Prop, frozenset[str]]] = [(x, frozenset())]
+    while stack:
+        p, bound = stack.pop()
+        if isinstance(p, Atom):
+            for a in p.args:
+                out.update(v for v in term_vars(a) if v.name not in bound)
+        elif isinstance(p, _Quant):
+            stack.append((p.body, bound | {p.var.name}))
+        else:
+            stack.extend((q, bound) for q in children(p) if q._free)
     return frozenset(out)
 
 
 def subst_prop(p: Prop, m: Mapping[str, Term]) -> Prop:
     """Capture-avoiding substitution into a proposition."""
-    if not m:
+    if not m or not (p._free & m.keys()):
         return p
-    match p:
-        case Atom():
-            if not (p._free & m.keys()):
-                return p
-            return Atom(p.pred, tuple(subst_term(a, m) for a in p.args))
-        case Top() | Bottom():
-            return p
-        case Not():
-            if not (p._free & m.keys()):
-                return p
-            return Not(subst_prop(p.body, m))
-        case _Binary():
-            if not (p._free & m.keys()):
-                return p
-            return type(p)(subst_prop(p.left, m), subst_prop(p.right, m))
-        case _Quant():
-            relevant = {k: v for k, v in m.items() if k != p.var.name and k in p.body._free}
-            if not relevant:
-                return p
-            var, body = p.var, p.body
-            range_names: set[str] = set()
-            for t in relevant.values():
-                range_names |= term_var_names(t)
-            if var.name in range_names:
-                # Rename the binder out of the way; the constructor will
-                # re-canonicalize whatever name we pick.
-                i = 0
-                while f"_r{i}" in range_names or f"_r{i}" in body._free:
-                    i += 1
-                nv = Var(f"_r{i}", var.sort)
-                body = subst_prop(body, {var.name: nv})
-                var = nv
-            return type(p)(var, subst_prop(body, relevant), p.hint)
-        case _:
-            raise TypeError(f"not a proposition: {p!r}")
+    if isinstance(p, Atom):
+        return Atom(p.pred, tuple(subst_term(a, m) for a in p.args))
+    # frames [node, its mapping, its new children so far, its bound variable]
+    stack: list[list] = [_subst_frame(p, m)]
+    while True:
+        node, m, done, var = stack[-1]
+        kids = children(node)
+        if len(done) < len(kids):
+            x = kids[len(done)]
+            if not (x._free & m.keys()):
+                done.append(x)
+            elif isinstance(x, Atom):
+                done.append(Atom(x.pred, tuple(subst_term(a, m) for a in x.args)))
+            else:
+                stack.append(_subst_frame(x, m))
+            continue
+        stack.pop()
+        new = (type(node)(var, done[0], node.hint) if isinstance(node, _Quant)
+               else with_children(node, tuple(done)))
+        if not stack:
+            return new
+        stack[-1][2].append(new)
+
+
+def _subst_frame(q: Prop, m: Mapping[str, Term]) -> list:
+    """The frame of :func:`subst_prop` for ``m`` applied to ``q``.  Under a
+    quantifier the mapping keeps the names free in ``q``, and gives the
+    bound variable a fresh name when a substituted term mentions it."""
+    if not isinstance(q, _Quant):
+        return [q, m, [], None]
+    relevant = {k: v for k, v in m.items() if k in q._free}
+    var = q.var
+    range_names: set[str] = set()
+    for t in relevant.values():
+        range_names |= term_var_names(t)
+    if var.name in range_names:
+        # the constructor re-canonicalizes whatever name is picked here
+        i = 0
+        while f"_r{i}" in range_names or f"_r{i}" in q.body._free:
+            i += 1
+        relevant[var.name] = var = Var(f"_r{i}", var.sort)
+    return [q, relevant, [], var]
 
 
 # ---------------------------------------------------------------------------
@@ -844,21 +853,36 @@ _OPERATOR_DISPLAY = {".": "cons", "@": "comp"}
 _DISPLAY_OPERATOR = {display: op for op, display in _OPERATOR_DISPLAY.items()}
 
 
-def format_term(t: Term, env: Mapping[str, str] | None = None, prec: int = 0) -> str:
+def format_term(x: Term | Prop, env: Mapping[str, str] | None = None, prec: int = 0) -> str:
+    """The text of a term or a proposition, laid out without recursion.
+    ``env`` maps variable names to the names printed for them, and ``prec``
+    is the precedence of the context ``x`` stands in."""
     out: list[str] = []
-    stack: list = [(t, prec)]
+    # strings, (term or proposition, precedence) pairs, and the env to
+    # return to after a quantifier's body
+    stack: list = [(x, prec)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        t, prec = item
-        if isinstance(t, Var):
-            out.append(env.get(t.name, t.name) if env else t.name)
-        elif not t.args:
-            out.append(t.sym.name)
+        if isinstance(item, dict):
+            env = item
+            continue
+        x, prec = item
+        if isinstance(x, Var):
+            out.append(env.get(x.name, x.name) if env else x.name)
+        elif isinstance(x, App):
+            if x.args:
+                stack.extend(reversed(_term_layout(x, prec)))
+            else:
+                out.append(x.sym.name)
+        elif isinstance(x, _Quant):
+            stack.append(dict(env) if env else {})
+            parts, env = _quant_layout(x, prec, env)
+            stack.extend(reversed(parts))
         else:
-            stack.extend(reversed(_term_layout(t, prec)))
+            stack.extend(reversed(_prop_layout(x, prec)))
     return "".join(out)
 
 
@@ -906,45 +930,44 @@ def _wrapped(parts: list, paren: bool) -> list:
     return ["(", *parts, ")"] if paren else parts
 
 
+# The connectives, read by the printer and the parser: each one's token and
+# precedence; ``=>`` associates to the right, the others to the left.
 _PROP_PREC = {"iff": 1, "implies": 2, "or": 3, "and": 4}
+_CONNECTIVE_TOKEN = {"iff": "<=>", "implies": "=>", "or": "\\/", "and": "/\\"}
 
 
-def format_prop(p: Prop, env: Mapping[str, str] | None = None, prec: int = 0) -> str:
-    match p:
-        case Atom():
-            if p.pred.display == "infix" and len(p.args) == 2:
-                return (f"{format_term(p.args[0], env, 0)} {p.pred.name} "
-                        f"{format_term(p.args[1], env, 0)}")
-            if not p.args:
-                return p.pred.name
-            return f"{p.pred.name}({', '.join(format_term(a, env, 0) for a in p.args)})"
-        case Top():
-            return "top"
-        case Bottom():
-            return "bot"
-        case Not():
-            return f"~{format_prop(p.body, env, 9)}"
-        case And() | Or() | Implies() | Iff():
-            my = _PROP_PREC[p._tag]
-            op = {"and": "/\\", "or": "\\/", "implies": "=>", "iff": "<=>"}[p._tag]
-            if p._tag in ("and", "or"):
-                left = format_prop(p.left, env, my)
-                right = format_prop(p.right, env, my + 1)
-            else:
-                left = format_prop(p.left, env, my + 1)
-                right = format_prop(p.right, env, my)
-            s = f"{left} {op} {right}"
-            return f"({s})" if prec > my else s
-        case _Quant():
-            word = "forall" if isinstance(p, Forall) else "exists"
-            display = p.hint
-            if display.startswith("_") or display in (p.body._free - {p.var.name}):
-                display = variant_name(p.hint.lstrip("_") or "x",
-                                       set(p.body._free) | {p.var.name})
-            new_env = dict(env) if env else {}
-            new_env[p.var.name] = display
-            body = format_prop(p.body, new_env, 8)
-            sort_ann = f":{p.var.sort}" if isinstance(p.var.sort, BaseSort) else f":({p.var.sort})"
-            s = f"{word} {display}{sort_ann} {body}"
-            return f"({s})" if prec > 0 else s
+def _prop_layout(p: Prop, prec: int) -> list:
+    """The text of a proposition other than a quantifier as strings and
+    ``(subterm or subformula, precedence)`` pairs, in order."""
+    if isinstance(p, Atom):
+        if p.pred.display == "infix" and len(p.args) == 2:
+            return [(p.args[0], 0), f" {p.pred.name} ", (p.args[1], 0)]
+        if not p.args:
+            return [p.pred.name]
+        return [f"{p.pred.name}(", *_listed(p.args, ", "), ")"]
+    if isinstance(p, Top):
+        return ["top"]
+    if isinstance(p, Bottom):
+        return ["bot"]
+    if isinstance(p, Not):
+        return ["~", (p.body, 9)]
+    if isinstance(p, _Binary):
+        my = _PROP_PREC[p._tag]
+        left, right = (my + 1, my) if p._tag == "implies" else (my, my + 1)
+        return _wrapped([(p.left, left), f" {_CONNECTIVE_TOKEN[p._tag]} ", (p.right, right)],
+                        prec > my)
     raise TypeError(f"not a proposition: {p!r}")
+
+
+def _quant_layout(p: _Quant, prec: int, env: Mapping[str, str] | None) -> tuple[list, dict]:
+    """The text of a quantifier as strings and its ``(body, precedence)``
+    pair, and the env its body is printed in."""
+    word = "forall" if isinstance(p, Forall) else "exists"
+    display = p.hint
+    if display.startswith("_") or display in (p.body._free - {p.var.name}):
+        display = variant_name(p.hint.lstrip("_") or "x", set(p.body._free) | {p.var.name})
+    body_env = dict(env) if env else {}
+    body_env[p.var.name] = display
+    sort_ann = f":{p.var.sort}" if isinstance(p.var.sort, BaseSort) else f":({p.var.sort})"
+    return _wrapped([f"{word} {display}{sort_ann} ", (p.body, 8)],
+                    prec > 0), body_env

@@ -19,15 +19,18 @@ symbol)::
     prim  := NUMBER | IDENT ['(' args ')'] | '(' term term* ')'
            | '<' term ',' term '>' | '{' term ',' term '}'
 
-The operators' precedences and associativity come from the kernel's
-table, which the printer reads too: cons ``.`` and composition ``@``
-associate to the right, ``+`` and ``*`` to the left.  Terms are read
-without recursion, so they may nest to any depth.  Parenthesized
-juxtaposition builds a left-nested application spine.  Undeclared
-identifiers denote variables; their sorts are inferred from the argument
-position they appear in, falling back to the theory's default sort.
-Theory files may also auto-declare new predicate and function symbols
-when an undeclared identifier is applied to arguments.
+The operators' and the connectives' precedences and associativity come
+from the kernel's tables, which the printer reads too: cons ``.`` and
+composition ``@`` associate to the right, ``+`` and ``*`` to the left.
+Terms and propositions are read by one loop without recursion, so they
+may nest to any depth; what a parenthesis holds, a proposition or a term,
+is decided by the tokens read inside it.  Parenthesized juxtaposition
+builds a left-nested application spine.  Undeclared identifiers denote
+variables; their sorts are inferred from the argument position they
+appear in, falling back to the theory's default sort.  Theory files may
+also declare predicate and function symbols by use: an undeclared
+identifier applied to arguments, or standing alone where a proposition is
+needed.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .kernel import (
+    _CONNECTIVE_TOKEN,
     _INFIX_TERM_PREC,
     _OPERATOR_DISPLAY,
     _PROP_PREC,
@@ -133,13 +137,13 @@ def _glued_paren(tok: Token, nxt: Token) -> bool:
 
 
 class TermParser:
-    """Parser over one token stream.  Terms are read by one
-    operator-precedence loop over an explicit stack; propositions, which
-    contain terms, by recursive descent.  Every application is checked
-    against the sorts its symbol declares.
+    """Parser over one token stream.  Terms and propositions are read by
+    one operator-precedence loop over an explicit stack.  Every
+    application is checked against the sorts its symbol declares.
 
-    ``implicit`` switches on auto-declaration of predicates/functions that
-    appear applied to arguments while undeclared (theory files only).
+    ``implicit`` switches on declaration by use (theory files only): of
+    functions and predicates that appear applied to arguments while
+    undeclared, and of nullary predicates.
     """
 
     def __init__(self, toks: list[Token], sig: Signature, *,
@@ -150,12 +154,11 @@ class TermParser:
         self.sig = sig
         self.env: dict[str, Sort | None] = env if env is not None else {}
         self.implicit = implicit
-        self.speculative = False
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[min(self.pos, len(self.toks) - 1)]
 
     def next(self) -> Token:
         tok = self.peek()
@@ -221,7 +224,7 @@ class TermParser:
     # -- variables ------------------------------------------------------------
 
     def _default_sort(self) -> Sort | None:
-        if self.sig.default_sort is None and self.implicit and not self.speculative:
+        if self.sig.default_sort is None and self.implicit:
             self.sig.declare_sort("i")
         return self.sig.default_sort
 
@@ -239,44 +242,66 @@ class TermParser:
                 tok.line, tok.col)
         return Var(name, known)
 
-    # -- terms ------------------------------------------------------------------
+    # -- terms and propositions -------------------------------------------------
 
     def parse_term(self, expected: Sort | None = None) -> Term:
-        return self._resolve(self._expression(), expected)
+        return self._resolve(self._expression(_TERM), expected)
 
-    def _expression(self) -> Term | _Pending:
-        """One term, read by top-down operator precedence (Pratt, POPL 1973)
-        in one loop over an explicit stack of the constructs still open, so
-        any depth parses.  The token after an operand decides the symbol it
-        ends up under, and so its sort; an undeclared identifier that
-        nothing placed comes back as a :class:`_Pending`."""
-        stack = [_Open(None)]
+    def parse_term_or_atom(self) -> Term | Atom:
+        """A predicate application, an infix atom, or a plain term."""
+        x = self._expression(_ATOM)
+        if isinstance(x, _Pending) and self.implicit:
+            return self._prop(x)  # an undeclared name alone: a predicate, declared by use
+        return x if isinstance(x, Atom) else self._resolve(x, None)
+
+    def parse_atom(self) -> Atom:
+        x = self.parse_term_or_atom()
+        if not isinstance(x, Atom):
+            raise self.fail("expected an atomic proposition")
+        return x
+
+    def parse_prop(self) -> Prop:
+        return self._prop(self._expression(_PROP))
+
+    def _expression(self, level: int) -> Term | Prop | _Pending:
+        """One term or proposition, read by top-down operator precedence
+        (Pratt, POPL 1973) in one loop over an explicit stack of the
+        constructs still open, so any depth parses.  ``level`` says what
+        it may be: a term, also an atom, or any proposition.  The token
+        after an operand decides what the operand is part of: the symbol
+        it ends up under, and so its sort, or a proposition.  An undeclared
+        identifier that nothing placed comes back as a :class:`_Pending`."""
+        stack = [_Open(None, level=level)]
         while True:
             x = self._operand(stack)
             while x is not None:
                 tok, top = self.peek(), stack[-1]
-                if tok.kind == "op" and tok.value == "[":
+                if tok.kind == "op" and tok.value == "[" and not isinstance(x, Prop):
                     sub = self._sugar("sub", tok, "explicit-substitution symbol for '[...]'")
                     self.next()
                     stack.append(_Open(tok, sub, [self._resolve(x, sub.arg_sorts[0])]))
                     break
-                prec = _INFIX_TERM_PREC.get(tok.value) if tok.kind == "op" else None
-                while top.ops and (prec is None or _binds_before(top.ops[-1][2].value, tok.value)):
-                    left, sym, op_tok = top.ops.pop()
-                    x = self._apply(sym, (left, x), op_tok)
-                if prec is not None:
-                    sym = self._operator(tok)
+                op = self._binary(tok, top.level)
+                while top.ops and (op is None or _binds_before(top.ops[-1][3], *op)):
+                    x = self._reduce(top.ops.pop(), x)
+                # a connective joins propositions, any other operator terms
+                if op is not None and not isinstance(
+                        x, (Var, App) if op[0] < _NOT_PREC else Prop):
+                    top.ops.append(self._left_operand(tok, op[0], x))
                     self.next()
-                    top.ops.append((self._resolve(x, sym.arg_sorts[0]), sym, tok))
                     break
+                while top.ops:  # the construct's last element is complete
+                    x = self._reduce(top.ops.pop(), x)
                 if top.tok is None:
                     return x
                 x = self._element(stack, x)
 
-    def _operand(self, stack: list[_Open]) -> Term | _Pending | None:
+    def _operand(self, stack: list[_Open]) -> Term | Prop | _Pending | None:
         """The operand that starts here, or None after opening the
-        construct that starts here."""
+        construct, or pushing the negation or quantifier, that starts
+        here."""
         tok = self.next()
+        top = stack[-1]
         if tok.kind == "num":
             named = self.sig.symbols.get(tok.value)
             if named is not None and named.kind == INDIVIDUAL:
@@ -286,8 +311,18 @@ class TermParser:
             return self.sig.numeral(int(tok.value))
         if tok.kind == "op" and tok.value in _TERM_START_OPS:
             brace = None if tok.value == "(" else self._sugar("brace", tok, "brace symbol")
-            stack.append(_Open(tok, brace))
+            inner = _PROP if tok.value == "(" and top.level == _PROP else _TERM
+            stack.append(_Open(tok, brace, level=inner))
             return None
+        if top.level == _PROP:
+            if tok.value == "~" and tok.kind == "op":
+                top.ops.append((None, Not, tok, _NOT_PREC))
+                return None
+            if tok.kind == "ident" and tok.value in ("forall", "exists"):
+                top.ops.append((None, self._binder(tok), tok, _QUANT_PREC))
+                return None
+            if tok.kind == "ident" and tok.value in ("top", "bot"):
+                return Top() if tok.value == "top" else Bottom()
         if tok.kind != "ident" or tok.value in _KEYWORDS:
             raise ParseError(f"expected a term, found {tok.value or 'end of input'!r}",
                              tok.line, tok.col)
@@ -297,10 +332,13 @@ class TermParser:
         if sym is None:
             if not applied:
                 return _Pending(tok)
-            if not self.implicit or self.speculative:  # only theory files declare by use
+            if not self.implicit:  # only theory files declare by use
                 raise ParseError(f"unknown symbol {name}", tok.line, tok.col)
         elif sym.kind == PREDICATE:
-            raise ParseError(f"predicate {name} used in term position", tok.line, tok.col)
+            if top.level == _TERM or sym.display == "infix":
+                raise ParseError(f"predicate {name} used in term position", tok.line, tok.col)
+            if not applied:
+                return self._apply(sym, (), tok, Atom)
         elif sym.kind == INDIVIDUAL:
             if applied:
                 raise ParseError(f"{name} takes no arguments", tok.line, tok.col)
@@ -315,7 +353,66 @@ class TermParser:
             return self._applied(stack.pop())
         return None
 
-    def _element(self, stack: list[_Open], x: Term | _Pending) -> Term | _Pending | None:
+    def _binder(self, tok: Token) -> _Binder:
+        """The quantifier at ``tok``, whose variable and optional sort are
+        read here; its variable is bound in ``env`` until it is reduced."""
+        name = self.next()
+        if name.kind != "ident":
+            raise ParseError("expected a variable after the quantifier", name.line, name.col)
+        ann: Sort | None = None
+        if self.at_op(":"):
+            self.next()
+            ann = self.parse_sort()
+        binder = _Binder(Forall if tok.value == "forall" else Exists, name, ann,
+                         self.env.get(name.value, _ABSENT))
+        self.env[name.value] = ann
+        return binder
+
+    def _binary(self, tok: Token, level: int) -> tuple[int, bool] | None:
+        """The precedence of ``tok`` as a binary operator in a construct of
+        ``level``, and whether it associates to the right; None when it is
+        not one there."""
+        if tok.kind == "op" and tok.value in _INFIX_TERM_PREC:
+            return _TERM_PREC + _INFIX_TERM_PREC[tok.value], tok.value in _RIGHT_ASSOC
+        if level >= _ATOM and self._infix_pred(tok) is not None:
+            return _PRED_PREC, False
+        if level == _PROP and tok.kind == "op" and tok.value in _CONNECTIVES:
+            conn = _CONNECTIVES[tok.value]
+            return _PROP_PREC[conn._tag], conn is Implies
+        return None
+
+    def _left_operand(self, tok: Token, prec: int, x) -> tuple:
+        """The entry of the binary operator ``tok`` of precedence ``prec``
+        with ``x`` placed as its left operand: (left operand, connective or
+        symbol, token, precedence)."""
+        if prec < _NOT_PREC:
+            return self._prop(x), _CONNECTIVES[tok.value], tok, prec
+        sym = self._infix_pred(tok) if prec == _PRED_PREC else self._operator(tok)
+        return self._resolve(x, sym.arg_sorts[0]), sym, tok, prec
+
+    def _reduce(self, entry: tuple, x) -> Term | Prop:
+        """The operator, negation or quantifier ``entry`` applied to its
+        last operand ``x``."""
+        left, op, tok, _ = entry
+        if isinstance(op, Symbol):
+            return self._apply(op, (left, x), tok, Atom if op.kind == PREDICATE else App)
+        body = self._prop(x)
+        if op is Not:
+            return Not(body)
+        if isinstance(op, _Binder):
+            name = op.name.value
+            sort = self.env.get(name) or op.ann or self.sig.default_sort
+            if sort is None:
+                raise ParseError(f"cannot infer a sort for bound variable {name}",
+                                 op.name.line, op.name.col)
+            if op.saved is _ABSENT:
+                self.env.pop(name, None)
+            else:
+                self.env[name] = op.saved
+            return op.quant(Var(name, sort), body)
+        return op(left, body)
+
+    def _element(self, stack: list[_Open], x) -> Term | Prop | _Pending | None:
         """Take ``x`` as the next element of the innermost open construct,
         and read the separator or the closer after it.  The closed
         construct, or None when another element follows."""
@@ -341,26 +438,42 @@ class TermParser:
         self.expect(_CLOSING.get(top.tok.value, ")"))
         return self._applied(stack.pop())
 
-    def _applied(self, closed: _Open) -> Term | _Pending:
+    def _applied(self, closed: _Open) -> Term | Atom | _Pending:
         """What a closed argument list, pair, set or ``[..]`` suffix stands for."""
         sym, tok = closed.sym, closed.tok
         if sym is None:
             return _Pending(tok, tuple(closed.items))
+        if sym.kind == PREDICATE:
+            return self._apply(sym, closed.items, tok, Atom)
         t = self._apply(sym, closed.items, tok)
         if tok.value != "<":
             return t
         a = t.args[0]  # the pair <a, b> is {{a, b}, {a, a}}
         return self._apply(sym, (t, self._apply(sym, (a, a), tok)), tok)
 
-    def _resolve(self, x: Term | _Pending, sort: Sort | None) -> Term:
+    def _resolve(self, x, sort: Sort | None) -> Term:
         """``x`` placed where ``sort`` is needed; None places it anywhere."""
         if not isinstance(x, _Pending):
+            if isinstance(x, Prop):
+                raise self.fail("expected a term, found a proposition")
             return x
         if x.args is None:
             return self._var(x.tok.value, sort, x.tok)
         fn = self.sig.function(x.tok.value, tuple(term_sort(a) for a in x.args),
                                sort or self._default_sort())
         return App(fn, x.args)
+
+    def _prop(self, x) -> Prop:
+        """``x`` placed where a proposition is needed: an undeclared name
+        there is a predicate, which only theory files declare by use."""
+        if isinstance(x, Prop):
+            return x
+        if not isinstance(x, _Pending):
+            raise self.fail("expected a proposition")
+        tok, args = x.tok, x.args or ()
+        if not self.implicit:
+            raise ParseError(f"unknown predicate {tok.value}", tok.line, tok.col)
+        return Atom(self.sig.predicate(tok.value, tuple(term_sort(a) for a in args)), args)
 
     def _apply(self, sym: Symbol, args, tok: Token, build=App):
         """``sym`` applied to ``args`` by ``build`` (App, or Atom for a
@@ -388,6 +501,15 @@ class TermParser:
                              tok.line, tok.col)
         return sym
 
+    def _infix_pred(self, tok: Token) -> Symbol | None:
+        """The binary infix predicate ``tok`` names, if any."""
+        if tok.kind == "ident" or tok.value == "=":
+            sym = self.sig.symbols.get(tok.value)
+            if sym is not None and sym.kind == PREDICATE and sym.arity == 2 \
+                    and sym.display == "infix":
+                return sym
+        return None
+
     def _starts_term(self) -> bool:
         tok = self.peek()
         if tok.kind == "ident":
@@ -395,183 +517,56 @@ class TermParser:
             return tok.value not in _KEYWORDS and (sym is None or sym.kind != PREDICATE)
         return tok.kind == "num" or (tok.kind == "op" and tok.value in _TERM_START_OPS)
 
-    def _paren_args(self, sym: Symbol | None) -> list[Term]:
-        """The glued argument list of a predicate."""
-        self.expect("(")
-        args: list[Term] = []
-        while not self.at_op(")"):
-            i = len(args)
-            args.append(self.parse_term(sym.arg_sorts[i]
-                                        if sym is not None and i < sym.arity else None))
-            if not self.at_op(")"):
-                self.expect(",")
-        self.expect(")")
-        return args
-
-    # -- atoms and propositions ---------------------------------------------------
-
-    def _infix_pred(self) -> Symbol | None:
-        tok = self.peek()
-        if tok.kind not in ("op", "ident"):
-            return None
-        if tok.value in ("=",) or tok.kind == "ident":
-            sym = self.sig.symbols.get(tok.value)
-            if sym is not None and sym.kind == PREDICATE and sym.arity == 2 \
-                    and sym.display == "infix":
-                return sym
-        return None
-
-    def parse_atom(self) -> Atom:
-        x = self.parse_term_or_atom()
-        if not isinstance(x, Atom):
-            raise self.fail("expected an atomic proposition")
-        return x
-
-    def parse_term_or_atom(self):
-        """A predicate application, an infix atom, or a plain term."""
-        tok = self.peek()
-        if tok.kind == "ident" and tok.value not in _KEYWORDS:
-            sym = self.sig.symbols.get(tok.value)
-            if sym is not None and sym.kind == PREDICATE and sym.display != "infix":
-                self.next()
-                args = self._paren_args(sym) if _glued_paren(tok, self.peek()) else []
-                return self._apply(sym, args, tok, Atom)
-            nxt = self.peek(1)
-            if sym is None and self.implicit and _glued_paren(tok, nxt):
-                if self.speculative:
-                    raise ParseError(f"unknown predicate {tok.value}", tok.line, tok.col)
-                self.next()
-                args = self._paren_args(None)
-                pred = self.sig.predicate(tok.value, tuple(term_sort(a) for a in args))
-                return Atom(pred, tuple(args))
-        t = self._expression()
-        pred = self._infix_pred()
-        if pred is None:
-            return self._resolve(t, None)
-        op = self.next()
-        t = self._resolve(t, pred.arg_sorts[0])
-        return self._apply(pred, (t, self.parse_term(pred.arg_sorts[1])), op, Atom)
-
-    _PROP_BOUNDARY = {"", ")", ",", "/\\", "\\/", "=>", "<=>", "->", ";", "]"}
-
-    def _bare_atom(self) -> Prop:
-        tok = self.peek()
-        nxt = self.peek(1)
-        at_boundary = (nxt.kind == "eof"
-                       or (nxt.kind == "op" and nxt.value in self._PROP_BOUNDARY))
-        if (tok.kind == "ident" and tok.value not in _KEYWORDS
-                and tok.value not in self.sig.symbols and at_boundary):
-            # a lone identifier can only be a nullary predicate here
-            if self.implicit and not self.speculative:
-                self.next()
-                pred = self.sig.predicate(tok.value, ())
-                return Atom(pred, ())
-            raise ParseError(f"unknown predicate {tok.value}", tok.line, tok.col)
-        x = self.parse_term_or_atom()
-        if not isinstance(x, Atom):
-            raise self.fail("expected a proposition")
-        return x
-
-    def parse_prop(self) -> Prop:
-        return self._connected(0)
-
-    def _connected(self, min_prec: int) -> Prop:
-        """Binary connectives binding at least ``min_prec``, with the
-        precedences the printer uses: ``=>`` associates to the right, the
-        others to the left."""
-        left = self._neg()
-        while True:
-            tok = self.peek()
-            conn = _CONNECTIVES.get(tok.value) if tok.kind == "op" else None
-            prec = _PROP_PREC[conn._tag] if conn is not None else -1
-            if prec < min_prec:
-                return left
-            self.next()
-            left = conn(left, self._connected(prec if conn is Implies else prec + 1))
-
-    def _neg(self) -> Prop:
-        tok = self.peek()
-        if self.at_op("~"):
-            self.next()
-            return Not(self._neg())
-        if tok.kind == "ident" and tok.value in ("forall", "exists"):
-            self.next()
-            name_tok = self.next()
-            if name_tok.kind != "ident":
-                raise ParseError("expected a variable after the quantifier",
-                                 name_tok.line, name_tok.col)
-            ann: Sort | None = None
-            if self.at_op(":"):
-                self.next()
-                ann = self.parse_sort()
-            name = name_tok.value
-            had = name in self.env
-            saved = self.env.get(name)
-            self.env[name] = ann
-            body = self.parse_prop()
-            sort = self.env.get(name) or ann or self.sig.default_sort
-            if sort is None:
-                raise ParseError(f"cannot infer a sort for bound variable {name}",
-                                 name_tok.line, name_tok.col)
-            if had:
-                self.env[name] = saved
-            else:
-                self.env.pop(name, None)
-            quant = Forall if tok.value == "forall" else Exists
-            return quant(Var(name, sort), body)
-        if tok.kind == "ident" and tok.value == "bot":
-            self.next()
-            return Bottom()
-        if tok.kind == "ident" and tok.value == "top":
-            self.next()
-            return Top()
-        if self.at_op("("):
-            saved_pos = self.pos
-            saved_env = dict(self.env)
-            was_spec = self.speculative
-            self.speculative = True
-            try:
-                self.next()
-                p = self.parse_prop()
-                self.expect(")")
-                self.speculative = was_spec
-                return p
-            except ParseError:
-                self.pos = saved_pos
-                self.env = saved_env
-            finally:
-                self.speculative = was_spec
-            return self._bare_atom()
-        return self._bare_atom()
-
 
 _ABSENT = object()
-_CONNECTIVES = {"<=>": Iff, "=>": Implies, "\\/": Or, "/\\": And}
+_CONNECTIVES = {_CONNECTIVE_TOKEN[c._tag]: c for c in (Iff, Implies, Or, And)}
+# What a construct may hold: terms; also atoms; or any proposition.
+_TERM, _ATOM, _PROP = range(3)
+# The loop's precedences beside the connectives' (1 to 4): a quantifier's
+# body reaches as far right as it can, negation binds tighter than any
+# connective, and the term operators tighter than the infix predicates.
+_QUANT_PREC, _NOT_PREC, _PRED_PREC, _TERM_PREC = 0, 5, 6, 10
 
 
 @dataclass(frozen=True)
 class _Pending:
     """An undeclared identifier whose sort waits for the token after it: a
-    variable, or, with ``args``, a function a theory file declares by use."""
+    variable, or, with ``args``, a function a theory file declares by use;
+    or, where a proposition is needed, a predicate."""
     tok: Token
     args: tuple[Term, ...] | None = None
 
 
+@dataclass(frozen=True)
+class _Binder:
+    """A quantifier the loop has read and not reduced: its variable's token
+    and sort annotation, and what ``env`` held for that name before."""
+    quant: type
+    name: Token
+    ann: Sort | None
+    saved: object
+
+
 @dataclass
 class _Open:
-    """A construct the term loop has opened and not closed: an argument list
-    (``tok`` is the function's name), parentheses or a juxtaposition spine,
-    ``<a,b>``, ``{a,b}``, a ``[..]`` suffix, or (no ``tok``) the term."""
+    """A construct the loop has opened and not closed: an argument list
+    (``tok`` is the function's or predicate's name), parentheses or a
+    juxtaposition spine, ``<a,b>``, ``{a,b}``, a ``[..]`` suffix, or (no
+    ``tok``) the whole expression."""
     tok: Token | None
-    sym: Symbol | None = None  # the function, or the brace or sub symbol
+    sym: Symbol | None = None  # the function or predicate, or the brace or sub symbol
     items: list = field(default_factory=list)  # elements read so far
-    ops: list = field(default_factory=list)  # (left operand, operator, its token)
+    # (left operand or None, operator, its token, its precedence), the
+    # operator being a symbol, a connective, Not or a _Binder
+    ops: list = field(default_factory=list)
+    level: int = 0  # _TERM, _ATOM or _PROP
 
 
-def _binds_before(pending: str, incoming: str) -> bool:
-    """Is the operator ``pending`` applied before ``incoming``, read after it?"""
-    p, q = _INFIX_TERM_PREC[pending], _INFIX_TERM_PREC[incoming]
-    return p > q or (p == q and incoming not in _RIGHT_ASSOC)
+def _binds_before(pending: int, incoming: int, right: bool) -> bool:
+    """Is an operator of precedence ``pending`` applied before one of
+    precedence ``incoming``, read after it, that associates to the right
+    when ``right``?"""
+    return pending > incoming or (pending == incoming and not right)
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +628,6 @@ def parse_rule_text(text: str, sig: Signature, *, name: str = "r",
     checked against ``cls`` when that is given.  Errors are reported as if
     ``text`` began at the line and column ``at`` of a file."""
     p = TermParser(tokenize(text, *at), sig, implicit=implicit)
-    tok0, tok1 = p.peek(), p.peek(1)
-    if (implicit and tok0.kind == "ident" and tok0.value not in sig.symbols
-            and tok0.value not in _KEYWORDS and tok1.kind == "op" and tok1.value == "->"):
-        sig.predicate(tok0.value, ())  # bare left side can only be a nullary atom
     if cls == "E":
         lhs: Term | Atom = p.parse_term(None)
     elif cls == "R":
@@ -994,9 +985,13 @@ def parse_trace(text: str, sig: Signature) -> TraceDoc:
         doc.names[c] = cname
 
     for sid, kind, parents, aux, rest, rest_at in raw_steps:
-        lit_text, _, refs = rest.partition(" / ")
-        refs = refs.strip()
-        constraints = [name_to_constraint[r.strip()] for r in refs.split(",")] if refs else []
+        lit_text, sep, refs = rest.partition(" / ")
+        constraints = []
+        for ref in re.finditer(r"[^,\s](?:[^,]*[^,\s])?", refs):
+            if ref.group() not in name_to_constraint:
+                raise ParseError(f"unknown constraint {ref.group()!r}", rest_at[0],
+                                 rest_at[1] + len(lit_text) + len(sep) + ref.start())
+            constraints.append(name_to_constraint[ref.group()])
         literals: list[Literal] = []
         if lit_text.strip() != "[]":
             p = TermParser(tokenize(lit_text, *rest_at), sig, env=env)

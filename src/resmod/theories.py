@@ -33,7 +33,9 @@ from .kernel import (
     Symbol,
     Term,
     Var,
+    children,
     free_names,
+    subst_prop,
 )
 from .prover import FREEZE, ON_THE_FLY
 from .rewrite import EtaRule, RewriteRule, RewriteSystem
@@ -90,8 +92,6 @@ def declare_subset_symbol(theory: TheoryPreset, params: list[Var], w: Var, body:
     z_name = "z" if "z" not in taken else "z0"
     v = Var(v_name, universe)
     z = Var(z_name, universe)
-    from .kernel import subst_prop
-
     body_inst = subst_prop(body, {w.name: v})
     lhs = Atom(member, (v, App(sym, tuple(params) + (z,))))
     rhs = And(Atom(member, (v, z)), body_inst)
@@ -101,31 +101,15 @@ def declare_subset_symbol(theory: TheoryPreset, params: list[Var], w: Var, body:
     return sym, rule
 
 
-def _symbols_in(p: Prop):
+def _symbols_in(p: Prop) -> set[str]:
+    """The names of the predicates, functions and individuals in ``p``."""
     out: set[str] = set()
-
-    def walk_term(t: Term) -> None:
-        if isinstance(t, App):
-            out.add(t.sym.name)
-            for a in t.args:
-                walk_term(a)
-
-    def walk(q: Prop) -> None:
-        from .kernel import _Binary, _Quant
-
-        if isinstance(q, Atom):
-            out.add(q.pred.name)
-            for a in q.args:
-                walk_term(a)
-        elif isinstance(q, Not):
-            walk(q.body)
-        elif isinstance(q, _Binary):
-            walk(q.left)
-            walk(q.right)
-        elif isinstance(q, _Quant):
-            walk(q.body)
-
-    walk(p)
+    stack: list = [p]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (Atom, App)):
+            out.add(x.pred.name if isinstance(x, Atom) else x.sym.name)
+        stack.extend(children(x))
     return out
 
 

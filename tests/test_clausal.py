@@ -1,23 +1,19 @@
-"""Clausal transformation tests: NNF, skolemization, CNF, reclausification."""
+"""Clausal transformation tests: negation, skolemization, CNF,
+reclausification; each through ``clausal_form``."""
 
 import random
 
 import pytest
 
 from resmod.clausal import (
-    ClausalResult,
     Constraint,
     ConstrainedClause,
     Literal,
     clausal_form,
-    is_nnf,
-    nnf,
     reclausify,
     renormalize_clause,
-    skolemize,
 )
 from resmod.kernel import (
-    And,
     App,
     Atom,
     BaseSort,
@@ -29,7 +25,6 @@ from resmod.kernel import (
     Or,
     Signature,
     Var,
-    free_names,
 )
 from resmod.rewrite import EMPTY_SYSTEM
 from resmod.theories import load_preset
@@ -38,11 +33,14 @@ from resmod.parser import parse_prop, parse_term_or_atom
 from helpers import (
     all_valuations,
     clause_sets_isomorphic,
-    clause_variant,
     eval_clause,
     eval_ground,
     random_ground_prop,
 )
+
+
+def literal_texts(p, sig, system=EMPTY_SYSTEM):
+    return [c.literal_text() for c in clausal_form(p, system, sig).clauses]
 
 
 class TestNnf:
@@ -50,37 +48,37 @@ class TestNnf:
         sig = Signature()
         a = Atom(sig.predicate("A", ()), ())
         b = Atom(sig.predicate("B", ()), ())
-        assert nnf(Not(Or(a, b))) == And(Not(a), Not(b))
+        assert literal_texts(Not(Or(a, b)), sig) == ["~A", "~B"]
 
     def test_negated_existential_implication(self):
+        # ~(exists y (a * a = y => a = y)) is forall y (a * a = y /\ ~(a = y))
         rings = load_preset("integral-rings")
         p = parse_prop("~(exists y (a * a = y => a = y))", rings.sig)
-        expected = parse_prop("forall y (a * a = y /\\ ~(a = y))", rings.sig)
-        assert nnf(p) == expected
+        assert literal_texts(p, rings.sig) == ["a * a = Y", "~a = Y"]
 
-    def test_atom_is_a_fixpoint(self):
+    def test_double_negation_is_the_atom(self):
         sig = Signature()
         a = Atom(sig.predicate("A", ()), ())
-        assert nnf(a) == a
+        assert literal_texts(Not(Not(a)), sig) == ["A"]
 
     def test_iff_expands_to_both_implications(self):
         sig = Signature()
-        a = Atom(sig.predicate("A", ()), ())
-        b = Atom(sig.predicate("B", ()), ())
-        out = nnf(parse_prop("A <=> B", sig))
-        assert out == And(Or(Not(a), b), Or(Not(b), a))
+        sig.predicate("A", ())
+        sig.predicate("B", ())
+        assert literal_texts(parse_prop("A <=> B", sig), sig) == ["~A, B", "~B, A"]
+        assert literal_texts(parse_prop("~(A <=> B)", sig), sig) == [
+            "A, B", "A, ~A", "~B, B", "~B, ~A"]
 
-    def test_result_is_in_nnf_and_equivalent(self):
+    def test_negation_clausifies_to_the_complement(self):
         sig = Signature()
         preds = [sig.predicate(f"P{i}", ()) for i in range(4)]
         names = [p.name for p in preds]
         rng = random.Random(17)
         for _ in range(300):
             p = random_ground_prop(rng, preds, 4)
-            q = nnf(p)
-            assert is_nnf(q)
+            res = clausal_form(Not(p), EMPTY_SYSTEM, sig)
             for v in all_valuations(names):
-                assert eval_ground(p, v) == eval_ground(q, v)
+                assert eval_ground(p, v) != all(eval_clause(c, v) for c in res.clauses)
 
 
 def skolems(sig):
@@ -94,27 +92,45 @@ class TestSkolemize:
         u = sig.declare_sort("u")
         p = sig.predicate("p", (t, u))
         x, y = Var("x", t), Var("y", u)
-        prop = Forall(x, Exists(y, Atom(p, (x, y))))
-        out = skolemize(prop, sig)
+        [clause] = clausal_form(Forall(x, Exists(y, Atom(p, (x, y)))), EMPTY_SYSTEM,
+                                sig).clauses
         [sym] = skolems(sig)
         assert sym.kind == FUNCTION
         assert (sym.arg_sorts, sym.result) == ((t,), u)
-        assert isinstance(out, Forall)
-        atom = out.body
-        assert isinstance(atom, Atom)
-        witness = atom.args[1]
+        [lit] = clause.literals
+        assert lit.positive
+        witness = lit.atom.args[1]
         assert isinstance(witness, App) and witness.sym == sym
-        assert witness.args == (out.var,)
+        assert witness.args == (lit.atom.args[0],) == (Var("X", t),)
 
     def test_empty_prefix_gives_individual(self):
         sig = Signature()
         t = sig.declare_sort("t")
         p = sig.predicate("p", (t,))
         prop = Exists(Var("x", t), Atom(p, (Var("x", t),)))
-        out = skolemize(prop, sig)
+        [clause] = clausal_form(prop, EMPTY_SYSTEM, sig).clauses
         [sym] = skolems(sig)
         assert sym.kind == INDIVIDUAL and sym.result == t
-        assert out == Atom(p, (App(sym),))
+        assert clause.literals == (Literal(True, Atom(p, (App(sym),))),)
+
+    def test_names_follow_the_binders_in_order(self):
+        # universals are capitalized, with a prime for each repeat; skolems
+        # are numbered per base, in the order the pass meets them
+        arith = load_preset("arith")
+        p = parse_prop("forall x:nat exists y:nat (forall x:nat exists y:nat x = y) "
+                       "/\\ x = y", arith.sig)
+        assert literal_texts(p, arith.sig) == ["X' = y1(X, X')", "X = y(X)"]
+        assert [s.name for s in skolems(arith.sig)] == ["y", "y1"]
+        # X, X' and X'' for the three x; then X' is taken for x', so X'''
+        p = parse_prop("exists x:nat exists x:nat exists x:nat exists x':nat x = x'",
+                       arith.sig)
+        assert literal_texts(Not(p), arith.sig) == ["~X'' = X" + "'" * 3]
+
+    def test_free_variables_open_every_witness(self):
+        arith = load_preset("arith")
+        env = {"u": arith.sig.sorts["nat"]}
+        p = parse_prop("exists y:nat u = y", arith.sig, env=env)
+        assert literal_texts(p, arith.sig) == ["u = y(u)"]
 
     def test_skolems_are_never_arrow_sorted_stand_ins(self):
         # a witness under a nonempty prefix is a function of the prefix's

@@ -265,6 +265,26 @@ def test_a_goal_nested_5000_levels_deep_is_proved(capsys, strategy, solution):
     assert f"\n2. input | ~X = {DEEP}\n" in out
 
 
+DEEP_GOALS = {
+    "forall": "forall x:nat " * 5000 + "x = x",
+    "exists": "exists x:nat " * 5000 + "x = x",
+    "distinct": "".join(f"forall x{i}:nat " for i in range(5000)) + "x0 = x0",
+    "negation": "~" * 5000 + "top",
+    "implication": "top => " * 5000 + "0 = 0",
+    "conjunction": " /\\ ".join(["0 = 0"] * 5000),
+    "parentheses": "forall x:nat " + "(" * 5000 + "x" + ")" * 5000 + " = x",
+}
+
+
+@pytest.mark.parametrize("strategy", ["freeze", "onfly"])
+@pytest.mark.parametrize("goal", DEEP_GOALS.values(), ids=DEEP_GOALS.keys())
+def test_a_proposition_nested_5000_levels_deep_is_proved(capsys, strategy, goal):
+    # each is read, clausified and printed in the trace without recursion
+    code = cli.main(["prove", "--theory", "arith", "--strategy", strategy, "--goal", goal])
+    assert code == cli.EXIT_PROVED
+    assert "verdict: PROVED\n" in capsys.readouterr().out
+
+
 def test_normalize_reads_a_term_nested_5000_levels_deep(capsys):
     assert cli.main(["normalize", "--theory", "arith", DEEP]) == 0
     assert capsys.readouterr().out.endswith(f"normal form after 0 steps: {DEEP}\n")

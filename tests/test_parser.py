@@ -9,12 +9,17 @@ import pytest
 from resmod import cli, prover
 from resmod.kernel import (
     PREDICATE,
+    And,
     App,
     Atom,
+    Bottom,
     Exists,
     Forall,
+    Iff,
     Implies,
     Not,
+    Or,
+    Top,
     Var,
     format_term,
 )
@@ -86,6 +91,96 @@ def test_printed_random_terms_parse_back(name):
         for _ in range(300):
             t = random_term_of(rng, sig, sort, 5, variables)
             assert parse_term(format_term(t), sig, dict(variables)) == t, format_term(t)
+
+
+_CONNECTIVES = [(And, "/\\", 4), (Or, "\\/", 3), (Implies, "=>", 2), (Iff, "<=>", 1)]
+
+
+def random_prop_text(rng, sig, depth, variables):
+    """A random proposition over ``sig`` and its text, written apart from
+    the kernel's printer: with redundant parentheses around atoms and around
+    terms, and with the sort annotation of a bound variable left out where
+    the parser infers it.  ``variables`` (name to sort) are in scope.  The
+    third value is the precedence of the text's outermost connective (0
+    for a quantifier), or None when the text needs no parentheses as an
+    operand."""
+    if depth == 0 or rng.random() < 0.25:
+        roll = rng.random()
+        if roll < 0.05:
+            return Top(), "top", None
+        if roll < 0.1:
+            return Bottom(), "bot", None
+        pred = rng.choice([s for s in sig.symbols.values() if s.kind == PREDICATE])
+        args = tuple(random_term_of(rng, sig, a, 2, variables) for a in pred.arg_sorts)
+        texts = [f"({format_term(a)})" if rng.random() < 0.2 else format_term(a) for a in args]
+        if pred.display == "infix":
+            text = f"{texts[0]} {pred.name} {texts[1]}"
+        else:
+            text = f"{pred.name}({', '.join(texts)})" if args else pred.name
+        if rng.random() < 0.2:
+            text = f"({text})"
+        return Atom(pred, args), text, None
+    kind = rng.randrange(7 if sig.sorts else 5)
+    if kind == 0:
+        body, text, prec = random_prop_text(rng, sig, depth - 1, variables)
+        return Not(body), f"~({text})" if prec is not None else f"~{text}", None
+    if kind <= 4:
+        cls, token, my = _CONNECTIVES[kind - 1]
+        (left, lt, lp), (right, rt, rp) = (random_prop_text(rng, sig, depth - 1, variables)
+                                          for _ in range(2))
+        # => associates to the right, the others to the left; a quantifier
+        # (precedence 0) takes all that follows it
+        if lp is not None and (lp < my or lp == my and cls is Implies) or rng.random() < 0.1:
+            lt = f"({lt})"
+        if rp is not None and (rp < my or rp == my and cls is not Implies) or rng.random() < 0.1:
+            rt = f"({rt})"
+        return cls(left, right), f"{lt} {token} {rt}", my
+    name = rng.choice([n for n in ("x", "y", "z", "w1", "x'") if n not in sig.symbols])
+    sort = rng.choice(list(sig.sorts.values()))
+    var = Var(name, sort)
+    body, text, _ = random_prop_text(rng, sig, depth - 1, {**variables, name: sort})
+    ann = f":{sort}"
+    if (name in body._free or sort == sig.default_sort) and rng.random() < 0.5:
+        ann = ""  # the parser infers the sort from the variable's first use
+    quant = Forall if kind == 5 else Exists
+    return quant(var, body), f"{quant.__name__.lower()} {name}{ann} {text}", 0
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_random_propositions_parse_back(name):
+    sig = build(name).sig
+    rng = random.Random(f"props:{name}")
+    free = {f"v{s}": sort for s, sort in sig.sorts.items()}
+    for _ in range(200):
+        p, text, _ = random_prop_text(rng, sig, 5, free)
+        assert parse_prop(text, sig) == p, text
+        assert parse_prop(str(p), sig) == p, str(p)
+
+
+@pytest.mark.parametrize("plain, parenthesized", [
+    ("p(x) /\\ q", "(p(x) /\\ q)"),
+    ("~p(x)", "~(p(x))"),
+    ("p(x)", "((p(x)))"),
+], ids=["connective", "negation", "atom"])
+def test_a_theory_file_declares_predicates_by_use_inside_parentheses(plain, parenthesized):
+    expected, parsed = (parse_theory(f"sort i\naxiom {text}\n")
+                        for text in (plain, parenthesized))
+    assert parsed.axioms == expected.axioms
+    assert parsed.sig.symbols == expected.sig.symbols
+
+
+def test_printed_propositions_5000_levels_deep_parse_back():
+    arith = load_preset("arith").sig
+    nat = arith.sorts["nat"]
+    x = Var("x", nat)
+    atom = parse_prop("x = 0", arith, env={"x": nat})
+    nested = [atom, atom, atom]
+    for _ in range(5000):
+        nested = [Forall(x, nested[0]), Not(nested[1]), Implies(Top(), nested[2])]
+    for p in nested:
+        # a proposition's == recurses, but its hash and its text do not
+        back = parse_prop(str(p), arith)
+        assert (hash(back), str(back)) == (hash(p), str(p))
 
 
 def church(sig, n):

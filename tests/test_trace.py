@@ -133,3 +133,15 @@ def test_a_trace_reports_an_error_at_its_own_line_and_column(line_no, before):
     with pytest.raises(ParseError) as err:
         parse_trace("\n".join(lines) + "\n", theories.load_preset("arith").sig)
     assert (err.value.line, err.value.col) == (line_no, col)
+
+
+def test_an_unknown_constraint_name_is_reported_where_it_is():
+    # line 7 of this trace is "3. resolution(2, 1) | [] / c1"
+    theory = theories.load_preset("arith")
+    lines = cli.run_prove(theory, theory.goals["double"], FREEZE).trace.splitlines()
+    assert lines[6].endswith(" / c1")
+    lines[6] += " )"
+    with pytest.raises(ParseError) as err:
+        parse_trace("\n".join(lines) + "\n", theories.load_preset("arith").sig)
+    assert err.value.message == "unknown constraint 'c1 )'"
+    assert (err.value.line, err.value.col) == (7, lines[6].index("c1") + 1)
