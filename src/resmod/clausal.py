@@ -129,7 +129,7 @@ class ConstrainedClause:
     """
 
     __slots__ = ("literals", "constraints", "id", "provenance", "_lit_set", "_hash",
-                 "_free_vars", "_profile", "_ground", "_features")
+                 "_free_vars", "_profile", "_ground", "_features", "_eligible")
 
     def __init__(self, literals: Iterable[Literal], constraints: Iterable[Constraint] = (),
                  id: int | None = None, provenance: Provenance | None = None):
@@ -147,6 +147,7 @@ class ConstrainedClause:
         self._profile: dict[tuple[bool, str], int] | None = None
         self._ground: bool | None = None
         self._features: tuple[tuple, ...] | None = None
+        self._eligible: Sequence[int] | None = None  # see resmod.prover.eligible
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ConstrainedClause)

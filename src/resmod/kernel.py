@@ -553,10 +553,11 @@ class _Quant(Prop):
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
+        # a binder's canonical name depends on whether it binds anything
         return (
             type(other) is type(self)
             and self._hash == other._hash
-            and self.var.sort == other.var.sort
+            and self.var == other.var
             and self.body == other.body
         )
 
@@ -861,6 +862,7 @@ def format_term(x: Term | Prop, env: Mapping[str, str] | None = None, prec: int 
     # strings, (term or proposition, precedence) pairs, and the env to
     # return to after a quantifier's body
     stack: list = [(x, prec)]
+    root, shadowing = x, None
     while stack:
         item = stack.pop()
         if isinstance(item, str):
@@ -878,8 +880,10 @@ def format_term(x: Term | Prop, env: Mapping[str, str] | None = None, prec: int 
             else:
                 out.append(x.sym.name)
         elif isinstance(x, _Quant):
+            if shadowing is None:
+                shadowing = _binders_over_symbols(root)
             stack.append(dict(env) if env else {})
-            parts, env = _quant_layout(x, prec, env)
+            parts, env = _quant_layout(x, prec, env, id(x) in shadowing)
             stack.extend(reversed(parts))
         else:
             stack.extend(reversed(_prop_layout(x, prec)))
@@ -959,13 +963,46 @@ def _prop_layout(p: Prop, prec: int) -> list:
     raise TypeError(f"not a proposition: {p!r}")
 
 
-def _quant_layout(p: _Quant, prec: int, env: Mapping[str, str] | None) -> tuple[list, dict]:
+def _binders_over_symbols(x: Term | Prop) -> set[int]:
+    """The ids of the quantifiers in ``x`` whose hint names a constant or a
+    nullary predicate in their body, which the variable would shadow when
+    the text is read back.  One pass: the open quantifiers are kept by hint,
+    outermost first, and the marked ones of a hint are always the outermost
+    ones, so each symbol marks up to the first one already marked."""
+    out: set[int] = set()
+    open_by_hint: dict[str, list[_Quant]] = {}
+    stack: list = [x]
+    while stack:
+        y = stack.pop()
+        if isinstance(y, str):  # the body of the innermost quantifier of hint y ends
+            open_by_hint[y].pop()
+            continue
+        if isinstance(y, _Quant):
+            open_by_hint.setdefault(y.hint, []).append(y)
+            stack += (y.hint, y.body)
+            continue
+        name = (y.sym.name if isinstance(y, App) else y.pred.name
+                if isinstance(y, Atom) else None)
+        if name is not None and not y.args:
+            for q in reversed(open_by_hint.get(name, ())):
+                if id(q) in out:
+                    break
+                out.add(id(q))
+        stack += children(y)
+    return out
+
+
+def _quant_layout(p: _Quant, prec: int, env: Mapping[str, str] | None,
+                  shadows: bool = False) -> tuple[list, dict]:
     """The text of a quantifier as strings and its ``(body, precedence)``
-    pair, and the env its body is printed in."""
+    pair, and the env its body is printed in.  The variable is renamed when
+    its hint is nameless, is printed for a variable free in the body, or,
+    with ``shadows``, names a symbol in the body."""
     word = "forall" if isinstance(p, Forall) else "exists"
     display = p.hint
-    if display.startswith("_") or display in (p.body._free - {p.var.name}):
-        display = variant_name(p.hint.lstrip("_") or "x", set(p.body._free) | {p.var.name})
+    free = {env.get(n, n) if env else n for n in p.body._free - {p.var.name}}
+    if display.startswith("_") or display in free or shadows:
+        display = variant_name(p.hint.lstrip("_") or "x", free | {p.hint})
     body_env = dict(env) if env else {}
     body_env[p.var.name] = display
     sort_ann = f":{p.var.sort}" if isinstance(p.var.sort, BaseSort) else f":({p.var.sort})"

@@ -144,6 +144,9 @@ class TermParser:
     ``implicit`` switches on declaration by use (theory files only): of
     functions and predicates that appear applied to arguments while
     undeclared, and of nullary predicates.
+
+    A quantifier's variable shadows a symbol of the same name in its body,
+    except where the name is applied to an argument list.
     """
 
     def __init__(self, toks: list[Token], sig: Signature, *,
@@ -154,6 +157,7 @@ class TermParser:
         self.sig = sig
         self.env: dict[str, Sort | None] = env if env is not None else {}
         self.implicit = implicit
+        self.bound: dict[str, int] = {}  # name -> how many open quantifiers bind it
 
     # -- token plumbing -----------------------------------------------------
 
@@ -327,8 +331,8 @@ class TermParser:
             raise ParseError(f"expected a term, found {tok.value or 'end of input'!r}",
                              tok.line, tok.col)
         name = tok.value
-        sym = self.sig.symbols.get(name)
         applied = _glued_paren(tok, self.peek())
+        sym = None if name in self.bound and not applied else self.sig.symbols.get(name)
         if sym is None:
             if not applied:
                 return _Pending(tok)
@@ -366,6 +370,7 @@ class TermParser:
         binder = _Binder(Forall if tok.value == "forall" else Exists, name, ann,
                          self.env.get(name.value, _ABSENT))
         self.env[name.value] = ann
+        self.bound[name.value] = self.bound.get(name.value, 0) + 1
         return binder
 
     def _binary(self, tok: Token, level: int) -> tuple[int, bool] | None:
@@ -409,6 +414,9 @@ class TermParser:
                 self.env.pop(name, None)
             else:
                 self.env[name] = op.saved
+            self.bound[name] -= 1
+            if not self.bound[name]:
+                del self.bound[name]
             return op.quant(Var(name, sort), body)
         return op(left, body)
 
@@ -513,7 +521,7 @@ class TermParser:
     def _starts_term(self) -> bool:
         tok = self.peek()
         if tok.kind == "ident":
-            sym = self.sig.symbols.get(tok.value)
+            sym = None if tok.value in self.bound else self.sig.symbols.get(tok.value)
             return tok.value not in _KEYWORDS and (sym is None or sym.kind != PREDICATE)
         return tok.kind == "num" or (tok.kind == "op" and tok.value in _TERM_START_OPS)
 

@@ -3,8 +3,8 @@
 The loop is a deterministic given-clause procedure.  A clause is factored
 as soon as it is kept; the selected clause is narrowed with every R-rule
 and then resolved against every selected clause it has a complementary
-literal with, itself included.  What happens to the equality constraints of
-a new clause depends on the strategy:
+eligible literal with, itself included.  What happens to the equality
+constraints of a new clause depends on the strategy:
 
 ``freeze``      constraints accumulate unsolved; only a cheap root-clash
                 test prunes, and the full equational unifier runs when an
@@ -34,6 +34,51 @@ A refutation is an empty clause whose constraints pass the solution check;
 when the equational unifier cannot decide the constraints within its
 bounds, the result is reported as a candidate refutation with unverified
 constraints, never as success.
+
+Literal selection.  When the rewrite system is empty, a clause that carries
+no constraint and has a negative literal selects one negative literal, the
+one with the largest arguments (:func:`eligible`).  It resolves on that
+literal alone, so it is never the positive premise, and it is not factored.
+Every other clause keeps all its literals eligible, and so does every
+clause when the system has a rule.  Selection keeps the search complete:
+
+1. With no rule, constraints are syntactic equations.  A clause ``C / K``
+   stands for its ground instances ``Cs``, ``s`` a ground unifier of ``K``,
+   read as multisets of literals.  Freeze postpones the unifier; on the fly
+   applies the most general one at once and drops the clause when there
+   is none; the gate decides ``K`` by syntactic unification.
+2. On ground multiset clauses, resolution with selection is refutationally
+   complete for every selection function and every well-founded ordering
+   of the ground atoms (Bachmair and Ganzinger, "Resolution theorem
+   proving", Handbook of Automated Reasoning 2001): a set saturated up to
+   redundancy without the empty clause has a model.  Its inferences
+   resolve a clause on its selected literal, or on a maximal negative one
+   when it selects none, against a clause that selects none, on a strictly
+   maximal positive literal; and factor a maximal positive literal of a
+   clause that selects none.
+3. Lifting: each ground instance takes the selection of one kept clause it
+   is an instance of.  The loop resolves a selecting clause on its selected
+   literal, and any other clause on any literal, with no ordering
+   restriction, so every ground inference is an instance of one the loop
+   makes with a most general unifier (Robinson, JACM 1965).  It factors
+   every same-sign pair of a clause that selects none, which gives the
+   positive premise its factors.  A clause that selects needs none: its
+   resolvent keeps a second copy of the selected literal, as the multiset
+   calculus does.
+4. Redundancy: tautologies and variants are redundant.  Under selection a
+   subsumer must map its literals one to one (:func:`subsumes`), so each
+   ground instance of the clause it deletes or retires contains one of the
+   subsumer's as a sub-multiset: a smaller clause, or at equal size the
+   same one.
+5. Fairness: every kept clause is selected in time and resolved with every
+   live selected clause, so the clauses that persist are saturated.
+
+This argument needs an empty system.  With E-rules two atoms may have a
+common instance modulo E but no syntactic unifier, and lifting would need
+E-unification and on-the-fly propagation to be complete.  With R-rules
+literals are also narrowed; selection is known complete for polarized
+resolution modulo a theory with cut elimination (Dowek, "Polarized
+resolution modulo", IFIP TCS 2010), which this loop does not implement.
 """
 
 from __future__ import annotations
@@ -41,7 +86,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .kernel import (
     Atom,
@@ -79,7 +124,7 @@ ON_THE_FLY = "on_the_fly"
 class ProverConfig:
     strategy: str = FREEZE
     fuel: int = 10_000
-    max_clauses: int = 5_000
+    max_clauses: int = 5_000  # derived clauses; input clauses do not count
     narrowing_depth: int = 8
     narrow_states: int = 4_000
 
@@ -104,11 +149,11 @@ AGE_INTERVAL = 4
 class Stats:
     """Search counters.
 
-    ``generated`` counts clauses that actually come into existence: an
-    inference whose constraints are refuted before registration (by the
-    cheap root-clash test, or on the fly by a syntactic failure when there
-    are no E-rules) never yields a clause and lands in
-    ``failed_constraints`` instead.
+    ``generated`` counts clauses that actually come into existence, the
+    input clauses included: an inference whose constraints are refuted
+    before registration (by the cheap root-clash test, or on the fly by a
+    syntactic failure when there are no E-rules) never yields a clause and
+    lands in ``failed_constraints`` instead.
     ``discards`` splits ``discarded`` by reason: the redundancy filter's
     ``tautology``, ``duplicate`` and ``subsumed``, and ``unsolvable`` for an
     empty clause whose constraints the gate refuted.  ``retired`` counts
@@ -194,22 +239,52 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 
 
-def extended_resolution(c1: ConstrainedClause, c2: ConstrainedClause) -> list[ConstrainedClause]:
+def _arg_size(lit: Literal) -> int:
+    return sum(term_size(a) for a in lit.atom.args)
+
+
+def eligible(c: ConstrainedClause, select: bool = True) -> Sequence[int]:
+    """The positions of the literals of ``c`` that resolution and factoring
+    use, in literal order.
+
+    Under ``select``, a clause that carries no constraint and has a
+    negative literal selects one negative literal: the one whose arguments
+    are largest by :func:`~resmod.kernel.term_size`, the first on ties.
+    Every other clause, and every clause without ``select``, keeps all its
+    literals eligible.  Computed on first use."""
+    if not select:
+        return range(len(c.literals))
+    if c._eligible is None:
+        negative = [i for i, lit in enumerate(c.literals) if not lit.positive]
+        if c.constraints or not negative:
+            c._eligible = range(len(c.literals))
+        else:
+            c._eligible = (max(negative, key=lambda i: _arg_size(c.literals[i])),)
+    return c._eligible
+
+
+def extended_resolution(c1: ConstrainedClause, c2: ConstrainedClause,
+                        select: bool = True) -> list[ConstrainedClause]:
     """Binary resolvents of two clauses (which must be renamed apart).
 
-    One positive literal of either clause is cut against one negative
-    literal of the other; the resolvent unions the remaining literals and
-    both constraint sets, plus the equation between the two atoms.  Paired
-    with :func:`factor` this simulates resolution on literal groups.
+    One eligible positive literal of either clause is cut against one
+    eligible negative literal of the other; the resolvent unions the
+    remaining literals and both constraint sets, plus the equation between
+    the two atoms.  Paired with :func:`factor` this simulates resolution on
+    literal groups.
     """
     out: list[ConstrainedClause] = []
     for pos_clause, neg_clause in ((c1, c2), (c2, c1)):
-        for i, lp in enumerate(pos_clause.literals):
+        negatives = [j for j in eligible(neg_clause, select)
+                     if not neg_clause.literals[j].positive]
+        if not negatives:
+            continue
+        for i in eligible(pos_clause, select):
+            lp = pos_clause.literals[i]
             if not lp.positive:
                 continue
-            for j, ln in enumerate(neg_clause.literals):
-                if ln.positive:
-                    continue
+            for j in negatives:
+                ln = neg_clause.literals[j]
                 if lp.atom.pred.name != ln.atom.pred.name:
                     continue
                 if len(lp.atom.args) != len(ln.atom.args):
@@ -222,11 +297,14 @@ def extended_resolution(c1: ConstrainedClause, c2: ConstrainedClause) -> list[Co
     return out
 
 
-def factor(c: ConstrainedClause) -> list[ConstrainedClause]:
-    """Merge two same-polarity literals under a new atom equation."""
+def factor(c: ConstrainedClause, select: bool = True) -> list[ConstrainedClause]:
+    """Merge two eligible same-polarity literals under a new atom equation;
+    a clause that selects a literal is not factored."""
     out: list[ConstrainedClause] = []
-    for i, li in enumerate(c.literals):
-        for j in range(i + 1, len(c.literals)):
+    positions = eligible(c, select)
+    for n, i in enumerate(positions):
+        li = c.literals[i]
+        for j in positions[n + 1:]:
             lj = c.literals[j]
             if li.positive != lj.positive:
                 continue
@@ -314,7 +392,7 @@ def extended_narrowing(c: ConstrainedClause, rule: RewriteRule,
     # smallest atoms first: the least-structured literal is the one the
     # figure-scale searches instantiate, so its clauses get earlier ids
     order = sorted(range(len(c.literals)),
-                   key=lambda i: (sum(term_size(a) for a in c.literals[i].atom.args), i))
+                   key=lambda i: (_arg_size(c.literals[i]), i))
     for i in order:
         lit = c.literals[i]
         if not narrowing_applicable(lit.atom, rule, strategy, app_symbols):
@@ -424,9 +502,10 @@ def clause_key(c: ConstrainedClause) -> tuple:
     return (lit_keys, tuple(sorted(con_keys)))
 
 
-def subsumes(c: ConstrainedClause, d: ConstrainedClause) -> bool:
+def subsumes(c: ConstrainedClause, d: ConstrainedClause, injective: bool = False) -> bool:
     """Does ``c`` (constraint-free) subsume ``d``: some instance of ``c``'s
-    literal set is contained in ``d``'s?"""
+    literal set is contained in ``d``'s?  With ``injective`` no two literals
+    of ``c`` may go to one literal of ``d``."""
     if c.constraints or len(c.literals) > len(d.literals):
         return False
     if c.literals_ground():
@@ -436,19 +515,19 @@ def subsumes(c: ConstrainedClause, d: ConstrainedClause) -> bool:
         if prof_d.get(key, 0) < n:
             return False
 
-    def go(i: int, bindings) -> bool:
+    def go(i: int, bindings, used: frozenset[int]) -> bool:
         if i == len(c.literals):
             return True
         lc = c.literals[i]
-        for ld in d.literals:
-            if lc.positive != ld.positive:
+        for k, ld in enumerate(d.literals):
+            if lc.positive != ld.positive or k in used:
                 continue
             b2 = match(lc.atom, ld.atom, bindings)
-            if b2 is not None and go(i + 1, b2):
+            if b2 is not None and go(i + 1, b2, used | {k} if injective else used):
                 return True
         return False
 
-    return go(0, {})
+    return go(0, {}, frozenset())
 
 
 def is_tautology(c: ConstrainedClause) -> bool:
@@ -489,10 +568,12 @@ class ClauseIndex:
       too (Schulz, "Simple and efficient clause subsumption with feature
       vector indexing", 2004).
 
-    :func:`extended_resolution` needs a literal of each clause with the same
-    predicate and opposite polarities, so ``active`` files each selected
-    clause under every key of its profile, and a selected clause's partners
-    are the entries under its complementary keys.
+    :func:`extended_resolution` needs an eligible literal of each clause
+    with the same predicate and opposite polarities, so ``active`` files
+    each selected clause under the (polarity, predicate name) of each of its
+    :func:`eligible` literals, and a selected clause's partners are the
+    entries under its complementary keys.  ``select`` is passed on to
+    :func:`eligible`.
 
     Every list is a dict keyed by clause id in filing order, and no order
     here depends on the hash seed.  ``retire`` takes a clause that backward
@@ -502,7 +583,8 @@ class ClauseIndex:
     never empty: an empty clause ends the search or is dropped at the gate.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, select: bool = True) -> None:
+        self.select = select
         self.keys: set[tuple] = set()
         # a set-trie node maps each next feature to its child, and None to
         # the clauses whose sorted features spell the path to it
@@ -524,13 +606,22 @@ class ClauseIndex:
                 node = child
             node.setdefault(None, {})[c.id] = c
 
+    def resolution_keys(self, c: ConstrainedClause) -> Collection[tuple[bool, str]]:
+        """The (polarity, predicate name) of each eligible literal of ``c``,
+        in literal order."""
+        positions = eligible(c, self.select)
+        if len(positions) == len(c.literals):
+            return c.profile().keys()
+        return dict.fromkeys((c.literals[i].positive, c.literals[i].atom.pred.name)
+                             for i in positions)
+
     def note_selected(self, c: ConstrainedClause) -> None:
         self.selection[c.id] = len(self.selection)
-        for key in c.profile():
+        for key in self.resolution_keys(c):
             self.active.setdefault(key, {})[c.id] = c
 
     def retire(self, c: ConstrainedClause) -> None:
-        for key in c.profile():
+        for key in self.resolution_keys(c):
             self.active.get(key, {}).pop(c.id, None)
         for feature in c.features():
             self.postings[feature].pop(c.id, None)
@@ -569,11 +660,11 @@ class ClauseIndex:
         return [shortest[cid] for cid in ids if cid != c.id]
 
     def partners(self, c: ConstrainedClause) -> list[ConstrainedClause]:
-        """The selected clauses with a literal complementary to one of
-        ``c``'s, in selection order: the only ones :func:`extended_resolution`
-        with ``c`` can yield a clause for."""
+        """The selected clauses with an eligible literal complementary to an
+        eligible one of ``c``'s, in selection order: the only ones
+        :func:`extended_resolution` with ``c`` can yield a clause for."""
         found: dict[int, ConstrainedClause] = {}
-        for positive, pred in c.profile():
+        for positive, pred in self.resolution_keys(c):
             found.update(self.active.get((not positive, pred), {}))
         return sorted(found.values(), key=lambda d: self.selection[d.id])
 
@@ -583,10 +674,11 @@ def redundancy_filter(new: ConstrainedClause, index: ClauseIndex) -> tuple[bool,
 
     Discards exact tautologies with no constraints, variants with identical
     constraints of the clauses it kept before, and clauses subsumed by a live
-    constraint-free kept clause; the reason is ``tautology``, ``duplicate``
-    or ``subsumed``.  The empty clause is never discarded nor keyed.  The
-    :func:`clause_key` of a non-empty clause that passes the tautology test
-    is computed here, once, and joins ``index.keys`` when the clause is kept.
+    constraint-free kept clause, one to one when ``index.select``; the
+    reason is ``tautology``, ``duplicate`` or ``subsumed``.  The empty
+    clause is never discarded nor keyed.  The :func:`clause_key` of a
+    non-empty clause that passes the tautology test is computed here, once,
+    and joins ``index.keys`` when the clause is kept.
     """
     if new.is_empty():
         return True, None
@@ -595,7 +687,7 @@ def redundancy_filter(new: ConstrainedClause, index: ClauseIndex) -> tuple[bool,
     key = clause_key(new)
     if key in index.keys:
         return False, "duplicate"
-    if any(subsumes(c, new) for c in index.forward_candidates(new)):
+    if any(subsumes(c, new, index.select) for c in index.forward_candidates(new)):
         return False, "subsumed"
     index.keys.add(key)
     return True, None
@@ -653,8 +745,11 @@ class _Saturation:
         self.passive_age: list[int] = []  # id min-heap for the fairness picks
         self.in_passive: set[int] = set()
         self.inputs: deque[int] = deque()  # input clause ids, selected first
+        self.input_clauses = 0  # registered, kept or not; the budget spares them
         self.by_id: dict[int, ConstrainedClause] = {}  # the live kept clauses
-        self.index = ClauseIndex()
+        # literal selection is argued complete for an empty system only
+        self.select = not system.rules
+        self.index = ClauseIndex(self.select)
         self.names: dict[Constraint, str] = {}
         self.unnormalized = False
 
@@ -693,7 +788,9 @@ class _Saturation:
         """Filter, number and enqueue a clause.  An empty clause that the
         gate does not refute ends the search."""
         self.stats.generated += 1
-        if self.stats.generated > self.cfg.max_clauses:
+        if kind == "input":
+            self.input_clauses += 1
+        elif self.stats.generated - self.input_clauses > self.cfg.max_clauses:
             raise _Stop(self._result(RESOURCE_OUT, exhausted="max_clauses"))
         c = tidy_clause(c)
         keep, reason = redundancy_filter(c, self.index)
@@ -718,7 +815,7 @@ class _Saturation:
         # kept clauses it subsumes, passive or active
         if not c.constraints:
             for o in self.index.backward_candidates(c):
-                if subsumes(c, o):
+                if subsumes(c, o, self.select):
                     self.index.retire(o)
                     del self.by_id[o.id]
                     self.in_passive.discard(o.id)
@@ -730,7 +827,7 @@ class _Saturation:
             self.inputs.append(cid)
         # factoring is a cheap single-clause inference: apply it eagerly so
         # the merged clauses race fairly with other descendants
-        for fc in factor(c):
+        for fc in factor(c, self.select):
             self.process_new([fc], "factoring", (cid,))
 
     # -- strategy post-processing ---------------------------------------------
@@ -798,7 +895,7 @@ class _Saturation:
     def _resolve(self, sel: ConstrainedClause, sel_names: frozenset[str],
                  partner: ConstrainedClause) -> None:
         renamed, _ = rename_apart(sel_names, partner)
-        for rc in extended_resolution(sel, renamed):
+        for rc in extended_resolution(sel, renamed, self.select):
             self.process_new([rc], "resolution", (sel.id, partner.id))
 
     # -- main loop -------------------------------------------------------------
@@ -829,7 +926,7 @@ class _Saturation:
                 for partner in self.index.partners(sel):
                     if partner.id in self.by_id:  # not retired by an earlier resolvent
                         self._resolve(sel, sel_names, partner)
-                own = sel.profile()
+                own = self.index.resolution_keys(sel)
                 if any((not positive, pred) in own for positive, pred in own):
                     self._resolve(sel, sel_names, sel)
                 if sel.id in self.by_id:

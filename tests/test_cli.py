@@ -155,6 +155,16 @@ def test_the_clause_budget_is_named_when_it_runs_out(capsys):
     assert "verdict: RESOURCE_OUT\nexhausted: max_clauses\n" in capsys.readouterr().out
 
 
+def test_input_clauses_do_not_spend_the_clause_budget(capsys):
+    # the negated goal clausifies to 199 copies of 0 = 0 and ~0 = 0, beside
+    # the axiom; every input clause counts as generated, and the budget of
+    # one derived clause is enough for the empty one
+    goal = " => ".join(["0 = 0"] * 200)
+    code = cli.main(["prove", "--theory", "arith", "--goal", goal, "--max-clauses", "1"])
+    assert code == cli.EXIT_PROVED
+    assert "\nclauses: 202 generated, 3 kept\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("goal, exhausted", [
     (["--goal", "exists x:nat (x * x = 9)"], "narrow_depth (35 states)"),
     (["--goal", "exists x:nat x + 0 = 100"], "narrow_depth (17 states)"),
@@ -409,11 +419,12 @@ def test_clausification_spends_one_fuel_budget(capsys, strategy):
      "1 resolution, 0 narrowing, 0 factoring"),
     (["--theory", "set-cantor", "--goal-name", "cantor"], cli.EXIT_PROVED,
      "241 resolution, 14 narrowing, 27 factoring"),
-    # the budget runs out while a kept resolvent (clause 145) is factored;
-    # the resolution that kept it counts
-    (["--theory", "set-cantor", "--goal-name", "cantor", "--max-clauses", "300"],
+    # the budget, which the 6 input clauses do not spend, runs out while a
+    # kept resolvent (clause 145) is factored; the resolution that kept it
+    # counts
+    (["--theory", "set-cantor", "--goal-name", "cantor", "--max-clauses", "294"],
      cli.EXIT_RESOURCE_OUT, "102 resolution, 8 narrowing, 18 factoring"),
-], ids=["double", "set-cantor", "set-cantor-300"])
+], ids=["double", "set-cantor", "set-cantor-294"])
 def test_the_summary_counts_the_inferences_that_kept_a_clause(capsys, argv, code, steps):
     # the one that derived the empty clause included
     assert cli.main(["prove", *argv]) == code

@@ -182,6 +182,17 @@ class TestAlphaEquality:
         two = Forall(Var("x", u), Forall(Var("y", u), Atom(p, (Var("y", u), Var("x", u)))))
         assert one != two
 
+    def test_a_vacuous_binder_differs_from_a_binding_one(self):
+        # both inner bodies are p(_0, _0) once binders are named canonically,
+        # but _0 is bound by the outer quantifier in one and the inner in two
+        sig = small_signature()
+        u = sig.sorts["u"]
+        p = sig.lookup("p")
+        x, y = Var("x", u), Var("y", u)
+        one = Forall(x, Exists(y, Atom(p, (x, x))))
+        two = Forall(x, Exists(y, Atom(p, (y, y))))
+        assert one != two
+
     def test_print_parse_round_trip_is_alpha_stable(self):
         arith = load_preset("arith")
         p = parse_prop("forall x:nat (exists y:nat (x + y = x))", arith.sig)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from resmod import cli, prover
+from resmod.clausal import clausal_form
 from resmod.kernel import (
     PREDICATE,
     And,
@@ -68,12 +69,13 @@ def test_printed_rules_parse_back(name):
 
 def random_term_of(rng, sig, sort, depth, variables):
     """A term of ``sort`` over the symbols of ``sig`` and the ``variables``
-    (name to sort) of that sort."""
+    (name to sort) of that sort; a constant named like a variable is
+    shadowed by it, so it is left out."""
     symbols = [s for s in sig.symbols.values() if s.kind != PREDICATE and s.result == sort]
     names = [n for n, s in variables.items() if s == sort]
     compound = [s for s in symbols if s.arg_sorts]
     if depth == 0 or not compound or rng.random() < 0.3:
-        leaves = [s for s in symbols if not s.arg_sorts]
+        leaves = [s for s in symbols if not s.arg_sorts and s.name not in variables]
         if rng.random() < 0.4 or not leaves:
             return Var(rng.choice(names), sort)
         return App(rng.choice(leaves))
@@ -135,7 +137,8 @@ def random_prop_text(rng, sig, depth, variables):
         if rp is not None and (rp < my or rp == my and cls is not Implies) or rng.random() < 0.1:
             rt = f"({rt})"
         return cls(left, right), f"{lt} {token} {rt}", my
-    name = rng.choice([n for n in ("x", "y", "z", "w1", "x'") if n not in sig.symbols])
+    name = rng.choice([n for n in ("x", "y", "z", "w1", "x'")
+                       if n not in sig.symbols or sig.symbols[n].kind != PREDICATE])
     sort = rng.choice(list(sig.sorts.values()))
     var = Var(name, sort)
     body, text, _ = random_prop_text(rng, sig, depth - 1, {**variables, name: sort})
@@ -146,15 +149,46 @@ def random_prop_text(rng, sig, depth, variables):
     return quant(var, body), f"{quant.__name__.lower()} {name}{ann} {text}", 0
 
 
-@pytest.mark.parametrize("name", PRESETS)
-def test_random_propositions_parse_back(name):
-    sig = build(name).sig
-    rng = random.Random(f"props:{name}")
+def check_random_propositions(sig, rng):
     free = {f"v{s}": sort for s, sort in sig.sorts.items()}
     for _ in range(200):
         p, text, _ = random_prop_text(rng, sig, 5, free)
         assert parse_prop(text, sig) == p, text
         assert parse_prop(str(p), sig) == p, str(p)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_random_propositions_parse_back(name):
+    check_random_propositions(build(name).sig, random.Random(f"props:{name}"))
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_random_propositions_parse_back_beside_skolems_named_like_binders(name):
+    # clausifying declares skolem constants x and y and unary skolem
+    # functions z and w1 (x1, y1, ... for a second sort); a binder x then
+    # shadows the constant x, and z(..) is still the function
+    theory = build(name)
+    for sort in list(theory.sig.sorts.values()):
+        v = {n: Var(n, sort) for n in ("x", "y", "v", "z", "w1")}
+        clausal_form(Exists(v["x"], Exists(v["y"], Forall(v["v"], Exists(
+            v["z"], Exists(v["w1"], Top()))))), theory.system, theory.sig)
+    assert {"x", "y", "z", "w1"} <= theory.sig.symbols.keys() or not theory.sig.sorts
+    check_random_propositions(theory.sig, random.Random(f"skolem props:{name}"))
+
+
+def test_a_printed_binder_is_renamed_apart_from_what_its_body_names():
+    arith = load_preset("arith").sig
+    nat = arith.sorts["nat"]
+    w, x, y = App(arith.individual("w", nat)), Var("x", nat), Var("y", nat)
+    eq = arith.lookup("=")
+    for p, text in [
+        (Exists(x, Atom(eq, (x, w)), hint="w"), "exists w':nat w' = w"),
+        (Exists(x, Atom(eq, (x, x)), hint="w"), "exists w:nat w = w"),
+        (Forall(x, Exists(y, Atom(eq, (x, y)), hint="x")), "forall x:nat (exists x':nat x = x')"),
+        (Forall(x, Exists(y, Atom(eq, (x, w)), hint="w"), hint="w"),
+         "forall w':nat (exists w'':nat w' = w)"),
+    ]:
+        assert (str(p), parse_prop(text, arith)) == (text, p)
 
 
 @pytest.mark.parametrize("plain, parenthesized", [
