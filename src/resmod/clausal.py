@@ -124,11 +124,11 @@ class ConstrainedClause:
     """A disjunction of literals with postponed constraints.
 
     Literals keep their first-seen order for display and for deterministic
-    inference, but equality and hashing treat them as a set.  The clause id
-    and provenance never take part in equality.
+    inference.  A clause compares by identity; :func:`resmod.prover.clause_key`
+    is its identity up to renaming.
     """
 
-    __slots__ = ("literals", "constraints", "id", "provenance", "_lit_set", "_hash",
+    __slots__ = ("literals", "constraints", "id", "provenance", "_lit_set",
                  "_free_vars", "_profile", "_ground", "_features", "_eligible")
 
     def __init__(self, literals: Iterable[Literal], constraints: Iterable[Constraint] = (),
@@ -142,20 +142,11 @@ class ConstrainedClause:
         self.id = id
         self.provenance = provenance or Provenance("input")
         self._lit_set = frozenset(self.literals)
-        self._hash = hash((self._lit_set, self.constraints))
         self._free_vars: frozenset[Var] | None = None
         self._profile: dict[tuple[bool, str], int] | None = None
         self._ground: bool | None = None
         self._features: tuple[tuple, ...] | None = None
         self._eligible: Sequence[int] | None = None  # see resmod.prover.eligible
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ConstrainedClause)
-                and self._lit_set == other._lit_set
-                and self.constraints == other.constraints)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def is_empty(self) -> bool:
         return not self.literals

@@ -7,11 +7,9 @@ Subcommands:
 
 Exit codes for ``prove``: 0 PROVED, 1 SATURATED, 2 RESOURCE_OUT, 4
 PROVED_UNVERIFIED; after the last two the summary's ``exhausted:`` line
-names why.  For 2 that is ``max_clauses`` (the clause budget), or, for a
-search that ran out of inferences but may have missed one,
-``narrowing_filter (N skipped)`` (the on-the-fly narrowing filter skipped N
-steps freeze's filter takes), ``fuel`` (normalization ran out of fuel),
-or both.
+names why.  For 2 that is ``max_clauses`` (the clause budget), or
+``fuel`` for a search that ran out of inferences after normalization ran
+out of fuel.
 For 4 it is the bound the gate's narrowing hit, ``narrow_depth`` or
 ``narrow_states``, with the number of states it examined.  Whatever the
 verdict, the summary's ``normalization: fuel exhausted`` line says that

@@ -22,13 +22,14 @@ constraints of a new clause depends on the strategy:
 A constraint-free clause needs no propagation: it has no unifier to apply,
 and its literals come from kept clauses, which are already normal.
 
-Narrowing a constraint-free clause on the fly never guesses the structure
-of a variable, since a later instantiation triggers the same rewriting
-during re-normalization; a clause with frozen constraints is narrowed with
-freeze's head-compatibility filter under both strategies.  The on-the-fly
-filter is not complete, so a search that skipped a step freeze's filter
-takes cannot end ``SATURATED``; neither can one that kept a clause whose
-normalization ran out of fuel.
+Narrowing a constraint-free clause on the fly defers each step that guesses
+the structure of a variable, since a later instantiation may trigger the
+same rewriting during re-normalization; the loop builds deferred steps,
+first in first out, once the passive set is empty.  A clause with frozen
+constraints is narrowed with freeze's head-compatibility filter under both
+strategies.  So a search out of passive clauses and deferred steps has
+taken every step freeze's filter takes; only one that kept a clause whose
+normalization ran out of fuel cannot end ``SATURATED``.
 
 A refutation is an empty clause whose constraints pass the solution check;
 when the equational unifier cannot decide the constraints within its
@@ -158,8 +159,6 @@ class Stats:
     ``tautology``, ``duplicate`` and ``subsumed``, and ``unsolvable`` for an
     empty clause whose constraints the gate refuted.  ``retired`` counts
     kept clauses that a later clause subsumed (backward subsumption).
-    ``skipped_narrowings`` counts the narrowing steps the on-the-fly filter
-    skipped although freeze's filter takes them.
     """
 
     generated: int = 0
@@ -173,7 +172,6 @@ class Stats:
     gate_calls: int = 0
     discards: dict[str, int] = field(default_factory=dict)
     retired: int = 0
-    skipped_narrowings: int = 0
 
     def discard(self, reason: str) -> None:
         self.discarded += 1
@@ -201,10 +199,9 @@ class SearchResult:
     kept.  ``constraint_names`` names the constraints the kept clauses
     carry.  ``exhausted`` says why a search is ``RESOURCE_OUT``:
     ``max_clauses``, or, for a search that would otherwise have saturated,
-    ``narrowing_filter`` (with the number of narrowing steps the on-the-fly
-    filter skipped) and ``fuel`` (``unnormalized`` is set).  For a proof left
-    unverified it names the bound the gate's narrowing hit, ``narrow_depth``
-    or ``narrow_states``, with the number of states it examined.
+    ``fuel`` (``unnormalized`` is set).  For a proof left unverified it names
+    the bound the gate's narrowing hit, ``narrow_depth`` or
+    ``narrow_states``, with the number of states it examined.
     ``unnormalized`` says that a clause kept some literal whose
     normalization, in clausification or after an inference, ran out of
     fuel."""
@@ -322,83 +319,87 @@ def narrowing_applicable(atom: Atom, rule: RewriteRule, strategy: str,
                          app_symbols: Iterable[str] = ()) -> bool:
     """Literal filter for the narrowing inference.
 
-    Under ``on_the_fly`` the atom must unify syntactically with the rule's
-    left side without guessing: the step is skipped when the atom's
-    arguments are all variables, or when the unifier instantiates one of the
-    atom's variables with a constructor carrying fresh variables.  Solved
-    constraints are propagated immediately, so a later resolution step that
-    makes such a variable concrete triggers the same rewriting during
-    re-normalization, and the guessing step only floods the search space.
-
     Under ``freeze`` the test is head compatibility: a rigid position must
     carry the rule's symbol, while a variable-headed position accepts
     anything (a normal literal can only meet the left side of a rule once
     its flexible head gets instantiated).
 
-    A clause that carries constraints takes the ``freeze`` test under both
-    strategies: its constraints are frozen, so no propagation will ever
-    instantiate its variables, and the on-the-fly test would miss the step
-    for good.
+    Under ``on_the_fly`` the atom must also unify syntactically with the
+    rule's left side without guessing (:func:`_guided`).  A clause that
+    carries constraints takes the ``freeze`` test under both strategies:
+    no propagation will ever instantiate its frozen variables.
     """
     lhs = rule.lhs
     assert isinstance(lhs, Atom)
-    if atom.pred.name != lhs.pred.name or len(atom.args) != len(lhs.args):
-        return False
-    if strategy == ON_THE_FLY:
-        fresh = rule.rename_for(free_names(atom))
-        assert isinstance(fresh.lhs, Atom)
-        mgu = unify_syntactic(atom, fresh.lhs)
-        if mgu is None:
-            return False
-        if atom.args and all(isinstance(a, Var) for a in atom.args):
-            return False  # a fully flexible atom gives the step no guidance
-        atom_vars = free_names(atom)
-        for name in atom_vars:
-            t = mgu.get(name)
-            if t is not None and not isinstance(t, Var) and (free_names(t) - atom_vars):
-                return False
-        return True
     apps = frozenset(app_symbols)
-    return not any(_clash(a, b, apps) for a, b in zip(atom.args, lhs.args))
+    return (atom.pred.name == lhs.pred.name and len(atom.args) == len(lhs.args)
+            and not any(_clash(a, b, apps) for a, b in zip(atom.args, lhs.args))
+            and (strategy != ON_THE_FLY or _guided(atom, rule)))
+
+
+def _guided(atom: Atom, rule: RewriteRule) -> bool:
+    """Does ``atom`` unify syntactically with the rule's left side without
+    guessing, with some argument not a variable and no variable of the atom
+    bound to a constructor carrying fresh variables?  A later instantiation
+    of such a variable triggers the same rewriting during re-normalization,
+    so :func:`extended_narrowing` defers a guessing step.  A syntactic
+    unifier leaves no rigid clash, so this implies head compatibility."""
+    fresh = rule.rename_for(free_names(atom))
+    assert isinstance(fresh.lhs, Atom)
+    mgu = unify_syntactic(atom, fresh.lhs)
+    if mgu is None:
+        return False
+    if atom.args and all(isinstance(a, Var) for a in atom.args):
+        return False  # a fully flexible atom gives the step no guidance
+    atom_vars = free_names(atom)
+    for name in atom_vars:
+        t = mgu.get(name)
+        if t is not None and not isinstance(t, Var) and (free_names(t) - atom_vars):
+            return False
+    return True
 
 
 class NarrowingEvents(list):
     """The clause lists of :func:`extended_narrowing`, one per narrowing
     event, with ``normalized`` false when re-clausifying some event ran out
-    of fuel, and ``skipped`` the number of literals the on-the-fly filter
-    skipped although freeze's filter takes them."""
+    of fuel, and ``deferred`` the positions of the literals whose step
+    freeze's filter takes but the on-the-fly filter leaves for later."""
 
     def __init__(self) -> None:
         super().__init__()
         self.normalized = True
-        self.skipped = 0
+        self.deferred: list[int] = []
 
 
 def extended_narrowing(c: ConstrainedClause, rule: RewriteRule,
                        system: RewriteSystem, sig: Signature,
                        fuel: int = 10_000, strategy: str = FREEZE,
-                       app_symbols: Iterable[str] = ()) -> NarrowingEvents:
+                       app_symbols: Iterable[str] = (),
+                       positions: Sequence[int] | None = None) -> NarrowingEvents:
     """Narrow each applicable literal of ``c`` with an R-rule.
 
     The literal's atom is replaced by the right side of a renamed copy of
     the rule and the clause is re-clausified, carrying the postponed
     equation between the atom and the rule's left side.  One inner list per
     narrowing event (a single event may split into several clauses).
+    ``positions`` narrows those literals only, in that order, instead of
+    all of them.
     """
     if rule.cls != R_CLASS:
         raise ValueError("extended narrowing uses R-class rules only")
     events = NarrowingEvents()
     strategy = FREEZE if c.constraints else strategy
-    # smallest atoms first: the least-structured literal is the one the
-    # figure-scale searches instantiate, so its clauses get earlier ids
-    order = sorted(range(len(c.literals)),
-                   key=lambda i: (_arg_size(c.literals[i]), i))
-    for i in order:
+    if positions is None:
+        # smallest atoms first: the least-structured literal is the one the
+        # figure-scale searches instantiate, so its clauses get earlier ids
+        positions = sorted(range(len(c.literals)),
+                           key=lambda i: (_arg_size(c.literals[i]), i))
+    for i in positions:
         lit = c.literals[i]
-        if not narrowing_applicable(lit.atom, rule, strategy, app_symbols):
-            if strategy == ON_THE_FLY and narrowing_applicable(lit.atom, rule, FREEZE,
-                                                               app_symbols):
-                events.skipped += 1
+        if not narrowing_applicable(lit.atom, rule, FREEZE, app_symbols):
+            continue
+        if strategy == ON_THE_FLY and not _guided(lit.atom, rule):
+            events.deferred.append(i)
             continue
         fresh = rule.rename_for(c.free_names())
         assert isinstance(fresh.lhs, Atom)
@@ -747,6 +748,8 @@ class _Saturation:
         self.inputs: deque[int] = deque()  # input clause ids, selected first
         self.input_clauses = 0  # registered, kept or not; the budget spares them
         self.by_id: dict[int, ConstrainedClause] = {}  # the live kept clauses
+        # (clause id, rule, literal positions) of deferred narrowing steps
+        self.deferred: deque[tuple[int, RewriteRule, Sequence[int]]] = deque()
         # literal selection is argued complete for an empty system only
         self.select = not system.rules
         self.index = ClauseIndex(self.select)
@@ -898,6 +901,16 @@ class _Saturation:
         for rc in extended_resolution(sel, renamed, self.select):
             self.process_new([rc], "resolution", (sel.id, partner.id))
 
+    def _narrow(self, c: ConstrainedClause, rule: RewriteRule, strategy: str,
+                positions: Sequence[int] | None = None) -> None:
+        events = extended_narrowing(c, rule, self.system, self.sig, self.cfg.fuel,
+                                    strategy, self.sig.app_symbols, positions)
+        self.unnormalized = self.unnormalized or not events.normalized
+        if events.deferred:
+            self.deferred.append((c.id, rule, events.deferred))
+        for event in events:
+            self.process_new(event, "narrowing", (c.id,), rule.name)
+
     # -- main loop -------------------------------------------------------------
 
     def run(self, props: Iterable[Prop]) -> SearchResult:
@@ -909,18 +922,19 @@ class _Saturation:
             for r in clausified:
                 for c in r.clauses:
                     self.register(c, "input", ())
-            while self.in_passive:
+            while self.in_passive or self.deferred:
+                if not self.in_passive:
+                    # a retired clause's deferred steps go with it, as a
+                    # retired passive clause is never selected
+                    cid, rule, positions = self.deferred.popleft()
+                    if cid in self.by_id:
+                        self._narrow(self.by_id[cid], rule, FREEZE, positions)
+                    continue
                 sel = self.by_id[self._select()]
                 self.stats.selected += 1
                 # narrowing with every R-rule
                 for rule in self.system.r_rules:
-                    events = extended_narrowing(
-                        sel, rule, self.system, self.sig, self.cfg.fuel,
-                        self.cfg.strategy, self.sig.app_symbols)
-                    self.unnormalized = self.unnormalized or not events.normalized
-                    self.stats.skipped_narrowings += events.skipped
-                    for event in events:
-                        self.process_new(event, "narrowing", (sel.id,), rule.name)
+                    self._narrow(sel, rule, self.cfg.strategy)
                 # resolution with the live earlier selections, then with itself
                 sel_names = sel.free_names()
                 for partner in self.index.partners(sel):
@@ -931,14 +945,10 @@ class _Saturation:
                     self._resolve(sel, sel_names, sel)
                 if sel.id in self.by_id:
                     self.index.note_selected(sel)
-            # saturation proves nothing when the search may have missed a step
-            reasons = []
-            if self.stats.skipped_narrowings:
-                reasons.append(f"narrowing_filter ({self.stats.skipped_narrowings} skipped)")
+            # saturation proves nothing when some kept clause is unnormalized
             if self.unnormalized:
-                reasons.append("fuel")
-            return self._result(RESOURCE_OUT if reasons else SATURATED,
-                                exhausted=", ".join(reasons) or None)
+                return self._result(RESOURCE_OUT, exhausted="fuel")
+            return self._result(SATURATED)
         except _Stop as stop:
             return stop.result
 

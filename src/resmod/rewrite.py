@@ -149,19 +149,23 @@ class EtaRule(RewriteRule):
 
 def _unshift(t: Term, app, sub, shift) -> Term | None:
     """Invert one shift on a normal term, or None if the shape does not fit."""
-    if isinstance(t, App):
-        if t.sym.name == sub.name and len(t.args) == 2:
-            s = t.args[1]
-            if isinstance(s, App) and s.sym.name == shift.name and not s.args:
-                return t.args[0]
+    one_shift = App(shift)
+    out: list[Term] = []
+    stack: list = [t]  # terms to unshift, and (node,) to rebuild from two results
+    while stack:
+        x = stack.pop()
+        if isinstance(x, tuple):
+            right = out.pop()
+            out[-1] = App(x[0].sym, (out[-1], right))
+        elif not isinstance(x, App) or len(x.args) != 2:
             return None
-        if t.sym.name == app.name and len(t.args) == 2:
-            left = _unshift(t.args[0], app, sub, shift)
-            right = _unshift(t.args[1], app, sub, shift)
-            if left is None or right is None:
-                return None
-            return App(t.sym, (left, right))
-    return None
+        elif x.sym.name == app.name:
+            stack += ((x,), x.args[1], x.args[0])
+        elif x.sym.name != sub.name or x.args[1] != one_shift:
+            return None
+        else:
+            out.append(x.args[0])
+    return out[0]
 
 
 def _index(rules: Iterable[RewriteRule], key) -> dict[str, tuple[RewriteRule, ...]]:

@@ -162,8 +162,6 @@ FUEL = "fuel"
 class EquationVerdict:
     constraint: Constraint
     status: str
-    lhs_normal: object = None
-    rhs_normal: object = None
 
 
 @dataclass(frozen=True)
@@ -198,11 +196,9 @@ def check_solution(s: Substitution, constraints: Iterable[Constraint],
             verdicts.append(EquationVerdict(c, FAIL))
             continue
         status = PASS
-        lhs_nf = rhs_nf = None
         for a, b in pairs:
             oa = normalize(s(a), system, fuel)
             ob = normalize(s(b), system, fuel)
-            lhs_nf, rhs_nf = oa.value, ob.value
             if not (oa.normal and ob.normal):
                 if oa.value != ob.value:
                     status = FUEL
@@ -210,7 +206,7 @@ def check_solution(s: Substitution, constraints: Iterable[Constraint],
             elif oa.value != ob.value:
                 status = FAIL
                 break
-        verdicts.append(EquationVerdict(c, status, lhs_nf, rhs_nf))
+        verdicts.append(EquationVerdict(c, status))
     return SolutionCheck(tuple(verdicts))
 
 

@@ -5,7 +5,8 @@ import re
 import pytest
 
 from resmod import cli
-from resmod.parser import parse_prop
+from resmod.kernel import App
+from resmod.parser import parse_prop, parse_term_or_atom
 from resmod.rewrite import normalize
 from resmod.theories import load_preset
 
@@ -31,6 +32,10 @@ SUCC_ZERO = "use arith\ngoal s0 : exists x:nat S(x) = 0\n"
 # P(X), whose constraint X + 0 = 3 stays frozen on the fly
 NARROW_FROZEN = ("use arith\npred P : (nat)\npred Q : (nat)\nR pq: P(S(y)) -> Q(y)\n"
                  "axiom forall x:nat (x + 0 = 3 => P(x))\ngoal q2 : Q(2)\n")
+# narrowing the fully flexible P(x) guesses x = S(y); on the fly that step
+# waits until nothing else is left, and Q(0) saturates once it is taken
+NARROW_SUCC = ("use arith\npred P : (nat)\npred Q : (nat)\nR pq: P(S(y)) -> Q(S(y))\n"
+               "axiom forall x:nat P(x)\ngoal q0 : Q(0)\ngoal q2 : Q(2)\n")
 
 
 def theory_file(tmp_path, text: str) -> str:
@@ -77,7 +82,10 @@ def test_on_the_fly_saturates_past_a_constraint_that_fails_modulo_the_e_rules(
     ("use arith\n", ["--goal", "exists x:nat (x + x = 3)"]),
     ("use arith\n", ["--goal", "exists x:nat exists y:nat (x + y = 4)"]),
     (NARROW_FROZEN, ["--goal-name", "q2"]),
-], ids=["double", "x+0=3", "S(x)=0", "x*x=9", "x+x=3", "x+y=4", "narrow-frozen"])
+    (NARROW_SUCC, ["--goal-name", "q0"]),
+    (NARROW_SUCC, ["--goal-name", "q2"]),
+], ids=["double", "x+0=3", "S(x)=0", "x*x=9", "x+x=3", "x+y=4", "narrow-frozen",
+        "narrow-succ-q0", "narrow-succ-q2"])
 def test_on_the_fly_agrees_with_freeze(tmp_path, capsys, text, goal):
     # freeze is the reference: both strategies must reach the same verdict
     theory = theory_file(tmp_path, text)
@@ -90,21 +98,36 @@ def test_on_the_fly_agrees_with_freeze(tmp_path, capsys, text, goal):
 
 
 # P(X) is fully flexible: freeze's filter narrows it, guessing X = S(y),
-# while the on-the-fly filter skips the step and nothing ever instantiates X
+# while the on-the-fly filter defers the step until the passive set is empty
 NARROW_FLEXIBLE = ("use arith\npred P : (nat)\npred Q : (nat)\nR pq: P(S(y)) -> Q(y)\n"
                    "axiom forall x:nat P(x)\ngoal q2 : Q(2)\n")
 
 
-def test_a_search_the_on_the_fly_narrowing_filter_cut_short_is_not_saturated(
-        tmp_path, capsys):
+def test_on_the_fly_builds_the_narrowing_steps_it_deferred(tmp_path, capsys):
     theory = theory_file(tmp_path, NARROW_FLEXIBLE)
-    assert cli.main(["prove", "--theory", theory, "--strategy", "freeze",
-                     "--goal-name", "q2"]) == cli.EXIT_PROVED
-    assert "verdict: PROVED\n" in capsys.readouterr().out
-    assert cli.main(["prove", "--theory", theory, "--strategy", "onfly",
-                     "--goal-name", "q2"]) == cli.EXIT_RESOURCE_OUT
-    assert ("verdict: RESOURCE_OUT\nexhausted: narrowing_filter (1 skipped)\n"
-            in capsys.readouterr().out)
+    for strategy in ("freeze", "onfly"):
+        assert cli.main(["prove", "--theory", theory, "--strategy", strategy,
+                         "--goal-name", "q2"]) == cli.EXIT_PROVED
+        out = capsys.readouterr().out
+        assert "verdict: PROVED\n" in out
+        assert "exhausted:" not in out
+
+
+# P(X) \/ R(X) and ~T(X) \/ P(X) defer narrowing P(X), and their resolvent
+# P(X) then retires both, so only the step deferred for P(X) is built
+NARROW_RETIRED = ("use arith\npred P : (nat)\npred Q : (nat)\npred R : (nat)\n"
+                  "pred T : (nat)\nR pq: P(S(y)) -> Q(y)\naxiom forall x:nat (P(x) \\/ R(x))\n"
+                  "axiom forall x:nat (T(x) => P(x))\naxiom forall x:nat T(x)\n"
+                  "goal q2 : Q(2)\n")
+
+
+def test_the_deferred_steps_of_a_retired_clause_are_dropped(tmp_path, capsys):
+    assert cli.main(["prove", "--theory", theory_file(tmp_path, NARROW_RETIRED),
+                     "--strategy", "onfly", "--goal-name", "q2"]) == cli.EXIT_PROVED
+    out = capsys.readouterr().out
+    assert "\n6. resolution(4, 3) | P(X)\n" in out
+    assert re.findall(r"^\d+\. narrowing.*$", out, re.M) == ["7. narrowing(6; pq) | Q(y)"]
+    assert ", 2 retired by backward subsumption\n" in out
 
 
 # with fuel 2 the narrowed clause keeps Q(3 * 3) half reduced
@@ -298,6 +321,20 @@ def test_a_proposition_nested_5000_levels_deep_is_proved(capsys, strategy, goal)
 def test_normalize_reads_a_term_nested_5000_levels_deep(capsys):
     assert cli.main(["normalize", "--theory", "arith", DEEP]) == 0
     assert capsys.readouterr().out.endswith(f"normal form after 0 steps: {DEEP}\n")
+
+
+def test_normalize_contracts_an_eta_redex_whose_body_is_5000_levels_deep(capsys):
+    # lam((dor[shift] ... dor[shift] 1)) eta-contracts to the spine of dor,
+    # each dor[shift] unshifted, without recursion
+    theory = load_preset("hol-sigma")
+    assert cli.main(["normalize", "--theory", "hol-sigma",
+                     "lam((" + "dor[shift] " * 5000 + "1))"]) == 0
+    normal_form = capsys.readouterr().out.split("normal form after 1 steps: ")[1]
+    app, dor = theory.sig.lookup("app"), App(theory.sig.lookup("dor"))
+    spine = dor
+    for _ in range(4999):
+        spine = App(app, (spine, dor))
+    assert parse_term_or_atom(normal_form.strip(), theory.sig) == spine
 
 
 def test_check_solution_reads_files_nested_5000_levels_deep(tmp_path, capsys):

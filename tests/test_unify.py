@@ -462,7 +462,8 @@ class TestStoreAndPropagation:
         clause = ConstrainedClause([Literal(True, atom)])
         out = propagate_on_the_fly(clause, st.system, st.sig)
         assert out is not None and out.normalized
-        assert out.clauses == [clause]
+        assert [(c.literals, c.constraints) for c in out.clauses] \
+            == [(clause.literals, clause.constraints)]
 
     def test_unsolvable_store_discards(self):
         sig = small_signature()
