@@ -10,7 +10,7 @@ clause.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .kernel import (
     And,
@@ -124,8 +124,11 @@ class ConstrainedClause:
     """A disjunction of literals with postponed constraints.
 
     Literals keep their first-seen order for display and for deterministic
-    inference.  A clause compares by identity; :func:`resmod.prover.clause_key`
-    is its identity up to renaming.
+    inference, and variables the names that clausification and renaming
+    apart gave them.  A clause compares by identity;
+    :func:`resmod.prover.clause_key`, the literal and constraint sets of its
+    canonical variant (:func:`resmod.prover.tidy_clause`), is its identity
+    up to renaming.
     """
 
     __slots__ = ("literals", "constraints", "id", "provenance", "_lit_set",
@@ -251,30 +254,37 @@ class ClausalResult:
 _CONJ, _DISJ = object(), object()
 
 
-def _clause_literals(p: Prop, sig: Signature,
-                     outer: tuple[Var, ...]) -> list[tuple[Literal, ...]]:
+def _clause_literals(p: Prop, sig: Signature, outer: tuple[Var, ...],
+                     rule_vars: Collection[str]) -> list[tuple[Literal, ...]]:
     """The clauses of ``p``, in one pass over it directed by polarity
     (Nonnengart and Weidenbach, "Computing small clause normal forms",
     2001).  An equivalence is read as its two implications.  A quantifier
     that is universal at its polarity gets a fresh clause variable named
-    after its binder, capitalized; an existential one gets a fresh skolem
+    after its binder, capitalized and primed apart from the names free in
+    ``p`` and the declared symbols; an existential one gets a fresh skolem
     *function* applied to the universals around it (a genuine rank, never
     an individual of arrow sort), or a fresh individual when there are
-    none.
+    none.  A skolem is named after its binder too, lowercased, unprimed
+    and numbered apart from the declared symbols, the names free in ``p``
+    and ``rule_vars``, the rewrite rules' variables, so that no name in a
+    trace stands for both a symbol and a variable.
     ``outer`` are variables free in ``p`` and read as universal; they open
     every witness's arguments.  The binders' values are substituted at the
     atoms.  Top contributes no clause and bottom the empty one, so
     distribution erases both.  ``sig`` is extended in place.
     """
     used = set(p._free)
-    primes: dict[str, int] = {}  # per base, a count of primes below which all are used
+    primes: dict[str, int] = {}  # per base, a count of primes below which all are taken
+
+    def taken(name: str) -> bool:
+        return name in used or name in sig.symbols
 
     def universal(hint: str) -> str:
         name = hint.lstrip("_") or "x"
         name = name[0].upper() + name[1:]
-        if name in used:
+        if taken(name):
             k = primes.get(name, 1)
-            while name + "'" * k in used:
+            while taken(name + "'" * k):
                 k += 1
             primes[name] = k + 1
             name += "'" * k
@@ -315,7 +325,8 @@ def _clause_literals(p: Prop, sig: Signature,
             v = Var(universal(q.hint), q.var.sort)
             todo.append((q.body, positive, {**env, q.var.name: v}, prefix + (v,)))
         else:
-            name = sig.fresh_name(q.hint.lstrip("_") or "w")
+            base = q.hint.lstrip("_").rstrip("'") or "w"
+            name = sig.fresh_name(base[0].lower() + base[1:], used | rule_vars)
             if prefix:
                 sym = sig.function(name, tuple(v.sort for v in prefix), q.var.sort,
                                    origin="skolem")
@@ -342,7 +353,7 @@ def clausal_form(p: Prop, system: RewriteSystem, sig: Signature,
     outer = tuple(sorted(free_vars(q), key=lambda v: v.name))
     base_constraints = tuple(constraints)
     clauses = [ConstrainedClause(lits, base_constraints)
-               for lits in _clause_literals(q, sig, outer)]
+               for lits in _clause_literals(q, sig, outer, system.var_names)]
     return ClausalResult(clauses, outcome.normal)
 
 

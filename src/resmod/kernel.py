@@ -14,7 +14,7 @@ in equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Collection, Iterable, Iterator, Mapping, Union
 
 
 class KernelError(Exception):
@@ -195,14 +195,17 @@ class Signature:
         except KeyError:
             raise UnknownSymbolError(f"symbol {name} is not declared") from None
 
-    def fresh_name(self, base: str) -> str:
-        """The first of ``base``, ``base1``, ``base2``, ... not declared."""
-        if base not in self.symbols:
+    def fresh_name(self, base: str, avoid: Collection[str] = ()) -> str:
+        """The first of ``base``, ``base1``, ``base2``, ... neither declared
+        nor in ``avoid``."""
+        if base not in self.symbols and base not in avoid:
             return base
         i = self._next_index.get(base, 1)
         while f"{base}{i}" in self.symbols:
             i += 1
         self._next_index[base] = i
+        while f"{base}{i}" in self.symbols or f"{base}{i}" in avoid:
+            i += 1
         return f"{base}{i}"
 
     def copy(self) -> "Signature":

@@ -87,7 +87,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .kernel import (
     Atom,
@@ -98,6 +98,7 @@ from .kernel import (
     Var,
     free_names,
     rename_apart,
+    subst_term,
     term_size,
 )
 from .clausal import (
@@ -417,9 +418,8 @@ def extended_narrowing(c: ConstrainedClause, rule: RewriteRule,
 # ---------------------------------------------------------------------------
 
 
-def _render(t: Term, var_text: Callable[[Var], str]) -> str:
-    """``f(a,g(b))`` text of a term, each variable written as ``var_text``
-    gives it, in order of appearance."""
+def _blank_skeleton(t: Term) -> str:
+    """``f(a,g(*))`` text of a term, each variable written ``*``."""
     out: list[str] = []
     stack: list = [t]
     while stack:
@@ -427,7 +427,7 @@ def _render(t: Term, var_text: Callable[[Var], str]) -> str:
         if isinstance(x, str):
             out.append(x)
         elif isinstance(x, Var):
-            out.append(var_text(x))
+            out.append("*")
         elif not x.args:
             out.append(x.sym.name)
         else:
@@ -437,10 +437,6 @@ def _render(t: Term, var_text: Callable[[Var], str]) -> str:
                 stack += (a, ",")
             stack.append(x.args[0])
     return "".join(out)
-
-
-def _blank_skeleton(t: Term) -> str:
-    return _render(t, lambda v: "*")
 
 
 def _literal_sort_key(lit: Literal) -> tuple:
@@ -463,44 +459,53 @@ def _ordered_sides(con: Constraint) -> tuple[tuple[str, ...], tuple[str, ...], t
             tuple(e[2] for e in sides))
 
 
-def clause_key(c: ConstrainedClause) -> tuple:
-    """Renaming-insensitive fingerprint used for duplicate detection.
+def tidy_clause(c: ConstrainedClause) -> ConstrainedClause:
+    """The canonical variant of ``c``, the clause :func:`clause_key` keys.
 
-    A closed clause, with no free variable in its literals or constraints,
-    is its own only variant, so its key is its literal and constraint sets.
-    Any other clause renders: variables are numbered in order of first
-    occurrence, literals first, then constraints in an order fixed by their
-    content alone, so the key does not depend on the iteration order of the
-    constraint set.  A variable renders as ``?n``, a form no symbol name can
-    take.  A rendered key is a pair of tuples, so it never equals a closed
-    clause's pair of frozensets.
+    Its variables are renamed ``?0``, ``?1``, ... in order of first
+    occurrence: in the literals first, sorted by polarity, predicate and
+    variable-blind skeleton, then in the constraints, in an order fixed by
+    their skeletons and text, so the numbering does not depend on the
+    iteration order of the constraint set.  No parsed name takes the form
+    ``?n``.  A closed clause is its own canonical variant.
     """
     if not c.free_vars():
-        return (c._lit_set, c.constraints)
-    lits = sorted(c.literals, key=_literal_sort_key)
-    mapping: dict[str, str] = {}
-
-    def number(v: Var) -> str:
-        if v.name not in mapping:
-            mapping[v.name] = f"?{len(mapping)}"
-        return mapping[v.name]
-
-    def render(t: Term) -> str:
-        return _render(t, number)
-
-    lit_keys = tuple((l.positive, l.atom.pred.name, tuple(render(a) for a in l.atom.args))
-                     for l in lits)
-
-    def render_side(x) -> str:
-        if isinstance(x, Atom):
-            return f"{x.pred.name}({','.join(render(a) for a in x.args)})"
-        return render(x)
-
-    con_keys = []
+        return c
+    terms = [a for lit in sorted(c.literals, key=_literal_sort_key) for a in lit.atom.args]
     for _, _, sides in sorted((_ordered_sides(con) for con in c.constraints),
                               key=lambda e: e[:2]):
-        con_keys.append(tuple(sorted([render_side(x) for x in sides])))
-    return (lit_keys, tuple(sorted(con_keys)))
+        for x in sides:
+            terms += x.args if isinstance(x, Atom) else (x,)
+    names: dict[str, Term] = {}
+    stack = terms[::-1]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            if t.name not in names:
+                names[t.name] = Var(f"?{len(names)}", t.sort)
+        else:
+            stack += reversed(t.args)
+
+    def rename(x: Term | Atom) -> Term | Atom:
+        if isinstance(x, Atom):
+            return Atom(x.pred, tuple(subst_term(a, names) for a in x.args))
+        return subst_term(x, names)
+
+    return ConstrainedClause(
+        (Literal(lit.positive, rename(lit.atom)) for lit in c.literals),
+        (Constraint(rename(con.lhs), rename(con.rhs)) for con in c.constraints))
+
+
+def clause_key(c: ConstrainedClause) -> tuple:
+    """Renaming-insensitive fingerprint used for duplicate detection: the
+    literal and constraint sets of the canonical variant
+    (:func:`tidy_clause`), the same form a closed clause's key takes.
+    Clauses with one key are variants.  Variants can key apart only where
+    literals or constraints tie on their skeletons, since the numbering
+    then follows literal order or variable names.  Terms compare
+    structurally, so a variable never equals a constant of its name."""
+    v = tidy_clause(c)
+    return (v._lit_set, v.constraints)
 
 
 def subsumes(c: ConstrainedClause, d: ConstrainedClause, injective: bool = False) -> bool:
@@ -543,7 +548,8 @@ class ClauseIndex:
     :meth:`~resmod.clausal.ConstrainedClause.features` for the two
     subsumption checks and by (polarity, predicate name) for resolution,
     plus ``keys``, the :func:`clause_key` of every clause
-    :func:`redundancy_filter` kept.
+    :func:`redundancy_filter` kept: the literal and constraint sets of its
+    canonical variant.
 
     The features are sound for subsumption: when ``subsumes(c, d)`` holds,
     every feature of ``c`` is a feature of ``d``.  The matcher takes each
@@ -673,13 +679,15 @@ class ClauseIndex:
 def redundancy_filter(new: ConstrainedClause, index: ClauseIndex) -> tuple[bool, str | None]:
     """keep/discard decision for a freshly derived clause.
 
-    Discards exact tautologies with no constraints, variants with identical
-    constraints of the clauses it kept before, and clauses subsumed by a live
-    constraint-free kept clause, one to one when ``index.select``; the
-    reason is ``tautology``, ``duplicate`` or ``subsumed``.  The empty
-    clause is never discarded nor keyed.  The :func:`clause_key` of a
-    non-empty clause that passes the tautology test is computed here, once,
-    and joins ``index.keys`` when the clause is kept.
+    Discards exact tautologies with no constraints, clauses whose canonical
+    variant (:func:`tidy_clause`) is that of a clause it kept before, and
+    clauses subsumed by a live constraint-free kept clause, one to one when
+    ``index.select``; the reason is ``tautology``, ``duplicate`` or
+    ``subsumed``.  The empty clause is never discarded nor keyed.  The
+    :func:`clause_key` of a non-empty clause that passes the tautology test
+    is computed here, once, and joins ``index.keys`` when the clause is
+    kept.  A kept clause keeps its own variable names: the canonical
+    variant only keys it.
     """
     if new.is_empty():
         return True, None
@@ -697,34 +705,6 @@ def redundancy_filter(new: ConstrainedClause, index: ClauseIndex) -> tuple[bool,
 # ---------------------------------------------------------------------------
 # Saturation
 # ---------------------------------------------------------------------------
-
-
-def tidy_clause(c: ConstrainedClause) -> ConstrainedClause:
-    """Shorten primed variable names where that causes no collision."""
-    if not any(v.name.endswith("'") for v in c.free_vars()):
-        return c  # only a primed name is ever renamed
-    names = sorted(c.free_names())
-    taken = set(names)
-    vars_by_name = {v.name: v for v in c.free_vars()}
-    renames: list[tuple[str, str]] = []
-    for name in names:
-        base = name.rstrip("'")
-        if base == name or not base or base.startswith("_"):
-            continue
-        target = base
-        while target in taken:
-            target += "'"
-        if target != name:
-            taken.discard(name)
-            taken.add(target)
-            renames.append((name, target))
-    if not renames:
-        return c
-    # two phases keep each pass idempotent even when targets overlap sources
-    tmp = {old: Var(f"_t{i}", vars_by_name[old].sort) for i, (old, _) in enumerate(renames)}
-    fin = {f"_t{i}": Var(new, vars_by_name[old].sort)
-           for i, (old, new) in enumerate(renames)}
-    return c.apply(Substitution(tmp)).apply(Substitution(fin))
 
 
 class _Stop(Exception):
@@ -775,8 +755,10 @@ class _Saturation:
         if not c.constraints:
             return {"solution": Substitution(), "verified": True}
         self.stats.gate_calls += 1
+        # in the order of their text, so the search does not depend on the
+        # iteration order of the constraint set, and so on the hash seed
         outcome = e_unify_narrowing(
-            c.constraints, self.system, self.cfg.narrowing_depth,
+            sorted(c.constraints, key=str), self.system, self.cfg.narrowing_depth,
             app_symbols=self.sig.app_symbols, max_states=self.cfg.narrow_states)
         if outcome.is_unsat:
             return None
@@ -795,7 +777,6 @@ class _Saturation:
             self.input_clauses += 1
         elif self.stats.generated - self.input_clauses > self.cfg.max_clauses:
             raise _Stop(self._result(RESOURCE_OUT, exhausted="max_clauses"))
-        c = tidy_clause(c)
         keep, reason = redundancy_filter(c, self.index)
         if not keep:
             self.stats.discard(reason)

@@ -202,11 +202,12 @@ class RewriteSystem:
     ``e_index`` maps a symbol to the E-rules whose left side has it at the
     root, ``r_index`` a predicate to its R-rules, both in declaration order.
     ``reach`` says how far above a contraction :func:`normalize` looks again
-    for a redex.
+    for a redex.  ``var_names`` are the names of the rules' variables.
     """
 
     def __init__(self, rules: Iterable[RewriteRule] = ()):
         self.rules: tuple[RewriteRule, ...] = tuple(rules)
+        self.var_names = frozenset().union(*(r.var_names for r in self.rules))
         self.e_rules: tuple[RewriteRule, ...] = tuple(r for r in self.rules if r.cls == E_CLASS)
         self.r_rules: tuple[RewriteRule, ...] = tuple(r for r in self.rules if r.cls == R_CLASS)
         self.e_index = _index(self.e_rules, lambda r: r.lhs.sym.name)

@@ -44,13 +44,13 @@ def theory_file(tmp_path, text: str) -> str:
     return str(theory)
 
 
-@pytest.mark.parametrize("text, goal, binding", [
-    ("use arith\n", ["--goal-name", "double"], "X := S(S(0))"),
-    ("use arith\n", ["--goal", "exists x:nat x + 0 = 3"], "X := S(S(S(0)))"),
-    (NARROW_FROZEN, ["--goal-name", "q2"], "y := S(S(0))"),
+@pytest.mark.parametrize("text, goal, binding, names, citing", [
+    ("use arith\n", ["--goal-name", "double"], "X := S(S(0))", 1, ["3"]),
+    ("use arith\n", ["--goal", "exists x:nat x + 0 = 3"], "X := S(S(S(0)))", 1, ["3"]),
+    (NARROW_FROZEN, ["--goal-name", "q2"], "y := S(S(0))", 3, ["4", "5", "6"]),
 ], ids=["double", "x+0=3", "narrow-frozen"])
 def test_on_the_fly_proves_goals_whose_constraints_need_the_e_rules(
-        tmp_path, capsys, text, goal, binding):
+        tmp_path, capsys, text, goal, binding, names, citing):
     # propagation fails syntactically, so the clause keeps its constraints
     # frozen and the gate solves them modulo the E-rules
     code = cli.main(["prove", "--theory", theory_file(tmp_path, text), "--strategy", "onfly",
@@ -59,6 +59,13 @@ def test_on_the_fly_proves_goals_whose_constraints_need_the_e_rules(
     out = capsys.readouterr().out
     assert "verdict: PROVED\n" in out
     assert f"\n  {binding}\n" in out.split("solution:")[1]
+    # a clause keeps the variable names of the constraints it inherits, so
+    # the first frozen equation is c1 in every clause below it, and the
+    # table names each equation once
+    assert len(re.findall(r"^  c\d+: ", out, re.M)) == names
+    cited = re.findall(r"^(\d+)\. .* / (.*)$", out, re.M)
+    assert [cid for cid, _ in cited] == citing
+    assert all("c1" in refs.split(", ") for _, refs in cited)
 
 
 @pytest.mark.parametrize("text, goal", [(ARITH_WITH_P, "clash"), (DIAGONAL, "diag"),
@@ -125,7 +132,7 @@ def test_the_deferred_steps_of_a_retired_clause_are_dropped(tmp_path, capsys):
     assert cli.main(["prove", "--theory", theory_file(tmp_path, NARROW_RETIRED),
                      "--strategy", "onfly", "--goal-name", "q2"]) == cli.EXIT_PROVED
     out = capsys.readouterr().out
-    assert "\n6. resolution(4, 3) | P(X)\n" in out
+    assert "\n6. resolution(4, 3) | P(X')\n" in out
     assert re.findall(r"^\d+\. narrowing.*$", out, re.M) == ["7. narrowing(6; pq) | Q(y)"]
     assert ", 2 retired by backward subsumption\n" in out
 

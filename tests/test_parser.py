@@ -3,6 +3,7 @@ builds the preset that its directives describe; constraint and solution
 files report parse errors where they are in the file."""
 
 import random
+import re
 
 import pytest
 
@@ -98,11 +99,15 @@ def test_printed_random_terms_parse_back(name):
 _CONNECTIVES = [(And, "/\\", 4), (Or, "\\/", 3), (Implies, "=>", 2), (Iff, "<=>", 1)]
 
 
-def random_prop_text(rng, sig, depth, variables):
+BINDERS = ("x", "y", "z", "w1", "x'")
+
+
+def random_prop_text(rng, sig, depth, variables, binders=BINDERS):
     """A random proposition over ``sig`` and its text, written apart from
     the kernel's printer: with redundant parentheses around atoms and around
     terms, and with the sort annotation of a bound variable left out where
-    the parser infers it.  ``variables`` (name to sort) are in scope.  The
+    the parser infers it.  ``variables`` (name to sort) are in scope, and a
+    quantifier binds one of the names ``binders``.  The
     third value is the precedence of the text's outermost connective (0
     for a quantifier), or None when the text needs no parentheses as an
     operand."""
@@ -124,12 +129,12 @@ def random_prop_text(rng, sig, depth, variables):
         return Atom(pred, args), text, None
     kind = rng.randrange(7 if sig.sorts else 5)
     if kind == 0:
-        body, text, prec = random_prop_text(rng, sig, depth - 1, variables)
+        body, text, prec = random_prop_text(rng, sig, depth - 1, variables, binders)
         return Not(body), f"~({text})" if prec is not None else f"~{text}", None
     if kind <= 4:
         cls, token, my = _CONNECTIVES[kind - 1]
-        (left, lt, lp), (right, rt, rp) = (random_prop_text(rng, sig, depth - 1, variables)
-                                          for _ in range(2))
+        (left, lt, lp), (right, rt, rp) = (
+            random_prop_text(rng, sig, depth - 1, variables, binders) for _ in range(2))
         # => associates to the right, the others to the left; a quantifier
         # (precedence 0) takes all that follows it
         if lp is not None and (lp < my or lp == my and cls is Implies) or rng.random() < 0.1:
@@ -137,11 +142,12 @@ def random_prop_text(rng, sig, depth, variables):
         if rp is not None and (rp < my or rp == my and cls is not Implies) or rng.random() < 0.1:
             rt = f"({rt})"
         return cls(left, right), f"{lt} {token} {rt}", my
-    name = rng.choice([n for n in ("x", "y", "z", "w1", "x'")
+    name = rng.choice([n for n in binders
                        if n not in sig.symbols or sig.symbols[n].kind != PREDICATE])
     sort = rng.choice(list(sig.sorts.values()))
     var = Var(name, sort)
-    body, text, _ = random_prop_text(rng, sig, depth - 1, {**variables, name: sort})
+    body, text, _ = random_prop_text(rng, sig, depth - 1, {**variables, name: sort},
+                                    binders)
     ann = f":{sort}"
     if (name in body._free or sort == sig.default_sort) and rng.random() < 0.5:
         ann = ""  # the parser infers the sort from the variable's first use
@@ -149,12 +155,16 @@ def random_prop_text(rng, sig, depth, variables):
     return quant(var, body), f"{quant.__name__.lower()} {name}{ann} {text}", 0
 
 
-def check_random_propositions(sig, rng):
+def check_random_propositions(sig, rng, binders=BINDERS):
+    """Parse 200 random propositions back from their texts; return the texts."""
     free = {f"v{s}": sort for s, sort in sig.sorts.items()}
+    texts = []
     for _ in range(200):
-        p, text, _ = random_prop_text(rng, sig, 5, free)
+        p, text, _ = random_prop_text(rng, sig, 5, free, binders)
         assert parse_prop(text, sig) == p, text
         assert parse_prop(str(p), sig) == p, str(p)
+        texts.append(text)
+    return texts
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -165,15 +175,24 @@ def test_random_propositions_parse_back(name):
 @pytest.mark.parametrize("name", PRESETS)
 def test_random_propositions_parse_back_beside_skolems_named_like_binders(name):
     # clausifying declares skolem constants x and y and unary skolem
-    # functions z and w1 (x1, y1, ... for a second sort); a binder x then
-    # shadows the constant x, and z(..) is still the function
+    # functions z and w1, each numbered apart from a rule variable of its
+    # name (x1, y1, ... for a second sort); the binders are also drawn from
+    # the skolem constants, so a binder x1 shadows the constant x1, a binder
+    # w1 shadows the function w1, and w1(..) is still the function
     theory = build(name)
     for sort in list(theory.sig.sorts.values()):
         v = {n: Var(n, sort) for n in ("x", "y", "v", "z", "w1")}
         clausal_form(Exists(v["x"], Exists(v["y"], Forall(v["v"], Exists(
             v["z"], Exists(v["w1"], Top()))))), theory.system, theory.sig)
-    assert {"x", "y", "z", "w1"} <= theory.sig.symbols.keys() or not theory.sig.sorts
-    check_random_propositions(theory.sig, random.Random(f"skolem props:{name}"))
+    skolems = {f"{n}1" if n in theory.system.var_names else n for n in ("x", "y", "z", "w1")}
+    assert skolems <= theory.sig.symbols.keys() or not theory.sig.sorts
+    constants = sorted(s.name for s in theory.sig.symbols.values()
+                       if s.origin == "skolem" and not s.arg_sorts)
+    assert bool(constants) == bool(theory.sig.sorts)
+    texts = check_random_propositions(theory.sig, random.Random(f"skolem props:{name}"),
+                                      (*BINDERS, *constants))
+    shadowing = re.compile(rf"\b(forall|exists) ({'|'.join(map(re.escape, constants))})\b")
+    assert any(shadowing.search(t) for t in texts) or not theory.sig.sorts
 
 
 def test_a_printed_binder_is_renamed_apart_from_what_its_body_names():

@@ -30,6 +30,7 @@ from resmod.prover import (
     narrowing_applicable,
     redundancy_filter,
     subsumes,
+    tidy_clause,
 )
 from resmod.rewrite import RewriteSystem
 
@@ -72,10 +73,29 @@ print(report.verdict, report.clauses_generated, hashlib.sha256(report.trace.enco
 """
 
 
-@pytest.mark.parametrize("script", [CHAIN_AXIOMS_FREEZE, NARROW_FROZEN_ON_THE_FLY,
-                                    SET_CANTOR_ON_THE_FLY],
-                         ids=["chain_axioms-freeze", "narrow-frozen-onfly", "set-cantor-onfly"])
-def test_traces_with_frozen_constraints_do_not_depend_on_the_hash_seed(script):
+# the gate takes the empty clause's constraints in the order of their text,
+# so its narrowing makes as many syntactic unifications at every hash seed
+HOL_CANTOR_GATE_UNIFICATIONS = """
+from resmod import cli, kernel, prover, theories, unify
+theory = theories.load_preset("hol-comb")
+theory.sig.individual("f", theory.sig.sorts["term"])
+theory.sig.individual("g", theory.sig.sorts["term"])
+theory.axioms = [theories.surjection_axiom(theory.sig)]
+calls = []
+unify_terms = unify.unify_terms
+unify.unify_terms = lambda *args: calls.append(args) or unify_terms(*args)
+report = cli.run_prove(theory, kernel.Bottom(),
+                       prover.ProverConfig(strategy=prover.FREEZE, narrow_states=50))
+print(report.verdict, report.clauses_generated, len(calls))
+"""
+
+
+@pytest.mark.parametrize("script, verdict", [
+    (CHAIN_AXIOMS_FREEZE, "PROVED"), (NARROW_FROZEN_ON_THE_FLY, "PROVED"),
+    (SET_CANTOR_ON_THE_FLY, "PROVED"), (HOL_CANTOR_GATE_UNIFICATIONS, "PROVED_UNVERIFIED"),
+], ids=["chain_axioms-freeze", "narrow-frozen-onfly", "set-cantor-onfly",
+        "hol-cantor-gate-unifications"])
+def test_traces_with_frozen_constraints_do_not_depend_on_the_hash_seed(script, verdict):
     outputs = set()
     for seed in range(4):
         path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
@@ -84,7 +104,7 @@ def test_traces_with_frozen_constraints_do_not_depend_on_the_hash_seed(script):
                              capture_output=True, text=True, check=True)
         outputs.add(run.stdout)
     assert len(outputs) == 1, outputs
-    assert outputs.pop().startswith("PROVED ")
+    assert outputs.pop().split()[0] == verdict
 
 
 def test_a_variable_is_not_a_duplicate_of_a_same_named_constant():
@@ -104,7 +124,9 @@ def test_a_variable_is_not_a_duplicate_of_a_same_named_constant():
                              index) == (True, None)
     assert redundancy_filter(ConstrainedClause([Literal(True, Atom(r, (x, y)))]),
                              index) == (True, None)
-    # variables render as ?n in the key, a form no symbol name can take
+    # the key compares terms structurally, and a variable never equals a
+    # constant, whatever their names; nor can a symbol take the name ?n of
+    # a variable of the canonical variant
     with pytest.raises(ValueError):
         sig.individual("?0", u)
 
@@ -140,14 +162,14 @@ def test_proof_steps_is_the_ancestor_slice_of_the_empty_clause():
 
 # sha256 of each trace; the same at PYTHONHASHSEED 0-5
 GATE_TRACES = {
-    "double": "64391d9b2b18178201a69a7bf82962300a9ca1cccffde10c6236e7e3bcb1f5e7",
+    "double": "e5527bdd8125314e6c1d3a85c8b79ad6653055430fb1fb2fe9a4de42243a12e2",
     "exists x:nat (x * x = 4)":
-        "48b1f5a3eefb995cd4e3516770faf64f7fbb8e4ce61a6d6fa91cd6aeae34c10b",
+        "110e033d10cff6792e7f0cf72fa2a8b39180156b00df6eabcf77056337a98a6d",
     "exists x:nat (x * x = 9)":
-        "d9775a7cb249adb64ae1b331ae1fc3b043d0c7b62cb62605527d40b62caee7b5",
-    "exists x:nat x = 300": "75af75c3a6287fb4f5750507533859d0572e4746ab6cdbe154da624e4931013e",
-    "hol-comb": "146ac31dc70f0412fee15d8b755befe26b9b3dbd7f9904bfb5d960cf4230083b",
-    "hol-sigma": "c6590b9506c4a493ce43ab37392c0133698659c185dfdaea6bd94855fcd477b1",
+        "42ffb8ea8229927ca21dbfe4883563706372f0a66886daa4f0baa9da372f3810",
+    "exists x:nat x = 300": "be82727ed8811fc216ec7be97dc83529057b8f3ac8d430e21d6d76878b0e86ac",
+    "hol-comb": "cd95b63baca1f1f6cf9b5fddc79e6034d6f5afc373e29b442042ba2171eb5d35",
+    "hol-sigma": "cb345487f8b6391d285025add2f0a814155366cf091303bf1928265a94ed4e3d",
 }
 
 
@@ -196,7 +218,7 @@ def test_the_gate_narrows_inside_a_term_nested_beyond_the_recursion_limit(strate
 # search; the same at PYTHONHASHSEED 0 and 3
 ON_THE_FLY_TRACES = {
     "set-cantor": ("PROVED", 734,
-                   "bc20b80838aca21cb384e73ae19f4977406c6cf00818151dd02e6e6a795e7917"),
+                   "4ef8aa7d217317d525ca55f3265b986ab7ac6501dfe8c4b1cccb1048891a670d"),
     "chain_axioms(12)": ("PROVED", 89,
                          "da6aeabc793a87322af095d32d93e61035c4827907311adb6d8fc7bc73f7e453"),
 }
@@ -242,12 +264,12 @@ def test_on_the_fly_does_not_propagate_constraints_known_to_fail(
 # included); the same at PYTHONHASHSEED 0, 3 and 5
 NARROWING_FILTER_TRACES = {
     ("integral-rings", prover.FREEZE): (
-        "PROVED", 7, 2, "2fd870cf4443b1c4ca1b7b42185df5e4218bf1c602e79880ba9ab46dd4c43cb8"),
+        "PROVED", 7, 2, "18d5d5c87e00e59ccfbd88398ef20e73a1622f83487887f3c3381e984ced66b0"),
     ("integral-rings", prover.ON_THE_FLY): (
         "PROVED", 4, 1, "01ed09c7f4c8e6512ec1ca5ab2cd4983398417a10dbf370d88a5f3f7c67f7711"),
     ("set-cantor", prover.FREEZE): (
         "RESOURCE_OUT", 307, 35,
-        "37cf90bc17ffd4f0c7e4830a69a08b78ee27dead4a83a9923494c0369b461dcd"),
+        "b8aae5dd83b34e72328f586f8ade1ba354cea2db3770e4cdacfb2a47737ea601"),
 }
 
 
@@ -465,7 +487,7 @@ def test_ground_subsumption_agrees_with_a_literal_mapping_oracle(clauses):
 
 @pytest.mark.parametrize("clauses", index_clause_sets())
 def test_the_duplicate_key_agrees_with_a_variant_oracle(clauses):
-    # the rendered key follows literal order among literals of one
+    # the canonical variant follows literal order among literals of one
     # skeleton, so p(X, Y) | p(Y, Z) keys apart from its reverse; these
     # sets hold no such clause
     plain = [c for c in clauses if not c.constraints]
@@ -477,6 +499,9 @@ def test_the_duplicate_key_agrees_with_a_variant_oracle(clauses):
         renamed, _ = rename_apart(c.free_names(), c)
         copy = ConstrainedClause(reversed(renamed.literals), renamed.constraints)
         assert clause_key(copy) == clause_key(c), (c, copy)
+        canonical = tidy_clause(c)
+        assert clause_variant(canonical, c), (c, canonical)
+        assert clause_key(canonical) == clause_key(c), (c, canonical)
     closed = {clause_key(c) for c in clauses if not c.free_vars()}
     assert closed.isdisjoint(clause_key(c) for c in clauses if c.free_vars())
 

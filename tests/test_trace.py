@@ -5,6 +5,7 @@ import re
 import pytest
 
 from resmod import cli, kernel, prover, rewrite, theories
+from resmod.clausal import Constraint
 from resmod.parser import ParseError, parse_prop, parse_trace
 
 FREEZE = prover.ProverConfig(strategy=prover.FREEZE)
@@ -12,9 +13,10 @@ ON_THE_FLY = prover.ProverConfig(strategy=prover.ON_THE_FLY)
 
 
 def preset_goal(name, goal):
+    """A preset and one of its goals, or a goal given as text."""
     def build():
         theory = theories.load_preset(name)
-        return theory, theory.goals[goal]
+        return theory, theory.goals.get(goal) or parse_prop(goal, theory.sig)
     return build
 
 
@@ -37,11 +39,28 @@ def hol_cantor():
 
 
 def assert_round_trip(build, cfg):
-    theory, goal = build()
-    text = cli.run_prove(theory, goal, cfg).trace
+    text = cli.run_prove(*build(), cfg).trace
     # a second build gives a signature without the run's skolem symbols
-    reader_sig = build()[0].sig
-    assert parse_trace(text, reader_sig).render() == text
+    doc = parse_trace(text, build()[0].sig)
+    assert doc.render() == text
+    # each name reads back as what it stood for, a variable never as a
+    # symbol: the steps read back are those of the same search run beside
+    theory, goal = build()
+    result = prover.saturate([*theory.axioms, kernel.Not(goal)], theory.system, theory.sig,
+                             cfg)
+    assert ([(s.literals, s.constraints) for s in doc.steps]
+            == [(s.literals, {as_printed(con) for con in s.constraints})
+                for s in result.steps])
+
+
+def as_printed(con):
+    """``con`` as its trace text reads back: an equation between two atoms
+    of one unary predicate is printed as the one between their arguments."""
+    lhs, rhs = con.lhs, con.rhs
+    if (isinstance(lhs, kernel.Atom) and lhs.pred.name == rhs.pred.name
+            and len(lhs.args) == len(rhs.args) == 1):
+        return Constraint(lhs.args[0], rhs.args[0])
+    return con
 
 
 @pytest.mark.parametrize("cfg", [FREEZE, ON_THE_FLY], ids=["freeze", "on_the_fly"])
@@ -63,22 +82,19 @@ def test_chain_axioms_freeze_trace_round_trips():
     assert_round_trip(chain_axioms(5), FREEZE)
 
 
-# A skolem symbol takes its name from the binder hint of its existential, so
-# it can share the name of a rule variable shown in the same trace (x in
-# set-cantor, y in HOL Cantor's constraint (P X) = (dor x y)); the reader
-# then takes the variable for the function symbol.
-SKOLEM_NAME_CLASH = pytest.mark.xfail(
-    raises=ParseError, strict=True,
-    reason="skolem symbols can share a name with a variable of the trace")
+# the clause variable B' of ~B' in B is primed apart from the constant B, and
+# the skolem x1 numbered apart from the rule variable x
+@pytest.mark.parametrize("strategy", [prover.FREEZE, prover.ON_THE_FLY])
+def test_a_goal_binder_named_like_a_constant_round_trips(strategy):
+    assert_round_trip(preset_goal("set-cantor", "exists b:set (b in B)"),
+                      prover.ProverConfig(strategy=strategy, max_clauses=30))
 
 
-@SKOLEM_NAME_CLASH
 def test_set_cantor_freeze_trace_round_trips():
     assert_round_trip(preset_goal("set-cantor", "cantor"),
                       prover.ProverConfig(strategy=prover.FREEZE, max_clauses=100))
 
 
-@SKOLEM_NAME_CLASH
 def test_hol_cantor_trace_round_trips():
     assert_round_trip(hol_cantor, prover.ProverConfig(strategy=prover.FREEZE,
                                                       narrow_states=300))
