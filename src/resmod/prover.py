@@ -36,12 +36,35 @@ when the equational unifier cannot decide the constraints within its
 bounds, the result is reported as a candidate refutation with unverified
 constraints, never as success.
 
-Literal selection.  When the rewrite system is empty, a clause that carries
-no constraint and has a negative literal selects one negative literal, the
-one with the largest arguments (:func:`eligible`).  It resolves on that
-literal alone, so it is never the positive premise, and it is not factored.
-Every other clause keeps all its literals eligible, and so does every
-clause when the system has a rule.  Selection keeps the search complete:
+Ordered resolution with selection.  When the rewrite system is empty, a
+clause that carries no constraint and has a negative literal selects one
+negative literal, the one with the largest arguments (:func:`eligible`).
+It resolves on that literal alone, so it is never the positive premise,
+and it is not factored.  A constraint-free clause with no negative literal
+selects nothing: it resolves and factors only on its maximal literals,
+those whose atom is smaller than no other atom of the clause in the atom
+ordering ``>`` (:func:`key_greater`).  With ``w`` the number of symbol and
+variable occurrences of an atom, its predicate included, ``A > B`` when
+
+- both atoms are ground and ``(w(A), predicate, text)`` of ``A`` comes
+  after that of ``B``; or
+- ``w(A) > w(B)`` and each variable occurs in ``A`` at least as often as
+  in ``B``.
+
+This is the weight-and-variable condition of a Knuth-Bendix ordering
+(Knuth and Bendix, 1970) with unit weights, made total on ground atoms by
+the predicate name and the printed text, which the parser reads back, so
+distinct ground atoms print apart.  It is irreflexive, and transitive: an
+atom below a ground one is ground, and weights and occurrence counts
+compare transitively.  It is stable: a substitution adds
+``n * (w(t) - 1)`` to the weight of an atom in which ``x`` occurs ``n``
+times and ``x`` is replaced by ``t``, so ``A``'s weight gains at least as
+much as ``B``'s, and it multiplies the occurrences of ``x`` alike; two
+instances that end up ground compare first by weight, which keeps the
+order.  It is well founded, since a finite signature has finitely many
+ground atoms of each weight.  A clause that carries constraints keeps all
+its literals eligible, and so does every clause when the system has a
+rule.  Ordering and selection keep the search complete:
 
 1. With no rule, constraints are syntactic equations.  A clause ``C / K``
    stands for its ground instances ``Cs``, ``s`` a ground unifier of ``K``,
@@ -51,26 +74,31 @@ clause when the system has a rule.  Selection keeps the search complete:
 2. On ground multiset clauses, resolution with selection is refutationally
    complete for every selection function and every well-founded ordering
    of the ground atoms (Bachmair and Ganzinger, "Resolution theorem
-   proving", Handbook of Automated Reasoning 2001): a set saturated up to
-   redundancy without the empty clause has a model.  Its inferences
-   resolve a clause on its selected literal, or on a maximal negative one
-   when it selects none, against a clause that selects none, on a strictly
-   maximal positive literal; and factor a maximal positive literal of a
-   clause that selects none.
+   proving", Handbook of Automated Reasoning 2001), here ``>`` on ground
+   atoms: a set saturated up to redundancy without the empty clause has a
+   model.  Its inferences resolve a clause on its selected literal, or on a
+   maximal negative one when it selects none, against a clause that
+   selects none, on a strictly maximal positive literal; and factor a
+   maximal positive literal of a clause that selects none.  Here a clause
+   that selects none has no negative literal.
 3. Lifting: each ground instance takes the selection of one kept clause it
-   is an instance of.  The loop resolves a selecting clause on its selected
-   literal, and any other clause on any literal, with no ordering
-   restriction, so every ground inference is an instance of one the loop
-   makes with a most general unifier (Robinson, JACM 1965).  It factors
-   every same-sign pair of a clause that selects none, which gives the
-   positive premise its factors.  A clause that selects needs none: its
-   resolvent keeps a second copy of the selected literal, as the multiset
-   calculus does.
+   is an instance of.  If ``Ls`` is maximal in ``Cs``, then ``L`` is
+   smaller than no literal ``M`` of ``C``: ``L < M`` would give
+   ``Ls < Ms`` by stability.  So the loop, which resolves a selecting
+   clause on its selected literal and a clause that selects none on any
+   maximal literal, makes an inference with a most general unifier
+   (Robinson, JACM 1965) of which every ground inference is an instance.
+   It factors every same-sign pair of maximal literals of a clause that
+   selects none; two literals that the ground instance merges into its
+   maximal one are both maximal, so the positive premise gets its factors.
+   A clause that selects needs none: its resolvent keeps a second copy of
+   the selected literal, as the multiset calculus does.
 4. Redundancy: tautologies and variants are redundant.  Under selection a
    subsumer must map its literals one to one (:func:`subsumes`), so each
    ground instance of the clause it deletes or retires contains one of the
    subsumer's as a sub-multiset: a smaller clause, or at equal size the
-   same one.
+   same one.  Neither test reads the ordering, which only restricts
+   inferences.
 5. Fairness: every kept clause is selected in time and resolved with every
    live selected clause, so the clauses that persist are saturated.
 
@@ -241,23 +269,57 @@ def _arg_size(lit: Literal) -> int:
     return sum(term_size(a) for a in lit.atom.args)
 
 
+def atom_key(atom: Atom) -> tuple[int, str, str | None, dict[Var, int]]:
+    """What :func:`key_greater` compares: the atom's weight, the number of
+    its symbol and variable occurrences, its predicate included; its
+    predicate name; its text when it is ground, else None; and how often
+    each variable occurs in it."""
+    weight = 1
+    counts: dict[Var, int] = {}
+    stack = list(atom.args)
+    while stack:
+        t = stack.pop()
+        weight += 1
+        if isinstance(t, Var):
+            counts[t] = counts.get(t, 0) + 1
+        else:
+            stack += t.args
+    return weight, atom.pred.name, None if counts else str(atom), counts
+
+
+def key_greater(a: tuple, b: tuple) -> bool:
+    """The atom ordering on :func:`atom_key` values: ``a`` is greater when
+    both atoms are ground and ``a``'s weight, predicate name and text come
+    after ``b``'s, or when ``a`` weighs more and each variable occurs in it
+    at least as often as in ``b``."""
+    if a[2] is not None and b[2] is not None:
+        return a[:3] > b[:3]
+    return a[0] > b[0] and all(a[3].get(v, 0) >= n for v, n in b[3].items())
+
+
 def eligible(c: ConstrainedClause, select: bool = True) -> Sequence[int]:
     """The positions of the literals of ``c`` that resolution and factoring
     use, in literal order.
 
     Under ``select``, a clause that carries no constraint and has a
     negative literal selects one negative literal: the one whose arguments
-    are largest by :func:`~resmod.kernel.term_size`, the first on ties.
-    Every other clause, and every clause without ``select``, keeps all its
-    literals eligible.  Computed on first use."""
+    are largest by :func:`~resmod.kernel.term_size`, the first on ties.  A
+    constraint-free clause with no negative literal keeps the literals
+    whose atom is smaller than no other atom of the clause
+    (:func:`key_greater`).  Every other clause, and every clause without
+    ``select``, keeps all its literals eligible.  Computed on first use."""
     if not select:
         return range(len(c.literals))
     if c._eligible is None:
         negative = [i for i, lit in enumerate(c.literals) if not lit.positive]
-        if c.constraints or not negative:
+        if negative and not c.constraints:
+            c._eligible = (max(negative, key=lambda i: _arg_size(c.literals[i])),)
+        elif c.constraints or len(c.literals) < 2:
             c._eligible = range(len(c.literals))
         else:
-            c._eligible = (max(negative, key=lambda i: _arg_size(c.literals[i])),)
+            keys = [atom_key(lit.atom) for lit in c.literals]
+            c._eligible = tuple(i for i, k in enumerate(keys)
+                                if not any(key_greater(o, k) for o in keys))
     return c._eligible
 
 

@@ -305,6 +305,22 @@ def test_a_goal_nested_5000_levels_deep_is_proved(capsys, strategy, solution):
     assert f"\n2. input | ~X = {DEEP}\n" in out
 
 
+DEEP_F = "f(" * 5000 + "a" + ")" * 5000
+# no rules, so P(t) \/ Q(t) keeps only its larger literal eligible; the two
+# atoms tie on weight, and the ordering reads their text, 5,000 levels deep
+DEEP_ORDERED = (f"sort s\nconst a : s\nfun f : (s) -> s\npred P : (s)\npred Q : (s)\n"
+                f"axiom P({DEEP_F}) \\/ Q({DEEP_F})\naxiom ~P({DEEP_F})\n"
+                f"goal g : Q({DEEP_F})\n")
+
+
+@pytest.mark.parametrize("strategy", ["freeze", "onfly"])
+def test_a_positive_clause_5000_levels_deep_is_ordered(tmp_path, capsys, strategy):
+    code = cli.main(["prove", "--theory", theory_file(tmp_path, DEEP_ORDERED),
+                     "--strategy", strategy, "--goal-name", "g"])
+    assert code == cli.EXIT_PROVED
+    assert "verdict: PROVED\n" in capsys.readouterr().out
+
+
 DEEP_GOALS = {
     "forall": "forall x:nat " * 5000 + "x = x",
     "exists": "exists x:nat " * 5000 + "x = x",

@@ -1,10 +1,11 @@
 """Prover tests: duplicate detection in the redundancy filter, the narrowing
 filter, the proof slice of a search, the traces of the refutation gate and
-of on-the-fly searches, the propagations on the fly, the clause index
-against the checks it prefilters, ground subsumption against a
-literal-mapping oracle, the duplicate key against a variant oracle, and
-saturation against a truth table, on ground clauses and, through Herbrand's
-theorem, on function-free ones."""
+of on-the-fly searches, the propagations on the fly, the atom ordering and
+the literals it leaves eligible, the clause index against the checks it
+prefilters, ground subsumption against a literal-mapping oracle, the
+duplicate key against a variant oracle, and saturation against a truth
+table, on ground clauses and, through Herbrand's theorem, on function-free
+ones."""
 
 import functools
 import hashlib
@@ -18,23 +19,27 @@ from pathlib import Path
 import pytest
 
 from resmod import cli, prover, theories
-from resmod.clausal import ConstrainedClause, Literal, Provenance
-from resmod.kernel import (And, App, Atom, Bottom, Exists, Forall, Not, Or, Signature, Var,
-                           rename_apart)
+from resmod.clausal import ConstrainedClause, Constraint, Literal, Provenance
+from resmod.kernel import (And, App, Atom, Bottom, Exists, Forall, Not, Or, Signature,
+                           Substitution, Var, free_names, free_vars, rename_apart)
 from resmod.parser import parse_prop, parse_term_or_atom
 from resmod.prover import (
     ClauseIndex,
+    atom_key,
     clause_key,
+    eligible,
     extended_resolution,
     factor,
+    key_greater,
     narrowing_applicable,
     redundancy_filter,
     subsumes,
     tidy_clause,
 )
-from resmod.rewrite import RewriteSystem
+from resmod.rewrite import RewriteRule, RewriteSystem
 
-from helpers import clause_variant, hol_cantor, random_term, small_signature, truth_table
+from helpers import (clause_variant, hol_cantor, random_arith_term, random_comb_spine,
+                     random_sigma_term, random_term, small_signature, truth_table)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -219,8 +224,8 @@ def test_the_gate_narrows_inside_a_term_nested_beyond_the_recursion_limit(strate
 ON_THE_FLY_TRACES = {
     "set-cantor": ("PROVED", 734,
                    "4ef8aa7d217317d525ca55f3265b986ab7ac6501dfe8c4b1cccb1048891a670d"),
-    "chain_axioms(12)": ("PROVED", 89,
-                         "da6aeabc793a87322af095d32d93e61035c4827907311adb6d8fc7bc73f7e453"),
+    "chain_axioms(12)": ("PROVED", 75,
+                         "c79f49d60f2f75cc7da83851692230302af5c42837b0d67c7152e5954d687bad"),
 }
 
 
@@ -283,6 +288,137 @@ def test_the_narrowing_filter_leaves_the_trace_unchanged(preset, strategy):
     digest = hashlib.sha256(report.trace.encode()).hexdigest()
     assert (report.verdict, report.clauses_generated, report.narrowing_steps,
             digest) == NARROWING_FILTER_TRACES[preset, strategy]
+
+
+# ---------------------------------------------------------------------------
+# The atom ordering is a strict order, total on ground atoms and stable, and
+# a clause that selects nothing keeps only its maximal literals
+# ---------------------------------------------------------------------------
+
+# each signature's draw of a random term of a sort, and the sort its atoms
+# take arguments of
+ORDERING_SIGNATURES = {
+    "first-order": (lambda rng, sig, sort: random_term(rng, sig, 3), "u"),
+    "arith": (lambda rng, sig, sort: random_arith_term(rng, sig, 3), "nat"),
+    "hol-comb": (lambda rng, sig, sort: random_comb_spine(rng, sig, 3), "term"),
+    "hol-sigma": (lambda rng, sig, sort: random_sigma_term(rng, sig, 3, sort), "term"),
+}
+
+
+def ordering_atoms(name: str, rng: random.Random):
+    """30 random atoms and 30 random ground atoms over the signature
+    ``name``, with a unary ``P1`` and a binary ``P2`` declared on it; and a
+    draw of a random ground term of a sort."""
+    draw, sort = ORDERING_SIGNATURES[name]
+    sig = small_signature() if name == "first-order" else theories.load_preset(name).sig
+    s = sig.sorts[sort]
+    preds = [sig.predicate("P1", (s,)), sig.predicate("P2", (s, s))]
+
+    def ground_term(sort_name: str):
+        while free_names(t := draw(rng, sig, sort_name)):
+            pass
+        return t
+
+    def atom(term):
+        pred = rng.choice(preds)
+        return Atom(pred, tuple(term(sort) for _ in pred.arg_sorts))
+
+    atoms = [atom(lambda sort: draw(rng, sig, sort)) for _ in range(30)]
+    return atoms + [atom(ground_term) for _ in range(30)], ground_term
+
+
+def ground_instance(atom: Atom, ground_term) -> Atom:
+    return Substitution({v.name: ground_term(str(v.sort)) for v in free_vars(atom)})(atom)
+
+
+@pytest.mark.parametrize("name", sorted(ORDERING_SIGNATURES))
+def test_the_atom_ordering_is_a_strict_order_total_on_ground_atoms(name):
+    atoms, _ = ordering_atoms(name, random.Random(f"ordering:{name}"))
+    keys = [atom_key(a) for a in atoms]
+    greater = {i: {j for j, b in enumerate(keys) if key_greater(a, b)}
+               for i, a in enumerate(keys)}
+    chains = 0
+    for i, below in greater.items():
+        assert i not in below, atoms[i]
+        for j in below:
+            assert greater[j] <= below, (atoms[i], atoms[j])
+            chains += len(greater[j])
+    assert chains >= 10_000
+    ground = [i for i, a in enumerate(atoms) if not free_names(a)]
+    for i, j in itertools.combinations(ground, 2):
+        if atoms[i] != atoms[j]:
+            assert (j in greater[i]) != (i in greater[j]), (atoms[i], atoms[j])
+
+
+@pytest.mark.parametrize("name", sorted(ORDERING_SIGNATURES))
+def test_the_atom_ordering_is_stable_under_ground_substitutions(name):
+    rng = random.Random(f"ordering:{name}")
+    atoms, ground_term = ordering_atoms(name, rng)
+    pairs = 0
+    for a, b in itertools.permutations(atoms, 2):
+        if key_greater(atom_key(a), atom_key(b)) and free_names(b):
+            pairs += 1
+            for _ in range(3):
+                both = ground_instance(Or(a, b), ground_term)
+                assert key_greater(atom_key(both.left), atom_key(both.right)), (a, b, both)
+    assert pairs >= 40
+
+
+def ordering_clause_signature() -> Signature:
+    """Sort ``u`` with ``a``, ``f(u, u)`` and the predicates ``p(u)``,
+    ``q(u, u)`` and ``r(u)``."""
+    sig = Signature()
+    u = sig.declare_sort("u")
+    sig.individual("a", u)
+    sig.function("f", (u, u), u)
+    for name, arity in (("p", 1), ("q", 2), ("r", 1)):
+        sig.predicate(name, (u,) * arity)
+    return sig
+
+
+@pytest.mark.parametrize("name", sorted(ORDERING_SIGNATURES))
+def test_a_ground_positive_clause_keeps_its_largest_literal_alone(name):
+    rng = random.Random(f"eligible:{name}")
+    atoms, _ = ordering_atoms(name, rng)
+    ground = list(dict.fromkeys(a for a in atoms if not free_names(a)))
+    for _ in range(50):
+        c = ConstrainedClause(Literal(True, a) for a in rng.sample(ground, rng.randint(2, 4)))
+        keys = [atom_key(lit.atom) for lit in c.literals]
+        largest = [i for i, k in enumerate(keys)
+                   if all(key_greater(k, o) for o in keys if o is not k)]
+        assert len(largest) == 1 and tuple(eligible(c)) == tuple(largest), c
+        assert factor(c) == [], c
+
+
+def test_a_positive_clause_keeps_the_literals_no_other_one_exceeds():
+    sig = ordering_clause_signature()
+    assert tuple(eligible(parse_clause(sig, "q(X, Y)", "p(X)"))) == (0,)
+    both = parse_clause(sig, "p(X)", "p(Y)")
+    assert tuple(eligible(both)) == (0, 1)
+    assert len(factor(both)) == 1
+    # p(X) and p(Y) unify, but q(f(X, Y), a) exceeds both
+    assert tuple(eligible(parse_clause(sig, "p(X)", "p(Y)", "q(f(X, Y), a)"))) == (2,)
+
+
+def test_a_clause_under_a_rule_or_with_constraints_keeps_every_literal():
+    sig = ordering_clause_signature()
+    clause = parse_clause(sig, "p(X)", "p(Y)", "q(f(X, Y), a)")
+    constrained = ConstrainedClause(clause.literals,
+                                    [Constraint(Var("X", sig.sorts["u"]), App(sig.lookup("a")))])
+    assert tuple(eligible(constrained)) == (0, 1, 2)
+    assert tuple(eligible(clause, select=False)) == (0, 1, 2)
+    # with a rule in the system the loop factors p(X) and p(Y); without,
+    # q(f(X, Y), a) alone is eligible and the clause saturates unfactored
+    x, y = Var("x", sig.sorts["u"]), Var("y", sig.sorts["u"])
+    prop = Forall(x, Forall(y, parse_prop("p(x) \\/ p(y) \\/ q(f(x, y), a)", sig,
+                                          env={"x": x.sort, "y": y.sort})))
+    rule = RewriteRule("rp", parse_term_or_atom("r(X)", sig, {"X": x.sort}),
+                       parse_term_or_atom("p(X)", sig, {"X": x.sort}))
+    for strategy in (prover.FREEZE, prover.ON_THE_FLY):
+        cfg = prover.ProverConfig(strategy=strategy)
+        for rules, factorings in (((), 0), ((rule,), 1)):
+            result = prover.saturate([prop], RewriteSystem(rules), sig.copy(), cfg)
+            assert (result.status, result.stats.factorings) == (prover.SATURATED, factorings)
 
 
 # ---------------------------------------------------------------------------
@@ -516,14 +652,30 @@ def seeded_cnf(seed: int, unsatisfiable: bool):
     return cnf_props(6, clauses)
 
 
+DISCARD_REASONS = ["duplicate", "subsumed", "tautology"]
+
+
+def cnf_discarding_for_every_reason(unsatisfiable: bool):
+    """The set ``seeded_cnf`` gives at the first seed from 1 to 20 whose
+    on-the-fly search discards clauses for every reason of the redundancy
+    filter."""
+    for seed in range(1, 21):
+        sig, props = seeded_cnf(seed, unsatisfiable)
+        result = prover.saturate(props, RewriteSystem(()), sig,
+                                 prover.ProverConfig(strategy=prover.ON_THE_FLY))
+        if sorted(result.stats.discards) == DISCARD_REASONS:
+            return sig, props
+    pytest.fail("no seed from 1 to 20 reaches every discard reason")
+
+
 @pytest.mark.parametrize("problem", ["unsatisfiable-cnf", "cnf"])
 def test_the_redundancy_filter_keys_each_clause_once(problem, monkeypatch):
     # every non-empty clause that passes the tautology test is keyed once,
     # and never again once kept; the filter keeps an empty clause unkeyed
     if problem == "cnf":
-        (sig, props), expected = seeded_cnf(1, False), prover.SATURATED
+        (sig, props), expected = cnf_discarding_for_every_reason(False), prover.SATURATED
     else:
-        (sig, props), expected = seeded_cnf(1, True), prover.PROVED
+        (sig, props), expected = cnf_discarding_for_every_reason(True), prover.PROVED
     keyed = []
     key = prover.clause_key
     monkeypatch.setattr(prover, "clause_key", lambda c: keyed.append(c) or key(c))
@@ -533,7 +685,7 @@ def test_the_redundancy_filter_keys_each_clause_once(problem, monkeypatch):
     empty = result.stats.discards.get("unsolvable", 0) + (result.status == prover.PROVED)
     assert len(keyed) == (result.stats.generated - result.stats.discards.get("tautology", 0)
                           - empty)
-    assert sorted(result.stats.discards) == ["duplicate", "subsumed", "tautology"]
+    assert sorted(result.stats.discards) == DISCARD_REASONS
 
 
 # ---------------------------------------------------------------------------
@@ -641,15 +793,19 @@ def function_free_sets():
 
 @pytest.mark.parametrize("strategy", [prover.FREEZE, prover.ON_THE_FLY])
 def test_saturation_agrees_with_herbrand_on_function_free_clauses(strategy):
-    # literal selection is complete only if lifting holds: a search may run
-    # out of clauses, but it proves only unsatisfiable sets and saturates
-    # only satisfiable ones; removing factoring makes on-the-fly searches
-    # saturate unsatisfiable sets here
-    verdicts = {}
+    # literal selection and the atom ordering are complete only if lifting
+    # holds: a search may run out of clauses, but it proves only
+    # unsatisfiable sets and saturates only satisfiable ones; removing
+    # factoring makes on-the-fly searches saturate unsatisfiable sets here
+    verdicts, ordered = {}, 0
     for clauses, unsat in function_free_sets():
         sig, props = function_free_props(clauses)
         result = prover.saturate(props, RewriteSystem(()), sig,
                                  prover.ProverConfig(strategy=strategy, max_clauses=150))
         assert result.status != (prover.SATURATED if unsat else prover.PROVED), clauses
         verdicts[result.status] = verdicts.get(result.status, 0) + 1
+        # kept clauses that select nothing and keep fewer than all literals
+        ordered += sum(not c.constraints and all(lit.positive for lit in c.literals)
+                       and len(eligible(c)) < len(c.literals) for c in result.steps)
     assert verdicts[prover.PROVED] >= 30 and verdicts[prover.SATURATED] >= 10, verdicts
+    assert ordered >= 20
