@@ -125,10 +125,11 @@ class ConstrainedClause:
 
     Literals keep their first-seen order for display and for deterministic
     inference, and variables the names that clausification and renaming
-    apart gave them.  A clause compares by identity;
+    apart gave them.  A clause compares by identity; up to renaming, a
+    clause that carries constraints is identified by
     :func:`resmod.prover.clause_key`, the literal and constraint sets of its
-    canonical variant (:func:`resmod.prover.tidy_clause`), is its identity
-    up to renaming.
+    canonical variant (:func:`resmod.prover.tidy_clause`), and a
+    constraint-free one by subsumption.
     """
 
     __slots__ = ("literals", "constraints", "id", "provenance", "_lit_set",

@@ -104,7 +104,7 @@ class Symbol:
     ``display`` only affects printing and is ignored by equality:
     ``prefix`` (default), ``infix``, ``app`` (application spine), ``sub``
     (postfix ``a[s]``), ``cons`` / ``comp`` (explicit-substitution infixes),
-    ``brace`` (set-pair braces), ``binder`` (unary prefix without parens).
+    ``brace`` (set-pair braces).
     """
 
     name: str
@@ -283,7 +283,7 @@ class App:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"App({self.sym.name!r}, {self.args!r})"
+        return f"App({format_term(self)!r})"
 
     def __str__(self) -> str:
         return format_term(self)
@@ -394,8 +394,33 @@ def subst_term(t: Term, m: Mapping[str, Term]) -> Term:
 class Prop:
     __slots__ = ("_hash", "_free")
 
+    def __eq__(self, other: object) -> bool:
+        # an explicit stack, so that deep propositions compare without
+        # recursion
+        stack: list[tuple] = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            if isinstance(a, Atom):
+                if a != b:
+                    return False
+            elif isinstance(a, _Quant):
+                # a binder's canonical name depends on whether it binds anything
+                if a.var != b.var:
+                    return False
+                stack.append((a.body, b.body))
+            else:
+                stack += zip(children(a), children(b))
+        return True
+
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({format_term(self)!r})"
 
     def __str__(self) -> str:
         return format_term(self)
@@ -427,9 +452,6 @@ class Atom(Prop):
 
     __hash__ = Prop.__hash__
 
-    def __repr__(self) -> str:
-        return f"Atom({self.pred.name!r}, {self.args!r})"
-
 
 class Top(Prop):
     __slots__ = ()
@@ -437,14 +459,6 @@ class Top(Prop):
     def __init__(self) -> None:
         self._hash = hash("top")
         self._free = frozenset()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Top)
-
-    __hash__ = Prop.__hash__
-
-    def __repr__(self) -> str:
-        return "Top()"
 
 
 class Bottom(Prop):
@@ -454,14 +468,6 @@ class Bottom(Prop):
         self._hash = hash("bot")
         self._free = frozenset()
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Bottom)
-
-    __hash__ = Prop.__hash__
-
-    def __repr__(self) -> str:
-        return "Bottom()"
-
 
 class Not(Prop):
     __slots__ = ("body",)
@@ -470,16 +476,6 @@ class Not(Prop):
         self.body = body
         self._hash = hash((0x907, body._hash))
         self._free = body._free
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Not) and self._hash == other._hash and self.body == other.body
-
-    __hash__ = Prop.__hash__
-
-    def __repr__(self) -> str:
-        return f"Not({self.body!r})"
 
 
 class _Binary(Prop):
@@ -491,21 +487,6 @@ class _Binary(Prop):
         self.right = right
         self._hash = hash((self._tag, left._hash, right._hash))
         self._free = left._free | right._free
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is type(self)
-            and self._hash == other._hash
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    __hash__ = Prop.__hash__
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.left!r}, {self.right!r})"
 
 
 class And(_Binary):
@@ -552,22 +533,6 @@ class _Quant(Prop):
         self.body = body
         self._hash = hash((self._tag, var.sort, body._hash))
         self._free = body._free - {var.name}
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        # a binder's canonical name depends on whether it binds anything
-        return (
-            type(other) is type(self)
-            and self._hash == other._hash
-            and self.var == other.var
-            and self.body == other.body
-        )
-
-    __hash__ = Prop.__hash__
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.var!r}, {self.body!r})"
 
 
 class Forall(_Quant):
@@ -771,42 +736,6 @@ def with_children(x: Term | Prop, new: tuple):
         case _Quant():
             return type(x)(x.var, new[0], x.hint)
     raise TypeError(f"cannot rebuild {x!r}")
-
-
-# ---------------------------------------------------------------------------
-# Well-sortedness of propositions
-# ---------------------------------------------------------------------------
-
-
-def check_prop(p: Prop, sig: Signature) -> None:
-    """Validate every atom of ``p`` against ``sig``; raises on failure."""
-    match p:
-        case Atom():
-            sym = sig.symbols.get(p.pred.name)
-            if sym is None:
-                raise UnknownSymbolError(f"predicate {p.pred.name} is not declared")
-            if sym.kind != PREDICATE:
-                raise RankMismatchError(f"{sym.name} is not a predicate")
-            if len(p.args) != sym.arity:
-                raise RankMismatchError(
-                    f"{sym.name} expects {sym.arity} arguments, got {len(p.args)}")
-            for i, (a, expected) in enumerate(zip(p.args, sym.arg_sorts), start=1):
-                actual = sort_of(a, sig)
-                if actual != expected:
-                    raise RankMismatchError(
-                        f"argument {i} of {sym.name} has sort {actual}, expected {expected}")
-        case Top() | Bottom():
-            pass
-        case Not():
-            check_prop(p.body, sig)
-        case _Binary():
-            check_prop(p.left, sig)
-            check_prop(p.right, sig)
-        case _Quant():
-            sig._check_sort(p.var.sort)
-            check_prop(p.body, sig)
-        case _:
-            raise TypeError(f"not a proposition: {p!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -93,12 +93,14 @@ rule.  Ordering and selection keep the search complete:
    maximal one are both maximal, so the positive premise gets its factors.
    A clause that selects needs none: its resolvent keeps a second copy of
    the selected literal, as the multiset calculus does.
-4. Redundancy: tautologies and variants are redundant.  Under selection a
-   subsumer must map its literals one to one (:func:`subsumes`), so each
-   ground instance of the clause it deletes or retires contains one of the
-   subsumer's as a sub-multiset: a smaller clause, or at equal size the
-   same one.  Neither test reads the ordering, which only restricts
-   inferences.
+4. Redundancy: tautologies and subsumed clauses are redundant, variants
+   among them; a constraint-free clause's variants are found by
+   subsumption, a constrained clause's by its canonical variant
+   (:func:`redundancy_filter`).  Under selection a subsumer must map its
+   literals one to one (:func:`subsumes`), so each ground instance of the
+   clause it deletes or retires contains one of the subsumer's as a
+   sub-multiset: a smaller clause, or at equal size the same one.  Neither
+   test reads the ordering, which only restricts inferences.
 5. Fairness: every kept clause is selected in time and resolved with every
    live selected clause, so the clauses that persist are saturated.
 
@@ -185,7 +187,8 @@ class Stats:
     syntactic failure when there are no E-rules) never yields a clause and
     lands in ``failed_constraints`` instead.
     ``discards`` splits ``discarded`` by reason: the redundancy filter's
-    ``tautology``, ``duplicate`` and ``subsumed``, and ``unsolvable`` for an
+    ``tautology``, ``duplicate`` (a variant of a kept clause that carries
+    constraints) and ``subsumed``, and ``unsolvable`` for an
     empty clause whose constraints the gate refuted.  ``retired`` counts
     kept clauses that a later clause subsumed (backward subsumption).
     """
@@ -225,8 +228,7 @@ RESOURCE_OUT = "resource_out"
 class SearchResult:
     """``steps`` are the kept clauses in id order, those that backward
     subsumption retired included; an empty clause the gate refuted is never
-    kept.  ``constraint_names`` names the constraints the kept clauses
-    carry.  ``exhausted`` says why a search is ``RESOURCE_OUT``:
+    kept.  ``exhausted`` says why a search is ``RESOURCE_OUT``:
     ``max_clauses``, or, for a search that would otherwise have saturated,
     ``fuel`` (``unnormalized`` is set).  For a proof left unverified it names
     the bound the gate's narrowing hit, ``narrow_depth`` or
@@ -243,7 +245,6 @@ class SearchResult:
     verified: bool = False
     unnormalized: bool = False
     exhausted: str | None = None
-    constraint_names: dict[Constraint, str] = field(default_factory=dict)
 
     @property
     def proved(self) -> bool:
@@ -378,26 +379,21 @@ def factor(c: ConstrainedClause, select: bool = True) -> list[ConstrainedClause]
     return out
 
 
-def narrowing_applicable(atom: Atom, rule: RewriteRule, strategy: str,
-                         app_symbols: Iterable[str] = ()) -> bool:
-    """Literal filter for the narrowing inference.
+def narrowing_applicable(atom: Atom, rule: RewriteRule,
+                         apps: frozenset[str] = frozenset()) -> bool:
+    """Literal filter for the narrowing inference: head compatibility.
 
-    Under ``freeze`` the test is head compatibility: a rigid position must
-    carry the rule's symbol, while a variable-headed position accepts
+    A rigid position must carry the rule's symbol, while a variable-headed
+    position, a spine of the application symbols ``apps`` included, accepts
     anything (a normal literal can only meet the left side of a rule once
-    its flexible head gets instantiated).
-
-    Under ``on_the_fly`` the atom must also unify syntactically with the
-    rule's left side without guessing (:func:`_guided`).  A clause that
-    carries constraints takes the ``freeze`` test under both strategies:
-    no propagation will ever instantiate its frozen variables.
+    its flexible head gets instantiated).  On the fly,
+    :func:`extended_narrowing` also defers a compatible step that needs a
+    guess (:func:`_guided`).
     """
     lhs = rule.lhs
     assert isinstance(lhs, Atom)
-    apps = frozenset(app_symbols)
     return (atom.pred.name == lhs.pred.name and len(atom.args) == len(lhs.args)
-            and not any(_clash(a, b, apps) for a, b in zip(atom.args, lhs.args))
-            and (strategy != ON_THE_FLY or _guided(atom, rule)))
+            and not any(_clash(a, b, apps) for a, b in zip(atom.args, lhs.args)))
 
 
 def _guided(atom: Atom, rule: RewriteRule) -> bool:
@@ -451,7 +447,9 @@ def extended_narrowing(c: ConstrainedClause, rule: RewriteRule,
     if rule.cls != R_CLASS:
         raise ValueError("extended narrowing uses R-class rules only")
     events = NarrowingEvents()
+    # no propagation will ever instantiate a clause's frozen variables
     strategy = FREEZE if c.constraints else strategy
+    apps = frozenset(app_symbols)
     if positions is None:
         # smallest atoms first: the least-structured literal is the one the
         # figure-scale searches instantiate, so its clauses get earlier ids
@@ -459,7 +457,7 @@ def extended_narrowing(c: ConstrainedClause, rule: RewriteRule,
                            key=lambda i: (_arg_size(c.literals[i]), i))
     for i in positions:
         lit = c.literals[i]
-        if not narrowing_applicable(lit.atom, rule, FREEZE, app_symbols):
+        if not narrowing_applicable(lit.atom, rule, apps):
             continue
         if strategy == ON_THE_FLY and not _guided(lit.atom, rule):
             events.deferred.append(i)
@@ -529,10 +527,8 @@ def tidy_clause(c: ConstrainedClause) -> ConstrainedClause:
     variable-blind skeleton, then in the constraints, in an order fixed by
     their skeletons and text, so the numbering does not depend on the
     iteration order of the constraint set.  No parsed name takes the form
-    ``?n``.  A closed clause is its own canonical variant.
+    ``?n``.
     """
-    if not c.free_vars():
-        return c
     terms = [a for lit in sorted(c.literals, key=_literal_sort_key) for a in lit.atom.args]
     for _, _, sides in sorted((_ordered_sides(con) for con in c.constraints),
                               key=lambda e: e[:2]):
@@ -559,13 +555,14 @@ def tidy_clause(c: ConstrainedClause) -> ConstrainedClause:
 
 
 def clause_key(c: ConstrainedClause) -> tuple:
-    """Renaming-insensitive fingerprint used for duplicate detection: the
-    literal and constraint sets of the canonical variant
-    (:func:`tidy_clause`), the same form a closed clause's key takes.
-    Clauses with one key are variants.  Variants can key apart only where
-    literals or constraints tie on their skeletons, since the numbering
-    then follows literal order or variable names.  Terms compare
-    structurally, so a variable never equals a constant of its name."""
+    """Renaming-insensitive fingerprint used for duplicate detection among
+    clauses that carry constraints: the literal and constraint sets of the
+    canonical variant (:func:`tidy_clause`).  Clauses with one key are
+    variants.  Variants can key apart only where literals or constraints
+    tie on their skeletons, since the numbering then follows literal order
+    or variable names; :func:`redundancy_filter` finds a constraint-free
+    clause's variants by subsumption instead.  Terms compare structurally,
+    so a variable never equals a constant of its name."""
     v = tidy_clause(c)
     return (v._lit_set, v.constraints)
 
@@ -609,9 +606,9 @@ class ClauseIndex:
     """The live kept clauses, indexed by their
     :meth:`~resmod.clausal.ConstrainedClause.features` for the two
     subsumption checks and by (polarity, predicate name) for resolution,
-    plus ``keys``, the :func:`clause_key` of every clause
-    :func:`redundancy_filter` kept: the literal and constraint sets of its
-    canonical variant.
+    plus ``keys``, the :func:`clause_key` of every clause that carries
+    constraints and that :func:`redundancy_filter` kept: the literal and
+    constraint sets of its canonical variant.
 
     The features are sound for subsumption: when ``subsumes(c, d)`` holds,
     every feature of ``c`` is a feature of ``d``.  The matcher takes each
@@ -741,26 +738,41 @@ class ClauseIndex:
 def redundancy_filter(new: ConstrainedClause, index: ClauseIndex) -> tuple[bool, str | None]:
     """keep/discard decision for a freshly derived clause.
 
-    Discards exact tautologies with no constraints, clauses whose canonical
-    variant (:func:`tidy_clause`) is that of a clause it kept before, and
-    clauses subsumed by a live constraint-free kept clause, one to one when
-    ``index.select``; the reason is ``tautology``, ``duplicate`` or
-    ``subsumed``.  The empty clause is never discarded nor keyed.  The
-    :func:`clause_key` of a non-empty clause that passes the tautology test
-    is computed here, once, and joins ``index.keys`` when the clause is
-    kept.  A kept clause keeps its own variable names: the canonical
-    variant only keys it.
+    Discards exact tautologies with no constraints, clauses that carry
+    constraints whose canonical variant (:func:`tidy_clause`) is that of a
+    clause it kept before, and clauses subsumed by a live constraint-free
+    kept clause, one to one when ``index.select``; the reason is
+    ``tautology``, ``duplicate`` or ``subsumed``.  The empty clause is never
+    discarded nor keyed.  The :func:`clause_key` of a non-empty clause that
+    carries constraints is computed here, once, and joins ``index.keys``
+    when the clause is kept.  A kept clause keeps its own variable names:
+    the canonical variant only keys it.
+
+    A constraint-free clause ``d`` is never keyed: forward subsumption
+    already discards every variant of a clause kept before, so it keeps
+    what the key would keep.
+
+    - If ``d`` is a variant of a live kept clause ``o``, ``o`` carries no
+      constraint either, so it is in the trie.  A variant maps its literals
+      one to one, so ``subsumes(o, d, select)`` holds, and ``o`` is among
+      ``forward_candidates(d)``, since variants have the same features.
+    - If ``o`` was retired, its chain of retirers ends at a live,
+      constraint-free clause in the trie, and that clause subsumes ``d``:
+      subsumption composes, one to one maps included.
+
+    So such a variant is discarded as ``subsumed``, never ``duplicate``.
     """
     if new.is_empty():
         return True, None
     if is_tautology(new):
         return False, "tautology"
-    key = clause_key(new)
+    key = clause_key(new) if new.constraints else None
     if key in index.keys:
         return False, "duplicate"
     if any(subsumes(c, new, index.select) for c in index.forward_candidates(new)):
         return False, "subsumed"
-    index.keys.add(key)
+    if key is not None:
+        index.keys.add(key)
     return True, None
 
 
@@ -795,19 +807,11 @@ class _Saturation:
         # literal selection is argued complete for an empty system only
         self.select = not system.rules
         self.index = ClauseIndex(self.select)
-        self.names: dict[Constraint, str] = {}
         self.unnormalized = False
 
     def _result(self, status: str, **fields) -> SearchResult:
-        return SearchResult(status, self.steps, self.stats, unnormalized=self.unnormalized,
-                            constraint_names=self.names, **fields)
-
-    # -- naming ------------------------------------------------------------
-
-    def _name_constraints(self, c: ConstrainedClause) -> None:
-        for con in sorted(c.constraints, key=str):
-            if con not in self.names:
-                self.names[con] = f"c{len(self.names) + 1}"
+        return SearchResult(status, self.steps, self.stats,
+                            unnormalized=self.unnormalized, **fields)
 
     # -- the refutation gate -------------------------------------------------
 
@@ -850,7 +854,6 @@ class _Saturation:
                 return
         cid = len(self.steps) + 1
         c = c.with_id(cid, Provenance(kind, parents, aux))
-        self._name_constraints(c)
         self.steps.append(c)
         self.stats.kept += 1
         if c.is_empty():
@@ -1063,6 +1066,8 @@ def format_trace(result: SearchResult, header: dict[str, str], sig: Signature) -
       ``solution:`` then ``  <var> := <term>`` bindings (verified proofs)
 
     ``parser.parse_trace`` reads the text back into a :class:`TraceDoc`.
+    The constraints are named ``c1``, ``c2``, ... in the order the steps
+    first carry them, each step's in the order of their text.
     """
     skolems = [s for s in sig.symbols.values() if s.origin == "skolem"]
     symbol_lines = []
@@ -1082,8 +1087,12 @@ def format_trace(result: SearchResult, header: dict[str, str], sig: Signature) -
                 solution_lines.append(f"  {k} := {result.solution.map[k]}")
     elif result.proved and not result.verified:
         solution_lines.append("solution: unverified")
+    names: dict[Constraint, str] = {}
+    for step in result.steps:
+        for con in sorted(step.constraints, key=str):
+            names.setdefault(con, f"c{len(names) + 1}")
     return TraceDoc(list(header.items()), symbol_lines, result.steps,
-                    result.constraint_names, verdict_of(result), solution_lines).render()
+                    names, verdict_of(result), solution_lines).render()
 
 
 def verdict_of(result: SearchResult) -> str:

@@ -164,18 +164,27 @@ def test_a_theory_file_extends_a_preset(tmp_path, capsys):
     assert "verdict: PROVED\n" in capsys.readouterr().out
 
 
-def test_the_summary_counts_the_discarded_clauses_by_reason(capsys):
+@pytest.mark.parametrize("argv, code, discards", [
+    # on the fly, the clauses that carry constraints have no unifier, and
+    # none of them is a duplicate; a constraint-free variant is subsumed
+    ([], cli.EXIT_PROVED, {"subsumed": 391, "tautology": 14}),
+    # under freeze, the canonical variant finds the duplicates
+    (["--strategy", "freeze", "--max-clauses", "500"], cli.EXIT_RESOURCE_OUT,
+     {"duplicate": 60}),
+], ids=["onfly", "freeze"])
+def test_the_summary_counts_the_discarded_clauses_by_reason(capsys, argv, code, discards):
     # every generated clause of a proof search is kept or discarded
-    assert cli.main(["prove", "--theory", "set-cantor", "--goal-name", "cantor"]) \
-        == cli.EXIT_PROVED
+    assert cli.main(["prove", "--theory", "set-cantor", "--goal-name", "cantor", *argv]) \
+        == code
     lines = capsys.readouterr().out.splitlines()
     generated, kept = re.fullmatch(r"clauses: (\d+) generated, (\d+) kept",
                                    next(l for l in lines if l.startswith("clauses:"))).groups()
     line = next(l for l in lines if l.startswith("discarded:"))
     total, parts = re.match(r"discarded: (\d+) \((.*)\), \d+ retired", line).groups()
     by_reason = {reason: int(n) for n, reason in (p.split() for p in parts.split(", "))}
-    assert int(total) == int(generated) - int(kept) == sum(by_reason.values())
-    assert set(by_reason) == {"tautology", "duplicate", "subsumed"}
+    assert by_reason == discards
+    if code == cli.EXIT_PROVED:
+        assert int(total) == int(generated) - int(kept) == sum(by_reason.values())
 
 
 def test_the_clause_budget_is_named_when_it_runs_out(capsys):
@@ -282,6 +291,21 @@ def test_a_deep_theory_that_is_not_a_theorem_saturates(tmp_path, capsys, text, s
                      "--goal-name", "g"])
     assert code == cli.EXIT_SATURATED
     assert "verdict: SATURATED\n" in capsys.readouterr().out
+
+
+DEEP_SUBSET = "subset s{}(w) : " + "~" * 3000 + "(w in w)\n"
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_a_subset_body_3000_levels_deep_may_be_declared_twice(tmp_path, capsys, copies):
+    # the second declaration compares its body with the first one's, which
+    # takes no recursion
+    text = "use set\n" + "".join(DEEP_SUBSET.format(i) for i in range(1, copies + 1))
+    code = cli.main(["prove", "--theory", theory_file(tmp_path, text), "--goal", "bot",
+                     "--max-clauses", "10"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_SATURATED
+    assert "verdict: SATURATED\n" in out and "error:" not in err
 
 
 def _nested_numeral(depth: int) -> str:

@@ -21,7 +21,6 @@ from resmod.kernel import (
     UnknownSymbolError,
     Var,
     arrow,
-    check_prop,
     free_names,
     free_vars,
     rename_apart,
@@ -193,6 +192,34 @@ class TestAlphaEquality:
         two = Forall(x, Exists(y, Atom(p, (y, y))))
         assert one != two
 
+    @pytest.mark.parametrize("connective", ["not", "implies", "forall"])
+    def test_propositions_5000_levels_deep_compare_and_print(self, connective):
+        sig = small_signature()
+        u = sig.sorts["u"]
+        x = Var("x", u)
+        atom = Atom(sig.lookup("p"), (x, x))
+        wrap = {"not": Not,
+                "implies": lambda body: Implies(atom, body),
+                "forall": lambda body: Forall(x, body)}[connective]
+
+        def chain(depth):
+            p = atom
+            for _ in range(depth):
+                p = wrap(p)
+            return p
+
+        deep = chain(5000)
+        assert deep == chain(5000) and {deep: 1}[chain(5000)] == 1
+        assert deep != chain(4999) and chain(4999) != deep
+        assert repr(deep).startswith(f"{type(deep).__name__}(")
+
+    def test_a_term_5000_levels_deep_prints(self):
+        arith = load_preset("arith")
+        t = App(arith.sig.lookup("0"))
+        for _ in range(5000):
+            t = App(arith.sig.lookup("S"), (t,))
+        assert repr(t) == f"App('{'S(' * 5000}0{')' * 5000}')"
+
     def test_print_parse_round_trip_is_alpha_stable(self):
         arith = load_preset("arith")
         p = parse_prop("forall x:nat (exists y:nat (x + y = x))", arith.sig)
@@ -230,9 +257,3 @@ class TestFreeVarsAndRenaming:
             t = random_term(rng, sig, 4)
             s = Substitution({"x": random_term(rng, sig, 2, var_names=("w",))})
             sort_of(s(t), sig)  # raises on violation
-
-    def test_check_prop_accepts_preset_axioms(self):
-        for name in ("arith", "set-cantor"):
-            preset = load_preset(name)
-            for ax in preset.axioms:
-                check_prop(ax, preset.sig)

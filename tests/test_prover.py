@@ -25,6 +25,7 @@ from resmod.kernel import (And, App, Atom, Bottom, Exists, Forall, Not, Or, Sign
 from resmod.parser import parse_prop, parse_term_or_atom
 from resmod.prover import (
     ClauseIndex,
+    _guided,
     atom_key,
     clause_key,
     eligible,
@@ -43,8 +44,8 @@ from helpers import (clause_variant, hol_cantor, random_arith_term, random_comb_
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# a freeze search of chain_axioms(n), whose clauses are closed and so keyed
-# by their literal sets
+# a freeze search of chain_axioms(n), whose clauses are propositional, so
+# ground subsumption finds their duplicates
 CHAIN_AXIOMS_FREEZE = """
 import hashlib
 from resmod import cli, kernel, prover, rewrite, theories
@@ -123,8 +124,8 @@ def test_a_variable_is_not_a_duplicate_of_a_same_named_constant():
                                 ConstrainedClause([Literal(True, Atom(r, (v0, y)))])), 1):
         assert redundancy_filter(kept, index) == (True, None)
         index.note_kept(kept.with_id(cid, Provenance("input")))
-    # neither a closed key nor a rendered one takes the variable for v0, and
-    # neither kept clause, each a forward-subsumption candidate, subsumes
+    # neither kept clause, each a forward-subsumption candidate, subsumes:
+    # a constant of the subsumer matches only itself
     assert redundancy_filter(ConstrainedClause([Literal(True, Atom(p, (x,)))]),
                              index) == (True, None)
     assert redundancy_filter(ConstrainedClause([Literal(True, Atom(r, (x, y)))]),
@@ -149,8 +150,8 @@ def test_narrowing_applicable_guesses_under_freeze_only(atom, on_the_fly, freeze
         theory.sig.individual(name, theory.sig.sorts["set"])
     pair = next(r for r in theory.system.r_rules if r.name == "pair")
     a = parse_term_or_atom(atom, theory.sig)
-    assert narrowing_applicable(a, pair, prover.ON_THE_FLY) is on_the_fly
-    assert narrowing_applicable(a, pair, prover.FREEZE) is freeze
+    assert (narrowing_applicable(a, pair) and _guided(a, pair)) is on_the_fly
+    assert narrowing_applicable(a, pair) is freeze
 
 
 def test_proof_steps_is_the_ancestor_slice_of_the_empty_clause():
@@ -617,7 +618,8 @@ def test_ground_subsumption_agrees_with_a_literal_mapping_oracle(clauses):
 
 
 # ---------------------------------------------------------------------------
-# The duplicate key is the variant relation, computed once per clause
+# The duplicate key is the variant relation, computed once per clause that
+# carries constraints
 # ---------------------------------------------------------------------------
 
 
@@ -652,40 +654,83 @@ def seeded_cnf(seed: int, unsatisfiable: bool):
     return cnf_props(6, clauses)
 
 
-DISCARD_REASONS = ["duplicate", "subsumed", "tautology"]
-
-
-def cnf_discarding_for_every_reason(unsatisfiable: bool):
-    """The set ``seeded_cnf`` gives at the first seed from 1 to 20 whose
-    on-the-fly search discards clauses for every reason of the redundancy
-    filter."""
-    for seed in range(1, 21):
-        sig, props = seeded_cnf(seed, unsatisfiable)
+def discarding_for_every_reason(problems, strategy: str, reasons: list[str]):
+    """The first of ``problems``, (signature, propositions) pairs, whose
+    search under ``strategy`` at 150 clauses discards clauses for exactly
+    the ``reasons`` of the redundancy filter, besides ``unsolvable``."""
+    for sig, props in problems:
         result = prover.saturate(props, RewriteSystem(()), sig,
-                                 prover.ProverConfig(strategy=prover.ON_THE_FLY))
-        if sorted(result.stats.discards) == DISCARD_REASONS:
+                                 prover.ProverConfig(strategy=strategy, max_clauses=150))
+        if sorted(result.stats.discards.keys() - {"unsolvable"}) == reasons:
             return sig, props
-    pytest.fail("no seed from 1 to 20 reaches every discard reason")
+    pytest.fail(f"no problem discards for exactly {reasons}")
 
 
-@pytest.mark.parametrize("problem", ["unsatisfiable-cnf", "cnf"])
+# a ground clause carries no constraint, so on the fly ground CNF is never
+# keyed and finds no duplicate; a function-free set under freeze keeps its
+# unifiers as constraints, which the canonical variant keys
+KEYED_PROBLEMS = {
+    "unsatisfiable-cnf": (lambda: (seeded_cnf(seed, True) for seed in range(1, 21)),
+                          prover.ON_THE_FLY, ["subsumed", "tautology"], prover.PROVED),
+    "cnf": (lambda: (seeded_cnf(seed, False) for seed in range(1, 21)),
+            prover.ON_THE_FLY, ["subsumed", "tautology"], prover.SATURATED),
+    "function-free-freeze": (lambda: (function_free_props(clauses)
+                                      for clauses, unsat in function_free_sets() if unsat),
+                             prover.FREEZE, ["duplicate", "subsumed", "tautology"],
+                             prover.PROVED),
+}
+
+
+@pytest.mark.parametrize("problem", KEYED_PROBLEMS)
 def test_the_redundancy_filter_keys_each_clause_once(problem, monkeypatch):
-    # every non-empty clause that passes the tautology test is keyed once,
-    # and never again once kept; the filter keeps an empty clause unkeyed
-    if problem == "cnf":
-        (sig, props), expected = cnf_discarding_for_every_reason(False), prover.SATURATED
-    else:
-        (sig, props), expected = cnf_discarding_for_every_reason(True), prover.PROVED
+    # every non-empty clause that carries constraints, and so passes the
+    # tautology test, is keyed once, when it is filtered, and never again
+    # once kept; a constraint-free clause is never keyed, since forward
+    # subsumption finds its variants, nor is the empty clause
+    problems, strategy, reasons, expected = KEYED_PROBLEMS[problem]
+    sig, props = discarding_for_every_reason(problems(), strategy, reasons)
+    filtered, keyed = [], []
+    key, keep = prover.clause_key, prover.redundancy_filter
+    monkeypatch.setattr(prover, "clause_key", lambda c: keyed.append(c) or key(c))
+    monkeypatch.setattr(prover, "redundancy_filter",
+                        lambda c, index: filtered.append(c) or keep(c, index))
+    result = prover.saturate(props, RewriteSystem(()), sig,
+                             prover.ProverConfig(strategy=strategy, max_clauses=150))
+    assert result.status == expected
+    assert len(filtered) == result.stats.generated
+    constrained = [c for c in filtered if c.constraints and not c.is_empty()]
+    assert [id(c) for c in keyed] == [id(c) for c in constrained]
+    assert bool(constrained) == (strategy == prover.FREEZE)
+
+
+def test_a_constraint_free_variant_is_subsumed_without_a_key(monkeypatch):
+    # p(X, Y) | p(Y, Z) and its reverse tie on their literals' skeletons,
+    # which the canonical variant numbers in literal order; subsumption
+    # maps the literals one to one whatever their order
+    sig = Signature()
+    u = sig.declare_sort("u")
+    p = sig.predicate("p", (u, u))
+    a = App(sig.individual("a", u))
+    x, y, z, x2, y2, z2 = (Var(n, u) for n in ("X", "Y", "Z", "X'", "Y'", "Z'"))
     keyed = []
     key = prover.clause_key
     monkeypatch.setattr(prover, "clause_key", lambda c: keyed.append(c) or key(c))
-    result = prover.saturate(props, RewriteSystem(()), sig,
-                             prover.ProverConfig(strategy=prover.ON_THE_FLY))
-    assert result.status == expected
-    empty = result.stats.discards.get("unsolvable", 0) + (result.status == prover.PROVED)
-    assert len(keyed) == (result.stats.generated - result.stats.discards.get("tautology", 0)
-                          - empty)
-    assert sorted(result.stats.discards) == DISCARD_REASONS
+    index = ClauseIndex()
+    kept = ConstrainedClause([Literal(True, Atom(p, (x, y))), Literal(True, Atom(p, (y, z)))])
+    assert redundancy_filter(kept, index) == (True, None)
+    index.note_kept(kept.with_id(1, Provenance("input")))
+    reverse = ConstrainedClause([Literal(True, Atom(p, (y2, z2))),
+                                 Literal(True, Atom(p, (x2, y2)))])
+    assert redundancy_filter(reverse, index) == (False, "subsumed")
+    assert keyed == []
+    # a clause that carries constraints is keyed, and its variant under
+    # freeze, constraints and all, is a duplicate
+    frozen = ConstrainedClause([Literal(False, Atom(p, (x, y)))], [Constraint(x, a)])
+    assert redundancy_filter(frozen, index) == (True, None)
+    index.note_kept(frozen.with_id(2, Provenance("input")))
+    copy = ConstrainedClause([Literal(False, Atom(p, (x2, y2)))], [Constraint(x2, a)])
+    assert redundancy_filter(copy, index) == (False, "duplicate")
+    assert keyed == [frozen, copy]
 
 
 # ---------------------------------------------------------------------------
