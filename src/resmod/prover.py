@@ -838,11 +838,12 @@ class _Saturation:
                  aux: str | None = None) -> None:
         """Filter, number and enqueue a clause.  An empty clause that the
         gate does not refute ends the search."""
-        self.stats.generated += 1
         if kind == "input":
             self.input_clauses += 1
-        elif self.stats.generated - self.input_clauses > self.cfg.max_clauses:
+        elif self.stats.generated - self.input_clauses >= self.cfg.max_clauses:
+            # the clause that would break the budget is not generated
             raise _Stop(self._result(RESOURCE_OUT, exhausted="max_clauses"))
+        self.stats.generated += 1
         keep, reason = redundancy_filter(c, self.index)
         if not keep:
             self.stats.discard(reason)

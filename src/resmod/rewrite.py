@@ -9,9 +9,14 @@ non-terminating systems produce an outcome instead of a hang.
 :func:`normalize` contracts the same redexes in the same order as iterating
 :func:`reduce_once`, without walking the term from the root for each step:
 
-- ``RewriteSystem`` indexes E-rules by the root symbol of their left side
-  and R-rules by predicate, each list in declaration order, so only the
-  rules whose root matches a node are tried there.
+- ``RewriteSystem`` indexes the rules by the root symbol (an E-rule) or
+  predicate (an R-rule) of their left side and by the head symbol of each of
+  its arguments, where a variable argument fits any head; an ``EtaRule``
+  stays a candidate at every ``lam`` node.  Only the candidates of a node are
+  tried there, in declaration order, with a matcher that the index lets skip
+  the root: the first rule that fires is the one a scan of every rule finds.
+  :func:`reduce_once` keeps the unindexed scan with :func:`match`, as the
+  reference the index is tested against.
 - One call keeps the set of subterms whose whole subtree was searched and
   held no redex, and skips them (a subterm equal to a normal one is normal).
 - After a contraction the search resumes ``reach`` levels above the
@@ -34,13 +39,10 @@ from .kernel import (
     App,
     Atom,
     Bottom,
-    Not,
     Prop,
     Term,
     Top,
     Var,
-    _Binary,
-    _Quant,
     children as children_of,
     free_names,
     is_term,
@@ -175,6 +177,26 @@ def _index(rules: Iterable[RewriteRule], key) -> dict[str, tuple[RewriteRule, ..
     return {k: tuple(v) for k, v in out.items()}
 
 
+def _fits(rule: RewriteRule, heads: tuple) -> bool:
+    """Whether ``rule`` can fire at a node whose arguments have ``heads``
+    (a symbol name, or None for a variable), given the node's root fits."""
+    if isinstance(rule, EtaRule):
+        return True
+    args = rule.lhs.args
+    return len(args) == len(heads) and all(
+        type(p) is Var or p.sym.name == h for p, h in zip(args, heads))
+
+
+def _candidates(cache: dict, index: dict, root: str, args: tuple) -> tuple[RewriteRule, ...]:
+    """The rules of ``index[root]`` that fit the heads of ``args``, found in
+    ``cache`` or filed there."""
+    key = (root, *[a.sym.name if type(a) is App else None for a in args])
+    rules = cache.get(key)
+    if rules is None:
+        rules = cache[key] = tuple(r for r in index.get(root, ()) if _fits(r, key[1:]))
+    return rules
+
+
 def _reach(e_rules: Iterable[RewriteRule]) -> float:
     """Depth of the deepest non-variable position among the left sides, or
     infinity when a rule is an ``EtaRule`` or repeats a variable."""
@@ -201,8 +223,12 @@ class RewriteSystem:
 
     ``e_index`` maps a symbol to the E-rules whose left side has it at the
     root, ``r_index`` a predicate to its R-rules, both in declaration order.
-    ``reach`` says how far above a contraction :func:`normalize` looks again
-    for a redex.  ``var_names`` are the names of the rules' variables.
+    :meth:`e_candidates` and :meth:`r_candidates` narrow these by the head
+    symbols of a node's arguments, filed per (root, argument heads) the first
+    time a node asks; they are all that :func:`normalize` tries, while
+    :func:`reduce_once` scans every rule, unindexed.  ``reach`` says how far
+    above a contraction :func:`normalize` looks again for a redex.
+    ``var_names`` are the names of the rules' variables.
     """
 
     def __init__(self, rules: Iterable[RewriteRule] = ()):
@@ -212,6 +238,8 @@ class RewriteSystem:
         self.r_rules: tuple[RewriteRule, ...] = tuple(r for r in self.rules if r.cls == R_CLASS)
         self.e_index = _index(self.e_rules, lambda r: r.lhs.sym.name)
         self.r_index = _index(self.r_rules, lambda r: r.lhs.pred.name)
+        self._e_by_heads: dict[tuple, tuple[RewriteRule, ...]] = {}
+        self._r_by_heads: dict[tuple, tuple[RewriteRule, ...]] = {}
         self.reach = _reach(self.e_rules)
         self._without_eta: RewriteSystem | None = None
 
@@ -219,6 +247,15 @@ class RewriteSystem:
     def e_lhs_roots(self) -> KeysView[str]:
         """Root symbols of E-rule left sides (irreducibility pre-filter)."""
         return self.e_index.keys()
+
+    def e_candidates(self, t: App) -> tuple[RewriteRule, ...]:
+        """The E-rules that can fire at the root of ``t``, in declaration
+        order: every E-rule that matches there is among them."""
+        return _candidates(self._e_by_heads, self.e_index, t.sym.name, t.args)
+
+    def r_candidates(self, a: Atom) -> tuple[RewriteRule, ...]:
+        """The R-rules that can fire at ``a``, in declaration order."""
+        return _candidates(self._r_by_heads, self.r_index, a.pred.name, a.args)
 
     def extend(self, rules: Iterable[RewriteRule]) -> "RewriteSystem":
         return RewriteSystem(self.rules + tuple(rules))
@@ -249,13 +286,23 @@ def match(pattern: Term | Atom, subject: Term | Atom,
     b = dict(bindings) if bindings else {}
     if isinstance(pattern, Atom) != isinstance(subject, Atom):
         return None
-    stack: list[tuple] = []
     if isinstance(pattern, Atom):
         if pattern.pred.name != subject.pred.name or len(pattern.args) != len(subject.args):
             return None
-        stack.extend(zip(pattern.args, subject.args))
-    else:
-        stack.append((pattern, subject))
+        return _match_pairs(b, list(zip(pattern.args, subject.args)))
+    return _match_pairs(b, [(pattern, subject)])
+
+
+def _match_below(pattern: App | Atom, subject: App | Atom) -> dict[str, Term] | None:
+    """:func:`match` without bindings for a rule that the index found for
+    ``subject``: the root symbol or predicate and the arity already agree,
+    so only the arguments are matched."""
+    return _match_pairs({}, list(zip(pattern.args, subject.args)))
+
+
+def _match_pairs(b: dict[str, Term], stack: list[tuple]) -> dict[str, Term] | None:
+    """Extend ``b`` so that each pattern term of ``stack`` equals the subject
+    term paired with it, or None."""
     while stack:
         p, s = stack.pop()
         if isinstance(p, Var):
@@ -281,8 +328,8 @@ def match(pattern: Term | Atom, subject: Term | Atom,
 # ---------------------------------------------------------------------------
 
 
-def _contract(rules: Iterable[RewriteRule], x: Term | Atom,
-              system: RewriteSystem) -> tuple[Term | Prop, str] | None:
+def _contract(rules: Iterable[RewriteRule], x: Term | Atom, system: RewriteSystem,
+              matcher=match) -> tuple[Term | Prop, str] | None:
     """The contractum of the first of ``rules`` that fires at the root of
     ``x``, and that rule's name."""
     for rule in rules:
@@ -291,7 +338,7 @@ def _contract(rules: Iterable[RewriteRule], x: Term | Atom,
             if contracted is not None:
                 return contracted, rule.name
             continue
-        b = match(rule.lhs, x)
+        b = matcher(rule.lhs, x)
         if b is not None:
             if rule.cls == R_CLASS:
                 return subst_prop(rule.rhs, b), rule.name
@@ -324,46 +371,54 @@ def _reduce_term_once(t: Term, system: RewriteSystem) -> tuple[Term, str] | None
     return None
 
 
+def _reduce_atom_once(a: Atom, system: RewriteSystem) -> tuple[Prop, str] | None:
+    """An R-step at ``a``, or else the leftmost-outermost E-step in its
+    arguments."""
+    red = _contract(system.r_rules, a, system)
+    if red is not None:
+        return red
+    for i, t in enumerate(a.args):
+        red = _reduce_term_once(t, system)
+        if red is not None:
+            new, name = red
+            return Atom(a.pred, a.args[:i] + (new,) + a.args[i + 1:]), name
+    return None
+
+
 def reduce_once(x: Term | Prop, system: RewriteSystem) -> tuple[Term | Prop, str] | None:
     """Rewrite the leftmost-outermost redex of ``x``.
 
     R-rules fire at atom positions of propositions, E-rules inside terms.
+    Every rule is tried at every node, with :func:`match` and no index.
     Returns ``(reduct, rule name)`` or None when ``x`` is normal.
     """
     if is_term(x):
         return _reduce_term_once(x, system)
-    match x:
-        case Atom():
-            red = _contract(system.r_rules, x, system)
-            if red is not None:
-                return red
-            for i, a in enumerate(x.args):
-                red = _reduce_term_once(a, system)
-                if red is not None:
-                    new, name = red
-                    return Atom(x.pred, x.args[:i] + (new,) + x.args[i + 1:]), name
-            return None
-        case Top() | Bottom():
-            return None
-        case Not():
-            red = reduce_once(x.body, system)
-            if red is None:
+    # frames [connective, its children, the child searched]; the bottom frame
+    # holds ``x``; atoms are searched in pre-order, left to right
+    frames: list[list] = [[None, (x,), 0]]
+    while True:
+        frame = frames[-1]
+        children, i = frame[1], frame[2]
+        if i == len(children):
+            frames.pop()
+            if not frames:
                 return None
-            return Not(red[0]), red[1]
-        case _Binary():
-            red = reduce_once(x.left, system)
+            frames[-1][2] += 1
+            continue
+        y = children[i]
+        if isinstance(y, Atom):
+            red = _reduce_atom_once(y, system)
             if red is not None:
-                return type(x)(red[0], x.right), red[1]
-            red = reduce_once(x.right, system)
-            if red is not None:
-                return type(x)(x.left, red[0]), red[1]
-            return None
-        case _Quant():
-            red = reduce_once(x.body, system)
-            if red is None:
-                return None
-            return type(x)(x.var, red[0], x.hint), red[1]
-    raise TypeError(f"cannot reduce {x!r}")
+                break
+        elif not isinstance(y, (Top, Bottom)):
+            frames.append([y, children_of(y), 0])
+            continue
+        frame[2] = i + 1
+    new, name = red
+    for node, children, i in reversed(frames[1:]):
+        new = with_children(node, children[:i] + (new,) + children[i + 1:])
+    return new, name
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +444,7 @@ class NormalizeOutcome:
 
 def normalize(x: Term | Prop, system: RewriteSystem, fuel: int = 10_000) -> NormalizeOutcome:
     """Contract at most ``fuel`` redexes, as iterating :func:`reduce_once`
-    would."""
+    would, trying at each node only the rules the system's index gives."""
     if fuel < 1:
         raise ValueError("fuel must be positive")
     run = _Normalizer(system, fuel)
@@ -438,6 +493,7 @@ class _Normalizer:
         index = system.e_index
         if not index:
             return
+        candidates = system.e_candidates
         known = self.known
         reach = system.reach
         # frames [symbol, children, next child, node or None once changed];
@@ -461,8 +517,8 @@ class _Normalizer:
             if isinstance(t, Var) or t in known:
                 frame[2] = i + 1
                 continue
-            rules = index.get(t.sym.name)
-            red = _contract(rules, t, system) if rules else None
+            rules = t.sym.name in index and candidates(t)
+            red = _contract(rules, t, system, _match_below) if rules else None
             if red is None:
                 if t.args:
                     stack.append([t.sym, t.args, 0, t])
@@ -485,23 +541,25 @@ class _Normalizer:
     def atom(self, a: Atom) -> tuple[Prop, bool]:
         """Normalize inside ``a``: ``(value, True)``, or the contractum of an
         R-rule at ``a`` and False."""
-        rules = self.system.r_index.get(a.pred.name)
+        system = self.system
+        has_rules = a.pred.name in system.r_index
         while True:
-            red = _contract(rules, a, self.system) if rules else None
+            rules = has_rules and system.r_candidates(a)
+            red = _contract(rules, a, system, _match_below) if rules else None
             if red is not None:
                 if not self.fuel:
                     self.blocked = True
                     return a, True
                 self.fuel -= 1
                 return red[0], False
-            if not (a.args and self.system.e_index):
+            if not (a.args and system.e_index):
                 return a, True
             args = list(a.args)
             fuel = self.fuel
-            self.terms(args, once=bool(rules))
+            self.terms(args, once=has_rules)
             if self.fuel != fuel:
                 a = Atom(a.pred, args)
-            if self.fuel == fuel or not rules:
+            if self.fuel == fuel or not has_rules:
                 return a, True
 
     def prop(self, p: Prop) -> Prop:

@@ -97,6 +97,32 @@ class TestSortOf:
         with pytest.raises(RankMismatchError):
             sort_of(App(f, (App(sig.lookup("a")),)), sig)
 
+    def test_a_term_5000_levels_deep_is_checked_to_the_bottom(self):
+        sig = small_signature()
+        f, g = sig.lookup("f"), sig.lookup("g")
+        t = Var("x", sig.sorts["u"])
+        for _ in range(5000):
+            t = App(g, (App(f, (App(sig.lookup("a")), t)),))
+        assert sort_of(t, sig) == sig.sorts["u"]
+        bottom = App(g, (App(f, (App(sig.lookup("a")),)),))
+        for _ in range(5000):
+            bottom = App(g, (bottom,))
+        with pytest.raises(RankMismatchError, match="f expects 2 arguments"):
+            sort_of(bottom, sig)
+
+    def test_an_argument_is_checked_before_its_sort(self):
+        # the outer alpha_io's first argument has sort o, not iota -> o, and
+        # holds a symbol the signature lacks: the deeper fault is reported
+        sig = hol_instance_sig()
+        other = Signature()
+        mystery = App(other.individual("mystery", other.declare_sort("u")))
+        alpha, x = sig.lookup("alpha_io"), Var("x", IOTA)
+        with pytest.raises(UnknownSymbolError):
+            sort_of(App(alpha, (App(alpha, (mystery, x)), x)), sig)
+        # K_io has sort iota -> o -> iota: the inner mismatch is reported
+        with pytest.raises(RankMismatchError, match="has sort iota -> o -> iota"):
+            sort_of(App(alpha, (App(alpha, (App(sig.lookup("K_io")), x)), x)), sig)
+
 
 class TestSubstitution:
     def test_two_times_x_example(self):

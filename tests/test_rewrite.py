@@ -6,14 +6,18 @@ import random
 import pytest
 
 from resmod.kernel import (
-    And, App, Atom, Exists, Forall, Not, Or, Signature, Var, free_names, sort_of)
+    PREDICATE, And, App, Atom, Exists, Forall, Not, Or, Signature, Var, free_names,
+    sort_of, subst_prop, subst_term)
 from resmod.rewrite import (
     EMPTY_SYSTEM,
+    R_CLASS,
     EtaRule,
     NormalizeOutcome,
     RewriteRule,
     RewriteSystem,
     RuleClassError,
+    _contract,
+    _match_below,
     match,
     normalize,
     reduce_once,
@@ -22,7 +26,7 @@ from resmod.theories import load_preset, russell_theory
 from resmod.parser import parse_prop, parse_term, parse_term_or_atom
 
 from helpers import (normalize_rightmost_innermost, random_arith_term, random_comb_spine,
-                     random_sigma_term, random_term, small_signature)
+                     random_sigma_term, random_term, small_signature, subtrees)
 
 
 class TestRuleClasses:
@@ -116,6 +120,21 @@ class TestReduceOnce:
         expected = parse_prop("russell(a) in a /\\ ~(russell(a) in russell(a))",
                               preset.sig)
         assert red[0] == expected
+
+    @pytest.mark.parametrize("connective", ["not", "and", "forall"])
+    def test_a_proposition_5000_levels_deep_takes_the_step_normalize_takes(self, connective):
+        st = load_preset("set-cantor")
+        atom = parse_prop("a in pow(b)", st.sig)
+        bottom = parse_prop("B in B", st.sig)
+        x = Var("x", st.sig.sorts["set"])
+        p = atom
+        for _ in range(5000):
+            p = {"not": lambda q: Not(q), "and": lambda q: And(bottom, q),
+                 "forall": lambda q: Forall(x, q)}[connective](p)
+        reduct, name = reduce_once(p, st.system)
+        assert name == "power"
+        assert reduct == normalize(p, st.system, 1).value
+        assert reduce_once(bottom, st.system) is None
 
     def test_subject_reduction_preserves_sorts_and_free_variables(self):
         hol = load_preset("hol-comb")
@@ -311,6 +330,134 @@ class TestNormalizeAgainstReduceOnce:
         out = normalize(t, system, 10)
         assert out == NormalizeOutcome(True, App(c), 2)
         assert out == iterate_reduce_once(t, system, 10)
+
+
+def random_sig_term(rng, sig, sort, depth):
+    """A term of ``sort`` over every function symbol of ``sig``, with the
+    variables x and y."""
+    symbols = [s for s in sig.symbols.values() if s.kind != PREDICATE and s.result == sort]
+    leaves = [s for s in symbols if not s.arg_sorts]
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.25 or not leaves:
+            return Var(rng.choice("xy"), sort)
+        return App(rng.choice(leaves))
+    sym = rng.choice(symbols)
+    return App(sym, tuple(random_sig_term(rng, sig, a, depth - 1) for a in sym.arg_sorts))
+
+
+def random_sig_atom(rng, sig, depth, draw=None):
+    """An atom over a predicate of ``sig``, its arguments drawn by ``draw``
+    (by default :func:`random_sig_term`)."""
+    pred = rng.choice([s for s in sig.symbols.values() if s.kind == PREDICATE])
+    draw = draw or (lambda sort: random_sig_term(rng, sig, sort, rng.randint(0, depth)))
+    return Atom(pred, tuple(draw(sort) for sort in pred.arg_sorts))
+
+
+def tied_system():
+    """A small system whose rules tie on their roots, one of them non-linear,
+    and whose left sides have variable arguments."""
+    sig = small_signature()
+    u = sig.sorts["u"]
+    sig.function("e", (u, u), u)
+    e_rules = [("diag", "e(x, x)", "x"), ("e_left", "e(g(y), z)", "z"),
+               ("f_a", "f(a, y)", "g(y)"), ("f_b", "f(x, b)", "x")]
+    r_rules = [("p_diag", "p(x, x)", "p(a, b)"), ("p_g", "p(g(x), y)", "p(x, y)")]
+    return sig, RewriteSystem(
+        [RewriteRule(name, parse_term(lhs, sig), parse_term(rhs, sig))
+         for name, lhs, rhs in e_rules]
+        + [RewriteRule(name, parse_prop(lhs, sig), parse_prop(rhs, sig))
+           for name, lhs, rhs in r_rules])
+
+
+def fire(rule, x, system):
+    """The contractum of ``rule`` at the root of ``x``, or None, found
+    without the index."""
+    if isinstance(rule, EtaRule):
+        return rule.contract(x, system)
+    b = match(rule.lhs, x)
+    if b is None:
+        return None
+    return subst_prop(rule.rhs, b) if rule.cls == R_CLASS else subst_term(rule.rhs, b)
+
+
+def differential_inputs(name: str, rng: random.Random):
+    """400 random terms and atoms of the preset ``name``, or of the tied
+    system."""
+    if name == "tied":
+        sig, system = tied_system()
+        u = sig.sorts["u"]
+        return system, [random_sig_term(rng, sig, u, rng.randint(1, 4)) for _ in range(200)] + \
+            [random_sig_atom(rng, sig, 3) for _ in range(200)]
+    preset = load_preset(name)
+    sig = preset.sig
+    draw = {
+        "arith": lambda sort: random_arith_term(rng, sig, rng.randint(1, 4)),
+        "hol-comb": lambda sort: random_comb_spine(rng, sig, rng.randint(1, 4)),
+        "hol-sigma": lambda sort: random_sigma_term(rng, sig, rng.randint(1, 5), sort.name),
+    }.get(name)
+    sort = next(iter(sig.sorts.values()))
+    terms = [draw(sort) if draw else random_sig_term(rng, sig, sort, rng.randint(1, 4))
+             for _ in range(200)]
+    if name == "hol-comb":
+        atoms = [random_eps_prop(rng, sig, 0) for _ in range(200)]
+    else:
+        atoms = [random_sig_atom(rng, sig, 3, draw) for _ in range(200)]
+    return preset.system, terms + atoms
+
+
+def same_root(system, x):
+    """The rules whose left side has the root symbol or predicate of ``x``."""
+    if isinstance(x, Atom):
+        return system.r_index.get(x.pred.name, ())
+    return system.e_index.get(x.sym.name, ())
+
+
+class TestArgumentHeadIndex:
+    """At every node, the rules the index gives fire as a scan of every rule
+    with :func:`match` does: no rule that matches is dropped, the first rule
+    that fires is the scan's, and so is its contractum."""
+
+    @pytest.mark.parametrize("name", ["arith", "hol-comb", "hol-sigma", "set-cantor",
+                                      "integral-rings", "tied"])
+    def test_the_index_agrees_with_a_scan_of_every_rule(self, name):
+        system, inputs = differential_inputs(name, random.Random(f"index:{name}"))
+        fired_nodes = ties = skipped = 0
+        for x in inputs:
+            for _, node in subtrees(x):
+                if isinstance(node, Atom):
+                    rules, candidates = system.r_rules, system.r_candidates(node)
+                elif isinstance(node, App):
+                    rules, candidates = system.e_rules, system.e_candidates(node)
+                else:
+                    continue
+                skipped += len(same_root(system, node)) - len(candidates)
+                # a subsequence of the rules, in declaration order
+                assert list(candidates) == [r for r in rules if r in candidates]
+                fired = [r for r in rules if fire(r, node, system) is not None]
+                assert set(fired) <= set(candidates), f"a rule that matches {node} is dropped"
+                red = _contract(candidates, node, system, _match_below)
+                if not fired:
+                    assert red is None
+                    continue
+                contractum = fire(fired[0], node, system)
+                assert red == (contractum, fired[0].name)
+                assert normalize(node, system, 1).value == contractum
+                fired_nodes += 1
+                ties += len(fired) > 1
+        # the index leaves out rules of the node's root, and in the tied
+        # system more than one rule matches at some nodes
+        assert fired_nodes >= 10 and skipped > fired_nodes
+        if name == "tied":
+            assert ties > 3
+
+    def test_an_eta_rule_stays_a_candidate_under_lam(self):
+        sigma = load_preset("hol-sigma")
+        sig = sigma.sig
+        eta = next(r for r in sigma.system.e_rules if isinstance(r, EtaRule))
+        lam, one = sig.lookup("lam"), App(sig.lookup("1"))
+        for body in (one, App(sig.lookup("app"), (one, one)), Var("a", sig.sorts["term"])):
+            assert eta in sigma.system.e_candidates(App(lam, (body,)))
+        assert eta not in sigma.system.e_candidates(App(sig.lookup("app"), (one, one)))
 
 
 @pytest.mark.parametrize("lhs, reach", [
