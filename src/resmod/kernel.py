@@ -141,15 +141,21 @@ class Signature:
     def __init__(self) -> None:
         self.sorts: dict[str, BaseSort] = {}
         self.symbols: dict[str, Symbol] = {}
-        # Names of binary symbols that form application spines; the head of
-        # a spine decides flexibility during narrowing and drives display.
-        self.app_symbols: tuple[str, ...] = ()
         self.default_sort: BaseSort | None = None
         # Optional hook mapping an integer literal to a term.
         self.numeral = None
         # for each base of fresh_name, an index below which every name is
         # taken; symbols are never removed, so it only grows
         self._next_index: dict[str, int] = {}
+
+    @property
+    def app_symbols(self) -> tuple[str, ...]:
+        """Names of the binary symbols that form application spines, those
+        displayed ``app`` and then those displayed ``sub``; the head of a
+        spine decides flexibility during narrowing."""
+        symbols = self.symbols.values()
+        return (tuple(s.name for s in symbols if s.display == "app")
+                + tuple(s.name for s in symbols if s.display == "sub"))
 
     def declare_sort(self, name: str) -> BaseSort:
         if name in self.sorts:
@@ -212,7 +218,6 @@ class Signature:
         out = Signature()
         out.sorts = dict(self.sorts)
         out.symbols = dict(self.symbols)
-        out.app_symbols = self.app_symbols
         out.default_sort = self.default_sort
         out.numeral = self.numeral
         out._next_index = dict(self._next_index)

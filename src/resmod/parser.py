@@ -197,8 +197,9 @@ class TermParser:
         raise ParseError(f"this theory has no {what}", tok.line, tok.col)
 
     def _app_symbol(self) -> Symbol:
-        if self.sig.app_symbols:
-            return self.sig.lookup(self.sig.app_symbols[0])
+        apps = self.sig.app_symbols
+        if apps:
+            return self.sig.lookup(apps[0])
         raise self.fail("this theory has no application symbol for juxtaposition")
 
     # -- sorts ------------------------------------------------------------------
@@ -714,13 +715,18 @@ def parse_theory(text: str):
 
     Lines: ``theory NAME``, ``use PRESET``, ``sort NAME``,
     ``const NAME : SORT``, ``fun NAME : (S,..) -> S``, ``pred NAME : (S,..)``,
-    ``E [name]: term -> term``, ``R [name]: atom -> prop``,
-    ``rule [name]: lhs -> rhs``, ``eta``, ``subset NAME(x.., w) : PROP``,
-    ``axiom PROP``, ``goal NAME : PROP``.  A file whose ``use`` line
-    names a preset keeps that preset's default strategy; any other file
-    freezes when it has E-rules and works on the fly otherwise.  A parse
-    error names its line and column in the file once: where the offending
-    token is, or where its directive begins.
+    ``display NAME STYLE``, ``E [name]: term -> term``,
+    ``R [name]: atom -> prop``, ``rule [name]: lhs -> rhs``, ``eta``,
+    ``subset NAME(x.., w) : PROP``, ``axiom PROP``, ``goal NAME : PROP``.
+    The display styles ``app``, ``sub``, ``cons``, ``comp`` and ``brace``
+    need a binary function symbol, ``infix`` a binary symbol; the symbols
+    displayed ``app`` and ``sub`` form application spines.  ``eta`` needs
+    ``lam`` unary, ``app`` and ``sub`` binary, and ``shift`` and ``1``
+    constants.  A file whose ``use`` line names a preset keeps that
+    preset's default strategy; any other file freezes when it has E-rules
+    and works on the fly otherwise.  A parse error names its line and
+    column in the file once: where the offending token is, or where its
+    directive begins.
     """
     preset: TheoryPreset | None = None
     sig = Signature()
@@ -766,10 +772,14 @@ def parse_theory(text: str):
                 if style not in ("prefix", "infix", "app", "sub", "cons", "comp", "brace"):
                     raise ParseError(f"unknown display style {style!r}")
                 sym = sig.lookup(sym_name.strip())
+                # the printer lays out every display but prefix with two
+                # arguments, and only infix suits a predicate
+                term_only = style not in ("prefix", "infix")
+                if style != "prefix" and (sym.arity != 2 or term_only and sym.kind == PREDICATE):
+                    what = "function symbol" if term_only else "symbol"
+                    raise ParseError(f"display {style} needs a binary {what}, "
+                                     f"and {sym.name} is not one")
                 sig.symbols[sym.name] = replace(sym, display=style)
-                sig.app_symbols = tuple(
-                    s.name for s in sig.symbols.values() if s.display == "app"
-                ) + tuple(s.name for s in sig.symbols.values() if s.display == "sub")
             elif head in ("E", "R", "rule", "E:", "R:", "rule:"):
                 cls: str | None = head.rstrip(":")
                 if cls == "rule":
@@ -788,11 +798,12 @@ def parse_theory(text: str):
                 rules.append(parse_rule_text(body, sig, name=rule_name, cls=cls,
                                              implicit=True, at=at(body)))
             elif head == "eta":
-                lam = sig.lookup("lam")
-                app = sig.lookup("app")
-                sub = sig.lookup("sub")
-                shift = sig.lookup("shift")
-                one = sig.lookup("1")
+                lam, app, sub, shift, one = syms = [
+                    sig.lookup(n) for n in ("lam", "app", "sub", "shift", "1")]
+                for sym, arity in zip(syms, (1, 2, 2, 0, 0)):
+                    if sym.kind == PREDICATE or sym.arity != arity:
+                        raise ParseError(f"eta needs {sym.name} to be a term symbol "
+                                         f"of {arity} arguments")
                 rules.append(EtaRule("eta", lam, app, sub, shift, one,
                                      lam.arg_sorts[0]))
             elif head == "subset":

@@ -396,16 +396,15 @@ def narrowing_applicable(atom: Atom, rule: RewriteRule,
             and not any(_clash(a, b, apps) for a, b in zip(atom.args, lhs.args)))
 
 
-def _guided(atom: Atom, rule: RewriteRule) -> bool:
-    """Does ``atom`` unify syntactically with the rule's left side without
-    guessing, with some argument not a variable and no variable of the atom
-    bound to a constructor carrying fresh variables?  A later instantiation
-    of such a variable triggers the same rewriting during re-normalization,
-    so :func:`extended_narrowing` defers a guessing step.  A syntactic
-    unifier leaves no rigid clash, so this implies head compatibility."""
-    fresh = rule.rename_for(free_names(atom))
-    assert isinstance(fresh.lhs, Atom)
-    mgu = unify_syntactic(atom, fresh.lhs)
+def _guided(atom: Atom, lhs: Atom) -> bool:
+    """Does ``atom`` unify syntactically with a rule's left side ``lhs``,
+    renamed apart from it, without guessing, with some argument not a
+    variable and no variable of the atom bound to a constructor carrying
+    fresh variables?  A later instantiation of such a variable triggers the
+    same rewriting during re-normalization, so :func:`extended_narrowing`
+    defers a guessing step.  A syntactic unifier leaves no rigid clash, so
+    this implies head compatibility."""
+    mgu = unify_syntactic(atom, lhs)
     if mgu is None:
         return False
     if atom.args and all(isinstance(a, Var) for a in atom.args):
@@ -433,23 +432,24 @@ class NarrowingEvents(list):
 def extended_narrowing(c: ConstrainedClause, rule: RewriteRule,
                        system: RewriteSystem, sig: Signature,
                        fuel: int = 10_000, strategy: str = FREEZE,
-                       app_symbols: Iterable[str] = (),
                        positions: Sequence[int] | None = None) -> NarrowingEvents:
     """Narrow each applicable literal of ``c`` with an R-rule.
 
-    The literal's atom is replaced by the right side of a renamed copy of
-    the rule and the clause is re-clausified, carrying the postponed
-    equation between the atom and the rule's left side.  One inner list per
-    narrowing event (a single event may split into several clauses).
-    ``positions`` narrows those literals only, in that order, instead of
-    all of them.
+    The literal's atom is replaced by the right side of a copy of the rule,
+    renamed apart from ``c`` once for all its literals, and the clause is
+    re-clausified, carrying the postponed equation between the atom and the
+    rule's left side.  One inner list per narrowing event (a single event
+    may split into several clauses).  ``positions`` narrows those literals
+    only, in that order, instead of all of them.  The application symbols
+    of ``sig`` keep a variable-headed spine flexible.
     """
     if rule.cls != R_CLASS:
         raise ValueError("extended narrowing uses R-class rules only")
     events = NarrowingEvents()
     # no propagation will ever instantiate a clause's frozen variables
     strategy = FREEZE if c.constraints else strategy
-    apps = frozenset(app_symbols)
+    apps = frozenset(sig.app_symbols)
+    fresh = None
     if positions is None:
         # smallest atoms first: the least-structured literal is the one the
         # figure-scale searches instantiate, so its clauses get earlier ids
@@ -459,11 +459,11 @@ def extended_narrowing(c: ConstrainedClause, rule: RewriteRule,
         lit = c.literals[i]
         if not narrowing_applicable(lit.atom, rule, apps):
             continue
-        if strategy == ON_THE_FLY and not _guided(lit.atom, rule):
+        fresh = fresh or rule.rename_for(c.free_names())
+        assert isinstance(fresh.lhs, Atom)
+        if strategy == ON_THE_FLY and not _guided(lit.atom, fresh.lhs):
             events.deferred.append(i)
             continue
-        fresh = rule.rename_for(c.free_names())
-        assert isinstance(fresh.lhs, Atom)
         constraint = Constraint(lit.atom, fresh.lhs)
         result = reclausify(c, i, fresh.rhs, system, sig, fuel,
                             extra_constraints=(constraint,))
@@ -951,7 +951,7 @@ class _Saturation:
     def _narrow(self, c: ConstrainedClause, rule: RewriteRule, strategy: str,
                 positions: Sequence[int] | None = None) -> None:
         events = extended_narrowing(c, rule, self.system, self.sig, self.cfg.fuel,
-                                    strategy, self.sig.app_symbols, positions)
+                                    strategy, positions)
         self.unnormalized = self.unnormalized or not events.normalized
         if events.deferred:
             self.deferred.append((c.id, rule, events.deferred))

@@ -33,13 +33,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, KeysView, Mapping
+from functools import cached_property
+from typing import Iterable, KeysView, Mapping, NamedTuple
 
 from .kernel import (
     App,
     Atom,
     Bottom,
     Prop,
+    Sort,
     Term,
     Top,
     Var,
@@ -50,6 +52,7 @@ from .kernel import (
     subst_prop,
     subst_term,
     term_sort,
+    term_vars,
     with_children,
 )
 
@@ -218,6 +221,15 @@ def _reach(e_rules: Iterable[RewriteRule]) -> float:
     return deepest
 
 
+class NarrowingRule(NamedTuple):
+    """A non-eta E-rule as the refutation gate narrows with it."""
+
+    lhs: App
+    rhs: Term
+    variables: tuple[tuple[str, Sort], ...]  # sorted by name, with their sorts
+    offset: int  # of its first fresh name in the block a position reserves
+
+
 class RewriteSystem:
     """An ordered list of rules, split into the E/R classes.
 
@@ -229,6 +241,12 @@ class RewriteSystem:
     :func:`reduce_once` scans every rule, unindexed.  ``reach`` says how far
     above a contraction :func:`normalize` looks again for a redex.
     ``var_names`` are the names of the rules' variables.
+
+    ``narrowing``, filed on first use and kept, is what every refutation
+    gate call narrows with: each non-eta E-rule as a :class:`NarrowingRule`,
+    filed under its left side's root in declaration order, and the size of
+    the block of fresh names one basic position reserves, which the rules'
+    offsets tile in declaration order.
     """
 
     def __init__(self, rules: Iterable[RewriteRule] = ()):
@@ -247,6 +265,18 @@ class RewriteSystem:
     def e_lhs_roots(self) -> KeysView[str]:
         """Root symbols of E-rule left sides (irreducibility pre-filter)."""
         return self.e_index.keys()
+
+    @cached_property
+    def narrowing(self) -> tuple[dict[str, tuple[NarrowingRule, ...]], int]:
+        prepared: list[NarrowingRule] = []
+        block = 0
+        for r in self.e_rules:
+            if not isinstance(r, EtaRule):
+                variables = tuple((v.name, v.sort)
+                                  for v in sorted(term_vars(r.lhs), key=lambda v: v.name))
+                prepared.append(NarrowingRule(r.lhs, r.rhs, variables, block))
+                block += len(variables)
+        return _index(prepared, lambda r: r.lhs.sym.name), block
 
     def e_candidates(self, t: App) -> tuple[RewriteRule, ...]:
         """The E-rules that can fire at the root of ``t``, in declaration

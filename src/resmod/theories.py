@@ -227,7 +227,6 @@ def _hol_comb() -> TheoryPreset:
     eps = sig.predicate("eps", (term,))
     for c in ("a", "b", "c"):
         sig.individual(c, term)
-    sig.app_symbols = ("app",)
 
     def ap(*ts: Term) -> Term:
         out = ts[0]
@@ -269,7 +268,6 @@ def _hol_sigma() -> TheoryPreset:
     dnot = sig.individual("dnot", term)
     dall = sig.individual("dall", term)
     eps = sig.predicate("eps", (term,))
-    sig.app_symbols = ("app", "sub")
 
     def ap(*ts: Term) -> Term:
         out = ts[0]

@@ -11,28 +11,27 @@ plain syntactic unification at every state.  Each side of an equation
 carries its skeleton, the side with every subterm that a step's unifier
 brought in cut back to the variable it replaced; the basic positions are
 the applications of the skeleton (Hullot 1980; Middeldorp and Hamoen 1994).
-The rules are filed by the root symbol and arity of their left sides, so at
-a basic position only the rules filed under its root are tried, and only
-those whose left side does not clash with the subterm there become steps
-(top-symbol indexing, as in McCune, JAR 1992).  Each basic position
-reserves one block of fresh names, as many as all the rules have variables;
-a rule's renaming is taken from its offset in that block, and built only
-when the search examines the step.  The states of a level are expanded
-into steps only when the search reaches the next level's steps, the rule is
-unified there and the successor state built only when the search examines
-that step, and the unifiers of the steps to a state are composed only when
-the state unifies.  The search is bounded both by a narrowing depth and a
-total state budget; truncation yields an Unknown outcome, never a verdict.
-Every substitution returned as a solution has been re-checked by joining
-both sides of every equation to a common normal form.
+The rewrite system files the rules once, by the root symbol of their left
+sides (``RewriteSystem.narrowing``), so at a basic position only the rules
+filed under its root are tried, and only those whose left side does not
+clash with the subterm there are renamed and unified (top-symbol indexing,
+as in McCune, JAR 1992).  Each basic position reserves one block of fresh
+names, as many as all the rules have variables; a rule's renaming is taken
+from its offset in that block.  One generator, :func:`_successors`, yields
+the states out of a state: a state is expanded only when the search reaches
+its successors, a successor is built only when the search examines it, and
+the unifiers of the steps to a state are composed only when it unifies.
+The search is bounded both by a narrowing depth and a total state budget;
+truncation yields an Unknown outcome, never a verdict.  Every substitution
+returned as a solution has been re-checked by joining both sides of every
+equation to a common normal form.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .kernel import (
     App,
@@ -47,7 +46,7 @@ from .kernel import (
     term_vars,
 )
 from .clausal import ClausalResult, Constraint, ConstrainedClause, renormalize_clause
-from .rewrite import EtaRule, RewriteSystem, normalize
+from .rewrite import NarrowingRule, RewriteSystem, normalize
 
 
 # ---------------------------------------------------------------------------
@@ -315,24 +314,10 @@ class _Eq:
         return (self.left.term, self.right.term)
 
 
-# an E-rule prepared for narrowing: its sides, its variables sorted by name
-# (the order in which they are renamed) with their sorts, and the offset of
-# its first fresh name in the block of names a basic position reserves
-_Rule = tuple[Term, Term, tuple, int]
-
-# the rules filed by the (name, arity) of their left side's root, each list
-# in declaration order
-_RuleIndex = dict[tuple[str, int], list[_Rule]]
-
-
 # the unifiers of the narrowing steps that led to a state, innermost last:
 # None at the start, else (the parent's chain, the step's unifier); they are
 # composed only for a state whose equations unify
 _Chain = tuple | None
-
-# a narrowing step not yet taken: called, it builds the state the step leads
-# to, or returns None when the rule does not unify at the step's position
-_Step = Callable[[], "tuple[list[_Eq], _Chain] | None"]
 
 
 def _clash(t: Term, pattern: Term, apps: frozenset[str]) -> bool:
@@ -374,28 +359,17 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
     A step narrows at a basic position, an application of the side's
     skeleton; it replaces the subterm there by the rule's renamed right side
     in the skeleton too, while its unifier reaches only the side itself.
-    Unsatisfiable is reported only when the whole space below the bounds was
-    exhausted: the next level has no step at all.  Hitting the depth bound
-    or the state budget yields Unknown.  Equations whose two sides are both
-    headed by variables are kept frozen: they are never narrowed, only
-    unified.  The rules are filed once per call by their left side's root.
-    A level is a lazy chain of the steps out of the previous level's
-    surviving states: a state is expanded only when the search reaches its
-    successors, and a successor is built only when the search examines it.
-    So ``max_states`` bounds the states built as well as those examined (one
-    more is built when the budget runs out).  The outcome counts the states
-    examined, up to ``max_states``.
+    Equations whose two sides are both headed by variables are kept frozen:
+    they are never narrowed, only unified.  The rules are the system's
+    ``narrowing``; this files none.  Each level draws its states from
+    :func:`_successors` over the states the level before kept, those with a
+    basic position.  Unsatisfiable is reported only when the whole space
+    below the bounds was exhausted: a level kept no state.  Keeping a state
+    at the depth bound, or examining more than ``max_states``, yields
+    Unknown; one more state than ``max_states`` is built.  The outcome
+    counts the states examined, up to ``max_states``.
     """
-    index: _RuleIndex = {}
-    total = 0  # fresh names a basic position reserves
-    for r in system.e_rules:
-        if isinstance(r, EtaRule):
-            continue
-        rule_vars = tuple((v.name, v.sort)
-                          for v in sorted(term_vars(r.lhs), key=lambda v: v.name))
-        index.setdefault((r.lhs.sym.name, len(r.lhs.args)), []).append(
-            (r.lhs, r.rhs, rule_vars, total))
-        total += len(rule_vars)
+    rules, block = system.narrowing
     apps = frozenset(app_symbols)
     constraints = tuple(constraints)
     pairs = _term_pairs(constraints)
@@ -414,33 +388,25 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
         for theta in reversed(thetas):
             candidate = candidate.compose(Substitution(theta))
         candidate = _rename_internal(candidate.restrict(original_vars), original_vars)
-        if index and not check_solution(candidate, constraints, system, CHECK_FUEL).ok:
+        if rules and not check_solution(candidate, constraints, system, CHECK_FUEL).ok:
             return None
         return candidate
 
-    start = [_Eq(_Side(a), _Side(b)) for a, b in pairs]
-    level: Iterator[_Step] = iter([lambda: (start, None)])
+    level: Iterable[tuple[list[_Eq], _Chain]] = [
+        ([_Eq(_Side(a), _Side(b)) for a, b in pairs], None)]
+    blocks = itertools.count(1, block)  # the first fresh name of each block
     seen: set[tuple] = set()
-    fresh = [1]  # the number of the next fresh name, shared by every expansion
-    states_used = 0
-    truncated = False
-
+    states = 0
     for current_depth in range(depth + 1):
         solutions: list[Substitution] = []
-        survivors: list[tuple[list[_Eq], _Chain]] = []
-        for step in level:
-            state = step()
-            if state is None:
-                continue  # the rule does not unify there: no state
-            eqs, chain = state
-            states_used += 1
-            if states_used > max_states:
-                truncated = True
+        kept: list[tuple[list[_Eq], _Chain]] = []
+        for eqs, chain in level:
+            states += 1
+            if states > max_states:
                 break
-            simplified = _simplify(eqs, system)
-            if simplified is None:
+            eqs = _simplify(eqs, system)
+            if eqs is None:
                 continue  # dead state
-            eqs = simplified
             key = tuple(e.key() for e in eqs)
             if key in seen:
                 continue
@@ -454,24 +420,18 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
                 sol = finish(sigma, chain)
                 if sol is not None:
                     solutions.append(sol)
-            if current_depth == depth:
-                if any(_expandable(e, index, apps) for e in eqs):
-                    truncated = True
-                continue
-            survivors.append((eqs, chain))
-        states = min(states_used, max_states)
+            if rules and any(_expandable(e, apps) for e in eqs):
+                kept.append((eqs, chain))
         if solutions:
-            return EUnifyOutcome(SOLUTIONS, tuple(solutions), current_depth, states=states)
-        if truncated:
-            break
-        level = itertools.chain.from_iterable(
-            _expand(eqs, chain, index, total, apps, fresh) for eqs, chain in survivors)
-        first = next(level, None)
-        if first is None:
+            return EUnifyOutcome(SOLUTIONS, tuple(solutions), current_depth,
+                                 states=min(states, max_states))
+        if states > max_states:
+            return EUnifyOutcome(UNKNOWN, reason="states", states=max_states)
+        if not kept:
             return EUnifyOutcome(UNSAT, states=states)
-        level = itertools.chain([first], level)
-    reason = "states" if states_used > max_states else "depth"
-    return EUnifyOutcome(UNKNOWN, reason=reason, states=min(states_used, max_states))
+        level = (state for eqs, chain in kept
+                 for state in _successors(eqs, chain, rules, apps, blocks))
+    return EUnifyOutcome(UNKNOWN, reason="depth", states=states)
 
 
 def _simplify(eqs: list[_Eq], system: RewriteSystem) -> list[_Eq] | None:
@@ -503,61 +463,46 @@ def _child_side(side: _Side, i: int) -> _Side:
     return _Side(side.term.args[i], skel.args[i] if isinstance(skel, App) else skel)
 
 
-def _expandable(e: _Eq, index: _RuleIndex, apps: frozenset[str]) -> bool:
+def _expandable(e: _Eq, apps: frozenset[str]) -> bool:
+    """Has ``e`` a basic position that a step may narrow?"""
     if _is_flex(e.left.term, apps) and _is_flex(e.right.term, apps):
-        return False
-    return bool(index) and (isinstance(e.left.skel, App) or isinstance(e.right.skel, App))
+        return False  # frozen flex-flex equation
+    return isinstance(e.left.skel, App) or isinstance(e.right.skel, App)
 
 
-def _expand(eqs: list[_Eq], chain: _Chain, index: _RuleIndex, total: int,
-            apps: frozenset[str], fresh: list[int]) -> Iterator[_Step]:
-    """The narrowing steps out of a state, in search order, each deferred.
-
-    Each basic position reserves the next ``total`` fresh names of
-    ``fresh`` in one step, whichever rules apply there, so that fresh names
-    do not depend on the index or the clash filter.  Only the rules filed
-    under the position's root are tried, and a step is yielded for those
-    whose left side's arguments do not clash with the subterm's."""
+def _successors(eqs: list[_Eq], chain: _Chain,
+                rules: Mapping[str, tuple[NarrowingRule, ...]], apps: frozenset[str],
+                blocks: Iterator[int]) -> Iterator[tuple[list[_Eq], _Chain]]:
+    """The states one narrowing step out of ``eqs`` leads to, in search
+    order, each built when the search asks for it.  Each basic position
+    takes its block's first fresh name from ``blocks``, whichever rules
+    apply there, so fresh names do not depend on the index or the clash
+    filter.  A rule filed under the position's root whose left side does
+    not clash with the subterm there is renamed from its offset in the
+    block, and gives a state when its left side unifies with the subterm."""
     for idx, e in enumerate(eqs):
         if _is_flex(e.left.term, apps) and _is_flex(e.right.term, apps):
             continue  # frozen flex-flex equation
         for side_ix, side in enumerate((e.left, e.right)):
             for path, sub in _basic_subterms(side.term, side.skel):
-                base = fresh[0]
-                fresh[0] += total
-                for lhs, rule_rhs, rule_vars, offset in index.get(
-                        (sub.sym.name, len(sub.args)), ()):
-                    if any(_clash(a, b, frozenset()) for a, b in zip(sub.args, lhs.args)):
+                base = next(blocks)
+                for lhs, rule_rhs, variables, offset in rules.get(sub.sym.name, ()):
+                    if _clash(sub, lhs, frozenset()):
                         continue
-                    yield functools.partial(_child, eqs, chain, idx, side_ix, path, sub,
-                                            lhs, rule_rhs, rule_vars, base + offset)
-
-
-def _child(eqs: list[_Eq], chain: _Chain, idx: int, side_ix: int, path: _Path,
-           sub: App, lhs: Term, rule_rhs: Term, rule_vars: tuple,
-           first: int) -> tuple[list[_Eq], _Chain] | None:
-    """The state that narrowing side ``side_ix`` of ``eqs[idx]`` at ``path``,
-    where ``sub`` stands, with the rule ``lhs -> rule_rhs`` leads to; None
-    when ``sub`` and the left side do not unify.  The rule's variables
-    ``rule_vars`` are renamed here, to ``_n{first}``, ``_n{first + 1}``, ..."""
-    renaming = {v: Var(f"_n{first + j}", sort) for j, (v, sort) in enumerate(rule_vars)}
-    theta = unify_terms(sub, subst_term(lhs, renaming))
-    if theta is None:
-        return None
-    e = eqs[idx]
-    side = e.right if side_ix else e.left
-    rhs = subst_term(rule_rhs, renaming)
-    new_side = _Side(subst_term(_replace_term(side.term, path, rhs), theta),
-                     _replace_term(side.skel, path, rhs))
-    new_eqs: list[_Eq] = []
-    for jdx, e2 in enumerate(eqs):
-        if jdx != idx:
-            new_eqs.append(e2.substituted(theta))
-        elif side_ix == 0:
-            new_eqs.append(_Eq(new_side, e.right.substituted(theta)))
-        else:
-            new_eqs.append(_Eq(e.left.substituted(theta), new_side))
-    return new_eqs, (chain, theta)
+                    first = base + offset
+                    renaming = {v: Var(f"_n{first + j}", sort)
+                                for j, (v, sort) in enumerate(variables)}
+                    theta = unify_terms(sub, subst_term(lhs, renaming))
+                    if theta is None:
+                        continue
+                    rhs = subst_term(rule_rhs, renaming)
+                    new_side = _Side(subst_term(_replace_term(side.term, path, rhs), theta),
+                                     _replace_term(side.skel, path, rhs))
+                    # the narrowed side is rebuilt; θ reaches the other one
+                    other = (e.right if side_ix == 0 else e.left).substituted(theta)
+                    narrowed = _Eq(new_side, other) if side_ix == 0 else _Eq(other, new_side)
+                    yield ([narrowed if jdx == idx else e2.substituted(theta)
+                            for jdx, e2 in enumerate(eqs)], (chain, theta))
 
 
 def _rename_internal(s: Substitution, original_vars: set[str]) -> Substitution:

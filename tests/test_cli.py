@@ -512,3 +512,34 @@ def test_the_summary_counts_the_inferences_that_kept_a_clause(capsys, argv, code
     # the one that derived the empty clause included
     assert cli.main(["prove", *argv]) == code
     assert f"\nsteps: {steps}\n" in capsys.readouterr().out
+
+
+ROLE_SIGNATURE = ("sort s\nconst a : s\nfun f : (s) -> s\nfun g : (s, s) -> s\n"
+                  "pred P : (s)\npred Q : (s, s)\naxiom forall x:s P(x)\n")
+
+
+@pytest.mark.parametrize("directive, error", [
+    ("display f app", "display app needs a binary function symbol, and f is not one"),
+    ("display Q sub", "display sub needs a binary function symbol, and Q is not one"),
+    ("display P infix", "display infix needs a binary symbol, and P is not one"),
+], ids=["app-unary", "sub-predicate", "infix-unary"])
+def test_a_display_of_the_wrong_rank_is_an_input_error(tmp_path, capsys, directive, error):
+    # a spine or an infix is laid out with two arguments: printing the trace
+    # of P(f(a)) under "display f app" used to crash
+    theory = tmp_path / "theory"
+    theory.write_text(f"{ROLE_SIGNATURE}{directive}\ngoal g : P(f(a))\n")
+    assert cli.main(["prove", "--theory", str(theory), "--goal-name", "g"]) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: in theory text: {error} (line 8, column 1)\n"
+
+
+@pytest.mark.parametrize("argv", [["prove", "--goal-name", "g"], ["normalize", "lam(app(1))"]])
+def test_eta_over_symbols_of_the_wrong_rank_is_an_input_error(tmp_path, capsys, argv):
+    # contracting lam(app(1)) with a unary app used to crash
+    theory = tmp_path / "theory"
+    theory.write_text("sort s\nfun lam : (s) -> s\nfun app : (s) -> s\nfun sub : (s, s) -> s\n"
+                      "const shift : s\nconst 1 : s\npred P : (s)\neta\n"
+                      "axiom forall x:s P(x)\ngoal g : P(lam(app(1)))\n")
+    argv = [argv[0], "--theory", str(theory), *argv[1:]]
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == ("error: in theory text: eta needs app to be a term "
+                                       "symbol of 2 arguments (line 8, column 1)\n")

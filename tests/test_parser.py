@@ -294,7 +294,6 @@ def hand_built():
     sub = sig.function("sub", (term, subst), term, display="sub")
     plus = sig.function("+", (st, st), st, display="infix")
     eps = sig.predicate("eps", (term,))
-    sig.app_symbols = ("app", "sub")
     member = sig.lookup("in")
     a, b = Var("a", term), Var("b", term)
     theory.system = theory.system.extend([

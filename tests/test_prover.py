@@ -150,7 +150,8 @@ def test_narrowing_applicable_guesses_under_freeze_only(atom, on_the_fly, freeze
         theory.sig.individual(name, theory.sig.sorts["set"])
     pair = next(r for r in theory.system.r_rules if r.name == "pair")
     a = parse_term_or_atom(atom, theory.sig)
-    assert (narrowing_applicable(a, pair) and _guided(a, pair)) is on_the_fly
+    lhs = pair.rename_for(free_names(a)).lhs
+    assert (narrowing_applicable(a, pair) and _guided(a, lhs)) is on_the_fly
     assert narrowing_applicable(a, pair) is freeze
 
 

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+from resmod.clausal import Constraint
 from resmod.kernel import (
     PREDICATE, And, App, Atom, Exists, Forall, Not, Or, Signature, Var, free_names,
-    sort_of, subst_prop, subst_term)
+    sort_of, subst_prop, subst_term, term_vars)
 from resmod.rewrite import (
     EMPTY_SYSTEM,
     R_CLASS,
@@ -23,6 +24,7 @@ from resmod.rewrite import (
     reduce_once,
 )
 from resmod.theories import load_preset, russell_theory
+from resmod.unify import e_unify_narrowing
 from resmod.parser import parse_prop, parse_term, parse_term_or_atom
 
 from helpers import (normalize_rightmost_innermost, random_arith_term, random_comb_spine,
@@ -458,6 +460,45 @@ class TestArgumentHeadIndex:
         for body in (one, App(sig.lookup("app"), (one, one)), Var("a", sig.sorts["term"])):
             assert eta in sigma.system.e_candidates(App(lam, (body,)))
         assert eta not in sigma.system.e_candidates(App(sig.lookup("app"), (one, one)))
+
+
+class TestNarrowingRules:
+    """What the refutation gate narrows with, filed by the rewrite system:
+    the non-eta E-rules under their left side's root, in declaration order,
+    each with its variables sorted by name and an offset into the block of
+    fresh names one basic position reserves."""
+
+    @pytest.mark.parametrize("name, eta", [("arith", False), ("hol-comb", False),
+                                           ("hol-sigma", True), ("empty", False)])
+    def test_the_non_eta_e_rules_are_filed_under_their_root(self, name, eta):
+        system = EMPTY_SYSTEM if name == "empty" else load_preset(name).system
+        assert any(isinstance(r, EtaRule) for r in system.e_rules) is eta
+        by_root, block = system.narrowing
+        unfiled = {root: iter(rules) for root, rules in by_root.items()}
+        position = 0
+        for rule in system.e_rules:
+            if isinstance(rule, EtaRule):
+                continue
+            filed = next(unfiled[rule.lhs.sym.name])
+            assert (filed.lhs, filed.rhs) == (rule.lhs, rule.rhs)
+            assert [v for v, _ in filed.variables] == sorted(free_names(rule.lhs))
+            assert dict(filed.variables) == {v.name: v.sort for v in term_vars(rule.lhs)}
+            # the offsets tile the block in declaration order
+            assert filed.offset == position
+            position += len(filed.variables)
+        assert block == position
+        assert all(next(rules, None) is None for rules in unfiled.values())
+        assert (block == 0) is (name == "empty")
+
+    def test_a_second_gate_call_reuses_the_filed_rules(self):
+        arith = load_preset("arith")
+        system, env = arith.system, {}
+        con = Constraint(parse_term("x * x", arith.sig, env), parse_term("4", arith.sig, env))
+        assert "narrowing" not in vars(system)
+        first = e_unify_narrowing([con], system)
+        filed = vars(system)["narrowing"]
+        assert e_unify_narrowing([con], system) == first and first.is_solutions
+        assert vars(system)["narrowing"] is filed
 
 
 @pytest.mark.parametrize("lhs, reach", [

@@ -244,7 +244,7 @@ class TestEUnifyNarrowing:
         theory = hol_cantor("hol-comb")
         result = prover.saturate(theory.axioms, theory.system, theory.sig,
                                  prover.ProverConfig(strategy=prover.FREEZE, narrow_states=1))
-        calls = {"unify_terms": 0, "_expand": 0}
+        calls = {"unify_terms": 0, "_successors": 0}
 
         def counting(name):
             function = getattr(unify, name)
@@ -265,13 +265,13 @@ class TestEUnifyNarrowing:
         # 144 calls for 50 states; building every successor of every
         # expanded state took 506
         assert calls["unify_terms"] <= 4 * out.states
-        calls["_expand"] = 0
+        calls["_successors"] = 0
         out = e_unify_narrowing(constraints, theory.system,
                                 app_symbols=theory.sig.app_symbols, max_states=300)
         assert out.is_unknown and out.states == 300
         # 39 states expanded for 300 examined; expanding every examined
         # state at once took 300
-        assert calls["_expand"] <= out.states // 4
+        assert calls["_successors"] <= out.states // 4
 
 
 def _constraint(theory: str, left: str, right: str):
