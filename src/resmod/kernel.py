@@ -311,56 +311,6 @@ def term_sort(t: Term) -> Sort:
     return t.sym.result
 
 
-def _ranked_symbol(t: App, sig: Signature) -> Symbol:
-    """The declared function symbol at the root of ``t``, once its argument
-    count is checked."""
-    sym = sig.symbols.get(t.sym.name)
-    if sym is None:
-        raise UnknownSymbolError(f"symbol {t.sym.name} is not declared")
-    if sym.kind == PREDICATE:
-        raise RankMismatchError(f"predicate {sym.name} used in term position")
-    if len(t.args) != sym.arity:
-        raise RankMismatchError(
-            f"{sym.name} expects {sym.arity} arguments, got {len(t.args)}")
-    return sym
-
-
-def sort_of(t: Term, sig: Signature) -> Sort:
-    """Sort of ``t``, re-checking every symbol against ``sig``.
-
-    Raises UnknownSymbolError for undeclared symbols and RankMismatchError
-    when argument counts or argument sorts disagree with a symbol's rank.
-    Subterms are checked in pre-order, and an argument's sort once the
-    argument itself is checked, so the first fault is the one reported.
-    """
-    if isinstance(t, Var):
-        return t.sort
-    # frames [symbol, arguments, next argument]
-    stack: list[list] = [[_ranked_symbol(t, sig), t.args, 0]]
-    while True:
-        frame = stack[-1]
-        sym, args, i = frame
-        if i < len(args):
-            a = args[i]
-            if not isinstance(a, Var):
-                stack.append([_ranked_symbol(a, sig), a.args, 0])
-                continue
-            actual = a.sort
-        else:
-            stack.pop()
-            assert sym.result is not None
-            if not stack:
-                return sym.result
-            actual = sym.result
-            frame = stack[-1]
-            sym, args, i = frame
-        expected = sym.arg_sorts[i]
-        if actual != expected:
-            raise RankMismatchError(
-                f"argument {i + 1} of {sym.name} has sort {actual}, expected {expected}")
-        frame[2] = i + 1
-
-
 def term_vars(t: Term, acc: set[Var] | None = None) -> set[Var]:
     if acc is None:
         acc = set()

@@ -70,7 +70,7 @@ from .kernel import (
 from .clausal import Constraint, ConstrainedClause, Literal, Provenance
 from .prover import FREEZE, ON_THE_FLY, TraceDoc
 from .rewrite import EtaRule, RewriteRule, RewriteSystem, RuleClassError
-from .theories import TheoryPreset, declare_subset_symbol, load_preset
+from .theories import TheoryPreset, declare_subset_symbol, load_preset, symbols_in
 
 
 class ParseError(Exception):
@@ -720,7 +720,8 @@ def parse_theory(text: str):
     ``subset NAME(x.., w) : PROP``, ``axiom PROP``, ``goal NAME : PROP``.
     The display styles ``app``, ``sub``, ``cons``, ``comp`` and ``brace``
     need a binary function symbol, ``infix`` a binary symbol; the symbols
-    displayed ``app`` and ``sub`` form application spines.  ``eta`` needs
+    displayed ``app`` and ``sub`` form application spines.  A display comes
+    before the axioms, rules and goals that use its symbol.  ``eta`` needs
     ``lam`` unary, ``app`` and ``sub`` binary, and ``shift`` and ``1``
     constants.  A file whose ``use`` line names a preset keeps that
     preset's default strategy; any other file freezes when it has E-rules
@@ -779,6 +780,11 @@ def parse_theory(text: str):
                     what = "function symbol" if term_only else "symbol"
                     raise ParseError(f"display {style} needs a binary {what}, "
                                      f"and {sym.name} is not one")
+                # what was read keeps the symbol it was read with
+                read = (*axioms, *goals.values(), *(x for r in rules for x in (r.lhs, r.rhs)))
+                if any(sym.name in symbols_in(x) for x in read):
+                    raise ParseError(f"display {sym.name} must come before the axioms, "
+                                     "rules and goals that use it")
                 sig.symbols[sym.name] = replace(sym, display=style)
             elif head in ("E", "R", "rule", "E:", "R:", "rule:"):
                 cls: str | None = head.rstrip(":")

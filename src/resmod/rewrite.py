@@ -9,14 +9,13 @@ non-terminating systems produce an outcome instead of a hang.
 :func:`normalize` contracts the same redexes in the same order as iterating
 :func:`reduce_once`, without walking the term from the root for each step:
 
-- ``RewriteSystem`` indexes the rules by the root symbol (an E-rule) or
-  predicate (an R-rule) of their left side and by the head symbol of each of
-  its arguments, where a variable argument fits any head; an ``EtaRule``
-  stays a candidate at every ``lam`` node.  Only the candidates of a node are
-  tried there, in declaration order, with a matcher that the index lets skip
-  the root: the first rule that fires is the one a scan of every rule finds.
-  :func:`reduce_once` keeps the unindexed scan with :func:`match`, as the
-  reference the index is tested against.
+- ``RewriteSystem`` files, per root symbol (or predicate) and head symbols
+  of the arguments, a variable argument fitting any head, the contractors
+  of the rules that can fire there, in declaration order: each non-eta rule
+  compiled into one function that matches below the root and builds the
+  contractum, each ``EtaRule``'s ``contract`` bound to the system.  The
+  first that fires is the rule a scan of every rule finds; :func:`reduce_once`
+  keeps that scan, with :func:`match`, as the reference.
 - One call keeps the set of subterms whose whole subtree was searched and
   held no redex, and skips them (a subterm equal to a normal one is normal).
 - After a contraction the search resumes ``reach`` levels above the
@@ -33,8 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Iterable, KeysView, Mapping, NamedTuple
+from functools import cached_property, partial
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .kernel import (
     App,
@@ -112,6 +111,11 @@ class RewriteRule:
         lhs, s = rename_apart(avoid_set, self.lhs)
         return replace(self, lhs=lhs, rhs=s(self.rhs))
 
+    @cached_property
+    def compiled(self) -> Callable[[App | Atom], Term | Prop | None]:
+        """:func:`_compile` of the rule, built on first use and kept."""
+        return _compile(self)
+
     def __str__(self) -> str:
         return f"{self.cls}: {self.lhs} -> {self.rhs}"
 
@@ -145,7 +149,7 @@ class EtaRule(RewriteRule):
         fn, arg = body.args
         if not (isinstance(arg, App) and arg.sym.name == one.name):
             return None
-        sigma = system.without_eta()
+        sigma = system.without_eta
         outcome = normalize(fn, sigma, ETA_FUEL)
         if not outcome.normal:
             return None
@@ -190,14 +194,17 @@ def _fits(rule: RewriteRule, heads: tuple) -> bool:
         type(p) is Var or p.sym.name == h for p, h in zip(args, heads))
 
 
-def _candidates(cache: dict, index: dict, root: str, args: tuple) -> tuple[RewriteRule, ...]:
-    """The rules of ``index[root]`` that fit the heads of ``args``, found in
-    ``cache`` or filed there."""
+def _candidates(cache: dict, index: dict, root: str, args: tuple,
+                system: "RewriteSystem") -> tuple[Callable, ...]:
+    """The contractors of the rules of ``index[root]`` that fit the heads of
+    ``args``, in declaration order, found in ``cache`` or filed there."""
     key = (root, *[a.sym.name if type(a) is App else None for a in args])
-    rules = cache.get(key)
-    if rules is None:
-        rules = cache[key] = tuple(r for r in index.get(root, ()) if _fits(r, key[1:]))
-    return rules
+    found = cache.get(key)
+    if found is None:
+        found = cache[key] = tuple(
+            partial(r.contract, system=system) if isinstance(r, EtaRule) else r.compiled
+            for r in index.get(root, ()) if _fits(r, key[1:]))
+    return found
 
 
 def _reach(e_rules: Iterable[RewriteRule]) -> float:
@@ -235,12 +242,11 @@ class RewriteSystem:
 
     ``e_index`` maps a symbol to the E-rules whose left side has it at the
     root, ``r_index`` a predicate to its R-rules, both in declaration order.
-    :meth:`e_candidates` and :meth:`r_candidates` narrow these by the head
-    symbols of a node's arguments, filed per (root, argument heads) the first
-    time a node asks; they are all that :func:`normalize` tries, while
-    :func:`reduce_once` scans every rule, unindexed.  ``reach`` says how far
-    above a contraction :func:`normalize` looks again for a redex.
-    ``var_names`` are the names of the rules' variables.
+    :meth:`e_contractors` and :meth:`r_contractors` give the contractors of
+    those that fit the heads of a node's arguments, filed per (root,
+    argument heads) the first time a node asks: all that :func:`normalize`
+    tries.  ``reach`` says how far above a contraction :func:`normalize`
+    looks again for a redex.  ``var_names`` are the rules' variables' names.
 
     ``narrowing``, filed on first use and kept, is what every refutation
     gate call narrows with: each non-eta E-rule as a :class:`NarrowingRule`,
@@ -256,15 +262,9 @@ class RewriteSystem:
         self.r_rules: tuple[RewriteRule, ...] = tuple(r for r in self.rules if r.cls == R_CLASS)
         self.e_index = _index(self.e_rules, lambda r: r.lhs.sym.name)
         self.r_index = _index(self.r_rules, lambda r: r.lhs.pred.name)
-        self._e_by_heads: dict[tuple, tuple[RewriteRule, ...]] = {}
-        self._r_by_heads: dict[tuple, tuple[RewriteRule, ...]] = {}
+        self._e_by_heads: dict[tuple, tuple[Callable, ...]] = {}
+        self._r_by_heads: dict[tuple, tuple[Callable, ...]] = {}
         self.reach = _reach(self.e_rules)
-        self._without_eta: RewriteSystem | None = None
-
-    @property
-    def e_lhs_roots(self) -> KeysView[str]:
-        """Root symbols of E-rule left sides (irreducibility pre-filter)."""
-        return self.e_index.keys()
 
     @cached_property
     def narrowing(self) -> tuple[dict[str, tuple[NarrowingRule, ...]], int]:
@@ -278,23 +278,20 @@ class RewriteSystem:
                 block += len(variables)
         return _index(prepared, lambda r: r.lhs.sym.name), block
 
-    def e_candidates(self, t: App) -> tuple[RewriteRule, ...]:
-        """The E-rules that can fire at the root of ``t``, in declaration
-        order: every E-rule that matches there is among them."""
-        return _candidates(self._e_by_heads, self.e_index, t.sym.name, t.args)
+    def e_contractors(self, t: App) -> tuple[Callable, ...]:
+        """The contractors of the E-rules that can fire at the root of ``t``."""
+        return _candidates(self._e_by_heads, self.e_index, t.sym.name, t.args, self)
 
-    def r_candidates(self, a: Atom) -> tuple[RewriteRule, ...]:
-        """The R-rules that can fire at ``a``, in declaration order."""
-        return _candidates(self._r_by_heads, self.r_index, a.pred.name, a.args)
+    def r_contractors(self, a: Atom) -> tuple[Callable, ...]:
+        """The contractors of the R-rules that can fire at ``a``."""
+        return _candidates(self._r_by_heads, self.r_index, a.pred.name, a.args, self)
 
     def extend(self, rules: Iterable[RewriteRule]) -> "RewriteSystem":
         return RewriteSystem(self.rules + tuple(rules))
 
+    @cached_property
     def without_eta(self) -> "RewriteSystem":
-        if self._without_eta is None:
-            self._without_eta = RewriteSystem(
-                r for r in self.rules if not isinstance(r, EtaRule))
-        return self._without_eta
+        return RewriteSystem(r for r in self.rules if not isinstance(r, EtaRule))
 
 
 EMPTY_SYSTEM = RewriteSystem()
@@ -316,23 +313,11 @@ def match(pattern: Term | Atom, subject: Term | Atom,
     b = dict(bindings) if bindings else {}
     if isinstance(pattern, Atom) != isinstance(subject, Atom):
         return None
+    stack: list[tuple] = [(pattern, subject)]
     if isinstance(pattern, Atom):
         if pattern.pred.name != subject.pred.name or len(pattern.args) != len(subject.args):
             return None
-        return _match_pairs(b, list(zip(pattern.args, subject.args)))
-    return _match_pairs(b, [(pattern, subject)])
-
-
-def _match_below(pattern: App | Atom, subject: App | Atom) -> dict[str, Term] | None:
-    """:func:`match` without bindings for a rule that the index found for
-    ``subject``: the root symbol or predicate and the arity already agree,
-    so only the arguments are matched."""
-    return _match_pairs({}, list(zip(pattern.args, subject.args)))
-
-
-def _match_pairs(b: dict[str, Term], stack: list[tuple]) -> dict[str, Term] | None:
-    """Extend ``b`` so that each pattern term of ``stack`` equals the subject
-    term paired with it, or None."""
+        stack = list(zip(pattern.args, subject.args))
     while stack:
         p, s = stack.pop()
         if isinstance(p, Var):
@@ -353,13 +338,80 @@ def _match_pairs(b: dict[str, Term], stack: list[tuple]) -> dict[str, Term] | No
     return b
 
 
+def _compile(rule: RewriteRule) -> Callable[[App | Atom], Term | Prop | None]:
+    """The contraction of a non-eta ``rule`` as one function generated from
+    its two sides.
+
+    The function takes a node whose root and argument heads the index found
+    to fit the left side, matches the rest as :func:`match` does (names,
+    arities, the sorts of bound terms, repeated variables) and returns the
+    contractum or None: an E-rule's built as :func:`subst_term` builds it,
+    an R-rule's by :func:`subst_prop`, which avoids capture.  Symbols, names,
+    sorts and ground subterms are constants of its namespace and its locals
+    are numbered, so no text of the rule reaches the source; each node is
+    one statement, so a deep rule compiles too.
+    """
+    namespace: dict[str, object] = {"App": App, "Var": Var, "subst_prop": subst_prop}
+
+    def const(value: object) -> str:
+        name = f"k{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    lines: list[str] = []
+    after: list[str] = []  # the tests of the variables, once the shape fits
+    bound: dict[str, str] = {}  # variable name -> the local it is bound to
+    todo: list[tuple[str, Term | Atom, int]] = [("t", rule.lhs, 0)]
+    for s, p, depth in todo:  # breadth first, as the loop appends
+        if type(p) is Var:
+            if p.name in bound:
+                after.append(f"if {s} != {bound[p.name]}: return None")
+            else:
+                bound[p.name], sort = s, const(p.sort)
+                after += [f"r = {s}.sort if type({s}) is Var else {s}.sym.result",
+                          f"if r is not {sort} and r != {sort}: return None"]
+            continue
+        n = len(p.args)
+        if depth > 1:  # the index checked the heads of the root and its arguments
+            lines.append(f"if type({s}) is not App or {s}.sym.name != {const(p.sym.name)} "
+                         f"or len({s}.args) != {n}: return None")
+        elif depth:
+            lines.append(f"if len({s}.args) != {n}: return None")
+        if n:
+            below = [f"s{len(todo) + i}" for i in range(n)]
+            lines.append(f"{', '.join(below)}, = {s}.args")
+            todo += [(b, q, depth + 1) for b, q in zip(below, p.args)]
+    lines += after
+    if rule.cls == R_CLASS:
+        mapping = ", ".join(f"{const(name)}: {s}" for name, s in bound.items())
+        lines.append(f"return subst_prop({const(rule.rhs)}, {{{mapping}}})")
+    else:
+        # the right side bottom up: a node above a variable gets a local, a
+        # ground subterm is a constant
+        order, stack = [], [rule.rhs]
+        while stack:
+            order.append(stack.pop())
+            stack += order[-1].args if type(order[-1]) is App else ()
+        local: dict[int, str | None] = dict.fromkeys(map(id, order))
+        for x in reversed(order):
+            if type(x) is Var:
+                local[id(x)] = bound[x.name]
+            elif any(local[id(a)] for a in x.args):
+                args = "".join(f"{local[id(a)] or const(a)}, " for a in x.args)
+                local[id(x)] = f"c{len(lines)}"
+                lines.append(f"c{len(lines)} = App({const(x.sym)}, ({args}))")
+        lines.append(f"return {local[id(rule.rhs)] or const(rule.rhs)}")
+    exec("def contract(t):\n" + "".join(f"    {line}\n" for line in lines), namespace)
+    return namespace["contract"]
+
+
 # ---------------------------------------------------------------------------
 # One-step reduction
 # ---------------------------------------------------------------------------
 
 
-def _contract(rules: Iterable[RewriteRule], x: Term | Atom, system: RewriteSystem,
-              matcher=match) -> tuple[Term | Prop, str] | None:
+def _contract(rules: Iterable[RewriteRule], x: Term | Atom,
+              system: RewriteSystem) -> tuple[Term | Prop, str] | None:
     """The contractum of the first of ``rules`` that fires at the root of
     ``x``, and that rule's name."""
     for rule in rules:
@@ -368,7 +420,7 @@ def _contract(rules: Iterable[RewriteRule], x: Term | Atom, system: RewriteSyste
             if contracted is not None:
                 return contracted, rule.name
             continue
-        b = matcher(rule.lhs, x)
+        b = match(rule.lhs, x)
         if b is not None:
             if rule.cls == R_CLASS:
                 return subst_prop(rule.rhs, b), rule.name
@@ -474,9 +526,12 @@ class NormalizeOutcome:
 
 def normalize(x: Term | Prop, system: RewriteSystem, fuel: int = 10_000) -> NormalizeOutcome:
     """Contract at most ``fuel`` redexes, as iterating :func:`reduce_once`
-    would, trying at each node only the rules the system's index gives."""
+    would, trying at each node only the rules the system's index gives; a
+    system without rules gives back ``x`` itself."""
     if fuel < 1:
         raise ValueError("fuel must be positive")
+    if not system.rules:
+        return NormalizeOutcome(True, x, 0)
     run = _Normalizer(system, fuel)
     if is_term(x):
         terms = [x]
@@ -523,7 +578,7 @@ class _Normalizer:
         index = system.e_index
         if not index:
             return
-        candidates = system.e_candidates
+        contractors = system.e_contractors
         known = self.known
         reach = system.reach
         # frames [symbol, children, next child, node or None once changed];
@@ -547,9 +602,12 @@ class _Normalizer:
             if isinstance(t, Var) or t in known:
                 frame[2] = i + 1
                 continue
-            rules = t.sym.name in index and candidates(t)
-            red = _contract(rules, t, system, _match_below) if rules else None
-            if red is None:
+            new = None
+            for contract in contractors(t) if t.sym.name in index else ():
+                new = contract(t)
+                if new is not None:
+                    break
+            if new is None:
                 if t.args:
                     stack.append([t.sym, t.args, 0, t])
                 else:
@@ -560,7 +618,7 @@ class _Normalizer:
                 _close(stack, 1)
                 return
             self.fuel -= 1
-            _set_child(frame, red[0])
+            _set_child(frame, new)
             if once:
                 _close(stack, 1)
                 return
@@ -574,14 +632,14 @@ class _Normalizer:
         system = self.system
         has_rules = a.pred.name in system.r_index
         while True:
-            rules = has_rules and system.r_candidates(a)
-            red = _contract(rules, a, system, _match_below) if rules else None
-            if red is not None:
-                if not self.fuel:
-                    self.blocked = True
-                    return a, True
-                self.fuel -= 1
-                return red[0], False
+            for contract in system.r_contractors(a) if has_rules else ():
+                new = contract(a)
+                if new is not None:
+                    if not self.fuel:
+                        self.blocked = True
+                        return a, True
+                    self.fuel -= 1
+                    return new, False
             if not (a.args and system.e_index):
                 return a, True
             args = list(a.args)

@@ -73,7 +73,7 @@ def declare_subset_symbol(theory: TheoryPreset, params: list[Var], w: Var, body:
     extra = free_names(body) - {v.name for v in params} - {w.name}
     if extra:
         raise ValueError(f"comprehension body has stray variables {sorted(extra)}")
-    for s in _symbols_in(body):
+    for s in symbols_in(body):
         declared = theory.sig.symbols.get(s)
         if declared is not None and declared.origin == "skolem":
             raise SkolemInBodyError(f"comprehension body mentions skolem symbol {s}")
@@ -101,7 +101,7 @@ def declare_subset_symbol(theory: TheoryPreset, params: list[Var], w: Var, body:
     return sym, rule
 
 
-def _symbols_in(p: Prop) -> set[str]:
+def symbols_in(p: Term | Prop) -> set[str]:
     """The names of the predicates, functions and individuals in ``p``."""
     out: set[str] = set()
     stack: list = [p]
@@ -392,20 +392,6 @@ def _set_cantor() -> TheoryPreset:
     preset.axioms = [surj, functional, leibniz]
     preset.goals = {"cantor": Bottom()}
     return preset
-
-
-def russell_theory() -> tuple[TheoryPreset, Symbol]:
-    """The set preset extended with a constant ``a`` and the comprehension
-    ``{w in a | ~(w in w)}`` (whose membership proposition has no normal
-    form)."""
-    preset = _set_base()
-    st = preset.sig.sorts["set"]
-    preset.sig.individual("a", st)
-    member = preset.sig.lookup("in")
-    w = Var("w", st)
-    sym, _rule = declare_subset_symbol(
-        preset, [], w, Not(Atom(member, (w, w))), name="russell")
-    return preset, sym
 
 
 # ---------------------------------------------------------------------------

@@ -437,7 +437,7 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
 def _simplify(eqs: list[_Eq], system: RewriteSystem) -> list[_Eq] | None:
     """Drop trivial equations, decompose rigid pairs with irreducible roots,
     and signal dead states by returning None."""
-    roots = system.e_lhs_roots
+    roots = system.e_index
     out: list[_Eq] = []
     work = list(eqs)
     while work:

@@ -16,11 +16,16 @@ from resmod.kernel import (
     Implies,
     Not,
     Or,
+    PREDICATE,
     Prop,
+    RankMismatchError,
     Signature,
+    Sort,
     Substitution,
+    Symbol,
     Term,
     Top,
+    UnknownSymbolError,
     Var,
     _Binary,
     _Quant,
@@ -49,7 +54,7 @@ from resmod.unify import (
     check_solution,
     unify_terms,
 )
-from resmod.theories import TheoryPreset, load_preset, surjection_axiom
+from resmod.theories import TheoryPreset, declare_subset_symbol, load_preset, surjection_axiom
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +220,61 @@ def clause_sets_isomorphic(actual: list[ConstrainedClause],
 def contains_isomorphic(clauses, expected: ConstrainedClause,
                         flex_symbols: frozenset[str] = frozenset()) -> bool:
     return any(clauses_isomorphic(expected, c, flex_symbols) for c in clauses)
+
+
+# ---------------------------------------------------------------------------
+# Sort checking against a signature
+# ---------------------------------------------------------------------------
+
+
+def _ranked_symbol(t: App, sig: Signature) -> Symbol:
+    """The declared function symbol at the root of ``t``, once its argument
+    count is checked."""
+    sym = sig.symbols.get(t.sym.name)
+    if sym is None:
+        raise UnknownSymbolError(f"symbol {t.sym.name} is not declared")
+    if sym.kind == PREDICATE:
+        raise RankMismatchError(f"predicate {sym.name} used in term position")
+    if len(t.args) != sym.arity:
+        raise RankMismatchError(
+            f"{sym.name} expects {sym.arity} arguments, got {len(t.args)}")
+    return sym
+
+
+def sort_of(t: Term, sig: Signature) -> Sort:
+    """Sort of ``t``, re-checking every symbol against ``sig``.
+
+    Raises UnknownSymbolError for undeclared symbols and RankMismatchError
+    when argument counts or argument sorts disagree with a symbol's rank.
+    Subterms are checked in pre-order, and an argument's sort once the
+    argument itself is checked, so the first fault is the one reported.
+    """
+    if isinstance(t, Var):
+        return t.sort
+    # frames [symbol, arguments, next argument]
+    stack: list[list] = [[_ranked_symbol(t, sig), t.args, 0]]
+    while True:
+        frame = stack[-1]
+        sym, args, i = frame
+        if i < len(args):
+            a = args[i]
+            if not isinstance(a, Var):
+                stack.append([_ranked_symbol(a, sig), a.args, 0])
+                continue
+            actual = a.sort
+        else:
+            stack.pop()
+            assert sym.result is not None
+            if not stack:
+                return sym.result
+            actual = sym.result
+            frame = stack[-1]
+            sym, args, i = frame
+        expected = sym.arg_sorts[i]
+        if actual != expected:
+            raise RankMismatchError(
+                f"argument {i + 1} of {sym.name} has sort {actual}, expected {expected}")
+        frame[2] = i + 1
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +461,20 @@ def hol_cantor(name: str) -> TheoryPreset:
     theory.sig.individual("g", term)
     theory.axioms = [surjection_axiom(theory.sig)]
     return theory
+
+
+def russell_theory() -> tuple[TheoryPreset, Symbol]:
+    """The set preset extended with a constant ``a`` and the comprehension
+    ``{w in a | ~(w in w)}`` (whose membership proposition has no normal
+    form)."""
+    preset = load_preset("set")
+    st = preset.sig.sorts["set"]
+    preset.sig.individual("a", st)
+    member = preset.sig.lookup("in")
+    w = Var("w", st)
+    sym, _rule = declare_subset_symbol(
+        preset, [], w, Not(Atom(member, (w, w))), name="russell")
+    return preset, sym
 
 
 # ---------------------------------------------------------------------------

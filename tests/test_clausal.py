@@ -37,6 +37,7 @@ from helpers import (
     eval_clause,
     eval_ground,
     random_ground_prop,
+    russell_theory,
 )
 
 
@@ -201,8 +202,6 @@ class TestClausalForm:
                     assert reduce_once(lit.atom, sc.system) is None
 
     def test_fuel_exhaustion_is_flagged_not_fatal(self):
-        from resmod.theories import russell_theory
-
         preset, _ = russell_theory()
         p = parse_prop("russell(a) in russell(a)", preset.sig)
         res = clausal_form(p, preset.system, preset.sig, fuel=10)

@@ -532,6 +532,25 @@ def test_a_display_of_the_wrong_rank_is_an_input_error(tmp_path, capsys, directi
     assert capsys.readouterr().err == f"error: in theory text: {error} (line 8, column 1)\n"
 
 
+@pytest.mark.parametrize("text, symbol, line", [
+    ("sort s\nfun g : (s, s) -> s\nconst a : s\npred P : (s)\naxiom forall x:s P(g(x, a))\n"
+     "display g infix\ngoal h : P(g(a, a))\n", "g", 6),
+    ("sort s\nconst a : s\npred Q : (s, s)\ngoal h : Q(a, a)\ndisplay Q infix\n", "Q", 5),
+    ("sort s\nconst a : s\npred P : (s)\npred Q : (s, s)\nR q: Q(x, a) -> P(x)\n"
+     "display Q infix\ngoal h : P(a)\n", "Q", 6),
+    ("use set\ndisplay in prefix\n", "in", 2),
+], ids=["axiom", "goal", "rule", "preset"])
+def test_a_display_after_a_use_of_its_symbol_is_an_input_error(
+        tmp_path, capsys, text, symbol, line):
+    # what was read before keeps the symbol it was read with: the axiom used
+    # to print as P(g(X, a)) beside the goal's ~P(a g a)
+    assert cli.main(["prove", "--theory", theory_file(tmp_path, text),
+                     "--goal-name", "h"]) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: in theory text: display {symbol} must come before the axioms, rules and "
+        f"goals that use it (line {line}, column 1)\n")
+
+
 @pytest.mark.parametrize("argv", [["prove", "--goal-name", "g"], ["normalize", "lam(app(1))"]])
 def test_eta_over_symbols_of_the_wrong_rank_is_an_input_error(tmp_path, capsys, argv):
     # contracting lam(app(1)) with a unary app used to crash

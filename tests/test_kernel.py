@@ -24,12 +24,11 @@ from resmod.kernel import (
     free_names,
     free_vars,
     rename_apart,
-    sort_of,
 )
 from resmod.theories import load_preset
 from resmod.parser import parse_prop, parse_term
 
-from helpers import small_signature, random_term
+from helpers import random_term, small_signature, sort_of
 
 
 IOTA = BaseSort("iota")

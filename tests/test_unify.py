@@ -418,8 +418,6 @@ class TestCheckSolution:
         assert check_solution(s, [Constraint(lhs, rhs)], arith.system).ok
 
     def test_fuel_exhaustion_reported_distinctly(self):
-        from resmod.theories import russell_theory
-
         # a term-level loop: f(x) -> g(f(x)) style divergence via arith is
         # awkward; use a tiny ad hoc looping system instead
         sig = small_signature()
@@ -511,7 +509,7 @@ class TestStoreAndPropagation:
         # cheap_fail runs the gate's decomposition; the reference walks the
         # two sides by itself
         theory = load_preset(preset)
-        roots = theory.system.e_lhs_roots
+        roots = theory.system.e_index
         rng = random.Random(f"cheap:{preset}")
         outcomes = []
         for _ in range(400):
