@@ -247,7 +247,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     n.add_argument("--theory", required=True)
     n.add_argument("--fuel", type=_fuel, default=10_000)
     n.add_argument("--show-steps", type=int, default=20)
-    n.add_argument("--verbose", action="store_true")
+    n.add_argument("--verbose", action="store_true",
+                   help="print every step, each with its reduct in full")
     n.add_argument("expr")
     n.set_defaults(func=cmd_normalize)
 

@@ -6,16 +6,19 @@ propositions and feeds the narrowing inference of the prover.  Reduction is
 leftmost-outermost and deterministic; normalization is fuel-bounded so that
 non-terminating systems produce an outcome instead of a hang.
 
-:func:`normalize` contracts the same redexes in the same order as iterating
-:func:`reduce_once`, without walking the term from the root for each step:
+:func:`normalize` contracts redexes without walking the term from the root
+for each step, and :func:`reduce_once` is one step of it that also names the
+rule that fired.  Both contract the redexes a scan that tries every rule at
+every node with :func:`match` contracts, in the same order; the scan is kept
+in ``tests/helpers.py`` as their reference.
 
 - ``RewriteSystem`` files, per root symbol (or predicate) and head symbols
   of the arguments, a variable argument fitting any head, the contractors
   of the rules that can fire there, in declaration order: each non-eta rule
   compiled into one function that matches below the root and builds the
   contractum, each ``EtaRule``'s ``contract`` bound to the system.  The
-  first that fires is the rule a scan of every rule finds; :func:`reduce_once`
-  keeps that scan, with :func:`match`, as the reference.
+  first that fires is the rule the scan finds; each contractor carries its
+  rule's name as ``rule_name``.
 - One call keeps the set of subterms whose whole subtree was searched and
   held no redex, and skips them (a subterm equal to a normal one is normal).
 - After a contraction the search resumes ``reach`` levels above the
@@ -49,7 +52,6 @@ from .kernel import (
     is_term,
     rename_apart,
     subst_prop,
-    subst_term,
     term_sort,
     term_vars,
     with_children,
@@ -202,9 +204,16 @@ def _candidates(cache: dict, index: dict, root: str, args: tuple,
     found = cache.get(key)
     if found is None:
         found = cache[key] = tuple(
-            partial(r.contract, system=system) if isinstance(r, EtaRule) else r.compiled
+            _bind_eta(r, system) if isinstance(r, EtaRule) else r.compiled
             for r in index.get(root, ()) if _fits(r, key[1:]))
     return found
+
+
+def _bind_eta(rule: EtaRule, system: "RewriteSystem") -> Callable[[Term], Term | None]:
+    """``rule.contract`` bound to ``system``, carrying the rule's name."""
+    contract = partial(rule.contract, system=system)
+    contract.rule_name = rule.name
+    return contract
 
 
 def _reach(e_rules: Iterable[RewriteRule]) -> float:
@@ -340,7 +349,7 @@ def match(pattern: Term | Atom, subject: Term | Atom,
 
 def _compile(rule: RewriteRule) -> Callable[[App | Atom], Term | Prop | None]:
     """The contraction of a non-eta ``rule`` as one function generated from
-    its two sides.
+    its two sides, carrying the rule's name as ``rule_name``.
 
     The function takes a node whose root and argument heads the index found
     to fit the left side, matches the rest as :func:`match` does (names,
@@ -402,105 +411,9 @@ def _compile(rule: RewriteRule) -> Callable[[App | Atom], Term | Prop | None]:
                 lines.append(f"c{len(lines)} = App({const(x.sym)}, ({args}))")
         lines.append(f"return {local[id(rule.rhs)] or const(rule.rhs)}")
     exec("def contract(t):\n" + "".join(f"    {line}\n" for line in lines), namespace)
-    return namespace["contract"]
-
-
-# ---------------------------------------------------------------------------
-# One-step reduction
-# ---------------------------------------------------------------------------
-
-
-def _contract(rules: Iterable[RewriteRule], x: Term | Atom,
-              system: RewriteSystem) -> tuple[Term | Prop, str] | None:
-    """The contractum of the first of ``rules`` that fires at the root of
-    ``x``, and that rule's name."""
-    for rule in rules:
-        if isinstance(rule, EtaRule):
-            contracted = rule.contract(x, system)
-            if contracted is not None:
-                return contracted, rule.name
-            continue
-        b = match(rule.lhs, x)
-        if b is not None:
-            if rule.cls == R_CLASS:
-                return subst_prop(rule.rhs, b), rule.name
-            return subst_term(rule.rhs, b), rule.name
-    return None
-
-
-def _reduce_term_once(t: Term, system: RewriteSystem) -> tuple[Term, str] | None:
-    """Leftmost-outermost E-step inside a term: contract the first redex in
-    pre-order, trying every E-rule at every node."""
-    # visited nodes as (node, index of its parent here, argument position)
-    visited: list[tuple[App, int, int]] = []
-    stack: list[tuple[Term, int, int]] = [(t, -1, 0)]
-    while stack:
-        u, parent, i = stack.pop()
-        if isinstance(u, Var):
-            continue
-        red = _contract(system.e_rules, u, system)
-        if red is None:
-            visited.append((u, parent, i))
-            here = len(visited) - 1
-            stack.extend((u.args[j], here, j) for j in reversed(range(len(u.args))))
-            continue
-        new, name = red
-        while parent >= 0:
-            node, up, j = visited[parent]
-            new = App(node.sym, node.args[:i] + (new,) + node.args[i + 1:])
-            parent, i = up, j
-        return new, name
-    return None
-
-
-def _reduce_atom_once(a: Atom, system: RewriteSystem) -> tuple[Prop, str] | None:
-    """An R-step at ``a``, or else the leftmost-outermost E-step in its
-    arguments."""
-    red = _contract(system.r_rules, a, system)
-    if red is not None:
-        return red
-    for i, t in enumerate(a.args):
-        red = _reduce_term_once(t, system)
-        if red is not None:
-            new, name = red
-            return Atom(a.pred, a.args[:i] + (new,) + a.args[i + 1:]), name
-    return None
-
-
-def reduce_once(x: Term | Prop, system: RewriteSystem) -> tuple[Term | Prop, str] | None:
-    """Rewrite the leftmost-outermost redex of ``x``.
-
-    R-rules fire at atom positions of propositions, E-rules inside terms.
-    Every rule is tried at every node, with :func:`match` and no index.
-    Returns ``(reduct, rule name)`` or None when ``x`` is normal.
-    """
-    if is_term(x):
-        return _reduce_term_once(x, system)
-    # frames [connective, its children, the child searched]; the bottom frame
-    # holds ``x``; atoms are searched in pre-order, left to right
-    frames: list[list] = [[None, (x,), 0]]
-    while True:
-        frame = frames[-1]
-        children, i = frame[1], frame[2]
-        if i == len(children):
-            frames.pop()
-            if not frames:
-                return None
-            frames[-1][2] += 1
-            continue
-        y = children[i]
-        if isinstance(y, Atom):
-            red = _reduce_atom_once(y, system)
-            if red is not None:
-                break
-        elif not isinstance(y, (Top, Bottom)):
-            frames.append([y, children_of(y), 0])
-            continue
-        frame[2] = i + 1
-    new, name = red
-    for node, children, i in reversed(frames[1:]):
-        new = with_children(node, children[:i] + (new,) + children[i + 1:])
-    return new, name
+    contract = namespace["contract"]
+    contract.rule_name = rule.name
+    return contract
 
 
 # ---------------------------------------------------------------------------
@@ -525,21 +438,26 @@ class NormalizeOutcome:
 
 
 def normalize(x: Term | Prop, system: RewriteSystem, fuel: int = 10_000) -> NormalizeOutcome:
-    """Contract at most ``fuel`` redexes, as iterating :func:`reduce_once`
-    would, trying at each node only the rules the system's index gives; a
-    system without rules gives back ``x`` itself."""
+    """Contract at most ``fuel`` redexes, leftmost-outermost, trying at each
+    node only the rules the system's index gives; a system without rules
+    gives back ``x`` itself."""
     if fuel < 1:
         raise ValueError("fuel must be positive")
     if not system.rules:
         return NormalizeOutcome(True, x, 0)
     run = _Normalizer(system, fuel)
-    if is_term(x):
-        terms = [x]
-        run.terms(terms)
-        value = terms[0]
-    else:
-        value = run.prop(x)
+    value = run.normalize(x)
     return NormalizeOutcome(not run.blocked, value, fuel - run.fuel)
+
+
+def reduce_once(x: Term | Prop, system: RewriteSystem) -> tuple[Term | Prop, str] | None:
+    """Rewrite the leftmost-outermost redex of ``x``: :func:`normalize` with
+    one unit of fuel.  R-rules fire at atom positions of propositions,
+    E-rules inside terms.  Returns ``(reduct, rule name)`` or None when
+    ``x`` is normal."""
+    run = _Normalizer(system, 1)
+    value = run.normalize(x)
+    return None if run.fuel else (value, run.fired.rule_name)
 
 
 def _set_child(frame: list, new) -> None:
@@ -563,13 +481,23 @@ def _close(stack: list, depth: int) -> None:
 class _Normalizer:
     """One leftmost-outermost :func:`normalize` call: the fuel left and the
     subterms known to hold no redex.  ``blocked`` is set when a redex is
-    found after the fuel ran out."""
+    found after the fuel ran out; ``fired`` is the contractor of the last
+    contraction."""
 
     def __init__(self, system: RewriteSystem, fuel: int):
         self.system = system
         self.fuel = fuel
         self.blocked = False
         self.known: set[Term] = set()
+        self.fired: Callable | None = None
+
+    def normalize(self, x: Term | Prop) -> Term | Prop:
+        """Normalize the term or proposition ``x``."""
+        if is_term(x):
+            terms = [x]
+            self.terms(terms)
+            return terms[0]
+        return self.prop(x)
 
     def terms(self, terms: list[Term], once: bool = False) -> None:
         """Contract the redexes of ``terms``, left to right, in place; with
@@ -618,6 +546,7 @@ class _Normalizer:
                 _close(stack, 1)
                 return
             self.fuel -= 1
+            self.fired = contract
             _set_child(frame, new)
             if once:
                 _close(stack, 1)
@@ -639,6 +568,7 @@ class _Normalizer:
                         self.blocked = True
                         return a, True
                     self.fuel -= 1
+                    self.fired = contract
                     return new, False
             if not (a.args and system.e_index):
                 return a, True
@@ -652,8 +582,9 @@ class _Normalizer:
 
     def prop(self, p: Prop) -> Prop:
         """Normalize the atoms of ``p`` in pre-order."""
-        # frames [connective, children, next child]
-        stack: list[list] = [[None, [p], 0]]
+        # frames [connective, children, next child, connective or None once
+        # changed], as in :meth:`terms`; the bottom frame holds ``p``
+        stack: list[list] = [[None, [p], 0, None]]
         while True:
             frame = stack[-1]
             children, i = frame[1], frame[2]
@@ -661,22 +592,17 @@ class _Normalizer:
                 if len(stack) == 1:
                     return children[0]
                 stack.pop()
-                parent = stack[-1]
-                parent[1][parent[2]] = _rebuild(frame[0], children)
-                parent[2] += 1
+                if frame[3] is None:
+                    _set_child(stack[-1], with_children(frame[0], tuple(children)))
+                stack[-1][2] += 1
                 continue
             x = children[i]
             if isinstance(x, Atom):
-                children[i], done = self.atom(x)
+                new, done = self.atom(x)
+                if new is not x:
+                    _set_child(frame, new)
                 frame[2] = i + done
             elif isinstance(x, (Top, Bottom)):
                 frame[2] = i + 1
             else:
-                stack.append([x, list(children_of(x)), 0])
-
-
-def _rebuild(x: Prop, new: list) -> Prop:
-    """``x`` with the children ``new``, or ``x`` itself when none changed."""
-    if all(a is b for a, b in zip(new, children_of(x))):
-        return x
-    return with_children(x, tuple(new))
+                stack.append([x, children_of(x), 0, x])

@@ -30,13 +30,15 @@ from resmod.kernel import (
     _Binary,
     _Quant,
     children,
+    is_term,
+    subst_prop,
     subst_term,
     term_var_names,
     term_vars,
     with_children,
 )
 from resmod.clausal import ConstrainedClause, Literal
-from resmod.rewrite import EtaRule, NormalizeOutcome, RewriteSystem, _contract
+from resmod.rewrite import R_CLASS, EtaRule, NormalizeOutcome, RewriteSystem, match
 from resmod.unify import (
     CHECK_FUEL,
     SOLUTIONS,
@@ -412,6 +414,105 @@ def replace_at(x, pos: tuple, new):
     kids = children(x)
     i = pos[0]
     return with_children(x, kids[:i - 1] + (replace_at(kids[i - 1], pos[1:], new),) + kids[i:])
+
+
+# ---------------------------------------------------------------------------
+# One-step reduction by a scan of every rule at every node
+# ---------------------------------------------------------------------------
+
+
+def _contract(rules, x: Term | Atom,
+              system: RewriteSystem) -> tuple[Term | Prop, str] | None:
+    """The contractum of the first of ``rules`` that fires at the root of
+    ``x``, and that rule's name."""
+    for rule in rules:
+        if isinstance(rule, EtaRule):
+            contracted = rule.contract(x, system)
+            if contracted is not None:
+                return contracted, rule.name
+            continue
+        b = match(rule.lhs, x)
+        if b is not None:
+            if rule.cls == R_CLASS:
+                return subst_prop(rule.rhs, b), rule.name
+            return subst_term(rule.rhs, b), rule.name
+    return None
+
+
+def _reduce_term_once(t: Term, system: RewriteSystem) -> tuple[Term, str] | None:
+    """Leftmost-outermost E-step inside a term: contract the first redex in
+    pre-order, trying every E-rule at every node."""
+    # visited nodes as (node, index of its parent here, argument position)
+    visited: list[tuple[App, int, int]] = []
+    stack: list[tuple[Term, int, int]] = [(t, -1, 0)]
+    while stack:
+        u, parent, i = stack.pop()
+        if isinstance(u, Var):
+            continue
+        red = _contract(system.e_rules, u, system)
+        if red is None:
+            visited.append((u, parent, i))
+            here = len(visited) - 1
+            stack.extend((u.args[j], here, j) for j in reversed(range(len(u.args))))
+            continue
+        new, name = red
+        while parent >= 0:
+            node, up, j = visited[parent]
+            new = App(node.sym, node.args[:i] + (new,) + node.args[i + 1:])
+            parent, i = up, j
+        return new, name
+    return None
+
+
+def _reduce_atom_once(a: Atom, system: RewriteSystem) -> tuple[Prop, str] | None:
+    """An R-step at ``a``, or else the leftmost-outermost E-step in its
+    arguments."""
+    red = _contract(system.r_rules, a, system)
+    if red is not None:
+        return red
+    for i, t in enumerate(a.args):
+        red = _reduce_term_once(t, system)
+        if red is not None:
+            new, name = red
+            return Atom(a.pred, a.args[:i] + (new,) + a.args[i + 1:]), name
+    return None
+
+
+def scan_reduce_once(x: Term | Prop, system: RewriteSystem) -> tuple[Term | Prop, str] | None:
+    """The reference for ``rewrite.reduce_once``: rewrite the
+    leftmost-outermost redex of ``x``.
+
+    R-rules fire at atom positions of propositions, E-rules inside terms.
+    Every rule is tried at every node, with ``match`` and no index.
+    Returns ``(reduct, rule name)`` or None when ``x`` is normal.
+    """
+    if is_term(x):
+        return _reduce_term_once(x, system)
+    # frames [connective, its children, the child searched]; the bottom frame
+    # holds ``x``; atoms are searched in pre-order, left to right
+    frames: list[list] = [[None, (x,), 0]]
+    while True:
+        frame = frames[-1]
+        kids, i = frame[1], frame[2]
+        if i == len(kids):
+            frames.pop()
+            if not frames:
+                return None
+            frames[-1][2] += 1
+            continue
+        y = kids[i]
+        if isinstance(y, Atom):
+            red = _reduce_atom_once(y, system)
+            if red is not None:
+                break
+        elif not isinstance(y, (Top, Bottom)):
+            frames.append([y, children(y), 0])
+            continue
+        frame[2] = i + 1
+    new, name = red
+    for node, kids, i in reversed(frames[1:]):
+        new = with_children(node, kids[:i] + (new,) + kids[i + 1:])
+    return new, name
 
 
 # ---------------------------------------------------------------------------

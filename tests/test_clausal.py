@@ -38,6 +38,7 @@ from helpers import (
     eval_ground,
     random_ground_prop,
     russell_theory,
+    scan_reduce_once,
 )
 
 
@@ -192,14 +193,12 @@ class TestClausalForm:
 
     def test_atoms_in_output_are_normal_when_fuel_sufficed(self):
         sc = load_preset("set-cantor")
-        from resmod.rewrite import reduce_once
-
         for ax in sc.axioms:
             res = clausal_form(ax, sc.system, sc.sig)
             assert res.normalized
             for c in res.clauses:
                 for lit in c.literals:
-                    assert reduce_once(lit.atom, sc.system) is None
+                    assert scan_reduce_once(lit.atom, sc.system) is None
 
     def test_fuel_exhaustion_is_flagged_not_fatal(self):
         preset, _ = russell_theory()

@@ -10,6 +10,8 @@ from resmod.parser import parse_prop, parse_term_or_atom
 from resmod.rewrite import normalize
 from resmod.theories import load_preset
 
+from helpers import scan_reduce_once
+
 
 @pytest.mark.parametrize("theory, goal", [
     ("arith", "double"),
@@ -435,6 +437,39 @@ def test_normalize_prints_the_steps_it_shows_and_counts_the_rest(capsys):
                      "   2  [times_succ] 0 * S(S(0)) + S(S(0)) + S(S(0))",
                      "      ... 5 more steps",
                      "normal form after 7 steps: S(S(S(S(0))))"]
+
+
+def scan_output(theory: str, expr: str, fuel: int) -> str:
+    """What ``normalize --verbose`` prints, stepped with the scan of every
+    rule at every node."""
+    preset = cli.load_theory(theory)
+    value = parse_term_or_atom(expr, preset.sig)
+    lines = [f"start: {value}"]
+    while len(lines) <= fuel and (red := scan_reduce_once(value, preset.system)) is not None:
+        value, rule = red
+        lines.append(f"{len(lines):4d}  [{rule}] {value}")
+    steps = len(lines) - 1
+    if scan_reduce_once(value, preset.system) is None:
+        lines.append(f"normal form after {steps} steps: {value}")
+    else:
+        lines.append(f"FUEL EXHAUSTED after {steps} steps; last value: {value}")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("theory, expr, fuel, shown", [
+    ("arith", "2 * 3", 10_000, "[plus_zero]"),
+    ("hol-sigma", "lam(app(sub(f, shift), 1))", 10_000, "[eta] f\n"),
+    ("set-cantor", "a in union(pow(b))", 10_000, "[power]"),
+    ("{A -> A => B}", "A", 50, "\nFUEL EXHAUSTED after 50 steps"),
+])
+def test_normalize_verbose_prints_the_steps_of_a_scan_of_every_rule(capsys, theory, expr, fuel,
+                                                                     shown):
+    # the steps come from the compiled normalizer, one unit of fuel at a time
+    assert cli.main(["normalize", "--theory", theory, "--fuel", str(fuel), "--verbose",
+                     expr]) == 0
+    out = capsys.readouterr().out
+    assert out == scan_output(theory, expr, fuel)
+    assert shown in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,7 +9,7 @@ import pytest
 
 from resmod.clausal import Constraint
 from resmod.kernel import (
-    PREDICATE, And, App, Atom, Exists, Forall, Not, Or, Signature, Var, free_names,
+    PREDICATE, And, App, Atom, Exists, Forall, Implies, Not, Or, Signature, Var, free_names,
     subst_prop, subst_term, term_vars)
 from resmod import rewrite
 from resmod.rewrite import (
@@ -30,8 +30,8 @@ from resmod.unify import e_unify_narrowing
 from resmod.parser import parse_prop, parse_term, parse_term_or_atom
 
 from helpers import (normalize_rightmost_innermost, random_arith_term, random_comb_spine,
-                     random_sigma_term, random_term, russell_theory, small_signature, sort_of,
-                     subtrees)
+                     random_sigma_term, random_term, russell_theory, scan_reduce_once,
+                     small_signature, sort_of, subtrees)
 
 
 class TestRuleClasses:
@@ -136,9 +136,10 @@ class TestReduceOnce:
         for _ in range(5000):
             p = {"not": lambda q: Not(q), "and": lambda q: And(bottom, q),
                  "forall": lambda q: Forall(x, q)}[connective](p)
-        reduct, name = reduce_once(p, st.system)
+        reduct, name = scan_reduce_once(p, st.system)
         assert name == "power"
         assert reduct == normalize(p, st.system, 1).value
+        assert reduce_once(p, st.system) == (reduct, name)
         assert reduce_once(bottom, st.system) is None
 
     def test_subject_reduction_preserves_sorts_and_free_variables(self):
@@ -229,15 +230,15 @@ class TestNormalize:
 
 
 def iterate_reduce_once(x, system, fuel):
-    """The reference for ``normalize``: ``reduce_once`` until the term is
-    normal or ``fuel`` steps were made."""
+    """The reference for ``normalize``: :func:`helpers.scan_reduce_once`
+    until the term is normal or ``fuel`` steps were made."""
     value = x
     for n in range(fuel):
-        red = reduce_once(value, system)
+        red = scan_reduce_once(value, system)
         if red is None:
             return NormalizeOutcome(True, value, n)
         value = red[0]
-    return NormalizeOutcome(reduce_once(value, system) is None, value, fuel)
+    return NormalizeOutcome(scan_reduce_once(value, system) is None, value, fuel)
 
 
 def random_eps_prop(rng, sig, depth):
@@ -260,7 +261,8 @@ def random_eps_prop(rng, sig, depth):
 
 class TestNormalizeAgainstReduceOnce:
     """``normalize`` contracts the same redexes in the same order as
-    iterating ``reduce_once``; small fuels cover running out of fuel."""
+    iterating the scan of every rule; small fuels cover running out of
+    fuel."""
 
     FUELS = (1, 2, 3, 5, 8, 40, 300)
 
@@ -515,6 +517,58 @@ class TestArgumentHeadIndex:
         for body in (one, App(sig.lookup("app"), (one, one)), Var("a", sig.sorts["term"])):
             assert has_eta(App(lam, (body,)))
         assert not has_eta(App(sig.lookup("app"), (one, one)))
+
+
+def steps_against_the_scan(x, system, limit=60):
+    """Step ``x`` with :func:`reduce_once` and with the scan of every rule,
+    which must give the same reduct and rule name at each step, until it is
+    normal or ``limit`` steps have run; the names of the rules that fired."""
+    names = []
+    while len(names) < limit:
+        red, ref = reduce_once(x, system), scan_reduce_once(x, system)
+        assert red == ref, f"step {len(names) + 1} of {x}"
+        if red is None:
+            break
+        x = red[0]
+        names.append(red[1])
+    return names
+
+
+class TestReduceOnceAgainstTheScan:
+    """``reduce_once``, one step of the indexed and compiled normalizer,
+    contracts the redex a scan of every rule at every node contracts, with
+    the same rule, step by step."""
+
+    @pytest.mark.parametrize("name", ["arith", "hol-comb", "hol-sigma", "set-cantor",
+                                      "integral-rings", "tied"])
+    def test_the_input_sets_of_the_index(self, name):
+        system, inputs = differential_inputs(name, random.Random(f"steps:{name}"))
+        fired = [steps_against_the_scan(x, system) for x in inputs]
+        assert max(map(len, fired)) > 1 and fired.count([]) > 10
+        assert any("eta" in names for names in fired) is (name == "hol-sigma")
+
+    def test_hol_comb_propositions(self):
+        hol = load_preset("hol-comb")
+        rng = random.Random(15)
+        steps = [len(steps_against_the_scan(random_eps_prop(rng, hol.sig, rng.randint(1, 4)),
+                                            hol.system)) for _ in range(200)]
+        assert sum(steps) > 300
+
+    @pytest.mark.parametrize("name", ["set-cantor", "integral-rings"])
+    def test_propositions_unfold_by_the_r_rules(self, name):
+        # the axioms and goals, and each R-rule's left side implying the
+        # negation of its right side
+        preset = load_preset(name)
+        props = preset.axioms + list(preset.goals.values()) + [
+            Implies(r.lhs, Not(r.rhs)) for r in preset.system.r_rules]
+        names = {name for p in props for name in steps_against_the_scan(p, preset.system)}
+        assert names == {r.name for r in preset.system.r_rules}
+
+    def test_nothing_is_a_redex_without_rules(self):
+        _, inputs = differential_inputs("tied", random.Random("steps:empty"))
+        for x in inputs:
+            assert reduce_once(x, EMPTY_SYSTEM) is None
+            assert steps_against_the_scan(x, EMPTY_SYSTEM) == []
 
 
 class TestCompiledRules:
