@@ -29,13 +29,14 @@ import argparse
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .kernel import Not, Prop
 from .parser import ParseError, parse_constraints, parse_inline_rules, parse_prop, \
     parse_substitution, parse_term_or_atom
-from .prover import FREEZE, ON_THE_FLY, ProverConfig, format_trace, saturate, verdict_of
+from .prover import FREEZE, ON_THE_FLY, PROVED, PROVED_UNVERIFIED, RESOURCE_OUT, SATURATED, \
+    ProverConfig, SearchResult, format_trace, saturate
 from .rewrite import normalize, reduce_once
 from .theories import TheoryPreset, UnknownPresetError, load_preset, parse_theory_file
 from .unify import FUEL, PASS, check_solution
@@ -48,45 +49,43 @@ EXIT_PROVED_UNVERIFIED = 4
 EXIT_INTERNAL_ERROR = 5
 
 _VERDICT_EXIT = {
-    "PROVED": EXIT_PROVED,
-    "SATURATED": EXIT_SATURATED,
-    "RESOURCE_OUT": EXIT_RESOURCE_OUT,
-    "PROVED_UNVERIFIED": EXIT_PROVED_UNVERIFIED,
+    PROVED: EXIT_PROVED,
+    SATURATED: EXIT_SATURATED,
+    RESOURCE_OUT: EXIT_RESOURCE_OUT,
+    PROVED_UNVERIFIED: EXIT_PROVED_UNVERIFIED,
 }
 
 
 @dataclass
 class RunReport:
-    verdict: str
-    clauses_generated: int
-    clauses_kept: int
-    resolution_steps: int
-    narrowing_steps: int
-    factoring_steps: int
-    wall_time: float
+    """One ``prove`` run: the search's result, the trace written from it,
+    and the wall time the search took."""
+
+    result: SearchResult
     trace: str
-    exhausted: str | None = None
-    discards: dict[str, int] = field(default_factory=dict)
-    retired: int = 0
-    unnormalized: bool = False
+    wall_time: float
+
+    @property
+    def verdict(self) -> str:
+        return self.result.verdict
 
     @property
     def exit_code(self) -> int:
         return _VERDICT_EXIT[self.verdict]
 
     def summary(self) -> str:
-        notes = [f"exhausted: {self.exhausted}"] if self.exhausted else []
-        if self.unnormalized:
+        result, stats = self.result, self.result.stats
+        notes = [f"exhausted: {result.exhausted}"] if result.exhausted else []
+        if result.unnormalized:
             notes.append("normalization: fuel exhausted")
+        discards = ", ".join(f"{n} {r}" for r, n in sorted(stats.discards.items()))
         return "\n".join([
-            f"verdict: {self.verdict}",
+            f"verdict: {result.verdict}",
             *notes,
-            f"clauses: {self.clauses_generated} generated, {self.clauses_kept} kept",
-            (f"discarded: {sum(self.discards.values())} "
-             f"({', '.join(f'{n} {r}' for r, n in sorted(self.discards.items())) or 'none'}), "
-             f"{self.retired} retired by backward subsumption"),
-            (f"steps: {self.resolution_steps} resolution, "
-             f"{self.narrowing_steps} narrowing, {self.factoring_steps} factoring"),
+            f"clauses: {stats.generated} generated, {stats.kept} kept",
+            (f"discarded: {stats.discarded} ({discards or 'none'}), "
+             f"{stats.retired} retired by backward subsumption"),
+            f"steps: {', '.join(f'{n} {kind}' for kind, n in stats.steps.items())}",
             f"wall time: {self.wall_time:.3f}s",
         ])
 
@@ -127,12 +126,7 @@ def run_prove(theory: TheoryPreset, goal: Prop, cfg: ProverConfig) -> RunReport:
         "goal": str(goal),
         "strategy": cfg.strategy,
     }
-    trace = format_trace(result, header, theory.sig)
-    stats = result.stats
-    return RunReport(verdict_of(result), stats.generated, stats.kept,
-                     stats.resolutions, stats.narrowings, stats.factorings,
-                     elapsed, trace, result.exhausted, dict(stats.discards), stats.retired,
-                     result.unnormalized)
+    return RunReport(result, format_trace(result, header, theory.sig), elapsed)
 
 
 def cmd_prove(args: argparse.Namespace) -> int:

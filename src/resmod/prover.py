@@ -181,6 +181,8 @@ AGE_INTERVAL = 4
 class Stats:
     """Search counters.
 
+    ``steps`` counts the inferences that kept a clause, by kind:
+    ``resolution``, ``narrowing`` and ``factoring``, in that order.
     ``generated`` counts clauses that actually come into existence, the
     input clauses included: an inference whose constraints are refuted
     before registration (by the cheap root-clash test, or on the fly by a
@@ -196,12 +198,11 @@ class Stats:
     generated: int = 0
     kept: int = 0
     selected: int = 0
-    resolutions: int = 0
-    narrowings: int = 0
-    factorings: int = 0
     discarded: int = 0
     failed_constraints: int = 0
     gate_calls: int = 0
+    steps: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
+        ("resolution", "narrowing", "factoring"), 0))
     discards: dict[str, int] = field(default_factory=dict)
     retired: int = 0
 
@@ -209,46 +210,39 @@ class Stats:
         self.discarded += 1
         self.discards[reason] = self.discards.get(reason, 0) + 1
 
-    def step(self, kind: str) -> None:
-        """Count an inference of ``kind`` that kept a clause."""
-        name = _STEP_COUNTERS[kind]
-        setattr(self, name, getattr(self, name) + 1)
 
-
-_STEP_COUNTERS = {"resolution": "resolutions", "narrowing": "narrowings",
-                  "factoring": "factorings"}
-
-
-PROVED = "proved"
-SATURATED = "saturated"
-RESOURCE_OUT = "resource_out"
+# how a search ends, as the trace and the summary print it
+PROVED = "PROVED"
+PROVED_UNVERIFIED = "PROVED_UNVERIFIED"
+SATURATED = "SATURATED"
+RESOURCE_OUT = "RESOURCE_OUT"
 
 
 @dataclass
 class SearchResult:
-    """``steps`` are the kept clauses in id order, those that backward
-    subsumption retired included; an empty clause the gate refuted is never
-    kept.  ``exhausted`` says why a search is ``RESOURCE_OUT``:
-    ``max_clauses``, or, for a search that would otherwise have saturated,
-    ``fuel`` (``unnormalized`` is set).  For a proof left unverified it names
-    the bound the gate's narrowing hit, ``narrow_depth`` or
-    ``narrow_states``, with the number of states it examined.
-    ``unnormalized`` says that a clause kept some literal whose
+    """How a search ended and what it counted.
+
+    ``verdict`` is ``PROVED`` (the empty clause's constraints have the
+    checked ``solution``, the identity when it carries none),
+    ``PROVED_UNVERIFIED`` (the gate could not decide them within its
+    bounds), ``SATURATED`` or ``RESOURCE_OUT``.  ``steps`` are the kept
+    clauses in id order, those that backward subsumption retired included;
+    an empty clause the gate refuted is never kept.  ``exhausted`` says why
+    a search is ``RESOURCE_OUT``: ``max_clauses``, or, for a search that
+    would otherwise have saturated, ``fuel`` (``unnormalized`` is set).
+    For a ``PROVED_UNVERIFIED`` one it names the bound the gate's narrowing
+    hit, ``narrow_depth`` or ``narrow_states``, with the number of states it
+    examined.  ``unnormalized`` says that a clause kept some literal whose
     normalization, in clausification or after an inference, ran out of
     fuel."""
 
-    status: str
+    verdict: str
     steps: list[ConstrainedClause]
     stats: Stats
     empty_clause: ConstrainedClause | None = None
     solution: Substitution | None = None
-    verified: bool = False
     unnormalized: bool = False
     exhausted: str | None = None
-
-    @property
-    def proved(self) -> bool:
-        return self.status == PROVED
 
     def proof_steps(self) -> list[ConstrainedClause]:
         """The ancestor slice of the empty clause, in id order."""
@@ -579,20 +573,27 @@ def subsumes(c: ConstrainedClause, d: ConstrainedClause, injective: bool = False
     for key, n in c.profile().items():
         if prof_d.get(key, 0) < n:
             return False
-
-    def go(i: int, bindings, used: frozenset[int]) -> bool:
-        if i == len(c.literals):
-            return True
+    # backtracking, depth first: each entry is a literal of c, the next
+    # literal of d to try it on, and the bindings and the used literals of d
+    # that the literals of c before it left
+    last = len(c.literals) - 1
+    stack: list[tuple[int, int, dict, frozenset[int]]] = [(0, 0, {}, frozenset())]
+    while stack:
+        i, k, bindings, used = stack.pop()
         lc = c.literals[i]
-        for k, ld in enumerate(d.literals):
+        for k in range(k, len(d.literals)):
+            ld = d.literals[k]
             if lc.positive != ld.positive or k in used:
                 continue
             b2 = match(lc.atom, ld.atom, bindings)
-            if b2 is not None and go(i + 1, b2, used | {k} if injective else used):
+            if b2 is None:
+                continue
+            if i == last:
                 return True
-        return False
-
-    return go(0, {}, frozenset())
+            stack.append((i, k + 1, bindings, used))
+            stack.append((i + 1, 0, b2, used | {k} if injective else used))
+            break
+    return False
 
 
 def is_tautology(c: ConstrainedClause) -> bool:
@@ -809,17 +810,18 @@ class _Saturation:
         self.index = ClauseIndex(self.select)
         self.unnormalized = False
 
-    def _result(self, status: str, **fields) -> SearchResult:
-        return SearchResult(status, self.steps, self.stats,
+    def _result(self, verdict: str, **fields) -> SearchResult:
+        return SearchResult(verdict, self.steps, self.stats,
                             unnormalized=self.unnormalized, **fields)
 
     # -- the refutation gate -------------------------------------------------
 
     def _gate(self, c: ConstrainedClause) -> dict | None:
-        """The proof fields of the result that the empty clause ``c`` ends
-        the search with; None when the gate refutes its constraints."""
+        """The verdict and proof fields of the result that the empty clause
+        ``c`` ends the search with; None when the gate refutes its
+        constraints."""
         if not c.constraints:
-            return {"solution": Substitution(), "verified": True}
+            return {"verdict": PROVED, "solution": Substitution()}
         self.stats.gate_calls += 1
         # in the order of their text, so the search does not depend on the
         # iteration order of the constraint set, and so on the hash seed
@@ -829,8 +831,9 @@ class _Saturation:
         if outcome.is_unsat:
             return None
         if outcome.is_solutions:
-            return {"solution": outcome.solutions[0], "verified": True}
-        return {"exhausted": f"narrow_{outcome.reason} ({outcome.states} states)"}
+            return {"verdict": PROVED, "solution": outcome.solution}
+        return {"verdict": PROVED_UNVERIFIED,
+                "exhausted": f"narrow_{outcome.reason} ({outcome.states} states)"}
 
     # -- registration --------------------------------------------------------
 
@@ -858,7 +861,7 @@ class _Saturation:
         self.steps.append(c)
         self.stats.kept += 1
         if c.is_empty():
-            raise _Stop(self._result(PROVED, empty_clause=c, **proof))
+            raise _Stop(self._result(empty_clause=c, **proof))
         self.by_id[cid] = c
         self.index.note_kept(c)
         # backward subsumption: a new constraint-free clause retires the
@@ -913,7 +916,7 @@ class _Saturation:
                     self.register(s, kind, parents, aux)
         finally:
             if self.stats.kept > kept:
-                self.stats.step(kind)
+                self.stats.steps[kind] += 1
 
     def _select(self) -> int:
         """Pop the next clause id.
@@ -1079,26 +1082,18 @@ def format_trace(result: SearchResult, header: dict[str, str], sig: Signature) -
             args = ", ".join(str(a) for a in s.arg_sorts)
             symbol_lines.append(f"fun {s.name} : ({args}) -> {s.result}")
     solution_lines = []
-    if result.proved and result.verified and result.solution is not None:
+    if result.verdict == PROVED:
         if result.solution.is_empty():
             solution_lines.append("solution: identity")
         else:
             solution_lines.append("solution:")
             for k in sorted(result.solution.map):
                 solution_lines.append(f"  {k} := {result.solution.map[k]}")
-    elif result.proved and not result.verified:
+    elif result.verdict == PROVED_UNVERIFIED:
         solution_lines.append("solution: unverified")
     names: dict[Constraint, str] = {}
     for step in result.steps:
         for con in sorted(step.constraints, key=str):
             names.setdefault(con, f"c{len(names) + 1}")
     return TraceDoc(list(header.items()), symbol_lines, result.steps,
-                    names, verdict_of(result), solution_lines).render()
-
-
-def verdict_of(result: SearchResult) -> str:
-    if result.status == PROVED:
-        return "PROVED" if result.verified else "PROVED_UNVERIFIED"
-    if result.status == SATURATED:
-        return "SATURATED"
-    return "RESOURCE_OUT"
+                    names, result.verdict, solution_lines).render()

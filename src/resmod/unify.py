@@ -22,9 +22,9 @@ the states out of a state: a state is expanded only when the search reaches
 its successors, a successor is built only when the search examines it, and
 the unifiers of the steps to a state are composed only when it unifies.
 The search is bounded both by a narrowing depth and a total state budget;
-truncation yields an Unknown outcome, never a verdict.  Every substitution
-returned as a solution has been re-checked by joining both sides of every
-equation to a common normal form.
+truncation yields an Unknown outcome, never a verdict.  The search ends at
+the first candidate solution that passes the solution check, which joins
+both sides of every equation to a common normal form.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ CHECK_FUEL = 4_000
 @dataclass(frozen=True)
 class EUnifyOutcome:
     kind: str
-    solutions: tuple[Substitution, ...] = ()
+    solution: Substitution | None = None  # the checked solution, when solved
     depth: int | None = None
     reason: str = ""
     states: int = 0  # narrowing states examined
@@ -325,15 +325,16 @@ def _clash(t: Term, pattern: Term, apps: frozenset[str]) -> bool:
     arity) at a position where both have one?  Then they cannot unify.  A
     subterm of ``t`` whose spine of ``apps`` symbols has a variable head
     clashes with nothing, since instantiating the head may rebuild it."""
-    if isinstance(t, Var) or isinstance(pattern, Var):
-        return False
-    if apps and isinstance(_spine_head(t, apps), Var):
-        return False
-    if t.sym.name != pattern.sym.name or len(t.args) != len(pattern.args):
-        return True
-    for a, b in zip(t.args, pattern.args):
-        if _clash(a, b, apps):
+    stack = [(t, pattern)]
+    while stack:
+        t, pattern = stack.pop()
+        if isinstance(t, Var) or isinstance(pattern, Var):
+            continue
+        if apps and isinstance(_spine_head(t, apps), Var):
+            continue
+        if t.sym.name != pattern.sym.name or len(t.args) != len(pattern.args):
             return True
+        stack.extend(zip(t.args, pattern.args))
     return False
 
 
@@ -354,8 +355,10 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
     """Solve a constraint set modulo the E-rules by bounded basic narrowing.
 
     Breadth-first over narrowing steps; plain unification is attempted at
-    every state, and all solutions of the shallowest solving level are
-    returned.  With no E-rules this degenerates to syntactic unification.
+    every state, and the search ends at the first state whose unifier,
+    composed with the steps' unifiers, passes :func:`check_solution`: that
+    is the outcome's ``solution``.  With no E-rules this degenerates to
+    syntactic unification.
     A step narrows at a basic position, an application of the side's
     skeleton; it replaces the subterm there by the rule's renamed right side
     in the skeleton too, while its unifier reaches only the side itself.
@@ -367,7 +370,8 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
     below the bounds was exhausted: a level kept no state.  Keeping a state
     at the depth bound, or examining more than ``max_states``, yields
     Unknown; one more state than ``max_states`` is built.  The outcome
-    counts the states examined, up to ``max_states``.
+    counts the states examined, up to ``max_states``; a solved one counts
+    up to its solving state.
     """
     rules, block = system.narrowing
     apps = frozenset(app_symbols)
@@ -398,12 +402,11 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
     seen: set[tuple] = set()
     states = 0
     for current_depth in range(depth + 1):
-        solutions: list[Substitution] = []
         kept: list[tuple[list[_Eq], _Chain]] = []
         for eqs, chain in level:
             states += 1
             if states > max_states:
-                break
+                return EUnifyOutcome(UNKNOWN, reason="states", states=max_states)
             eqs = _simplify(eqs, system)
             if eqs is None:
                 continue  # dead state
@@ -417,16 +420,11 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
                 if sigma is None:
                     break
             if sigma is not None:
-                sol = finish(sigma, chain)
-                if sol is not None:
-                    solutions.append(sol)
+                solution = finish(sigma, chain)
+                if solution is not None:
+                    return EUnifyOutcome(SOLUTIONS, solution, current_depth, states=states)
             if rules and any(_expandable(e, apps) for e in eqs):
                 kept.append((eqs, chain))
-        if solutions:
-            return EUnifyOutcome(SOLUTIONS, tuple(solutions), current_depth,
-                                 states=min(states, max_states))
-        if states > max_states:
-            return EUnifyOutcome(UNKNOWN, reason="states", states=max_states)
         if not kept:
             return EUnifyOutcome(UNSAT, states=states)
         level = (state for eqs, chain in kept

@@ -588,7 +588,8 @@ def eager_narrowing(constraints, system: RewriteSystem, depth: int = 8, *,
     """A reference for ``e_unify_narrowing``: every examined state is
     expanded into a list for the next level at once, every rule is tried
     against ``_clash`` at every basic position, and every rule renaming
-    draws its fresh names from one counter, clash or not.  It calls
+    draws its fresh names from one counter, clash or not.  Like the gate, it
+    stops at the first candidate that passes the solution check.  It calls
     ``unify._simplify`` by its module name, once per examined state, so a
     test can watch the states both searches examine."""
     rules = [(r.lhs, r.rhs, tuple((v.name, v.sort)
@@ -658,7 +659,6 @@ def eager_narrowing(constraints, system: RewriteSystem, depth: int = 8, *,
     states_used = 0
     truncated = False
     for current_depth in range(depth + 1):
-        solutions = []
         next_level = []
         for step in level:
             state = step()
@@ -682,9 +682,9 @@ def eager_narrowing(constraints, system: RewriteSystem, depth: int = 8, *,
                 if sigma is None:
                     break
             if sigma is not None:
-                sol = finish(sigma, chain)
-                if sol is not None:
-                    solutions.append(sol)
+                solution = finish(sigma, chain)
+                if solution is not None:
+                    return EUnifyOutcome(SOLUTIONS, solution, current_depth, states=states_used)
             if current_depth == depth:
                 if rules and any(not frozen(e) and (isinstance(e.left.skel, App)
                                                     or isinstance(e.right.skel, App))
@@ -692,13 +692,10 @@ def eager_narrowing(constraints, system: RewriteSystem, depth: int = 8, *,
                     truncated = True
                 continue
             next_level.extend(expand(eqs, chain, counter))
-        states = min(states_used, max_states)
-        if solutions:
-            return EUnifyOutcome(SOLUTIONS, tuple(solutions), current_depth, states=states)
         if truncated:
             break
         level = next_level
         if not level:
-            return EUnifyOutcome(UNSAT, states=states)
+            return EUnifyOutcome(UNSAT, states=states_used)
     reason = "states" if states_used > max_states else "depth"
     return EUnifyOutcome(UNKNOWN, reason=reason, states=min(states_used, max_states))

@@ -283,10 +283,18 @@ def test_a_deep_goal_is_proved(capsys):
 DEEP_CLASH = "use arith\npred P : (nat)\naxiom P(1100)\ngoal g : P(1099)\n"
 DEEP_NARROW = ("use arith\npred P : (nat)\npred Q : (nat)\nR pq: P(S(y)) -> Q(y)\n"
                "axiom P(1100)\ngoal g : Q(1098)\n")
+# the rule's left side clashes with P(2999) 3,000 levels down
+DEEP_RULE = "use arith\npred P : (nat)\nR deep: P(3000) -> bot\ngoal g : ~P(2999)\n"
+# two variant clauses 1,500 literals wide: subsumption maps one to the other
+# a literal at a time, 1,500 deep
+WIDE_VARIANTS = "sort s\n" + "".join(f"pred P{i} : (s)\n" for i in range(1500)) + "".join(
+    "axiom forall %s:s (%s)\n" % (v, " \\/ ".join(f"P{i}({v})" for i in range(1500)))
+    for v in "xy") + "goal g : bot\n"
 
 
 @pytest.mark.parametrize("strategy", ["freeze", "onfly"])
-@pytest.mark.parametrize("text", [DEEP_CLASH, DEEP_NARROW], ids=["clash", "narrow"])
+@pytest.mark.parametrize("text", [DEEP_CLASH, DEEP_NARROW, DEEP_RULE, WIDE_VARIANTS],
+                         ids=["clash", "narrow", "rule", "wide"])
 def test_a_deep_theory_that_is_not_a_theorem_saturates(tmp_path, capsys, text, strategy):
     code = cli.main(["prove", "--theory", theory_file(tmp_path, text), "--strategy", strategy,
                      "--goal-name", "g"])

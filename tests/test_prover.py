@@ -52,7 +52,8 @@ from resmod import cli, kernel, prover, rewrite, theories
 sig, axioms = theories.chain_axioms(7)
 theory = theories.TheoryPreset("chain_axioms(7)", sig, rewrite.RewriteSystem(()), axioms)
 report = cli.run_prove(theory, kernel.Bottom(), prover.ProverConfig(strategy=prover.FREEZE))
-print(report.verdict, report.clauses_generated, hashlib.sha256(report.trace.encode()).hexdigest())
+print(report.verdict, report.result.stats.generated,
+      hashlib.sha256(report.trace.encode()).hexdigest())
 """
 
 # on the fly, P(X) keeps its constraint X + 0 = 3 frozen, since only the
@@ -64,7 +65,8 @@ theory = theories.parse_theory_file(
     "use arith\\npred P : (nat)\\npred Q : (nat)\\nR pq: P(S(y)) -> Q(y)\\n"
     "axiom forall x:nat (x + 0 = 3 => P(x))\\ngoal q2 : Q(2)\\n")
 report = cli.run_prove(theory, theory.goals["q2"], prover.ProverConfig(strategy=prover.ON_THE_FLY))
-print(report.verdict, report.clauses_generated, hashlib.sha256(report.trace.encode()).hexdigest())
+print(report.verdict, report.result.stats.generated,
+      hashlib.sha256(report.trace.encode()).hexdigest())
 """
 
 
@@ -75,7 +77,8 @@ import hashlib
 from resmod import cli, prover, theories
 theory = theories.load_preset("set-cantor")
 report = cli.run_prove(theory, theory.goals["cantor"], prover.ProverConfig(strategy=prover.ON_THE_FLY))
-print(report.verdict, report.clauses_generated, hashlib.sha256(report.trace.encode()).hexdigest())
+print(report.verdict, report.result.stats.generated,
+      hashlib.sha256(report.trace.encode()).hexdigest())
 """
 
 
@@ -92,7 +95,7 @@ unify_terms = unify.unify_terms
 unify.unify_terms = lambda *args: calls.append(args) or unify_terms(*args)
 report = cli.run_prove(theory, kernel.Bottom(),
                        prover.ProverConfig(strategy=prover.FREEZE, narrow_states=50))
-print(report.verdict, report.clauses_generated, len(calls))
+print(report.verdict, report.result.stats.generated, len(calls))
 """
 
 
@@ -161,7 +164,8 @@ def test_proof_steps_is_the_ancestor_slice_of_the_empty_clause():
     result = prover.saturate(theory.axioms + [goal], theory.system, theory.sig,
                              prover.ProverConfig(strategy=prover.FREEZE))
     steps = result.proof_steps()
-    assert result.proved and steps[-1] is result.empty_clause and steps[-1].is_empty()
+    assert result.verdict == prover.PROVED
+    assert steps[-1] is result.empty_clause and steps[-1].is_empty()
     ids = [s.id for s in steps]
     assert ids == sorted(set(ids))
     assert all(p in ids for s in steps for p in s.provenance.parents)
@@ -218,7 +222,7 @@ def test_the_gate_narrows_inside_a_term_nested_beyond_the_recursion_limit(strate
     goal = Exists(x, Atom(sig.lookup("="), (App(sig.lookup("*"), (x, deep)), sig.numeral(0))))
     result = prover.saturate([*theory.axioms, Not(goal)], theory.system, sig,
                              prover.ProverConfig(strategy=strategy))
-    assert prover.verdict_of(result) == "PROVED"
+    assert result.verdict == prover.PROVED
 
 
 # verdict, generated clauses and sha256 of each trace of an on-the-fly
@@ -244,7 +248,7 @@ def test_the_on_the_fly_loop_leaves_the_trace_unchanged(problem):
         goal = Bottom()
     report = cli.run_prove(theory, goal, prover.ProverConfig(strategy=prover.ON_THE_FLY))
     digest = hashlib.sha256(report.trace.encode()).hexdigest()
-    assert (report.verdict, report.clauses_generated, digest) == ON_THE_FLY_TRACES[problem]
+    assert (report.verdict, report.result.stats.generated, digest) == ON_THE_FLY_TRACES[problem]
 
 
 @pytest.mark.parametrize("preset, calls, failed, generated", [
@@ -262,7 +266,7 @@ def test_on_the_fly_does_not_propagate_constraints_known_to_fail(
                         lambda *args: outcomes.append(propagate(*args)) or outcomes[-1])
     report = cli.run_prove(hol_cantor(preset), Bottom(),
                            prover.ProverConfig(strategy=prover.ON_THE_FLY, narrow_states=300))
-    assert (report.verdict, report.clauses_generated) == ("PROVED_UNVERIFIED", generated)
+    assert (report.verdict, report.result.stats.generated) == ("PROVED_UNVERIFIED", generated)
     assert (len(outcomes), outcomes.count(None)) == (calls, failed)
 
 
@@ -289,7 +293,8 @@ def test_the_narrowing_filter_leaves_the_trace_unchanged(preset, strategy):
                               max_clauses=300 if preset == "set-cantor" else 5_000)
     report = cli.run_prove(theory, goal, cfg)
     digest = hashlib.sha256(report.trace.encode()).hexdigest()
-    assert (report.verdict, report.clauses_generated, report.narrowing_steps,
+    stats = report.result.stats
+    assert (report.verdict, stats.generated, stats.steps["narrowing"],
             digest) == NARROWING_FILTER_TRACES[preset, strategy]
 
 
@@ -421,7 +426,8 @@ def test_a_clause_under_a_rule_or_with_constraints_keeps_every_literal():
         cfg = prover.ProverConfig(strategy=strategy)
         for rules, factorings in (((), 0), ((rule,), 1)):
             result = prover.saturate([prop], RewriteSystem(rules), sig.copy(), cfg)
-            assert (result.status, result.stats.factorings) == (prover.SATURATED, factorings)
+            assert result.verdict == prover.SATURATED
+            assert result.stats.steps["factoring"] == factorings
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +704,7 @@ def test_the_redundancy_filter_keys_each_clause_once(problem, monkeypatch):
                         lambda c, index: filtered.append(c) or keep(c, index))
     result = prover.saturate(props, RewriteSystem(()), sig,
                              prover.ProverConfig(strategy=strategy, max_clauses=150))
-    assert result.status == expected
+    assert result.verdict == expected
     assert len(filtered) == result.stats.generated
     constrained = [c for c in filtered if c.constraints and not c.is_empty()]
     assert [id(c) for c in keyed] == [id(c) for c in constrained]
@@ -776,7 +782,7 @@ def test_saturation_refutes_exactly_the_unsatisfiable_sets(n, clauses, strategy)
     result = prover.saturate(props, RewriteSystem(()), sig,
                              prover.ProverConfig(strategy=strategy))
     expected = prover.PROVED if cnf_unsatisfiable(n, clauses) else prover.SATURATED
-    assert result.status == expected
+    assert result.verdict == expected
 
 
 # ---------------------------------------------------------------------------
@@ -849,8 +855,8 @@ def test_saturation_agrees_with_herbrand_on_function_free_clauses(strategy):
         sig, props = function_free_props(clauses)
         result = prover.saturate(props, RewriteSystem(()), sig,
                                  prover.ProverConfig(strategy=strategy, max_clauses=150))
-        assert result.status != (prover.SATURATED if unsat else prover.PROVED), clauses
-        verdicts[result.status] = verdicts.get(result.status, 0) + 1
+        assert result.verdict != (prover.SATURATED if unsat else prover.PROVED), clauses
+        verdicts[result.verdict] = verdicts.get(result.verdict, 0) + 1
         # kept clauses that select nothing and keep fewer than all literals
         ordered += sum(not c.constraints and all(lit.positive for lit in c.literals)
                        and len(eligible(c)) < len(c.literals) for c in result.steps)

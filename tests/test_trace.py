@@ -115,7 +115,7 @@ def test_an_unsolvable_empty_clause_names_no_constraint(cfg):
     # refutes, and it is never kept
     theory = theories.load_preset("arith")
     report = cli.run_prove(theory, parse_prop("exists x:nat S(x) = 0", theory.sig), cfg)
-    assert report.discards == {"unsolvable": 1}
+    assert report.result.stats.discards == {"unsolvable": 1}
     assert "constraints:" not in report.trace
 
 
@@ -123,7 +123,7 @@ def test_the_constraint_table_names_only_constraints_of_kept_clauses():
     theory, goal = preset_goal("set-cantor", "cantor")()
     report = cli.run_prove(theory, goal,
                            prover.ProverConfig(strategy=prover.FREEZE, max_clauses=1500))
-    assert report.discards["unsolvable"] > 0
+    assert report.result.stats.discards["unsolvable"] > 0
     table, refs = constraint_names(report.trace)
     assert table and table == refs
 

@@ -20,7 +20,7 @@ from resmod.kernel import (
     subst_term,
 )
 from resmod.rewrite import EMPTY_SYSTEM, EtaRule, RewriteRule, RewriteSystem, match, normalize
-from resmod.theories import load_preset
+from resmod.theories import load_preset, parse_theory_file
 from resmod.parser import parse_constraints, parse_prop, parse_substitution, \
     parse_term, parse_term_or_atom
 from resmod.unify import (
@@ -161,7 +161,7 @@ class TestEUnifyNarrowing:
                 assert out.is_unsat
             else:
                 assert out.is_solutions and out.depth == 0
-                sol = out.solutions[0]
+                sol = out.solution
                 assert sol(t) == sol(u)
 
     def test_projection_solves_at_depth_one(self):
@@ -191,8 +191,7 @@ class TestEUnifyNarrowing:
         out = e_unify_narrowing([Constraint(lhs, rhs)], hol.system, depth=2,
                                 app_symbols=hol.sig.app_symbols)
         assert out.is_solutions and out.depth == 1
-        sol = out.solutions[0]
-        assert "y" not in sol.domain  # the mgu leaves y free
+        assert "y" not in out.solution.domain  # the mgu leaves y free
 
     def test_arithmetic_witness_found_at_depth_three(self):
         arith = load_preset("arith")
@@ -202,7 +201,22 @@ class TestEUnifyNarrowing:
         lhs_nf = normalize(lhs, arith.system).value  # x + x
         out = e_unify_narrowing([Constraint(lhs_nf, rhs)], arith.system, depth=3)
         assert out.is_solutions and out.depth == 3
-        assert any(s.map.get("x") == arith.sig.numeral(2) for s in out.solutions)
+        assert out.solution.map == {"x": arith.sig.numeral(2)}
+
+    def test_the_first_checked_candidate_ends_the_search(self):
+        """At depth 1 both ``f(x) = c`` steps solve the constraint, by
+        ``x := a`` and by ``x := b``; the search ends at the first and does
+        not examine the second."""
+        theory = parse_theory_file("sort u\nconst a : u\nconst b : u\nconst c : u\n"
+                                   "fun f : (u) -> u\nE fa: f(a) -> c\nE fb: f(b) -> c\n")
+        env = {}
+        con = Constraint(parse_term("f(x)", theory.sig, env), parse_term("c", theory.sig))
+        candidates = [Substitution({"x": App(theory.sig.lookup(name))}) for name in "ab"]
+        assert all(check_solution(s, [con], theory.system).ok for s in candidates)
+        out = e_unify_narrowing([con], theory.system)
+        assert (out.kind, out.solution, out.depth) == ("solutions", candidates[0], 1)
+        # the start state and the first state of depth 1, which holds two
+        assert out.states == 2
 
     def test_every_solution_passes_the_checker(self):
         arith = load_preset("arith")
@@ -213,8 +227,7 @@ class TestEUnifyNarrowing:
             rhs = parse_term("S(S(0))", arith.sig)
             out = e_unify_narrowing([Constraint(lhs, rhs)], arith.system, depth=4)
             if out.is_solutions:
-                for s in out.solutions:
-                    assert check_solution(s, [Constraint(lhs, rhs)], arith.system).ok
+                assert check_solution(out.solution, [Constraint(lhs, rhs)], arith.system).ok
 
     def test_unknown_when_depth_truncates(self):
         arith = load_preset("arith")
@@ -310,7 +323,7 @@ class TestGateAgainstEagerSearch:
         for search in (e_unify_narrowing, eager_narrowing):
             examined.clear()
             out = search(constraints, system, depth, **kwargs)
-            runs.append(((out.kind, out.solutions, out.depth, out.reason, out.states),
+            runs.append(((out.kind, out.solution, out.depth, out.reason, out.states),
                          tuple(examined)))
         lazy, eager = runs
         assert lazy == eager
@@ -332,9 +345,9 @@ class TestGateAgainstEagerSearch:
                           app_symbols=theory.sig.app_symbols, max_states=max_states)
 
     @pytest.mark.parametrize("depth, expected", [
-        (0, ("unknown", (), None, "depth", 1)),
-        (1, ("unsatisfiable", (), None, "", 1)),
-        (8, ("unsatisfiable", (), None, "", 1)),
+        (0, ("unknown", None, None, "depth", 1)),
+        (1, ("unsatisfiable", None, None, "", 1)),
+        (8, ("unsatisfiable", None, None, "", 1)),
     ])
     def test_a_state_with_no_step_leaves_the_next_level_empty(
             self, monkeypatch, depth, expected):
