@@ -292,7 +292,8 @@ def _clause_literals(p: Prop, sig: Signature, outer: tuple[Var, ...],
         used.add(name)
         return name
 
-    results: list[list[tuple[Literal, ...]]] = []
+    # the clauses of each finished subformula, each a dict of its literals
+    results: list[list[dict[Literal, None]]] = []
     # (subformula, polarity, binder values, universals around it), or a marker
     todo: list = [(p, True, {}, outer)]
     while todo:
@@ -303,16 +304,16 @@ def _clause_literals(p: Prop, sig: Signature, outer: tuple[Var, ...],
             if item is _CONJ:
                 left += right
             else:
-                results[-1] = [c1 + tuple(l for l in c2 if l not in c1)
-                               for c1 in left for c2 in right]
+                # a dict keeps each literal once, in first-seen order
+                results[-1] = [{**c1, **c2} for c1 in left for c2 in right]
             continue
         q, positive, env, prefix = item
         if isinstance(q, Atom):
             if env and q._free & env.keys():
                 q = Atom(q.pred, tuple(subst_term(a, env) for a in q.args))
-            results.append([(Literal(positive, q),)])
+            results.append([{Literal(positive, q): None}])
         elif isinstance(q, (Top, Bottom)):
-            results.append([] if isinstance(q, Top) == positive else [()])
+            results.append([] if isinstance(q, Top) == positive else [{}])
         elif isinstance(q, Not):
             todo.append((q.body, not positive, env, prefix))
         elif isinstance(q, Iff):
@@ -334,7 +335,7 @@ def _clause_literals(p: Prop, sig: Signature, outer: tuple[Var, ...],
             else:
                 sym = sig.individual(name, q.var.sort, origin="skolem")
             todo.append((q.body, positive, {**env, q.var.name: App(sym, prefix)}, prefix))
-    return results[0]
+    return [tuple(c) for c in results[0]]
 
 
 def clausal_form(p: Prop, system: RewriteSystem, sig: Signature,

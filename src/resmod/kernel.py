@@ -14,6 +14,7 @@ in equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Mapping, Union
 
 
@@ -684,38 +685,47 @@ EMPTY_SUBST = Substitution()
 # ---------------------------------------------------------------------------
 
 
+def _no_children(x) -> tuple:
+    return ()
+
+
+def _body(x) -> tuple:
+    return (x.body,)
+
+
+def _itself(x, new: tuple):
+    return x
+
+
+# by the exact class of a node: its children, and the node rebuilt with new
+# children, one entry per concrete class
+_CHILDREN = {
+    Var: _no_children, App: attrgetter("args"), Atom: attrgetter("args"),
+    Top: _no_children, Bottom: _no_children, Not: _body,
+    **dict.fromkeys((And, Or, Implies, Iff), attrgetter("left", "right")),
+    Forall: _body, Exists: _body,
+}
+_WITH_CHILDREN = {
+    Var: _itself, App: lambda x, new: App(x.sym, new), Atom: lambda x, new: Atom(x.pred, new),
+    Top: _itself, Bottom: _itself, Not: lambda x, new: Not(new[0]),
+    **dict.fromkeys((And, Or, Implies, Iff), lambda x, new: type(x)(new[0], new[1])),
+    **dict.fromkeys((Forall, Exists), lambda x, new: type(x)(x.var, new[0], x.hint)),
+}
+
+
 def children(x: Term | Prop) -> tuple:
-    match x:
-        case Var():
-            return ()
-        case App():
-            return x.args
-        case Atom():
-            return x.args
-        case Top() | Bottom():
-            return ()
-        case Not():
-            return (x.body,)
-        case _Binary():
-            return (x.left, x.right)
-        case _Quant():
-            return (x.body,)
-    raise TypeError(f"no children for {x!r}")
+    get = _CHILDREN.get(type(x))
+    if get is None:
+        raise TypeError(f"no children for {x!r}")
+    return get(x)
 
 
 def with_children(x: Term | Prop, new: tuple):
-    match x:
-        case App():
-            return App(x.sym, new)
-        case Atom():
-            return Atom(x.pred, new)
-        case Not():
-            return Not(new[0])
-        case _Binary():
-            return type(x)(new[0], new[1])
-        case _Quant():
-            return type(x)(x.var, new[0], x.hint)
-    raise TypeError(f"cannot rebuild {x!r}")
+    """``x`` with its children replaced by ``new``; a leaf is itself."""
+    build = _WITH_CHILDREN.get(type(x))
+    if build is None:
+        raise TypeError(f"cannot rebuild {x!r}")
+    return build(x, new)
 
 
 # ---------------------------------------------------------------------------

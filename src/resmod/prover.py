@@ -115,9 +115,11 @@ resolution modulo", IFIP TCS 2010), which this loop does not implement.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .kernel import (
     Atom,
@@ -357,16 +359,19 @@ def factor(c: ConstrainedClause, select: bool = True) -> list[ConstrainedClause]
     a clause that selects a literal is not factored."""
     out: list[ConstrainedClause] = []
     positions = eligible(c, select)
-    for n, i in enumerate(positions):
+    # the eligible positions by polarity, predicate and arity, in position
+    # order; each position with its group and its rank there
+    groups: dict[tuple, list[int]] = {}
+    ranked: list[tuple[int, list[int], int]] = []
+    for i in positions:
+        lit = c.literals[i]
+        group = groups.setdefault((lit.positive, lit.atom.pred.name, len(lit.atom.args)), [])
+        ranked.append((i, group, len(group)))
+        group.append(i)
+    for i, group, rank in ranked:
         li = c.literals[i]
-        for j in positions[n + 1:]:
+        for j in group[rank + 1:]:
             lj = c.literals[j]
-            if li.positive != lj.positive:
-                continue
-            if li.atom.pred.name != lj.atom.pred.name:
-                continue
-            if len(li.atom.args) != len(lj.atom.args):
-                continue
             rest = [l for k, l in enumerate(c.literals) if k != j]
             constraints = tuple(c.constraints) + (Constraint(li.atom, lj.atom),)
             out.append(ConstrainedClause(rest, constraints))
@@ -504,13 +509,19 @@ def _side_skeleton(x: Term | Atom) -> str:
     return _blank_skeleton(x)
 
 
-def _ordered_sides(con: Constraint) -> tuple[tuple[str, ...], tuple[str, ...], tuple]:
-    """The two sides of a constraint, ordered by variable-blind skeleton and
-    then by text, with the skeletons and texts as the constraint's sort key."""
-    sides = sorted(((_side_skeleton(x), str(x), x) for x in (con.lhs, con.rhs)),
-                   key=lambda e: e[:2])
-    return (tuple(e[0] for e in sides), tuple(e[1] for e in sides),
-            tuple(e[2] for e in sides))
+def _ordered_sides(con: Constraint) -> tuple[tuple[str, str], tuple]:
+    """The skeletons and the two sides of a constraint, ordered by
+    variable-blind skeleton and then by text; a side is printed only when
+    the skeletons tie."""
+    lhs, rhs = con.lhs, con.rhs
+    kl, kr = _side_skeleton(lhs), _side_skeleton(rhs)
+    if kl > kr or (kl == kr and str(lhs) > str(rhs)):
+        return (kr, kl), (rhs, lhs)
+    return (kl, kr), (lhs, rhs)
+
+
+def _side_texts(entry: tuple[tuple[str, str], tuple]) -> tuple[str, str]:
+    return str(entry[1][0]), str(entry[1][1])
 
 
 def tidy_clause(c: ConstrainedClause) -> ConstrainedClause:
@@ -520,14 +531,16 @@ def tidy_clause(c: ConstrainedClause) -> ConstrainedClause:
     occurrence: in the literals first, sorted by polarity, predicate and
     variable-blind skeleton, then in the constraints, in an order fixed by
     their skeletons and text, so the numbering does not depend on the
-    iteration order of the constraint set.  No parsed name takes the form
-    ``?n``.
+    iteration order of the constraint set.  Only constraints whose
+    skeletons tie are printed.  No parsed name takes the form ``?n``.
     """
     terms = [a for lit in sorted(c.literals, key=_literal_sort_key) for a in lit.atom.args]
-    for _, _, sides in sorted((_ordered_sides(con) for con in c.constraints),
-                              key=lambda e: e[:2]):
-        for x in sides:
-            terms += x.args if isinstance(x, Atom) else (x,)
+    by_skeleton = sorted((_ordered_sides(con) for con in c.constraints), key=itemgetter(0))
+    for _, tied in itertools.groupby(by_skeleton, key=itemgetter(0)):
+        tied = list(tied)
+        for _, sides in sorted(tied, key=_side_texts) if len(tied) > 1 else tied:
+            for x in sides:
+                terms += x.args if isinstance(x, Atom) else (x,)
     names: dict[str, Term] = {}
     stack = terms[::-1]
     while stack:
@@ -825,8 +838,10 @@ class _Saturation:
         self.stats.gate_calls += 1
         # in the order of their text, so the search does not depend on the
         # iteration order of the constraint set, and so on the hash seed
+        constraints = (sorted(c.constraints, key=str) if len(c.constraints) > 1
+                       else list(c.constraints))
         outcome = e_unify_narrowing(
-            sorted(c.constraints, key=str), self.system, self.cfg.narrowing_depth,
+            constraints, self.system, self.cfg.narrowing_depth,
             app_symbols=self.sig.app_symbols, max_states=self.cfg.narrow_states)
         if outcome.is_unsat:
             return None
@@ -1040,7 +1055,10 @@ class TraceDoc:
     verdict: str = ""
     solution_lines: list[str] = field(default_factory=list)
 
-    def render(self) -> str:
+    def render(self, texts: Mapping[tuple, str] | None = None) -> str:
+        """The trace's text; ``texts`` holds the text of constraints already
+        printed, by their two sides."""
+        texts = texts or {}
         lines = ["# resmod trace 1"]
         lines += [f"{k}: {v}" for k, v in self.header]
         if self.symbol_lines:
@@ -1051,7 +1069,8 @@ class TraceDoc:
             lines.append("constraints:")
             for con, cname in sorted(self.names.items(),
                                      key=lambda kv: _constraint_sort_key(kv[1])):
-                lines.append(f"  {cname}: {con}")
+                text = texts.get((con.lhs, con.rhs))
+                lines.append(f"  {cname}: {con if text is None else text}")
         lines.append(f"verdict: {self.verdict}")
         lines += self.solution_lines
         return "\n".join(lines) + "\n"
@@ -1091,9 +1110,21 @@ def format_trace(result: SearchResult, header: dict[str, str], sig: Signature) -
                 solution_lines.append(f"  {k} := {result.solution.map[k]}")
     elif result.verdict == PROVED_UNVERIFIED:
         solution_lines.append("solution: unverified")
+    # each constraint is printed at most once, and only to order a step's
+    # constraints or for its line in the trace; two equal constraints may
+    # print differently, so the text is keyed by the two sides in order
+    texts: dict[tuple, str] = {}
+
+    def text(con: Constraint) -> str:
+        out = texts.get((con.lhs, con.rhs))
+        if out is None:
+            out = texts[con.lhs, con.rhs] = str(con)
+        return out
+
     names: dict[Constraint, str] = {}
     for step in result.steps:
-        for con in sorted(step.constraints, key=str):
+        cons = step.constraints
+        for con in sorted(cons, key=text) if len(cons) > 1 else cons:
             names.setdefault(con, f"c{len(names) + 1}")
     return TraceDoc(list(header.items()), symbol_lines, result.steps,
-                    names, result.verdict, solution_lines).render()
+                    names, result.verdict, solution_lines).render(texts)

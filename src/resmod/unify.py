@@ -5,6 +5,14 @@ Every function here reads a constraint through ``Constraint.pairs``: a term
 equation stands for itself, an equation between two atoms for the equations
 between their arguments.
 
+Syntactic unification keeps its bindings triangular (Martelli and
+Montanari, TOPLAS 1982; Baader and Snyder, "Unification theory", 2001): a
+variable is bound to the other side as it stands, a side is dereferenced
+by following the bindings at its root, and the occurs check walks through
+them, so no binding is ever rewritten.  :func:`resolve` turns the bindings
+into an idempotent map only where a map is read: a syntactic unifier, a
+narrowing step's unifier, and a state of the narrowing search that unifies.
+
 Equational unification explores narrowing steps breadth-first at basic
 positions only (never inside substitution-introduced subterms), attempting
 plain syntactic unification at every state.  Each side of an equation
@@ -54,42 +62,159 @@ from .rewrite import NarrowingRule, RewriteSystem, normalize
 # ---------------------------------------------------------------------------
 
 
-def _bind(sigma: dict[str, Term], name: str, value: Term) -> dict[str, Term] | None:
-    if name in term_var_names(value):
-        return None  # occurs check
-    one = {name: value}
-    out = {k: subst_term(v, one) for k, v in sigma.items()}
-    out[name] = value
-    return out
+class Bindings(dict):
+    """A triangular binding map from variable names to terms: a value may
+    mention variables bound after it, but never, directly or through the
+    bindings, its own variable.  ``ground`` names the variables bound to a
+    term without variables, which :func:`resolve` keeps as it is."""
+
+    __slots__ = ("ground",)
+
+    def __init__(self, bindings: Mapping[str, Term] = (), ground: frozenset[str] = frozenset()):
+        super().__init__(bindings)
+        self.ground = ground
 
 
-def unify_terms(t: Term, u: Term, sigma: dict[str, Term] | None = None) -> dict[str, Term] | None:
-    """Most general unifier of two terms as a raw binding map, or None."""
-    sigma = dict(sigma) if sigma else {}
+def walk(t: Term, bindings: Mapping[str, Term]) -> Term:
+    """``t`` with the bindings followed at its root: an application or an
+    unbound variable."""
+    while isinstance(t, Var):
+        value = bindings.get(t.name)
+        if value is None:
+            break
+        t = value
+    return t
+
+
+def _occurs_walk(name: str, t: Term, bindings: Bindings) -> bool | None:
+    """None when ``name`` occurs in ``t`` once the bindings are followed;
+    else whether ``t`` mentions no variable at all."""
+    if isinstance(t, Var) and t.name not in bindings:
+        return None if t.name == name else False
+    ground = True
+    walked: set[str] = set()  # the bound variables already walked into
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, App):
+            stack.extend(x.args)
+            continue
+        ground = False
+        if x.name == name:
+            return None
+        if x.name in walked or x.name in bindings.ground:
+            continue
+        value = bindings.get(x.name)
+        if value is not None:
+            walked.add(x.name)
+            stack.append(value)
+    return ground
+
+
+def unify_terms(t: Term, u: Term, bindings: Bindings | None = None) -> Bindings | None:
+    """Extend the triangular ``bindings`` (none when omitted) to a most
+    general unifier of two terms, or None.
+
+    Each side of a pair is dereferenced by :func:`walk`, a variable is bound
+    to the other side as it stands, and the occurs check walks through the
+    bindings; nothing already bound is rewritten.  The pairs are taken in
+    the order and orientation of a unifier that applies its substitution to
+    both sides of every pair, so :func:`resolve` gives that unifier's map,
+    keys in binding order included.  The input map is not changed."""
+    bindings = Bindings() if bindings is None else Bindings(bindings, bindings.ground)
     stack = [(t, u)]
     while stack:
         a, b = stack.pop()
-        a = subst_term(a, sigma)
-        b = subst_term(b, sigma)
-        if a == b:
+        a = walk(a, bindings)
+        b = walk(b, bindings)
+        if a is b or a == b:
             continue
         if isinstance(a, Var):
-            if term_sort(b) != a.sort:
-                return None
-            sigma = _bind(sigma, a.name, b)
-            if sigma is None:
-                return None
+            var, value = a, b
         elif isinstance(b, Var):
-            if term_sort(a) != b.sort:
-                return None
-            sigma = _bind(sigma, b.name, a)
-            if sigma is None:
-                return None
+            var, value = b, a
         elif a.sym.name == b.sym.name and len(a.args) == len(b.args):
             stack.extend(zip(a.args, b.args))
+            continue
         else:
             return None
-    return sigma
+        if term_sort(value) != var.sort:
+            return None
+        ground = _occurs_walk(var.name, value, bindings)
+        if ground is None:
+            return None  # occurs check
+        bindings[var.name] = value
+        if ground:
+            bindings.ground = bindings.ground | {var.name}
+    return bindings
+
+
+def resolve(bindings: Bindings) -> dict[str, Term]:
+    """The idempotent map of a triangular one, keys in binding order: each
+    value with every bound variable replaced by its own resolved value.
+    Each value is resolved once and rebuilt only where it mentions a bound
+    variable; the ``ground`` ones are not walked at all."""
+    memo: dict[str, Term] = {}
+    for name, value in bindings.items():
+        if name not in memo:
+            memo[name] = (value if name in bindings.ground
+                          else _resolved(value, bindings, memo))
+    return {name: memo[name] for name in bindings}
+
+
+def _mentions_bound(t: Term, bindings: Bindings) -> bool:
+    """Does ``t`` itself mention a bound variable?"""
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, App):
+            stack.extend(x.args)
+        elif x.name in bindings:
+            return True
+    return False
+
+
+def _resolved(t: Term, bindings: Bindings, memo: dict[str, Term]) -> Term:
+    """``t`` with every bound variable replaced by its resolved value, which
+    ``memo`` notes for each bound variable it resolves; a subterm that
+    mentions no bound variable is kept as it is."""
+    if not _mentions_bound(t, bindings):
+        return t  # the common case: scanned, not rebuilt
+    results: list[Term] = []
+    # terms to resolve; the name of a bound variable, to note its value once
+    # resolved; (node,), to build an application from its resolved arguments
+    work: list = [t]
+    while work:
+        x = work.pop()
+        if isinstance(x, Var):
+            done = memo.get(x.name)
+            if done is not None:
+                results.append(done)
+                continue
+            value = bindings.get(x.name)
+            if value is None:
+                results.append(x)
+            elif x.name in bindings.ground:
+                memo[x.name] = value
+                results.append(value)
+            else:
+                work.append(x.name)
+                work.append(value)
+        elif isinstance(x, App):
+            if x.args:
+                work.append((x,))
+                work.extend(reversed(x.args))
+            else:
+                results.append(x)
+        elif isinstance(x, str):
+            memo[x] = results[-1]
+        else:
+            node = x[0]
+            n = len(node.args)
+            args = tuple(results[-n:])
+            del results[-n:]
+            results.append(node if args == node.args else App(node.sym, args))
+    return results[0]
 
 
 def unify_syntactic(t: Term | Atom, u: Term | Atom) -> Substitution | None:
@@ -108,8 +233,8 @@ def unify_syntactic(t: Term | Atom, u: Term | Atom) -> Substitution | None:
         if term_sort(t) != term_sort(u):
             raise SortMismatchError(
                 f"cannot unify terms of sorts {term_sort(t)} and {term_sort(u)}")
-    sigma = unify_terms(t, u)
-    return None if sigma is None else Substitution(sigma)
+    bindings = unify_terms(t, u)
+    return None if bindings is None else Substitution(resolve(bindings))
 
 
 def _term_pairs(constraints: Iterable[Constraint]) -> list[tuple[Term, Term]] | None:
@@ -124,16 +249,18 @@ def _term_pairs(constraints: Iterable[Constraint]) -> list[tuple[Term, Term]] | 
 
 
 def solve_syntactic(constraints: Iterable[Constraint]) -> Substitution | None:
-    """Most general unifier of every constraint at once, or None."""
+    """Most general unifier of every constraint at once, or None.  One
+    triangular binding map is extended over all the term equations and
+    resolved once, at the end."""
     pairs = _term_pairs(constraints)
     if pairs is None:
         return None
-    sigma: dict[str, Term] | None = {}
+    bindings: Bindings | None = Bindings()
     for a, b in pairs:
-        sigma = unify_terms(a, b, sigma)
-        if sigma is None:
+        bindings = unify_terms(a, b, bindings)
+        if bindings is None:
             return None
-    return Substitution(sigma)
+    return Substitution(resolve(bindings))
 
 
 def cheap_fail(c: Constraint, system: RewriteSystem) -> bool:
@@ -358,7 +485,9 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
     every state, and the search ends at the first state whose unifier,
     composed with the steps' unifiers, passes :func:`check_solution`: that
     is the outcome's ``solution``.  With no E-rules this degenerates to
-    syntactic unification.
+    syntactic unification.  A state's equations extend one triangular
+    binding map, resolved only when they all unify; a step's unifier is
+    resolved as the step is built.
     A step narrows at a basic position, an application of the side's
     skeleton; it replaces the subterm there by the rule's renamed right side
     in the skeleton too, while its unifier reaches only the side itself.
@@ -383,8 +512,8 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
     for a, b in pairs:
         original_vars |= term_var_names(a) | term_var_names(b)
 
-    def finish(sigma: dict[str, Term], chain: _Chain) -> Substitution | None:
-        thetas: list[dict[str, Term]] = [sigma]
+    def finish(bindings: Bindings, chain: _Chain) -> Substitution | None:
+        thetas: list[dict[str, Term]] = [resolve(bindings)]
         while chain is not None:
             chain, theta = chain
             thetas.append(theta)
@@ -414,13 +543,13 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
             if key in seen:
                 continue
             seen.add(key)
-            sigma: dict[str, Term] | None = {}
+            bindings: Bindings | None = Bindings()
             for e in eqs:
-                sigma = unify_terms(e.left.term, e.right.term, sigma)
-                if sigma is None:
+                bindings = unify_terms(e.left.term, e.right.term, bindings)
+                if bindings is None:
                     break
-            if sigma is not None:
-                solution = finish(sigma, chain)
+            if bindings is not None:
+                solution = finish(bindings, chain)
                 if solution is not None:
                     return EUnifyOutcome(SOLUTIONS, solution, current_depth, states=states)
             if rules and any(_expandable(e, apps) for e in eqs):
@@ -490,9 +619,10 @@ def _successors(eqs: list[_Eq], chain: _Chain,
                     first = base + offset
                     renaming = {v: Var(f"_n{first + j}", sort)
                                 for j, (v, sort) in enumerate(variables)}
-                    theta = unify_terms(sub, subst_term(lhs, renaming))
-                    if theta is None:
+                    bindings = unify_terms(sub, subst_term(lhs, renaming))
+                    if bindings is None:
                         continue
+                    theta = resolve(bindings)
                     rhs = subst_term(rule_rhs, renaming)
                     new_side = _Side(subst_term(_replace_term(side.term, path, rhs), theta),
                                      _replace_term(side.skel, path, rhs))

@@ -33,6 +33,7 @@ from resmod.kernel import (
     is_term,
     subst_prop,
     subst_term,
+    term_sort,
     term_var_names,
     term_vars,
     with_children,
@@ -54,7 +55,6 @@ from resmod.unify import (
     _replace_term,
     _term_pairs,
     check_solution,
-    unify_terms,
 )
 from resmod.theories import TheoryPreset, declare_subset_symbol, load_preset, surjection_axiom
 
@@ -579,6 +579,53 @@ def russell_theory() -> tuple[TheoryPreset, Symbol]:
 
 
 # ---------------------------------------------------------------------------
+# Syntactic unification that rewrites its substitution at every binding
+# ---------------------------------------------------------------------------
+
+
+def _reference_bind(sigma: dict[str, Term], name: str, value: Term) -> dict[str, Term] | None:
+    if name in term_var_names(value):
+        return None  # occurs check
+    one = {name: value}
+    out = {k: subst_term(v, one) for k, v in sigma.items()}
+    out[name] = value
+    return out
+
+
+def reference_unify_terms(t: Term, u: Term,
+                          sigma: dict[str, Term] | None = None) -> dict[str, Term] | None:
+    """A reference for ``unify.unify_terms``: the most general unifier of two
+    terms as an idempotent binding map, or None.  It applies the whole map
+    to both sides of every pair it takes and substitutes each new binding
+    into every earlier one."""
+    sigma = dict(sigma) if sigma else {}
+    stack = [(t, u)]
+    while stack:
+        a, b = stack.pop()
+        a = subst_term(a, sigma)
+        b = subst_term(b, sigma)
+        if a == b:
+            continue
+        if isinstance(a, Var):
+            if term_sort(b) != a.sort:
+                return None
+            sigma = _reference_bind(sigma, a.name, b)
+            if sigma is None:
+                return None
+        elif isinstance(b, Var):
+            if term_sort(a) != b.sort:
+                return None
+            sigma = _reference_bind(sigma, b.name, a)
+            if sigma is None:
+                return None
+        elif a.sym.name == b.sym.name and len(a.args) == len(b.args):
+            stack.extend(zip(a.args, b.args))
+        else:
+            return None
+    return sigma
+
+
+# ---------------------------------------------------------------------------
 # The refutation gate's search with eager levels
 # ---------------------------------------------------------------------------
 
@@ -589,9 +636,11 @@ def eager_narrowing(constraints, system: RewriteSystem, depth: int = 8, *,
     expanded into a list for the next level at once, every rule is tried
     against ``_clash`` at every basic position, and every rule renaming
     draws its fresh names from one counter, clash or not.  Like the gate, it
-    stops at the first candidate that passes the solution check.  It calls
-    ``unify._simplify`` by its module name, once per examined state, so a
-    test can watch the states both searches examine."""
+    stops at the first candidate that passes the solution check.  It
+    unifies with :func:`reference_unify_terms`, not the gate's triangular
+    ``unify_terms``.  It calls ``unify._simplify`` by its module name, once
+    per examined state, so a test can watch the states both searches
+    examine."""
     rules = [(r.lhs, r.rhs, tuple((v.name, v.sort)
                                   for v in sorted(term_vars(r.lhs), key=lambda v: v.name)))
              for r in system.e_rules if not isinstance(r, EtaRule)]
@@ -621,7 +670,7 @@ def eager_narrowing(constraints, system: RewriteSystem, depth: int = 8, *,
         return _is_flex(e.left.term, apps) and _is_flex(e.right.term, apps)
 
     def child(eqs, chain, idx, side_ix, path, sub, lhs, rule_rhs, renaming):
-        theta = unify_terms(sub, subst_term(lhs, renaming))
+        theta = reference_unify_terms(sub, subst_term(lhs, renaming))
         if theta is None:
             return None
 
@@ -678,7 +727,7 @@ def eager_narrowing(constraints, system: RewriteSystem, depth: int = 8, *,
             seen.add(key)
             sigma = {}
             for e in eqs:
-                sigma = unify_terms(e.left.term, e.right.term, sigma)
+                sigma = reference_unify_terms(e.left.term, e.right.term, sigma)
                 if sigma is None:
                     break
             if sigma is not None:

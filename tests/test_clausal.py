@@ -72,6 +72,23 @@ class TestNnf:
         assert literal_texts(parse_prop("~(A <=> B)", sig), sig) == [
             "A, B", "A, ~A", "~B, B", "~B, ~A"]
 
+    def test_a_disjunction_keeps_each_literal_once_in_first_seen_order(self):
+        sig = Signature()
+        for name in "ABC":
+            sig.predicate(name, ())
+        assert literal_texts(parse_prop("(A \\/ B) \\/ (B \\/ A)", sig), sig) == ["A, B"]
+        assert literal_texts(parse_prop("(B \\/ ~A) \\/ (C /\\ (A \\/ B))", sig), sig) == [
+            "B, ~A, C", "B, ~A, A"]
+        # a wide left-nested disjunction, each literal twice
+        names = [f"P{i}" for i in range(1500)]
+        for name in names:
+            sig.predicate(name, ())
+        wide = None
+        for name in names + names[::-1]:
+            atom = Atom(sig.lookup(name), ())
+            wide = atom if wide is None else Or(wide, atom)
+        assert literal_texts(wide, sig) == [", ".join(names)]
+
     def test_negation_clausifies_to_the_complement(self):
         sig = Signature()
         preds = [sig.predicate(f"P{i}", ()) for i in range(4)]

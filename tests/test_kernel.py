@@ -9,21 +9,27 @@ from resmod.kernel import (
     ArrowSort,
     Atom,
     BaseSort,
+    Bottom,
     Exists,
     Forall,
+    Iff,
     Implies,
     Not,
     Or,
     And,
+    Prop,
     RankMismatchError,
     Signature,
     Substitution,
     UnknownSymbolError,
     Var,
+    Top,
     arrow,
+    children,
     free_names,
     free_vars,
     rename_apart,
+    with_children,
 )
 from resmod.theories import load_preset
 from resmod.parser import parse_prop, parse_term
@@ -282,3 +288,30 @@ class TestFreeVarsAndRenaming:
             t = random_term(rng, sig, 4)
             s = Substitution({"x": random_term(rng, sig, 2, var_names=("w",))})
             sort_of(s(t), sig)  # raises on violation
+
+
+class TestChildren:
+    def test_every_node_class_is_rebuilt_from_its_children(self):
+        sig = small_signature()
+        u = sig.sorts["u"]
+        x = Var("x", u)
+        t = App(sig.lookup("f"), (x, App(sig.lookup("a"))))
+        atom = Atom(sig.lookup("p"), (t, x))
+        nodes = [x, t, atom, Top(), Bottom(), Not(atom), And(atom, Top()),
+                 Or(Bottom(), atom), Implies(atom, atom), Iff(Top(), atom),
+                 Forall(x, atom), Exists(x, Not(atom))]
+
+        def concrete(cls):
+            subclasses = cls.__subclasses__()
+            return set().union(*map(concrete, subclasses)) if subclasses else {cls}
+
+        # one node of each concrete term and proposition class
+        assert {type(n) for n in nodes} == {Var, App} | concrete(Prop)
+        for n in nodes:
+            assert with_children(n, children(n)) == n
+        assert children(t) == t.args and children(Iff(Top(), atom)) == (Top(), atom)
+        assert with_children(Forall(x, atom), (Top(),)) == Forall(x, Top())
+        with pytest.raises(TypeError):
+            children(object())
+        with pytest.raises(TypeError):
+            with_children(object(), ())

@@ -18,6 +18,7 @@ from resmod.kernel import (
     free_names,
     rename_apart,
     subst_term,
+    term_vars,
 )
 from resmod.rewrite import EMPTY_SYSTEM, EtaRule, RewriteRule, RewriteSystem, match, normalize
 from resmod.theories import load_preset, parse_theory_file
@@ -28,6 +29,7 @@ from resmod.unify import (
     check_solution,
     e_unify_narrowing,
     propagate_on_the_fly,
+    resolve,
     solve_syntactic,
     unify_syntactic,
     unify_terms,
@@ -36,8 +38,9 @@ from resmod.unify import (
 )
 
 from helpers import (eager_narrowing, hol_cantor, random_arith_term, random_comb_spine,
-                     random_ground_term, random_sigma_term, random_term, replace_at,
-                     rigid_clash, small_signature, subtrees)
+                     random_ground_term, random_sigma_term, random_term,
+                     reference_unify_terms, replace_at, rigid_clash, small_signature,
+                     subtrees)
 
 
 class TestSyntacticUnification:
@@ -140,6 +143,125 @@ def _abstract(rng, ground, prefix, sig):
         taken.append(p)
         k += 1
     return out, binds
+
+
+PRESETS = ("arith", "integral-rings", "hol-comb", "hol-sigma", "set", "set-cantor")
+
+
+def _random_sig_term(rng, sig, sort, depth, names=("x", "y", "z")):
+    """A random term of ``sort`` over the function symbols of ``sig`` and
+    the variables ``names``, shared between the terms drawn."""
+    symbols = [s for s in sig.symbols.values()
+               if s.kind in ("individual", "function") and s.result == sort]
+    if depth == 0 or not symbols or rng.random() < 0.3:
+        if rng.random() < 0.6 or not any(not s.arg_sorts for s in symbols):
+            return Var(rng.choice(names), sort)
+        symbols = [s for s in symbols if not s.arg_sorts]
+    sym = rng.choice(symbols)
+    return App(sym, tuple(_random_sig_term(rng, sig, a, depth - 1, names)
+                          for a in sym.arg_sorts))
+
+
+def _pairs_in_state(rng, sig, sort):
+    """The equations of one random state: random pairs that share
+    variables, a variable against a term that contains it, and a chain of
+    variables ``x0 = x1, x1 = x2, ...``."""
+    roll = rng.random()
+    if roll < 0.5:
+        return [(_random_sig_term(rng, sig, sort, 3), _random_sig_term(rng, sig, sort, 3))
+                for _ in range(rng.randint(1, 3))]
+    if roll < 0.75:
+        t = _random_sig_term(rng, sig, sort, 3)
+        inside = sorted(term_vars(t), key=lambda v: v.name)
+        x = rng.choice(inside) if inside else Var("x", sort)
+        pair = (x, t) if rng.random() < 0.5 else (t, x)
+        return [(_random_sig_term(rng, sig, sort, 2), _random_sig_term(rng, sig, sort, 2)),
+                pair]
+    chain = [Var(f"x{i}", sort) for i in range(rng.randint(2, 6))]
+    pairs = list(zip(chain, chain[1:]))
+    rng.shuffle(pairs)
+    pairs = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs]
+    return pairs + [(rng.choice(chain), _random_sig_term(rng, sig, sort, 2, ("x0", "y")))]
+
+
+class TestTriangularBindings:
+    """``unify_terms`` keeps its bindings triangular; ``resolve`` gives the
+    map of a unifier that rewrites its substitution at every binding."""
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_resolved_bindings_equal_the_rewriting_unifier(self, preset):
+        sig = load_preset(preset).sig
+        sorts = sorted({s.result for s in sig.symbols.values()
+                        if s.kind in ("individual", "function")}, key=str)
+        rng = random.Random(f"triangular:{preset}")
+        unified = failed = 0
+        for _ in range(400):
+            sort = rng.choice(sorts)
+            bindings, reference = None, {}
+            for t, u in _pairs_in_state(rng, sig, sort):
+                bindings = unify_terms(t, u, bindings)
+                reference = reference_unify_terms(t, u, reference)
+                assert (bindings is None) == (reference is None), (t, u)
+                if bindings is None:
+                    failed += 1
+                    break
+                # the same bindings, in the same order
+                assert list(resolve(bindings).items()) == list(reference.items())
+                unified += 1
+        assert unified > 300 and failed > 50
+
+    def test_the_input_bindings_are_not_changed(self):
+        sig = small_signature()
+        u = sig.sorts["u"]
+        x, y = Var("x", u), Var("y", u)
+        a = App(sig.lookup("a"))
+        first = unify_terms(x, App(sig.lookup("g"), (y,)))
+        second = unify_terms(y, a, first)
+        assert dict(first) == {"x": App(sig.lookup("g"), (y,))}
+        assert resolve(second) == {"x": App(sig.lookup("g"), (a,)), "y": a}
+
+    def test_a_long_binding_chain_resolves_without_recursion(self):
+        arith = load_preset("arith")
+        sig, nat = arith.sig, arith.sig.sorts["nat"]
+        n = 5_000
+        xs = [Var(f"x{i}", nat) for i in range(n + 1)]
+        succ = sig.lookup("S")
+        bindings = None
+        for i in range(n):
+            bindings = unify_terms(xs[i], App(succ, (xs[i + 1],)), bindings)
+        bindings = unify_terms(xs[n], sig.numeral(0), bindings)
+        resolved = resolve(bindings)
+        assert list(resolved) == [x.name for x in xs]
+        assert resolved["x0"] == sig.numeral(n)
+        assert resolved[f"x{n - 1}"] == sig.numeral(1)
+        # a chain of variables, each bound to the next
+        chain = solve_syntactic(Constraint(a, b) for a, b in zip(xs, xs[1:]))
+        assert chain.map == {x.name: xs[n] for x in xs[:n]}
+
+    def test_a_deep_occurs_check_does_not_overflow(self):
+        arith = load_preset("arith")
+        sig, nat = arith.sig, arith.sig.sorts["nat"]
+        x, succ = Var("x", nat), sig.lookup("S")
+        deep = x
+        for _ in range(5_000):
+            deep = App(succ, (deep,))
+        assert unify_terms(x, deep) is None
+        assert unify_terms(deep, x) is None
+        # the occurrence is found through 5,000 bindings
+        xs = [Var(f"x{i}", nat) for i in range(5_001)]
+        bindings = None
+        for i in range(5_000):
+            bindings = unify_terms(xs[i], App(succ, (xs[i + 1],)), bindings)
+        assert unify_terms(xs[5_000], App(succ, (xs[0],)), bindings) is None
+        assert unify_terms(xs[5_000], App(succ, (Var("y", nat),)), bindings) is not None
+
+    def test_a_ground_binding_is_resolved_as_it_is(self):
+        arith = load_preset("arith")
+        sig, nat = arith.sig, arith.sig.sorts["nat"]
+        value = sig.numeral(800)
+        bindings = unify_terms(Var("x", nat), value)
+        assert bindings.ground == {"x"}
+        assert resolve(bindings)["x"] is value
 
 
 class TestEUnifyNarrowing:
