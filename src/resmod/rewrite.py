@@ -238,12 +238,21 @@ def _reach(e_rules: Iterable[RewriteRule]) -> float:
 
 
 class NarrowingRule(NamedTuple):
-    """A non-eta E-rule as the refutation gate narrows with it."""
+    """A non-eta E-rule as the refutation gate narrows with it.
+
+    ``step(t, first)`` is the rule's narrowing step at a basic position
+    whose subterm ``t`` has the left side's root symbol, compiled into one
+    function by ``unify.compile_narrowing_step``.  Its fresh names start at
+    ``first``, the position's block start plus ``offset``: variable ``j`` of
+    ``variables`` is renamed ``_n<first + j>``.  It returns ``(θ, rhs)``,
+    the most general unifier of ``t`` and the renamed left side and the
+    renamed right side, or None, without building the renamed left side."""
 
     lhs: App
     rhs: Term
     variables: tuple[tuple[str, Sort], ...]  # sorted by name, with their sorts
     offset: int  # of its first fresh name in the block a position reserves
+    step: Callable[[App, int], tuple[dict[str, Term], Term] | None]
 
 
 class RewriteSystem:
@@ -258,10 +267,10 @@ class RewriteSystem:
     looks again for a redex.  ``var_names`` are the rules' variables' names.
 
     ``narrowing``, filed on first use and kept, is what every refutation
-    gate call narrows with: each non-eta E-rule as a :class:`NarrowingRule`,
-    filed under its left side's root in declaration order, and the size of
-    the block of fresh names one basic position reserves, which the rules'
-    offsets tile in declaration order.
+    gate call narrows with: each non-eta E-rule as a :class:`NarrowingRule`
+    with its compiled step, filed under its left side's root in declaration
+    order, and the size of the block of fresh names one basic position
+    reserves, which the rules' offsets tile in declaration order.
     """
 
     def __init__(self, rules: Iterable[RewriteRule] = ()):
@@ -277,13 +286,17 @@ class RewriteSystem:
 
     @cached_property
     def narrowing(self) -> tuple[dict[str, tuple[NarrowingRule, ...]], int]:
+        """The gate's rules, each with its step compiled now, filed by the
+        root of the left side, and the size of a position's block."""
+        from .unify import compile_narrowing_step  # unify imports this module
         prepared: list[NarrowingRule] = []
         block = 0
         for r in self.e_rules:
             if not isinstance(r, EtaRule):
                 variables = tuple((v.name, v.sort)
                                   for v in sorted(term_vars(r.lhs), key=lambda v: v.name))
-                prepared.append(NarrowingRule(r.lhs, r.rhs, variables, block))
+                step = compile_narrowing_step(r.lhs, r.rhs, variables)
+                prepared.append(NarrowingRule(r.lhs, r.rhs, variables, block, step))
                 block += len(variables)
         return _index(prepared, lambda r: r.lhs.sym.name), block
 
@@ -395,25 +408,33 @@ def _compile(rule: RewriteRule) -> Callable[[App | Atom], Term | Prop | None]:
         mapping = ", ".join(f"{const(name)}: {s}" for name, s in bound.items())
         lines.append(f"return subst_prop({const(rule.rhs)}, {{{mapping}}})")
     else:
-        # the right side bottom up: a node above a variable gets a local, a
-        # ground subterm is a constant
-        order, stack = [], [rule.rhs]
-        while stack:
-            order.append(stack.pop())
-            stack += order[-1].args if type(order[-1]) is App else ()
-        local: dict[int, str | None] = dict.fromkeys(map(id, order))
-        for x in reversed(order):
-            if type(x) is Var:
-                local[id(x)] = bound[x.name]
-            elif any(local[id(a)] for a in x.args):
-                args = "".join(f"{local[id(a)] or const(a)}, " for a in x.args)
-                local[id(x)] = f"c{len(lines)}"
-                lines.append(f"c{len(lines)} = App({const(x.sym)}, ({args}))")
-        lines.append(f"return {local[id(rule.rhs)] or const(rule.rhs)}")
+        value = _build(rule.rhs, bound, const, lines)
+        lines.append(f"return {value}")
     exec("def contract(t):\n" + "".join(f"    {line}\n" for line in lines), namespace)
     contract = namespace["contract"]
     contract.rule_name = rule.name
     return contract
+
+
+def _build(t: Term, bound: Mapping[str, str], const: Callable[[object], str],
+           lines: list[str], indent: str = "") -> str:
+    """Generated code that builds ``t`` with each variable replaced by the
+    local ``bound`` names for it: statements appended to ``lines`` at
+    ``indent``, bottom up, one per node above a variable, which gets a local
+    ``c<n>``; a ground subterm is a constant.  Returns the expression."""
+    order, stack = [], [t]
+    while stack:
+        order.append(stack.pop())
+        stack += order[-1].args if type(order[-1]) is App else ()
+    local: dict[int, str | None] = dict.fromkeys(map(id, order))
+    for x in reversed(order):
+        if type(x) is Var:
+            local[id(x)] = bound[x.name]
+        elif any(local[id(a)] for a in x.args):
+            args = "".join(f"{local[id(a)] or const(a)}, " for a in x.args)
+            local[id(x)] = f"c{len(lines)}"
+            lines.append(f"{indent}c{len(lines)} = App({const(x.sym)}, ({args}))")
+    return local[id(t)] or const(t)
 
 
 # ---------------------------------------------------------------------------

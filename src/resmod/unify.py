@@ -21,14 +21,20 @@ brought in cut back to the variable it replaced; the basic positions are
 the applications of the skeleton (Hullot 1980; Middeldorp and Hamoen 1994).
 The rewrite system files the rules once, by the root symbol of their left
 sides (``RewriteSystem.narrowing``), so at a basic position only the rules
-filed under its root are tried, and only those whose left side does not
-clash with the subterm there are renamed and unified (top-symbol indexing,
-as in McCune, JAR 1992).  Each basic position reserves one block of fresh
-names, as many as all the rules have variables; a rule's renaming is taken
-from its offset in that block.  One generator, :func:`_successors`, yields
-the states out of a state: a state is expanded only when the search reaches
-its successors, a successor is built only when the search examines it, and
-the unifiers of the steps to a state are composed only when it unifies.
+filed under its root are tried (top-symbol indexing, as in McCune, JAR
+1992).  Each rule is compiled into one step function
+(:func:`compile_narrowing_step`) that tests the subterm's symbols against
+the left side and unifies the two without building a renamed copy of the
+left side, then builds the renamed right side.  A side files once per
+skeleton the basic positions whose root has a rule (:func:`_file`), each
+with its ordinal among all basic positions, and only those are visited.
+Each basic position reserves one block of fresh names, as many as all the
+rules have variables; a rule's renaming is taken from its offset in that
+block, and a side reserves the blocks of all its positions at once.  One
+generator, :func:`_successors`, yields the states out of a state: a state
+is expanded only when the search reaches its successors, a successor is
+built only when the search examines it, and the unifiers of the steps to a
+state are composed only when it unifies.
 The search is bounded both by a narrowing depth and a total state budget;
 truncation yields an Unknown outcome, never a verdict.  The search ends at
 the first candidate solution that passes the solution check, which joins
@@ -37,13 +43,13 @@ both sides of every equation to a common normal form.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .kernel import (
     App,
     Atom,
+    Sort,
     SortMismatchError,
     Substitution,
     Term,
@@ -54,7 +60,7 @@ from .kernel import (
     term_vars,
 )
 from .clausal import ClausalResult, Constraint, ConstrainedClause, renormalize_clause
-from .rewrite import NarrowingRule, RewriteSystem, normalize
+from .rewrite import NarrowingRule, RewriteSystem, _build, normalize
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +128,13 @@ def unify_terms(t: Term, u: Term, bindings: Bindings | None = None) -> Bindings 
     both sides of every pair, so :func:`resolve` gives that unifier's map,
     keys in binding order included.  The input map is not changed."""
     bindings = Bindings() if bindings is None else Bindings(bindings, bindings.ground)
+    return bindings if _extend(bindings, t, u) else None
+
+
+def _extend(bindings: Bindings, t: Term, u: Term) -> bool:
+    """:func:`unify_terms` in place: extend ``bindings`` with the pairs of
+    ``t`` and ``u``; False, with the bindings partly extended, when they do
+    not unify."""
     stack = [(t, u)]
     while stack:
         a, b = stack.pop()
@@ -137,16 +150,16 @@ def unify_terms(t: Term, u: Term, bindings: Bindings | None = None) -> Bindings 
             stack.extend(zip(a.args, b.args))
             continue
         else:
-            return None
+            return False
         if term_sort(value) != var.sort:
-            return None
+            return False
         ground = _occurs_walk(var.name, value, bindings)
         if ground is None:
-            return None  # occurs check
+            return False  # occurs check
         bindings[var.name] = value
         if ground:
             bindings.ground = bindings.ground | {var.name}
-    return bindings
+    return True
 
 
 def resolve(bindings: Bindings) -> dict[str, Term]:
@@ -369,20 +382,35 @@ class EUnifyOutcome:
         return self.kind == UNKNOWN
 
 
+# the path from the root to a subterm, built only while walking: None at
+# the root, else (the parent's path, the 0-based argument index)
+_Path = tuple | None
+
+# the positions of a skeleton that a step may narrow: how many basic
+# positions it has, and for each one whose root has a rule, in pre-order, its
+# path, its ordinal among all basic positions, the index of the nearest such
+# position above it (-1 for none) and the argument indices that lead from
+# there (or from the root) to it
+_Filed = tuple[int, tuple[tuple[_Path, int, int, tuple[int, ...]], ...]]
+
+
 class _Side:
     """One side of an equation with its skeleton: the side before the
     unifiers of the narrowing steps were applied, so that every subterm one
     of them brought in stands there as the variable it replaced.  The
     applications of the skeleton are the side's basic (narrowable)
     positions; at each of them the side carries the same symbol.  The
-    side's variable names are computed on first use."""
+    side's variable names are computed on first use, and so are its filed
+    positions (:func:`_file`), which a substituted side shares, since it
+    keeps the skeleton."""
 
-    __slots__ = ("term", "skel", "_names")
+    __slots__ = ("term", "skel", "_names", "_filed")
 
-    def __init__(self, term: Term, skel: Term | None = None):
+    def __init__(self, term: Term, skel: Term | None = None, filed: _Filed | None = None):
         self.term = term
         self.skel = term if skel is None else skel
         self._names: frozenset[str] | None = None
+        self._filed = filed
 
     def substituted(self, m: Mapping[str, Term]) -> "_Side":
         """The side under ``m``; the side itself when ``m`` binds none of
@@ -392,24 +420,40 @@ class _Side:
         if self._names.isdisjoint(m):
             return self
         # a substitution brings subterms in below basic positions only
-        return _Side(subst_term(self.term, m), self.skel)
+        return _Side(subst_term(self.term, m), self.skel, self._filed)
+
+    def filed(self, rules: Mapping[str, tuple[NarrowingRule, ...]]) -> _Filed:
+        """:func:`_file` of the skeleton, on first use."""
+        if self._filed is None:
+            self._filed = _file(self.skel, rules)
+        return self._filed
 
 
-# the path from the root to a subterm, built only while walking: None at
-# the root, else (the parent's path, the 0-based argument index)
-_Path = tuple | None
-
-
-def _basic_subterms(term: Term, skel: Term) -> Iterator[tuple[_Path, App]]:
-    """The subterms of ``term`` at the applications of its skeleton
-    ``skel``, with their paths, in pre-order."""
-    stack: list[tuple[Term, Term, _Path]] = [(term, skel, None)]
+def _file(skel: Term, rules: Mapping[str, tuple[NarrowingRule, ...]]) -> _Filed:
+    """The basic positions of ``skel`` whose root symbol has ``rules``, as
+    :data:`_Filed` says, the only ones a step narrows at; ordinals count
+    the applications of ``skel`` in pre-order."""
+    positions: list[tuple[_Path, int, int, tuple[int, ...]]] = []
+    count = 0
+    # (node, path, the index of the nearest filed position above, the
+    # argument indices from there as a path)
+    stack: list[tuple[App, _Path, int, _Path]] = (
+        [(skel, None, -1, None)] if type(skel) is App else [])
     while stack:
-        t, k, path = stack.pop()
-        if isinstance(k, App):
-            yield path, t
-            stack.extend((t.args[i], k.args[i], (path, i))
-                         for i in reversed(range(len(k.args))))
+        node, path, above, route = stack.pop()
+        if node.sym.name in rules:
+            steps: list[int] = []
+            while route is not None:
+                route, i = route
+                steps.append(i)
+            positions.append((path, count, above, tuple(reversed(steps))))
+            above = len(positions) - 1
+        count += 1
+        args = node.args
+        for i in range(len(args) - 1, -1, -1):
+            if type(args[i]) is App:
+                stack.append((args[i], (path, i), above, (route, i)))
+    return count, tuple(positions)
 
 
 def _replace_term(t: Term, path: _Path, new: Term) -> Term:
@@ -475,6 +519,122 @@ def _is_flex(t: Term, app_symbols: frozenset[str]) -> bool:
     return isinstance(_spine_head(t, app_symbols), Var)
 
 
+# a part of a left side with more nodes is renamed by subst_term where a
+# variable is bound to it, so the code of a deep rule stays linear in its size
+_BUILT_PART_NODES = 64
+
+
+def compile_narrowing_step(lhs: App, rhs: Term, variables: tuple[tuple[str, Sort], ...]
+                           ) -> Callable[[App, int], tuple[dict[str, Term], Term] | None]:
+    """The narrowing step of the rule ``lhs -> rhs`` as one function
+    ``step(t, first)``, generated from the rule's two sides.
+
+    ``t`` is the subterm at a basic position, with the root symbol of
+    ``lhs``; variable ``j`` of ``variables`` is renamed ``_n<first + j>``, a
+    name ``t`` does not use.  The function first tests, as :func:`_clash`
+    does, that ``t`` and ``lhs`` carry the same symbols wherever both have
+    one.  It then unifies ``t`` with the renamed left side, reading ``lhs``
+    where the renamed copy would stand: it takes the positions of ``lhs`` in
+    the order :func:`unify_terms` takes their pairs, right to left in
+    pre-order, and binds as it would, so θ is that unifier's resolved map,
+    keys in binding order included.  A variable of ``t`` met at an
+    application of ``lhs`` is bound to the renamed part there, built then.
+    Until a variable of ``t`` is met a second time, no binding can be
+    followed and, the left side being linear, no occurs check can fail, so
+    a binding takes a sort test; from then on, and throughout for a left
+    side that repeats a variable, each pair is extended into the bindings
+    by :func:`unify_terms`' own loop.  It returns ``(θ, renamed rhs)`` or
+    None.  Symbols, names, sorts and ground subterms are constants of its
+    namespace, so no text of the rule reaches the source, and each node is
+    one block at the top level of the function, so a deep rule compiles
+    too."""
+    namespace: dict[str, object] = {"App": App, "Var": Var, "Bindings": Bindings,
+                                    "extend": _extend, "resolve": resolve,
+                                    "subst_term": subst_term}
+
+    def const(value: object) -> str:
+        name = f"k{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    # the nodes of the left side breadth first; node k is met by the local s<k>
+    nodes: list[Term] = [lhs]
+    kids: list[range] = []
+    for p in nodes:  # the loop appends
+        args = p.args if type(p) is App else ()
+        kids.append(range(len(nodes), len(nodes) + len(args)))
+        nodes.extend(args)
+    sizes = [1] * len(nodes)
+    for k in reversed(range(len(nodes))):
+        sizes[k] += sum(sizes[c] for c in kids[k])
+    renamed = {name: f"v{j}" for j, (name, _) in enumerate(variables)}
+    names = [p.name for p in nodes if type(p) is Var]
+    linear = len(names) == len(set(names))
+
+    # the clash test, which also reads the nodes of t below the left side's
+    lines = [f"if len(t.args) != {len(lhs.args)}: return None"]
+    if lhs.args:
+        lines.append(f"{''.join(f's{c}, ' for c in kids[0])}= t.args")
+    lines += [f"s{k} = None" for k in range(len(lhs.args) + 1, len(nodes))]
+    for k, p in enumerate(nodes):
+        if k and type(p) is App:
+            lines += [f"if type(s{k}) is App:",
+                      f"    if s{k}.sym.name != {const(p.sym.name)} "
+                      f"or len(s{k}.args) != {len(p.args)}: return None"]
+            if p.args:
+                lines.append(f"    {''.join(f's{c}, ' for c in kids[k])}= s{k}.args")
+    lines += [f"v{j} = Var(f'_n{{first + {j}}}', {const(sort)})"
+              for j, (_, sort) in enumerate(variables)]
+
+    # the unification, with the bindings in b: for a linear left side a
+    # plain dict, made Bindings once dyn, when the pairs go through extend
+    lines += ["b = {}", "dyn = dirty = False"] if linear else ["b = Bindings()"]
+    to_extend = ["if not dyn:", "    b = Bindings(b)", "    dyn = True"]
+    order, stack = [], [0]
+    while stack:
+        order.append(stack.pop())
+        stack.extend(kids[order[-1]])
+    for k in order[1:]:
+        p, s = nodes[k], f"s{k}"
+        if type(p) is App:
+            sort = const(p.sym.result)
+            lines.append(f"if type({s}) is Var:")
+            if sizes[k] <= _BUILT_PART_NODES:
+                part = _build(p, renamed, const, lines, "    ")
+            else:
+                mapping = ", ".join(f"{const(name)}: {v}" for name, v in renamed.items())
+                part = f"subst_term({const(p)}, {{{mapping}}})"
+            pair = f"if not extend(b, {s}, {part}): return None"
+            lines += [f"    {line}" for line in (
+                [f"if dyn or {s}.name in b:", *(f"    {x}" for x in to_extend), f"    {pair}",
+                 f"elif {s}.sort is not {sort} and {s}.sort != {sort}: return None",
+                 "else:",
+                 f"    b[{s}.name] = {part}",
+                 "    dirty = True"] if linear else [pair])]
+        else:
+            v, sort = renamed[p.name], const(p.sort)
+            pair = f"if not extend(b, {s}, {v}): return None"
+            pad = "    " if k > len(lhs.args) else ""
+            if pad:
+                lines.append(f"if {s} is not None:")
+            lines += [pad + line for line in (
+                [f"if dyn or type({s}) is Var and {s}.name in b:",
+                 *(f"    {x}" for x in to_extend), f"    {pair}",
+                 f"elif type({s}) is Var:",
+                 f"    if {s}.sort is not {sort} and {s}.sort != {sort}: return None",
+                 f"    b[{s}.name] = {v}",
+                 "    dirty = True",
+                 f"elif {s}.sym.result is not {sort} and {s}.sym.result != {sort}: return None",
+                 "else:",
+                 f"    b[{v}.name] = {s}"] if linear else [pair])]
+    lines.append("theta = resolve(b) if dyn else resolve(Bindings(b)) if dirty else b"
+                 if linear else "theta = resolve(b)")
+    value = _build(rhs, renamed, const, lines)
+    lines.append(f"return theta, {value}")
+    exec("def step(t, first):\n" + "".join(f"    {line}\n" for line in lines), namespace)
+    return namespace["step"]
+
+
 def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
                       depth: int = 8, *,
                       app_symbols: Iterable[str] = (),
@@ -527,7 +687,7 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
 
     level: Iterable[tuple[list[_Eq], _Chain]] = [
         ([_Eq(_Side(a), _Side(b)) for a, b in pairs], None)]
-    blocks = itertools.count(1, block)  # the first fresh name of each block
+    fresh = [1]  # the first fresh name of the next block
     seen: set[tuple] = set()
     states = 0
     for current_depth in range(depth + 1):
@@ -557,7 +717,7 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
         if not kept:
             return EUnifyOutcome(UNSAT, states=states)
         level = (state for eqs, chain in kept
-                 for state in _successors(eqs, chain, rules, apps, blocks))
+                 for state in _successors(eqs, chain, rules, apps, fresh, block))
     return EUnifyOutcome(UNKNOWN, reason="depth", states=states)
 
 
@@ -599,31 +759,40 @@ def _expandable(e: _Eq, apps: frozenset[str]) -> bool:
 
 def _successors(eqs: list[_Eq], chain: _Chain,
                 rules: Mapping[str, tuple[NarrowingRule, ...]], apps: frozenset[str],
-                blocks: Iterator[int]) -> Iterator[tuple[list[_Eq], _Chain]]:
+                fresh: list[int], block: int) -> Iterator[tuple[list[_Eq], _Chain]]:
     """The states one narrowing step out of ``eqs`` leads to, in search
     order, each built when the search asks for it.  Each basic position
-    takes its block's first fresh name from ``blocks``, whichever rules
-    apply there, so fresh names do not depend on the index or the clash
-    filter.  A rule filed under the position's root whose left side does
-    not clash with the subterm there is renamed from its offset in the
-    block, and gives a state when its left side unifies with the subterm."""
+    reserves a block of ``block`` fresh names, whichever rules apply there:
+    a side reserves the blocks of all its basic positions at once from
+    ``fresh``, the first fresh name of the next block, so fresh names do not
+    depend on the index or the clash test.  Only the side's filed positions,
+    those whose root has a rule, are visited, each reached from the one
+    above it; the compiled step of each rule filed under the root is given
+    the subterm there and the first fresh name of its offset in the block,
+    and gives a state when the subterm unifies with its left side."""
+    # every side is filed before a successor copies it, so the copies share
+    # its filing; a frozen flex-flex equation is never narrowed
+    filed = [None if _is_flex(e.left.term, apps) and _is_flex(e.right.term, apps)
+             else (e.left.filed(rules), e.right.filed(rules)) for e in eqs]
     for idx, e in enumerate(eqs):
-        if _is_flex(e.left.term, apps) and _is_flex(e.right.term, apps):
-            continue  # frozen flex-flex equation
+        if filed[idx] is None:
+            continue
         for side_ix, side in enumerate((e.left, e.right)):
-            for path, sub in _basic_subterms(side.term, side.skel):
-                base = next(blocks)
-                for lhs, rule_rhs, variables, offset in rules.get(sub.sym.name, ()):
-                    if _clash(sub, lhs, frozenset()):
+            count, positions = filed[idx][side_ix]
+            base = fresh[0]
+            fresh[0] = base + count * block
+            subterms: list[App] = []
+            for path, ordinal, above, steps in positions:
+                sub = side.term if above < 0 else subterms[above]
+                for i in steps:
+                    sub = sub.args[i]
+                subterms.append(sub)
+                first = base + ordinal * block
+                for _, _, _, offset, step in rules[sub.sym.name]:
+                    found = step(sub, first + offset)
+                    if found is None:
                         continue
-                    first = base + offset
-                    renaming = {v: Var(f"_n{first + j}", sort)
-                                for j, (v, sort) in enumerate(variables)}
-                    bindings = unify_terms(sub, subst_term(lhs, renaming))
-                    if bindings is None:
-                        continue
-                    theta = resolve(bindings)
-                    rhs = subst_term(rule_rhs, renaming)
+                    theta, rhs = found
                     new_side = _Side(subst_term(_replace_term(side.term, path, rhs), theta),
                                      _replace_term(side.skel, path, rhs))
                     # the narrowed side is rebuilt; θ reaches the other one

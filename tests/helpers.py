@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from typing import Iterator
 
 from resmod import unify
 from resmod.kernel import (
@@ -39,7 +40,8 @@ from resmod.kernel import (
     with_children,
 )
 from resmod.clausal import ConstrainedClause, Literal
-from resmod.rewrite import R_CLASS, EtaRule, NormalizeOutcome, RewriteSystem, match
+from resmod.rewrite import (R_CLASS, EtaRule, NarrowingRule, NormalizeOutcome,
+                            RewriteSystem, match)
 from resmod.unify import (
     CHECK_FUEL,
     SOLUTIONS,
@@ -47,8 +49,8 @@ from resmod.unify import (
     UNSAT,
     EUnifyOutcome,
     _Eq,
+    _Path,
     _Side,
-    _basic_subterms,
     _clash,
     _is_flex,
     _rename_internal,
@@ -626,6 +628,41 @@ def reference_unify_terms(t: Term, u: Term,
 
 
 # ---------------------------------------------------------------------------
+# Basic positions, and a narrowing step that renames the rule before it
+# unifies
+# ---------------------------------------------------------------------------
+
+
+def basic_subterms(term: Term, skel: Term) -> Iterator[tuple[_Path, App]]:
+    """The subterms of ``term`` at the applications of its skeleton
+    ``skel``, with their paths, in pre-order: the basic positions that
+    ``unify._file`` files those of."""
+    stack: list[tuple[Term, Term, _Path]] = [(term, skel, None)]
+    while stack:
+        t, k, path = stack.pop()
+        if isinstance(k, App):
+            yield path, t
+            stack.extend((t.args[i], k.args[i], (path, i))
+                         for i in reversed(range(len(k.args))))
+
+
+def reference_narrowing_step(sub: App, rule: NarrowingRule,
+                             first: int) -> tuple[dict[str, Term], Term] | None:
+    """A reference for ``rule.step(sub, first)``: the rule's left side is
+    tested with ``unify._clash`` against ``sub``, renamed, its variable
+    ``j`` to ``_n<first + j>``, and unified with ``sub`` by
+    ``unify.unify_terms``; the step's θ is the resolved unifier and its right
+    side the renamed right side."""
+    if _clash(sub, rule.lhs, frozenset()):
+        return None
+    renaming = {v: Var(f"_n{first + j}", sort) for j, (v, sort) in enumerate(rule.variables)}
+    bindings = unify.unify_terms(sub, subst_term(rule.lhs, renaming))
+    if bindings is None:
+        return None
+    return unify.resolve(bindings), subst_term(rule.rhs, renaming)
+
+
+# ---------------------------------------------------------------------------
 # The refutation gate's search with eager levels
 # ---------------------------------------------------------------------------
 
@@ -694,7 +731,7 @@ def eager_narrowing(constraints, system: RewriteSystem, depth: int = 8, *,
             if frozen(e):
                 continue
             for side_ix, side in enumerate((e.left, e.right)):
-                for path, sub in _basic_subterms(side.term, side.skel):
+                for path, sub in basic_subterms(side.term, side.skel):
                     for lhs, rule_rhs, rule_vars in rules:
                         renaming = {v: Var(f"_n{next(counter)}", sort) for v, sort in rule_vars}
                         if not _clash(sub, lhs, frozenset()):

@@ -1,6 +1,7 @@
 """Unification tests: syntactic MGU, narrowing E-unification, solution checks."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -33,14 +34,16 @@ from resmod.unify import (
     solve_syntactic,
     unify_syntactic,
     unify_terms,
-    _basic_subterms,
+    _Eq,
+    _Side,
     _clash,
+    _is_flex,
 )
 
-from helpers import (eager_narrowing, hol_cantor, random_arith_term, random_comb_spine,
-                     random_ground_term, random_sigma_term, random_term,
-                     reference_unify_terms, replace_at, rigid_clash, small_signature,
-                     subtrees)
+from helpers import (basic_subterms, eager_narrowing, hol_cantor, random_arith_term,
+                     random_comb_spine, random_ground_term, random_sigma_term, random_term,
+                     reference_narrowing_step, reference_unify_terms, replace_at, rigid_clash,
+                     small_signature, subtrees)
 
 
 class TestSyntacticUnification:
@@ -391,15 +394,29 @@ class TestEUnifyNarrowing:
 
         for name in calls:
             monkeypatch.setattr(unify, name, counting(name))
+        # the narrowing steps that pass the clash test, each of which unifies
+        calls["steps"] = 0
+        rules, _ = theory.system.narrowing
+
+        def counted(rule):
+            def step(sub, first):
+                calls["steps"] += not _clash(sub, rule.lhs, frozenset())
+                return rule.step(sub, first)
+            return step
+
+        for root, filed in rules.items():
+            monkeypatch.setitem(rules, root, tuple(r._replace(step=counted(r)) for r in filed))
         # a clause keeps its constraints in a set; sorted, the search order
         # does not depend on the hash seed
         constraints = sorted(result.empty_clause.constraints, key=str)
         out = e_unify_narrowing(constraints, theory.system,
                                 app_symbols=theory.sig.app_symbols, max_states=50)
         assert out.is_unknown and out.states == 50
-        # 144 calls for 50 states; building every successor of every
-        # expanded state took 506
-        assert calls["unify_terms"] <= 4 * out.states
+        # 94 unifications of states and 50 narrowing steps for 50 states;
+        # building every successor of every expanded state took 506
+        # unifications
+        assert (calls["unify_terms"], calls["steps"]) == (94, 50)
+        assert calls["unify_terms"] + calls["steps"] <= 4 * out.states
         calls["_successors"] = 0
         out = e_unify_narrowing(constraints, theory.system,
                                 app_symbols=theory.sig.app_symbols, max_states=300)
@@ -486,10 +503,11 @@ class TestGateAgainstEagerSearch:
 
 
 class TestClashPrefilter:
-    """Narrowing skips a rule at a position without renaming it when
+    """A narrowing step skips a rule at a position without unifying when
     ``_clash`` finds the subterm and the rule's left side carrying different
-    function symbols at one position; it must never skip a rule whose
-    renamed left side unifies with the subterm."""
+    function symbols at one position (``reference_narrowing_step`` calls it,
+    the compiled step tests the same symbols); it must never skip a rule
+    whose renamed left side unifies with the subterm."""
 
     @pytest.mark.parametrize("preset, draw", [("arith", random_arith_term),
                                               ("hol-comb", random_comb_spine),
@@ -501,7 +519,7 @@ class TestClashPrefilter:
         rejected = unified = 0
         for _ in range(150):
             t = draw(rng, theory.sig, rng.randint(1, 4))
-            for _, sub in _basic_subterms(t, t):
+            for _, sub in basic_subterms(t, t):
                 for rule in rules:
                     lhs, _ = rename_apart(free_names(sub), rule.lhs)
                     theta = unify_terms(sub, lhs)
@@ -529,6 +547,259 @@ class TestClashPrefilter:
         spine, k = parse_term("(X a)", hol.sig, {}), parse_term("K", hol.sig)
         assert _clash(spine, k, frozenset())
         assert not _clash(spine, k, frozenset(hol.sig.app_symbols))
+
+
+def _ff_system() -> RewriteSystem:
+    return _constraint("ff", "a", "a")[1]
+
+
+def _cut(rng: random.Random, term):
+    """A skeleton of ``term``: some of its subterms cut back to variables."""
+    skel, cut = term, []
+    for pos, sub in subtrees(term):
+        if (pos and isinstance(sub, App) and rng.random() < 0.15
+                and not any(pos[:len(c)] == c for c in cut)):
+            skel = replace_at(skel, pos, Var(f"k{len(pos)}", sub.sym.result))
+            cut.append(pos)
+    return skel
+
+
+class TestCompiledNarrowingStep:
+    """``NarrowingRule.step`` unifies the subterm at a basic position with
+    the rule's left side without building a renamed copy of it; it must
+    give what ``reference_narrowing_step`` gives (the clash test, the
+    renamed copy, ``unify_terms``, ``resolve``, the renamed right side):
+    None, or the same θ, keys in binding order included, and right side."""
+
+    @staticmethod
+    def same(rule, sub, first) -> bool:
+        compiled = rule.step(sub, first)
+        reference = reference_narrowing_step(sub, rule, first)
+        if reference is None:
+            assert compiled is None, (rule.lhs, sub)
+            return False
+        assert compiled is not None, (rule.lhs, sub)
+        assert list(compiled[0].items()) == list(reference[0].items()), (rule.lhs, sub)
+        assert compiled[1] == reference[1]
+        return True
+
+    @pytest.mark.parametrize("preset, draw", [("arith", random_arith_term),
+                                              ("hol-comb", random_comb_spine),
+                                              ("hol-sigma", random_sigma_term),
+                                              ("ff", random_term)])
+    def test_every_basic_subterm_against_every_rule_at_its_root(self, preset, draw):
+        if preset == "ff":
+            system, sig = _ff_system(), small_signature()
+        else:
+            theory = load_preset(preset)
+            system, sig = theory.system, theory.sig
+        rules, _ = system.narrowing
+        rng = random.Random(f"step:{preset}")
+        tried = unified = repeated = 0
+        for _ in range(400):
+            t = draw(rng, sig, rng.randint(1, 4))
+            for _, sub in basic_subterms(t, t):
+                for rule in rules.get(sub.sym.name, ()):
+                    tried += 1
+                    if self.same(rule, sub, rng.randint(1, 99)):
+                        unified += 1
+                        names = [v.name for _, v in subtrees(sub) if isinstance(v, Var)]
+                        repeated += len(names) > len(set(names))
+        # unifiers whose subterm repeats a variable walk their own bindings
+        assert unified > 100 and repeated > 10 and tried > unified
+
+    @pytest.mark.parametrize("preset, rule_name, subterm, unifies", [
+        # a variable of the subterm met twice: X is bound to y, then y to S(x)
+        ("arith", "times_succ", "X * X", True),
+        ("arith", "plus_succ", "X + X", True),
+        ("arith", "times_succ", "S(X) * X", True),
+        ("arith", "plus_succ", "S(X) + S(X)", True),
+        ("arith", "times_zero", "S(X) * Y", False),
+        # the left side repeats x
+        ("ff", "ff", "f(X, X)", True),
+        ("ff", "ff", "f(X, Y)", True),
+        ("ff", "ff", "f(g(X), g(a))", True),
+        ("ff", "ff", "f(f(X, Y), f(Y, X))", True),
+        ("ff", "ff", "f(a, b)", False),
+        # ... and the occurs check fails
+        ("ff", "ff", "f(X, g(X))", False),
+        ("ff", "ff", "f(g(X), X)", False),
+        ("ff", "ff", "f(f(X, g(Y)), f(Y, X))", False),
+        ("hol-sigma", "sigma_surj", "1[s] . shift @ s", True),
+        ("hol-sigma", "sigma_surj", "1[t] . shift @ s", True),
+        ("hol-sigma", "sigma_surj", "1[id] . shift @ (a . id)", False),
+        ("hol-sigma", "sigma_surj", "a . shift @ s", True),
+        ("hol-sigma", "sigma_surj", "a . s", True),
+        ("hol-sigma", "sigma_one_shift", "1 . shift", True),
+        ("hol-sigma", "sigma_one_shift", "a . s", True),
+        ("hol-sigma", "sigma_cons_comp", "(a . s) @ (a . s)", True),
+        ("hol-comb", "s", "(X X X X)", True),
+        ("hol-comb", "k", "(K (X Y) X)", True),
+        ("hol-comb", "k", "(X Y Y)", True),
+    ])
+    def test_variables_shared_repeated_or_caught_by_the_occurs_check(
+            self, preset, rule_name, subterm, unifies):
+        if preset == "ff":
+            system, sig = _ff_system(), small_signature()
+        else:
+            theory = load_preset(preset)
+            system, sig = theory.system, theory.sig
+        rules, _ = system.narrowing
+        sub = parse_term(subterm, sig, {})
+        lhs = next(r.lhs for r in system.e_rules if r.name == rule_name)
+        rule = next(r for r in rules[sub.sym.name] if r.lhs == lhs)
+        assert self.same(rule, sub, 5) is unifies
+
+    def test_sorts_that_do_not_match(self):
+        # a term of the wrong sort where the left side has a variable, as a
+        # variable or as an application, and a variable of the wrong sort
+        # where it has an application
+        sig = small_signature()
+        other = sig.declare_sort("v")
+        odd = sig.individual("o", other)
+        f, g = sig.lookup("f"), sig.lookup("g")
+        ff = _ff_system().narrowing[0]["f"][0]
+        rule = RewriteRule("fg", parse_term("f(x, g(y))", sig), parse_term("y", sig))
+        fg = RewriteSystem([rule]).narrowing[0]["f"][0]
+        for sub in (App(f, (Var("X", other), App(sig.lookup("a")))),
+                    App(f, (App(odd), App(g, (Var("Y", sig.sorts["u"]),)))),
+                    App(f, (App(sig.lookup("a")), Var("Z", other))),
+                    App(f, (Var("X", other), Var("X", other)))):
+            for step in (ff, fg):
+                assert not self.same(step, sub, 3)
+
+    def test_a_symbol_of_another_arity_does_not_unify(self):
+        # one name with two arities, at the root and below it
+        sig = small_signature()
+        u = sig.sorts["u"]
+        a = App(sig.lookup("a"))
+        binary, unary = Symbol("h", FUNCTION, (u, u), u), Symbol("h", FUNCTION, (u,), u)
+        rule = RewriteRule("h", App(binary, (a, Var("x", u))), a)
+        step = RewriteSystem([rule]).narrowing[0]["h"][0]
+        assert not self.same(step, App(unary, (a,)), 1)
+        assert self.same(step, App(binary, (a, a)), 1)
+        f = sig.lookup("f")
+        rule = RewriteRule("fa", App(f, (a, Var("x", u))), a)
+        step = RewriteSystem([rule]).narrowing[0]["f"][0]
+        assert not self.same(step, App(f, (App(Symbol("a", FUNCTION, (u,), u), (a,)), a)), 1)
+        assert self.same(step, App(f, (a, a)), 1)
+
+    @pytest.mark.parametrize("depth", [70, 2_000])
+    def test_a_deep_left_side_compiles(self, depth):
+        # past 64 nodes a part of the left side bound to a variable is
+        # renamed by subst_term; the code stays one block per node
+        sig = small_signature()
+        f, g = sig.lookup("f"), sig.lookup("g")
+        u = sig.sorts["u"]
+        lhs, rhs, subject = Var("x", u), Var("y", u), App(sig.lookup("a"))
+        for _ in range(depth):
+            lhs, rhs, subject = App(g, (lhs,)), App(g, (rhs,)), App(g, (subject,))
+        rule = RewriteRule("deep", App(f, (lhs, Var("y", u))), App(f, (rhs, Var("x", u))))
+        step = RewriteSystem([rule]).narrowing[0]["f"][0]
+        x = Var("X", u)
+        for sub, unifies in ((App(f, (subject, App(sig.lookup("b")))), True),
+                             (App(f, (x, x)), True), (App(f, (subject, x)), True),
+                             (App(f, (App(g, (x,)), x)), True),
+                             (App(f, (App(g, (App(f, (x, x)),)), x)), False)):
+            assert self.same(step, sub, 11) is unifies
+
+
+class TestFiledPositions:
+    """A side files once per skeleton the basic positions whose root has a
+    narrowing rule (``unify._file``), with each one's ordinal among all
+    basic positions; ``_successors`` visits only those and reserves each
+    side's blocks of fresh names at once, so every step gets the fresh
+    names a counter advanced at every basic position would give it."""
+
+    DRAWS = [("arith", random_arith_term), ("hol-comb", random_comb_spine),
+             ("hol-sigma", random_sigma_term)]
+
+    @pytest.mark.parametrize("preset, draw", DRAWS)
+    def test_the_filed_positions_are_the_rule_rooted_basic_positions(self, preset, draw):
+        theory = load_preset(preset)
+        rules, _ = theory.system.narrowing
+        rng = random.Random(f"filed:{preset}")
+        sides = [theory.sig.numeral(40), App(theory.sig.lookup("S"), (Var("x", theory.sig.sorts["nat"]),))
+                 ] if preset == "arith" else []
+        sides += [draw(rng, theory.sig, rng.randint(1, 5)) for _ in range(300)]
+        filed = 0
+        for term in sides:
+            skel = _cut(rng, term)
+            basic = list(basic_subterms(term, skel))
+            count, positions = unify._file(skel, rules)
+            assert count == len(basic)
+            expected = [(path, ordinal, sub) for ordinal, (path, sub) in enumerate(basic)
+                        if sub.sym.name in rules]
+            assert [(path, ordinal) for path, ordinal, _, _ in positions] == \
+                [(path, ordinal) for path, ordinal, _ in expected]
+            reached: list = []
+            for _, _, above, steps in positions:
+                sub = term if above < 0 else reached[above]
+                for i in steps:
+                    sub = sub.args[i]
+                reached.append(sub)
+            assert all(a is b for a, (_, _, b) in zip(reached, expected))
+            filed += len(positions)
+        assert filed > 300
+
+    @pytest.mark.parametrize("preset, draw", DRAWS)
+    def test_each_step_gets_the_block_a_counter_per_position_gives(
+            self, monkeypatch, preset, draw):
+        theory = load_preset(preset)
+        rules, block = theory.system.narrowing
+        apps = frozenset(theory.sig.app_symbols)
+        calls: list = []
+
+        def recording(step):
+            def recorded(sub, first):
+                calls.append((sub, first))
+                return step(sub, first)
+            return recorded
+
+        for root, filed in rules.items():
+            monkeypatch.setitem(rules, root, tuple(r._replace(step=recording(r.step))
+                                                   for r in filed))
+        rng = random.Random(f"blocks:{preset}")
+        for _ in range(60):
+            terms = [draw(rng, theory.sig, rng.randint(1, 4)) for _ in range(4)]
+            eqs = [_Eq(_Side(t, _cut(rng, t)), _Side(u, _cut(rng, u)))
+                   for t, u in zip(terms[::2], terms[1::2])]
+            start = rng.randint(1, 50)
+            fresh = [start]
+            calls.clear()
+            states = list(unify._successors(eqs, None, rules, apps, fresh, block))
+            blocks = itertools.count(start, block)
+            expected = []
+            for e in eqs:
+                if _is_flex(e.left.term, apps) and _is_flex(e.right.term, apps):
+                    continue
+                for side in (e.left, e.right):
+                    for _, sub in basic_subterms(side.term, side.skel):
+                        base = next(blocks)
+                        expected += [(sub, base + r.offset) for r in rules.get(sub.sym.name, ())]
+            assert calls == expected
+            assert fresh[0] == next(blocks)
+            # every successor's sides that keep their skeleton keep its filing
+            for new_eqs, _ in states:
+                for old, new in zip(eqs, new_eqs):
+                    for a, b in ((old.left, new.left), (old.right, new.right)):
+                        if b.skel is a.skel:
+                            assert b._filed is a._filed
+
+    def test_a_side_with_no_rule_rooted_position_only_reserves_its_blocks(self, monkeypatch):
+        arith = load_preset("arith")
+        rules, block = arith.system.narrowing
+        filings = []
+        file = unify._file
+        monkeypatch.setattr(unify, "_file", lambda *args: filings.append(args) or file(*args))
+        x = Var("x", arith.sig.sorts["nat"])
+        eqs = [_Eq(_Side(arith.sig.numeral(50)), _Side(App(arith.sig.lookup("S"), (x,))))]
+        fresh = [1]
+        for _ in range(2):
+            assert list(unify._successors(eqs, None, rules, frozenset(), fresh, block)) == []
+        # 52 basic positions, none of them with a rule; each side filed once
+        assert fresh[0] == 1 + 2 * 52 * block and len(filings) == 2
+        assert eqs[0].left._filed == (51, ())
 
 
 class TestCheckSolution:
