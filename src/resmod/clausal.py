@@ -82,9 +82,6 @@ class Constraint:
     def apply(self, s: Substitution) -> "Constraint":
         return Constraint(s(self.lhs), s(self.rhs))
 
-    def free_names(self) -> frozenset[str]:
-        return free_names(self.lhs) | free_names(self.rhs)
-
     def pairs(self) -> list[tuple[Term, Term]] | None:
         """The term equations this constraint stands for: itself, or the
         argument pairs of two atoms; None when the atoms' predicates clash."""
@@ -373,21 +370,19 @@ def clause_disjunction(c: ConstrainedClause, bodies: Sequence[Prop]) -> Prop:
 
 
 def reclausify(c: ConstrainedClause, index: int, replacement: Prop,
-               system: RewriteSystem, sig: Signature, fuel: int = 10_000,
-               extra_constraints: Iterable[Constraint] = ()) -> ClausalResult:
+               system: RewriteSystem, sig: Signature, fuel: int = 10_000) -> ClausalResult:
     """Re-run the clausal pipeline after a literal was rewritten.
 
     The clause is read as a disjunction with the literal at ``index``
-    replaced by ``replacement``; parent constraints plus
-    ``extra_constraints`` are carried into every resulting clause.
+    replaced by ``replacement``; its constraints are carried into every
+    resulting clause.
     """
     if not 0 <= index < len(c.literals):
         raise IndexError(f"clause has no literal {index}")
     bodies: list[Prop] = [lit.atom for lit in c.literals]
     bodies[index] = replacement
-    disj = clause_disjunction(c, bodies)
-    carried = tuple(c.constraints) + tuple(extra_constraints)
-    return clausal_form(disj, system, sig, fuel, constraints=carried)
+    return clausal_form(clause_disjunction(c, bodies), system, sig, fuel,
+                        constraints=c.constraints)
 
 
 def renormalize_clause(c: ConstrainedClause, system: RewriteSystem, sig: Signature,

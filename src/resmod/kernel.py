@@ -626,6 +626,13 @@ class Substitution:
                 raise ValueError("substitution is not idempotent")
         self.map = m
 
+    @classmethod
+    def resolved(cls, m: dict[str, Term]) -> "Substitution":
+        """``m`` unchecked: ``unify.resolve``'s maps are already idempotent."""
+        out = object.__new__(cls)
+        out.map = m
+        return out
+
     def __call__(self, x):
         if isinstance(x, (Var, App)):
             return subst_term(x, self.map)

@@ -9,15 +9,14 @@ constraints of a new clause depends on the strategy:
 ``freeze``      constraints accumulate unsolved; only a cheap root-clash
                 test prunes, and the full equational unifier runs when an
                 empty clause appears (the refutation gate).
-``on_the_fly``  the constraints are first solved syntactically, the
-                substitution is propagated at once, and the clause is
+``on_the_fly``  the constraints are solved syntactically before the
+                clause is built, once, with the unifier applied; it is then
                 re-normalized and re-clausified (instantiation can trigger
                 reductions, so one inference may yield several clauses).
-                When syntactic unification fails, the clause takes the
-                freeze path: it is dropped when there are no E-rules (the
-                failure is then a refutation) or ``cheap_fail`` refutes a
-                constraint, and otherwise kept with its whole constraint
-                set frozen for the gate.
+                When syntactic unification fails, nothing is built if there
+                are no E-rules (the failure is then a refutation); else the
+                clause takes the freeze path with its constraints: dropped
+                when ``cheap_fail`` refutes one, else kept frozen for the gate.
 
 A constraint-free clause needs no propagation: it has no unifier to apply,
 and its literals come from kept clauses, which are already normal.
@@ -69,7 +68,7 @@ rule.  Ordering and selection keep the search complete:
 1. With no rule, constraints are syntactic equations.  A clause ``C / K``
    stands for its ground instances ``Cs``, ``s`` a ground unifier of ``K``,
    read as multisets of literals.  Freeze postpones the unifier; on the fly
-   applies the most general one at once and drops the clause when there
+   builds the clause with the most general one applied, and none when there
    is none; the gate decides ``K`` by syntactic unification.
 2. On ground multiset clauses, resolution with selection is refutationally
    complete for every selection function and every well-founded ordering
@@ -133,22 +132,11 @@ from .kernel import (
     subst_term,
     term_size,
 )
-from .clausal import (
-    Constraint,
-    ConstrainedClause,
-    Literal,
-    Provenance,
-    clausal_form,
-    reclausify,
-)
+from .clausal import (Constraint, ConstrainedClause, Literal, Provenance, clausal_form,
+                      reclausify)
 from .rewrite import R_CLASS, RewriteRule, RewriteSystem, match
-from .unify import (
-    _clash,
-    cheap_fail,
-    e_unify_narrowing,
-    propagate_on_the_fly,
-    unify_syntactic,
-)
+from .unify import (_clash, cheap_fail, e_unify_narrowing, propagate_on_the_fly,
+                    unify_syntactic)
 
 FREEZE = "freeze"
 ON_THE_FLY = "on_the_fly"
@@ -320,17 +308,25 @@ def eligible(c: ConstrainedClause, select: bool = True) -> Sequence[int]:
     return c._eligible
 
 
+# an inference's literals and its parents' constraints with its own equation
+Inference = tuple[Sequence[Literal], tuple[Constraint, ...]]
+
+
+def _equation(a: Atom, b: Atom) -> tuple[Constraint, ...]:
+    return () if a == b else (Constraint(a, b),)  # equal atoms need none
+
+
 def extended_resolution(c1: ConstrainedClause, c2: ConstrainedClause,
-                        select: bool = True) -> list[ConstrainedClause]:
+                        select: bool = True) -> list[Inference]:
     """Binary resolvents of two clauses (which must be renamed apart).
 
     One eligible positive literal of either clause is cut against one
-    eligible negative literal of the other; the resolvent unions the
-    remaining literals and both constraint sets, plus the equation between
-    the two atoms.  Paired with :func:`factor` this simulates resolution on
-    literal groups.
+    eligible negative literal of the other; the resolvent, an unbuilt
+    :data:`Inference`, unions the remaining literals and both constraint
+    sets, plus the equation between the two atoms.  Paired with
+    :func:`factor` this simulates resolution on literal groups.
     """
-    out: list[ConstrainedClause] = []
+    out: list[Inference] = []
     for pos_clause, neg_clause in ((c1, c2), (c2, c1)):
         negatives = [j for j in eligible(neg_clause, select)
                      if not neg_clause.literals[j].positive]
@@ -348,16 +344,15 @@ def extended_resolution(c1: ConstrainedClause, c2: ConstrainedClause,
                     continue
                 rest = [l for k, l in enumerate(pos_clause.literals) if k != i]
                 rest += [l for k, l in enumerate(neg_clause.literals) if k != j]
-                constraints = (tuple(pos_clause.constraints) + tuple(neg_clause.constraints)
-                               + (Constraint(lp.atom, ln.atom),))
-                out.append(ConstrainedClause(rest, constraints))
+                out.append((rest, tuple(pos_clause.constraints) + tuple(neg_clause.constraints)
+                            + _equation(lp.atom, ln.atom)))
     return out
 
 
-def factor(c: ConstrainedClause, select: bool = True) -> list[ConstrainedClause]:
-    """Merge two eligible same-polarity literals under a new atom equation;
-    a clause that selects a literal is not factored."""
-    out: list[ConstrainedClause] = []
+def factor(c: ConstrainedClause, select: bool = True) -> list[Inference]:
+    """Merge two eligible same-polarity literals under a new atom equation,
+    an :data:`Inference` each; a clause that selects a literal is not."""
+    out: list[Inference] = []
     positions = eligible(c, select)
     # the eligible positions by polarity, predicate and arity, in position
     # order; each position with its group and its rank there
@@ -373,8 +368,7 @@ def factor(c: ConstrainedClause, select: bool = True) -> list[ConstrainedClause]
         for j in group[rank + 1:]:
             lj = c.literals[j]
             rest = [l for k, l in enumerate(c.literals) if k != j]
-            constraints = tuple(c.constraints) + (Constraint(li.atom, lj.atom),)
-            out.append(ConstrainedClause(rest, constraints))
+            out.append((rest, tuple(c.constraints) + _equation(li.atom, lj.atom)))
     return out
 
 
@@ -417,7 +411,7 @@ def _guided(atom: Atom, lhs: Atom) -> bool:
 
 
 class NarrowingEvents(list):
-    """The clause lists of :func:`extended_narrowing`, one per narrowing
+    """The :data:`Inference` lists of :func:`extended_narrowing`, one per
     event, with ``normalized`` false when re-clausifying some event ran out
     of fuel, and ``deferred`` the positions of the literals whose step
     freeze's filter takes but the on-the-fly filter leaves for later."""
@@ -436,8 +430,9 @@ def extended_narrowing(c: ConstrainedClause, rule: RewriteRule,
 
     The literal's atom is replaced by the right side of a copy of the rule,
     renamed apart from ``c`` once for all its literals, and the clause is
-    re-clausified, carrying the postponed equation between the atom and the
-    rule's left side.  One inner list per narrowing event (a single event
+    re-clausified; each clause's literals, with ``c``'s constraints and the
+    postponed equation between the atom and the rule's left side, are an
+    :data:`Inference`.  One inner list per narrowing event (a single event
     may split into several clauses).  ``positions`` narrows those literals
     only, in that order, instead of all of them.  The application symbols
     of ``sig`` keep a variable-headed spine flexible.
@@ -463,12 +458,11 @@ def extended_narrowing(c: ConstrainedClause, rule: RewriteRule,
         if strategy == ON_THE_FLY and not _guided(lit.atom, fresh.lhs):
             events.deferred.append(i)
             continue
-        constraint = Constraint(lit.atom, fresh.lhs)
-        result = reclausify(c, i, fresh.rhs, system, sig, fuel,
-                            extra_constraints=(constraint,))
+        result = reclausify(c, i, fresh.rhs, system, sig, fuel)
         events.normalized = events.normalized and result.normalized
+        constraints = tuple(c.constraints) + _equation(lit.atom, fresh.lhs)
         if result.clauses:
-            events.append(result.clauses)
+            events.append([(d.literals, constraints) for d in result.clauses])
     return events
 
 
@@ -895,37 +889,43 @@ class _Saturation:
             self.inputs.append(cid)
         # factoring is a cheap single-clause inference: apply it eagerly so
         # the merged clauses race fairly with other descendants
-        for fc in factor(c, self.select):
-            self.process_new([fc], "factoring", (cid,))
+        for inference in factor(c, self.select):
+            self.process_new([inference], "factoring", (cid,))
 
     # -- strategy post-processing ---------------------------------------------
 
-    def process_new(self, clauses: Sequence[ConstrainedClause], kind: str,
+    def process_new(self, inferences: Iterable[Inference], kind: str,
                     parents: tuple[int, ...], aux: str | None = None) -> None:
-        """Run the strategy discipline on an inference's output and register
-        the survivors.  The inference counts as a step when it keeps a
+        """Build each clause of an inference's output once, by the strategy,
+        and register it.  The inference counts as a step when it keeps a
         clause, the empty clause that ends the search included, also when
         the clause budget runs out before the inference is done.
 
-        On the fly, a kept clause carries constraints only when they have no
-        syntactic unifier.  Neither has any superset of them, so a clause
-        with such a parent takes the freeze path without another attempt."""
+        On the fly, when no parent carries constraints, they are unified
+        before anything is built (:func:`propagate_on_the_fly`); a failed
+        unifier builds nothing without E-rules, and with them the clause
+        takes freeze's path.  So a kept clause carries constraints only when
+        they have no syntactic unifier.  Neither has any superset of them,
+        so a clause with such a parent takes that path without an attempt."""
         kept = self.stats.kept
-        propagate = (self.cfg.strategy == ON_THE_FLY
-                     and not any(self.steps[p - 1].constraints for p in parents))
+        on_the_fly = self.cfg.strategy == ON_THE_FLY
+        propagate = on_the_fly and not any(self.steps[p - 1].constraints for p in parents)
         try:
-            for c in clauses:
-                if not c.constraints:
-                    survivors = [c]  # no unifier to apply; its literals are normal
+            for literals, constraints in inferences:
+                if not constraints:  # no unifier to apply; its literals are normal
+                    survivors = [ConstrainedClause(literals)]
                 elif propagate and (result := propagate_on_the_fly(
-                        c, self.system, self.sig, self.cfg.fuel)) is not None:
+                        literals, constraints, self.system, self.sig, self.cfg.fuel)):
                     survivors = result.clauses
                     self.unnormalized = self.unnormalized or not result.normalized
-                elif ((self.cfg.strategy == ON_THE_FLY and not self.system.e_rules)
-                      or any(cheap_fail(con, self.system) for con in c.constraints)):
-                    self.stats.failed_constraints += 1
+                elif on_the_fly and not self.system.e_rules:
+                    self.stats.failed_constraints += 1  # no unifier, so no clause
                     continue
                 else:
+                    c = ConstrainedClause(literals, constraints)
+                    if any(cheap_fail(con, self.system) for con in c.constraints):
+                        self.stats.failed_constraints += 1
+                        continue
                     survivors = [c]  # frozen until the gate judges the empty clause
                 for s in survivors:
                     self.register(s, kind, parents, aux)
@@ -963,8 +963,8 @@ class _Saturation:
     def _resolve(self, sel: ConstrainedClause, sel_names: frozenset[str],
                  partner: ConstrainedClause) -> None:
         renamed, _ = rename_apart(sel_names, partner)
-        for rc in extended_resolution(sel, renamed, self.select):
-            self.process_new([rc], "resolution", (sel.id, partner.id))
+        for inference in extended_resolution(sel, renamed, self.select):
+            self.process_new([inference], "resolution", (sel.id, partner.id))
 
     def _narrow(self, c: ConstrainedClause, rule: RewriteRule, strategy: str,
                 positions: Sequence[int] | None = None) -> None:
@@ -1031,8 +1031,9 @@ def saturate(props: Iterable[Prop], system: RewriteSystem,
 # ---------------------------------------------------------------------------
 
 
-def format_clause_line(c: ConstrainedClause, names: dict[Constraint, str]) -> str:
-    text = c.literal_text()
+def format_clause_line(c: ConstrainedClause, names: dict[Constraint, str],
+                       texts: dict[Literal, str]) -> str:
+    text = ", ".join([texts.get(l) or texts.setdefault(l, str(l)) for l in c.literals]) or "[]"
     if c.constraints:
         refs = ", ".join(sorted((names.get(con) or str(con) for con in c.constraints),
                                 key=_constraint_sort_key))
@@ -1064,7 +1065,9 @@ class TraceDoc:
         if self.symbol_lines:
             lines.append("symbols:")
             lines += [f"  {s}" for s in self.symbol_lines]
-        lines += [format_clause_line(s, self.names) for s in self.steps]
+        # the text of each literal printed, so each distinct one prints once
+        literals: dict[Literal, str] = {}
+        lines += [format_clause_line(s, self.names, literals) for s in self.steps]
         if self.names:
             lines.append("constraints:")
             for con, cname in sorted(self.names.items(),

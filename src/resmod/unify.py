@@ -46,20 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .kernel import (
-    App,
-    Atom,
-    Sort,
-    SortMismatchError,
-    Substitution,
-    Term,
-    Var,
-    subst_term,
-    term_sort,
-    term_var_names,
-    term_vars,
-)
-from .clausal import ClausalResult, Constraint, ConstrainedClause, renormalize_clause
+from .kernel import (App, Atom, Sort, SortMismatchError, Substitution, Term, Var, free_names,
+                     subst_term, term_sort, term_var_names, term_vars)
+from .clausal import ClausalResult, Constraint, ConstrainedClause, Literal, renormalize_clause
 from .rewrite import NarrowingRule, RewriteSystem, _build, normalize
 
 
@@ -241,13 +230,14 @@ def unify_syntactic(t: Term | Atom, u: Term | Atom) -> Substitution | None:
     if t_atom != u_atom:
         raise SortMismatchError("cannot unify a term with an atom")
     if t_atom:
-        return solve_syntactic([Constraint(t, u)])
-    if isinstance(t, Var) or isinstance(u, Var):
-        if term_sort(t) != term_sort(u):
-            raise SortMismatchError(
-                f"cannot unify terms of sorts {term_sort(t)} and {term_sort(u)}")
-    bindings = unify_terms(t, u)
-    return None if bindings is None else Substitution(resolve(bindings))
+        pairs = Constraint(t, u).pairs()
+    elif (isinstance(t, Var) or isinstance(u, Var)) and term_sort(t) != term_sort(u):
+        raise SortMismatchError(
+            f"cannot unify terms of sorts {term_sort(t)} and {term_sort(u)}")
+    else:
+        pairs = [(t, u)]
+    bindings = _unifier(pairs)
+    return None if bindings is None else Substitution.resolved(resolve(bindings))
 
 
 def _term_pairs(constraints: Iterable[Constraint]) -> list[tuple[Term, Term]] | None:
@@ -261,19 +251,13 @@ def _term_pairs(constraints: Iterable[Constraint]) -> list[tuple[Term, Term]] | 
     return pairs
 
 
-def solve_syntactic(constraints: Iterable[Constraint]) -> Substitution | None:
-    """Most general unifier of every constraint at once, or None.  One
-    triangular binding map is extended over all the term equations and
-    resolved once, at the end."""
-    pairs = _term_pairs(constraints)
-    if pairs is None:
+def _unifier(pairs: Iterable[tuple[Term, Term]] | None) -> Bindings | None:
+    """One triangular binding map extended over all the term equations, or
+    None, also for the None of a clash."""
+    bindings = Bindings()
+    if pairs is None or not all(_extend(bindings, a, b) for a, b in pairs):
         return None
-    bindings: Bindings | None = Bindings()
-    for a, b in pairs:
-        bindings = unify_terms(a, b, bindings)
-        if bindings is None:
-            return None
-    return Substitution(resolve(bindings))
+    return bindings
 
 
 def cheap_fail(c: Constraint, system: RewriteSystem) -> bool:
@@ -679,7 +663,7 @@ def e_unify_narrowing(constraints: Iterable[Constraint], system: RewriteSystem,
             thetas.append(theta)
         candidate = Substitution()
         for theta in reversed(thetas):
-            candidate = candidate.compose(Substitution(theta))
+            candidate = candidate.compose(Substitution.resolved(theta))
         candidate = _rename_internal(candidate.restrict(original_vars), original_vars)
         if rules and not check_solution(candidate, constraints, system, CHECK_FUEL).ok:
             return None
@@ -839,19 +823,24 @@ def _rename_internal(s: Substitution, original_vars: set[str]) -> Substitution:
 # ---------------------------------------------------------------------------
 
 
-def propagate_on_the_fly(c: ConstrainedClause, system: RewriteSystem,
-                         sig, fuel: int = 10_000) -> ClausalResult | None:
-    """Solve the constraints of ``c`` syntactically and push the unifier
-    through its literals.
+def propagate_on_the_fly(literals: Iterable[Literal], constraints: Iterable[Constraint],
+                         system: RewriteSystem, sig, fuel=10_000) -> ClausalResult | None:
+    """Solve an inference's constraints syntactically before its clause is
+    built, and build it with the unifier pushed through ``literals``.
 
-    Returns the constraint-free instance of ``c``, re-normalized (and
-    re-clausified when an atom leaves the atom fragment, since
-    instantiation may trigger reductions); None when the constraints are
-    unsolvable, in which case the clause is to be discarded as
-    constraint-unsatisfiable.
+    One triangular binding map is extended over the term equations of
+    ``constraints``; when they have no syntactic unifier nothing is built
+    and the result is None.  Otherwise only the atoms that mention a bound
+    variable are rewritten, by :func:`resolve`'s map, and the one
+    constraint-free clause is re-normalized (and re-clausified when an atom
+    leaves the atom fragment, since instantiation may trigger reductions).
     """
-    solution = solve_syntactic(c.constraints)
-    if solution is None:
+    bindings = _unifier(_term_pairs(constraints))
+    if bindings is None:
         return None
-    instance = ConstrainedClause(c.literals).apply(solution)
+    m = resolve(bindings)
+    instance = ConstrainedClause(
+        lit if free_names(lit.atom).isdisjoint(m) else Literal(
+            lit.positive, Atom(lit.atom.pred, tuple(subst_term(a, m) for a in lit.atom.args)))
+        for lit in literals)
     return renormalize_clause(instance, system, sig, fuel)[0]

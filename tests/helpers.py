@@ -39,7 +39,7 @@ from resmod.kernel import (
     term_vars,
     with_children,
 )
-from resmod.clausal import ConstrainedClause, Literal
+from resmod.clausal import ClausalResult, ConstrainedClause, Literal, renormalize_clause
 from resmod.rewrite import (R_CLASS, EtaRule, NarrowingRule, NormalizeOutcome,
                             RewriteSystem, match)
 from resmod.unify import (
@@ -309,6 +309,20 @@ def random_term(rng: random.Random, sig: Signature, depth: int,
         return App(sig.lookup("f"), (random_term(rng, sig, depth - 1, var_names),
                                      random_term(rng, sig, depth - 1, var_names)))
     return App(sig.lookup("g"), (random_term(rng, sig, depth - 1, var_names),))
+
+
+def random_sig_term(rng, sig, sort, depth, names=("x", "y", "z")):
+    """A random term of ``sort`` over the function symbols of ``sig`` and
+    the variables ``names``, shared between the terms drawn."""
+    symbols = [s for s in sig.symbols.values()
+               if s.kind in ("individual", "function") and s.result == sort]
+    if depth == 0 or not symbols or rng.random() < 0.3:
+        if rng.random() < 0.6 or not any(not s.arg_sorts for s in symbols):
+            return Var(rng.choice(names), sort)
+        symbols = [s for s in symbols if not s.arg_sorts]
+    sym = rng.choice(symbols)
+    return App(sym, tuple(random_sig_term(rng, sig, a, depth - 1, names)
+                          for a in sym.arg_sorts))
 
 
 def random_ground_term(rng: random.Random, sig: Signature, depth: int) -> Term:
@@ -625,6 +639,61 @@ def reference_unify_terms(t: Term, u: Term,
         else:
             return None
     return sigma
+
+
+# ---------------------------------------------------------------------------
+# On-the-fly propagation through a constrained clause and a Substitution
+# ---------------------------------------------------------------------------
+
+
+def solve_syntactic(constraints) -> Substitution | None:
+    """Most general unifier of every constraint at once, or None: one
+    triangular binding map is extended over all the term equations by
+    ``unify.unify_terms`` and resolved once, at the end, into a checked
+    ``Substitution``."""
+    pairs = _term_pairs(constraints)
+    if pairs is None:
+        return None
+    bindings = unify.Bindings()
+    for a, b in pairs:
+        bindings = unify.unify_terms(a, b, bindings)
+        if bindings is None:
+            return None
+    return Substitution(unify.resolve(bindings))
+
+
+def reference_propagate(c: ConstrainedClause, system: RewriteSystem, sig,
+                        fuel: int = 10_000) -> ClausalResult | None:
+    """A reference for ``unify.propagate_on_the_fly`` on a built constrained
+    clause: its constraints are solved by :func:`solve_syntactic`, its
+    literals copied into a clause without constraints, instantiated by
+    ``ConstrainedClause.apply`` and the copy re-normalized."""
+    solution = solve_syntactic(c.constraints)
+    if solution is None:
+        return None
+    instance = ConstrainedClause(c.literals).apply(solution)
+    return renormalize_clause(instance, system, sig, fuel)[0]
+
+
+def reference_process_new(clauses, on_the_fly: bool, propagate: bool, system: RewriteSystem,
+                          sig, fuel: int = 10_000) -> tuple[list[ConstrainedClause], int]:
+    """A reference for ``prover._Saturation.process_new`` on inferences
+    built as constrained clauses first: the clauses it registers, in order,
+    and the number of inferences whose constraints failed.  ``propagate``
+    says that no parent carries constraints."""
+    out, failed = [], 0
+    for c in clauses:
+        if not c.constraints:
+            out.append(c)
+        elif propagate and on_the_fly and (result := reference_propagate(
+                c, system, sig, fuel)) is not None:
+            out += result.clauses
+        elif ((on_the_fly and not system.e_rules)
+              or any(unify.cheap_fail(con, system) for con in c.constraints)):
+            failed += 1
+        else:
+            out.append(c)
+    return out, failed
 
 
 # ---------------------------------------------------------------------------

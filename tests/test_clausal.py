@@ -241,11 +241,10 @@ class TestReclausify:
         rings = load_preset("integral-rings")
         env = {}
         atom = parse_term_or_atom("a * a = Y", rings.sig, env)
-        clause = ConstrainedClause([Literal(True, atom)])
         replacement = parse_prop("x = 0 \\/ y = 0", rings.sig, env=env)
         lhs = parse_term_or_atom("x * y = 0", rings.sig, env)
-        res = reclausify(clause, 0, replacement, rings.system, rings.sig,
-                         extra_constraints=[Constraint(atom, lhs)])
+        clause = ConstrainedClause([Literal(True, atom)], [Constraint(atom, lhs)])
+        res = reclausify(clause, 0, replacement, rings.system, rings.sig)
         assert len(res.clauses) == 1
         out = res.clauses[0]
         assert {str(l) for l in out.literals} == {"x = 0", "y = 0"}

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from resmod import cli, prover, theories
+from resmod import cli, prover, theories, unify
 from resmod.clausal import ConstrainedClause, Constraint, Literal, Provenance
 from resmod.kernel import (And, App, Atom, Bottom, Exists, Forall, Not, Or, Signature,
                            Substitution, Var, free_names, free_vars, rename_apart,
@@ -40,10 +40,12 @@ from resmod.prover import (
     subsumes,
     tidy_clause,
 )
-from resmod.rewrite import RewriteRule, RewriteSystem
+from resmod.rewrite import RewriteRule, RewriteSystem, normalize
+from resmod.unify import propagate_on_the_fly
 
 from helpers import (clause_variant, hol_cantor, random_arith_term, random_comb_spine,
-                     random_sigma_term, random_term, small_signature, truth_table)
+                     random_sig_term, random_sigma_term, random_term, reference_process_new,
+                     reference_propagate, small_signature, solve_syntactic, truth_table)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -488,10 +490,11 @@ def random_first_order_clauses(rng: random.Random, m: int) -> list[ConstrainedCl
 
     out = [ConstrainedClause([literal() for _ in range(rng.randint(1, 4))]) for _ in range(m)]
     for c in list(out):
-        out += factor(c, select=False)[:1]
+        out += [ConstrainedClause(*f) for f in factor(c, select=False)[:1]]
     for _ in range(m):
         c, d = rng.sample(out[:m], 2)
-        out += extended_resolution(c, rename_apart(c.free_names(), d)[0], select=False)[:2]
+        out += [ConstrainedClause(*r) for r in
+                extended_resolution(c, rename_apart(c.free_names(), d)[0], select=False)[:2]]
     return out
 
 
@@ -702,11 +705,186 @@ def test_factoring_by_groups_yields_the_factors_of_all_pairs(name):
         c = ConstrainedClause(Literal(rng.random() < 0.5, a)
                               for a in rng.sample(atoms, rng.randint(2, 7)))
         for select in (True, False):
-            got, want = factor(c, select), all_pairs_factor(c, select)
+            got = [ConstrainedClause(*f) for f in factor(c, select)]
+            want = all_pairs_factor(c, select)
             assert [(d.literals, d.constraints) for d in got] \
                 == [(d.literals, d.constraints) for d in want], c
             factors += len(got)
     assert factors > 100
+
+
+# ---------------------------------------------------------------------------
+# On the fly, an inference is unified before its clause is built; the route
+# that built the constrained clause first is the reference
+# ---------------------------------------------------------------------------
+
+
+def propagation_theory(name: str) -> tuple[Signature, RewriteSystem]:
+    if name == "small":
+        sig = small_signature()
+        sig.predicate("q", (sig.sorts["u"],))
+        return sig, RewriteSystem(())
+    preset = theories.load_preset(name)
+    return preset.sig, preset.system
+
+
+def normal_clause(rng: random.Random, sig: Signature, system: RewriteSystem,
+                  constrained: bool, depth: int = 2) -> ConstrainedClause:
+    """One to three literals over the predicates of ``sig`` whose atoms are
+    normal, as a kept clause's are, with terms ``depth`` deep at most; now
+    and then with a copy of each where a variable of the first is renamed
+    ``V``, which a unifier that binds the two merges back.  ``constrained``
+    adds a random term equation."""
+    preds = sorted((s for s in sig.symbols.values() if s.kind == "predicate"),
+                   key=lambda s: s.name)
+
+    def normal(atom: Atom) -> bool:
+        return normalize(atom, system).value == atom
+
+    literals, n = [], rng.randint(1, 3)
+    while len(literals) < n:
+        pred = rng.choice(preds)
+        atom = Atom(pred, tuple(random_sig_term(rng, sig, a, depth, ("X", "Y", "Z"))
+                                for a in pred.arg_sorts))
+        if normal(atom):
+            literals.append(Literal(rng.random() < 0.5, atom))
+    first = sorted(free_vars(literals[0].atom), key=lambda v: v.name)
+    if first and rng.random() < 0.3:
+        rename = Substitution({first[0].name: Var("V", first[0].sort)})
+        literals += [Literal(lit.positive, rename(lit.atom)) for lit in literals
+                     if normal(rename(lit.atom))]
+    constraints = []
+    if constrained:
+        sort = literals[0].atom.pred.arg_sorts[0]
+        constraints.append(Constraint(random_sig_term(rng, sig, sort, 2, ("X", "Y", "W")),
+                                      random_sig_term(rng, sig, sort, 2, ("X", "Y", "W"))))
+    return ConstrainedClause(literals, constraints)
+
+
+def all_resolvents(c: ConstrainedClause, d: ConstrainedClause) -> list[ConstrainedClause]:
+    """A reference for ``extended_resolution`` without literal selection,
+    each resolvent built as a constrained clause: every positive literal of
+    one clause against every negative literal of the other with the same
+    predicate and arity, ``c``'s positive literals first."""
+    out = []
+    for pos, neg in ((c, d), (d, c)):
+        for i, lp in enumerate(pos.literals):
+            for j, ln in enumerate(neg.literals):
+                if (lp.positive and not ln.positive and lp.atom.pred.name == ln.atom.pred.name
+                        and len(lp.atom.args) == len(ln.atom.args)):
+                    rest = [l for k, l in enumerate(pos.literals) if k != i]
+                    rest += [l for k, l in enumerate(neg.literals) if k != j]
+                    out.append(ConstrainedClause(rest, (*pos.constraints, *neg.constraints,
+                                                        Constraint(lp.atom, ln.atom))))
+    return out
+
+
+def registered(system: RewriteSystem, sig: Signature, strategy: str,
+               parents: tuple[ConstrainedClause, ...], inferences):
+    """The clauses ``_Saturation.process_new`` registers for ``inferences``,
+    with ``parents`` as the first steps, and the inferences whose
+    constraints failed."""
+    sat = prover._Saturation(system, sig, prover.ProverConfig(strategy=strategy))
+    sat.steps = [p.with_id(i, Provenance("input")) for i, p in enumerate(parents, start=1)]
+    out = []
+    sat.register = lambda c, kind, parents, aux=None: out.append(c)
+    sat.process_new(inferences, "resolution", tuple(range(1, len(parents) + 1)))
+    return out, sat.stats.failed_constraints
+
+
+def shapes(clauses) -> list[tuple]:
+    return [(c.literals, c.constraints) for c in clauses]
+
+
+@pytest.mark.parametrize("theory, least", [
+    ("small", {"none": 200, "merged": 10}),
+    ("set-cantor", {"none": 400, "merged": 50, "rewritten": 50, "narrowing": 300}),
+    ("arith", {"none": 400, "merged": 30, "rewritten": 30, "frozen": 200, "cheap_fail": 150}),
+])
+def test_on_the_fly_builds_what_the_constrained_route_builds(theory, least):
+    """For the resolvents and factors of random clause pairs, which must
+    be those of the references that build them as constrained clauses, and
+    the narrowing steps of each R-rule, ``propagate_on_the_fly`` and the
+    reference route of ``helpers.reference_propagate`` agree on the
+    clauses, in order, and on None; ``process_new`` and
+    ``helpers.reference_process_new`` register the same clauses and count
+    the same failures under both strategies, so on the fly takes the freeze
+    path where the reference does."""
+    sig, system = propagation_theory(theory)
+    depth = 1 if theory == "small" else 2
+    rng = random.Random(f"propagation:{theory}")
+    tally = dict.fromkeys(("none", "merged", "rewritten", "narrowing", "frozen",
+                           "cheap_fail"), 0)
+    for _ in range(400):
+        c = normal_clause(rng, sig, system, rng.random() < 0.2, depth)
+        d = rename_apart(c.free_names(), normal_clause(rng, sig, system, False, depth))[0]
+        cases = [((c, d), extended_resolution(c, d, select=False), all_resolvents(c, d)),
+                 ((c,), factor(c, select=False), all_pairs_factor(c, select=False))]
+        for rule in system.r_rules:
+            steps = [i for event in prover.extended_narrowing(c, rule, system, sig)
+                     for i in event]
+            # the parent's constraints and the narrowed atom's equation
+            assert all(len(cons) == len(c.constraints) + 1 and set(c.constraints) <= set(cons)
+                       for _, cons in steps)
+            tally["narrowing"] += len(steps)
+            cases.append(((c,), steps, [ConstrainedClause(*i) for i in steps]))
+        for parents, inferences, built in cases:
+            assert shapes(ConstrainedClause(*i) for i in inferences) == shapes(built)
+            for literals, constraints in inferences:
+                if not constraints:
+                    continue
+                got = propagate_on_the_fly(literals, constraints, system, sig.copy())
+                want = reference_propagate(ConstrainedClause(literals, constraints),
+                                           system, sig.copy())
+                assert (got is None) == (want is None), (literals, constraints)
+                if got is None:
+                    tally["none"] += 1
+                    continue
+                assert shapes(got.clauses) == shapes(want.clauses), (literals, constraints)
+                assert got.normalized == want.normalized
+                solution = solve_syntactic(constraints)
+                instances = {Literal(l.positive, solution(l.atom)) for l in literals}
+                tally["merged"] += len(instances) < len(set(literals))
+                tally["rewritten"] += any(lit not in instances
+                                          for e in got.clauses for lit in e.literals)
+            propagate = not any(p.constraints for p in parents)
+            for strategy in (prover.FREEZE, prover.ON_THE_FLY):
+                clauses, failed = registered(system, sig.copy(), strategy, parents, inferences)
+                want, want_failed = reference_process_new(
+                    built, strategy == prover.ON_THE_FLY, propagate, system, sig.copy())
+                assert (shapes(clauses), failed) == (shapes(want), want_failed), inferences
+                if strategy == prover.ON_THE_FLY and system.e_rules:
+                    tally["frozen"] += sum(bool(e.constraints) for e in clauses)
+                    tally["cheap_fail"] += failed
+    assert all(tally[k] >= n for k, n in least.items()), tally
+
+
+def test_a_failed_unifier_builds_no_clause_and_a_resolvent_one(monkeypatch):
+    """On the fly, an occurs check or a clash builds nothing and counts one
+    failure, as the reference route does after building the clause; a
+    unifier builds the one instantiated clause, its merged literals once."""
+    sig, system = propagation_theory("small")
+    parse = functools.partial(parse_clause, sig)
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return ConstrainedClause(*args, **kwargs)
+
+    monkeypatch.setattr(prover, "ConstrainedClause", counting)
+    monkeypatch.setattr(unify, "ConstrainedClause", counting)
+    for c, d, outcome in [("p(X, g(X))", "~p(Y, Y)", None),  # occurs check
+                          ("p(a, X)", "~p(b, Y)", None),  # clash
+                          ("p(X, a) | q(X)", "~p(b, Y) | q(b)", ["q(b)"])]:  # merged
+        c, d = parse(*c.split(" | ")), parse(*d.split(" | "))
+        (inference,) = extended_resolution(c, d, select=False)
+        reference = reference_propagate(ConstrainedClause(*inference), system, sig.copy())
+        built.clear()
+        clauses, failed = registered(system, sig.copy(), prover.ON_THE_FLY, (c, d), [inference])
+        assert [e.literal_text() for e in clauses] == (outcome or []), (c, d)
+        assert (len(built), failed) == ((0, 1) if outcome is None else (1, 0))
+        assert reference is None if outcome is None \
+            else shapes(reference.clauses) == shapes(clauses)
 
 
 def reference_tidy_clause(c: ConstrainedClause) -> ConstrainedClause:

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from resmod import cli, kernel, prover, rewrite, theories
-from resmod.clausal import Constraint
+from resmod.clausal import Constraint, Literal
 from resmod.parser import ParseError, parse_prop, parse_trace
 
 FREEZE = prover.ProverConfig(strategy=prover.FREEZE)
@@ -76,6 +76,20 @@ def test_preset_goal_traces_round_trip(build, cfg):
 def test_set_cantor_on_the_fly_trace_round_trips():
     assert_round_trip(preset_goal("set-cantor", "cantor"),
                       prover.ProverConfig(strategy=prover.ON_THE_FLY, max_clauses=300))
+
+
+def test_a_trace_prints_each_distinct_literal_once(monkeypatch):
+    theory, goal = preset_goal("set-cantor", "cantor")()
+    result = prover.saturate([*theory.axioms, kernel.Not(goal)], theory.system, theory.sig,
+                             ON_THE_FLY)
+    text = prover.format_trace(result, {}, theory.sig)
+    printed = []
+    to_text = Literal.__str__
+    monkeypatch.setattr(Literal, "__str__", lambda lit: printed.append(lit) or to_text(lit))
+    assert prover.format_trace(result, {}, theory.sig) == text
+    distinct = {lit for step in result.steps for lit in step.literals}
+    assert len(printed) == len(set(printed)) == len(distinct)
+    assert len(distinct) < sum(len(step.literals) for step in result.steps)
 
 
 def test_chain_axioms_freeze_trace_round_trips():

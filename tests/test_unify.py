@@ -31,7 +31,6 @@ from resmod.unify import (
     e_unify_narrowing,
     propagate_on_the_fly,
     resolve,
-    solve_syntactic,
     unify_syntactic,
     unify_terms,
     _Eq,
@@ -43,7 +42,7 @@ from resmod.unify import (
 from helpers import (basic_subterms, eager_narrowing, hol_cantor, random_arith_term,
                      random_comb_spine, random_ground_term, random_sigma_term, random_term,
                      reference_narrowing_step, reference_unify_terms, replace_at, rigid_clash,
-                     small_signature, subtrees)
+                     random_sig_term, small_signature, solve_syntactic, subtrees)
 
 
 class TestSyntacticUnification:
@@ -151,40 +150,26 @@ def _abstract(rng, ground, prefix, sig):
 PRESETS = ("arith", "integral-rings", "hol-comb", "hol-sigma", "set", "set-cantor")
 
 
-def _random_sig_term(rng, sig, sort, depth, names=("x", "y", "z")):
-    """A random term of ``sort`` over the function symbols of ``sig`` and
-    the variables ``names``, shared between the terms drawn."""
-    symbols = [s for s in sig.symbols.values()
-               if s.kind in ("individual", "function") and s.result == sort]
-    if depth == 0 or not symbols or rng.random() < 0.3:
-        if rng.random() < 0.6 or not any(not s.arg_sorts for s in symbols):
-            return Var(rng.choice(names), sort)
-        symbols = [s for s in symbols if not s.arg_sorts]
-    sym = rng.choice(symbols)
-    return App(sym, tuple(_random_sig_term(rng, sig, a, depth - 1, names)
-                          for a in sym.arg_sorts))
-
-
 def _pairs_in_state(rng, sig, sort):
     """The equations of one random state: random pairs that share
     variables, a variable against a term that contains it, and a chain of
     variables ``x0 = x1, x1 = x2, ...``."""
     roll = rng.random()
     if roll < 0.5:
-        return [(_random_sig_term(rng, sig, sort, 3), _random_sig_term(rng, sig, sort, 3))
+        return [(random_sig_term(rng, sig, sort, 3), random_sig_term(rng, sig, sort, 3))
                 for _ in range(rng.randint(1, 3))]
     if roll < 0.75:
-        t = _random_sig_term(rng, sig, sort, 3)
+        t = random_sig_term(rng, sig, sort, 3)
         inside = sorted(term_vars(t), key=lambda v: v.name)
         x = rng.choice(inside) if inside else Var("x", sort)
         pair = (x, t) if rng.random() < 0.5 else (t, x)
-        return [(_random_sig_term(rng, sig, sort, 2), _random_sig_term(rng, sig, sort, 2)),
+        return [(random_sig_term(rng, sig, sort, 2), random_sig_term(rng, sig, sort, 2)),
                 pair]
     chain = [Var(f"x{i}", sort) for i in range(rng.randint(2, 6))]
     pairs = list(zip(chain, chain[1:]))
     rng.shuffle(pairs)
     pairs = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs]
-    return pairs + [(rng.choice(chain), _random_sig_term(rng, sig, sort, 2, ("x0", "y")))]
+    return pairs + [(rng.choice(chain), random_sig_term(rng, sig, sort, 2, ("x0", "y")))]
 
 
 class TestTriangularBindings:
@@ -212,6 +197,29 @@ class TestTriangularBindings:
                 assert list(resolve(bindings).items()) == list(reference.items())
                 unified += 1
         assert unified > 300 and failed > 50
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_every_resolved_map_passes_the_idempotence_check(self, preset):
+        # Substitution.resolved wraps resolve's maps without the check, so
+        # each one must pass it, and bind no variable to itself, which the
+        # checked constructor would drop
+        sig = load_preset(preset).sig
+        sorts = sorted({s.result for s in sig.symbols.values()
+                        if s.kind in ("individual", "function")}, key=str)
+        rng = random.Random(f"idempotent:{preset}")
+        checked = 0
+        for _ in range(400):
+            sort = rng.choice(sorts)
+            bindings = None
+            for t, u in _pairs_in_state(rng, sig, sort):
+                bindings = unify_terms(t, u, bindings)
+                if bindings is None:
+                    break
+                resolved = resolve(bindings)
+                assert Substitution(resolved).map == resolved, (t, u)
+                assert Substitution.resolved(resolved) == Substitution(resolved)
+                checked += 1
+        assert checked > 300
 
     def test_the_input_bindings_are_not_changed(self):
         sig = small_signature()
@@ -864,7 +872,7 @@ class TestStoreAndPropagation:
         env = {}
         atom = parse_term_or_atom("x in y", st.sig, env)
         clause = ConstrainedClause([Literal(True, atom)])
-        out = propagate_on_the_fly(clause, st.system, st.sig)
+        out = propagate_on_the_fly(clause.literals, clause.constraints, st.system, st.sig)
         assert out is not None and out.normalized
         assert [(c.literals, c.constraints) for c in out.clauses] \
             == [(clause.literals, clause.constraints)]
@@ -872,7 +880,7 @@ class TestStoreAndPropagation:
     def test_unsolvable_store_discards(self):
         sig = small_signature()
         a, b = App(sig.lookup("a")), App(sig.lookup("b"))
-        out = propagate_on_the_fly(ConstrainedClause([], [Constraint(a, b)]), EMPTY_SYSTEM, sig)
+        out = propagate_on_the_fly([], [Constraint(a, b)], EMPTY_SYSTEM, sig)
         assert out is None
 
     def test_propagation_triggers_reductions(self):
@@ -882,7 +890,7 @@ class TestStoreAndPropagation:
         con = Constraint(parse_term_or_atom("P", st.sig, env),
                          parse_term_or_atom("{a0, b0}", st.sig, env))
         clause = ConstrainedClause([Literal(True, atom)], [con])
-        out = propagate_on_the_fly(clause, st.system, st.sig)
+        out = propagate_on_the_fly(clause.literals, clause.constraints, st.system, st.sig)
         assert out is not None
         assert len(out.clauses) == 1
         assert out.clauses[0].literal_text() == "c0 = a0, c0 = b0"
