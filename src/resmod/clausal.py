@@ -43,10 +43,32 @@ from .rewrite import RewriteSystem, normalize
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Literal:
-    positive: bool
-    atom: Atom
+    """A signed atom.  It hashes as ``(positive, atom)`` and keeps the hash;
+    ``_order`` caches :func:`resmod.prover._literal_sort_key` on first use.
+    A literal is never mutated."""
+
+    __slots__ = ("positive", "atom", "_hash", "_order")
+
+    def __init__(self, positive: bool, atom: Atom):
+        self.positive = positive
+        self.atom = atom
+        self._hash = hash((positive, atom))
+        self._order: tuple | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Literal):
+            return NotImplemented
+        return (self._hash == other._hash and self.positive == other.positive
+                and self.atom == other.atom)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Literal(positive={self.positive!r}, atom={self.atom!r})"
 
     def apply(self, s: Substitution) -> "Literal":
         return Literal(self.positive, s(self.atom))
@@ -56,9 +78,11 @@ class Literal:
 
 
 class Constraint:
-    """Postponed equation ``lhs = rhs`` modulo the E-rules (unordered pair)."""
+    """Postponed equation ``lhs = rhs`` modulo the E-rules (unordered pair).
+    ``_sides`` and ``_texts`` cache :func:`resmod.prover._ordered_sides` and
+    :func:`resmod.prover._side_texts` on first use."""
 
-    __slots__ = ("lhs", "rhs", "_hash")
+    __slots__ = ("lhs", "rhs", "_hash", "_sides", "_texts")
 
     def __init__(self, lhs: Term | Atom, rhs: Term | Atom):
         lhs_atom, rhs_atom = isinstance(lhs, Atom), isinstance(rhs, Atom)
@@ -69,6 +93,8 @@ class Constraint:
         self.lhs = lhs
         self.rhs = rhs
         self._hash = hash((0xC0, frozenset((hash(lhs), hash(rhs)))))
+        self._sides: tuple | None = None
+        self._texts: tuple[str, str] | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Constraint):
@@ -124,9 +150,11 @@ class ConstrainedClause:
     inference, and variables the names that clausification and renaming
     apart gave them.  A clause compares by identity; up to renaming, a
     clause that carries constraints is identified by
-    :func:`resmod.prover.clause_key`, the literal and constraint sets of its
-    canonical variant (:func:`resmod.prover.tidy_clause`), and a
-    constraint-free one by subsumption.
+    :func:`resmod.prover.clause_key`, the sets of its literals and
+    constraints encoded with canonically numbered variables, which
+    :func:`resmod.prover.tidy_clause` reads off the clause in one walk
+    without building another; a constraint-free one is identified by
+    subsumption.
     """
 
     __slots__ = ("literals", "constraints", "id", "provenance", "_lit_set",

@@ -125,7 +125,7 @@ class Symbol:
         if self.kind not in (INDIVIDUAL, FUNCTION, PREDICATE):
             raise ValueError(f"unknown symbol kind {self.kind!r}")
         if self.name.startswith("?"):
-            # keeps symbol names apart from the ``?n`` variables of clause keys
+            # keeps symbol names apart from ``?n``, the names of canonically numbered variables
             raise ValueError(f"symbol name {self.name!r} must not start with '?'")
 
     @property

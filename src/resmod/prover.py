@@ -94,12 +94,13 @@ rule.  Ordering and selection keep the search complete:
    the selected literal, as the multiset calculus does.
 4. Redundancy: tautologies and subsumed clauses are redundant, variants
    among them; a constraint-free clause's variants are found by
-   subsumption, a constrained clause's by its canonical variant
-   (:func:`redundancy_filter`).  Under selection a subsumer must map its
-   literals one to one (:func:`subsumes`), so each ground instance of the
-   clause it deletes or retires contains one of the subsumer's as a
-   sub-multiset: a smaller clause, or at equal size the same one.  Neither
-   test reads the ordering, which only restricts inferences.
+   subsumption, a constrained clause's by its key, which numbers its
+   variables canonically (:func:`redundancy_filter`).  Under selection a
+   subsumer must map its literals one to one (:func:`subsumes`), so each
+   ground instance of the clause it deletes or retires contains one of the
+   subsumer's as a sub-multiset: a smaller clause, or at equal size the
+   same one.  Neither test reads the ordering, which only restricts
+   inferences.
 5. Fairness: every kept clause is selected in time and resolved with every
    live selected clause, so the clauses that persist are saturated.
 
@@ -117,7 +118,6 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .kernel import (
@@ -129,7 +129,6 @@ from .kernel import (
     Var,
     free_names,
     rename_apart,
-    subst_term,
     term_size,
 )
 from .clausal import (Constraint, ConstrainedClause, Literal, Provenance, clausal_form,
@@ -497,6 +496,14 @@ def _literal_sort_key(lit: Literal) -> tuple:
             tuple(_blank_skeleton(a) for a in lit.atom.args))
 
 
+def _literal_order(lit: Literal) -> tuple:
+    """:func:`_literal_sort_key`, cached on the literal."""
+    key = lit._order
+    if key is None:
+        key = lit._order = _literal_sort_key(lit)
+    return key
+
+
 def _side_skeleton(x: Term | Atom) -> str:
     if isinstance(x, Atom):
         return f"{x.pred.name}({','.join(_blank_skeleton(a) for a in x.args)})"
@@ -506,66 +513,94 @@ def _side_skeleton(x: Term | Atom) -> str:
 def _ordered_sides(con: Constraint) -> tuple[tuple[str, str], tuple]:
     """The skeletons and the two sides of a constraint, ordered by
     variable-blind skeleton and then by text; a side is printed only when
-    the skeletons tie."""
-    lhs, rhs = con.lhs, con.rhs
-    kl, kr = _side_skeleton(lhs), _side_skeleton(rhs)
-    if kl > kr or (kl == kr and str(lhs) > str(rhs)):
-        return (kr, kl), (rhs, lhs)
-    return (kl, kr), (lhs, rhs)
-
-
-def _side_texts(entry: tuple[tuple[str, str], tuple]) -> tuple[str, str]:
-    return str(entry[1][0]), str(entry[1][1])
-
-
-def tidy_clause(c: ConstrainedClause) -> ConstrainedClause:
-    """The canonical variant of ``c``, the clause :func:`clause_key` keys.
-
-    Its variables are renamed ``?0``, ``?1``, ... in order of first
-    occurrence: in the literals first, sorted by polarity, predicate and
-    variable-blind skeleton, then in the constraints, in an order fixed by
-    their skeletons and text, so the numbering does not depend on the
-    iteration order of the constraint set.  Only constraints whose
-    skeletons tie are printed.  No parsed name takes the form ``?n``.
-    """
-    terms = [a for lit in sorted(c.literals, key=_literal_sort_key) for a in lit.atom.args]
-    by_skeleton = sorted((_ordered_sides(con) for con in c.constraints), key=itemgetter(0))
-    for _, tied in itertools.groupby(by_skeleton, key=itemgetter(0)):
-        tied = list(tied)
-        for _, sides in sorted(tied, key=_side_texts) if len(tied) > 1 else tied:
-            for x in sides:
-                terms += x.args if isinstance(x, Atom) else (x,)
-    names: dict[str, Term] = {}
-    stack = terms[::-1]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            if t.name not in names:
-                names[t.name] = Var(f"?{len(names)}", t.sort)
+    the skeletons tie.  Cached on the constraint."""
+    entry = con._sides
+    if entry is None:
+        lhs, rhs = con.lhs, con.rhs
+        kl, kr = _side_skeleton(lhs), _side_skeleton(rhs)
+        if kl > kr or (kl == kr and str(lhs) > str(rhs)):
+            entry = (kr, kl), (rhs, lhs)
         else:
-            stack += reversed(t.args)
+            entry = (kl, kr), (lhs, rhs)
+        con._sides = entry
+    return entry
 
-    def rename(x: Term | Atom) -> Term | Atom:
-        if isinstance(x, Atom):
-            return Atom(x.pred, tuple(subst_term(a, names) for a in x.args))
-        return subst_term(x, names)
 
-    return ConstrainedClause(
-        (Literal(lit.positive, rename(lit.atom)) for lit in c.literals),
-        (Constraint(rename(con.lhs), rename(con.rhs)) for con in c.constraints))
+def _skeletons(con: Constraint) -> tuple[str, str]:
+    return _ordered_sides(con)[0]
+
+
+def _side_texts(con: Constraint) -> tuple[str, str]:
+    """The printed sides of a constraint, in :func:`_ordered_sides`'
+    order; cached on the constraint."""
+    texts = con._texts
+    if texts is None:
+        lhs, rhs = _ordered_sides(con)[1]
+        texts = con._texts = (str(lhs), str(rhs))
+    return texts
+
+
+def tidy_clause(c: ConstrainedClause) -> tuple[frozenset[tuple], frozenset[frozenset]]:
+    """The key :func:`clause_key` returns: the codes of ``c``'s literals
+    and of its constraints, read off ``c`` in one walk; no clause is built.
+
+    The variables are numbered in order of first occurrence: in the
+    literals first, sorted by polarity, predicate and variable-blind
+    skeleton, then in the constraints, in an order fixed by their skeletons
+    and text, so the numbering does not depend on the iteration order of
+    the constraint set.  Only constraints whose skeletons tie are printed.
+    Each term is encoded in one pre-order walk: a symbol as its name and
+    arity, a variable as its number and sort.  A literal's code is its
+    polarity, its predicate's name and the codes of its arguments; an atom
+    side of a constraint starts with None, and a constraint's code is the
+    set of its two side codes.  So two clauses key alike exactly when
+    renaming each one's variables ``?0``, ``?1``, ... in this order gives
+    equal literal sets and equal constraint sets, the constraints compared
+    as unordered pairs.  A variable name stands for one variable in a
+    clause, of one sort.
+    """
+    codes: dict[str, tuple] = {}  # variable name -> (number, sort)
+
+    def encode(out: list, stack: list) -> tuple:
+        # ``stack`` holds the terms still to encode, the next on top
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Var):
+                code = codes.get(t.name)
+                if code is None:
+                    code = codes[t.name] = (len(codes), t.sort)
+                out.append(code)
+            else:
+                args = t.args
+                out += (t.sym.name, len(args))
+                if args:
+                    stack += reversed(args)
+        return tuple(out)
+
+    literals = frozenset(
+        encode([lit.positive, lit.atom.pred.name], [*reversed(lit.atom.args)])
+        for lit in sorted(c.literals, key=_literal_order))
+    constraints = []
+    for _, tied in itertools.groupby(sorted(c.constraints, key=_skeletons), key=_skeletons):
+        tied = list(tied)
+        for con in sorted(tied, key=_side_texts) if len(tied) > 1 else tied:
+            constraints.append(frozenset(
+                encode([None, x.pred.name], [*reversed(x.args)]) if isinstance(x, Atom)
+                else encode([], [x]) for x in _ordered_sides(con)[1]))
+    return literals, frozenset(constraints)
 
 
 def clause_key(c: ConstrainedClause) -> tuple:
     """Renaming-insensitive fingerprint used for duplicate detection among
-    clauses that carry constraints: the literal and constraint sets of the
-    canonical variant (:func:`tidy_clause`).  Clauses with one key are
-    variants.  Variants can key apart only where literals or constraints
-    tie on their skeletons, since the numbering then follows literal order
-    or variable names; :func:`redundancy_filter` finds a constraint-free
-    clause's variants by subsumption instead.  Terms compare structurally,
-    so a variable never equals a constant of its name."""
-    v = tidy_clause(c)
-    return (v._lit_set, v.constraints)
+    clauses that carry constraints: the codes of the clause's literals and
+    constraints that :func:`tidy_clause` reads off it in one walk, with no
+    clause built.  Clauses with one key are variants.  Variants can key
+    apart only where literals or constraints tie on their skeletons, since
+    the numbering then follows literal order or variable names;
+    :func:`redundancy_filter` finds a constraint-free clause's variants by
+    subsumption instead.  A variable's code is never a symbol's, so a
+    variable never equals a constant of its name."""
+    return tidy_clause(c)
 
 
 def subsumes(c: ConstrainedClause, d: ConstrainedClause, injective: bool = False) -> bool:
@@ -615,8 +650,8 @@ class ClauseIndex:
     :meth:`~resmod.clausal.ConstrainedClause.features` for the two
     subsumption checks and by (polarity, predicate name) for resolution,
     plus ``keys``, the :func:`clause_key` of every clause that carries
-    constraints and that :func:`redundancy_filter` kept: the literal and
-    constraint sets of its canonical variant.
+    constraints and that :func:`redundancy_filter` kept: the codes of its
+    literals and constraints, read off the clause in one walk.
 
     The features are sound for subsumption: when ``subsumes(c, d)`` holds,
     every feature of ``c`` is a feature of ``d``.  The matcher takes each
@@ -747,14 +782,14 @@ def redundancy_filter(new: ConstrainedClause, index: ClauseIndex) -> tuple[bool,
     """keep/discard decision for a freshly derived clause.
 
     Discards exact tautologies with no constraints, clauses that carry
-    constraints whose canonical variant (:func:`tidy_clause`) is that of a
-    clause it kept before, and clauses subsumed by a live constraint-free
-    kept clause, one to one when ``index.select``; the reason is
-    ``tautology``, ``duplicate`` or ``subsumed``.  The empty clause is never
-    discarded nor keyed.  The :func:`clause_key` of a non-empty clause that
-    carries constraints is computed here, once, and joins ``index.keys``
-    when the clause is kept.  A kept clause keeps its own variable names:
-    the canonical variant only keys it.
+    constraints whose :func:`clause_key` is that of a clause it kept
+    before, and clauses subsumed by a live constraint-free kept clause, one
+    to one when ``index.select``; the reason is ``tautology``,
+    ``duplicate`` or ``subsumed``.  The empty clause is never discarded nor
+    keyed.  The key of a non-empty clause that carries constraints is read
+    off it here, once, in one walk that builds no clause, and joins
+    ``index.keys`` when the clause is kept.  A kept clause keeps its own
+    variable names: the key numbers them only in its codes.
 
     A constraint-free clause ``d`` is never keyed: forward subsumption
     already discards every variant of a clause kept before, so it keeps

@@ -39,7 +39,9 @@ from resmod.kernel import (
     term_vars,
     with_children,
 )
-from resmod.clausal import ClausalResult, ConstrainedClause, Literal, renormalize_clause
+from resmod.clausal import (ClausalResult, ConstrainedClause, Constraint, Literal,
+                             renormalize_clause)
+from resmod.prover import _literal_sort_key, _side_skeleton
 from resmod.rewrite import (R_CLASS, EtaRule, NarrowingRule, NormalizeOutcome,
                             RewriteSystem, match)
 from resmod.unify import (
@@ -224,6 +226,44 @@ def clause_sets_isomorphic(actual: list[ConstrainedClause],
 def contains_isomorphic(clauses, expected: ConstrainedClause,
                         flex_symbols: frozenset[str] = frozenset()) -> bool:
     return any(clauses_isomorphic(expected, c, flex_symbols) for c in clauses)
+
+
+def canonical_variant(c: ConstrainedClause) -> ConstrainedClause:
+    """A reference for the key ``prover.clause_key`` reads off ``c``: the
+    variant of ``c`` whose variables are renamed ``?0``, ``?1``, ... in
+    order of first occurrence, in the literals sorted by polarity,
+    predicate and variable-blind skeleton and then in the constraints
+    sorted by the skeletons and the texts of their sides, every side
+    printed.  Two clauses key alike when the literal sets and the
+    constraint sets of their canonical variants are equal."""
+    def ordered_sides(con):
+        sides = sorted(((_side_skeleton(x), str(x), x) for x in (con.lhs, con.rhs)),
+                       key=lambda e: e[:2])
+        return (tuple(e[0] for e in sides), tuple(e[1] for e in sides),
+                tuple(e[2] for e in sides))
+
+    terms = [a for lit in sorted(c.literals, key=_literal_sort_key) for a in lit.atom.args]
+    for _, _, sides in sorted((ordered_sides(con) for con in c.constraints),
+                              key=lambda e: e[:2]):
+        for x in sides:
+            terms += x.args if isinstance(x, Atom) else (x,)
+    names = {}
+    stack = terms[::-1]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            names.setdefault(t.name, Var(f"?{len(names)}", t.sort))
+        else:
+            stack += reversed(t.args)
+
+    def rename(x):
+        if isinstance(x, Atom):
+            return Atom(x.pred, tuple(subst_term(a, names) for a in x.args))
+        return subst_term(x, names)
+
+    return ConstrainedClause(
+        (Literal(lit.positive, rename(lit.atom)) for lit in c.literals),
+        (Constraint(rename(con.lhs), rename(con.rhs)) for con in c.constraints))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from resmod.kernel import (
     Signature,
     Var,
 )
-from resmod.prover import clause_key
+from resmod.prover import _literal_order, _literal_sort_key, clause_key
 from resmod.rewrite import EMPTY_SYSTEM
 from resmod.theories import load_preset
 from resmod.parser import parse_prop, parse_term_or_atom
@@ -333,3 +333,26 @@ class TestClauseBasics:
         a = Atom(sig.predicate("A", ()), ())
         with pytest.raises(TypeError):
             Constraint(Var("x", u), a)
+
+    def test_a_literal_is_a_value_that_keeps_its_hash_and_order(self):
+        # a literal hashes as (positive, atom): set and dict orders, and with
+        # them the recorded traces, rest on that hash
+        sig = Signature()
+        u = sig.declare_sort("u")
+        p, g = sig.predicate("p", (u, u)), sig.function("g", (u,), u)
+        a = sig.individual("a", u)
+
+        def atom(name):
+            return Atom(p, (App(g, (Var(name, u),)), App(a)))
+
+        lit, twin = Literal(True, atom("X")), Literal(True, atom("X"))
+        assert lit.atom is not twin.atom
+        assert lit == twin and hash(lit) == hash(twin) == hash((True, atom("X")))
+        assert lit != Literal(False, atom("X")) and lit != Literal(True, atom("Y"))
+        assert lit != (True, atom("X"))
+        assert len({lit, twin, Literal(False, atom("X"))}) == 2
+        assert repr(lit) == "Literal(positive=True, atom=Atom('p(g(X), a)'))"
+        assert lit._order is None
+        order = _literal_order(lit)
+        assert order == _literal_sort_key(lit) == (False, "p", ("g(*)", "a"))
+        assert _literal_order(lit) is order and lit._order is order

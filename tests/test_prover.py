@@ -3,10 +3,12 @@ filter, the proof slice of a search, the traces of the refutation gate and
 of on-the-fly searches, the propagations on the fly, the atom ordering and
 the literals it leaves eligible, the clause index against the checks it
 prefilters, ground subsumption against a literal-mapping oracle, the
-duplicate key against a variant oracle, and saturation against a truth
+duplicate key against a variant oracle and against the canonical variants
+of a reference, and saturation against a truth
 table, on ground clauses and, through Herbrand's theorem, on function-free
 ones."""
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -27,8 +29,6 @@ from resmod.parser import parse_prop, parse_term_or_atom
 from resmod.prover import (
     ClauseIndex,
     _guided,
-    _literal_sort_key,
-    _side_skeleton,
     atom_key,
     clause_key,
     eligible,
@@ -38,14 +38,14 @@ from resmod.prover import (
     narrowing_applicable,
     redundancy_filter,
     subsumes,
-    tidy_clause,
 )
 from resmod.rewrite import RewriteRule, RewriteSystem, normalize
 from resmod.unify import propagate_on_the_fly
 
-from helpers import (clause_variant, hol_cantor, random_arith_term, random_comb_spine,
-                     random_sig_term, random_sigma_term, random_term, reference_process_new,
-                     reference_propagate, small_signature, solve_syntactic, truth_table)
+from helpers import (canonical_variant, clause_variant, hol_cantor, random_arith_term,
+                     random_comb_spine, random_sig_term, random_sigma_term, random_term,
+                     reference_process_new, reference_propagate, small_signature,
+                     solve_syntactic, truth_table)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -670,7 +670,7 @@ def test_the_duplicate_key_agrees_with_a_variant_oracle(clauses):
         renamed, _ = rename_apart(c.free_names(), c)
         copy = ConstrainedClause(reversed(renamed.literals), renamed.constraints)
         assert clause_key(copy) == clause_key(c), (c, copy)
-        canonical = tidy_clause(c)
+        canonical = canonical_variant(c)
         assert clause_variant(canonical, c), (c, canonical)
         assert clause_key(canonical) == clause_key(c), (c, canonical)
     closed = {clause_key(c) for c in clauses if not c.free_vars()}
@@ -887,63 +887,112 @@ def test_a_failed_unifier_builds_no_clause_and_a_resolvent_one(monkeypatch):
             else shapes(reference.clauses) == shapes(clauses)
 
 
-def reference_tidy_clause(c: ConstrainedClause) -> ConstrainedClause:
-    """A reference for ``tidy_clause``: the constraints are sorted by the
-    skeletons and the texts of their sides, each side printed."""
-    def ordered_sides(con):
-        sides = sorted(((_side_skeleton(x), str(x), x) for x in (con.lhs, con.rhs)),
-                       key=lambda e: e[:2])
-        return (tuple(e[0] for e in sides), tuple(e[1] for e in sides),
-                tuple(e[2] for e in sides))
+def keyed_signature() -> Signature:
+    """``small_signature`` with a second sort ``v``: a constant ``d``, a
+    function ``h`` from ``u`` to ``v`` and a predicate ``q`` on ``v`` and
+    ``u``."""
+    sig = small_signature()
+    u, v = sig.sorts["u"], sig.declare_sort("v")
+    sig.individual("d", v)
+    sig.function("h", (u,), v)
+    sig.predicate("q", (v, u))
+    return sig
 
-    terms = [a for lit in sorted(c.literals, key=_literal_sort_key) for a in lit.atom.args]
-    for _, _, sides in sorted((ordered_sides(con) for con in c.constraints),
-                              key=lambda e: e[:2]):
-        for x in sides:
-            terms += x.args if isinstance(x, Atom) else (x,)
-    names = {}
-    stack = terms[::-1]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            names.setdefault(t.name, Var(f"?{len(names)}", t.sort))
+
+def random_keyed_clause(rng: random.Random, sig: Signature) -> ConstrainedClause:
+    """One to three literals and up to five constraints, some between atoms,
+    over small terms of two sorts, so that skeletons often tie, within a
+    constraint and between constraints or literals; ``X``, ``Y`` and ``Z``
+    are variables of sort ``u``, ``V`` and ``W`` of sort ``v``."""
+    u, v = sig.sorts["u"], sig.sorts["v"]
+    p, q, g, h, d = (sig.lookup(name) for name in "pqghd")
+
+    def term(sort):
+        roll = rng.random()
+        if sort == v:
+            if roll < 0.5:
+                return Var(rng.choice("VW"), v)
+            return App(d) if roll < 0.7 else App(h, (term(u),))
+        x = Var(rng.choice("XYZ"), u)
+        if roll < 0.3:
+            return x
+        return App(g, (x,)) if roll < 0.6 else random_term(rng, sig, 1, "XYZ")
+
+    def atom():
+        return Atom(p, (term(u), term(u))) if rng.random() < 0.6 else Atom(q, (term(v), term(u)))
+
+    constraints = []
+    for _ in range(rng.randint(0, 5)):
+        roll = rng.random()
+        if roll < 0.3:
+            constraints.append(Constraint(atom(), atom()))
         else:
-            stack += reversed(t.args)
+            sort = u if roll < 0.75 else v
+            constraints.append(Constraint(term(sort), term(sort)))
+    return ConstrainedClause([Literal(rng.random() < 0.5, atom())
+                              for _ in range(rng.randint(1, 3))], constraints)
 
+
+def renamed_clause(c: ConstrainedClause, names: dict[str, Var],
+                   rng: random.Random) -> ConstrainedClause:
+    """``c`` with its variables renamed by ``names``, its literals shuffled
+    and each constraint's sides swapped at random."""
     def rename(x):
         if isinstance(x, Atom):
             return Atom(x.pred, tuple(subst_term(a, names) for a in x.args))
         return subst_term(x, names)
 
-    return ConstrainedClause(
-        (Literal(lit.positive, rename(lit.atom)) for lit in c.literals),
-        (Constraint(rename(con.lhs), rename(con.rhs)) for con in c.constraints))
+    literals = [Literal(lit.positive, rename(lit.atom)) for lit in c.literals]
+    rng.shuffle(literals)
+    constraints = [(rename(con.rhs), rename(con.lhs)) if rng.random() < 0.5
+                   else (rename(con.lhs), rename(con.rhs)) for con in c.constraints]
+    return ConstrainedClause(literals, [Constraint(*sides) for sides in constraints])
 
 
-def test_the_canonical_variant_prints_only_the_sides_whose_skeletons_tie():
-    # small terms over few symbols, so that skeletons often tie, within a
-    # constraint and between constraints
-    sig = small_signature()
-    u = sig.sorts["u"]
-    p, g = sig.lookup("p"), sig.lookup("g")
-    rng = random.Random("tidy")
-    for _ in range(300):
-        def term():
-            roll, x = rng.random(), Var(rng.choice("XYZW"), u)
-            if roll < 0.3:
-                return x
-            return App(g, (x,)) if roll < 0.6 else random_term(rng, sig, 1, "XYZW")
-
-        def side(atom: bool):
-            return Atom(p, (term(), term())) if atom else term()
-
-        constraints = [Constraint(side(atom), side(atom))
-                       for atom in (rng.random() < 0.3 for _ in range(rng.randint(1, 6)))]
-        c = ConstrainedClause([Literal(rng.random() < 0.5, Atom(p, (term(), term())))],
-                              constraints)
-        got, want = tidy_clause(c), reference_tidy_clause(c)
-        assert got.literals == want.literals and got.constraints == want.constraints, c
-        assert sorted(map(str, got.constraints)) == sorted(map(str, want.constraints))
+def test_the_duplicate_key_agrees_with_the_canonical_variant():
+    # pairs of a clause and a variant of it, a variant with two variables
+    # merged or a literal negated, or another random clause: the keys are
+    # equal exactly when the canonical variants' literal and constraint
+    # sets are, variants that tie on their skeletons included
+    sig = keyed_signature()
+    u, v = sig.sorts["u"], sig.sorts["v"]
+    rng = random.Random("clause keys")
+    seen = collections.Counter()
+    for _ in range(1500):
+        c = random_keyed_clause(rng, sig)
+        permuted = {**dict(zip("XYZ", (Var(n, u) for n in rng.sample("XYZ", 3)))),
+                    **dict(zip("VW", (Var(n, v) for n in rng.sample("VW", 2))))}
+        roll = rng.random()
+        if roll < 0.5:
+            kind, d = "variant", renamed_clause(c, permuted, rng)
+        elif roll < 0.65:
+            kind, d = "merged", renamed_clause(c, {"X": Var("Y", u), "V": Var("W", v)}, rng)
+        elif roll < 0.8:
+            kind = "negated"
+            d = renamed_clause(c, permuted, rng)
+            first, *rest = d.literals
+            d = ConstrainedClause([Literal(not first.positive, first.atom), *rest],
+                                  d.constraints)
+        else:
+            kind, d = "other", random_keyed_clause(rng, sig)
+        ref_c, ref_d = canonical_variant(c), canonical_variant(d)
+        equal = ref_c._lit_set == ref_d._lit_set and ref_c.constraints == ref_d.constraints
+        assert (clause_key(c) == clause_key(d)) == equal, (kind, c, d)
+        atoms = any(isinstance(con.lhs, Atom) for con in c.constraints)
+        seen[kind, equal, atoms] += 1
+    assert seen["variant", True, True] >= 100 and seen["variant", True, False] >= 100
+    # a variant keys apart where the numbering follows literal order or
+    # variable names among tied skeletons
+    assert seen["variant", False, True] + seen["variant", False, False] >= 10
+    assert all(seen[kind, False, atoms] >= 30 for kind in ("merged", "negated", "other")
+               for atoms in (True, False))
+    assert seen["merged", True, False] + seen["merged", True, True] >= 20
+    # a variable's code reads its sort, as Var equality does
+    lit = Literal(True, Atom(sig.lookup("p"), (App(sig.lookup("a")),) * 2))
+    pairs = [ConstrainedClause([lit], [Constraint(Var(x, sort), Var(y, sort))])
+             for x, y, sort in (("X", "Y", u), ("V", "W", v))]
+    assert clause_key(pairs[0]) != clause_key(pairs[1])
+    assert canonical_variant(pairs[0]).constraints != canonical_variant(pairs[1]).constraints
 
 
 def seeded_cnf(seed: int, unsatisfiable: bool):
