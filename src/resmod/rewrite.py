@@ -12,13 +12,13 @@ rule that fired.  Both contract the redexes a scan that tries every rule at
 every node with :func:`match` contracts, in the same order; the scan is kept
 in ``tests/helpers.py`` as their reference.
 
-- ``RewriteSystem`` files, per root symbol (or predicate) and head symbols
-  of the arguments, a variable argument fitting any head, the contractors
-  of the rules that can fire there, in declaration order: each non-eta rule
-  compiled into one function that matches below the root and builds the
-  contractum, each ``EtaRule``'s ``contract`` bound to the system.  The
-  first that fires is the rule the scan finds; each contractor carries its
-  rule's name as ``rule_name``.
+- ``RewriteSystem`` keeps one dispatcher per root symbol (or predicate),
+  built on first use: a generated function that tries the root's rules in
+  declaration order, testing the head symbols of the node's arguments
+  inline before it calls a rule's contractor, which is the rule compiled
+  into one function that matches below the root and builds the contractum,
+  or an ``EtaRule``'s ``contract`` bound to the system.  The first that
+  fires is the rule the scan finds; it carries its name as ``rule_name``.
 - One call keeps the set of subterms whose whole subtree was searched and
   held no redex, and skips them (a subterm equal to a normal one is normal).
 - After a contraction the search resumes ``reach`` levels above the
@@ -34,6 +34,7 @@ in ``tests/helpers.py`` as their reference.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -186,34 +187,55 @@ def _index(rules: Iterable[RewriteRule], key) -> dict[str, tuple[RewriteRule, ..
     return {k: tuple(v) for k, v in out.items()}
 
 
-def _fits(rule: RewriteRule, heads: tuple) -> bool:
-    """Whether ``rule`` can fire at a node whose arguments have ``heads``
-    (a symbol name, or None for a variable), given the node's root fits."""
-    if isinstance(rule, EtaRule):
-        return True
-    args = rule.lhs.args
-    return len(args) == len(heads) and all(
-        type(p) is Var or p.sym.name == h for p, h in zip(args, heads))
+class _Dispatchers(dict):
+    """Root name -> the dispatcher of the rules ``index`` files under it,
+    generated when first asked for, or None for a root with no rule.  It
+    tries the rules in declaration order, each where the node's arity and
+    the head symbols of its arguments fit the left side (an ``EtaRule`` fits
+    any node), by calling the rule's compiled function, or an ``EtaRule``'s
+    ``contract`` bound to ``system``.  It returns ``(contractum,
+    contractor)`` for the first that fires, or None."""
 
+    def __init__(self, index: dict[str, tuple[RewriteRule, ...]], system: "RewriteSystem"):
+        super().__init__()
+        # a proxy, so that a system and its dispatchers form no reference
+        # cycle and a system no longer used is freed at once
+        self.index, self.system = index, weakref.proxy(system)
 
-def _candidates(cache: dict, index: dict, root: str, args: tuple,
-                system: "RewriteSystem") -> tuple[Callable, ...]:
-    """The contractors of the rules of ``index[root]`` that fit the heads of
-    ``args``, in declaration order, found in ``cache`` or filed there."""
-    key = (root, *[a.sym.name if type(a) is App else None for a in args])
-    found = cache.get(key)
-    if found is None:
-        found = cache[key] = tuple(
-            _bind_eta(r, system) if isinstance(r, EtaRule) else r.compiled
-            for r in index.get(root, ()) if _fits(r, key[1:]))
-    return found
-
-
-def _bind_eta(rule: EtaRule, system: "RewriteSystem") -> Callable[[Term], Term | None]:
-    """``rule.contract`` bound to ``system``, carrying the rule's name."""
-    contract = partial(rule.contract, system=system)
-    contract.rule_name = rule.name
-    return contract
+    def __missing__(self, root: str) -> Callable[[App | Atom], tuple | None] | None:
+        rules = self.index.get(root)
+        if not rules:
+            self[root] = None
+            return None
+        namespace: dict[str, object] = {"App": App}
+        const = _constants(namespace)
+        tries = []  # per rule: its arity (None: any), its head tests by position, its contractor
+        for r in rules:
+            if isinstance(r, EtaRule):
+                contract = partial(r.contract, system=self.system)
+                contract.rule_name = r.name
+                tries.append((None, {}, const(contract)))
+            else:
+                args = r.lhs.args
+                heads = {i: const(p.sym.name) for i, p in enumerate(args) if type(p) is App}
+                tries.append((len(args), heads, const(r.compiled)))
+        lines = []
+        # one block per arity, with the rules of that arity and the eta rules
+        # among them; then, for a node of any other arity, the eta rules
+        for arity in (*dict.fromkeys(n for n, _, _ in tries if n is not None), None):
+            block = [f"if {''.join(f'h{i} == {k} and ' for i, k in heads.items())}"
+                     f"(f := {c}(t)) is not None: return f, {c}"
+                     for n, heads, c in tries if n in (arity, None)]
+            if arity is not None:
+                tested = sorted({i for n, heads, _ in tries if n == arity for i in heads})
+                unpack = [f"{''.join(f's{i}, ' for i in range(arity))}= t.args"] if tested else []
+                block = [*unpack, *(f"h{i} = s{i}.sym.name if type(s{i}) is App else None"
+                                    for i in tested), *block, "return None"]
+                block = [f"if len(t.args) == {arity}:", *(f"    {line}" for line in block)]
+            lines += block
+        exec("def dispatch(t):\n" + "".join(f"    {line}\n" for line in lines), namespace)
+        dispatch = self[root] = namespace["dispatch"]
+        return dispatch
 
 
 def _reach(e_rules: Iterable[RewriteRule]) -> float:
@@ -260,11 +282,12 @@ class RewriteSystem:
 
     ``e_index`` maps a symbol to the E-rules whose left side has it at the
     root, ``r_index`` a predicate to its R-rules, both in declaration order.
-    :meth:`e_contractors` and :meth:`r_contractors` give the contractors of
-    those that fit the heads of a node's arguments, filed per (root,
-    argument heads) the first time a node asks: all that :func:`normalize`
-    tries.  ``reach`` says how far above a contraction :func:`normalize`
-    looks again for a redex.  ``var_names`` are the rules' variables' names.
+    ``e_dispatch`` and ``r_dispatch`` map a root to one dispatcher of its
+    rules (see :class:`_Dispatchers`), built the first time a node with that
+    root is met, or to None for a root no rule has: all that
+    :func:`normalize` calls at a node.  ``reach`` says how far above a
+    contraction :func:`normalize` looks again for a redex.  ``var_names``
+    are the rules' variables' names.
 
     ``narrowing``, filed on first use and kept, is what every refutation
     gate call narrows with: each non-eta E-rule as a :class:`NarrowingRule`
@@ -280,8 +303,8 @@ class RewriteSystem:
         self.r_rules: tuple[RewriteRule, ...] = tuple(r for r in self.rules if r.cls == R_CLASS)
         self.e_index = _index(self.e_rules, lambda r: r.lhs.sym.name)
         self.r_index = _index(self.r_rules, lambda r: r.lhs.pred.name)
-        self._e_by_heads: dict[tuple, tuple[Callable, ...]] = {}
-        self._r_by_heads: dict[tuple, tuple[Callable, ...]] = {}
+        self.e_dispatch = _Dispatchers(self.e_index, self)
+        self.r_dispatch = _Dispatchers(self.r_index, self)
         self.reach = _reach(self.e_rules)
 
     @cached_property
@@ -299,14 +322,6 @@ class RewriteSystem:
                 prepared.append(NarrowingRule(r.lhs, r.rhs, variables, block, step))
                 block += len(variables)
         return _index(prepared, lambda r: r.lhs.sym.name), block
-
-    def e_contractors(self, t: App) -> tuple[Callable, ...]:
-        """The contractors of the E-rules that can fire at the root of ``t``."""
-        return _candidates(self._e_by_heads, self.e_index, t.sym.name, t.args, self)
-
-    def r_contractors(self, a: Atom) -> tuple[Callable, ...]:
-        """The contractors of the R-rules that can fire at ``a``."""
-        return _candidates(self._r_by_heads, self.r_index, a.pred.name, a.args, self)
 
     def extend(self, rules: Iterable[RewriteRule]) -> "RewriteSystem":
         return RewriteSystem(self.rules + tuple(rules))
@@ -360,25 +375,32 @@ def match(pattern: Term | Atom, subject: Term | Atom,
     return b
 
 
-def _compile(rule: RewriteRule) -> Callable[[App | Atom], Term | Prop | None]:
-    """The contraction of a non-eta ``rule`` as one function generated from
-    its two sides, carrying the rule's name as ``rule_name``.
-
-    The function takes a node whose root and argument heads the index found
-    to fit the left side, matches the rest as :func:`match` does (names,
-    arities, the sorts of bound terms, repeated variables) and returns the
-    contractum or None: an E-rule's built as :func:`subst_term` builds it,
-    an R-rule's by :func:`subst_prop`, which avoids capture.  Symbols, names,
-    sorts and ground subterms are constants of its namespace and its locals
-    are numbered, so no text of the rule reaches the source; each node is
-    one statement, so a deep rule compiles too.
-    """
-    namespace: dict[str, object] = {"App": App, "Var": Var, "subst_prop": subst_prop}
-
+def _constants(namespace: dict[str, object]) -> Callable[[object], str]:
+    """A function that files a value in ``namespace``, the globals of a
+    generated function, under a fresh name ``k<n>`` and returns the name."""
     def const(value: object) -> str:
         name = f"k{len(namespace)}"
         namespace[name] = value
         return name
+    return const
+
+
+def _compile(rule: RewriteRule) -> Callable[[App | Atom], Term | Prop | None]:
+    """The contraction of a non-eta ``rule`` as one function generated from
+    its two sides, carrying the rule's name as ``rule_name``.
+
+    The function takes a node whose root and argument heads the root's
+    dispatcher found to fit the left side, matches the rest as
+    :func:`match` does (names, arities, the sorts of bound terms, repeated
+    variables) and returns the contractum or None: an E-rule's built as
+    :func:`subst_term` builds it, an R-rule's by :func:`subst_prop`, which
+    avoids capture.  Symbols, names, sorts and ground subterms are constants
+    of its namespace and its locals are numbered, so no text of the rule
+    reaches the source; each node is one statement, so a deep rule compiles
+    too.
+    """
+    namespace: dict[str, object] = {"App": App, "Var": Var, "subst_prop": subst_prop}
+    const = _constants(namespace)
 
     lines: list[str] = []
     after: list[str] = []  # the tests of the variables, once the shape fits
@@ -394,7 +416,7 @@ def _compile(rule: RewriteRule) -> Callable[[App | Atom], Term | Prop | None]:
                           f"if r is not {sort} and r != {sort}: return None"]
             continue
         n = len(p.args)
-        if depth > 1:  # the index checked the heads of the root and its arguments
+        if depth > 1:  # the dispatcher checked the heads of the root and its arguments
             lines.append(f"if type({s}) is not App or {s}.sym.name != {const(p.sym.name)} "
                          f"or len({s}.args) != {n}: return None")
         elif depth:
@@ -459,8 +481,8 @@ class NormalizeOutcome:
 
 
 def normalize(x: Term | Prop, system: RewriteSystem, fuel: int = 10_000) -> NormalizeOutcome:
-    """Contract at most ``fuel`` redexes, leftmost-outermost, trying at each
-    node only the rules the system's index gives; a system without rules
+    """Contract at most ``fuel`` redexes, leftmost-outermost, calling at
+    each node the system's dispatcher of its root; a system without rules
     gives back ``x`` itself."""
     if fuel < 1:
         raise ValueError("fuel must be positive")
@@ -523,13 +545,9 @@ class _Normalizer:
     def terms(self, terms: list[Term], once: bool = False) -> None:
         """Contract the redexes of ``terms``, left to right, in place; with
         ``once``, stop after the first contraction."""
-        system = self.system
-        index = system.e_index
-        if not index:
-            return
-        contractors = system.e_contractors
+        dispatchers = self.system.e_dispatch
         known = self.known
-        reach = system.reach
+        reach = self.system.reach
         # frames [symbol, children, next child, node or None once changed];
         # the bottom frame holds ``terms`` and is never a redex
         stack: list[list] = [[None, terms, 0, None]]
@@ -551,12 +569,9 @@ class _Normalizer:
             if isinstance(t, Var) or t in known:
                 frame[2] = i + 1
                 continue
-            new = None
-            for contract in contractors(t) if t.sym.name in index else ():
-                new = contract(t)
-                if new is not None:
-                    break
-            if new is None:
+            dispatch = dispatchers[t.sym.name]
+            found = dispatch(t) if dispatch else None
+            if found is None:
                 if t.args:
                     stack.append([t.sym, t.args, 0, t])
                 else:
@@ -567,7 +582,7 @@ class _Normalizer:
                 _close(stack, 1)
                 return
             self.fuel -= 1
-            self.fired = contract
+            new, self.fired = found
             _set_child(frame, new)
             if once:
                 _close(stack, 1)
@@ -580,25 +595,24 @@ class _Normalizer:
         """Normalize inside ``a``: ``(value, True)``, or the contractum of an
         R-rule at ``a`` and False."""
         system = self.system
-        has_rules = a.pred.name in system.r_index
+        dispatch = system.r_dispatch[a.pred.name]
         while True:
-            for contract in system.r_contractors(a) if has_rules else ():
-                new = contract(a)
-                if new is not None:
-                    if not self.fuel:
-                        self.blocked = True
-                        return a, True
-                    self.fuel -= 1
-                    self.fired = contract
-                    return new, False
+            found = dispatch(a) if dispatch else None
+            if found is not None:
+                if not self.fuel:
+                    self.blocked = True
+                    return a, True
+                self.fuel -= 1
+                new, self.fired = found
+                return new, False
             if not (a.args and system.e_index):
                 return a, True
             args = list(a.args)
             fuel = self.fuel
-            self.terms(args, once=has_rules)
+            self.terms(args, once=dispatch is not None)
             if self.fuel != fuel:
                 a = Atom(a.pred, args)
-            if self.fuel == fuel or not has_rules:
+            if self.fuel == fuel or dispatch is None:
                 return a, True
 
     def prop(self, p: Prop) -> Prop:

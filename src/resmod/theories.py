@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial, reduce
 
 from .kernel import (
     And,
@@ -215,6 +216,11 @@ def chain_axioms(n: int) -> tuple[Signature, list[Prop]]:
 # ---------------------------------------------------------------------------
 
 
+def _spine(f: Symbol, *ts: Term) -> Term:
+    """``ts[0]`` applied by the binary ``f`` to each of the rest in turn."""
+    return reduce(lambda out, t: App(f, (out, t)), ts)
+
+
 def _hol_comb() -> TheoryPreset:
     sig = Signature()
     term = sig.declare_sort("term")
@@ -227,12 +233,7 @@ def _hol_comb() -> TheoryPreset:
     eps = sig.predicate("eps", (term,))
     for c in ("a", "b", "c"):
         sig.individual(c, term)
-
-    def ap(*ts: Term) -> Term:
-        out = ts[0]
-        for t in ts[1:]:
-            out = App(app, (out, t))
-        return out
+    ap = partial(_spine, app)
 
     x, y, z = Var("x", term), Var("y", term), Var("z", term)
     rules = [
@@ -268,12 +269,7 @@ def _hol_sigma() -> TheoryPreset:
     dnot = sig.individual("dnot", term)
     dall = sig.individual("dall", term)
     eps = sig.predicate("eps", (term,))
-
-    def ap(*ts: Term) -> Term:
-        out = ts[0]
-        for t in ts[1:]:
-            out = App(app, (out, t))
-        return out
+    ap, SB, CN, CM = (partial(_spine, f) for f in (app, sub, cons, comp))
 
     def numeral(n: int) -> Term:
         if n < 1:
@@ -291,15 +287,6 @@ def _hol_sigma() -> TheoryPreset:
     s, t = Var("s", subst), Var("t", subst)
     s1, s2, s3 = Var("s1", subst), Var("s2", subst), Var("s3", subst)
     x, y = Var("x", term), Var("y", term)
-
-    def SB(u: Term, v: Term) -> Term:
-        return App(sub, (u, v))
-
-    def CN(u: Term, v: Term) -> Term:
-        return App(cons, (u, v))
-
-    def CM(u: Term, v: Term) -> Term:
-        return App(comp, (u, v))
 
     rules: list[RewriteRule] = [
         RewriteRule("beta", ap(App(lam, (a,)), b), SB(a, CN(b, App(ident)))),

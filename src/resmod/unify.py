@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .kernel import (App, Atom, Sort, SortMismatchError, Substitution, Term, Var, free_names,
                      subst_term, term_sort, term_var_names, term_vars)
 from .clausal import ClausalResult, Constraint, ConstrainedClause, Literal, renormalize_clause
-from .rewrite import NarrowingRule, RewriteSystem, _build, normalize
+from .rewrite import NarrowingRule, RewriteSystem, _build, _constants, normalize
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +535,7 @@ def compile_narrowing_step(lhs: App, rhs: Term, variables: tuple[tuple[str, Sort
     namespace: dict[str, object] = {"App": App, "Var": Var, "Bindings": Bindings,
                                     "extend": _extend, "resolve": resolve,
                                     "subst_term": subst_term}
-
-    def const(value: object) -> str:
-        name = f"k{len(namespace)}"
-        namespace[name] = value
-        return name
+    const = _constants(namespace)
 
     # the nodes of the left side breadth first; node k is met by the local s<k>
     nodes: list[Term] = [lhs]

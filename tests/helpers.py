@@ -473,6 +473,40 @@ def replace_at(x, pos: tuple, new):
 
 
 # ---------------------------------------------------------------------------
+# The rules that can fire at a node, by its root and argument heads
+# ---------------------------------------------------------------------------
+
+
+def arg_heads(x: App | Atom) -> tuple[str | None, ...]:
+    """The head symbol name of each argument of ``x``, None for a variable."""
+    return tuple(a.sym.name if type(a) is App else None for a in x.args)
+
+
+def fits(rule, heads: tuple[str | None, ...]) -> bool:
+    """Whether ``rule`` can fire at a node whose arguments have ``heads``
+    (a symbol name, or None for a variable), given the node's root fits."""
+    if isinstance(rule, EtaRule):
+        return True
+    args = rule.lhs.args
+    return len(args) == len(heads) and all(
+        type(p) is Var or p.sym.name == h for p, h in zip(args, heads))
+
+
+def same_root(system: RewriteSystem, x: App | Atom) -> tuple:
+    """The rules whose left side has the root symbol or predicate of ``x``,
+    in declaration order."""
+    if isinstance(x, Atom):
+        return system.r_index.get(x.pred.name, ())
+    return system.e_index.get(x.sym.name, ())
+
+
+def head_candidates(system: RewriteSystem, x: App | Atom) -> list:
+    """The reference for the rules a root's dispatcher tries at ``x``: those
+    of its root that fit the heads of its arguments, in declaration order."""
+    return [r for r in same_root(system, x) if fits(r, arg_heads(x))]
+
+
+# ---------------------------------------------------------------------------
 # One-step reduction by a scan of every rule at every node
 # ---------------------------------------------------------------------------
 

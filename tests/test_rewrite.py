@@ -1,9 +1,10 @@
 """Rewrite engine tests: matching, reduction, normalization."""
 
 import dataclasses
+import gc
 import math
 import random
-from functools import partial
+import weakref
 
 import pytest
 
@@ -20,7 +21,6 @@ from resmod.rewrite import (
     RewriteRule,
     RewriteSystem,
     RuleClassError,
-    _fits,
     match,
     normalize,
     reduce_once,
@@ -29,9 +29,9 @@ from resmod.theories import load_preset
 from resmod.unify import e_unify_narrowing
 from resmod.parser import parse_prop, parse_term, parse_term_or_atom
 
-from helpers import (normalize_rightmost_innermost, random_arith_term, random_comb_spine,
-                     random_sigma_term, random_term, russell_theory, scan_reduce_once,
-                     small_signature, sort_of, subtrees)
+from helpers import (head_candidates, normalize_rightmost_innermost, random_arith_term,
+                     random_comb_spine, random_sigma_term, random_term, russell_theory,
+                     same_root, scan_reduce_once, small_signature, sort_of, subtrees)
 
 
 class TestRuleClasses:
@@ -386,8 +386,9 @@ def tied_system():
 def tied_subjects(sig):
     """Nodes of the tied system that only a careful matcher gets right: a
     repeated variable bound to equal and to different terms, arguments built
-    with ``App`` that have the wrong sort, and a ``g`` that a display
-    directive replaced, a new symbol with the same name."""
+    with ``App`` that have the wrong sort, a ``g`` that a display directive
+    replaced, a new symbol with the same name, and an ``e`` and a ``p`` of
+    another arity under the names of the rules' roots."""
     v = sig.declare_sort("v")
     d = App(sig.individual("d", v))
     a, b = App(sig.lookup("a")), App(sig.lookup("b"))
@@ -395,11 +396,14 @@ def tied_subjects(sig):
     shown_g = dataclasses.replace(g, display="app")
     assert shown_g is not g and shown_g == g
     ga, shown_ga = App(g, (a,)), App(shown_g, (a,))
+    unary_e = dataclasses.replace(e, arg_sorts=e.arg_sorts[:1])
+    ternary_p = dataclasses.replace(p, arg_sorts=(*p.arg_sorts, p.arg_sorts[0]))
     terms = [App(e, (a, a)), App(e, (ga, ga)), App(e, (ga, shown_ga)), App(e, (a, b)),
              App(e, (d, d)), App(f, (a, d)), App(f, (d, b)), App(e, (App(g, (d,)), a)),
-             App(e, (shown_ga, b)), App(f, (a, shown_ga)), App(e, (Var("x", v), Var("x", v)))]
+             App(e, (shown_ga, b)), App(f, (a, shown_ga)), App(e, (Var("x", v), Var("x", v))),
+             App(unary_e, (ga,))]
     atoms = [Atom(p, (a, a)), Atom(p, (d, d)), Atom(p, (shown_ga, ga)), Atom(p, (shown_ga, d)),
-             Atom(p, (App(shown_g, (d,)), b))]
+             Atom(p, (App(shown_g, (d,)), b)), Atom(ternary_p, (ga, a, a))]
     return terms + atoms
 
 
@@ -439,25 +443,24 @@ def differential_inputs(name: str, rng: random.Random):
     return preset.system, terms + atoms
 
 
-def same_root(system, x):
-    """The rules whose left side has the root symbol or predicate of ``x``."""
+def dispatch(system, x):
+    """What the dispatcher of the root of ``x`` returns at ``x``:
+    ``(contractum, contractor)``, or None."""
     if isinstance(x, Atom):
-        return system.r_index.get(x.pred.name, ())
-    return system.e_index.get(x.sym.name, ())
-
-
-def heads(x):
-    """The head symbol names of the arguments of ``x``, None for a variable."""
-    return tuple(None if isinstance(a, Var) else a.sym.name for a in x.args)
+        found = system.r_dispatch[x.pred.name]
+    else:
+        found = system.e_dispatch[x.sym.name]
+    return found(x) if found else None
 
 
 class TestArgumentHeadIndex:
-    """At every node, the rules the index gives fire as a scan of every rule
-    with :func:`match` does: no rule that matches is dropped, the first rule
-    that fires is the scan's, and so is its contractum.  Each rule's
-    contractor there, its compiled function or its bound ``contract``,
-    returns what :func:`match` and :func:`subst_term` or :func:`subst_prop`
-    return."""
+    """At every node, the root's dispatcher returns the contractum and the
+    rule of the first rule that fires among those the reference filter
+    ``helpers.head_candidates`` gives (the rules of the node's root that fit
+    its argument heads), and None exactly where none fires.  No rule that
+    matches is left out, so that rule is the first a scan of every rule with
+    :func:`match` finds.  Each non-eta candidate's compiled function returns
+    what :func:`match` and :func:`subst_term` or :func:`subst_prop` return."""
 
     @pytest.mark.parametrize("name", ["arith", "hol-comb", "hol-sigma", "set-cantor",
                                       "integral-rings", "tied"])
@@ -467,29 +470,36 @@ class TestArgumentHeadIndex:
         for x in inputs:
             for _, node in subtrees(x):
                 if isinstance(node, Atom):
-                    rules, contractors = system.r_rules, system.r_contractors(node)
+                    rules = system.r_rules
                 elif isinstance(node, App):
-                    rules, contractors = system.e_rules, system.e_contractors(node)
+                    rules = system.e_rules
                 else:
                     continue
-                candidates = [r for r in same_root(system, node) if _fits(r, heads(node))]
+                candidates = head_candidates(system, node)
                 skipped += len(same_root(system, node)) - len(candidates)
-                # one contractor per candidate, in declaration order
-                assert len(contractors) == len(candidates)
-                reductions = [c(node) for c in contractors]
-                assert reductions == [fire(r, node, system) for r in candidates]
+                reductions = [fire(r, node, system) for r in candidates]
+                for r, reduction in zip(candidates, reductions):
+                    if not isinstance(r, EtaRule):
+                        assert r.compiled(node) == reduction
                 misses += reductions.count(None)
+                first = next(((r, red) for r, red in zip(candidates, reductions)
+                              if red is not None), None)
+                found = dispatch(system, node)
+                if first is None:
+                    assert found is None, node
+                else:
+                    assert found is not None, node
+                    assert (found[0], found[1].rule_name) == (first[1], first[0].name)
                 fired = [r for r in rules if fire(r, node, system) is not None]
                 assert set(fired) <= set(candidates), f"a rule that matches {node} is dropped"
                 if not fired:
                     continue
-                contractum = fire(fired[0], node, system)
-                assert next(r for r in reductions if r is not None) == contractum
-                assert normalize(node, system, 1).value == contractum
+                assert fired[0] is first[0]
+                assert normalize(node, system, 1).value == first[1]
                 fired_nodes += 1
                 ties += len(fired) > 1
-        # the index leaves out rules of the node's root; where left sides
-        # look below the argument heads or repeat a variable, a contractor
+        # the filter leaves out rules of the node's root; where left sides
+        # look below the argument heads or repeat a variable, a candidate
         # finds no match at some nodes; in the tied system more than one
         # rule matches at some nodes
         assert fired_nodes >= 10 and skipped > fired_nodes
@@ -502,21 +512,46 @@ class TestArgumentHeadIndex:
         fired = [[r.name for r in system.rules if fire(r, x, system) is not None]
                  for x in tied_subjects(sig)]
         assert fired == [["diag"], ["diag", "e_left"], ["diag", "e_left"], [], [], [], [], [],
-                         ["e_left"], ["f_a"], [], ["p_diag"], [], ["p_diag", "p_g"], [], []]
+                         ["e_left"], ["f_a"], [], [], ["p_diag"], [], ["p_diag", "p_g"], [], [],
+                         []]
 
-    def test_an_eta_rule_stays_a_candidate_under_lam(self):
+    def test_an_eta_rule_stays_a_candidate_under_lam(self, monkeypatch):
+        tried = []
+        contract = EtaRule.contract
+
+        def spy(rule, t, system):
+            tried.append(t)
+            return contract(rule, t, system)
+
+        monkeypatch.setattr(EtaRule, "contract", spy)
         sigma = load_preset("hol-sigma")
         sig, system = sigma.sig, sigma.system
-        eta = next(r for r in system.e_rules if isinstance(r, EtaRule))
+        lam, app, one = sig.lookup("lam"), sig.lookup("app"), App(sig.lookup("1"))
+        shifted = App(sig.lookup("sub"), (one, App(sig.lookup("shift"))))
+        nodes = [App(lam, (body,)) for body in (one, App(app, (one, one)),
+                                                Var("a", sig.sorts["term"]),
+                                                App(app, (shifted, one)))]
+        assert [dispatch(system, t) for t in nodes[:3]] == [None] * 3
+        contractum, contractor = dispatch(system, nodes[3])
+        assert (contractum, contractor.rule_name) == (one, "eta")
+        assert tried == nodes
+        assert dispatch(system, App(app, (one, one))) is None
+        assert tried == nodes
 
-        def has_eta(t):
-            return any(isinstance(c, partial) and c.func == eta.contract
-                       and c.keywords == {"system": system} for c in system.e_contractors(t))
-
-        lam, one = sig.lookup("lam"), App(sig.lookup("1"))
-        for body in (one, App(sig.lookup("app"), (one, one)), Var("a", sig.sorts["term"])):
-            assert has_eta(App(lam, (body,)))
-        assert not has_eta(App(sig.lookup("app"), (one, one)))
+    def test_a_system_is_freed_as_soon_as_it_is_unused(self):
+        # its dispatchers, the eta rule's included, refer to it weakly, so
+        # no reference cycle keeps it until the garbage collector runs
+        sigma = load_preset("hol-sigma")
+        t = parse_term("lam(app(lam(app(sub(1, comp(shift, shift)), 1)), 1))", sigma.sig)
+        assert normalize(t, sigma.system).value == App(sigma.sig.lookup("1"))
+        assert "lam" in sigma.system.e_dispatch
+        system = weakref.ref(sigma.system)
+        gc.disable()
+        try:
+            del sigma
+            assert system() is None
+        finally:
+            gc.enable()
 
 
 def steps_against_the_scan(x, system, limit=60):
@@ -572,7 +607,8 @@ class TestReduceOnceAgainstTheScan:
 
 
 class TestCompiledRules:
-    """What :func:`rewrite._compile` generates from a rule's two sides."""
+    """What :func:`rewrite._compile` generates from a rule's two sides, and
+    ``rewrite._Dispatchers`` from the rules of a root."""
 
     def sources(self, monkeypatch, rules):
         seen = []
@@ -599,7 +635,9 @@ class TestCompiledRules:
                         Forall(z, Or(Atom(leq, (x, y)), Atom(leq, (z, x))))),
         ]
         compiled, sources = self.sources(monkeypatch, rules)
-        assert len(sources) == 2
+        system = RewriteSystem(rules)
+        dispatchers = system.e_dispatch["+"], system.r_dispatch["<="]
+        assert len(sources) == 4
         for source in sources:
             for text in ("'", "+", "S'", "<=", "x'", "y_", "nat", "plus_succ", "leq_succ",
                          "z"):
@@ -611,6 +649,9 @@ class TestCompiledRules:
         # z is free in the subject and bound in the right side
         a = Atom(leq, (App(succ, (one,)), App(succ, (App(succ, (z,)),))))
         assert compiled[1](a) == fire(rules[1], a, EMPTY_SYSTEM)
+        assert dispatchers[0](t) == (compiled[0](t), compiled[0])
+        assert dispatchers[1](a) == (compiled[1](a), compiled[1])
+        assert dispatchers[0](App(plus, (one, one))) is None
 
     def test_a_rule_2000_levels_deep_compiles(self):
         sig = small_signature()
@@ -631,10 +672,16 @@ class TestCompiledRules:
         t = parse_term("2 + 2", arith.sig)
         assert normalize(t, arith.system).value == arith.sig.numeral(4)
         used = [r.name for r in rules if "compiled" in vars(r)]
-        assert used == ["plus_zero", "plus_succ"] and len(sources) == 2
-        RewriteSystem(rules).e_contractors(t)
+        assert used == ["plus_zero", "plus_succ"]
+        # the two rules of + and one dispatcher, nothing for *
+        assert len(sources) == 3 and sources[2].startswith("def dispatch(")
+        assert [root for root, d in arith.system.e_dispatch.items() if d] == ["+"]
+        assert "*" not in arith.system.e_dispatch
+        normalize(t, arith.system)
+        assert len(sources) == 3
+        # a new system builds its own dispatcher of the rules compiled already
         normalize(t, RewriteSystem(rules))
-        assert len(sources) == 2
+        assert len(sources) == 4 and sources[3].startswith("def dispatch(")
 
 
 class TestNarrowingRules:
