@@ -786,7 +786,13 @@ _DISPLAY_OPERATOR = {display: op for op, display in _OPERATOR_DISPLAY.items()}
 def format_term(x: Term | Prop, env: Mapping[str, str] | None = None, prec: int = 0) -> str:
     """The text of a term or a proposition, laid out without recursion.
     ``env`` maps variable names to the names printed for them, and ``prec``
-    is the precedence of the context ``x`` stands in."""
+    is the precedence of the context ``x`` stands in.
+
+    A run of one-argument applications of prefix symbols, such as a numeral
+    ``S(S(...0))``, prints in one step: ``name(`` for each level, joined
+    into one string on the way down, then the run's foot (any other node)
+    at precedence 0, then one string of as many closing parentheses.  Every
+    other node is laid out one at a time."""
     out: list[str] = []
     # strings, (term or proposition, precedence) pairs, and the env to
     # return to after a quantifier's body
@@ -804,10 +810,17 @@ def format_term(x: Term | Prop, env: Mapping[str, str] | None = None, prec: int 
         if isinstance(x, Var):
             out.append(env.get(x.name, x.name) if env else x.name)
         elif isinstance(x, App):
-            if x.args:
-                stack.extend(reversed(_term_layout(x, prec)))
-            else:
+            if not x.args:
                 out.append(x.sym.name)
+            elif len(x.args) == 1 and x.sym.display == "prefix":
+                names = []
+                while type(x) is App and len(x.args) == 1 and x.sym.display == "prefix":
+                    names.append(x.sym.name)
+                    x = x.args[0]
+                out += ("(".join(names), "(")
+                stack += (")" * len(names), (x, 0))
+            else:
+                stack.extend(reversed(_term_layout(x, prec)))
         elif isinstance(x, _Quant):
             if shadowing is None:
                 shadowing = _binders_over_symbols(root)
@@ -897,7 +910,9 @@ def _binders_over_symbols(x: Term | Prop) -> set[int]:
     nullary predicate in their body, which the variable would shadow when
     the text is read back.  One pass: the open quantifiers are kept by hint,
     outermost first, and the marked ones of a hint are always the outermost
-    ones, so each symbol marks up to the first one already marked."""
+    ones, so each symbol marks up to the first one already marked.  A
+    one-argument application names no constant, so a run of them is walked
+    down at once to its foot."""
     out: set[int] = set()
     open_by_hint: dict[str, list[_Quant]] = {}
     stack: list = [x]
@@ -910,6 +925,9 @@ def _binders_over_symbols(x: Term | Prop) -> set[int]:
             open_by_hint.setdefault(y.hint, []).append(y)
             stack += (y.hint, y.body)
             continue
+        if isinstance(y, App):
+            while len(y.args) == 1 and isinstance(y.args[0], App):
+                y = y.args[0]
         name = (y.sym.name if isinstance(y, App) else y.pred.name
                 if isinstance(y, Atom) else None)
         if name is not None and not y.args:

@@ -253,11 +253,11 @@ def _arg_size(lit: Literal) -> int:
     return sum(term_size(a) for a in lit.atom.args)
 
 
-def atom_key(atom: Atom) -> tuple[int, str, str | None, dict[Var, int]]:
+def atom_key(atom: Atom) -> tuple[int, str, Atom | None, dict[Var, int]]:
     """What :func:`key_greater` compares: the atom's weight, the number of
     its symbol and variable occurrences, its predicate included; its
-    predicate name; its text when it is ground, else None; and how often
-    each variable occurs in it."""
+    predicate name; the atom itself when it is ground, else None; and how
+    often each variable occurs in it."""
     weight = 1
     counts: dict[Var, int] = {}
     stack = list(atom.args)
@@ -268,16 +268,21 @@ def atom_key(atom: Atom) -> tuple[int, str, str | None, dict[Var, int]]:
             counts[t] = counts.get(t, 0) + 1
         else:
             stack += t.args
-    return weight, atom.pred.name, None if counts else str(atom), counts
+    return weight, atom.pred.name, None if counts else atom, counts
 
 
 def key_greater(a: tuple, b: tuple) -> bool:
     """The atom ordering on :func:`atom_key` values: ``a`` is greater when
     both atoms are ground and ``a``'s weight, predicate name and text come
     after ``b``'s, or when ``a`` weighs more and each variable occurs in it
-    at least as often as in ``b``."""
+    at least as often as in ``b``.  Two ground atoms are printed only when
+    their weights and predicates tie and they differ."""
     if a[2] is not None and b[2] is not None:
-        return a[:3] > b[:3]
+        if a[0] != b[0]:
+            return a[0] > b[0]
+        if a[1] != b[1]:
+            return a[1] > b[1]
+        return a[2] != b[2] and str(a[2]) > str(b[2])
     return a[0] > b[0] and all(a[3].get(v, 0) >= n for v, n in b[3].items())
 
 

@@ -187,55 +187,57 @@ def _index(rules: Iterable[RewriteRule], key) -> dict[str, tuple[RewriteRule, ..
     return {k: tuple(v) for k, v in out.items()}
 
 
-class _Dispatchers(dict):
-    """Root name -> the dispatcher of the rules ``index`` files under it,
-    generated when first asked for, or None for a root with no rule.  It
-    tries the rules in declaration order, each where the node's arity and
-    the head symbols of its arguments fit the left side (an ``EtaRule`` fits
-    any node), by calling the rule's compiled function, or an ``EtaRule``'s
+def _dispatcher(rules: tuple[RewriteRule, ...],
+                system: "RewriteSystem") -> Callable[[App | Atom], tuple | None]:
+    """The dispatcher of ``rules``, the rules of one root in declaration
+    order.  It tries them in that order, each where the node's arity and the
+    head symbols of its arguments fit the left side (an ``EtaRule`` fits any
+    node), by calling the rule's compiled function, or an ``EtaRule``'s
     ``contract`` bound to ``system``.  It returns ``(contractum,
     contractor)`` for the first that fires, or None."""
+    namespace: dict[str, object] = {"App": App}
+    const = _constants(namespace)
+    tries = []  # per rule: its arity (None: any), its head tests by position, its contractor
+    for r in rules:
+        if isinstance(r, EtaRule):
+            contract = partial(r.contract, system=system)
+            contract.rule_name = r.name
+            tries.append((None, {}, const(contract)))
+        else:
+            args = r.lhs.args
+            heads = {i: const(p.sym.name) for i, p in enumerate(args) if type(p) is App}
+            tries.append((len(args), heads, const(r.compiled)))
+    lines = []
+    # one block per arity, with the rules of that arity and the eta rules
+    # among them; then, for a node of any other arity, the eta rules
+    for arity in (*dict.fromkeys(n for n, _, _ in tries if n is not None), None):
+        block = [f"if {''.join(f'h{i} == {k} and ' for i, k in heads.items())}"
+                 f"(f := {c}(t)) is not None: return f, {c}"
+                 for n, heads, c in tries if n in (arity, None)]
+        if arity is not None:
+            tested = sorted({i for n, heads, _ in tries if n == arity for i in heads})
+            unpack = [f"{''.join(f's{i}, ' for i in range(arity))}= t.args"] if tested else []
+            block = [*unpack, *(f"h{i} = s{i}.sym.name if type(s{i}) is App else None"
+                                for i in tested), *block, "return None"]
+            block = [f"if len(t.args) == {arity}:", *(f"    {line}" for line in block)]
+        lines += block
+    exec("def dispatch(t):\n" + "".join(f"    {line}\n" for line in lines), namespace)
+    return namespace["dispatch"]
 
-    def __init__(self, index: dict[str, tuple[RewriteRule, ...]], system: "RewriteSystem"):
-        super().__init__()
+
+def _filed(dispatch: dict, index: dict[str, tuple[RewriteRule, ...]], root: str,
+           system: "RewriteSystem") -> Callable[[App | Atom], tuple | None] | None:
+    """``dispatch[root]``, filed there first when missing: the dispatcher
+    of the rules ``index`` files under ``root``, or None when it files
+    none."""
+    try:
+        return dispatch[root]
+    except KeyError:
+        rules = index.get(root)
         # a proxy, so that a system and its dispatchers form no reference
         # cycle and a system no longer used is freed at once
-        self.index, self.system = index, weakref.proxy(system)
-
-    def __missing__(self, root: str) -> Callable[[App | Atom], tuple | None] | None:
-        rules = self.index.get(root)
-        if not rules:
-            self[root] = None
-            return None
-        namespace: dict[str, object] = {"App": App}
-        const = _constants(namespace)
-        tries = []  # per rule: its arity (None: any), its head tests by position, its contractor
-        for r in rules:
-            if isinstance(r, EtaRule):
-                contract = partial(r.contract, system=self.system)
-                contract.rule_name = r.name
-                tries.append((None, {}, const(contract)))
-            else:
-                args = r.lhs.args
-                heads = {i: const(p.sym.name) for i, p in enumerate(args) if type(p) is App}
-                tries.append((len(args), heads, const(r.compiled)))
-        lines = []
-        # one block per arity, with the rules of that arity and the eta rules
-        # among them; then, for a node of any other arity, the eta rules
-        for arity in (*dict.fromkeys(n for n, _, _ in tries if n is not None), None):
-            block = [f"if {''.join(f'h{i} == {k} and ' for i, k in heads.items())}"
-                     f"(f := {c}(t)) is not None: return f, {c}"
-                     for n, heads, c in tries if n in (arity, None)]
-            if arity is not None:
-                tested = sorted({i for n, heads, _ in tries if n == arity for i in heads})
-                unpack = [f"{''.join(f's{i}, ' for i in range(arity))}= t.args"] if tested else []
-                block = [*unpack, *(f"h{i} = s{i}.sym.name if type(s{i}) is App else None"
-                                    for i in tested), *block, "return None"]
-                block = [f"if len(t.args) == {arity}:", *(f"    {line}" for line in block)]
-            lines += block
-        exec("def dispatch(t):\n" + "".join(f"    {line}\n" for line in lines), namespace)
-        dispatch = self[root] = namespace["dispatch"]
-        return dispatch
+        found = dispatch[root] = _dispatcher(rules, weakref.proxy(system)) if rules else None
+        return found
 
 
 def _reach(e_rules: Iterable[RewriteRule]) -> float:
@@ -283,11 +285,12 @@ class RewriteSystem:
     ``e_index`` maps a symbol to the E-rules whose left side has it at the
     root, ``r_index`` a predicate to its R-rules, both in declaration order.
     ``e_dispatch`` and ``r_dispatch`` map a root to one dispatcher of its
-    rules (see :class:`_Dispatchers`), built the first time a node with that
-    root is met, or to None for a root no rule has: all that
-    :func:`normalize` calls at a node.  ``reach`` says how far above a
-    contraction :func:`normalize` looks again for a redex.  ``var_names``
-    are the rules' variables' names.
+    rules (see :func:`_dispatcher`), or to None for a root no rule has: all
+    that :func:`normalize` calls at a node.  They are plain dicts, filled by
+    :meth:`e_dispatcher` and :meth:`r_dispatcher` the first time a node with
+    that root is met.  ``reach`` says how far above a contraction
+    :func:`normalize` looks again for a redex.  ``var_names`` are the rules'
+    variables' names.
 
     ``narrowing``, filed on first use and kept, is what every refutation
     gate call narrows with: each non-eta E-rule as a :class:`NarrowingRule`
@@ -303,9 +306,19 @@ class RewriteSystem:
         self.r_rules: tuple[RewriteRule, ...] = tuple(r for r in self.rules if r.cls == R_CLASS)
         self.e_index = _index(self.e_rules, lambda r: r.lhs.sym.name)
         self.r_index = _index(self.r_rules, lambda r: r.lhs.pred.name)
-        self.e_dispatch = _Dispatchers(self.e_index, self)
-        self.r_dispatch = _Dispatchers(self.r_index, self)
+        self.e_dispatch: dict[str, Callable[[App], tuple | None] | None] = {}
+        self.r_dispatch: dict[str, Callable[[Atom], tuple | None] | None] = {}
         self.reach = _reach(self.e_rules)
+
+    def e_dispatcher(self, root: str) -> Callable[[App], tuple | None] | None:
+        """The dispatcher of the E-rules of ``root``, built and filed in
+        ``e_dispatch`` if it is not there yet."""
+        return _filed(self.e_dispatch, self.e_index, root, self)
+
+    def r_dispatcher(self, pred: str) -> Callable[[Atom], tuple | None] | None:
+        """The dispatcher of the R-rules of ``pred``, built and filed in
+        ``r_dispatch`` if it is not there yet."""
+        return _filed(self.r_dispatch, self.r_index, pred, self)
 
     @cached_property
     def narrowing(self) -> tuple[dict[str, tuple[NarrowingRule, ...]], int]:
@@ -545,7 +558,7 @@ class _Normalizer:
     def terms(self, terms: list[Term], once: bool = False) -> None:
         """Contract the redexes of ``terms``, left to right, in place; with
         ``once``, stop after the first contraction."""
-        dispatchers = self.system.e_dispatch
+        dispatchers, build = self.system.e_dispatch, self.system.e_dispatcher
         known = self.known
         reach = self.system.reach
         # frames [symbol, children, next child, node or None once changed];
@@ -569,7 +582,10 @@ class _Normalizer:
             if isinstance(t, Var) or t in known:
                 frame[2] = i + 1
                 continue
-            dispatch = dispatchers[t.sym.name]
+            try:
+                dispatch = dispatchers[t.sym.name]
+            except KeyError:
+                dispatch = build(t.sym.name)
             found = dispatch(t) if dispatch else None
             if found is None:
                 if t.args:
@@ -595,7 +611,10 @@ class _Normalizer:
         """Normalize inside ``a``: ``(value, True)``, or the contractum of an
         R-rule at ``a`` and False."""
         system = self.system
-        dispatch = system.r_dispatch[a.pred.name]
+        try:
+            dispatch = system.r_dispatch[a.pred.name]
+        except KeyError:
+            dispatch = system.r_dispatcher(a.pred.name)
         while True:
             found = dispatch(a) if dispatch else None
             if found is not None:

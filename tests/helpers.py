@@ -30,6 +30,9 @@ from resmod.kernel import (
     Var,
     _Binary,
     _Quant,
+    _prop_layout,
+    _quant_layout,
+    _term_layout,
     children,
     is_term,
     subst_prop,
@@ -928,3 +931,69 @@ def eager_narrowing(constraints, system: RewriteSystem, depth: int = 8, *,
             return EUnifyOutcome(UNSAT, states=states_used)
     reason = "states" if states_used > max_states else "depth"
     return EUnifyOutcome(UNKNOWN, reason=reason, states=min(states_used, max_states))
+
+
+# ---------------------------------------------------------------------------
+# The printer that lays out every node on its own
+# ---------------------------------------------------------------------------
+
+
+def reference_format_term(x: Term | Prop, env=None, prec: int = 0) -> str:
+    """The reference for :func:`resmod.kernel.format_term`: the same text,
+    each application laid out by ``kernel._term_layout`` one level at a
+    time, and the shadowing binders found by a walk of every node."""
+    out: list[str] = []
+    stack: list = [(x, prec)]
+    root, shadowing = x, None
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        if isinstance(item, dict):
+            env = item
+            continue
+        x, prec = item
+        if isinstance(x, Var):
+            out.append(env.get(x.name, x.name) if env else x.name)
+        elif isinstance(x, App):
+            if x.args:
+                stack.extend(reversed(_term_layout(x, prec)))
+            else:
+                out.append(x.sym.name)
+        elif isinstance(x, _Quant):
+            if shadowing is None:
+                shadowing = reference_binders_over_symbols(root)
+            stack.append(dict(env) if env else {})
+            parts, env = _quant_layout(x, prec, env, id(x) in shadowing)
+            stack.extend(reversed(parts))
+        else:
+            stack.extend(reversed(_prop_layout(x, prec)))
+    return "".join(out)
+
+
+def reference_binders_over_symbols(x: Term | Prop) -> set[int]:
+    """The ids of the quantifiers in ``x`` whose hint names a constant or a
+    nullary predicate in their body, by a walk of every node that keeps the
+    open quantifiers by hint."""
+    out: set[int] = set()
+    open_by_hint: dict[str, list[_Quant]] = {}
+    stack: list = [x]
+    while stack:
+        y = stack.pop()
+        if isinstance(y, str):  # the body of the innermost quantifier of hint y ends
+            open_by_hint[y].pop()
+            continue
+        if isinstance(y, _Quant):
+            open_by_hint.setdefault(y.hint, []).append(y)
+            stack += (y.hint, y.body)
+            continue
+        name = (y.sym.name if isinstance(y, App) else y.pred.name
+                if isinstance(y, Atom) else None)
+        if name is not None and not y.args:
+            for q in reversed(open_by_hint.get(name, ())):
+                if id(q) in out:
+                    break
+                out.add(id(q))
+        stack += children(y)
+    return out

@@ -38,7 +38,7 @@ from resmod.parser import (
 from resmod.rewrite import EtaRule, RewriteRule
 from resmod.theories import declare_subset_symbol, load_preset, pair_term
 
-from helpers import hol_cantor
+from helpers import hol_cantor, reference_format_term, small_signature
 
 PRESETS = ["arith", "integral-rings", "chain(4)", "hol-comb", "hol-sigma", "set", "set-cantor"]
 
@@ -251,6 +251,123 @@ def test_printed_terms_5000_levels_deep_parse_back():
     assert format_term(numeral) == "S(" * 5000 + "0" + ")" * 5000
     for t, sig in [(numeral, arith), (church(sigma, 5000), sigma)]:
         assert parse_term(format_term(t), sig) == t
+
+
+class TestRunPrinter:
+    """``format_term`` prints a run of one-argument applications in one
+    step; ``helpers.reference_format_term`` lays out every node on its own.
+    Both print every term and proposition alike, byte for byte."""
+
+    def same(self, x, env=None, precs=(0,)):
+        """Check both printers alike at each of ``precs``; the text at 0."""
+        for prec in precs:
+            assert format_term(x, env, prec) == reference_format_term(x, env, prec)
+        return format_term(x, env)
+
+    @pytest.mark.parametrize("name", PRESETS + ["cantor:hol-comb", "cantor:hol-sigma"])
+    def test_random_terms_and_propositions_print_as_the_reference(self, name):
+        theory = build(name)
+        sig = theory.sig
+        rng = random.Random(f"run printer:{name}")
+        variables = {f"{v}{s}": sort for s, sort in sig.sorts.items() for v in ("x", "y")}
+        env = {n: n.upper() for n in variables}
+        for sort in sig.sorts.values():
+            for depth in (5, 8):
+                for _ in range(100):
+                    t = random_term_of(rng, sig, sort, depth, variables)
+                    self.same(t, precs=(0, 9, 99))
+                    self.same(t, env)
+        # binders named like constants, so some quantifiers are renamed
+        constants = tuple(s.name for s in sig.symbols.values()
+                          if s.kind != PREDICATE and not s.arg_sorts)
+        free = {f"v{s}": sort for s, sort in sig.sorts.items()}
+        props = [*theory.axioms, *theory.goals.values(), *(r.rhs for r in theory.system.r_rules)]
+        for binders in (BINDERS, BINDERS + constants):
+            props += [random_prop_text(rng, sig, 5, free, binders)[0] for _ in range(200)]
+        for p in props:
+            self.same(p, precs=(0, 9))
+            self.same(p, {n: n.upper() for n in free})
+
+    def test_a_numeral_5000_levels_deep(self):
+        arith = load_preset("arith").sig
+        numeral = arith.numeral(5000)
+        assert self.same(numeral, precs=(0, 99)) == "S(" * 5000 + "0" + ")" * 5000
+        p = parse_prop("exists x:nat x = 5000", arith)
+        assert self.same(p) == "exists x:nat x = " + "S(" * 5000 + "0" + ")" * 5000
+
+    def test_a_run_ending_in_a_variable(self):
+        arith = load_preset("arith").sig
+        nat, eq, succ = arith.sorts["nat"], arith.lookup("="), arith.lookup("S")
+        w = App(arith.individual("w", nat))
+        x, y = Var("x", nat), Var("y", nat)
+
+        def s(t, n=2):
+            for _ in range(n):
+                t = App(succ, (t,))
+            return t
+
+        assert self.same(s(x)) == "S(S(x))"
+        assert self.same(s(x), {"x": "X"}) == "S(S(X))"
+        for p, text in [
+            (Forall(x, Atom(eq, (s(x), w)), hint="w"), "forall w':nat S(S(w')) = w"),
+            (Forall(x, Exists(y, Atom(eq, (s(x), s(y, 3))), hint="x")),
+             "forall x:nat (exists x':nat S(S(x)) = S(S(S(x'))))"),
+            (Forall(y, Atom(eq, (s(x), s(y))), hint="x"), "forall x':nat S(S(x)) = S(S(x'))"),
+            (Forall(y, Atom(eq, (s(y), w))), "forall y:nat S(S(y)) = w"),
+        ]:
+            assert (self.same(p, precs=(0, 9)), parse_prop(text, arith)) == (text, p)
+
+    def test_runs_around_an_infix_app_sub_and_brace_node(self):
+        arith, sigma, sets = (load_preset(n).sig for n in ("arith", "hol-sigma", "set"))
+        texts = {
+            arith: ["S(S(x + S(y)))", "S(x * (y + S(S(0))))", "S(S(x) + S(S(y)) * S(0))",
+                    "(S(x) + y) * S(S(x * y))"],
+            sigma: ["lam(lam((1 lam(1))))", "lam(lam(1)[1 . shift])",
+                    "lam(lam(lam(1)[shift @ shift])[id])", "(lam(lam(1)) lam(1))",
+                    "lam((lam(1) lam(lam(1))[lam(1) . shift]))"],
+            sets: ["union(pow({x, union(y)}))", "pow(union(<x,pow(pow(y))>))",
+                   "union({pow(x), union(union(x))})", "union(<pow(x),union(y)>)"],
+        }
+        for sig, written in texts.items():
+            env = {"x": sig.default_sort, "y": sig.default_sort}
+            for text in written:
+                assert self.same(parse_term(text, sig, dict(env)), precs=(0, 99)) == text
+        # a one-argument symbol of another display is laid out as before
+        sig = small_signature()
+        u = sig.sorts["u"]
+        for display in ("infix", "sub", "brace", "cons"):
+            h = sig.function(f"h_{display}", (u,), u, display=display)
+            t = App(h, (App(sig.lookup("g"), (App(h, (App(sig.lookup("a")),)),)),))
+            assert self.same(t, precs=(0, 99)) == f"h_{display}(g(h_{display}(a)))"
+
+    def test_a_lam_chain_in_hol_sigma(self):
+        sigma = load_preset("hol-sigma").sig
+        lam = sigma.lookup("lam")
+        for body, text in [(church(sigma, 3), "lam(lam((1[shift] (1[shift] (1[shift] 1)))))"),
+                           (sigma.numeral(1), "1"), (sigma.numeral(3), "1[shift @ shift]")]:
+            t = body
+            for _ in range(3000):
+                t = App(lam, (t,))
+            assert self.same(t) == "lam(" * 3000 + text + ")" * 3000
+            assert parse_term(self.same(t), sigma) == t
+
+    def test_a_hint_that_names_the_foot_of_a_run_is_renamed(self):
+        arith = load_preset("arith").sig
+        nat, eq, succ = arith.sorts["nat"], arith.lookup("="), arith.lookup("S")
+        w = App(arith.individual("w", nat))
+        x = Var("x", nat)
+        deep = w
+        for _ in range(1000):
+            deep = App(succ, (deep,))
+        p = Exists(x, Atom(eq, (x, deep)), hint="w")
+        assert self.same(p) == "exists w':nat w' = " + "S(" * 1000 + "w" + ")" * 1000
+        assert parse_prop(str(p), arith) == p
+        # a unary symbol is no constant: a hint naming it is kept
+        q = Exists(x, Atom(eq, (x, deep)), hint="S")
+        assert self.same(q).startswith("exists S:nat S = S(S(")
+        # the quantifier marked is the one whose body holds the run
+        r = And(q, Forall(x, Atom(eq, (x, App(succ, (x,)))), hint="w"))
+        assert self.same(r).endswith(" /\\ (forall w:nat w = S(w))")
 
 
 # one line per directive: theory, use, sort, const, fun, pred, display, E, R,

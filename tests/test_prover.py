@@ -20,11 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from resmod import cli, prover, theories, unify
+from resmod import cli, kernel, prover, theories, unify
 from resmod.clausal import ConstrainedClause, Constraint, Literal, Provenance
 from resmod.kernel import (And, App, Atom, Bottom, Exists, Forall, Not, Or, Signature,
-                           Substitution, Var, free_names, free_vars, rename_apart,
-                           subst_term)
+                           Substitution, Var, format_term, free_names, free_vars,
+                           rename_apart, subst_term)
 from resmod.parser import parse_prop, parse_term_or_atom
 from resmod.prover import (
     ClauseIndex,
@@ -430,6 +430,35 @@ def test_a_positive_clause_keeps_the_literals_no_other_one_exceeds():
     assert len(factor(both)) == 1
     # p(X) and p(Y) unify, but q(f(X, Y), a) exceeds both
     assert tuple(eligible(parse_clause(sig, "p(X)", "p(Y)", "q(f(X, Y), a)"))) == (2,)
+
+
+def test_ground_atoms_are_printed_to_be_ordered_only_on_a_tie(monkeypatch):
+    # the atom ordering reads a ground atom's text only when the weights and
+    # the predicates of two different atoms tie
+    sig = ordering_clause_signature()
+    clauses = [(parse_clause(sig, *literals), largest) for literals, largest in [
+        (("p(a)", "q(a, a)"), (1,)),
+        (("p(f(a, a))", "r(f(a, a))"), (1,)),
+        (("r(f(a, a))", "q(a, a)", "p(f(a, f(a, a)))"), (2,)),
+        # a tie, which the text decides
+        (("p(f(a, f(a, a)))", "p(f(f(a, a), a))"), (1,)),
+    ]]
+    printed = []
+
+    def spy(x, *args):
+        text = format_term(x, *args)
+        printed.append(text)
+        return text
+
+    monkeypatch.setattr(kernel, "format_term", spy)
+    for c, largest in clauses[:3]:
+        assert tuple(eligible(c)) == largest
+    assert printed == []
+    c, largest = clauses[3]
+    assert tuple(eligible(c)) == largest
+    # each atom is compared with the other, never with itself
+    assert printed == ["p(f(f(a, a), a))", "p(f(a, f(a, a)))",
+                       "p(f(a, f(a, a)))", "p(f(f(a, a), a))"]
 
 
 def test_a_clause_under_a_rule_or_with_constraints_keeps_every_literal():

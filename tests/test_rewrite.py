@@ -447,9 +447,9 @@ def dispatch(system, x):
     """What the dispatcher of the root of ``x`` returns at ``x``:
     ``(contractum, contractor)``, or None."""
     if isinstance(x, Atom):
-        found = system.r_dispatch[x.pred.name]
+        found = system.r_dispatcher(x.pred.name)
     else:
-        found = system.e_dispatch[x.sym.name]
+        found = system.e_dispatcher(x.sym.name)
     return found(x) if found else None
 
 
@@ -608,7 +608,7 @@ class TestReduceOnceAgainstTheScan:
 
 class TestCompiledRules:
     """What :func:`rewrite._compile` generates from a rule's two sides, and
-    ``rewrite._Dispatchers`` from the rules of a root."""
+    ``rewrite._dispatcher`` from the rules of a root."""
 
     def sources(self, monkeypatch, rules):
         seen = []
@@ -636,7 +636,7 @@ class TestCompiledRules:
         ]
         compiled, sources = self.sources(monkeypatch, rules)
         system = RewriteSystem(rules)
-        dispatchers = system.e_dispatch["+"], system.r_dispatch["<="]
+        dispatchers = system.e_dispatcher("+"), system.r_dispatcher("<=")
         assert len(sources) == 4
         for source in sources:
             for text in ("'", "+", "S'", "<=", "x'", "y_", "nat", "plus_succ", "leq_succ",
@@ -673,8 +673,10 @@ class TestCompiledRules:
         assert normalize(t, arith.system).value == arith.sig.numeral(4)
         used = [r.name for r in rules if "compiled" in vars(r)]
         assert used == ["plus_zero", "plus_succ"]
-        # the two rules of + and one dispatcher, nothing for *
+        # the two rules of + and one dispatcher, nothing for *, filed in a
+        # plain dict
         assert len(sources) == 3 and sources[2].startswith("def dispatch(")
+        assert type(arith.system.e_dispatch) is dict
         assert [root for root, d in arith.system.e_dispatch.items() if d] == ["+"]
         assert "*" not in arith.system.e_dispatch
         normalize(t, arith.system)
