@@ -154,11 +154,12 @@ class ConstrainedClause:
     constraints encoded with canonically numbered variables, which
     :func:`resmod.prover.tidy_clause` reads off the clause in one walk
     without building another; a constraint-free one is identified by
-    subsumption.
+    subsumption.  A search sets ``id`` and ``provenance`` once, when it keeps
+    the clause; nothing else of a clause changes.
     """
 
     __slots__ = ("literals", "constraints", "id", "provenance", "_lit_set",
-                 "_free_vars", "_profile", "_ground", "_features", "_eligible")
+                 "_free_vars", "_profile", "_ground", "_features", "_eligible", "_keys")
 
     def __init__(self, literals: Iterable[Literal], constraints: Iterable[Constraint] = (),
                  id: int | None = None, provenance: Provenance | None = None):
@@ -176,6 +177,7 @@ class ConstrainedClause:
         self._ground: bool | None = None
         self._features: tuple[tuple, ...] | None = None
         self._eligible: Sequence[int] | None = None  # see resmod.prover.eligible
+        self._keys: Collection[tuple[bool, str]] | None = None  # ClauseIndex.resolution_keys
 
     def is_empty(self) -> bool:
         return not self.literals
@@ -239,16 +241,6 @@ class ConstrainedClause:
             (lit.apply(s) for lit in self.literals),
             (c.apply(s) for c in self.constraints),
             id=self.id, provenance=self.provenance)
-
-    def with_id(self, id: int, provenance: Provenance) -> "ConstrainedClause":
-        """The same clause numbered ``id``; the literals, their set, the hash
-        and whatever was computed on first use carry over."""
-        out = object.__new__(ConstrainedClause)
-        for name in ConstrainedClause.__slots__:
-            setattr(out, name, getattr(self, name))
-        out.id = id
-        out.provenance = provenance
-        return out
 
     def literal_text(self) -> str:
         return "[]" if not self.literals else ", ".join(str(l) for l in self.literals)

@@ -748,27 +748,31 @@ def variant_name(base: str, avoid: set[str] | frozenset[str]) -> str:
     return name
 
 
-def rename_apart(avoid: Iterable[str], x):
-    """Rename the free variables of ``x`` (a term, a proposition, or a
-    clause-like object with a ``free_vars`` method) that clash with
-    ``avoid``.
-
-    Returns ``(renamed, substitution)``.  The result shares no free variable
-    name with ``avoid`` and is a variant of the input.
-    """
+def renaming_apart(avoid: Iterable[str], free: Collection[Var]) -> Substitution | None:
+    """The renaming :func:`rename_apart` applies: each variable of ``free``
+    whose name is in ``avoid``, in name order, to the first of its variant
+    names (:func:`variant_name`) that neither ``avoid`` nor ``free`` nor an
+    earlier one of them takes; None when no name clashes."""
     avoid_set = set(avoid)
-    free = free_vars(x) if isinstance(x, (Var, App, Prop)) else x.free_vars()
     clashes = [v for v in sorted(free, key=lambda v: v.name) if v.name in avoid_set]
     if not clashes:
-        return x, EMPTY_SUBST
+        return None
     taken = avoid_set | {v.name for v in free}
     mapping: dict[str, Term] = {}
     for v in clashes:
         fresh = variant_name(v.name, taken)
         taken.add(fresh)
         mapping[v.name] = Var(fresh, v.sort)
-    s = Substitution(mapping)
-    return s(x), s
+    return Substitution(mapping)
+
+
+def rename_apart(avoid: Iterable[str], x):
+    """Rename the free variables of ``x`` (a term, a proposition, or a
+    clause-like object with a ``free_vars`` method) that clash with
+    ``avoid``, by :func:`renaming_apart`.  Returns ``(renamed, substitution)``,
+    ``renamed`` a variant of ``x`` that shares no free variable name with ``avoid``."""
+    s = renaming_apart(avoid, free_vars(x) if isinstance(x, (Var, App, Prop)) else x.free_vars())
+    return (x, EMPTY_SUBST) if s is None else (s(x), s)
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ from .kernel import (
     Term,
     Var,
     free_names,
-    rename_apart,
+    renaming_apart,
     term_size,
 )
 from .clausal import (Constraint, ConstrainedClause, Literal, Provenance, clausal_form,
@@ -312,26 +312,53 @@ def eligible(c: ConstrainedClause, select: bool = True) -> Sequence[int]:
     return c._eligible
 
 
-# an inference's literals and its parents' constraints with its own equation
-Inference = tuple[Sequence[Literal], tuple[Constraint, ...]]
+class Inference:
+    """An inference whose clause is not built yet.
 
+    ``lhs`` and ``rhs`` are the two atoms it equates: a resolvent's cut
+    atoms, the positive one first; a factor's merged atoms; a narrowed atom
+    and the rule's left side.  ``parts`` make up the clause, each a clause,
+    the position of the literal the inference drops from it (-1 for none)
+    and the renaming of its variables (None for none).  :meth:`literals`
+    renames the remaining literals only as they are read; the inference
+    unpacks as ``(literals, constraints)``, the parts' constraints, renamed,
+    then the equation of ``lhs`` and ``rhs``, which equal atoms need none of.
+    """
 
-def _equation(a: Atom, b: Atom) -> tuple[Constraint, ...]:
-    return () if a == b else (Constraint(a, b),)  # equal atoms need none
+    __slots__ = ("lhs", "rhs", "parts")
+
+    def __init__(self, lhs: Atom, rhs: Atom, parts: tuple) -> None:
+        self.lhs, self.rhs, self.parts = lhs, rhs, parts
+
+    def literals(self) -> Iterator[Literal]:
+        for c, drop, rho in self.parts:
+            for k, lit in enumerate(c.literals):
+                if k != drop:
+                    yield lit if rho is None else lit.apply(rho)
+
+    def __iter__(self) -> Iterator:
+        constraints = [con if rho is None else con.apply(rho)
+                       for c, _, rho in self.parts for con in c.constraints]
+        if self.lhs != self.rhs:
+            constraints.append(Constraint(self.lhs, self.rhs))
+        return iter((list(self.literals()), tuple(constraints)))
 
 
 def extended_resolution(c1: ConstrainedClause, c2: ConstrainedClause,
-                        select: bool = True) -> list[Inference]:
-    """Binary resolvents of two clauses (which must be renamed apart).
+                        rho: Substitution | None = None, select: bool = True) -> list[Inference]:
+    """Binary resolvents of ``c1`` and of ``c2`` renamed by ``rho``, the map
+    of :func:`~resmod.kernel.renaming_apart` that takes it apart from ``c1``.
 
     One eligible positive literal of either clause is cut against one
     eligible negative literal of the other; the resolvent, an unbuilt
-    :data:`Inference`, unions the remaining literals and both constraint
-    sets, plus the equation between the two atoms.  Paired with
-    :func:`factor` this simulates resolution on literal groups.
+    :class:`Inference`, unions the remaining literals and both constraint
+    sets, plus the equation between the two atoms.  Only the cut atom of
+    ``c2`` is renamed here; its other literals are renamed when the
+    resolvent is built.  Paired with :func:`factor` this simulates
+    resolution on literal groups.
     """
     out: list[Inference] = []
-    for pos_clause, neg_clause in ((c1, c2), (c2, c1)):
+    for pos_clause, neg_clause, pos_rho, neg_rho in ((c1, c2, None, rho), (c2, c1, rho, None)):
         negatives = [j for j in eligible(neg_clause, select)
                      if not neg_clause.literals[j].positive]
         if not negatives:
@@ -346,18 +373,19 @@ def extended_resolution(c1: ConstrainedClause, c2: ConstrainedClause,
                     continue
                 if len(lp.atom.args) != len(ln.atom.args):
                     continue
-                rest = [l for k, l in enumerate(pos_clause.literals) if k != i]
-                rest += [l for k, l in enumerate(neg_clause.literals) if k != j]
-                out.append((rest, tuple(pos_clause.constraints) + tuple(neg_clause.constraints)
-                            + _equation(lp.atom, ln.atom)))
+                out.append(Inference(lp.atom if pos_rho is None else pos_rho(lp.atom),
+                                     ln.atom if neg_rho is None else neg_rho(ln.atom),
+                                     ((pos_clause, i, pos_rho), (neg_clause, j, neg_rho))))
     return out
 
 
 def factor(c: ConstrainedClause, select: bool = True) -> list[Inference]:
     """Merge two eligible same-polarity literals under a new atom equation,
-    an :data:`Inference` each; a clause that selects a literal is not."""
+    an :class:`Inference` each; a clause that selects a literal is not."""
     out: list[Inference] = []
     positions = eligible(c, select)
+    if len(positions) < 2:
+        return out
     # the eligible positions by polarity, predicate and arity, in position
     # order; each position with its group and its rank there
     groups: dict[tuple, list[int]] = {}
@@ -370,9 +398,7 @@ def factor(c: ConstrainedClause, select: bool = True) -> list[Inference]:
     for i, group, rank in ranked:
         li = c.literals[i]
         for j in group[rank + 1:]:
-            lj = c.literals[j]
-            rest = [l for k, l in enumerate(c.literals) if k != j]
-            out.append((rest, tuple(c.constraints) + _equation(li.atom, lj.atom)))
+            out.append(Inference(li.atom, c.literals[j].atom, ((c, j, None),)))
     return out
 
 
@@ -415,7 +441,7 @@ def _guided(atom: Atom, lhs: Atom) -> bool:
 
 
 class NarrowingEvents(list):
-    """The :data:`Inference` lists of :func:`extended_narrowing`, one per
+    """The :class:`Inference` lists of :func:`extended_narrowing`, one per
     event, with ``normalized`` false when re-clausifying some event ran out
     of fuel, and ``deferred`` the positions of the literals whose step
     freeze's filter takes but the on-the-fly filter leaves for later."""
@@ -436,7 +462,7 @@ def extended_narrowing(c: ConstrainedClause, rule: RewriteRule,
     renamed apart from ``c`` once for all its literals, and the clause is
     re-clausified; each clause's literals, with ``c``'s constraints and the
     postponed equation between the atom and the rule's left side, are an
-    :data:`Inference`.  One inner list per narrowing event (a single event
+    :class:`Inference`.  One inner list per narrowing event (a single event
     may split into several clauses).  ``positions`` narrows those literals
     only, in that order, instead of all of them.  The application symbols
     of ``sig`` keep a variable-headed spine flexible.
@@ -464,9 +490,9 @@ def extended_narrowing(c: ConstrainedClause, rule: RewriteRule,
             continue
         result = reclausify(c, i, fresh.rhs, system, sig, fuel)
         events.normalized = events.normalized and result.normalized
-        constraints = tuple(c.constraints) + _equation(lit.atom, fresh.lhs)
-        if result.clauses:
-            events.append([(d.literals, constraints) for d in result.clauses])
+        if result.clauses:  # each carries c's constraints
+            events.append([Inference(lit.atom, fresh.lhs, ((d, -1, None),))
+                           for d in result.clauses])
     return events
 
 
@@ -610,8 +636,10 @@ def clause_key(c: ConstrainedClause) -> tuple:
 
 def subsumes(c: ConstrainedClause, d: ConstrainedClause, injective: bool = False) -> bool:
     """Does ``c`` (constraint-free) subsume ``d``: some instance of ``c``'s
-    literal set is contained in ``d``'s?  With ``injective`` no two literals
-    of ``c`` may go to one literal of ``d``."""
+    literal set is contained in ``d``'s, with ``c`` no longer than ``d`` and
+    no richer in any (polarity, predicate)?  Without ``injective`` two
+    literals of ``c`` may go to one of ``d``, but those two tests still count
+    them apart, so ``P(X) | P(Y)`` does not subsume ``P(a) | Q(b)``."""
     if c.constraints or len(c.literals) > len(d.literals):
         return False
     if c.literals_ground():
@@ -722,12 +750,14 @@ class ClauseIndex:
 
     def resolution_keys(self, c: ConstrainedClause) -> Collection[tuple[bool, str]]:
         """The (polarity, predicate name) of each eligible literal of ``c``,
-        in literal order."""
-        positions = eligible(c, self.select)
-        if len(positions) == len(c.literals):
+        in literal order; computed once, with :func:`eligible`."""
+        if not self.select:
             return c.profile().keys()
-        return dict.fromkeys((c.literals[i].positive, c.literals[i].atom.pred.name)
-                             for i in positions)
+        if c._keys is None:
+            positions = eligible(c)
+            c._keys = c.profile().keys() if len(positions) == len(c.literals) else dict.fromkeys(
+                (c.literals[i].positive, c.literals[i].atom.pred.name) for i in positions)
+        return c._keys
 
     def note_selected(self, c: ConstrainedClause) -> None:
         self.selection[c.id] = len(self.selection)
@@ -888,8 +918,9 @@ class _Saturation:
 
     def register(self, c: ConstrainedClause, kind: str, parents: tuple[int, ...],
                  aux: str | None = None) -> None:
-        """Filter, number and enqueue a clause.  An empty clause that the
-        gate does not refute ends the search."""
+        """Filter, number and enqueue a clause, fresh from its inference: it
+        is numbered in place.  An empty clause that the gate does not refute
+        ends the search."""
         if kind == "input":
             self.input_clauses += 1
         elif self.stats.generated - self.input_clauses >= self.cfg.max_clauses:
@@ -905,8 +936,8 @@ class _Saturation:
             if proof is None:
                 self.stats.discard("unsolvable")
                 return
-        cid = len(self.steps) + 1
-        c = c.with_id(cid, Provenance(kind, parents, aux))
+        c.id = cid = len(self.steps) + 1
+        c.provenance = Provenance(kind, parents, aux)
         self.steps.append(c)
         self.stats.kept += 1
         if c.is_empty():
@@ -941,32 +972,33 @@ class _Saturation:
         clause, the empty clause that ends the search included, also when
         the clause budget runs out before the inference is done.
 
-        On the fly, when no parent carries constraints, they are unified
-        before anything is built (:func:`propagate_on_the_fly`); a failed
-        unifier builds nothing without E-rules, and with them the clause
-        takes freeze's path.  So a kept clause carries constraints only when
-        they have no syntactic unifier.  Neither has any superset of them,
-        so a clause with such a parent takes that path without an attempt."""
+        On the fly, when no parent carries constraints, the equation of the
+        inference's two atoms is unified before anything is built
+        (:func:`propagate_on_the_fly`); a failed unifier builds nothing without
+        E-rules, and with them the clause takes freeze's path.  So a kept clause
+        carries constraints only when they have no syntactic unifier.  Neither
+        has any superset of them, so a clause with such a parent takes that
+        path without an attempt."""
         kept = self.stats.kept
         on_the_fly = self.cfg.strategy == ON_THE_FLY
         propagate = on_the_fly and not any(self.steps[p - 1].constraints for p in parents)
         try:
-            for literals, constraints in inferences:
-                if not constraints:  # no unifier to apply; its literals are normal
-                    survivors = [ConstrainedClause(literals)]
-                elif propagate and (result := propagate_on_the_fly(
-                        literals, constraints, self.system, self.sig, self.cfg.fuel)):
+            for inference in inferences:
+                lhs, rhs = inference.lhs, inference.rhs
+                if propagate and lhs != rhs and (result := propagate_on_the_fly(
+                        inference.literals(), zip(lhs.args, rhs.args), self.system, self.sig,
+                        self.cfg.fuel)):
                     survivors = result.clauses
                     self.unnormalized = self.unnormalized or not result.normalized
-                elif on_the_fly and not self.system.e_rules:
+                elif on_the_fly and not self.system.e_rules and (lhs != rhs or not propagate):
                     self.stats.failed_constraints += 1  # no unifier, so no clause
                     continue
-                else:
-                    c = ConstrainedClause(literals, constraints)
+                else:  # its constraints, if any, frozen until the gate judges the empty clause
+                    c = ConstrainedClause(*inference)
                     if any(cheap_fail(con, self.system) for con in c.constraints):
                         self.stats.failed_constraints += 1
                         continue
-                    survivors = [c]  # frozen until the gate judges the empty clause
+                    survivors = [c]
                 for s in survivors:
                     self.register(s, kind, parents, aux)
         finally:
@@ -1002,8 +1034,8 @@ class _Saturation:
 
     def _resolve(self, sel: ConstrainedClause, sel_names: frozenset[str],
                  partner: ConstrainedClause) -> None:
-        renamed, _ = rename_apart(sel_names, partner)
-        for inference in extended_resolution(sel, renamed, self.select):
+        rho = renaming_apart(sel_names, partner.free_vars())
+        for inference in extended_resolution(sel, partner, rho, self.select):
             self.process_new([inference], "resolution", (sel.id, partner.id))
 
     def _narrow(self, c: ConstrainedClause, rule: RewriteRule, strategy: str,

@@ -819,19 +819,20 @@ def _rename_internal(s: Substitution, original_vars: set[str]) -> Substitution:
 # ---------------------------------------------------------------------------
 
 
-def propagate_on_the_fly(literals: Iterable[Literal], constraints: Iterable[Constraint],
+def propagate_on_the_fly(literals: Iterable[Literal], pairs: Iterable[tuple[Term, Term]] | None,
                          system: RewriteSystem, sig, fuel=10_000) -> ClausalResult | None:
     """Solve an inference's constraints syntactically before its clause is
     built, and build it with the unifier pushed through ``literals``.
 
-    One triangular binding map is extended over the term equations of
-    ``constraints``; when they have no syntactic unifier nothing is built
-    and the result is None.  Otherwise only the atoms that mention a bound
-    variable are rewritten, by :func:`resolve`'s map, and the one
-    constraint-free clause is re-normalized (and re-clausified when an atom
-    leaves the atom fragment, since instantiation may trigger reductions).
+    One triangular binding map is extended over ``pairs``, the term
+    equations of the constraints (None for a clash); when they have no
+    syntactic unifier ``literals`` is not read, nothing is built and the
+    result is None.  Otherwise only the atoms that mention a bound variable
+    are rewritten, by :func:`resolve`'s map, and the one constraint-free
+    clause is re-normalized (and re-clausified when an atom leaves the atom
+    fragment, since instantiation may trigger reductions).
     """
-    bindings = _unifier(_term_pairs(constraints))
+    bindings = _unifier(pairs)
     if bindings is None:
         return None
     m = resolve(bindings)

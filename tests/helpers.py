@@ -35,6 +35,7 @@ from resmod.kernel import (
     _term_layout,
     children,
     is_term,
+    rename_apart,
     subst_prop,
     subst_term,
     term_sort,
@@ -44,7 +45,7 @@ from resmod.kernel import (
 )
 from resmod.clausal import (ClausalResult, ConstrainedClause, Constraint, Literal,
                              renormalize_clause)
-from resmod.prover import _literal_sort_key, _side_skeleton
+from resmod.prover import ON_THE_FLY, _literal_sort_key, _side_skeleton, eligible
 from resmod.rewrite import (R_CLASS, EtaRule, NarrowingRule, NormalizeOutcome,
                             RewriteSystem, match)
 from resmod.unify import (
@@ -771,6 +772,51 @@ def reference_process_new(clauses, on_the_fly: bool, propagate: bool, system: Re
         else:
             out.append(c)
     return out, failed
+
+
+def reference_resolve(sel: ConstrainedClause, partner: ConstrainedClause, strategy: str,
+                      select: bool, system: RewriteSystem, sig, fuel: int = 10_000):
+    """A reference for ``prover._Saturation._resolve`` that builds first:
+    ``partner`` is renamed apart from ``sel`` in full by ``rename_apart``,
+    each resolvent's literals and constraints are built before anything is
+    unified, and each is then built as a clause by the strategy, on the fly
+    by ``unify.propagate_on_the_fly`` on those literals.  Returns the
+    clauses registered, in order; the number of inferences whose
+    constraints failed; and the number that registered a clause, which
+    ``steps["resolution"]`` counts."""
+    renamed, _ = rename_apart(sel.free_names(), partner)
+    on_the_fly = strategy == ON_THE_FLY
+    propagate = on_the_fly and not sel.constraints and not partner.constraints
+    out, failed, steps = [], 0, 0
+    for pos, neg in ((sel, renamed), (renamed, sel)):
+        negatives = [j for j in eligible(neg, select) if not neg.literals[j].positive]
+        for i in eligible(pos, select):
+            lp = pos.literals[i]
+            for j in negatives if lp.positive else ():
+                ln = neg.literals[j]
+                if (lp.atom.pred.name, len(lp.atom.args)) != (ln.atom.pred.name,
+                                                              len(ln.atom.args)):
+                    continue
+                literals = [l for k, l in enumerate(pos.literals) if k != i]
+                literals += [l for k, l in enumerate(neg.literals) if k != j]
+                constraints = (*pos.constraints, *neg.constraints)
+                if lp.atom != ln.atom:
+                    constraints += (Constraint(lp.atom, ln.atom),)
+                c = ConstrainedClause(literals, constraints)
+                if not constraints:
+                    survivors = [c]
+                elif propagate and (result := unify.propagate_on_the_fly(
+                        literals, unify._term_pairs(constraints), system, sig, fuel)):
+                    survivors = result.clauses
+                elif ((on_the_fly and not system.e_rules)
+                      or any(unify.cheap_fail(con, system) for con in c.constraints)):
+                    failed += 1
+                    continue
+                else:
+                    survivors = [c]
+                out += survivors
+                steps += bool(survivors)
+    return out, failed, steps
 
 
 # ---------------------------------------------------------------------------

@@ -40,14 +40,22 @@ from resmod.prover import (
     subsumes,
 )
 from resmod.rewrite import RewriteRule, RewriteSystem, normalize
-from resmod.unify import propagate_on_the_fly
+from resmod.unify import propagate_on_the_fly, unify_syntactic
 
 from helpers import (canonical_variant, clause_variant, hol_cantor, random_arith_term,
                      random_comb_spine, random_sig_term, random_sigma_term, random_term,
-                     reference_process_new, reference_propagate, small_signature,
-                     solve_syntactic, truth_table)
+                     reference_process_new, reference_propagate, reference_resolve,
+                     small_signature, solve_syntactic, truth_table)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def numbered(clauses, start: int = 1) -> list[ConstrainedClause]:
+    """Copies of ``clauses`` numbered from ``start`` as input clauses, as a
+    search numbers the clauses it keeps."""
+    return [ConstrainedClause(c.literals, c.constraints, id=i, provenance=Provenance("input"))
+            for i, c in enumerate(clauses, start=start)]
+
 
 # a freeze search of chain_axioms(n), whose clauses are propositional, so
 # ground subsumption finds their duplicates
@@ -150,7 +158,7 @@ def test_a_variable_is_not_a_duplicate_of_a_same_named_constant():
     for cid, kept in enumerate((ConstrainedClause([Literal(True, Atom(p, (v0,)))]),
                                 ConstrainedClause([Literal(True, Atom(r, (v0, y)))])), 1):
         assert redundancy_filter(kept, index) == (True, None)
-        index.note_kept(kept.with_id(cid, Provenance("input")))
+        index.note_kept(*numbered([kept], cid))
     # neither kept clause, each a forward-subsumption candidate, subsumes:
     # a constant of the subsumer matches only itself
     assert redundancy_filter(ConstrainedClause([Literal(True, Atom(p, (x,)))]),
@@ -259,10 +267,9 @@ ON_THE_FLY_TRACES = {
 }
 
 
-@pytest.mark.parametrize("problem", sorted(ON_THE_FLY_TRACES))
-def test_the_on_the_fly_loop_leaves_the_trace_unchanged(problem):
-    # constraint-free clauses skip propagation, and resolution partners come
-    # from the index of selected clauses
+def on_the_fly_search(problem: str):
+    """The theory, goal and configuration of a search of
+    ``ON_THE_FLY_TRACES``."""
     if problem == "set-cantor":
         theory = theories.load_preset("set-cantor")
         goal = theory.goals["cantor"]
@@ -270,7 +277,14 @@ def test_the_on_the_fly_loop_leaves_the_trace_unchanged(problem):
         sig, axioms = theories.chain_axioms(12)
         theory = theories.TheoryPreset(problem, sig, RewriteSystem(()), axioms)
         goal = Bottom()
-    report = cli.run_prove(theory, goal, prover.ProverConfig(strategy=prover.ON_THE_FLY))
+    return theory, goal, prover.ProverConfig(strategy=prover.ON_THE_FLY)
+
+
+@pytest.mark.parametrize("problem", sorted(ON_THE_FLY_TRACES))
+def test_the_on_the_fly_loop_leaves_the_trace_unchanged(problem):
+    # constraint-free clauses skip propagation, and resolution partners come
+    # from the index of selected clauses
+    report = cli.run_prove(*on_the_fly_search(problem))
     digest = hashlib.sha256(report.trace.encode()).hexdigest()
     assert (report.verdict, report.result.stats.generated, digest) == ON_THE_FLY_TRACES[problem]
 
@@ -309,17 +323,47 @@ NARROWING_FILTER_TRACES = {
 }
 
 
-@pytest.mark.parametrize("preset, strategy", sorted(NARROWING_FILTER_TRACES))
-def test_the_narrowing_filter_leaves_the_trace_unchanged(preset, strategy):
+def narrowing_filter_search(preset: str, strategy: str):
+    """The theory, goal and configuration of a search of
+    ``NARROWING_FILTER_TRACES``."""
     theory = theories.load_preset(preset)
     goal = theory.goals["square_zero" if preset == "integral-rings" else "cantor"]
-    cfg = prover.ProverConfig(strategy=strategy,
-                              max_clauses=300 if preset == "set-cantor" else 5_000)
-    report = cli.run_prove(theory, goal, cfg)
+    return theory, goal, prover.ProverConfig(
+        strategy=strategy, max_clauses=300 if preset == "set-cantor" else 5_000)
+
+
+@pytest.mark.parametrize("preset, strategy", sorted(NARROWING_FILTER_TRACES))
+def test_the_narrowing_filter_leaves_the_trace_unchanged(preset, strategy):
+    report = cli.run_prove(*narrowing_filter_search(preset, strategy))
     digest = hashlib.sha256(report.trace.encode()).hexdigest()
     stats = report.result.stats
     assert (report.verdict, stats.generated, stats.steps["narrowing"],
             digest) == NARROWING_FILTER_TRACES[preset, strategy]
+
+
+@pytest.mark.parametrize("search", [
+    *(pytest.param(on_the_fly_search(p), id=p) for p in sorted(ON_THE_FLY_TRACES)),
+    *(pytest.param(narrowing_filter_search(*k), id="-".join(k))
+      for k in sorted(NARROWING_FILTER_TRACES)),
+])
+def test_registration_numbers_each_fresh_clause_in_place_once(search, monkeypatch):
+    """``register`` numbers the clause it is handed in place, so it must be
+    handed only fresh ones: none already numbered, none twice.  The kept
+    clauses are then distinct objects, each numbered with its position."""
+    handed = []
+    register = prover._Saturation.register
+
+    def checked(self, c, *args):
+        assert c.id is None, c
+        handed.append(c)
+        return register(self, c, *args)
+
+    monkeypatch.setattr(prover._Saturation, "register", checked)
+    steps = cli.run_prove(*search).result.steps
+    assert len(set(map(id, handed))) == len(handed) >= len(steps)
+    assert len(set(map(id, steps))) == len(steps)
+    assert [s.id for s in steps] == list(range(1, len(steps) + 1))
+    assert all(p < s.id for s in steps for p in s.provenance.parents)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +623,7 @@ def subset(c: ConstrainedClause, d: ConstrainedClause) -> bool:
 def test_the_index_offers_every_subsumption_pair(clauses, least):
     # every candidate pair is one the features allow, and every pair that
     # subsumes is a candidate pair
-    clauses = [c.with_id(i, Provenance("input")) for i, c in enumerate(clauses, start=1)]
+    clauses = numbered(clauses)
     index = ClauseIndex()
     for c in clauses:
         index.note_kept(c)
@@ -599,7 +643,7 @@ def test_the_index_offers_every_subsumption_pair(clauses, least):
 
 @pytest.mark.parametrize("clauses", index_clause_sets())
 def test_the_resolution_prefilter_skips_only_partners_without_resolvents(clauses):
-    clauses = [c.with_id(i, Provenance("input")) for i, c in enumerate(clauses, start=1)]
+    clauses = numbered(clauses)
     index = ClauseIndex()
     for c in clauses:
         index.note_selected(c)
@@ -635,7 +679,7 @@ def retirement_sets():
 
 def test_the_index_drops_retired_clauses_from_the_lists_it_scans():
     for clauses, first_only in retirement_sets():
-        clauses = [c.with_id(i, Provenance("input")) for i, c in enumerate(clauses, start=1)]
+        clauses = numbered(clauses)
         index = ClauseIndex()
         for c in clauses:
             index.note_kept(c)
@@ -814,7 +858,7 @@ def registered(system: RewriteSystem, sig: Signature, strategy: str,
     with ``parents`` as the first steps, and the inferences whose
     constraints failed."""
     sat = prover._Saturation(system, sig, prover.ProverConfig(strategy=strategy))
-    sat.steps = [p.with_id(i, Provenance("input")) for i, p in enumerate(parents, start=1)]
+    sat.steps = numbered(parents)
     out = []
     sat.register = lambda c, kind, parents, aux=None: out.append(c)
     sat.process_new(inferences, "resolution", tuple(range(1, len(parents) + 1)))
@@ -862,7 +906,8 @@ def test_on_the_fly_builds_what_the_constrained_route_builds(theory, least):
             for literals, constraints in inferences:
                 if not constraints:
                     continue
-                got = propagate_on_the_fly(literals, constraints, system, sig.copy())
+                got = propagate_on_the_fly(literals, unify._term_pairs(constraints), system,
+                                           sig.copy())
                 want = reference_propagate(ConstrainedClause(literals, constraints),
                                            system, sig.copy())
                 assert (got is None) == (want is None), (literals, constraints)
@@ -914,6 +959,95 @@ def test_a_failed_unifier_builds_no_clause_and_a_resolvent_one(monkeypatch):
         assert (len(built), failed) == ((0, 1) if outcome is None else (1, 0))
         assert reference is None if outcome is None \
             else shapes(reference.clauses) == shapes(clauses)
+
+
+def resolved(system: RewriteSystem, sig: Signature, strategy: str, select: bool,
+             sel: ConstrainedClause, partner: ConstrainedClause):
+    """The clauses ``_Saturation._resolve`` registers for ``sel`` and
+    ``partner`` (``sel`` itself for self-resolution), numbered as the first
+    steps; the inferences whose constraints failed; and
+    ``steps["resolution"]``."""
+    sat = prover._Saturation(system, sig, prover.ProverConfig(strategy=strategy))
+    sat.select = select
+    sat.steps = numbered([sel] if partner is sel else [sel, partner])
+    sel, partner = sat.steps[0], sat.steps[-1]
+    out = []
+
+    def register(c, kind, parents, aux=None):
+        out.append(c)
+        sat.stats.kept += 1
+
+    sat.register = register
+    sat._resolve(sel, sel.free_names(), partner)
+    return out, sat.stats.failed_constraints, sat.stats.steps["resolution"]
+
+
+def cut_outcome(sel: ConstrainedClause, partner: ConstrainedClause, select: bool) -> list[str]:
+    """How each resolution inference of ``sel`` and ``partner`` ends at its
+    cut atoms: ``equal``, a rigid ``clash``, another failure of syntactic
+    unification (an occurs check or a clash below a variable's binding) or
+    ``unified``."""
+    rho = kernel.renaming_apart(sel.free_names(), partner.free_vars())
+    out = []
+    for inference in extended_resolution(sel, partner, rho, select):
+        lhs, rhs = inference.lhs, inference.rhs
+        if lhs == rhs:
+            out.append("equal")
+        elif any(unify._clash(a, b, frozenset()) for a, b in zip(lhs.args, rhs.args)):
+            out.append("clash")
+        else:
+            out.append("unified" if unify_syntactic(lhs, rhs) else "failed")
+    return out
+
+
+@pytest.mark.parametrize("theory, depth, least", [
+    ("small", 0, {"equal": 10, "clash": 60, "failed": 5, "unified": 300, "shared": 100,
+                  "self": 10}),
+    ("small", 1, {"equal": 10, "clash": 250, "failed": 3, "unified": 100, "shared": 70,
+                  "self": 10}),
+    ("set-cantor", 2, {"equal": 3, "clash": 300, "failed": 12, "unified": 80,
+                        "shared": 80, "self": 10}),
+    ("arith", 2, {"equal": 20, "clash": 500, "failed": 15, "unified": 250,
+                   "shared": 140, "self": 10}),
+])
+def test_resolving_against_the_partner_unrenamed_builds_what_renaming_it_first_builds(
+        theory, depth, least):
+    """``_Saturation._resolve`` renames only the partner's cut atom before it
+    unifies, and its other literals once the clause is built; the reference
+    route of ``helpers.reference_resolve`` renames the partner in full
+    first.  Over seeded pairs whose variables share their names (``X``,
+    ``Y`` and ``Z``), some carrying constraints, and self-resolution, both
+    register the same clauses, literals in order and variable names
+    included, count the same failures and the same ``steps["resolution"]``,
+    under both strategies and with and without literal selection.  Depth 0
+    draws function-free clauses."""
+    sig, system = propagation_theory(theory)
+    rng = random.Random(f"resolve:{theory}:{depth}")
+    tally = dict.fromkeys(("equal", "clash", "failed", "unified", "shared", "self"), 0)
+    pairs = []
+    for _ in range(500):
+        sel = normal_clause(rng, sig, system, rng.random() < 0.2, depth)
+        pairs.append((sel, sel if rng.random() < 0.2
+                      else normal_clause(rng, sig, system, rng.random() < 0.2, depth)))
+    if theory == "small" and depth:
+        pairs += [(parse_clause(sig, *c.split(" | ")), parse_clause(sig, *d.split(" | ")))
+                  for c, d in [("p(X, g(X))", "~p(Y, Y)"),  # occurs check
+                               ("p(a, X) | q(X)", "~p(b, X)"),  # clash
+                               ("p(a, b) | q(X)", "~p(a, b) | ~q(X)")]]  # equal atoms
+    for sel, partner in pairs:
+        tally["shared"] += partner is not sel and bool(sel.free_names() & partner.free_names())
+        for select in (True, False):
+            outcomes = cut_outcome(sel, partner, select)
+            for outcome in outcomes:
+                tally[outcome] += 1
+            tally["self"] += partner is sel and bool(outcomes)
+            for strategy in (prover.FREEZE, prover.ON_THE_FLY):
+                got, failed, steps = resolved(system, sig.copy(), strategy, select, sel, partner)
+                want, want_failed, want_steps = reference_resolve(
+                    sel, partner, strategy, select, system, sig.copy())
+                assert (shapes(got), failed, steps) == (shapes(want), want_failed, want_steps), \
+                    (sel, partner, strategy, select)
+    assert all(tally[k] >= n for k, n in least.items()), tally
 
 
 def keyed_signature() -> Signature:
@@ -1098,7 +1232,7 @@ def test_a_constraint_free_variant_is_subsumed_without_a_key(monkeypatch):
     index = ClauseIndex()
     kept = ConstrainedClause([Literal(True, Atom(p, (x, y))), Literal(True, Atom(p, (y, z)))])
     assert redundancy_filter(kept, index) == (True, None)
-    index.note_kept(kept.with_id(1, Provenance("input")))
+    index.note_kept(*numbered([kept]))
     reverse = ConstrainedClause([Literal(True, Atom(p, (y2, z2))),
                                  Literal(True, Atom(p, (x2, y2)))])
     assert redundancy_filter(reverse, index) == (False, "subsumed")
@@ -1107,7 +1241,7 @@ def test_a_constraint_free_variant_is_subsumed_without_a_key(monkeypatch):
     # freeze, constraints and all, is a duplicate
     frozen = ConstrainedClause([Literal(False, Atom(p, (x, y)))], [Constraint(x, a)])
     assert redundancy_filter(frozen, index) == (True, None)
-    index.note_kept(frozen.with_id(2, Provenance("input")))
+    index.note_kept(*numbered([frozen], 2))
     copy = ConstrainedClause([Literal(False, Atom(p, (x2, y2)))], [Constraint(x2, a)])
     assert redundancy_filter(copy, index) == (False, "duplicate")
     assert keyed == [frozen, copy]

@@ -872,7 +872,8 @@ class TestStoreAndPropagation:
         env = {}
         atom = parse_term_or_atom("x in y", st.sig, env)
         clause = ConstrainedClause([Literal(True, atom)])
-        out = propagate_on_the_fly(clause.literals, clause.constraints, st.system, st.sig)
+        out = propagate_on_the_fly(clause.literals, unify._term_pairs(clause.constraints),
+                                   st.system, st.sig)
         assert out is not None and out.normalized
         assert [(c.literals, c.constraints) for c in out.clauses] \
             == [(clause.literals, clause.constraints)]
@@ -880,7 +881,7 @@ class TestStoreAndPropagation:
     def test_unsolvable_store_discards(self):
         sig = small_signature()
         a, b = App(sig.lookup("a")), App(sig.lookup("b"))
-        out = propagate_on_the_fly([], [Constraint(a, b)], EMPTY_SYSTEM, sig)
+        out = propagate_on_the_fly([], Constraint(a, b).pairs(), EMPTY_SYSTEM, sig)
         assert out is None
 
     def test_propagation_triggers_reductions(self):
@@ -890,7 +891,8 @@ class TestStoreAndPropagation:
         con = Constraint(parse_term_or_atom("P", st.sig, env),
                          parse_term_or_atom("{a0, b0}", st.sig, env))
         clause = ConstrainedClause([Literal(True, atom)], [con])
-        out = propagate_on_the_fly(clause.literals, clause.constraints, st.system, st.sig)
+        out = propagate_on_the_fly(clause.literals, unify._term_pairs(clause.constraints),
+                                   st.system, st.sig)
         assert out is not None
         assert len(out.clauses) == 1
         assert out.clauses[0].literal_text() == "c0 = a0, c0 = b0"
