@@ -22,10 +22,16 @@ in ``tests/helpers.py`` as their reference.
 - One call keeps the set of subterms whose whole subtree was searched and
   held no redex, and skips them (a subterm equal to a normal one is normal).
 - After a contraction the search resumes ``reach`` levels above the
-  contracted position: a linear left side whose non-variable positions lie
-  at most ``reach`` levels deep looks at no deeper change, and E-rules keep
-  sorts.  ``reach`` is infinite (resume at the root of the term) when the
-  system has an ``EtaRule`` or a left side that repeats a variable.
+  contracted position, or at the outermost pinned node on the path if that
+  is higher.  ``reach`` is the depth of the deepest non-variable position
+  among the E-rules' left sides: a node further above keeps every symbol a
+  left side tests, and E-rules keep sorts, so a linear rule still cannot
+  fire there.  An ``EtaRule`` or a left side that repeats a variable can
+  fire after a change at any depth, but only at a node that fits its
+  skeleton, the left side with each variable a wildcard; the dispatcher
+  says so by returning ``PINNED`` at such a node where no rule fires, and
+  the node stays pinned while the walk is below it (a change within
+  ``reach`` of it resumes at or above it).
 - Connectives are never redexes, so a proposition is normalized one atom at
   a time, left to right; an atom whose predicate heads an R-rule is checked
   again after each E-step in its arguments.
@@ -33,7 +39,7 @@ in ``tests/helpers.py`` as their reference.
 
 from __future__ import annotations
 
-import math
+import sys
 import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
@@ -106,6 +112,13 @@ class RewriteRule:
     def var_names(self) -> frozenset[str]:
         return free_names(self.lhs)
 
+    @property
+    def pins(self) -> bool:
+        """Whether the rule is an E-rule whose left side repeats a variable:
+        a change at any depth below a node that fits its skeleton can make
+        the node a redex (see :data:`PINNED`)."""
+        return self.cls == E_CLASS and _shape(self.lhs)[1]
+
     def rename_for(self, avoid: Iterable[str]) -> "RewriteRule":
         """Variant of the rule sharing no variables with ``avoid``."""
         avoid_set = set(avoid)
@@ -132,9 +145,13 @@ class EtaRule(RewriteRule):
 
     ``wrap(body(x, index1)) -> x`` provided the body, once normalized with
     respect to the accompanying structural rules, is an image of ``x`` under
-    a single shift.  The side condition is decided by :func:`eta_redex`,
-    configured with the symbols of the explicit-substitution language.
+    a single shift.  The side condition is decided by :meth:`contract`,
+    configured with the symbols of the explicit-substitution language.  It
+    pins: a change deep in ``x`` can make a node ``wrap(body(x, index1))``
+    a redex.
     """
+
+    pins = True
 
     def __init__(self, name: str, lam, app, sub, shift, one, sort) -> None:
         x = Var("a", sort)
@@ -187,6 +204,11 @@ def _index(rules: Iterable[RewriteRule], key) -> dict[str, tuple[RewriteRule, ..
     return {k: tuple(v) for k, v in out.items()}
 
 
+# what a dispatcher returns at a node where no rule fires but the node fits
+# the skeleton of a pinning rule of its root (``RewriteRule.pins``)
+PINNED = object()
+
+
 def _dispatcher(rules: tuple[RewriteRule, ...],
                 system: "RewriteSystem") -> Callable[[App | Atom], tuple | None]:
     """The dispatcher of ``rules``, the rules of one root in declaration
@@ -194,28 +216,35 @@ def _dispatcher(rules: tuple[RewriteRule, ...],
     head symbols of its arguments fit the left side (an ``EtaRule`` fits any
     node), by calling the rule's compiled function, or an ``EtaRule``'s
     ``contract`` bound to ``system``.  It returns ``(contractum,
-    contractor)`` for the first that fires, or None."""
-    namespace: dict[str, object] = {"App": App}
+    contractor)`` for the first that fires; else :data:`PINNED` where the
+    node fits the skeleton of a rule that pins, or None."""
+    namespace: dict[str, object] = {"App": App, "PINNED": PINNED}
     const = _constants(namespace)
     tries = []  # per rule: its arity (None: any), its head tests by position, its contractor
+    pins = []  # per rule that pins: its arity, its head tests, its skeleton test
     for r in rules:
+        args = r.lhs.args
+        heads = {i: const(p.sym.name) for i, p in enumerate(args) if type(p) is App}
         if isinstance(r, EtaRule):
             contract = partial(r.contract, system=system)
             contract.rule_name = r.name
             tries.append((None, {}, const(contract)))
         else:
-            args = r.lhs.args
-            heads = {i: const(p.sym.name) for i, p in enumerate(args) if type(p) is App}
             tries.append((len(args), heads, const(r.compiled)))
+        if r.pins:
+            pins.append((len(args), heads, const(_compile(r, skeleton=True))))
     lines = []
     # one block per arity, with the rules of that arity and the eta rules
-    # among them; then, for a node of any other arity, the eta rules
-    for arity in (*dict.fromkeys(n for n, _, _ in tries if n is not None), None):
+    # among them, then the skeletons of that arity; then, for a node of any
+    # other arity, the eta rules
+    for arity in (*dict.fromkeys(n for n, _, _ in tries + pins if n is not None), None):
         block = [f"if {''.join(f'h{i} == {k} and ' for i, k in heads.items())}"
                  f"(f := {c}(t)) is not None: return f, {c}"
                  for n, heads, c in tries if n in (arity, None)]
         if arity is not None:
-            tested = sorted({i for n, heads, _ in tries if n == arity for i in heads})
+            block += [f"if {''.join(f'h{i} == {k} and ' for i, k in heads.items())}"
+                      f"{c}(t): return PINNED" for n, heads, c in pins if n == arity]
+            tested = sorted({i for n, heads, _ in tries + pins if n == arity for i in heads})
             unpack = [f"{''.join(f's{i}, ' for i in range(arity))}= t.args"] if tested else []
             block = [*unpack, *(f"h{i} = s{i}.sym.name if type(s{i}) is App else None"
                                 for i in tested), *block, "return None"]
@@ -240,25 +269,20 @@ def _filed(dispatch: dict, index: dict[str, tuple[RewriteRule, ...]], root: str,
         return found
 
 
-def _reach(e_rules: Iterable[RewriteRule]) -> float:
-    """Depth of the deepest non-variable position among the left sides, or
-    infinity when a rule is an ``EtaRule`` or repeats a variable."""
-    deepest = 0
-    for rule in e_rules:
-        if isinstance(rule, EtaRule):
-            return math.inf
-        seen: set[str] = set()
-        stack = [(rule.lhs, 0)]
-        while stack:
-            t, depth = stack.pop()
-            if isinstance(t, App):
-                deepest = max(deepest, depth)
-                stack.extend((a, depth + 1) for a in t.args)
-            elif t.name in seen:
-                return math.inf
-            else:
-                seen.add(t.name)
-    return deepest
+def _shape(lhs: Term | Atom) -> tuple[int, bool]:
+    """The depth of the deepest non-variable position of the left side
+    ``lhs`` below its root, and whether it repeats a variable."""
+    deepest, seen, repeats = 0, set(), False
+    stack = [(lhs, 0)]
+    while stack:
+        t, depth = stack.pop()
+        if isinstance(t, Var):
+            repeats = repeats or t.name in seen
+            seen.add(t.name)
+        else:
+            deepest = max(deepest, depth)
+            stack.extend((a, depth + 1) for a in t.args)
+    return deepest, repeats
 
 
 class NarrowingRule(NamedTuple):
@@ -288,9 +312,12 @@ class RewriteSystem:
     rules (see :func:`_dispatcher`), or to None for a root no rule has: all
     that :func:`normalize` calls at a node.  They are plain dicts, filled by
     :meth:`e_dispatcher` and :meth:`r_dispatcher` the first time a node with
-    that root is met.  ``reach`` says how far above a contraction
-    :func:`normalize` looks again for a redex.  ``var_names`` are the rules'
-    variables' names.
+    that root is met.  ``reach``, the depth of the deepest non-variable
+    position among the E-rules' left sides, says how far above a
+    contraction :func:`normalize` looks again for a redex; it looks from
+    the outermost pinned node above the contraction instead when that is
+    higher (see :data:`PINNED`).  ``var_names`` are the rules' variables'
+    names.
 
     ``narrowing``, filed on first use and kept, is what every refutation
     gate call narrows with: each non-eta E-rule as a :class:`NarrowingRule`
@@ -308,7 +335,7 @@ class RewriteSystem:
         self.r_index = _index(self.r_rules, lambda r: r.lhs.pred.name)
         self.e_dispatch: dict[str, Callable[[App], tuple | None] | None] = {}
         self.r_dispatch: dict[str, Callable[[Atom], tuple | None] | None] = {}
-        self.reach = _reach(self.e_rules)
+        self.reach = max((_shape(r.lhs)[0] for r in self.e_rules), default=0)
 
     def e_dispatcher(self, root: str) -> Callable[[App], tuple | None] | None:
         """The dispatcher of the E-rules of ``root``, built and filed in
@@ -398,9 +425,12 @@ def _constants(namespace: dict[str, object]) -> Callable[[object], str]:
     return const
 
 
-def _compile(rule: RewriteRule) -> Callable[[App | Atom], Term | Prop | None]:
+def _compile(rule: RewriteRule,
+             skeleton: bool = False) -> Callable[[App | Atom], Term | Prop | None]:
     """The contraction of a non-eta ``rule`` as one function generated from
-    its two sides, carrying the rule's name as ``rule_name``.
+    its two sides, carrying the rule's name as ``rule_name``; with
+    ``skeleton``, of any rule, the test that a node fits its left side with
+    each variable a wildcard, which returns True or None.
 
     The function takes a node whose root and argument heads the root's
     dispatcher found to fit the left side, matches the rest as
@@ -438,11 +468,14 @@ def _compile(rule: RewriteRule) -> Callable[[App | Atom], Term | Prop | None]:
             below = [f"s{len(todo) + i}" for i in range(n)]
             lines.append(f"{', '.join(below)}, = {s}.args")
             todo += [(b, q, depth + 1) for b, q in zip(below, p.args)]
-    lines += after
-    if rule.cls == R_CLASS:
+    if skeleton:
+        lines.append("return True")
+    elif rule.cls == R_CLASS:
+        lines += after
         mapping = ", ".join(f"{const(name)}: {s}" for name, s in bound.items())
         lines.append(f"return subst_prop({const(rule.rhs)}, {{{mapping}}})")
     else:
+        lines += after
         value = _build(rule.rhs, bound, const, lines)
         lines.append(f"return {value}")
     exec("def contract(t):\n" + "".join(f"    {line}\n" for line in lines), namespace)
@@ -564,6 +597,9 @@ class _Normalizer:
         # frames [symbol, children, next child, node or None once changed];
         # the bottom frame holds ``terms`` and is never a redex
         stack: list[list] = [[None, terms, 0, None]]
+        # the outermost pinned frame and its place on the stack, while
+        # ``stack[pin] is pinned``
+        pinned, pin = None, sys.maxsize
         while True:
             frame = stack[-1]
             children, i = frame[1], frame[2]
@@ -593,6 +629,12 @@ class _Normalizer:
                 else:
                     frame[2] = i + 1
                 continue
+            if found is PINNED:
+                frame = [t.sym, t.args, 0, t]
+                if not (pin < len(stack) and stack[pin] is pinned):
+                    pinned, pin = frame, len(stack)
+                stack.append(frame)
+                continue
             if not self.fuel:
                 self.blocked = True
                 _close(stack, 1)
@@ -604,8 +646,12 @@ class _Normalizer:
                 _close(stack, 1)
                 return
             # the walk goes on from the node ``reach`` levels above the
-            # contraction, which is tried again
-            _close(stack, max(1, len(stack) - reach))
+            # contraction, or from the outermost pinned node if that is
+            # higher, which is tried again
+            depth = len(stack) - reach
+            if pin < depth and stack[pin] is pinned:
+                depth = pin
+            _close(stack, depth if depth > 1 else 1)
 
     def atom(self, a: Atom) -> tuple[Prop, bool]:
         """Normalize inside ``a``: ``(value, True)``, or the contractum of an

@@ -422,6 +422,33 @@ def random_sigma_term(rng, sig, depth, sort="term"):
                                    random_sigma_term(rng, sig, depth - 1, "subst")))
 
 
+def church_terms(sig):
+    """Application, Church numerals, plus and mult as hol-sigma terms, the
+    shapes of the benchmark's ``church`` family."""
+    app, lam, idx = sig.lookup("app"), sig.lookup("lam"), sig.numeral
+
+    def ap(*ts):
+        t = ts[0]
+        for u in ts[1:]:
+            t = App(app, (t, u))
+        return t
+
+    def lams(n, body):
+        for _ in range(n):
+            body = App(lam, (body,))
+        return body
+
+    def church(n):
+        body = idx(1)
+        for _ in range(n):
+            body = ap(idx(2), body)
+        return lams(2, body)
+
+    plus = lams(4, ap(idx(4), idx(2), ap(idx(3), idx(2), idx(1))))
+    mult = lams(3, ap(idx(3), ap(idx(2), idx(1))))
+    return ap, church, plus, mult
+
+
 def random_comb_spine(rng, sig, depth):
     """A combinator applied to up to three random spines: redexes are
     common."""
@@ -494,6 +521,31 @@ def fits(rule, heads: tuple[str | None, ...]) -> bool:
     args = rule.lhs.args
     return len(args) == len(heads) and all(
         type(p) is Var or p.sym.name == h for p, h in zip(args, heads))
+
+
+def fits_skeleton(pattern: Term, x: Term) -> bool:
+    """Whether ``x`` has the symbol (name and arity) ``pattern`` has at each
+    of its non-variable positions."""
+    if isinstance(pattern, Var):
+        return True
+    return (isinstance(x, App) and x.sym.name == pattern.sym.name
+            and len(x.args) == len(pattern.args)
+            and all(fits_skeleton(p, a) for p, a in zip(pattern.args, x.args)))
+
+
+def pinning(rule) -> bool:
+    """Whether ``rule`` is an eta rule or an E-rule whose left side repeats a
+    variable: one a change deeper than its left side can make fire."""
+    if isinstance(rule, EtaRule):
+        return True
+    names = [v.name for _, v in subtrees(rule.lhs) if isinstance(v, Var)]
+    return rule.cls != R_CLASS and len(names) > len(set(names))
+
+
+def pinned_at(system: RewriteSystem, x: App | Atom) -> bool:
+    """The reference for where a dispatcher returns ``rewrite.PINNED`` when
+    no rule fires: ``x`` fits the skeleton of a pinning rule of its root."""
+    return any(pinning(r) and fits_skeleton(r.lhs, x) for r in same_root(system, x))
 
 
 def same_root(system: RewriteSystem, x: App | Atom) -> tuple:

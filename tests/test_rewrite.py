@@ -15,6 +15,7 @@ from resmod.kernel import (
 from resmod import rewrite
 from resmod.rewrite import (
     EMPTY_SYSTEM,
+    PINNED,
     R_CLASS,
     EtaRule,
     NormalizeOutcome,
@@ -29,9 +30,10 @@ from resmod.theories import load_preset
 from resmod.unify import e_unify_narrowing
 from resmod.parser import parse_prop, parse_term, parse_term_or_atom
 
-from helpers import (head_candidates, normalize_rightmost_innermost, random_arith_term,
-                     random_comb_spine, random_sigma_term, random_term, russell_theory,
-                     same_root, scan_reduce_once, small_signature, sort_of, subtrees)
+from helpers import (church_terms, head_candidates, normalize_rightmost_innermost,
+                     pinned_at, random_arith_term, random_comb_spine, random_sigma_term,
+                     random_term, russell_theory, same_root, scan_reduce_once,
+                     small_signature, sort_of, subtrees)
 
 
 class TestRuleClasses:
@@ -346,6 +348,116 @@ class TestNormalizeAgainstReduceOnce:
         assert out == iterate_reduce_once(t, system, 10)
 
 
+def extended_sigma():
+    """hol-sigma with ``e : term -> term`` and ``d : subst -> subst``, each
+    dropped by a rule: contractions that make a ``1`` or a substitution
+    at any depth."""
+    sigma = load_preset("hol-sigma")
+    sig = sigma.sig
+    term, subst = sig.sorts["term"], sig.sorts["subst"]
+    e, d = sig.function("e", (term,), term), sig.function("d", (subst,), subst)
+    system = sigma.system.extend([
+        RewriteRule("drop_e", App(e, (Var("y", term),)), Var("y", term)),
+        RewriteRule("drop_d", App(d, (Var("r", subst),)), Var("r", subst)),
+    ])
+    return sig, system
+
+
+class TestPinnedNodes:
+    """After a contraction ``normalize`` looks again from two levels above
+    it in hol-sigma, or from the outermost node above it that fits the
+    skeleton of eta, ``lam(app(_, 1))``, or of sigma_surj, ``cons(sub(1,
+    _), comp(shift, _))``, if that is higher."""
+
+    @pytest.mark.parametrize("text, value", [
+        # t = comp(shift, d(shift)) turns into s three levels below the cons
+        ("cons(sub(1, comp(shift, shift)), comp(shift, comp(shift, d(shift))))",
+         "comp(shift, shift)"),
+        # and four levels below it
+        ("cons(sub(1, comp(shift, shift)), comp(shift, comp(shift, d(d(shift)))))",
+         "comp(shift, shift)"),
+        ("cons(sub(1, comp(shift, shift)), comp(shift, comp(d(shift), shift)))",
+         "comp(shift, shift)"),
+    ])
+    def test_a_sigma_surj_redex_made_by_a_contraction_below_it(self, text, value):
+        sig, system = extended_sigma()
+        t = parse_term(text, sig)
+        assert dispatch(system, t) is PINNED
+        steps = text.count("d(")
+        out = normalize(t, system, 10)
+        assert out == NormalizeOutcome(True, parse_term(value, sig), steps + 1)
+        assert out == iterate_reduce_once(t, system, 10)
+
+    @pytest.mark.parametrize("text, value", [
+        # the 1 of sigma_surj's skeleton, two levels below the cons
+        ("cons(sub(e(1), shift), comp(shift, shift))", "shift"),
+        ("cons(sub(e(1), comp(shift, shift)), comp(shift, comp(shift, shift)))",
+         "comp(shift, shift)"),
+        # the 1 of eta's, two levels below the lam
+        ("lam(app(sub(1, shift), e(1)))", "1"),
+    ])
+    def test_a_redex_whose_skeleton_a_contraction_two_levels_below_completes(
+            self, text, value):
+        sig, system = extended_sigma()
+        t = parse_term(text, sig)
+        assert dispatch(system, t) is None
+        out = normalize(t, system, 10)
+        assert out == NormalizeOutcome(True, parse_term(value, sig), 2)
+        assert out == iterate_reduce_once(t, system, 10)
+
+
+class TestChurchNumerals:
+    """Church ``plus`` and ``mult`` of numerals 1 to 8 in hol-sigma, the
+    benchmark's ``church`` shapes: one ``normalize`` run contracts the
+    redexes iterating the scan of every rule contracts, with the same rules,
+    and stops where the scan's reduct after as many steps as its fuel is."""
+
+    def naming_run(self, monkeypatch, x, system, fuel):
+        """``normalize(x, system, fuel)`` and the names of the rules that
+        fired in it, in order."""
+        names = []
+
+        class Naming(rewrite._Normalizer):
+            @property
+            def fired(self):
+                return self.__dict__["fired"]
+
+            @fired.setter
+            def fired(self, contractor):
+                self.__dict__["fired"] = contractor
+                if contractor is not None:
+                    names.append(contractor.rule_name)
+
+        monkeypatch.setattr(rewrite, "_Normalizer", Naming)
+        out = normalize(x, system, fuel)
+        monkeypatch.undo()
+        return out, names
+
+    @pytest.mark.parametrize("op", ["plus", "mult"])
+    def test_one_run_steps_as_the_scan_does(self, op, monkeypatch):
+        sigma = load_preset("hol-sigma")
+        ap, church, plus, mult = church_terms(sigma.sig)
+        rules = set()
+        for a, b in [(a, 9 - a) for a in range(1, 9)] + [(1, 1)]:
+            t = ap(plus if op == "plus" else mult, church(a), church(b))
+            values, names = [t], []
+            while (red := scan_reduce_once(values[-1], sigma.system)) is not None:
+                values.append(red[0])
+                names.append(red[1])
+            out, fired = self.naming_run(monkeypatch, t, sigma.system, 10_000)
+            assert out == NormalizeOutcome(True, values[-1], len(names))
+            assert fired == names
+            for fuel in (1, len(names) // 3, len(names) - 1):
+                assert normalize(t, sigma.system, fuel) == \
+                    NormalizeOutcome(False, values[fuel], fuel)
+            rules.update(names)
+        # beta and nine sigma-rules fire; mult 1 1 reduces to lam(lam(2 1)),
+        # which eta contracts
+        assert {"beta", "sigma_app", "sigma_one", "sigma_lam", "sigma_sub",
+                "sigma_assoc", "sigma_cons_comp", "sigma_shift_cons", "sigma_comp_id"} <= rules
+        assert ("eta" in rules) is (op == "mult")
+
+
 def random_sig_term(rng, sig, sort, depth):
     """A term of ``sort`` over every function symbol of ``sig``, with the
     variables x and y."""
@@ -445,7 +557,7 @@ def differential_inputs(name: str, rng: random.Random):
 
 def dispatch(system, x):
     """What the dispatcher of the root of ``x`` returns at ``x``:
-    ``(contractum, contractor)``, or None."""
+    ``(contractum, contractor)``, ``PINNED`` or None."""
     if isinstance(x, Atom):
         found = system.r_dispatcher(x.pred.name)
     else:
@@ -457,7 +569,9 @@ class TestArgumentHeadIndex:
     """At every node, the root's dispatcher returns the contractum and the
     rule of the first rule that fires among those the reference filter
     ``helpers.head_candidates`` gives (the rules of the node's root that fit
-    its argument heads), and None exactly where none fires.  No rule that
+    its argument heads); where none fires, ``PINNED`` exactly where the node
+    fits the skeleton of a pinning rule (``helpers.pinned_at``), and None
+    elsewhere.  No rule that
     matches is left out, so that rule is the first a scan of every rule with
     :func:`match` finds.  Each non-eta candidate's compiled function returns
     what :func:`match` and :func:`subst_term` or :func:`subst_prop` return."""
@@ -466,7 +580,7 @@ class TestArgumentHeadIndex:
                                       "integral-rings", "tied"])
     def test_the_index_agrees_with_a_scan_of_every_rule(self, name):
         system, inputs = differential_inputs(name, random.Random(f"index:{name}"))
-        fired_nodes = ties = skipped = misses = 0
+        fired_nodes = ties = skipped = misses = pinned = 0
         for x in inputs:
             for _, node in subtrees(x):
                 if isinstance(node, Atom):
@@ -486,7 +600,8 @@ class TestArgumentHeadIndex:
                               if red is not None), None)
                 found = dispatch(system, node)
                 if first is None:
-                    assert found is None, node
+                    assert found is (PINNED if pinned_at(system, node) else None), node
+                    pinned += found is PINNED
                 else:
                     assert found is not None, node
                     assert (found[0], found[1].rule_name) == (first[1], first[0].name)
@@ -504,6 +619,8 @@ class TestArgumentHeadIndex:
         # rule matches at some nodes
         assert fired_nodes >= 10 and skipped > fired_nodes
         assert (misses > 0) is (name in ("hol-comb", "hol-sigma", "tied"))
+        # eta and sigma_surj pin in hol-sigma, diag in the tied system
+        assert (pinned > 0) is (name in ("hol-sigma", "tied"))
         if name == "tied":
             assert ties > 3
 
@@ -531,7 +648,8 @@ class TestArgumentHeadIndex:
         nodes = [App(lam, (body,)) for body in (one, App(app, (one, one)),
                                                 Var("a", sig.sorts["term"]),
                                                 App(app, (shifted, one)))]
-        assert [dispatch(system, t) for t in nodes[:3]] == [None] * 3
+        # lam((1 1)) fits the eta rule's skeleton lam(app(_, 1))
+        assert [dispatch(system, t) for t in nodes[:3]] == [None, PINNED, None]
         contractum, contractor = dispatch(system, nodes[3])
         assert (contractum, contractor.rule_name) == (one, "eta")
         assert tried == nodes
@@ -725,15 +843,25 @@ class TestNarrowingRules:
         assert vars(system)["narrowing"] is filed
 
 
-@pytest.mark.parametrize("lhs, reach", [
-    ("g(g(x))", 1),
-    ("f(x, g(g(y)))", 2),
-    ("f(x, x)", math.inf),
-    ("f(x, g(x))", math.inf),
+@pytest.mark.parametrize("lhs, reach, pins", [
+    ("g(g(x))", 1, False),
+    ("f(x, g(g(y)))", 2, False),
+    ("f(x, x)", 0, True),
+    ("f(x, g(x))", 1, True),
 ])
-def test_reach_is_the_depth_of_a_linear_left_side(lhs, reach):
+def test_reach_is_the_depth_of_the_deepest_left_side(lhs, reach, pins):
     # normalize looks again this far above a contraction; a left side that
-    # repeats a variable can match anywhere above, so it looks from the root
+    # repeats a variable can match after a change at any depth, so it pins
+    # the nodes that fit its skeleton instead
     sig = small_signature()
     rule = RewriteRule("r", parse_term(lhs, sig), parse_term("x", sig))
     assert RewriteSystem([rule]).reach == reach
+    assert rule.pins is pins
+
+
+def test_hol_sigma_reaches_two_levels_and_pins_eta_and_sigma_surj():
+    system = load_preset("hol-sigma").system
+    assert system.reach == 2
+    assert [r.name for r in system.rules if r.pins] == ["eta", "sigma_surj"]
+    assert system.without_eta.reach == 2
+    assert all(not r.pins for r in load_preset("arith").system.rules)
