@@ -143,6 +143,9 @@ class Provenance:
         return f"{self.rule}({inside})" if inside else self.rule
 
 
+_INPUT = Provenance("input")  # a clause built without one has it until kept
+
+
 class ConstrainedClause:
     """A disjunction of literals with postponed constraints.
 
@@ -170,7 +173,7 @@ class ConstrainedClause:
         # a solved pair such as A = A constrains nothing
         self.constraints = frozenset(c for c in constraints if c.lhs != c.rhs)
         self.id = id
-        self.provenance = provenance or Provenance("input")
+        self.provenance = provenance or _INPUT
         self._lit_set = frozenset(self.literals)
         self._free_vars: frozenset[Var] | None = None
         self._profile: dict[tuple[bool, str], int] | None = None

@@ -16,16 +16,18 @@ verdict, the summary's ``normalization: fuel exhausted`` line says that
 some kept clause was left unnormalized (``--fuel``).
 ``check-solution`` exits 0 when the substitution solves every equation and
 1 when it does not; ``normalize`` exits 0.  Every subcommand exits 3 on an
-input error, a malformed command line included, and 5 on an internal error
-(resmod itself failed), so neither reads as a verdict.  ``--theory``
-accepts a preset name (``arith``, ``integral-rings``, ``chain(n)``,
-``hol-comb``, ``hol-sigma``, ``set``, ``set-cantor``), a theory file path,
-or an inline rule set in braces such as ``'{A -> A => B}'``.
+input error, a malformed command line included, 5 on an internal error
+(resmod itself failed), so neither reads as a verdict, and 141 when the
+reader of its standard output closes it early.  ``--theory`` accepts a
+preset name (``arith``, ``integral-rings``, ``chain(n)``, ``hol-comb``,
+``hol-sigma``, ``set``, ``set-cantor``), a theory file path, or an inline
+rule set in braces such as ``'{A -> A => B}'``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -47,6 +49,7 @@ EXIT_RESOURCE_OUT = 2
 EXIT_INPUT_ERROR = 3
 EXIT_PROVED_UNVERIFIED = 4
 EXIT_INTERNAL_ERROR = 5
+EXIT_BROKEN_PIPE = 128 + 13  # SIGPIPE, as a shell reports for `yes | head`
 
 _VERDICT_EXIT = {
     PROVED: EXIT_PROVED,
@@ -261,7 +264,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help, or a malformed command line
         return exc.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader has gone, as in `resmod prove ... | head`
+        sys.stdout = open(os.devnull, "w")  # so that exit writes no more
+        return EXIT_BROKEN_PIPE
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR

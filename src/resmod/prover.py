@@ -95,12 +95,11 @@ rule.  Ordering and selection keep the search complete:
 4. Redundancy: tautologies and subsumed clauses are redundant, variants
    among them; a constraint-free clause's variants are found by
    subsumption, a constrained clause's by its key, which numbers its
-   variables canonically (:func:`redundancy_filter`).  Under selection a
-   subsumer must map its literals one to one (:func:`subsumes`), so each
-   ground instance of the clause it deletes or retires contains one of the
-   subsumer's as a sub-multiset: a smaller clause, or at equal size the
-   same one.  Neither test reads the ordering, which only restricts
-   inferences.
+   variables canonically (:func:`redundancy_filter`).  A subsumer maps its
+   literals one to one (:func:`subsumes`), so each ground instance of the
+   clause it deletes or retires contains one of the subsumer's as a
+   sub-multiset: a smaller clause, or at equal size the same one.  Neither
+   test reads the ordering, which only restricts inferences.
 5. Fairness: every kept clause is selected in time and resolved with every
    live selected clause, so the clauses that persist are saturated.
 
@@ -634,31 +633,30 @@ def clause_key(c: ConstrainedClause) -> tuple:
     return tidy_clause(c)
 
 
-def subsumes(c: ConstrainedClause, d: ConstrainedClause, injective: bool = False) -> bool:
-    """Does ``c`` (constraint-free) subsume ``d``: some instance of ``c``'s
-    literal set is contained in ``d``'s, with ``c`` no longer than ``d`` and
-    no richer in any (polarity, predicate)?  Without ``injective`` two
-    literals of ``c`` may go to one of ``d``, but those two tests still count
-    them apart, so ``P(X) | P(Y)`` does not subsume ``P(a) | Q(b)``."""
+def subsumes(c: ConstrainedClause, d: ConstrainedClause) -> bool:
+    """Does ``c`` (constraint-free) subsume ``d`` as multisets: does some
+    instance of ``c`` take its literals one to one to literals of ``d``, so
+    that ``P(X, a) | P(a, X)`` does not subsume ``P(a, a) | P(b, c)``?  Then
+    ``c`` is no longer than ``d``, no richer in any (polarity, predicate),
+    and if ground a subset of ``d``: these tests come first."""
     if c.constraints or len(c.literals) > len(d.literals):
         return False
     if c.literals_ground():
         return c._lit_set <= d._lit_set  # a ground pattern matches only itself
     prof_d = d.profile()
-    for key, n in c.profile().items():
-        if prof_d.get(key, 0) < n:
-            return False
-    # backtracking, depth first: each entry is a literal of c, the next
-    # literal of d to try it on, and the bindings and the used literals of d
-    # that the literals of c before it left
+    if any(prof_d.get(key, 0) < n for key, n in c.profile().items()):
+        return False
+    # backtracking, depth first: each entry is a literal of c, the next literal
+    # of d to try it on, and the bindings and the literals of d (a bit mask)
+    # that the literals of c before it took
     last = len(c.literals) - 1
-    stack: list[tuple[int, int, dict, frozenset[int]]] = [(0, 0, {}, frozenset())]
+    stack: list[tuple[int, int, dict, int]] = [(0, 0, {}, 0)]
     while stack:
         i, k, bindings, used = stack.pop()
         lc = c.literals[i]
         for k in range(k, len(d.literals)):
             ld = d.literals[k]
-            if lc.positive != ld.positive or k in used:
+            if lc.positive != ld.positive or used >> k & 1:
                 continue
             b2 = match(lc.atom, ld.atom, bindings)
             if b2 is None:
@@ -666,7 +664,7 @@ def subsumes(c: ConstrainedClause, d: ConstrainedClause, injective: bool = False
             if i == last:
                 return True
             stack.append((i, k + 1, bindings, used))
-            stack.append((i + 1, 0, b2, used | {k} if injective else used))
+            stack.append((i + 1, 0, b2, used | 1 << k))
             break
     return False
 
@@ -687,16 +685,13 @@ class ClauseIndex:
     literals and constraints, read off the clause in one walk.
 
     The features are sound for subsumption: when ``subsumes(c, d)`` holds,
-    every feature of ``c`` is a feature of ``d``.  The matcher takes each
-    literal of ``c`` to a literal of ``d`` with the same polarity and
-    predicate, and an instance keeps every symbol of its pattern, so each
-    feature of a literal of ``c`` is a feature of the literal of ``d`` it
-    goes to (a ground ``c`` is a subset of ``d``).  The features record
-    presence only, never a number of occurrences, because the map between
-    the literals need not be injective: ``p(g(X),a) | p(g(Y),a)``, with
-    ``g`` twice, subsumes ``p(g(a),a) | p(b,a)``, with ``g`` once, as both
-    literals go to ``p(g(a),a)``.  A per-symbol sum would drop that pair.
-    So the index drops only pairs that ``subsumes`` rejects:
+    every feature of ``c`` is a feature of ``d``, since the matcher takes
+    each literal of ``c`` to one of ``d`` with the same polarity and
+    predicate, and an instance keeps every symbol of its pattern (a ground
+    ``c`` is a subset of ``d``).  They record presence only; counts would be
+    sound too, as the map is one to one: ``c`` has no more literals or
+    symbol occurrences under any (polarity, predicate) than ``d``.  So the
+    index drops only pairs that ``subsumes`` rejects:
 
     - forward: each constraint-free kept clause (a subsumer) is filed in
       the set-trie ``trie`` at the path of its sorted features; a new
@@ -818,25 +813,25 @@ def redundancy_filter(new: ConstrainedClause, index: ClauseIndex) -> tuple[bool,
 
     Discards exact tautologies with no constraints, clauses that carry
     constraints whose :func:`clause_key` is that of a clause it kept
-    before, and clauses subsumed by a live constraint-free kept clause, one
-    to one when ``index.select``; the reason is ``tautology``,
-    ``duplicate`` or ``subsumed``.  The empty clause is never discarded nor
-    keyed.  The key of a non-empty clause that carries constraints is read
-    off it here, once, in one walk that builds no clause, and joins
-    ``index.keys`` when the clause is kept.  A kept clause keeps its own
-    variable names: the key numbers them only in its codes.
+    before, and clauses subsumed by a live constraint-free kept clause; the
+    reason is ``tautology``, ``duplicate`` or ``subsumed``.  The empty
+    clause is never discarded nor keyed.  The key of a non-empty clause
+    that carries constraints is read off it here, once, in one walk that
+    builds no clause, and joins ``index.keys`` when the clause is kept.  A
+    kept clause keeps its own variable names: the key numbers them only in
+    its codes.
 
     A constraint-free clause ``d`` is never keyed: forward subsumption
     already discards every variant of a clause kept before, so it keeps
     what the key would keep.
 
     - If ``d`` is a variant of a live kept clause ``o``, ``o`` carries no
-      constraint either, so it is in the trie.  A variant maps its literals
-      one to one, so ``subsumes(o, d, select)`` holds, and ``o`` is among
+      constraint either, so it is in the trie.  ``subsumes(o, d)`` holds,
+      as a variant maps its literals one to one, and ``o`` is among
       ``forward_candidates(d)``, since variants have the same features.
     - If ``o`` was retired, its chain of retirers ends at a live,
       constraint-free clause in the trie, and that clause subsumes ``d``:
-      subsumption composes, one to one maps included.
+      subsumption composes, since one-to-one maps do.
 
     So such a variant is discarded as ``subsumed``, never ``duplicate``.
     """
@@ -847,7 +842,7 @@ def redundancy_filter(new: ConstrainedClause, index: ClauseIndex) -> tuple[bool,
     key = clause_key(new) if new.constraints else None
     if key in index.keys:
         return False, "duplicate"
-    if any(subsumes(c, new, index.select) for c in index.forward_candidates(new)):
+    if any(subsumes(c, new) for c in index.forward_candidates(new)):
         return False, "subsumed"
     if key is not None:
         index.keys.add(key)
@@ -948,7 +943,7 @@ class _Saturation:
         # kept clauses it subsumes, passive or active
         if not c.constraints:
             for o in self.index.backward_candidates(c):
-                if subsumes(c, o, self.select):
+                if subsumes(c, o):
                     self.index.retire(o)
                     del self.by_id[o.id]
                     self.in_passive.discard(o.id)
@@ -1019,16 +1014,10 @@ class _Saturation:
                 self.in_passive.discard(cid)
                 return cid
         by_age = self.stats.selected % AGE_INTERVAL == AGE_INTERVAL - 1
-        if by_age:
-            while True:
-                cid = heapq.heappop(self.passive_age)
-                if cid in self.in_passive:
-                    break
-        else:
-            while True:
-                _, cid = heapq.heappop(self.passive)
-                if cid in self.in_passive:
-                    break
+        while True:
+            cid = heapq.heappop(self.passive_age) if by_age else heapq.heappop(self.passive)[1]
+            if cid in self.in_passive:
+                break
         self.in_passive.discard(cid)
         return cid
 

@@ -270,6 +270,27 @@ def canonical_variant(c: ConstrainedClause) -> ConstrainedClause:
         (Constraint(rename(con.lhs), rename(con.rhs)) for con in c.constraints))
 
 
+def maps_onto(c: ConstrainedClause, images) -> bool:
+    """Is some tuple in ``images``, one literal for each literal of ``c``,
+    an image of ``c``: each literal in it has the sign of its literal of
+    ``c``, and ``match`` binds one instance of ``c`` onto them all?"""
+    for image in images:
+        bindings: dict | None = {}
+        for a, b in zip(c.literals, image):
+            if a.positive != b.positive or (bindings := match(a.atom, b.atom, bindings)) is None:
+                break
+        else:
+            return True
+    return False
+
+
+def multiset_subsumes(c: ConstrainedClause, d: ConstrainedClause) -> bool:
+    """A reference for ``prover.subsumes``: does constraint-free ``c`` map
+    onto ``d`` by some one-to-one map of its literals to ``d``'s?  Every
+    such map is tried, with no test to prune them."""
+    return not c.constraints and maps_onto(c, itertools.permutations(d.literals, len(c)))
+
+
 # ---------------------------------------------------------------------------
 # Sort checking against a signature
 # ---------------------------------------------------------------------------

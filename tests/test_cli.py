@@ -1,6 +1,10 @@
 """Command-line tests: ``cli.main`` on each subcommand, with its exit code."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -269,6 +273,42 @@ def test_a_crash_in_the_prover_is_an_internal_error(monkeypatch, capsys):
     code = cli.main(["prove", "--theory", "arith", "--goal-name", "double"])
     assert code == cli.EXIT_INTERNAL_ERROR
     assert "error: internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
+class ClosedPipe:
+    """A standard output whose reader has gone: every write fails."""
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "--theory", "arith", "--goal-name", "double"],
+    ["normalize", "--theory", "arith", "2 * 2"],
+], ids=["prove", "normalize"])
+def test_a_closed_standard_output_is_not_a_crash(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli.main(argv) == cli.EXIT_BROKEN_PIPE == 141
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("size", ["large", "small"])
+def test_a_reader_that_closes_early_ends_the_run_with_sigpipe_status(size):
+    # the large trace breaks the pipe while it is written, the small output
+    # only when it is flushed; buffered either way, as a pipe is by default
+    argv = (["prove", "--theory", "set-cantor", "--goal-name", "cantor", "--strategy",
+             "freeze", "--max-clauses", "300"] if size == "large"
+            else ["normalize", "--theory", "arith", "2 * 2"])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.Popen([sys.executable, "-m", "resmod.cli", *argv], env=env,
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    run.stdout.close()  # long before the child writes: it imports resmod first
+    err = run.stderr.read()
+    run.stderr.close()
+    assert run.wait() == 141
+    assert err == b""
 
 
 def test_a_deep_goal_is_proved(capsys):

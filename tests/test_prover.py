@@ -39,13 +39,13 @@ from resmod.prover import (
     redundancy_filter,
     subsumes,
 )
-from resmod.rewrite import RewriteRule, RewriteSystem, normalize
+from resmod.rewrite import RewriteRule, RewriteSystem, match, normalize
 from resmod.unify import propagate_on_the_fly, unify_syntactic
 
-from helpers import (canonical_variant, clause_variant, hol_cantor, random_arith_term,
-                     random_comb_spine, random_sig_term, random_sigma_term, random_term,
-                     reference_process_new, reference_propagate, reference_resolve,
-                     small_signature, solve_syntactic, truth_table)
+from helpers import (canonical_variant, clause_variant, hol_cantor, maps_onto,
+                     multiset_subsumes, random_arith_term, random_comb_spine, random_sig_term,
+                     random_sigma_term, random_term, reference_process_new, reference_propagate,
+                     reference_resolve, small_signature, solve_syntactic, truth_table)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -593,34 +593,22 @@ def index_clause_sets():
     return sets + [pytest.param(chain_axioms_kept(6), id="chain_axioms(6)")]
 
 
-def parse_clause(sig: Signature, *literals: str) -> ConstrainedClause:
+def parse_clause(sig: Signature, *literals: str, sort: str = "u",
+                 variables=("X", "Y", "Z")) -> ConstrainedClause:
     """A clause of the atoms ``literals``, each negated by a leading ``~``;
-    ``X``, ``Y`` and ``Z`` are variables of sort ``u``."""
-    env = dict.fromkeys("XYZ", sig.sorts["u"])
+    ``variables`` are variables of ``sort``."""
+    env = dict.fromkeys(variables, sig.sorts[sort])
     return ConstrainedClause([Literal(not text.startswith("~"),
                                       parse_term_or_atom(text.lstrip("~"), sig, env))
                               for text in literals])
-
-
-def non_injective_pair() -> list[ConstrainedClause]:
-    """``p(g(X),a) | p(g(Y),a)`` subsumes ``p(g(a),a) | p(b,a)`` by taking
-    both its literals to ``p(g(a),a)``: ``g`` occurs twice in the subsumer
-    and once in the clause it subsumes, so only presence features keep the
-    pair."""
-    sig = small_signature()
-    return [parse_clause(sig, "p(g(X), a)", "p(g(Y), a)"),
-            parse_clause(sig, "p(g(a), a)", "p(b, a)")]
 
 
 def subset(c: ConstrainedClause, d: ConstrainedClause) -> bool:
     return set(c.features()) <= set(d.features())
 
 
-@pytest.mark.parametrize("clauses, least", [
-    *(pytest.param(p.values[0], 50, id=p.id) for p in index_clause_sets()),
-    pytest.param(non_injective_pair(), 1, id="non-injective"),
-])
-def test_the_index_offers_every_subsumption_pair(clauses, least):
+@pytest.mark.parametrize("clauses", index_clause_sets())
+def test_the_index_offers_every_subsumption_pair(clauses):
     # every candidate pair is one the features allow, and every pair that
     # subsumes is a candidate pair
     clauses = numbered(clauses)
@@ -638,7 +626,7 @@ def test_the_index_offers_every_subsumption_pair(clauses, least):
                 pairs += 1
                 assert c.id in forward_ids, (c, d)
                 assert d.id in {x.id for x in index.backward_candidates(c)}, (c, d)
-    assert pairs >= least
+    assert pairs >= 50
 
 
 @pytest.mark.parametrize("clauses", index_clause_sets())
@@ -721,6 +709,131 @@ def test_ground_subsumption_agrees_with_a_literal_mapping_oracle(clauses):
             assert subsumes(c, d) == expected, (c, d)
             pairs += expected
     assert pairs >= 100
+
+
+def some_map_subsumes(c: ConstrainedClause, d: ConstrainedClause) -> bool:
+    """:func:`multiset_subsumes` with any map of the literals, so two
+    literals of ``c`` may go to one of ``d``."""
+    return maps_onto(c, itertools.product(d.literals, repeat=len(c)))
+
+
+def fits_counts(c: ConstrainedClause, d: ConstrainedClause) -> bool:
+    """``c`` is no longer than ``d`` and no richer in any (polarity,
+    predicate): what a one-to-one map needs, and what a map taking two
+    literals to one may not meet."""
+    return len(c) <= len(d) and all(d.profile().get(k, 0) >= n for k, n in c.profile().items())
+
+
+def one_to_one_pairs() -> list[tuple[ConstrainedClause, ConstrainedClause, ConstrainedClause]]:
+    """Clauses ``c``, ``d`` and ``e``: ``c`` is no longer than ``d`` and no
+    richer in any (polarity, predicate), and takes its literals onto ``d``'s
+    only by sending two of them to one, while it takes them one to one onto
+    ``e``, ``d`` with literals added.  The set-cantor pair came up in its
+    on-the-fly search, where the skolem functions ``x1`` and ``z`` are
+    declared."""
+    small = small_signature()
+    sig = theories.load_preset("set-cantor").sig
+    s = sig.sorts["set"]
+    sig.function("x1", (s,), s)
+    sig.function("z", (s,), s)
+    names = ("Y", "Z'", "Y'")
+    cantor = ["~<x1(C),B> in R", "~<z(C),Y> in R", "~z(C) in Y", "~x1(C) in B"]
+    return [
+        (parse_clause(small, "p(X, a)", "p(a, X)"), parse_clause(small, "p(a, a)", "p(b, c)"),
+         parse_clause(small, "p(a, a)", "p(b, c)", "p(b, a)", "p(a, b)")),
+        (parse_clause(sig, "~<x1(C),Y> in R", "~<Z',Y'> in R", "~Z' in Y'", "~Z' in Y",
+                      sort="set", variables=names),
+         parse_clause(sig, *cantor, sort="set", variables=names),
+         parse_clause(sig, *cantor, "~<x1(C),Y> in R", "~x1(C) in Y", sort="set",
+                      variables=names)),
+    ]
+
+
+@pytest.mark.parametrize("c, d, e", one_to_one_pairs(), ids=["p", "set-cantor"])
+def test_subsumption_never_takes_two_literals_to_one(c, d, e):
+    assert fits_counts(c, d) and some_map_subsumes(c, d)
+    assert not multiset_subsumes(c, d)
+    assert not subsumes(c, d)
+    assert subsumes(c, e)
+
+
+def set_cantor_subsumption_pairs(seed: int, rounds: int):
+    """Seeded clause pairs over set-cantor's signature.  Each round draws a
+    clause ``c`` of two or three literals over X, Y and Z, its second half
+    the time a renaming of its first, and a clause ``d``: ``c`` under a
+    substitution onto at most three terms, which often merges two literals,
+    with up to two literals of the sign and predicate of some literal of
+    ``c``.  It yields ``(c, d)``, ``(d, c)`` and ``c`` against a random
+    clause."""
+    rng = random.Random(seed)
+    sig = theories.load_preset("set-cantor").sig
+    s = sig.sorts["set"]
+    preds = [sig.lookup("in"), sig.lookup("=")]
+
+    def literal(names, depth, like=None):
+        positive, pred = ((rng.random() < 0.5, rng.choice(preds)) if like is None
+                          else (like.positive, like.atom.pred))
+        return Literal(positive, Atom(pred, tuple(random_sig_term(rng, sig, s, depth, names)
+                                                  for _ in range(2))))
+
+    def instance(lit, theta):
+        return Literal(lit.positive, Atom(lit.atom.pred,
+                                          tuple(subst_term(a, theta) for a in lit.atom.args)))
+
+    xyz, uv = ("X", "Y", "Z"), ("U", "V")
+    rotate = {"X": Var("Y", s), "Y": Var("Z", s), "Z": Var("X", s)}
+    for _ in range(rounds):
+        lits = [literal(xyz, 1) for _ in range(rng.randint(2, 3))]
+        if rng.random() < 0.5:
+            lits[1] = instance(lits[0], rotate)
+        c = ConstrainedClause(lits)
+        terms = [random_sig_term(rng, sig, s, 1, ("U",)) for _ in range(rng.randint(1, 3))]
+        theta = {name: rng.choice(terms) for name in xyz}
+        lits = [instance(lit, theta) for lit in c.literals]
+        lits += [literal(uv, 2, rng.choice(c.literals)) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(lits)
+        d = ConstrainedClause(lits)
+        yield c, d
+        yield d, c
+        yield c, ConstrainedClause([literal(uv, 2) for _ in range(rng.randint(1, 4))])
+
+
+def test_subsumption_agrees_with_a_multiset_oracle_over_set_cantor():
+    subsumed = merged = 0
+    for c, d in set_cantor_subsumption_pairs(37, 300):
+        expected = multiset_subsumes(c, d)
+        assert subsumes(c, d) == expected, (c, d)
+        subsumed += expected
+        # pairs that only a map sending two literals to one subsumes
+        merged += not expected and fits_counts(c, d) and some_map_subsumes(c, d)
+    assert subsumed >= 200 and merged >= 10
+
+
+@pytest.mark.parametrize("clauses", index_clause_sets())
+def test_subsumption_agrees_with_a_multiset_oracle(clauses):
+    pairs = 0
+    for c in clauses:
+        for d in clauses:
+            expected = multiset_subsumes(c, d)
+            assert subsumes(c, d) == expected, (c, d)
+            pairs += expected and c is not d
+    assert pairs >= 50
+
+
+@pytest.mark.parametrize("clauses", [p for p in index_clause_sets()
+                                     if p.id.startswith("first-order")])
+def test_subsumption_rejects_on_counts_before_it_matches(monkeypatch, clauses):
+    matched = []
+    monkeypatch.setattr(prover, "match", lambda *args: matched.append(args) or match(*args))
+    rejected = 0
+    for c in clauses:
+        for d in clauses:
+            if not c.literals_ground() and not fits_counts(c, d):
+                matched.clear()
+                assert not subsumes(c, d)
+                assert not matched, (c, d)
+                rejected += 1
+    assert rejected >= 2000
 
 
 # ---------------------------------------------------------------------------
